@@ -104,10 +104,10 @@ def _admissible_draw(rng: np.random.Generator) -> tuple[float, float, float, flo
 
 
 def _limit_symmetry(ctx: AcceptanceContext, tol: float = 1e-3) -> tuple[bool, str]:
-    t0 = time.time()
+    t0 = time.perf_counter()
     waves = ctx.wave_grid()
     worst = max(abs(w.i_plus_inf + key[2] - 2.0) for key, w in waves.items())
-    per_wave = (time.time() - t0) / len(waves)
+    per_wave = (time.perf_counter() - t0) / len(waves)
     return worst < tol, (
         f"max |i+inf + i-inf - 2| = {worst:.2e} over {len(waves)} waves "
         f"(tol {tol:g}, {per_wave:.2f}s/wave)"
@@ -116,13 +116,13 @@ def _limit_symmetry(ctx: AcceptanceContext, tol: float = 1e-3) -> tuple[bool, st
 
 def _attractor_formula(ctx: AcceptanceContext, tol: float = 1e-4) -> tuple[bool, str]:
     rng = ctx.rng(2)
-    t0 = time.time()
+    t0 = time.perf_counter()
     worst = 0.0
     for _ in range(50):
         c, r, i0, a0 = _admissible_draw(rng)
         _, limit = wave_mod.shoot_from_max(a0, i0, Params(c=c, r=r))
         worst = max(worst, abs(limit - analysis.i_plus_infinity(a0, i0, c, r)))
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     return worst < tol and elapsed < 60.0, (
         f"max |measured limit - closed form| = {worst:.2e} over 50 random "
         f"starts (tol {tol:g}, {elapsed:.0f}s of 60s budget)"
@@ -373,11 +373,11 @@ def run_all(
     for name, fn in _CRITERIA:
         if only is not None and only not in name:
             continue
-        t0 = time.time()
+        t0 = time.perf_counter()
         kwargs = {"tol": overrides[name]} if name in overrides else {}
         try:
             passed, detail = fn(ctx, **kwargs)
         except Exception as exc:
             passed, detail = False, f"raised {type(exc).__name__}: {exc}"
-        results.append(CriterionResult(name, passed, detail, time.time() - t0))
+        results.append(CriterionResult(name, passed, detail, time.perf_counter() - t0))
     return results

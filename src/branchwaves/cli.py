@@ -7,10 +7,13 @@ closed-form predictions, and `verify` runs the acceptance battery.
 
 Machine-readable reports go to stdout as JSON; bulk data goes to CSV files
 (17 significant digits, LF line endings, header row) so values round-trip
-exactly.  A flat `key = value` file passed with --config supplies defaults;
-explicit flags win.  Exit statuses are stable API: 0 success, 1
-verification failure, 2 invalid regime, 3 blow-up, 4 resolution failure,
-64 usage error.
+exactly.  Each flag's default is declared once, on the flag.  A flat
+`key = value` file passed with --config replaces those defaults for the
+chosen subcommand (keys are the flag names); explicit flags win.  Exit
+statuses are stable API: 0 success, 1 verification failure, and for errors
+the single table `_EXIT_TABLE`, which `main` applies to whatever a
+subcommand raises: 2 invalid regime, 3 blow-up, 4 resolution failure, 64
+usage error.
 """
 
 from __future__ import annotations
@@ -51,6 +54,18 @@ class _UsageProblem(Exception):
     pass
 
 
+# Error class -> (exit status, stderr label), first match wins.  Handlers
+# let these propagate; where a class means another failure at one stage,
+# the handler re-raises it as the class that names that failure.
+_EXIT_TABLE = (
+    ((_UsageProblem,), EXIT_USAGE, None),
+    ((BlowUpError,), EXIT_BLOWUP, "blow-up"),
+    ((NegativityError, DomainError), EXIT_REGIME, "invalid regime"),
+    ((BudgetError, NonConvergenceError, ContaminatedMeasurementError,
+      ContourResolutionError, SplittingError), EXIT_RESOLUTION, "resolution failure"),
+)
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -78,33 +93,26 @@ def _parse_bool(text: str) -> bool:
     raise argparse.ArgumentTypeError(f"expected a boolean, got {text!r}")
 
 
-def _parse_grid(text: str) -> tuple[int, float, float]:
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError(f"expected n:xmin:xmax, got {text!r}")
+def _fields(form: str, sep: str, *converters) -> Callable[[str], tuple]:
+    """Argparse type for `form`: sep-joined fields, one converter each."""
+
+    def parse(text: str) -> tuple:
+        parts = text.split(sep)
+        if len(parts) != len(converters):
+            raise argparse.ArgumentTypeError(f"expected {form}, got {text!r}")
+        try:
+            return tuple(convert(part) for convert, part in zip(converters, parts))
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from exc
+
+    return parse
+
+
+def _parse_contour(text: str) -> np.ndarray:
+    r_min, r_max, base_n = _fields("rmin:rmax:n", ":", float, float, int)(text)
     try:
-        return int(parts[0]), float(parts[1]), float(parts[2])
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from exc
-
-
-def _parse_window(text: str) -> tuple[float, float]:
-    parts = text.split(":")
-    if len(parts) != 2:
-        raise argparse.ArgumentTypeError(f"expected t1:t2, got {text!r}")
-    try:
-        return float(parts[0]), float(parts[1])
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from exc
-
-
-def _parse_contour(text: str) -> tuple[float, float, int]:
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError(f"expected rmin:rmax:n, got {text!r}")
-    try:
-        return float(parts[0]), float(parts[1]), int(parts[2])
-    except ValueError as exc:
+        return spectral.contour_of_S(r_min, r_max, base_n)
+    except DomainError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
@@ -133,16 +141,6 @@ def _parse_general(text: str) -> GeneralParams:
     return GeneralParams(r_S=values["rS"], r_A=values["rA"], r_I=values["rI"], D=values["D"])
 
 
-def _parse_tol(text: str) -> tuple[str, float]:
-    key, sep, raw = text.partition("=")
-    if not sep:
-        raise argparse.ArgumentTypeError(f"expected name=value, got {text!r}")
-    try:
-        return key.strip(), float(raw)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from exc
-
-
 def _load_config(path: str) -> dict[str, str]:
     entries = {}
     try:
@@ -162,70 +160,58 @@ def _load_config(path: str) -> dict[str, str]:
     return entries
 
 
-def _merge(args: argparse.Namespace, table: dict, config: dict[str, str]):
-    """Fill unset flags from the config file, then from hard defaults."""
-    unknown = set(config) - set(table)
+def _apply_config(parser: argparse.ArgumentParser, entries: dict[str, str]) -> None:
+    """Make config entries the parser's defaults, converted on the next parse.
+
+    Argparse converts string defaults through the flag's `type=`, but a
+    no-value flag has none, so its entry is read as a boolean here.  --tol
+    appends, so one config string cannot stand for it.
+    """
+    actions = {
+        action.dest: action
+        for action in parser._actions
+        if action.dest not in ("help", "config", "tol")
+    }
+    unknown = set(entries) - set(actions)
     if unknown:
         raise _UsageProblem(
             f"unknown config keys: {', '.join(sorted(unknown))} "
-            f"(valid: {', '.join(sorted(table))})"
+            f"(valid: {', '.join(sorted(actions))})"
         )
-    resolved = {}
-    for dest, (convert, default) in table.items():
-        value = getattr(args, dest)
-        if value is None and dest in config:
+    defaults = dict(entries)
+    for key, value in entries.items():
+        if actions[key].nargs == 0:
             try:
-                value = convert(config[dest])
-            except (argparse.ArgumentTypeError, ValueError) as exc:
-                raise _UsageProblem(f"config key {dest}: {exc}") from exc
-        if value is None:
-            value = default
-        resolved[dest] = value
-    return argparse.Namespace(**resolved)
+                defaults[key] = _parse_bool(value)
+            except argparse.ArgumentTypeError as exc:
+                raise _UsageProblem(f"config key {key}: {exc}") from exc
+    parser.set_defaults(**defaults)
 
 
 def _report(payload: dict) -> None:
     print(json.dumps(payload, indent=2))
 
 
-def _fail(message: str, code: int) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return code
-
-
 # ---------------------------------------------------------------- wave
 
-_WAVE_TABLE = {
-    "c": (float, 2.0),
-    "r": (float, 0.0),
-    "i_minus": (float, 2.0),
-    "out": (str, "wave.csv"),
-}
 
-
-def cmd_wave(args: argparse.Namespace, config: dict[str, str]) -> int:
-    opts = _merge(args, _WAVE_TABLE, config)
+def cmd_wave(args: argparse.Namespace) -> int:
+    params = Params(c=args.c, r=args.r)
     try:
-        params = Params(c=opts.c, r=opts.r)
-        profile = wave_mod.shoot_wave(opts.i_minus, params)
+        profile = wave_mod.shoot_wave(args.i_minus, params)
     except NegativityError as exc:
-        bound = 2.0 - analysis.minimal_inactive_limit(opts.c)
+        bound = 2.0 - analysis.minimal_inactive_limit(args.c)
         where = "" if exc.z is None else f" at z = {exc.z:.2f}"
-        return _fail(
-            f"invalid regime: no non-negative wave at c = {opts.c:g}, "
-            f"i_minus = {opts.i_minus:g}; rear levels above {bound:g} make "
+        raise NegativityError(
+            f"no non-negative wave at c = {args.c:g}, "
+            f"i_minus = {args.i_minus:g}; rear levels above {bound:g} make "
             f"the approach to the far equilibrium oscillatory, and a fell "
-            f"to {exc.value:.2e}{where}",
-            EXIT_REGIME,
-        )
-    except DomainError as exc:
-        return _fail(f"invalid regime: {exc}", EXIT_REGIME)
-    except (BudgetError, NonConvergenceError) as exc:
-        return _fail(f"resolution failure: {exc}", EXIT_RESOLUTION)
+            f"to {exc.value:.2e}{where}"
+        ) from exc
 
     traj = profile.trajectory
     _write_csv(
-        opts.out,
+        args.out,
         ["z", "a", "b", "i"],
         [traj.zs, traj.states[:, 0], traj.states[:, 1], traj.states[:, 2]],
     )
@@ -255,7 +241,7 @@ def cmd_wave(args: argparse.Namespace, config: dict[str, str]) -> int:
                 "i_at_max": profile.i_at_max,
                 "z_first_max": profile.z_first_max,
                 "samples": len(traj),
-                "csv": opts.out,
+                "csv": args.out,
             },
             "checks": {
                 "i_monotone": report.i_monotone,
@@ -268,19 +254,6 @@ def cmd_wave(args: argparse.Namespace, config: dict[str, str]) -> int:
 
 
 # ----------------------------------------------------------------- pde
-
-_PDE_TABLE = {
-    "r": (float, 0.0),
-    "amplitude": (float, 0.5),
-    "width": (float, 1.0),
-    "initial": (str, None),
-    "grid": (_parse_grid, (2001, -30.0, 120.0)),
-    "t_end": (float, 30.0),
-    "threshold": (float, 0.1),
-    "window": (_parse_window, None),
-    "out": (str, "pde"),
-    "save_all": (_parse_bool, False),
-}
 
 
 def _read_initial(path: str) -> tuple[pde.Grid, np.ndarray, np.ndarray]:
@@ -303,41 +276,29 @@ def _read_initial(path: str) -> tuple[pde.Grid, np.ndarray, np.ndarray]:
     return grid, np.asarray(data[names[1]], float), np.asarray(data[names[2]], float)
 
 
-def cmd_pde(args: argparse.Namespace, config: dict[str, str]) -> int:
-    opts = _merge(args, _PDE_TABLE, config)
-    if opts.initial is not None:
-        grid, A0, I0 = _read_initial(opts.initial)
+def cmd_pde(args: argparse.Namespace) -> int:
+    if args.initial is not None:
+        grid, A0, I0 = _read_initial(args.initial)
     else:
-        n, x_min, x_max = opts.grid
+        n, x_min, x_max = args.grid
         grid = pde.Grid(x_min, x_max, n)
         xs = grid.xs()
-        A0 = opts.amplitude * np.exp(-((xs / opts.width) ** 2))
+        A0 = args.amplitude * np.exp(-((xs / args.width) ** 2))
         I0 = np.zeros_like(xs)
 
-    params = Params(c=2.0, r=opts.r)
-    try:
-        series = pde.simulate(A0, I0, params, grid, t_end=opts.t_end)
-    except BlowUpError as exc:
-        last = exc.series.times[-1] if exc.series is not None and len(exc.series) else 0.0
-        return _fail(
-            f"blow-up: {exc} (last finite snapshot at t = {last:g})",
-            EXIT_BLOWUP,
-        )
-    except DomainError as exc:
-        return _fail(f"invalid regime: {exc}", EXIT_REGIME)
+    params = Params(c=2.0, r=args.r)
+    series = pde.simulate(A0, I0, params, grid, t_end=args.t_end)
 
-    window = opts.window if opts.window is not None else (opts.t_end / 2.0, opts.t_end)
+    window = args.window if args.window is not None else (args.t_end / 2.0, args.t_end)
     try:
-        speed = pde.measure_speed(series, opts.threshold, window)
-    except ContaminatedMeasurementError as exc:
-        return _fail(f"resolution failure: {exc}", EXIT_RESOLUTION)
+        speed = pde.measure_speed(series, args.threshold, window)
     except DomainError as exc:
-        return _fail(f"usage: {exc}", EXIT_USAGE)
+        raise _UsageProblem(f"usage: {exc}") from exc
 
-    if opts.save_all:
+    if args.save_all:
         save_times = list(series.times)
     else:
-        save_times = sorted({0.0, round(opts.t_end / 2.0, 6), opts.t_end} & set(series.times)) or [
+        save_times = sorted({0.0, round(args.t_end / 2.0, 6), args.t_end} & set(series.times)) or [
             series.times[0],
             series.times[-1],
         ]
@@ -345,12 +306,12 @@ def cmd_pde(args: argparse.Namespace, config: dict[str, str]) -> int:
     written = []
     for t in save_times:
         A, I = series.at(t)
-        path = f"{opts.out}_t{t:g}.csv"
+        path = f"{args.out}_t{t:g}.csv"
         _write_csv(path, ["x", "A", "I"], [xs, A, I])
         written.append(path)
 
     A_end, I_end = series.at(series.times[-1])
-    x_front = pde.front_position(A_end, grid, opts.threshold)
+    x_front = pde.front_position(A_end, grid, args.threshold)
     plateau = None
     if math.isfinite(x_front):
         sel = (xs >= xs[0] + 10.0) & (xs <= x_front - 20.0)
@@ -372,23 +333,10 @@ def cmd_pde(args: argparse.Namespace, config: dict[str, str]) -> int:
 
 # --------------------------------------------------------------- evans
 
-_EVANS_TABLE = {
-    "c": (float, 2.0),
-    "r": (float, 0.0),
-    "i_minus": (float, 2.0),
-    "w_exp": (float, None),
-    "L": (float, None),
-    "contour": (_parse_contour, (1e-3, 1000.0, 200)),
-    "out": (str, "evans.csv"),
-    "self_test": (_parse_bool, False),
-}
 
-
-def cmd_evans(args: argparse.Namespace, config: dict[str, str]) -> int:
-    opts = _merge(args, _EVANS_TABLE, config)
-
+def cmd_evans(args: argparse.Namespace) -> int:
     samples: list[tuple[complex, complex]] = []
-    if opts.self_test:
+    if args.self_test:
         theta = np.linspace(0.0, 2.0 * math.pi, 65)
         contour = 0.5 + np.exp(1j * theta)
         contour[-1] = contour[0]
@@ -401,23 +349,13 @@ def cmd_evans(args: argparse.Namespace, config: dict[str, str]) -> int:
         expected = 1
         L_used = None
     else:
-        try:
-            params = Params(c=opts.c, r=opts.r)
-            profile = wave_mod.shoot_wave(opts.i_minus, params)
-            setup = spectral.make_setup(wave=profile, w_exp=opts.w_exp, L=opts.L)
-        except (NegativityError, DomainError) as exc:
-            return _fail(f"invalid regime: {exc}", EXIT_REGIME)
-        except (BudgetError, NonConvergenceError) as exc:
-            return _fail(f"resolution failure: {exc}", EXIT_RESOLUTION)
-        r_min, r_max, base_n = opts.contour
-        try:
-            contour = spectral.contour_of_S(r_min, r_max, base_n)
-        except DomainError as exc:
-            return _fail(f"usage: {exc}", EXIT_USAGE)
-        bound_setup = setup
+        params = Params(c=args.c, r=args.r)
+        profile = wave_mod.shoot_wave(args.i_minus, params)
+        setup = spectral.make_setup(wave=profile, w_exp=args.w_exp, L=args.L)
+        contour = args.contour
 
         def probe(g: complex) -> complex:
-            value = spectral.evans(g, bound_setup)
+            value = spectral.evans(g, setup)
             samples.append((g, value))
             return value
 
@@ -426,15 +364,13 @@ def cmd_evans(args: argparse.Namespace, config: dict[str, str]) -> int:
 
     try:
         winding, max_step = spectral.winding_number(setup, contour, fn=probe)
-    except ContourResolutionError as exc:
-        return _fail(f"resolution failure: {exc}", EXIT_RESOLUTION)
-    except (SplittingError, DomainError) as exc:
-        return _fail(f"resolution failure: {exc}", EXIT_RESOLUTION)
+    except DomainError as exc:
+        raise ContourResolutionError(str(exc)) from exc
 
     gammas = np.array([g for g, _ in samples])
     values = np.array([v for _, v in samples])
     _write_csv(
-        opts.out,
+        args.out,
         ["re_gamma", "im_gamma", "re_E", "im_E"],
         [gammas.real, gammas.imag, values.real, values.imag],
     )
@@ -443,9 +379,9 @@ def cmd_evans(args: argparse.Namespace, config: dict[str, str]) -> int:
             "winding": winding,
             "max_arg_step": max_step,
             "L": L_used,
-            "self_test": bool(opts.self_test),
+            "self_test": bool(args.self_test),
             "evaluations": len(samples),
-            "csv": opts.out,
+            "csv": args.out,
         }
     )
     return EXIT_OK if winding == expected else EXIT_VERIFICATION
@@ -453,22 +389,14 @@ def cmd_evans(args: argparse.Namespace, config: dict[str, str]) -> int:
 
 # ------------------------------------------------------------ formulas
 
-_FORMULAS_TABLE = {
-    "c": (float, 2.0),
-    "r": (float, 0.0),
-    "general": (_parse_general, None),
-    "json": (_parse_bool, False),
-}
 
-
-def cmd_formulas(args: argparse.Namespace, config: dict[str, str]) -> int:
-    opts = _merge(args, _FORMULAS_TABLE, config)
+def cmd_formulas(args: argparse.Namespace) -> int:
     try:
-        Params(c=opts.c, r=opts.r)
+        Params(c=args.c, r=args.r)
     except DomainError as exc:
         raise _UsageProblem(str(exc)) from exc
 
-    c, r = opts.c, opts.r
+    c, r = args.c, args.r
     i_c = analysis.minimal_inactive_limit(c)
     pairs = [
         (i_minus, analysis.limit_symmetry(i_minus))
@@ -482,8 +410,8 @@ def cmd_formulas(args: argparse.Namespace, config: dict[str, str]) -> int:
     a_stars = [(i0, analysis.a_star(i0, c, r)) for i0 in i0_grid]
 
     general = None
-    if opts.general is not None:
-        predictions = general_wave_predictions(opts.general, c)
+    if args.general is not None:
+        predictions = general_wave_predictions(args.general, c)
         general = {
             "i_c": predictions.i_c,
             "limit_sum": predictions.limit_sum,
@@ -501,7 +429,7 @@ def cmd_formulas(args: argparse.Namespace, config: dict[str, str]) -> int:
         "a_star": [[i0, a] for i0, a in a_stars],
         "general": general,
     }
-    if opts.json:
+    if args.json:
         _report(payload)
         return EXIT_OK
 
@@ -532,14 +460,8 @@ def cmd_formulas(args: argparse.Namespace, config: dict[str, str]) -> int:
 
 # -------------------------------------------------------------- verify
 
-_VERIFY_TABLE = {
-    "only": (str, None),
-    "seed": (int, 2026),
-}
 
-
-def cmd_verify(args: argparse.Namespace, config: dict[str, str]) -> int:
-    opts = _merge(args, _VERIFY_TABLE, config)
+def cmd_verify(args: argparse.Namespace) -> int:
     tolerances = dict(args.tol or [])
     unknown = set(tolerances) - set(acceptance.CRITERION_NAMES)
     if unknown:
@@ -547,11 +469,11 @@ def cmd_verify(args: argparse.Namespace, config: dict[str, str]) -> int:
             f"unknown criteria in --tol: {', '.join(sorted(unknown))}"
         )
     results = acceptance.run_all(
-        only=opts.only, seed=opts.seed, tolerances=tolerances or None
+        only=args.only, seed=args.seed, tolerances=tolerances or None
     )
     if not results:
         raise _UsageProblem(
-            f"--only {opts.only!r} matches no criterion "
+            f"--only {args.only!r} matches no criterion "
             f"(valid: {', '.join(acceptance.CRITERION_NAMES)})"
         )
     for result in results:
@@ -566,84 +488,95 @@ def cmd_verify(args: argparse.Namespace, config: dict[str, str]) -> int:
 # ---------------------------------------------------------------- main
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="flat key = value file with flag defaults")
-
-
-def _build_parser() -> _Parser:
+def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
+    """The top-level parser and its subcommand parsers by name."""
     parser = _Parser(prog="branchwaves", description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_wave = sub.add_parser("wave", help="shoot one traveling wave and verify it")
-    p_wave.add_argument("--c", type=float, help="wave speed (default 2)")
-    p_wave.add_argument("--r", type=float, help="production rate (default 0)")
-    p_wave.add_argument("--i-minus", dest="i_minus", type=float,
-                        help="rear inactive limit in (1, 2] (default 2)")
-    p_wave.add_argument("--out", help="profile CSV path (default wave.csv)")
+    p_pde = sub.add_parser("pde", help="run the planar front and measure its speed")
+    p_evans = sub.add_parser("evans", help="sweep the spectral contour and report winding")
+    p_formulas = sub.add_parser("formulas", help="evaluate the closed-form predictions")
+    p_verify = sub.add_parser("verify", help="run the acceptance battery")
+
+    for sp in (p_wave, p_evans, p_formulas):
+        sp.add_argument("--c", type=float, default=2.0,
+                        help="wave speed (default %(default)s)")
+    for sp in (p_wave, p_pde, p_evans, p_formulas):
+        sp.add_argument("--r", type=float, default=0.0,
+                        help="production rate (default %(default)s)")
+    for sp in (p_wave, p_evans):
+        sp.add_argument("--i-minus", dest="i_minus", type=float, default=2.0,
+                        help="rear inactive limit in (1, 2] (default %(default)s)")
+
+    p_wave.add_argument("--out", default="wave.csv",
+                        help="profile CSV path (default %(default)s)")
     p_wave.set_defaults(handler=cmd_wave)
 
-    p_pde = sub.add_parser("pde", help="run the planar front and measure its speed")
-    p_pde.add_argument("--r", type=float, help="production rate (default 0)")
-    p_pde.add_argument("--amplitude", type=float, help="bump height (default 0.5)")
-    p_pde.add_argument("--width", type=float, help="bump width (default 1)")
+    p_pde.add_argument("--amplitude", type=float, default=0.5,
+                       help="bump height (default %(default)s)")
+    p_pde.add_argument("--width", type=float, default=1.0,
+                       help="bump width (default %(default)s)")
     p_pde.add_argument("--initial", help="CSV x,A,I initial data (overrides the bump)")
-    p_pde.add_argument("--grid", type=_parse_grid, help="n:xmin:xmax (default 2001:-30:120)")
-    p_pde.add_argument("--t-end", dest="t_end", type=float, help="final time (default 30)")
-    p_pde.add_argument("--threshold", type=float, help="front tracking level (default 0.1)")
-    p_pde.add_argument("--window", type=_parse_window,
+    p_pde.add_argument("--grid", type=_fields("n:xmin:xmax", ":", int, float, float),
+                       default="2001:-30:120", help="n:xmin:xmax (default %(default)s)")
+    p_pde.add_argument("--t-end", dest="t_end", type=float, default=30.0,
+                       help="final time (default %(default)s)")
+    p_pde.add_argument("--threshold", type=float, default=0.1,
+                       help="front tracking level (default %(default)s)")
+    p_pde.add_argument("--window", type=_fields("t1:t2", ":", float, float),
                        help="speed-fit window t1:t2 (default second half)")
-    p_pde.add_argument("--out", help="snapshot CSV prefix (default pde)")
-    p_pde.add_argument("--save-all", dest="save_all", action="store_const", const=True,
+    p_pde.add_argument("--out", default="pde",
+                       help="snapshot CSV prefix (default %(default)s)")
+    p_pde.add_argument("--save-all", dest="save_all", action="store_true",
                        help="write every snapshot instead of start/middle/end")
     p_pde.set_defaults(handler=cmd_pde)
 
-    p_evans = sub.add_parser("evans", help="sweep the spectral contour and report winding")
-    p_evans.add_argument("--c", type=float, help="wave speed (default 2)")
-    p_evans.add_argument("--r", type=float, help="production rate (default 0)")
-    p_evans.add_argument("--i-minus", dest="i_minus", type=float,
-                         help="rear inactive limit (default 2)")
     p_evans.add_argument("--w-exp", dest="w_exp", type=float,
                          help="exponential weight (default c/2)")
     p_evans.add_argument("--L", type=float, help="domain half-length (default auto)")
-    p_evans.add_argument("--contour", type=_parse_contour,
-                         help="rmin:rmax:n (default 0.001:1000:200)")
-    p_evans.add_argument("--out", help="samples CSV path (default evans.csv)")
-    p_evans.add_argument("--self-test", dest="self_test", action="store_const", const=True,
+    p_evans.add_argument("--contour", type=_parse_contour, default="0.001:1000:200",
+                         help="rmin:rmax:n (default %(default)s)")
+    p_evans.add_argument("--out", default="evans.csv",
+                         help="samples CSV path (default %(default)s)")
+    p_evans.add_argument("--self-test", dest="self_test", action="store_true",
                          help="wind the identity map around a circle about 0.5 (expects 1)")
     p_evans.set_defaults(handler=cmd_evans)
 
-    p_formulas = sub.add_parser("formulas", help="evaluate the closed-form predictions")
-    p_formulas.add_argument("--c", type=float, help="wave speed (default 2)")
-    p_formulas.add_argument("--r", type=float, help="production rate (default 0)")
     p_formulas.add_argument("--general", type=_parse_general,
                             help="general rates rS=..,rA=..,rI=..,D=..")
-    p_formulas.add_argument("--json", action="store_const", const=True,
-                            help="machine-readable output")
+    p_formulas.add_argument("--json", action="store_true", help="machine-readable output")
     p_formulas.set_defaults(handler=cmd_formulas)
 
-    p_verify = sub.add_parser("verify", help="run the acceptance battery")
     p_verify.add_argument("--only", help="substring filter on criterion names")
-    p_verify.add_argument("--seed", type=int, help="randomized-check seed (default 2026)")
-    p_verify.add_argument("--tol", type=_parse_tol, action="append",
+    p_verify.add_argument("--seed", type=int, default=2026,
+                          help="randomized-check seed (default %(default)s)")
+    p_verify.add_argument("--tol", type=_fields("name=value", "=", str.strip, float),
+                          action="append",
                           help="override a criterion tolerance, name=value (repeatable)")
     p_verify.set_defaults(handler=cmd_verify)
 
-    for sp in (p_wave, p_pde, p_evans, p_formulas, p_verify):
-        _add_common(sp)
-    return parser
+    for sp in sub.choices.values():
+        sp.add_argument("--config", help="flat key = value file with flag defaults")
+    return parser, sub.choices
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
+    parser, commands = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.config:
+            _apply_config(commands[args.command], _load_config(args.config))
+            args = parser.parse_args(argv)
+        return args.handler(args)
     except SystemExit as exc:
         return int(exc.code or 0)
-    try:
-        config = _load_config(args.config) if args.config else {}
-        return args.handler(args, config)
-    except _UsageProblem as exc:
-        return _fail(str(exc), EXIT_USAGE)
+    except tuple(cls for classes, _, _ in _EXIT_TABLE for cls in classes) as exc:
+        code, label = next(
+            (code, label) for classes, code, label in _EXIT_TABLE if isinstance(exc, classes)
+        )
+        print(f"error: {label}: {exc}" if label else f"error: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

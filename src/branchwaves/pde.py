@@ -123,7 +123,8 @@ def simulate(A0, I0, p: Params, grid: Grid, t_end: float,
             A, I = _rk4_interval(A, I, p, grid.dx, times[k] - times[k - 1], dt_cap)
             if not (np.isfinite(A).all() and np.isfinite(I).all()):
                 raise BlowUpError(
-                    f"non-finite field values by t = {times[k]:g}",
+                    f"non-finite field values by t = {times[k]:g} "
+                    f"(last finite snapshot at t = {times[k - 1]:g})",
                     series=FieldSeries(grid, times[:k], snaps),
                 )
             snaps.append((A.copy(), I.copy()))

@@ -233,6 +233,23 @@ class LimitSplitting:
         return sum(1 for nu in self.nu_plus if nu.real < 0)
 
 
+def _rate_eigenvector(
+    g: complex, lam: complex, i_limit: float, setup: SpectralSetup
+) -> np.ndarray:
+    """Far-field eigenvector (1, lam, (i_limit + r) / (g - c lam)) of rate lam.
+
+    The form degenerates where g - c lam vanishes, at an eigenvalue
+    collision; such gamma are rejected.
+    """
+    den = g - setup.params.c * lam
+    if abs(den) < 1e-10:
+        raise SplittingError(
+            f"limit eigenvectors collide at gamma = {g}; perturb gamma "
+            "radially off the collision point"
+        )
+    return np.array([1.0, lam, (i_limit + setup.params.r) / den], dtype=complex)
+
+
 def limit_splitting(gamma: complex, setup: SpectralSetup) -> LimitSplitting:
     """Split both far-field systems into growing and decaying directions.
 
@@ -245,20 +262,10 @@ def limit_splitting(gamma: complex, setup: SpectralSetup) -> LimitSplitting:
     """
     nu_minus, nu_plus = _checked_rates(gamma, setup)
     g = complex(gamma)
-    p, w = setup.params, setup.w_exp
-    c, r = p.c, p.r
-    lam2 = nu_minus[1] - w
-    lam3 = nu_plus[2] - w
-    den2 = g - c * lam2
-    den3 = g - c * lam3
-    if min(abs(den2), abs(den3)) < 1e-10:
-        raise SplittingError(
-            f"limit eigenvectors collide at gamma = {g}; perturb gamma "
-            "radially off the collision point"
-        )
+    w = setup.w_exp
     v1 = np.array([0.0, 0.0, 1.0], dtype=complex)
-    v2 = np.array([1.0, lam2, (setup.wave.i_minus_inf + r) / den2], dtype=complex)
-    x = np.array([1.0, lam3, (setup.wave.i_plus_inf + r) / den3], dtype=complex)
+    v2 = _rate_eigenvector(g, nu_minus[1] - w, setup.wave.i_minus_inf, setup)
+    x = _rate_eigenvector(g, nu_plus[2] - w, setup.wave.i_plus_inf, setup)
     return LimitSplitting(
         nu_minus=nu_minus,
         nu_plus=nu_plus,
@@ -309,13 +316,7 @@ def evans(gamma: complex, setup: SpectralSetup, step: float = DEFAULT_STEP) -> c
         m2 = _wedge_square(_weighted_matrix(a, i, g, p, w))
         V = expm((m2 - shift_v * eye) * h) @ V
 
-    lam3 = nu_plus[2] - w
-    den3 = g - p.c * lam3
-    if abs(den3) < 1e-10:
-        raise SplittingError(
-            f"front stable eigenvector degenerates at gamma = {g}"
-        )
-    X = np.array([1.0, lam3, (setup.wave.i_plus_inf + p.r) / den3], dtype=complex)
+    X = _rate_eigenvector(g, nu_plus[2] - w, setup.wave.i_plus_inf, setup)
     mids = setup.L - h * (np.arange(n) + 0.5)
     a_mid, i_mid = setup.coefficient_table(mids)
     for a, i in zip(a_mid, i_mid):

@@ -53,6 +53,13 @@ class TestWave:
         assert "1.25" in err
         assert not out.exists()
 
+    def test_nonpositive_speed_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "w.csv"
+        code, _, err = run(capsys, "wave", "--c", 0, "--out", out)
+        assert code == 2
+        assert "invalid regime" in err
+        assert not out.exists()
+
 
 class TestPde:
     def test_front_run(self, tmp_path, capsys):
@@ -103,6 +110,40 @@ class TestPde:
         )
         assert code == 3
         assert "blow-up" in err
+
+    def test_blow_up_names_last_finite_snapshot(self, tmp_path, capsys):
+        xs = np.linspace(-10.0, 10.0, 201)
+        bad = tmp_path / "bad.csv"
+        np.savetxt(
+            bad,
+            np.column_stack([xs, np.exp(-(xs**2)), np.full_like(xs, -12.0)]),
+            delimiter=",",
+            header="x,A,I",
+            comments="",
+            fmt="%.17g",
+        )
+        code, _, err = run(
+            capsys, "pde", "--initial", bad, "--t-end", 8, "--out", tmp_path / "x"
+        )
+        assert code == 3
+        assert "last finite snapshot at t =" in err
+
+    def test_negative_rate_exits_2(self, tmp_path, capsys):
+        code, _, err = run(
+            capsys, "pde", "--r", -1, "--grid", "321:-10:20", "--t-end", 1,
+            "--out", tmp_path / "x",
+        )
+        assert code == 2
+        assert "invalid regime" in err
+
+    def test_window_outside_run_exits_64(self, tmp_path, capsys):
+        code, _, err = run(
+            capsys, "pde", "--grid", "321:-10:20", "--t-end", 2, "--window", "5:6",
+            "--out", tmp_path / "x",
+        )
+        assert code == 64
+        assert "window" in err
+        assert not list(tmp_path.iterdir())
 
     def test_save_all_writes_every_snapshot(self, tmp_path, capsys):
         code, payload, _ = run_json(
@@ -158,6 +199,12 @@ class TestEvans:
         )
         assert code == 2
         assert "invalid regime" in err
+
+    def test_reversed_contour_exits_64(self, tmp_path, capsys):
+        out = tmp_path / "e.csv"
+        code, _, _ = run(capsys, "evans", "--contour", "10:1:32", "--out", out)
+        assert code == 64
+        assert not out.exists()
 
 
 class TestFormulas:
@@ -254,6 +301,57 @@ class TestConfig:
     def test_missing_config_file_exits_64(self, tmp_path, capsys):
         code, _, err = run(capsys, "formulas", "--config", tmp_path / "absent.cfg")
         assert code == 64
+
+    def test_config_boolean_off_gives_text(self, tmp_path, capsys):
+        cfg = tmp_path / "f.cfg"
+        cfg.write_text("json = no\n")
+        code, out, _ = run(capsys, "formulas", "--config", cfg)
+        assert code == 0
+        assert out.startswith("c = 2, r = 0\n")
+
+    def test_config_boolean_on_saves_all(self, tmp_path, capsys):
+        cfg = tmp_path / "p.cfg"
+        cfg.write_text("save_all = yes\n")
+        code, payload, _ = run_json(
+            capsys, "pde", "--config", cfg, "--grid", "321:-10:20", "--t-end", 2,
+            "--out", tmp_path / "all",
+        )
+        assert code == 0
+        assert len(payload["snapshots"]) == 5
+
+    def test_bad_config_value_exits_64(self, tmp_path, capsys):
+        cfg = tmp_path / "f.cfg"
+        cfg.write_text("c = x\n")
+        code, _, _ = run(capsys, "formulas", "--config", cfg)
+        assert code == 64
+
+    def test_tolerances_are_not_a_config_key(self, tmp_path, capsys):
+        cfg = tmp_path / "v.cfg"
+        cfg.write_text("tol = rescaling=1\n")
+        code, _, err = run(capsys, "verify", "--config", cfg)
+        assert code == 64
+        assert "valid: only, seed" in err
+
+    @pytest.mark.parametrize(
+        "command, keys",
+        [
+            ("wave", "c, i_minus, out, r"),
+            (
+                "pde",
+                "amplitude, grid, initial, out, r, save_all, t_end, threshold, "
+                "width, window",
+            ),
+            ("evans", "L, c, contour, i_minus, out, r, self_test, w_exp"),
+            ("formulas", "c, general, json, r"),
+            ("verify", "only, seed"),
+        ],
+    )
+    def test_config_keys_are_the_flags(self, tmp_path, capsys, command, keys):
+        cfg = tmp_path / "f.cfg"
+        cfg.write_text("bogus = 1\n")
+        code, _, err = run(capsys, command, "--config", cfg)
+        assert code == 64
+        assert f"unknown config keys: bogus (valid: {keys})" in err
 
 
 class TestUsage:
