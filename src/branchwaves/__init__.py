@@ -23,7 +23,6 @@ from .errors import (
     BudgetError,
     ContaminatedMeasurementError,
     ContourResolutionError,
-    DegenerateBasisError,
     DomainError,
     InvalidSegmentError,
     NegativityError,
@@ -43,7 +42,7 @@ from .model import (
     wave_jacobian,
     wave_rhs,
 )
-from .odeint import IntegratorOptions, Trajectory, integrate, integrate_complex
+from .odeint import IntegratorOptions, Trajectory, integrate
 from .pde import (
     ComovingProfile,
     FieldSeries,
@@ -61,7 +60,6 @@ from .spectral import (
     contour_of_S,
     evans,
     limit_splitting,
-    linearization_matrix,
     make_setup,
     winding_number,
 )
@@ -106,7 +104,6 @@ __all__ = [
     "IntegratorOptions",
     "Trajectory",
     "integrate",
-    "integrate_complex",
     # waves
     "ShootingOptions",
     "WaveProfile",
@@ -128,7 +125,6 @@ __all__ = [
     "EvansSample",
     "LimitSplitting",
     "make_setup",
-    "linearization_matrix",
     "limit_splitting",
     "evans",
     "contour_of_S",
@@ -139,7 +135,6 @@ __all__ = [
     "run_all",
     # errors
     "DomainError",
-    "DegenerateBasisError",
     "OscillatoryRegimeError",
     "InvalidSegmentError",
     "NonConvergenceError",

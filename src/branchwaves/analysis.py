@@ -1,10 +1,9 @@
 """Closed-form objects of the wave analysis, as checkable functions.
 
 Everything here is exact arithmetic on formulas: fixed-point spectra, the
-normal-form eigenbasis of the linearization, the frozen-inactive 2-D
-subsystem with its invariant triangles, the attractor limit formula and
-its threshold inversion, and the integral (mass-transfer) identities
-evaluated on computed profile segments.
+frozen-inactive 2-D subsystem with its invariant triangles, the attractor
+limit formula and its threshold inversion, and the integral
+(mass-transfer) identities evaluated on computed profile segments.
 """
 
 from __future__ import annotations
@@ -14,23 +13,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegenerateBasisError,
-    DomainError,
-    InvalidSegmentError,
-    OscillatoryRegimeError,
-)
+from .errors import DomainError, InvalidSegmentError, OscillatoryRegimeError
 from .model import Params
 
 __all__ = [
     "Spectrum3",
-    "Eigenbasis",
     "Subsystem2",
     "Triangle",
     "MassResiduals",
     "fixed_point_spectrum",
-    "normal_form_matrix",
-    "eigenbasis",
     "subsystem_spectrum",
     "minimal_inactive_limit",
     "decay_rate",
@@ -43,13 +34,6 @@ __all__ = [
     "mass_residuals",
     "limit_symmetry",
 ]
-
-
-def _sqrt_maybe_complex(x: float):
-    """Real sqrt for x >= 0, complex otherwise (explicit oscillatory regime)."""
-    if x >= 0:
-        return math.sqrt(x)
-    return complex(0.0, math.sqrt(-x))
 
 
 @dataclass(frozen=True)
@@ -72,82 +56,13 @@ def fixed_point_spectrum(K: float, c: float) -> Spectrum3:
     if not c > 0:
         raise DomainError(f"wave speed must be positive, got {c}")
     disc = c * c / 4.0 + K - 1.0
-    root = _sqrt_maybe_complex(disc)
+    root = math.sqrt(disc) if disc >= 0 else complex(0.0, math.sqrt(-disc))
     return Spectrum3(
         lambda0=0.0,
         lambda_plus=-c / 2.0 + root,
         lambda_minus=-c / 2.0 - root,
         discriminant=disc,
     )
-
-
-def normal_form_matrix(K: float, c: float, r: float) -> np.ndarray:
-    """Linear part of the wave ODE at (0, 0, K) in (j, a, b) coordinates, j = i - K."""
-    return np.array(
-        [
-            [0.0, -(K + r) / c, 0.0],
-            [0.0, 0.0, 1.0],
-            [0.0, K - 1.0, -c],
-        ]
-    )
-
-
-@dataclass(frozen=True)
-class Eigenbasis:
-    """Diagonalizing basis of the normal-form linearization at (0, 0, K).
-
-    Columns of E are e0, e_plus, e_minus; Ddiag = diag(0, lambda_plus,
-    lambda_minus); E_inv is the closed-form inverse.  Arrays are complex
-    when the fixed point is a spiral.
-    """
-
-    e0: np.ndarray
-    e_plus: np.ndarray
-    e_minus: np.ndarray
-    E: np.ndarray
-    E_inv: np.ndarray
-    Ddiag: np.ndarray
-
-
-_DEGENERACY_TOL = 1e-9
-
-
-def eigenbasis(K: float, c: float, r: float) -> Eigenbasis:
-    """Eigenvectors and closed-form inverse for the (j, a, b) linearization.
-
-    Rejected near the two excluded levels K = 1 (zero eigenvalue merges)
-    and K = 1 - c^2/4 (double root), where the eigenvectors do not span.
-    """
-    if not c > 0:
-        raise DomainError(f"wave speed must be positive, got {c}")
-    if abs(K - 1.0) < _DEGENERACY_TOL:
-        raise DegenerateBasisError(f"eigenbasis degenerate at K = {K} (K = 1 excluded)")
-    if abs(K - (1.0 - c * c / 4.0)) < _DEGENERACY_TOL:
-        raise DegenerateBasisError(
-            f"eigenbasis degenerate at K = {K} (double eigenvalue at K = 1 - c^2/4)"
-        )
-
-    spec = fixed_point_spectrum(K, c)
-    lp, lm = spec.lambda_plus, spec.lambda_minus
-    delta = (lp - lm) / 2.0  # sqrt of the discriminant, possibly imaginary
-
-    dtype = complex if spec.discriminant < 0 else float
-    e0 = np.array([1.0, 0.0, 0.0], dtype=dtype)
-    e_plus = np.array([(K + r) / c * lm / lp, -lm, K - 1.0], dtype=dtype)
-    e_minus = np.array([(K + r) / c * lp / lm, -lp, K - 1.0], dtype=dtype)
-
-    E = np.column_stack([e0, e_plus, e_minus])
-    one_minus_K = 1.0 - K
-    E_inv = np.array(
-        [
-            [1.0, -(K + r) / one_minus_K, -(K + r) / (c * one_minus_K)],
-            [0.0, 1.0 / (2.0 * delta), -lp / (2.0 * delta * one_minus_K)],
-            [0.0, -1.0 / (2.0 * delta), lm / (2.0 * delta * one_minus_K)],
-        ],
-        dtype=dtype,
-    )
-    Ddiag = np.diag(np.array([0.0, lp, lm], dtype=dtype))
-    return Eigenbasis(e0=e0, e_plus=e_plus, e_minus=e_minus, E=E, E_inv=E_inv, Ddiag=Ddiag)
 
 
 @dataclass(frozen=True)
@@ -174,13 +89,11 @@ class Subsystem2:
 
 def subsystem_spectrum(i: float, c: float) -> Subsystem2:
     """Eigen-structure of the 2-D subsystem at frozen inactive level i in [0, 1)."""
-    if not c > 0:
-        raise DomainError(f"wave speed must be positive, got {c}")
+    spec = fixed_point_spectrum(i, c)
     if not (0.0 <= i < 1.0):
         raise DomainError(f"inactive level must lie in [0, 1), got {i}")
-    root_l = _sqrt_maybe_complex(c * c / 4.0 + i - 1.0)
+    lp, lm = spec.lambda_plus, spec.lambda_minus
     root_r = math.sqrt(c * c / 4.0 + 1.0 - i)
-    lp, lm = -c / 2.0 + root_l, -c / 2.0 - root_l
     bp, bm = -c / 2.0 + root_r, -c / 2.0 - root_r
     return Subsystem2(
         i=i,
@@ -204,15 +117,18 @@ def minimal_inactive_limit(c: float) -> float:
 
 
 def decay_rate(i_limit: float, c: float) -> float:
-    """Spatial tail rate -c/2 + sqrt(c^2/4 + i_limit - 1) at an inactive limit."""
-    if not c > 0:
-        raise DomainError(f"wave speed must be positive, got {c}")
-    disc = c * c / 4.0 + i_limit - 1.0
-    if disc < 0:
+    """Spatial tail rate -c/2 + sqrt(c^2/4 + i_limit - 1) at an inactive limit.
+
+    This is lambda_plus of the fixed-point spectrum, rejected where it is
+    complex.
+    """
+    spec = fixed_point_spectrum(i_limit, c)
+    if spec.discriminant < 0:
         raise OscillatoryRegimeError(
-            f"negative discriminant {disc} at i = {i_limit}, c = {c}: oscillatory regime"
+            f"negative discriminant {spec.discriminant} at i = {i_limit}, "
+            f"c = {c}: oscillatory regime"
         )
-    return -c / 2.0 + math.sqrt(disc)
+    return spec.lambda_plus
 
 
 @dataclass(frozen=True)
@@ -303,6 +219,19 @@ def i_plus_infinity(a0: float, i0: float, c: float, r: float) -> float:
     )
 
 
+def _first_root(i: float, gap: float, c: float, r: float) -> float:
+    """Positive root a of (1 + r + c^2) a^2 + 2 c^2 (i + r) a = c^2 gap.
+
+    This inverts the attractor formula: a start (a, 0, i) has the limit
+    level at squared distance (1 - i)^2 + gap from 1.  A discriminant made
+    negative by round-off is clamped to zero.
+    """
+    c2 = c * c
+    k = (c2 + 1.0 + r) / c2
+    arg = (i + r) ** 2 + k * gap
+    return (c2 / (c2 + 1.0 + r)) * (-(i + r) + math.sqrt(max(arg, 0.0)))
+
+
 def alpha_threshold(i0: float, c: float, r: float) -> float:
     """The a0 at which the predicted limit hits the minimal level i_c.
 
@@ -312,10 +241,7 @@ def alpha_threshold(i0: float, c: float, r: float) -> float:
     i_c = minimal_inactive_limit(c)
     if not (i_c - 1e-12 <= i0 < 1.0):
         raise DomainError(f"alpha_threshold needs i0 in [{i_c}, 1), got {i0}")
-    c2 = c * c
-    k = (c2 + 1.0 + r) / c2
-    arg = (i0 + r) ** 2 + k * ((1.0 - i_c) ** 2 - (1.0 - i0) ** 2)
-    return (c2 / (1.0 + c2 + r)) * (-(i0 + r) + math.sqrt(max(arg, 0.0)))
+    return _first_root(i0, (1.0 - i_c) ** 2 - (1.0 - i0) ** 2, c, r)
 
 
 def a_star(i0: float, c: float, r: float) -> float:
@@ -340,10 +266,7 @@ def a_at_first_max(i_minus_inf: float, i_z0: float, c: float, r: float) -> float
             f"imaginary root: (i_minus_inf - 1)^2 = {(i_minus_inf - 1.0) ** 2} "
             f"must exceed (1 - i_z0)^2 = {(1.0 - i_z0) ** 2}"
         )
-    c2 = c * c
-    k = (c2 + 1.0 + r) / c2
-    arg = (i_z0 + r) ** 2 + k * gap
-    return (c2 / (c2 + 1.0 + r)) * (-(i_z0 + r) + math.sqrt(arg))
+    return _first_root(i_z0, gap, c, r)
 
 
 @dataclass(frozen=True)

@@ -93,27 +93,25 @@ def _parse_bool(text: str) -> bool:
     raise argparse.ArgumentTypeError(f"expected a boolean, got {text!r}")
 
 
-def _fields(form: str, sep: str, *converters) -> Callable[[str], tuple]:
-    """Argparse type for `form`: sep-joined fields, one converter each."""
+def _fields(
+    form: str, sep: str, *converters, build: Callable = lambda *values: values
+) -> Callable[[str], object]:
+    """Argparse type for `form`: sep-joined fields, one converter each.
 
-    def parse(text: str) -> tuple:
+    The converted fields are passed to `build`; a ValueError from either
+    step, DomainError included, is a usage error at parse time.
+    """
+
+    def parse(text: str) -> object:
         parts = text.split(sep)
         if len(parts) != len(converters):
             raise argparse.ArgumentTypeError(f"expected {form}, got {text!r}")
         try:
-            return tuple(convert(part) for convert, part in zip(converters, parts))
+            return build(*(convert(part) for convert, part in zip(converters, parts)))
         except ValueError as exc:
             raise argparse.ArgumentTypeError(str(exc)) from exc
 
     return parse
-
-
-def _parse_contour(text: str) -> np.ndarray:
-    r_min, r_max, base_n = _fields("rmin:rmax:n", ":", float, float, int)(text)
-    try:
-        return spectral.contour_of_S(r_min, r_max, base_n)
-    except DomainError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
 def _parse_general(text: str) -> GeneralParams:
@@ -160,13 +158,14 @@ def _load_config(path: str) -> dict[str, str]:
     return entries
 
 
-def _apply_config(parser: argparse.ArgumentParser, entries: dict[str, str]) -> None:
-    """Make config entries the parser's defaults, converted on the next parse.
+def _apply_config(parser: argparse.ArgumentParser, path: str) -> None:
+    """Make the entries of config file `path` the parser's defaults.
 
-    Argparse converts string defaults through the flag's `type=`, but a
-    no-value flag has none, so its entry is read as a boolean here.  --tol
-    appends, so one config string cannot stand for it.
+    Each entry goes through its flag's `type=`, or is read as a boolean for
+    a no-value flag, so a bad value is reported with the file and key.
+    --tol appends, so one config string cannot stand for it.
     """
+    entries = _load_config(path)
     actions = {
         action.dest: action
         for action in parser._actions
@@ -178,13 +177,14 @@ def _apply_config(parser: argparse.ArgumentParser, entries: dict[str, str]) -> N
             f"unknown config keys: {', '.join(sorted(unknown))} "
             f"(valid: {', '.join(sorted(actions))})"
         )
-    defaults = dict(entries)
+    defaults = {}
     for key, value in entries.items():
-        if actions[key].nargs == 0:
-            try:
-                defaults[key] = _parse_bool(value)
-            except argparse.ArgumentTypeError as exc:
-                raise _UsageProblem(f"config key {key}: {exc}") from exc
+        action = actions[key]
+        convert = _parse_bool if action.nargs == 0 else action.type or str
+        try:
+            defaults[key] = convert(value)
+        except (ValueError, argparse.ArgumentTypeError) as exc:
+            raise _UsageProblem(f"{path}: config key {key}: {exc}") from exc
     parser.set_defaults(**defaults)
 
 
@@ -280,8 +280,7 @@ def cmd_pde(args: argparse.Namespace) -> int:
     if args.initial is not None:
         grid, A0, I0 = _read_initial(args.initial)
     else:
-        n, x_min, x_max = args.grid
-        grid = pde.Grid(x_min, x_max, n)
+        grid = args.grid
         xs = grid.xs()
         A0 = args.amplitude * np.exp(-((xs / args.width) ** 2))
         I0 = np.zeros_like(xs)
@@ -518,8 +517,10 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p_pde.add_argument("--width", type=float, default=1.0,
                        help="bump width (default %(default)s)")
     p_pde.add_argument("--initial", help="CSV x,A,I initial data (overrides the bump)")
-    p_pde.add_argument("--grid", type=_fields("n:xmin:xmax", ":", int, float, float),
-                       default="2001:-30:120", help="n:xmin:xmax (default %(default)s)")
+    p_pde.add_argument("--grid", default="2001:-30:120",
+                       type=_fields("n:xmin:xmax", ":", int, float, float,
+                                    build=lambda n, x_min, x_max: pde.Grid(x_min, x_max, n)),
+                       help="n:xmin:xmax (default %(default)s)")
     p_pde.add_argument("--t-end", dest="t_end", type=float, default=30.0,
                        help="final time (default %(default)s)")
     p_pde.add_argument("--threshold", type=float, default=0.1,
@@ -535,7 +536,9 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p_evans.add_argument("--w-exp", dest="w_exp", type=float,
                          help="exponential weight (default c/2)")
     p_evans.add_argument("--L", type=float, help="domain half-length (default auto)")
-    p_evans.add_argument("--contour", type=_parse_contour, default="0.001:1000:200",
+    p_evans.add_argument("--contour", default="0.001:1000:200",
+                         type=_fields("rmin:rmax:n", ":", float, float, int,
+                                      build=spectral.contour_of_S),
                          help="rmin:rmax:n (default %(default)s)")
     p_evans.add_argument("--out", default="evans.csv",
                          help="samples CSV path (default %(default)s)")
@@ -566,7 +569,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         if args.config:
-            _apply_config(commands[args.command], _load_config(args.config))
+            _apply_config(commands[args.command], args.config)
             args = parser.parse_args(argv)
         return args.handler(args)
     except SystemExit as exc:

@@ -12,10 +12,6 @@ class DomainError(ValueError):
     """An argument lies outside the operation's mathematical domain."""
 
 
-class DegenerateBasisError(DomainError):
-    """Eigenbasis requested at a level where the eigenvectors do not span."""
-
-
 class OscillatoryRegimeError(DomainError):
     """Decay-rate formula evaluated where the discriminant is negative."""
 

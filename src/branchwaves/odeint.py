@@ -1,9 +1,10 @@
 """Adaptive explicit integration with event detection.
 
-Thin layer over scipy's embedded RK45 pair: a manual step loop that
-records every accepted step, scans user events for sign changes on the
-step interpolant, and refines each crossing by root bracketing. Backward
-runs negate the right-hand side so the core only ever steps forward.
+Thin layer over scipy's embedded RK45 pair, for real or complex states: a
+manual step loop that records every accepted step, scans user events for
+sign changes on the step interpolant, and refines each crossing by root
+bracketing. Backward runs negate the right-hand side so the core only ever
+steps forward.
 """
 
 from __future__ import annotations
@@ -117,6 +118,9 @@ def integrate(
     :class:`~branchwaves.errors.NonConvergenceError` (carrying the
     partial trajectory) on step underflow or when ``opts.max_steps``
     accepted steps are exhausted before reaching the far end.
+
+    States keep the kind of ``y0``: complex if ``y0`` is complex, float
+    otherwise.  Event functions receive the state and return a real scalar.
     """
     if opts is None:
         opts = IntegratorOptions()
@@ -125,22 +129,23 @@ def integrate(
         raise DomainError("z_span must be non-degenerate")
     evs = [_as_event(e) for e in (events or [])]
 
+    dtype = complex if np.iscomplexobj(y0) else float
     backward = z_end < z_start
     if backward:
         # internal clock tau = z_start - z runs forward
         def f(tau, y):
-            return -np.asarray(rhs(z_start - tau, y), dtype=float)
+            return -np.asarray(rhs(z_start - tau, y), dtype=dtype)
 
         to_z = lambda tau: z_start - tau
         bound = z_start - z_end
     else:
         def f(tau, y):
-            return np.asarray(rhs(z_start + tau, y), dtype=float)
+            return np.asarray(rhs(z_start + tau, y), dtype=dtype)
 
         to_z = lambda tau: z_start + tau
         bound = z_end - z_start
 
-    y0 = np.asarray(y0, dtype=float)
+    y0 = np.asarray(y0, dtype=dtype)
     solver = RK45(
         f, 0.0, y0, bound,
         rtol=opts.rel_tol, atol=opts.abs_tol, max_step=opts.max_step,
@@ -202,56 +207,3 @@ def integrate(
 
     return partial()
 
-
-def integrate_complex(
-    rhs: Callable,
-    y0,
-    z_span: tuple[float, float],
-    opts: IntegratorOptions | None = None,
-    events: Sequence | None = None,
-) -> Trajectory:
-    """:func:`integrate` for complex states, run componentwise.
-
-    The complex system is stacked into real and imaginary halves and fed
-    through the real integrator; event functions still receive the
-    complex state and must return a real scalar.
-    """
-    y0 = np.asarray(y0, dtype=complex)
-    n = y0.size
-
-    def pack(w):
-        return np.concatenate([w.real, w.imag])
-
-    def unpack(u):
-        return u[:n] + 1j * u[n:]
-
-    def real_rhs(z, u):
-        return pack(np.asarray(rhs(z, unpack(u)), dtype=complex))
-
-    real_events = []
-    for e in events or []:
-        ev = _as_event(e)
-        real_events.append(
-            Event(
-                lambda z, u, _fn=ev.fn: _fn(z, unpack(u)),
-                direction=ev.direction,
-                terminal=ev.terminal,
-            )
-        )
-
-    try:
-        traj = integrate(real_rhs, pack(y0), z_span, opts, real_events)
-    except NonConvergenceError as err:
-        if err.trajectory is not None:
-            err.trajectory = _complexify(err.trajectory, n)
-        raise
-    return _complexify(traj, n)
-
-
-def _complexify(traj: Trajectory, n: int) -> Trajectory:
-    states = traj.states[:, :n] + 1j * traj.states[:, n:]
-    events = [
-        EventRecord(rec.index, rec.z, rec.state[:n] + 1j * rec.state[n:])
-        for rec in traj.events
-    ]
-    return Trajectory(traj.zs, states, events)

@@ -42,7 +42,6 @@ __all__ = [
     "contour_of_S",
     "evans",
     "limit_splitting",
-    "linearization_matrix",
     "make_setup",
     "winding_number",
 ]
@@ -169,14 +168,6 @@ def _weighted_matrix(a: float, i: float, gamma: complex, p: Params, w: float) ->
         ],
         dtype=complex,
     )
-
-
-def linearization_matrix(z: float, gamma: complex, setup: SpectralSetup) -> np.ndarray:
-    """Weighted coefficient matrix M(z, gamma) + w_exp * I at abscissa z."""
-    if not -setup.L - 1e-12 <= z <= setup.L + 1e-12:
-        raise DomainError(f"z = {z:g} outside the spectral domain [-L, L]")
-    a, i = setup.coefficients(z)
-    return _weighted_matrix(a, i, complex(gamma), setup.params, setup.w_exp)
 
 
 def _limit_rates(gamma: complex, i_limit: float, c: float, w: float):
@@ -390,7 +381,6 @@ def winding_number(
     setup: SpectralSetup | None,
     contour: Sequence[complex],
     fn: Callable[[complex], complex] | None = None,
-    step: float = DEFAULT_STEP,
 ) -> tuple[int, float]:
     """Winding of the Evans values along a closed contour.
 
@@ -409,7 +399,7 @@ def winding_number(
         bound_setup = setup
 
         def fn(g: complex) -> complex:
-            return evans(g, bound_setup, step=step)
+            return evans(g, bound_setup)
 
     pts = np.asarray(contour, dtype=complex)
     if pts.ndim != 1 or pts.size < 4:

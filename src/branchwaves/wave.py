@@ -9,7 +9,6 @@ z = 0, the limits are measured, and both tail rates are fitted.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -342,9 +341,8 @@ def verify_profile(w: WaveProfile) -> VerificationReport:
     if w.tail_prefactor_exp is not None:
         mu_plus_rel_err = None
     else:
-        disc = c * c / 4.0 + w.i_plus_inf - 1.0
-        expected = -c / 2.0 + math.sqrt(max(disc, 0.0))
-        mu_plus_rel_err = _rel_err(w.mu_plus, expected)
+        # profiles without a prefactor have disc > CRITICAL_DISC, so the rate is real
+        mu_plus_rel_err = _rel_err(w.mu_plus, analysis.decay_rate(w.i_plus_inf, c))
 
     return VerificationReport(
         i_monotone=i_monotone,

@@ -6,12 +6,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.optimize import brentq
 
 from branchwaves import analysis
-from branchwaves.errors import (
-    DegenerateBasisError,
-    DomainError,
-    InvalidSegmentError,
-    OscillatoryRegimeError,
-)
+from branchwaves.errors import DomainError, InvalidSegmentError, OscillatoryRegimeError
 from branchwaves.model import Params, wave_jacobian
 
 
@@ -50,36 +45,6 @@ class TestFixedPointSpectrum:
             expected = sorted([0.0, s.lambda_plus, s.lambda_minus], key=lambda x: x.real if isinstance(x, complex) else x)
             got = sorted(eig.real)
             np.testing.assert_allclose(got, expected, atol=1e-12)
-
-
-class TestEigenbasis:
-    def test_e0(self):
-        basis = analysis.eigenbasis(2.0, 2.0, 0.0)
-        np.testing.assert_array_equal(basis.e0, [1.0, 0.0, 0.0])
-
-    @pytest.mark.parametrize("K,c,r", [(2.0, 2.0, 0.0), (1.8, 2.0, 1.0), (1.3, 3.0, 0.5), (0.2, 2.5, 0.0)])
-    def test_eigenvector_residuals(self, K, c, r):
-        basis = analysis.eigenbasis(K, c, r)
-        M = analysis.normal_form_matrix(K, c, r)
-        s = analysis.fixed_point_spectrum(K, c)
-        np.testing.assert_allclose(M @ basis.e_plus, s.lambda_plus * basis.e_plus, atol=1e-10)
-        np.testing.assert_allclose(M @ basis.e_minus, s.lambda_minus * basis.e_minus, atol=1e-10)
-        np.testing.assert_allclose(M @ basis.e0, np.zeros(3), atol=1e-15)
-
-    @pytest.mark.parametrize("K,c,r", [(2.0, 2.0, 0.0), (1.8, 2.0, 1.0), (0.2, 2.5, 0.0), (0.0, 1.0, 0.0)])
-    def test_diagonalization(self, K, c, r):
-        basis = analysis.eigenbasis(K, c, r)
-        M = analysis.normal_form_matrix(K, c, r)
-        np.testing.assert_allclose(basis.E @ basis.E_inv, np.eye(3), atol=1e-10)
-        np.testing.assert_allclose(basis.E @ basis.Ddiag @ basis.E_inv, M, atol=1e-10)
-
-    def test_excluded_levels(self):
-        with pytest.raises(DegenerateBasisError):
-            analysis.eigenbasis(1.0, 2.0, 0.0)
-        with pytest.raises(DegenerateBasisError):
-            analysis.eigenbasis(1.0 - 4.0 / 4.0 + 1e-12, 2.0, 0.0)  # K = 1 - c^2/4 = 0
-        with pytest.raises(DegenerateBasisError):
-            analysis.eigenbasis(0.75, 1.0, 0.0)  # K = 1 - 1/4
 
 
 class TestSubsystem:

@@ -145,6 +145,13 @@ class TestPde:
         assert "window" in err
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("grid", ["10:0:1", "100:5:5"])
+    def test_bad_grid_exits_64(self, tmp_path, capsys, grid):
+        code, _, err = run(capsys, "pde", "--grid", grid, "--out", tmp_path / "x")
+        assert code == 64
+        assert "argument --grid" in err
+        assert not list(tmp_path.iterdir())
+
     def test_save_all_writes_every_snapshot(self, tmp_path, capsys):
         code, payload, _ = run_json(
             capsys, "pde", "--grid", "321:-10:20", "--t-end", 2, "--save-all",
@@ -324,6 +331,13 @@ class TestConfig:
         cfg.write_text("c = x\n")
         code, _, _ = run(capsys, "formulas", "--config", cfg)
         assert code == 64
+
+    def test_bad_config_value_names_file_and_key(self, tmp_path, capsys):
+        cfg = tmp_path / "f.cfg"
+        cfg.write_text("c = x\n")
+        code, _, err = run(capsys, "formulas", "--config", cfg)
+        assert code == 64
+        assert f"{cfg}: config key c:" in err
 
     def test_tolerances_are_not_a_config_key(self, tmp_path, capsys):
         cfg = tmp_path / "v.cfg"

@@ -6,13 +6,7 @@ from scipy.linalg import expm
 
 from branchwaves.errors import DomainError, NonConvergenceError
 from branchwaves.model import Params, wave_rhs
-from branchwaves.odeint import (
-    Event,
-    IntegratorOptions,
-    Trajectory,
-    integrate,
-    integrate_complex,
-)
+from branchwaves.odeint import Event, IntegratorOptions, Trajectory, integrate
 
 
 def decay(z, y):
@@ -86,6 +80,19 @@ class TestIntegrate:
         assert partial is not None
         assert len(partial) == 6
         assert partial.zs[-1] < 10.0
+
+    def test_max_steps_carries_complex_partial(self):
+        opts = IntegratorOptions(max_steps=5)
+        with pytest.raises(NonConvergenceError) as info:
+            integrate(lambda z, w: 1j * w, [1.0 + 0.5j], (0.0, 10.0), opts)
+        partial = info.value.trajectory
+        assert len(partial) == 6
+        assert partial.states.dtype == np.complex128
+        assert np.all(partial.states.imag != 0.0)
+
+    def test_real_start_gives_float_states(self):
+        traj = integrate(decay, [1, 2], (0.0, 1.0))
+        assert traj.states.dtype == np.float64
 
     def test_monotone_convergence(self):
         # halving rel_tol must not worsen the final-state error; a large
@@ -174,24 +181,24 @@ class TestEvents:
 
 class TestIntegrateComplex:
     def test_rotation(self):
-        traj = integrate_complex(lambda z, w: 1j * w, [1.0 + 0.0j], (0.0, math.pi))
+        traj = integrate(lambda z, w: 1j * w, [1.0 + 0.0j], (0.0, math.pi))
         assert traj.states[-1, 0] == pytest.approx(-1.0 + 0.0j, abs=1e-8)
 
     def test_zero_rhs_constant(self):
         w0 = np.array([0.3 + 0.4j, -1.0 + 2.0j])
-        traj = integrate_complex(lambda z, w: np.zeros(2, dtype=complex), w0, (0.0, 3.0))
+        traj = integrate(lambda z, w: np.zeros(2, dtype=complex), w0, (0.0, 3.0))
         assert np.max(np.abs(traj.states - w0)) == 0.0
 
     def test_constant_matrix_vs_expm(self):
         M = np.array([[0.2 + 1.0j, 0.3], [-0.1j, -0.5 + 2.0j]])
         w0 = np.array([1.0 + 0.0j, 0.5 - 0.5j])
-        traj = integrate_complex(lambda z, w: M @ w, w0, (0.0, 2.0))
+        traj = integrate(lambda z, w: M @ w, w0, (0.0, 2.0))
         want = expm(2.0 * M) @ w0
         np.testing.assert_allclose(traj.states[-1], want, atol=1e-8)
 
     def test_complex_event(self):
         # Im(w) for w = e^{iz} rises through 1/2 at z = pi/6
-        traj = integrate_complex(
+        traj = integrate(
             lambda z, w: 1j * w, [1.0 + 0.0j], (0.0, 3.0),
             events=[Event(lambda z, w: w[0].imag - 0.5, direction=1, terminal=True)],
         )
@@ -199,6 +206,6 @@ class TestIntegrateComplex:
         assert traj.events[0].state.dtype == complex
 
     def test_backward_rotation(self):
-        traj = integrate_complex(lambda z, w: 1j * w, [-1.0 + 0.0j], (math.pi, 0.0))
+        traj = integrate(lambda z, w: 1j * w, [-1.0 + 0.0j], (math.pi, 0.0))
         assert np.all(np.diff(traj.zs) < 0)
         assert traj.states[-1, 0] == pytest.approx(1.0 + 0.0j, abs=1e-8)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from branchwaves import spectral, wave
 from branchwaves.errors import ContourResolutionError, DomainError, SplittingError
 from branchwaves.model import Params, wave_jacobian
-from branchwaves.odeint import IntegratorOptions, integrate_complex
+from branchwaves.odeint import IntegratorOptions, integrate
 
 
 @pytest.fixture(scope="module")
@@ -64,6 +64,12 @@ class TestSetup:
             assert i_tab[k] == pytest.approx(i, abs=1e-14)
 
 
+def _matrix(setup, z, gamma):
+    """Weighted coefficient matrix M(z, gamma) + w_exp * I of the Evans march."""
+    a, i = setup.coefficients(z)
+    return spectral._weighted_matrix(a, i, gamma, setup.params, setup.w_exp)
+
+
 class TestLinearizationMatrix:
     def test_limit_eigenvalues(self, setup):
         g = 0.7 + 0.3j
@@ -72,7 +78,7 @@ class TestLinearizationMatrix:
             (setup.L, setup.wave.i_plus_inf),
             (-setup.L, setup.wave.i_minus_inf),
         ):
-            m = spectral.linearization_matrix(z_end, g, setup)
+            m = _matrix(setup, z_end, g)
             got = np.sort_complex(np.linalg.eigvals(m))
             root = cmath.sqrt(c * c / 4.0 + g + i_lim - 1.0)
             want = np.sort_complex(
@@ -85,26 +91,20 @@ class TestLinearizationMatrix:
         # +-sqrt(gamma) ahead of the front, +-sqrt(2 + gamma) behind it
         g = 4.0
         ahead = np.sort_complex(
-            np.linalg.eigvals(spectral.linearization_matrix(setup.L, g, setup))
+            np.linalg.eigvals(_matrix(setup, setup.L, g))
         )
         assert ahead == pytest.approx(np.array([-2.0, 2.0, 3.0]), abs=1e-6)
         behind = np.sort_complex(
-            np.linalg.eigvals(spectral.linearization_matrix(-setup.L, g, setup))
+            np.linalg.eigvals(_matrix(setup, -setup.L, g))
         )
         want = np.sort_complex(np.array([3.0, -math.sqrt(6), math.sqrt(6)]))
         assert behind == pytest.approx(want, abs=1e-12)
 
     def test_gamma_zero_is_weighted_jacobian(self, setup):
         a0, i0 = setup.coefficients(0.0)
-        m = spectral.linearization_matrix(0.0, 0.0, setup)
+        m = _matrix(setup, 0.0, 0.0)
         j = wave_jacobian((a0, 0.0, i0), setup.params)
         assert np.max(np.abs(m - j - setup.w_exp * np.eye(3))) == 0.0
-
-    def test_outside_domain(self, setup):
-        with pytest.raises(DomainError):
-            spectral.linearization_matrix(setup.L + 1.0, 1.0, setup)
-        with pytest.raises(DomainError):
-            spectral.linearization_matrix(-setup.L - 1.0, 1.0, setup)
 
 
 class TestLimitSplitting:
@@ -119,10 +119,10 @@ class TestLimitSplitting:
     def test_basis_solves_limit_systems(self, setup):
         g = 2.5 + 1.5j
         ls = spectral.limit_splitting(g, setup)
-        m_minus = spectral.linearization_matrix(-setup.L, g, setup)
+        m_minus = _matrix(setup, -setup.L, g)
         for v, nu in zip(ls.unstable_minus, ls.nu_minus[:2]):
             assert np.max(np.abs(m_minus @ v - nu * v)) < 1e-9
-        m_plus = spectral.linearization_matrix(setup.L, g, setup)
+        m_plus = _matrix(setup, setup.L, g)
         x = ls.stable_plus
         assert np.max(np.abs(m_plus @ x - ls.nu_plus[2] * x)) < 1e-9
 
@@ -188,7 +188,7 @@ class TestEvans:
                 return (m2 - (nu_m[0] + nu_m[1]) * eye) @ v
 
             v0 = np.array([0.0, -1.0, -lam2], dtype=complex)
-            tv = integrate_complex(rear, v0, (-L, 0.0), opts)
+            tv = integrate(rear, v0, (-L, 0.0), opts)
 
             lam3 = nu_p[2] - w
             x0 = np.array(
@@ -201,7 +201,7 @@ class TestEvans:
                 m = spectral._weighted_matrix(a, i, g, p, w)
                 return (m - nu_p[2] * eye) @ x
 
-            tx = integrate_complex(front, x0, (L, 0.0), opts)
+            tx = integrate(front, x0, (L, 0.0), opts)
             v, x = tv.states[-1], tx.states[-1]
             reference = v[0] * x[2] - v[1] * x[1] + v[2] * x[0]
             got = spectral.evans(g, setup)
