@@ -13,7 +13,7 @@ import numpy as np
 from branchwaves import (
     contour_of_S,
     evans,
-    limit_splitting,
+    limit_rates,
     make_setup,
     winding_number,
 )
@@ -21,16 +21,14 @@ from branchwaves import (
 
 def main() -> None:
     setup = make_setup()
-    print(f"setup: c = {setup.params.c:g}, weight exponent {setup.w_exp:g}, "
+    print(f"setup: c = {setup.wave.params.c:g}, weight exponent {setup.w_exp:g}, "
           f"half-length L = {setup.L:g}")
 
     gamma = 4.0
-    split = limit_splitting(gamma, setup)
-    print(f"limit rates at gamma = {gamma:g}:")
-    print(f"  behind: {[f'{v:.3f}' for v in split.nu_minus]} "
-          f"({split.k_minus} growing)")
-    print(f"  ahead:  {[f'{v:.3f}' for v in split.nu_plus]} "
-          f"({3 - split.k_plus} decaying)")
+    nu_minus, nu_plus = limit_rates(gamma, setup)
+    print(f"limit rates at gamma = {gamma:g} (i-mode, growing, decaying):")
+    print(f"  behind: {[f'{v:.3f}' for v in nu_minus]}")
+    print(f"  ahead:  {[f'{v:.3f}' for v in nu_plus]}")
     print(f"mismatch determinant E({gamma:g}) = {evans(gamma, setup):.6f}")
 
     for g in (0.5, 2.0, 10.0 + 10.0j):
@@ -38,7 +36,7 @@ def main() -> None:
 
     contour = contour_of_S(r_min=0.05, r_max=50.0, base_n=120)
     print(f"winding a {contour.size}-node contour, radii 0.05 to 50 ...")
-    winding, max_step = winding_number(setup, contour)
+    winding, max_step = winding_number(lambda g: evans(g, setup), contour)
     print(f"winding number {winding}, largest argument step {max_step:.3f} rad")
     print("no zeros inside: nothing in the weighted point spectrum "
           "with positive real part" if winding == 0 else
@@ -47,7 +45,7 @@ def main() -> None:
     # sanity check the counter itself on a function with a known zero
     circle = 0.5 + np.exp(1j * np.linspace(0.0, 2.0 * np.pi, 65))
     circle[-1] = circle[0]
-    w, _ = winding_number(None, circle, fn=lambda g: g)
+    w, _ = winding_number(lambda g: g, circle)
     print(f"self-test, identity map around a circle about 0.5: winding {w}")
 
 

@@ -51,15 +51,15 @@ from .pde import (
     comoving_profile,
     front_position,
     measure_speed,
+    plateau,
     simulate,
 )
 from .spectral import (
     EvansSample,
-    LimitSplitting,
     SpectralSetup,
     contour_of_S,
     evans,
-    limit_splitting,
+    limit_rates,
     make_setup,
     winding_number,
 )
@@ -119,13 +119,13 @@ __all__ = [
     "simulate",
     "front_position",
     "measure_speed",
+    "plateau",
     "comoving_profile",
     # spectral
     "SpectralSetup",
     "EvansSample",
-    "LimitSplitting",
     "make_setup",
-    "limit_splitting",
+    "limit_rates",
     "evans",
     "contour_of_S",
     "winding_number",

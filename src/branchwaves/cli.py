@@ -1,9 +1,11 @@
 """Command-line interface.
 
 Subcommands: `wave` shoots and verifies a single traveling wave, `pde` runs
-the reaction-diffusion front and measures its speed, `evans` sweeps the
-spectral contour and reports the winding number, `formulas` evaluates the
-closed-form predictions, and `verify` runs the acceptance battery.
+the reaction-diffusion front at production rate r and reports its speed
+and the plateau behind it (`pde.plateau`: mean I over [10, x_front - 20]),
+`evans` sweeps the spectral contour and reports the winding number,
+`formulas` evaluates the closed-form predictions, and `verify` runs the
+acceptance battery at the tolerances its criteria state.
 
 Machine-readable reports go to stdout as JSON; bulk data goes to CSV files
 (17 significant digits, LF line endings, header row) so values round-trip
@@ -163,13 +165,12 @@ def _apply_config(parser: argparse.ArgumentParser, path: str) -> None:
 
     Each entry goes through its flag's `type=`, or is read as a boolean for
     a no-value flag, so a bad value is reported with the file and key.
-    --tol appends, so one config string cannot stand for it.
     """
     entries = _load_config(path)
     actions = {
         action.dest: action
         for action in parser._actions
-        if action.dest not in ("help", "config", "tol")
+        if action.dest not in ("help", "config")
     }
     unknown = set(entries) - set(actions)
     if unknown:
@@ -266,14 +267,17 @@ def _read_initial(path: str) -> tuple[pde.Grid, np.ndarray, np.ndarray]:
         raise _UsageProblem(
             f"initial data {path} must be a CSV with header x,A,I"
         )
-    xs = np.asarray(data[names[0]], dtype=float)
+    xs, A, I = (np.asarray(data[name], dtype=float) for name in names[:3])
     if xs.size < 16:
         raise _UsageProblem("initial data needs at least 16 rows")
+    if not all(np.isfinite(column).all() for column in (xs, A, I)):
+        raise _UsageProblem(
+            f"initial data {path} holds a non-numeric or non-finite x, A or I"
+        )
     steps = np.diff(xs)
     if steps.min() <= 0 or steps.max() - steps.min() > 1e-9 * steps.max():
         raise _UsageProblem("initial data abscissae must be uniformly increasing")
-    grid = pde.Grid(float(xs[0]), float(xs[-1]), xs.size)
-    return grid, np.asarray(data[names[1]], float), np.asarray(data[names[2]], float)
+    return pde.Grid(float(xs[0]), float(xs[-1]), xs.size), A, I
 
 
 def cmd_pde(args: argparse.Namespace) -> int:
@@ -285,8 +289,7 @@ def cmd_pde(args: argparse.Namespace) -> int:
         A0 = args.amplitude * np.exp(-((xs / args.width) ** 2))
         I0 = np.zeros_like(xs)
 
-    params = Params(c=2.0, r=args.r)
-    series = pde.simulate(A0, I0, params, grid, t_end=args.t_end)
+    series = pde.simulate(A0, I0, args.r, grid, t_end=args.t_end)
 
     window = args.window if args.window is not None else (args.t_end / 2.0, args.t_end)
     try:
@@ -311,18 +314,12 @@ def cmd_pde(args: argparse.Namespace) -> int:
 
     A_end, I_end = series.at(series.times[-1])
     x_front = pde.front_position(A_end, grid, args.threshold)
-    plateau = None
-    if math.isfinite(x_front):
-        sel = (xs >= xs[0] + 10.0) & (xs <= x_front - 20.0)
-        if np.count_nonzero(sel) > 0:
-            plateau = float(np.mean(I_end[sel]))
-
     _report(
         {
             "c_est": speed.c_est,
             "window": list(window),
             "residual": speed.residual,
-            "plateau": plateau,
+            "plateau": pde.plateau(I_end, grid, x_front),
             "front_position": None if not math.isfinite(x_front) else x_front,
             "snapshots": written,
         }
@@ -344,7 +341,6 @@ def cmd_evans(args: argparse.Namespace) -> int:
             samples.append((g, g))
             return g
 
-        setup = None
         expected = 1
         L_used = None
     else:
@@ -362,7 +358,7 @@ def cmd_evans(args: argparse.Namespace) -> int:
         L_used = setup.L
 
     try:
-        winding, max_step = spectral.winding_number(setup, contour, fn=probe)
+        winding, max_step = spectral.winding_number(probe, contour)
     except DomainError as exc:
         raise ContourResolutionError(str(exc)) from exc
 
@@ -461,15 +457,7 @@ def cmd_formulas(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    tolerances = dict(args.tol or [])
-    unknown = set(tolerances) - set(acceptance.CRITERION_NAMES)
-    if unknown:
-        raise _UsageProblem(
-            f"unknown criteria in --tol: {', '.join(sorted(unknown))}"
-        )
-    results = acceptance.run_all(
-        only=args.only, seed=args.seed, tolerances=tolerances or None
-    )
+    results = acceptance.run_all(only=args.only, seed=args.seed)
     if not results:
         raise _UsageProblem(
             f"--only {args.only!r} matches no criterion "
@@ -554,9 +542,6 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p_verify.add_argument("--only", help="substring filter on criterion names")
     p_verify.add_argument("--seed", type=int, default=2026,
                           help="randomized-check seed (default %(default)s)")
-    p_verify.add_argument("--tol", type=_fields("name=value", "=", str.strip, float),
-                          action="append",
-                          help="override a criterion tolerance, name=value (repeatable)")
     p_verify.set_defaults(handler=cmd_verify)
 
     for sp in sub.choices.values():

@@ -13,7 +13,8 @@ class DomainError(ValueError):
 
 
 class OscillatoryRegimeError(DomainError):
-    """Decay-rate formula evaluated where the discriminant is negative."""
+    """The discriminant c^2/4 + i - 1 is negative: a decay-rate formula
+    evaluated there, or a shot that settles there (no non-negative wave)."""
 
 
 class InvalidSegmentError(ValueError):

@@ -123,12 +123,13 @@ def wave_jacobian(state, p: Params) -> np.ndarray:
     )
 
 
-def pde_rhs(A, I, p: Params, dx: float):
+def pde_rhs(A, I, r: float, dx: float):
     """Time derivatives (dA/dt, dI/dt) of the reaction-diffusion system.
 
-    The Laplacian acts on A only, second-order central differences with
-    zero-flux (mirror) ends.  A and I must be equal-length fields of at
-    least 3 points.
+    r is the production rate; the PDE has no wave speed.  The Laplacian
+    acts on A only, second-order central differences with zero-flux
+    (mirror) ends.  A and I must be equal-length fields of at least 3
+    points.
     """
     A = np.asarray(A, dtype=float)
     I = np.asarray(I, dtype=float)
@@ -146,7 +147,7 @@ def pde_rhs(A, I, p: Params, dx: float):
 
     growth = A * (A + I)
     dA = lap + A - growth
-    dI = growth + p.r * A
+    dI = growth + r * A
     return dA, dI
 
 

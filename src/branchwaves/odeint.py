@@ -87,10 +87,6 @@ class Trajectory:
         return len(self.zs)
 
 
-def _as_event(e) -> Event:
-    return e if isinstance(e, Event) else Event(e)
-
-
 def _crossed(g_old: float, g_new: float, direction: int) -> bool:
     if g_old == 0.0:
         return False  # already on the zero set at the step start
@@ -108,7 +104,7 @@ def integrate(
     y0,
     z_span: tuple[float, float],
     opts: IntegratorOptions | None = None,
-    events: Sequence | None = None,
+    events: Sequence[Event] | None = None,
 ) -> Trajectory:
     """Integrate ``y' = rhs(z, y)`` over ``z_span``, recording accepted steps.
 
@@ -127,7 +123,7 @@ def integrate(
     z_start, z_end = float(z_span[0]), float(z_span[1])
     if z_start == z_end:
         raise DomainError("z_span must be non-degenerate")
-    evs = [_as_event(e) for e in (events or [])]
+    evs = list(events or [])
 
     dtype = complex if np.iscomplexobj(y0) else float
     backward = z_end < z_start

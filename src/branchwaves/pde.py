@@ -3,8 +3,10 @@
 Advances the two-field system on a uniform grid with a second-order
 central Laplacian on the diffusing field, zero-flux ends, and a fixed-dt
 classical four-stage Runge-Kutta step obeying both the diffusive and the
-reaction stability bounds. Includes front tracking, speed measurement,
-and extraction of comoving profiles for comparison with shot waves.
+reaction stability bounds. The only model parameter is the production
+rate r; the PDE selects its own front speed. Includes front tracking,
+speed measurement, the plateau left behind the front, and extraction of
+comoving profiles for comparison with shot waves.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import BlowUpError, ContaminatedMeasurementError, DomainError
-from .model import Params, pde_rhs
+from .model import pde_rhs
 
 # dt <= DIFFUSIVE_CFL * dx^2 and dt <= REACTION_DT_CAP
 DIFFUSIVE_CFL = 0.4
@@ -55,9 +57,6 @@ class FieldSeries:
     times: np.ndarray
     snapshots: list[tuple[np.ndarray, np.ndarray]]
 
-    def __len__(self):
-        return len(self.times)
-
     def at(self, t: float) -> tuple[np.ndarray, np.ndarray]:
         """Snapshot at time t (must match a recorded time)."""
         k = int(np.argmin(np.abs(self.times - t)))
@@ -82,37 +81,39 @@ def _snapshot_times(t_end: float, snapshot_dt: float) -> np.ndarray:
     return times
 
 
-def _rk4_interval(A, I, p, dx, span, dt_cap):
+def _rk4_interval(A, I, r, dx, span, dt_cap):
     n_sub = max(1, int(math.ceil(span / dt_cap - 1e-12)))
     dt = span / n_sub
     for _ in range(n_sub):
-        kA1, kI1 = pde_rhs(A, I, p, dx)
-        kA2, kI2 = pde_rhs(A + 0.5 * dt * kA1, I + 0.5 * dt * kI1, p, dx)
-        kA3, kI3 = pde_rhs(A + 0.5 * dt * kA2, I + 0.5 * dt * kI2, p, dx)
-        kA4, kI4 = pde_rhs(A + dt * kA3, I + dt * kI3, p, dx)
+        kA1, kI1 = pde_rhs(A, I, r, dx)
+        kA2, kI2 = pde_rhs(A + 0.5 * dt * kA1, I + 0.5 * dt * kI1, r, dx)
+        kA3, kI3 = pde_rhs(A + 0.5 * dt * kA2, I + 0.5 * dt * kI2, r, dx)
+        kA4, kI4 = pde_rhs(A + dt * kA3, I + dt * kI3, r, dx)
         A = A + (dt / 6.0) * (kA1 + 2.0 * kA2 + 2.0 * kA3 + kA4)
         I = I + (dt / 6.0) * (kI1 + 2.0 * kI2 + 2.0 * kI3 + kI4)
     return A, I
 
 
-def simulate(A0, I0, p: Params, grid: Grid, t_end: float,
+def simulate(A0, I0, r: float, grid: Grid, t_end: float,
              snapshot_dt: float = 0.5) -> FieldSeries:
-    """Advance the system to t_end, recording a snapshot every snapshot_dt.
+    """Advance to t_end at production rate r >= 0, snapshot every snapshot_dt.
 
-    The step size obeys dt <= 0.4 dx^2 (diffusion) and dt <= 0.1
-    (reaction) and divides each snapshot interval exactly. Non-finite
-    values raise BlowUpError carrying the series recorded so far.
+    Both times must be positive and finite. The step size obeys dt <= 0.4
+    dx^2 (diffusion) and dt <= 0.1 (reaction) and divides each snapshot
+    interval exactly. Non-finite values raise BlowUpError carrying the
+    series recorded so far.
     """
+    if not r >= 0:
+        raise DomainError(f"production rate r must be >= 0, got {r}")
     A = np.array(A0, dtype=float)
     I = np.array(I0, dtype=float)
     if A.shape != (grid.n,) or I.shape != (grid.n,):
         raise ValueError(
             f"fields must have shape ({grid.n},), got {A.shape} and {I.shape}"
         )
-    if t_end <= 0.0:
-        raise DomainError(f"t_end must be positive, got {t_end}")
-    if snapshot_dt <= 0.0:
-        raise DomainError(f"snapshot_dt must be positive, got {snapshot_dt}")
+    for name, value in (("t_end", t_end), ("snapshot_dt", snapshot_dt)):
+        if not 0.0 < value < math.inf:
+            raise DomainError(f"{name} must be positive and finite, got {value}")
 
     dt_cap = min(DIFFUSIVE_CFL * grid.dx * grid.dx, REACTION_DT_CAP)
     times = _snapshot_times(t_end, snapshot_dt)
@@ -120,7 +121,7 @@ def simulate(A0, I0, p: Params, grid: Grid, t_end: float,
 
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, len(times)):
-            A, I = _rk4_interval(A, I, p, grid.dx, times[k] - times[k - 1], dt_cap)
+            A, I = _rk4_interval(A, I, r, grid.dx, times[k] - times[k - 1], dt_cap)
             if not (np.isfinite(A).all() and np.isfinite(I).all()):
                 raise BlowUpError(
                     f"non-finite field values by t = {times[k]:g} "
@@ -149,6 +150,20 @@ def front_position(A, grid: Grid, threshold: float) -> float:
         return grid.x_max
     x_j = grid.x_min + j * grid.dx
     return x_j + grid.dx * (threshold - A[j]) / (A[j + 1] - A[j])
+
+
+def plateau(I, grid: Grid, x_front: float) -> float | None:
+    """Mean of I over x in [10, x_front - 20], the wake behind the front.
+
+    The window starts at x = 10, clear of the initial bump at x = 0 where
+    I overshoots, and ends 20 units behind the front. Returns None when
+    x_front is not finite or the window holds no grid point.
+    """
+    xs = grid.xs()
+    sel = (xs >= 10.0) & (xs <= x_front - 20.0)
+    if not (math.isfinite(x_front) and sel.any()):
+        return None
+    return float(np.mean(I[sel]))
 
 
 class SpeedMeasurement(NamedTuple):

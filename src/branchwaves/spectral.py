@@ -6,7 +6,8 @@ space: states are scaled by exp(w_exp * z), which shifts every far-field
 eigenvalue by w_exp.  For admissible weights the shifted system has two
 unstable directions behind the front and one stable direction ahead of it,
 and a candidate eigenvalue gamma is a zero of the determinant pairing those
-subspaces at z = 0.
+subspaces at z = 0.  `limit_rates` gives the shifted far-field eigenvalues
+and rejects any gamma at which that splitting fails.
 
 The rear subspace is carried as a wedge (second exterior power), which keeps
 the initial data analytic in gamma even where the two rear eigenvectors
@@ -37,11 +38,10 @@ from .wave import WaveProfile, shoot_wave
 __all__ = [
     "DEFAULT_STEP",
     "EvansSample",
-    "LimitSplitting",
     "SpectralSetup",
     "contour_of_S",
     "evans",
-    "limit_splitting",
+    "limit_rates",
     "make_setup",
     "winding_number",
 ]
@@ -68,7 +68,6 @@ class SpectralSetup:
     wave: WaveProfile
     w_exp: float
     L: float
-    params: Params
     _z_lo: float = field(init=False, repr=False)
     _z_hi: float = field(init=False, repr=False)
 
@@ -100,16 +99,8 @@ class SpectralSetup:
             return outside
         return float(spline(z))
 
-    def coefficients(self, z: float) -> tuple[float, float]:
-        """Profile values (a, i) at z, extended by the limits off the data."""
-        if z < self._z_lo:
-            return 0.0, self.wave.i_minus_inf
-        if z > self._z_hi:
-            return 0.0, self.wave.i_plus_inf
-        return float(self._a_spline(z)), float(self._i_spline(z))
-
     def coefficient_table(self, zs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized `coefficients` for a batch of abscissae."""
+        """Profile values (a, i) at each z, extended by the limits off the data."""
         zs = np.asarray(zs, dtype=float)
         a = np.zeros_like(zs)
         i = np.empty_like(zs)
@@ -135,13 +126,12 @@ def make_setup(
     """
     if wave is None:
         wave = shoot_wave(2.0, Params(c=2.0, r=0.0))
-    p = wave.params
     if w_exp is None:
-        w_exp = p.c / 2.0
+        w_exp = wave.params.c / 2.0
     if L is None:
         zs = wave.trajectory.zs
         L = max(30.0, math.ceil(-zs[0]) + 1.0, math.ceil(zs[-1]) + 1.0)
-    return SpectralSetup(wave=wave, w_exp=float(w_exp), L=float(L), params=p)
+    return SpectralSetup(wave=wave, w_exp=float(w_exp), L=float(L))
 
 
 @dataclass(frozen=True)
@@ -176,15 +166,22 @@ def _limit_rates(gamma: complex, i_limit: float, c: float, w: float):
     return (gamma / c + w, w - c / 2.0 + root, w - c / 2.0 - root)
 
 
-def _checked_rates(gamma: complex, setup: SpectralSetup):
+def limit_rates(gamma: complex, setup: SpectralSetup):
+    """Shifted far-field eigenvalues (nu_minus, nu_plus) at z = -inf, +inf.
+
+    Each triple is ordered (i-mode, growing root, decaying root).  Raises
+    DomainError off Re(gamma) >= 0 or at gamma = 0, and SplittingError
+    unless both sides split into two unstable and one stable direction,
+    each real part at least 1e-10 from zero.
+    """
     g = complex(gamma)
     if g.real < -1e-12:
         raise DomainError("spectral probe is defined for Re(gamma) >= 0")
     if g == 0:
         raise DomainError("gamma = 0 sits on the essential-spectrum boundary")
-    p, w = setup.params, setup.w_exp
-    nu_minus = _limit_rates(g, setup.wave.i_minus_inf, p.c, w)
-    nu_plus = _limit_rates(g, setup.wave.i_plus_inf, p.c, w)
+    c, w = setup.wave.params.c, setup.w_exp
+    nu_minus = _limit_rates(g, setup.wave.i_minus_inf, c, w)
+    nu_plus = _limit_rates(g, setup.wave.i_plus_inf, c, w)
     for nu in (*nu_minus, *nu_plus):
         if abs(nu.real) < _RE_MARGIN:
             raise SplittingError(
@@ -198,71 +195,6 @@ def _checked_rates(gamma: complex, setup: SpectralSetup):
                 f"gamma = {g}"
             )
     return nu_minus, nu_plus
-
-
-@dataclass(frozen=True, eq=False)
-class LimitSplitting:
-    """Hyperbolic splitting of the weighted far-field systems.
-
-    `nu_minus` and `nu_plus` hold the shifted eigenvalues at z = -inf and
-    z = +inf, ordered (i-mode, growing root, decaying root).  The rows of
-    `unstable_minus` span the rear unstable subspace and `stable_plus` spans
-    the front stable direction.
-    """
-
-    nu_minus: tuple[complex, complex, complex]
-    nu_plus: tuple[complex, complex, complex]
-    unstable_minus: np.ndarray
-    stable_plus: np.ndarray
-
-    @property
-    def k_minus(self) -> int:
-        return sum(1 for nu in self.nu_minus if nu.real > 0)
-
-    @property
-    def k_plus(self) -> int:
-        return sum(1 for nu in self.nu_plus if nu.real < 0)
-
-
-def _rate_eigenvector(
-    g: complex, lam: complex, i_limit: float, setup: SpectralSetup
-) -> np.ndarray:
-    """Far-field eigenvector (1, lam, (i_limit + r) / (g - c lam)) of rate lam.
-
-    The form degenerates where g - c lam vanishes, at an eigenvalue
-    collision; such gamma are rejected.
-    """
-    den = g - setup.params.c * lam
-    if abs(den) < 1e-10:
-        raise SplittingError(
-            f"limit eigenvectors collide at gamma = {g}; perturb gamma "
-            "radially off the collision point"
-        )
-    return np.array([1.0, lam, (i_limit + setup.params.r) / den], dtype=complex)
-
-
-def limit_splitting(gamma: complex, setup: SpectralSetup) -> LimitSplitting:
-    """Split both far-field systems into growing and decaying directions.
-
-    Eigenvectors come from closed forms, not a numerical eigensolver: the
-    i-mode is exactly (0, 0, 1) and the (1, lambda, *) family follows from
-    the quadratic satisfied by lambda.  Near an eigenvalue collision the
-    (1, lambda, *) form degenerates; such gamma are rejected and callers
-    should perturb off the collision point (the wedge initialization used by
-    `evans` does not suffer from this).
-    """
-    nu_minus, nu_plus = _checked_rates(gamma, setup)
-    g = complex(gamma)
-    w = setup.w_exp
-    v1 = np.array([0.0, 0.0, 1.0], dtype=complex)
-    v2 = _rate_eigenvector(g, nu_minus[1] - w, setup.wave.i_minus_inf, setup)
-    x = _rate_eigenvector(g, nu_plus[2] - w, setup.wave.i_plus_inf, setup)
-    return LimitSplitting(
-        nu_minus=nu_minus,
-        nu_plus=nu_plus,
-        unstable_minus=np.vstack([v1, v2]),
-        stable_plus=x,
-    )
 
 
 def _wedge_square(m: np.ndarray) -> np.ndarray:
@@ -292,8 +224,8 @@ def evans(gamma: complex, setup: SpectralSetup, step: float = DEFAULT_STEP) -> c
     if step <= 0.0:
         raise DomainError("marching step must be positive")
     g = complex(gamma)
-    nu_minus, nu_plus = _checked_rates(g, setup)
-    p, w = setup.params, setup.w_exp
+    nu_minus, nu_plus = limit_rates(g, setup)
+    p, w = setup.wave.params, setup.w_exp
     n = int(math.ceil(setup.L / step))
     h = setup.L / n
     eye = np.eye(3, dtype=complex)
@@ -307,7 +239,16 @@ def evans(gamma: complex, setup: SpectralSetup, step: float = DEFAULT_STEP) -> c
         m2 = _wedge_square(_weighted_matrix(a, i, g, p, w))
         V = expm((m2 - shift_v * eye) * h) @ V
 
-    X = _rate_eigenvector(g, nu_plus[2] - w, setup.wave.i_plus_inf, setup)
+    # front stable vector (1, lam3, (i_plus + r) / (g - c lam3)); the form
+    # degenerates at an eigenvalue collision, where g - c lam3 vanishes
+    lam3 = nu_plus[2] - w
+    den = g - p.c * lam3
+    if abs(den) < 1e-10:
+        raise SplittingError(
+            f"limit eigenvectors collide at gamma = {g}; perturb gamma "
+            "radially off the collision point"
+        )
+    X = np.array([1.0, lam3, (setup.wave.i_plus_inf + p.r) / den], dtype=complex)
     mids = setup.L - h * (np.arange(n) + 0.5)
     a_mid, i_mid = setup.coefficient_table(mids)
     for a, i in zip(a_mid, i_mid):
@@ -378,29 +319,19 @@ def _arg_sweep(
 
 
 def winding_number(
-    setup: SpectralSetup | None,
-    contour: Sequence[complex],
-    fn: Callable[[complex], complex] | None = None,
+    fn: Callable[[complex], complex], contour: Sequence[complex]
 ) -> tuple[int, float]:
-    """Winding of the Evans values along a closed contour.
+    """Winding of the values of fn along a closed contour.
 
-    Returns (integer winding number, maximum argument step after
-    refinement).  Steps above pi/3 are bisected recursively, evaluating at
-    chord midpoints, up to 12 levels.  A sweep whose accumulated argument
-    misses an integer number of turns by 0.1 or more is reported as a
-    resolution failure rather than rounded over.  Pass `fn` to wind an
-    arbitrary function (the synthetic self-test winds the identity map);
-    `setup` may then be None.  The initial sample pass is an independent
-    map over contour points; the argument sweep itself is sequential.
+    fn is typically `lambda g: evans(g, setup)`; the synthetic self-test
+    winds the identity map.  Returns (integer winding number, maximum
+    argument step after refinement).  Steps above pi/3 are bisected
+    recursively, evaluating at chord midpoints, up to 12 levels.  A sweep
+    whose accumulated argument misses an integer number of turns by 0.1 or
+    more is reported as a resolution failure rather than rounded over.  The
+    initial sample pass is an independent map over contour points; the
+    argument sweep itself is sequential.
     """
-    if fn is None:
-        if setup is None:
-            raise DomainError("winding_number needs a setup or an explicit fn")
-        bound_setup = setup
-
-        def fn(g: complex) -> complex:
-            return evans(g, bound_setup)
-
     pts = np.asarray(contour, dtype=complex)
     if pts.ndim != 1 or pts.size < 4:
         raise DomainError("contour must be a closed polyline of points")

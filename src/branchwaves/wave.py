@@ -15,7 +15,8 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from . import analysis
-from .errors import BudgetError, DomainError, NegativityError, NonConvergenceError
+from .errors import (BudgetError, DomainError, NegativityError, NonConvergenceError,
+                     OscillatoryRegimeError)
 from .model import Params, WaveState, wave_rhs
 from .odeint import Event, EventRecord, IntegratorOptions, Trajectory, integrate
 
@@ -136,7 +137,15 @@ def _stopped(traj: Trajectory) -> bool:
 def _check_limit_band(traj: Trajectory, p: Params) -> float:
     i_limit = float(traj.states[-1, 2])
     i_c = analysis.minimal_inactive_limit(p.c)
-    if not (i_c - 1e-6 <= i_limit < 1.0):
+    # below i_c, disc = c^2/4 + i_plus - 1 < 0: the oscillatory regime, even
+    # when the spiral's first dip was too shallow to trip the negativity event
+    if i_limit < i_c - 1e-6:
+        raise OscillatoryRegimeError(
+            f"converged to i_plus = {i_limit:.6f} below i_c = {i_c:g}, so the "
+            f"approach is oscillatory: no non-negative wave; rear levels need "
+            f"i_minus <= 1 + c^2/4 = {2.0 - i_c:g}"
+        )
+    if not i_limit < 1.0:
         raise NonConvergenceError(
             f"converged to i = {i_limit:.6f}, outside [{i_c:g} - 1e-6, 1)",
             traj,
@@ -190,9 +199,10 @@ def shoot_wave(i_minus_inf: float, p: Params, opts: ShootingOptions | None = Non
     Seeds the unstable manifold, integrates forward recording the first
     b = 0 down-crossing, and stops once sup|(a, b)| < opts.stop_tol.
     Raises NegativityError when a dips below -negativity_tol (expected
-    above the critical level 2 - i_c, where every connection spirals) and
-    BudgetError when the maximum or the convergence never arrives within
-    opts.z_budget.
+    above the critical level 2 - i_c, where every connection spirals),
+    OscillatoryRegimeError when the run settles below i_c without such a
+    dip (just past that level), and BudgetError when the maximum or the
+    convergence never arrives within opts.z_budget.
     """
     if opts is None:
         opts = ShootingOptions()
@@ -238,8 +248,10 @@ def shoot_from_max(a0: float, i0: float, p: Params, opts: ShootingOptions | None
     """Forward run from (a0, 0, i0) into the attracting continuum.
 
     Returns the trajectory and the measured forward limit of i. Starting
-    above the threshold a_star(i0) typically ends in NegativityError;
-    that is the expected dynamics, not a failure of the integrator.
+    above the threshold a_star(i0) typically ends in NegativityError, or in
+    OscillatoryRegimeError if the run settles below i_c before a dips that
+    deep; that is the expected dynamics, not a failure of the integrator.
+    A limit at or above 1 raises NonConvergenceError.
     """
     if opts is None:
         opts = ShootingOptions()

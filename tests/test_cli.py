@@ -9,7 +9,7 @@ import json
 import numpy as np
 import pytest
 
-from branchwaves import analysis, cli
+from branchwaves import acceptance, analysis, cli
 
 
 def run(capsys, *argv):
@@ -51,6 +51,17 @@ class TestWave:
         assert code == 2
         assert "invalid regime" in err
         assert "1.25" in err
+        assert not out.exists()
+
+    def test_just_past_existence_boundary_exits_2(self, tmp_path, capsys):
+        # 1.26 > 1 + c^2/4 = 1.25: the shot settles below i_c = 0.75
+        # before a dips deep enough to trip the negativity event
+        out = tmp_path / "w.csv"
+        code, _, err = run(capsys, "wave", "--c", 1, "--i-minus", 1.26, "--out", out)
+        assert code == 2
+        assert "invalid regime" in err
+        assert "i_plus = 0.74" in err
+        assert "i_minus <= 1 + c^2/4 = 1.25" in err
         assert not out.exists()
 
     def test_nonpositive_speed_exits_2(self, tmp_path, capsys):
@@ -145,6 +156,16 @@ class TestPde:
         assert "window" in err
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("t_end", ["nan", "inf"])
+    def test_non_finite_end_time_exits_2(self, tmp_path, capsys, t_end):
+        code, _, err = run(
+            capsys, "pde", "--t-end", t_end, "--grid", "321:-10:20",
+            "--out", tmp_path / "x",
+        )
+        assert code == 2
+        assert "t_end must be positive and finite" in err
+        assert not list(tmp_path.iterdir())
+
     @pytest.mark.parametrize("grid", ["10:0:1", "100:5:5"])
     def test_bad_grid_exits_64(self, tmp_path, capsys, grid):
         code, _, err = run(capsys, "pde", "--grid", grid, "--out", tmp_path / "x")
@@ -171,6 +192,19 @@ class TestPde:
         code, _, err = run(capsys, "pde", "--initial", bad, "--out", tmp_path / "x")
         assert code == 64
         assert "uniform" in err
+
+    @pytest.mark.parametrize("column", [0, 1, 2], ids=["x", "A", "I"])
+    def test_non_numeric_initial_cell_exits_64(self, tmp_path, capsys, column):
+        # a NaN abscissa would also slip through the spacing check
+        bad = tmp_path / "bad.csv"
+        rows = [[f"{0.1 * k:g}", "0.1", "0"] for k in range(40)]
+        rows[5][column] = "abc"
+        bad.write_text("x,A,I\n" + "".join(",".join(row) + "\n" for row in rows))
+        code, _, err = run(capsys, "pde", "--initial", bad, "--out", tmp_path / "x")
+        assert code == 64
+        assert str(bad) in err
+        assert "non-numeric" in err
+        assert [p.name for p in tmp_path.iterdir()] == ["bad.csv"]
 
 
 class TestEvans:
@@ -265,18 +299,22 @@ class TestVerify:
         assert code == 64
         assert "matches no criterion" in err
 
-    def test_tolerance_override_fails_cleanly(self, capsys):
-        code, out, err = run(
-            capsys, "verify", "--only", "rescaling", "--tol", "rescaling=1e-20"
-        )
+    def test_failing_criterion_exits_1(self, capsys, monkeypatch):
+        monkeypatch.setattr(acceptance, "_CRITERIA", [
+            ("passing", lambda ctx: (True, "fine")),
+            ("failing", lambda ctx: (False, "off by a mile")),
+        ])
+        code, out, err = run(capsys, "verify")
         assert code == 1
-        assert "[FAIL] rescaling" in out
-        assert "FAILED: rescaling" in err
+        assert "[PASS] passing: fine" in out
+        assert "[FAIL] failing: off by a mile" in out
+        assert err == "FAILED: failing\n"
 
-    def test_unknown_tolerance_name_exits_64(self, capsys):
-        code, _, err = run(capsys, "verify", "--tol", "bogus=1")
+    def test_tol_flag_exits_64(self, capsys):
+        # the criteria's tolerances are fixed; no flag loosens them
+        code, _, err = run(capsys, "verify", "--tol", "rescaling=1")
         assert code == 64
-        assert "bogus" in err
+        assert "unrecognized arguments: --tol" in err
 
 
 class TestConfig:

@@ -114,22 +114,21 @@ class TestWaveJacobian:
 
 class TestPdeRhs:
     def test_steady_state_continuum(self):
-        p = Params(c=2.0, r=1.0)
         x = np.linspace(-1, 1, 11)
         for K in [0.0, 0.5, 2.0]:
-            dA, dI = pde_rhs(np.zeros_like(x), np.full_like(x, K), p, dx=0.2)
+            dA, dI = pde_rhs(np.zeros_like(x), np.full_like(x, K), 1.0, dx=0.2)
             np.testing.assert_array_equal(dA, 0.0)
             np.testing.assert_array_equal(dI, 0.0)
 
     def test_uniform_fields(self):
         A = np.full(8, 0.5)
         I = np.zeros(8)
-        dA, dI = pde_rhs(A, I, Params(c=2.0, r=0.0), dx=0.1)
+        dA, dI = pde_rhs(A, I, 0.0, dx=0.1)
         np.testing.assert_allclose(dA, 0.25)
         np.testing.assert_allclose(dI, 0.25)
 
     def test_interior_spike_stencil(self):
-        dA, dI = pde_rhs([0.0, 1.0, 0.0], [0.0, 0.0, 0.0], Params(c=2.0, r=0.0), dx=1.0)
+        dA, dI = pde_rhs([0.0, 1.0, 0.0], [0.0, 0.0, 0.0], 0.0, dx=1.0)
         assert dA[1] == pytest.approx(-2.0)
         assert dI[1] == pytest.approx(1.0)
 
@@ -138,16 +137,15 @@ class TestPdeRhs:
         # (trapezoid weights: the boundary nodes carry half cells)
         rng = np.random.default_rng(3)
         A = rng.uniform(0, 1, size=40)
-        dA, _ = pde_rhs(A, np.zeros(40), Params(c=2.0, r=0.0), dx=0.5)
+        dA, _ = pde_rhs(A, np.zeros(40), 0.0, dx=0.5)
         lap = dA - A + A * A
         assert abs(np.trapezoid(lap, dx=0.5)) < 1e-12
 
     def test_shape_errors(self):
-        p = Params(c=2.0)
         with pytest.raises(ValueError):
-            pde_rhs([0.0, 1.0], [0.0, 1.0], p, dx=1.0)
+            pde_rhs([0.0, 1.0], [0.0, 1.0], 0.0, dx=1.0)
         with pytest.raises(ValueError):
-            pde_rhs([0.0, 1.0, 0.0], [0.0, 1.0], p, dx=1.0)
+            pde_rhs([0.0, 1.0, 0.0], [0.0, 1.0], 0.0, dx=1.0)
 
 
 class TestRescaling:

@@ -167,13 +167,6 @@ class TestEvents:
         )
         assert all(rec.z > 1.0 for rec in traj.events)
 
-    def test_plain_callable_accepted(self):
-        traj = integrate(
-            self.oscillator, [0.0, 1.0], (0.0, 4.0),
-            events=[lambda z, y: y[0]],
-        )
-        assert len(traj.events) == 1
-
     def test_bad_direction(self):
         with pytest.raises(DomainError):
             Event(lambda z, y: y[0], direction=2)

@@ -8,17 +8,17 @@ from branchwaves.errors import (
     ContaminatedMeasurementError,
     DomainError,
 )
-from branchwaves.model import Params
 from branchwaves.pde import (
     FieldSeries,
     Grid,
     comoving_profile,
     front_position,
     measure_speed,
+    plateau,
     simulate,
 )
 
-P0 = Params(c=2.0, r=0.0)
+R0 = 0.0  # production rate of the runs below
 
 
 @pytest.fixture(scope="module")
@@ -26,7 +26,7 @@ def bump_series():
     # scaled-down front emergence run shared by the slower tests
     grid = Grid(-70.0, 70.0, 1401)
     xs = grid.xs()
-    return simulate(0.5 * np.exp(-(xs**2)), np.zeros_like(xs), P0, grid, 16.0, 0.5)
+    return simulate(0.5 * np.exp(-(xs**2)), np.zeros_like(xs), R0, grid, 16.0, 0.5)
 
 
 class TestGrid:
@@ -49,20 +49,20 @@ class TestSimulate:
     def test_steady_state_exact(self):
         g = Grid(0.0, 10.0, 32)
         K = 1.7
-        series = simulate(np.zeros(32), np.full(32, K), P0, g, 2.0, 0.5)
+        series = simulate(np.zeros(32), np.full(32, K), R0, g, 2.0, 0.5)
         for A, I in series.snapshots:
             assert np.max(np.abs(A)) == 0.0
             assert np.max(np.abs(I - K)) == 0.0
 
     def test_snapshot_times(self):
         g = Grid(0.0, 10.0, 32)
-        series = simulate(np.zeros(32), np.zeros(32), P0, g, 1.2, 0.5)
+        series = simulate(np.zeros(32), np.zeros(32), R0, g, 1.2, 0.5)
         np.testing.assert_allclose(series.times, [0.0, 0.5, 1.0, 1.2])
 
     def test_mirror_symmetry(self):
         g = Grid(-20.0, 20.0, 401)
         xs = g.xs()
-        series = simulate(0.5 * np.exp(-(xs**2)), np.zeros(401), P0, g, 3.0, 1.0)
+        series = simulate(0.5 * np.exp(-(xs**2)), np.zeros(401), R0, g, 3.0, 1.0)
         for A, I in series.snapshots:
             assert np.max(np.abs(A - A[::-1])) < 1e-10
             assert np.max(np.abs(I - I[::-1])) < 1e-10
@@ -97,16 +97,29 @@ class TestSimulate:
     def test_blow_up_carries_series(self):
         g = Grid(0.0, 1.0, 21)
         with pytest.raises(BlowUpError) as info:
-            simulate(np.full(21, -10.0), np.zeros(21), P0, g, 5.0, 0.1)
+            simulate(np.full(21, -10.0), np.zeros(21), R0, g, 5.0, 0.1)
         series = info.value.series
         assert series is not None
-        assert len(series) >= 1
+        assert len(series.times) == len(series.snapshots) >= 1
         assert np.isfinite(series.snapshots[-1][0]).all()
 
     def test_shape_mismatch(self):
         g = Grid(0.0, 1.0, 21)
         with pytest.raises(ValueError):
-            simulate(np.zeros(20), np.zeros(21), P0, g, 1.0, 0.5)
+            simulate(np.zeros(20), np.zeros(21), R0, g, 1.0, 0.5)
+
+    def test_negative_rate_rejected(self):
+        g = Grid(0.0, 1.0, 21)
+        with pytest.raises(DomainError, match="production rate r must be >= 0"):
+            simulate(np.zeros(21), np.zeros(21), -1.0, g, 1.0, 0.5)
+
+    @pytest.mark.parametrize("t_end, snapshot_dt", [
+        (math.nan, 0.5), (math.inf, 0.5), (0.0, 0.5), (1.0, math.nan), (1.0, math.inf),
+    ])
+    def test_times_must_be_positive_and_finite(self, t_end, snapshot_dt):
+        g = Grid(0.0, 1.0, 21)
+        with pytest.raises(DomainError):
+            simulate(np.zeros(21), np.zeros(21), R0, g, t_end, snapshot_dt)
 
     def test_at_unknown_time(self, bump_series):
         with pytest.raises(DomainError):
@@ -143,6 +156,25 @@ class TestFrontPosition:
         x1 = front_position(profile, g, 0.1)
         x2 = front_position(shifted, g, 0.1)
         assert x2 - x1 == pytest.approx(m * g.dx, abs=1e-12)
+
+
+class TestPlateau:
+    GRID = Grid(0.0, 100.0, 1001)
+
+    def test_mean_over_the_window(self):
+        xs = self.GRID.xs()
+        I = 1.0 + 0.01 * xs
+        # window [10, 80.05 - 20] holds x = 10.0, ..., 60.0; the mean of a
+        # linear field over evenly spaced points is its midpoint value
+        assert plateau(I, self.GRID, 80.05) == pytest.approx(1.35, rel=1e-12)
+
+    def test_no_front(self):
+        assert plateau(np.ones(1001), self.GRID, -math.inf) is None
+
+    def test_empty_window(self):
+        # the window [10, x_front - 20] is empty until the front passes x = 30
+        assert plateau(np.ones(1001), self.GRID, 29.95) is None
+        assert plateau(np.ones(1001), self.GRID, 30.05) == 1.0
 
 
 class TestMeasureSpeed:
@@ -190,7 +222,7 @@ class TestComovingProfile:
 
     def test_steady_state_flat(self):
         g = Grid(0.0, 10.0, 32)
-        series = simulate(np.zeros(32), np.ones(32), P0, g, 1.0, 0.5)
+        series = simulate(np.zeros(32), np.ones(32), R0, g, 1.0, 0.5)
         prof = comoving_profile(series, 1.0, 2.0, 0.1)
         assert np.max(np.abs(prof.a)) == 0.0
         assert np.max(np.abs(prof.i - 1.0)) == 0.0

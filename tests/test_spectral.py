@@ -24,8 +24,8 @@ def critical_wave(setup):
 
 class TestSetup:
     def test_defaults(self, setup):
-        assert setup.params.c == 2.0
-        assert setup.params.r == 0.0
+        assert setup.wave.params.c == 2.0
+        assert setup.wave.params.r == 0.0
         assert setup.w_exp == pytest.approx(1.0)
         zs = setup.wave.trajectory.zs
         assert setup.L >= 30.0
@@ -33,9 +33,8 @@ class TestSetup:
         assert setup.L > zs[-1]
 
     def test_settled_at_ends(self, setup):
-        for z_end in (-setup.L, setup.L):
-            a, _ = setup.coefficients(z_end)
-            assert abs(a) <= 1e-8 * setup.wave.a_max
+        a, _ = setup.coefficient_table([-setup.L, setup.L])
+        assert np.max(np.abs(a)) <= 1e-8 * setup.wave.a_max
 
     def test_short_domain_rejected(self, critical_wave):
         # the seed ramp of the shot wave is still ~1e-7 at z = -30
@@ -48,32 +47,42 @@ class TestSetup:
 
     def test_extension_by_limits(self, setup):
         zs = setup.wave.trajectory.zs
-        a, i = setup.coefficients(zs[0] - 1.0)
-        assert a == 0.0
-        assert i == setup.wave.i_minus_inf
-        a, i = setup.coefficients(zs[-1] + 1.0)
-        assert a == 0.0
-        assert i == setup.wave.i_plus_inf
+        a, i = setup.coefficient_table([zs[0] - 1.0, zs[-1] + 1.0])
+        assert list(a) == [0.0, 0.0]
+        assert list(i) == [setup.wave.i_minus_inf, setup.wave.i_plus_inf]
 
     def test_table_matches_scalar(self, setup):
+        # point by point: the spline inside the sampled range, the limits off it
         zq = np.linspace(-setup.L, setup.L, 37)
         a_tab, i_tab = setup.coefficient_table(zq)
+        w = setup.wave
+        lo, hi = w.trajectory.zs[0], w.trajectory.zs[-1]
         for k, z in enumerate(zq):
-            a, i = setup.coefficients(float(z))
+            if z < lo:
+                a, i = 0.0, w.i_minus_inf
+            elif z > hi:
+                a, i = 0.0, w.i_plus_inf
+            else:
+                a, i = float(setup._a_spline(z)), float(setup._i_spline(z))
             assert a_tab[k] == pytest.approx(a, abs=1e-14)
             assert i_tab[k] == pytest.approx(i, abs=1e-14)
 
 
+def _coefficients(setup, z):
+    a, i = setup.coefficient_table([z])
+    return a[0], i[0]
+
+
 def _matrix(setup, z, gamma):
     """Weighted coefficient matrix M(z, gamma) + w_exp * I of the Evans march."""
-    a, i = setup.coefficients(z)
-    return spectral._weighted_matrix(a, i, gamma, setup.params, setup.w_exp)
+    a, i = _coefficients(setup, z)
+    return spectral._weighted_matrix(a, i, gamma, setup.wave.params, setup.w_exp)
 
 
 class TestLinearizationMatrix:
     def test_limit_eigenvalues(self, setup):
         g = 0.7 + 0.3j
-        w, c = setup.w_exp, setup.params.c
+        w, c = setup.w_exp, setup.wave.params.c
         for z_end, i_lim in (
             (setup.L, setup.wave.i_plus_inf),
             (-setup.L, setup.wave.i_minus_inf),
@@ -101,30 +110,43 @@ class TestLinearizationMatrix:
         assert behind == pytest.approx(want, abs=1e-12)
 
     def test_gamma_zero_is_weighted_jacobian(self, setup):
-        a0, i0 = setup.coefficients(0.0)
+        a0, i0 = _coefficients(setup, 0.0)
         m = _matrix(setup, 0.0, 0.0)
-        j = wave_jacobian((a0, 0.0, i0), setup.params)
+        j = wave_jacobian((a0, 0.0, i0), setup.wave.params)
         assert np.max(np.abs(m - j - setup.w_exp * np.eye(3))) == 0.0
 
 
 class TestLimitSplitting:
+    @staticmethod
+    def _counts(rates):
+        nu_minus, nu_plus = rates
+        return sum(nu.real > 0 for nu in nu_minus), sum(nu.real < 0 for nu in nu_plus)
+
     def test_hand_values(self, setup):
-        ls = spectral.limit_splitting(1.0, setup)
+        nu_minus, nu_plus = spectral.limit_rates(1.0, setup)
         s3 = math.sqrt(3.0)
-        assert np.allclose(ls.nu_plus, [1.5, 1.0, -1.0], atol=1e-6)
-        assert np.allclose(ls.nu_minus, [1.5, s3, -s3], atol=1e-9)
-        assert ls.k_minus == 2
-        assert ls.k_plus == 1
+        assert np.allclose(nu_plus, [1.5, 1.0, -1.0], atol=1e-6)
+        assert np.allclose(nu_minus, [1.5, s3, -s3], atol=1e-9)
+        assert self._counts((nu_minus, nu_plus)) == (2, 1)
 
     def test_basis_solves_limit_systems(self, setup):
-        g = 2.5 + 1.5j
-        ls = spectral.limit_splitting(g, setup)
-        m_minus = _matrix(setup, -setup.L, g)
-        for v, nu in zip(ls.unstable_minus, ls.nu_minus[:2]):
-            assert np.max(np.abs(m_minus @ v - nu * v)) < 1e-9
-        m_plus = _matrix(setup, setup.L, g)
-        x = ls.stable_plus
-        assert np.max(np.abs(m_plus @ x - ls.nu_plus[2] * x)) < 1e-9
+        # the start data of evans: the rear wedge (0, -1, -lambda2) spans the
+        # unstable plane of M(-L), so it is an eigenvector of the wedge lift
+        # with eigenvalue nu1 + nu2; the front vector is the stable
+        # eigenvector of M(+L).  gamma = 2 is where nu1 = nu2 behind the front.
+        w, p = setup.w_exp, setup.wave.params
+        for g in (2.5 + 1.5j, 2.0, 4.0):
+            nu_m, nu_p = spectral.limit_rates(g, setup)
+            V = np.array([0.0, -1.0, -(nu_m[1] - w)], dtype=complex)
+            m2 = spectral._wedge_square(_matrix(setup, -setup.L, g))
+            assert np.max(np.abs(m2 @ V - (nu_m[0] + nu_m[1]) * V)) < 1e-9
+            lam3 = nu_p[2] - w
+            X = np.array(
+                [1.0, lam3, (setup.wave.i_plus_inf + p.r) / (g - p.c * lam3)],
+                dtype=complex,
+            )
+            m = _matrix(setup, setup.L, g)
+            assert np.max(np.abs(m @ X - nu_p[2] * X)) < 1e-9
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -133,34 +155,34 @@ class TestLimitSplitting:
     )
     def test_counts_and_conjugates(self, setup, re, im):
         g = complex(re, im)
-        if abs(g) < 1e-2 or abs(g - 2.0) < 1e-2:
+        if abs(g) < 1e-2:
             return
-        ls = spectral.limit_splitting(g, setup)
-        assert ls.k_minus == 2
-        assert ls.k_plus == 1
-        bar = spectral.limit_splitting(g.conjugate(), setup)
-        for a, b in zip(ls.nu_minus + ls.nu_plus, bar.nu_minus + bar.nu_plus):
+        rates = spectral.limit_rates(g, setup)
+        assert self._counts(rates) == (2, 1)
+        bar = spectral.limit_rates(g.conjugate(), setup)
+        for a, b in zip(rates[0] + rates[1], bar[0] + bar[1]):
             assert b == pytest.approx(a.conjugate(), abs=1e-12)
 
     def test_left_half_plane_rejected(self, setup):
         with pytest.raises(DomainError):
-            spectral.limit_splitting(-1.0, setup)
+            spectral.limit_rates(-1.0, setup)
 
     def test_gamma_zero_rejected(self, setup):
         with pytest.raises(DomainError):
-            spectral.limit_splitting(0.0, setup)
+            spectral.limit_rates(0.0, setup)
 
     def test_weight_below_band(self, critical_wave):
         # a vanishing weight leaves the front i-decay on the boundary
         tiny = spectral.make_setup(wave=critical_wave, w_exp=1e-12)
         with pytest.raises(SplittingError):
-            spectral.limit_splitting(1.0, tiny)
+            spectral.limit_rates(1.0, tiny)
 
     def test_eigenvector_collision(self, setup):
-        # at gamma = 2 the rear (1, lambda, *) family degenerates against
-        # the i-mode; the wedge used by evans is immune
-        with pytest.raises(SplittingError):
-            spectral.limit_splitting(2.0, setup)
+        # at gamma = 2 the rear i-mode and growing root coincide, where a
+        # basis of two eigenvectors degenerates; the wedge used by evans is
+        # immune
+        nu_minus, _ = spectral.limit_rates(2.0, setup)
+        assert nu_minus[0] == pytest.approx(nu_minus[1], abs=1e-12)
         assert spectral.evans(2.0, setup) != 0
 
 
@@ -173,15 +195,15 @@ class TestEvans:
     def test_matches_adaptive_route(self, setup):
         # independent propagation of the same two-sided pairing with the
         # generic adaptive integrator
-        w, p, L = setup.w_exp, setup.params, setup.L
+        w, p, L = setup.w_exp, setup.wave.params, setup.L
         opts = IntegratorOptions(rel_tol=1e-8, abs_tol=1e-11, max_step=0.5)
         eye = np.eye(3, dtype=complex)
         for g in (4.0 + 0j, 3j):
-            nu_m, nu_p = spectral._checked_rates(g, setup)
+            nu_m, nu_p = spectral.limit_rates(g, setup)
             lam2 = nu_m[1] - w
 
             def rear(z, v):
-                a, i = setup.coefficients(z)
+                a, i = _coefficients(setup, z)
                 m2 = spectral._wedge_square(
                     spectral._weighted_matrix(a, i, g, p, w)
                 )
@@ -197,7 +219,7 @@ class TestEvans:
             )
 
             def front(z, x):
-                a, i = setup.coefficients(z)
+                a, i = _coefficients(setup, z)
                 m = spectral._weighted_matrix(a, i, g, p, w)
                 return (m - nu_p[2] * eye) @ x
 
@@ -298,29 +320,21 @@ def _circle(center, radius, n):
 
 class TestWinding:
     def test_synthetic_identity(self):
-        wind, max_step = spectral.winding_number(
-            None, _circle(0.5, 1.0, 32), fn=lambda g: g
-        )
+        wind, max_step = spectral.winding_number(lambda g: g, _circle(0.5, 1.0, 32))
         assert wind == 1
         assert max_step <= math.pi / 3.0
 
     def test_zero_free_function(self):
-        wind, _ = spectral.winding_number(
-            None, _circle(0.5, 1.0, 32), fn=lambda g: g - 5.0
-        )
+        wind, _ = spectral.winding_number(lambda g: g - 5.0, _circle(0.5, 1.0, 32))
         assert wind == 0
 
     def test_double_zero(self):
-        wind, _ = spectral.winding_number(
-            None, _circle(0.5, 1.0, 64), fn=lambda g: (g - 0.5) ** 2
-        )
+        wind, _ = spectral.winding_number(lambda g: (g - 0.5) ** 2, _circle(0.5, 1.0, 64))
         assert wind == 2
 
     def test_refinement_resolves_coarse_contour(self):
         # five points around the circle leave raw steps above pi/3
-        wind, max_step = spectral.winding_number(
-            None, _circle(0.5, 1.0, 5), fn=lambda g: g
-        )
+        wind, max_step = spectral.winding_number(lambda g: g, _circle(0.5, 1.0, 5))
         assert wind == 1
         assert max_step <= math.pi / 3.0
 
@@ -328,29 +342,25 @@ class TestWinding:
         # a hard sign jump keeps a pi argument step at every bisection depth
         with pytest.raises(ContourResolutionError):
             spectral.winding_number(
-                None,
-                _circle(0.5, 1.0, 8),
-                fn=lambda g: 1.0 if g.imag < 0.25 else -1.0,
+                lambda g: 1.0 if g.imag < 0.25 else -1.0, _circle(0.5, 1.0, 8)
             )
 
     def test_wave_contour_is_zero_free(self, setup):
         contour = spectral.contour_of_S(0.1, 10.0, 48)
-        wind, max_step = spectral.winding_number(setup, contour)
+        wind, max_step = spectral.winding_number(
+            lambda g: spectral.evans(g, setup), contour
+        )
         assert wind == 0
         assert max_step <= math.pi / 3.0
 
-    def test_validation(self, setup):
-        with pytest.raises(DomainError):
-            spectral.winding_number(None, _circle(0.5, 1.0, 16))
+    def test_validation(self):
         open_path = _circle(0.5, 1.0, 16)
         open_path[-1] = open_path[-1] + 0.1
         with pytest.raises(DomainError):
-            spectral.winding_number(setup, open_path)
+            spectral.winding_number(lambda g: g, open_path)
         with pytest.raises(DomainError):
-            spectral.winding_number(setup, np.array([1.0 + 0j, 2.0 + 0j]))
+            spectral.winding_number(lambda g: g, np.array([1.0 + 0j, 2.0 + 0j]))
 
     def test_non_finite_sample_rejected(self):
         with pytest.raises(DomainError):
-            spectral.winding_number(
-                None, _circle(0.5, 1.0, 8), fn=lambda g: math.nan
-            )
+            spectral.winding_number(lambda g: math.nan, _circle(0.5, 1.0, 8))
