@@ -31,16 +31,13 @@ from branchwaves import (
 
 def triangles() -> None:
     c = 2.0
-    print(f"invariant triangles at c = {c:g} (apex on the a-axis):")
-    for i in (0.2, 0.5, 0.8):
-        t = triangle(i, c)
-        print(f"  i = {i:g}: apex a = {t.apex[0]:.4f}, "
-              f"slopes {t.gamma_l:.4f} / {t.gamma_r:.4f}")
+    print(f"invariant triangles at c = {c:g} (apex below the a-axis):")
+    levels = np.array([0.2, 0.5, 0.8])
+    t = triangle(levels, c)  # one call, one triangle per level
+    for i, (a, b), gl, gr in zip(levels, t.apex, t.gamma_l, t.gamma_r):
+        print(f"  i = {i:g}: apex ({a:.4f}, {b:.4f}), angles {gl:.4f} / {gr:.4f}")
     outer, inner = triangle(0.2, c), triangle(0.8, c)
-    nested = all(
-        triangle_contains(outer, v, tol=1e-9)
-        for v in (inner.v0, inner.v1, inner.apex)
-    )
+    nested = triangle_contains(outer, [inner.v0, inner.v1, inner.apex], tol=1e-9).all()
     print(f"  triangle at i = 0.8 sits inside the one at i = 0.2: {nested}")
 
 

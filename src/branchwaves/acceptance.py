@@ -172,12 +172,11 @@ def _triangles(ctx: AcceptanceContext, tol: float = 1e-6) -> tuple[bool, str]:
         c, r, i0, a0 = _admissible_draw(rng)
         traj, _ = wave_mod.shoot_from_max(a0, i0, Params(c=c, r=r))
         i_c = analysis.minimal_inactive_limit(c)
-        for a, b, i in traj.states:
-            level = min(max(i, i_c), 1.0 - 1e-12)
-            if not analysis.triangle_contains(
-                analysis.triangle(level, c), (a, b), tol=tol
-            ):
-                escapes += 1
+        levels = np.clip(traj.states[:, 2], i_c, 1.0 - 1e-12)
+        inside = analysis.triangle_contains(
+            analysis.triangle(levels, c), traj.states[:, :2], tol=tol
+        )
+        escapes += int(np.count_nonzero(~inside))
         samples += len(traj)
     nested = True
     for _ in range(50):
@@ -187,8 +186,8 @@ def _triangles(ctx: AcceptanceContext, tol: float = 1e-6) -> tuple[bool, str]:
         if hi - lo < 1e-9:
             hi = min(hi + 1e-3, 0.985)
         outer, inner = analysis.triangle(lo, c), analysis.triangle(hi, c)
-        for vertex in (inner.v0, inner.v1, inner.apex):
-            nested &= analysis.triangle_contains(outer, vertex, tol=1e-9)
+        vertices = [inner.v0, inner.v1, inner.apex]
+        nested &= bool(analysis.triangle_contains(outer, vertices, tol=1e-9).all())
     return escapes == 0 and nested, (
         f"{escapes} escapes beyond slack {tol:g} across {samples} samples of "
         f"200 trajectories; vertex nesting over 50 level pairs "

@@ -1,9 +1,10 @@
 """Closed-form objects of the wave analysis, as checkable functions.
 
 Everything here is exact arithmetic on formulas: fixed-point spectra, the
-frozen-inactive 2-D subsystem with its invariant triangles, the attractor
-limit formula and its threshold inversion, and the integral
-(mass-transfer) identities evaluated on computed profile segments.
+invariant triangles of the frozen-inactive 2-D subsystem (one closed form
+over one level or an array of levels), the attractor limit formula and its
+threshold inversion, and the integral (mass-transfer) identities evaluated
+on computed profile segments.
 """
 
 from __future__ import annotations
@@ -18,11 +19,9 @@ from .model import Params
 
 __all__ = [
     "Spectrum3",
-    "Subsystem2",
     "Triangle",
     "MassResiduals",
     "fixed_point_spectrum",
-    "subsystem_spectrum",
     "minimal_inactive_limit",
     "decay_rate",
     "triangle",
@@ -65,50 +64,6 @@ def fixed_point_spectrum(K: float, c: float) -> Spectrum3:
     )
 
 
-@dataclass(frozen=True)
-class Subsystem2:
-    """Spectra and eigendirections of the frozen-inactive 2-D subsystem.
-
-    At inactive level i the subsystem a' = b, b' = a(a + i - 1) - c b has
-    fixed points (0, 0) with eigenvalues lambda_pm and (1 - i, 0) with
-    eigenvalues beta_pm; l_pm and r_pm are the matching eigendirections
-    (any positive multiple is equivalent).
-    """
-
-    i: float
-    c: float
-    lambda_plus: float | complex
-    lambda_minus: float | complex
-    beta_plus: float
-    beta_minus: float
-    l_plus: np.ndarray
-    l_minus: np.ndarray
-    r_plus: np.ndarray
-    r_minus: np.ndarray
-
-
-def subsystem_spectrum(i: float, c: float) -> Subsystem2:
-    """Eigen-structure of the 2-D subsystem at frozen inactive level i in [0, 1)."""
-    spec = fixed_point_spectrum(i, c)
-    if not (0.0 <= i < 1.0):
-        raise DomainError(f"inactive level must lie in [0, 1), got {i}")
-    lp, lm = spec.lambda_plus, spec.lambda_minus
-    root_r = math.sqrt(c * c / 4.0 + 1.0 - i)
-    bp, bm = -c / 2.0 + root_r, -c / 2.0 - root_r
-    return Subsystem2(
-        i=i,
-        c=c,
-        lambda_plus=lp,
-        lambda_minus=lm,
-        beta_plus=bp,
-        beta_minus=bm,
-        l_plus=np.array([lm, 1.0 - i]),
-        l_minus=np.array([lp, 1.0 - i]),
-        r_plus=np.array([-bm, 1.0 - i]),
-        r_minus=np.array([-bp, 1.0 - i]),
-    )
-
-
 def minimal_inactive_limit(c: float) -> float:
     """Smallest inactive level ahead of a non-negative wave: max{0, 1 - c^2/4}."""
     if not c > 0:
@@ -133,77 +88,67 @@ def decay_rate(i_limit: float, c: float) -> float:
 
 @dataclass(frozen=True)
 class Triangle:
-    """Invariant triangle of the 2-D subsystem at inactive level i.
+    """Invariant triangle of the subsystem a' = b, b' = a(a + i - 1) - c b.
 
-    Vertices: the origin v0, the saturated state v1 = (1 - i, 0), and the
-    apex (strictly below the a-axis) where the two incoming eigendirections
-    intersect.  gamma_l and gamma_r are the interior angles at v0 and v1.
+    Its vertices are the fixed points v0 = (0, 0) and v1 = (w, 0), w = 1 - i,
+    and the apex below the a-axis, where the lambda_plus eigenline through
+    v0 meets the beta_plus eigenline through v1.  The interior angles are
+    gamma_l = atan2(w, c/2 + sqrt(c^2/4 - w)) at v0 and
+    gamma_r = atan2(w, c/2 + sqrt(c^2/4 + w)) at v1.  i is one level or an
+    array of levels; every field follows its shape, the vertices with a
+    trailing (a, b) axis.
     """
 
-    i: float
+    i: float | np.ndarray
     c: float
-    v0: np.ndarray
-    v1: np.ndarray
-    apex: np.ndarray
-    gamma_l: float
-    gamma_r: float
+    gamma_l: float | np.ndarray
+    gamma_r: float | np.ndarray
+
+    @property
+    def v0(self) -> np.ndarray:
+        return np.zeros(np.shape(self.i) + (2,))
+
+    @property
+    def v1(self) -> np.ndarray:
+        return np.stack([1.0 - self.i, np.zeros_like(self.i)], axis=-1)
+
+    @property
+    def apex(self) -> np.ndarray:
+        # s = |apex - v0|, by the law of sines
+        s = (1.0 - self.i) * np.sin(self.gamma_r) / np.sin(self.gamma_l + self.gamma_r)
+        return np.stack([s * np.cos(self.gamma_l), -s * np.sin(self.gamma_l)], axis=-1)
 
 
-def triangle(i: float, c: float) -> Triangle:
-    """Invariant triangle at level i, valid for i in [i_c, 1)."""
+def triangle(i: float | np.ndarray, c: float) -> Triangle:
+    """Invariant triangle at level i, or at each level of an array i, in [i_c, 1)."""
     i_c = minimal_inactive_limit(c)
-    if not (i_c - 1e-12 <= i < 1.0):
+    if not np.all((i_c - 1e-12 <= i) & (i < 1.0)):
         raise DomainError(f"triangle needs i in [{i_c}, 1), got {i}")
-    sub = subsystem_spectrum(i, c)
-    v0 = np.array([0.0, 0.0])
-    v1 = np.array([1.0 - i, 0.0])
-    # apex solves q*r_plus - p*l_plus = v1 with p, q >= 0; then apex = -p*l_plus
-    mat = np.column_stack([sub.r_plus, -np.real(sub.l_plus)])
-    q, p = np.linalg.solve(mat, v1)
-    apex = -p * np.real(sub.l_plus)
-
-    def interior_angle(at, other, third):
-        u = other - at
-        v = third - at
-        return math.atan2(abs(u[0] * v[1] - u[1] * v[0]), float(np.dot(u, v)))
-
+    w, half = 1.0 - i, c / 2.0
+    # levels down to i_c - 1e-12 are admitted, where c^2/4 - w dips below 0
     return Triangle(
         i=i,
         c=c,
-        v0=v0,
-        v1=v1,
-        apex=apex,
-        gamma_l=interior_angle(v0, v1, apex),
-        gamma_r=interior_angle(v1, v0, apex),
+        gamma_l=np.arctan2(w, half + np.sqrt(np.maximum(half * half - w, 0.0))),
+        gamma_r=np.arctan2(w, half + np.sqrt(half * half + w)),
     )
 
 
-def triangle_contains(t: Triangle, point, tol: float = 0.0) -> bool:
-    """Whether a point lies in the closed triangle inflated by slack tol.
+def triangle_contains(t: Triangle, points, tol: float = 0.0) -> np.ndarray:
+    """Whether points of shape (..., 2) lie in t inflated by slack tol.
 
-    Half-plane tests against the three edges, with distances measured in
-    absolute units so the slack is a true geometric margin.
+    A boolean per point, the points broadcast against the levels of t.
+    Each test is a signed distance to one edge, so tol is a true margin.
     """
     if tol < 0:
         raise DomainError(f"slack must be >= 0, got {tol}")
-    p = np.asarray(point, dtype=float)
-    verts = (t.v0, t.v1, t.apex)
-    for k in range(3):
-        va, vb = verts[k], verts[(k + 1) % 3]
-        vc = verts[(k + 2) % 3]
-        edge = vb - va
-        normal = np.array([-edge[1], edge[0]])
-        norm = float(np.hypot(normal[0], normal[1]))
-        if norm == 0.0:  # degenerate edge (i -> 1 limit): fall back to vertex test
-            if float(np.hypot(*(p - va))) > tol:
-                return False
-            continue
-        normal /= norm
-        if float(np.dot(normal, vc - va)) < 0:
-            normal = -normal  # orient inward
-        if float(np.dot(normal, p - va)) < -tol:
-            return False
-    return True
+    p = np.asarray(points, dtype=float)
+    a, b = p[..., 0], p[..., 1]
+    return (
+        (b <= tol)
+        & (a * np.sin(t.gamma_l) + b * np.cos(t.gamma_l) >= -tol)
+        & ((1.0 - t.i - a) * np.sin(t.gamma_r) + b * np.cos(t.gamma_r) >= -tol)
+    )
 
 
 def i_plus_infinity(a0: float, i0: float, c: float, r: float) -> float:

@@ -116,6 +116,12 @@ def _fields(
     return parse
 
 
+def _seed(text: str) -> int:
+    if not text.strip().isdecimal():
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return int(text)
+
+
 def _parse_general(text: str) -> GeneralParams:
     values = {}
     for item in text.split(","):
@@ -270,10 +276,8 @@ def _read_initial(path: str) -> tuple[pde.Grid, np.ndarray, np.ndarray]:
     xs, A, I = (np.asarray(data[name], dtype=float) for name in names[:3])
     if xs.size < 16:
         raise _UsageProblem("initial data needs at least 16 rows")
-    if not all(np.isfinite(column).all() for column in (xs, A, I)):
-        raise _UsageProblem(
-            f"initial data {path} holds a non-numeric or non-finite x, A or I"
-        )
+    if not np.isfinite(xs).all():
+        raise _UsageProblem(f"initial data {path} holds a non-numeric or non-finite x")
     steps = np.diff(xs)
     if steps.min() <= 0 or steps.max() - steps.min() > 1e-9 * steps.max():
         raise _UsageProblem("initial data abscissae must be uniformly increasing")
@@ -283,11 +287,16 @@ def _read_initial(path: str) -> tuple[pde.Grid, np.ndarray, np.ndarray]:
 def cmd_pde(args: argparse.Namespace) -> int:
     if args.initial is not None:
         grid, A0, I0 = _read_initial(args.initial)
+        source = f"initial data {args.initial}"
     else:
         grid = args.grid
         xs = grid.xs()
-        A0 = args.amplitude * np.exp(-((xs / args.width) ** 2))
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            A0 = args.amplitude * np.exp(-((xs / args.width) ** 2))
         I0 = np.zeros_like(xs)
+        source = f"the bump of amplitude {args.amplitude:g} and width {args.width:g}"
+    if not (np.isfinite(A0).all() and np.isfinite(I0).all()):
+        raise _UsageProblem(f"{source} holds a non-numeric or non-finite A or I")
 
     series = pde.simulate(A0, I0, args.r, grid, t_end=args.t_end)
 
@@ -540,7 +549,7 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p_formulas.set_defaults(handler=cmd_formulas)
 
     p_verify.add_argument("--only", help="substring filter on criterion names")
-    p_verify.add_argument("--seed", type=int, default=2026,
+    p_verify.add_argument("--seed", type=_seed, default=2026,
                           help="randomized-check seed (default %(default)s)")
     p_verify.set_defaults(handler=cmd_verify)
 

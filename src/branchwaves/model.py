@@ -39,16 +39,16 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Params:
-    """Normalized model parameters: wave speed c > 0, production rate r >= 0."""
+    """Normalized model parameters: finite wave speed c > 0 and rate r >= 0."""
 
     c: float
     r: float = 0.0
 
     def __post_init__(self):
-        if not (self.c > 0):
-            raise DomainError(f"wave speed c must be positive, got {self.c}")
-        if not (self.r >= 0):
-            raise DomainError(f"production rate r must be >= 0, got {self.r}")
+        if not 0 < self.c < math.inf:
+            raise DomainError(f"wave speed c must be positive and finite, got {self.c}")
+        if not 0 <= self.r < math.inf:
+            raise DomainError(f"production rate r must be >= 0 and finite, got {self.r}")
 
 
 @dataclass(frozen=True)

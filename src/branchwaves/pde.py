@@ -25,6 +25,7 @@ DIFFUSIVE_CFL = 0.4
 REACTION_DT_CAP = 0.1
 
 BOUNDARY_MARGIN_CELLS = 10
+MAX_STORED_VALUES = 10**8  # snapshot values one run may keep: 0.8 GB of float64
 
 
 @dataclass(frozen=True)
@@ -71,10 +72,19 @@ class FieldSeries:
         return self.snapshots[k]
 
 
-def _snapshot_times(t_end: float, snapshot_dt: float) -> np.ndarray:
-    n_whole = int(math.floor(t_end / snapshot_dt + 1e-9))
+def _snapshot_times(t_end: float, snapshot_dt: float, n: int) -> np.ndarray:
+    """Multiples of snapshot_dt, then t_end; DomainError past the storage cap."""
+    ratio = t_end / snapshot_dt
+    # a ratio past the cap is rejected anyway; capping keeps floor finite
+    n_whole = math.floor(min(ratio + 1e-9, MAX_STORED_VALUES))
+    partial = snapshot_dt * n_whole < t_end - 1e-9 * max(t_end, 1.0)
+    if 2 * n * (n_whole + 1 + partial) > MAX_STORED_VALUES:
+        raise DomainError(
+            f"t_end = {t_end:g} at snapshot_dt = {snapshot_dt:g} asks for {ratio:.6g} "
+            f"snapshots of 2 x {n} values, over the cap of {MAX_STORED_VALUES:.0e}"
+        )
     times = snapshot_dt * np.arange(n_whole + 1)
-    if times[-1] < t_end - 1e-9 * max(t_end, 1.0):
+    if partial:
         times = np.append(times, t_end)
     else:
         times[-1] = t_end
@@ -98,13 +108,14 @@ def simulate(A0, I0, r: float, grid: Grid, t_end: float,
              snapshot_dt: float = 0.5) -> FieldSeries:
     """Advance to t_end at production rate r >= 0, snapshot every snapshot_dt.
 
-    Both times must be positive and finite. The step size obeys dt <= 0.4
+    r and both times must be finite, the times positive, and the snapshots
+    at most MAX_STORED_VALUES values. The step size obeys dt <= 0.4
     dx^2 (diffusion) and dt <= 0.1 (reaction) and divides each snapshot
     interval exactly. Non-finite values raise BlowUpError carrying the
     series recorded so far.
     """
-    if not r >= 0:
-        raise DomainError(f"production rate r must be >= 0, got {r}")
+    if not 0 <= r < math.inf:
+        raise DomainError(f"production rate r must be >= 0 and finite, got {r}")
     A = np.array(A0, dtype=float)
     I = np.array(I0, dtype=float)
     if A.shape != (grid.n,) or I.shape != (grid.n,):
@@ -116,7 +127,7 @@ def simulate(A0, I0, r: float, grid: Grid, t_end: float,
             raise DomainError(f"{name} must be positive and finite, got {value}")
 
     dt_cap = min(DIFFUSIVE_CFL * grid.dx * grid.dx, REACTION_DT_CAP)
-    times = _snapshot_times(t_end, snapshot_dt)
+    times = _snapshot_times(t_end, snapshot_dt, grid.n)
     snaps = [(A.copy(), I.copy())]
 
     with np.errstate(over="ignore", invalid="ignore"):
@@ -139,8 +150,8 @@ def front_position(A, grid: Grid, threshold: float) -> float:
     grid.x_max when A is still above threshold at the right end (the
     front has left the domain).
     """
-    if threshold <= 0.0:
-        raise DomainError(f"threshold must be positive, got {threshold}")
+    if not 0.0 < threshold < math.inf:
+        raise DomainError(f"threshold must be positive and finite, got {threshold}")
     A = np.asarray(A, dtype=float)
     above = np.nonzero(A >= threshold)[0]
     if above.size == 0:

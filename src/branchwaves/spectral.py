@@ -72,10 +72,10 @@ class SpectralSetup:
     _z_hi: float = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.w_exp <= 0.0:
-            raise DomainError("exponential weight must be positive")
-        if self.L <= 0.0:
-            raise DomainError("domain half-length must be positive")
+        if not 0.0 < self.w_exp < math.inf:
+            raise DomainError("exponential weight must be positive and finite")
+        if not 0.0 < self.L < math.inf:
+            raise DomainError("domain half-length must be positive and finite")
         zs = self.wave.trajectory.zs
         states = self.wave.trajectory.states
         self._z_lo = float(zs[0])
@@ -270,8 +270,8 @@ def contour_of_S(
     +r_min to -i * r_min, and returns to the start; the last point repeats
     the first.
     """
-    if not 0.0 < r_min < r_max:
-        raise DomainError("need 0 < r_min < r_max")
+    if not 0.0 < r_min < r_max < math.inf:
+        raise DomainError("need 0 < r_min < r_max < inf")
     if base_n < 16:
         raise DomainError("base_n below 16 cannot resolve the contour")
     n_arc = int(base_n)

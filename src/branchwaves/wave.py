@@ -84,12 +84,11 @@ def seed_unstable_manifold(i_minus_inf: float, p: Params, eps: float = 1e-7) -> 
     The eigendirection is normalized so its a-component equals +1,
     selecting the branch that enters a > 0.
     """
-    if i_minus_inf <= 1.0:
+    if not 1.0 < i_minus_inf <= 2.0:
         raise DomainError(
-            f"level {i_minus_inf} leaves no unstable direction; need i > 1"
+            f"level {i_minus_inf} must lie in (1, 2]: at or below 1 it leaves "
+            "no unstable direction, and 2 is the admissible maximum"
         )
-    if i_minus_inf > 2.0:
-        raise DomainError(f"level {i_minus_inf} exceeds the admissible maximum 2")
     if not 0.0 < eps <= 1e-4:
         raise DomainError(f"eps must lie in (0, 1e-4], got {eps}")
     K = i_minus_inf

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -48,45 +49,53 @@ class TestFixedPointSpectrum:
 
 
 class TestSubsystem:
+    """The frozen-inactive subsystem's eigen-structure, read off its triangle.
+
+    The edge v0-apex runs along the lambda_plus eigendirection at v0, so
+    tan(gamma_l) = -lambda_plus; the edge v1-apex runs along the beta_plus
+    eigendirection at v1, so tan(gamma_r) = beta_plus.
+    """
+
     def test_degenerate_node_at_i0_c2(self):
-        sub = analysis.subsystem_spectrum(0.0, 2.0)
-        assert sub.lambda_plus == pytest.approx(-1.0)
-        assert sub.lambda_minus == pytest.approx(-1.0)
-        assert sub.beta_plus == pytest.approx(-1.0 + math.sqrt(2.0))
-        assert sub.beta_minus == pytest.approx(-1.0 - math.sqrt(2.0))
+        # lambda_pm = -1 (double), beta_plus = -1 + sqrt(2)
+        t = analysis.triangle(0.0, 2.0)
+        assert t.gamma_l == pytest.approx(math.pi / 4)
+        assert t.gamma_r == pytest.approx(math.pi / 8)
 
     def test_half_level(self):
-        sub = analysis.subsystem_spectrum(0.5, 2.0)
-        assert sub.lambda_plus == pytest.approx(-1.0 + math.sqrt(0.5))
-        assert sub.lambda_minus == pytest.approx(-1.0 - math.sqrt(0.5))
+        t = analysis.triangle(0.5, 2.0)
+        assert math.tan(t.gamma_l) == pytest.approx(1.0 - math.sqrt(0.5))
+        assert math.tan(t.gamma_r) == pytest.approx(-1.0 + math.sqrt(1.5))
 
     def test_critical_boundary_c1(self):
-        sub = analysis.subsystem_spectrum(0.75, 1.0)
-        assert sub.lambda_plus == pytest.approx(-0.5)
-        assert sub.lambda_minus == pytest.approx(-0.5)
+        # lambda_pm = -1/2 (double) at i = i_c = 3/4
+        t = analysis.triangle(0.75, 1.0)
+        assert math.tan(t.gamma_l) == pytest.approx(0.5)
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            analysis.subsystem_spectrum(1.0, 2.0)
+            analysis.triangle(1.0, 2.0)
         with pytest.raises(DomainError):
-            analysis.subsystem_spectrum(-0.1, 2.0)
+            analysis.triangle(-0.1, 2.0)
 
     @pytest.mark.parametrize("i,c", [(0.2, 2.0), (0.5, 2.0), (0.8, 1.5), (0.9, 3.0)])
     def test_eigendirections(self, i, c):
-        # oracle: apply the 2-D Jacobians directly
-        sub = analysis.subsystem_spectrum(i, c)
+        # oracle: apply the 2-D Jacobians at v0 and v1 to the edges meeting there
+        t = analysis.triangle(i, c)
         J0 = np.array([[0.0, 1.0], [i - 1.0, -c]])
         J1 = np.array([[0.0, 1.0], [1.0 - i, -c]])
-        np.testing.assert_allclose(J0 @ sub.l_plus, sub.lambda_plus * sub.l_plus, atol=1e-12)
-        np.testing.assert_allclose(J0 @ sub.l_minus, sub.lambda_minus * sub.l_minus, atol=1e-12)
-        np.testing.assert_allclose(J1 @ sub.r_plus, sub.beta_plus * sub.r_plus, atol=1e-12)
-        np.testing.assert_allclose(J1 @ sub.r_minus, sub.beta_minus * sub.r_minus, atol=1e-12)
+        lam = analysis.fixed_point_spectrum(i, c).lambda_plus
+        beta = -c / 2 + math.sqrt(c * c / 4 + 1 - i)
+        np.testing.assert_allclose(J0 @ t.apex, lam * t.apex, atol=1e-12)
+        d = t.apex - t.v1
+        np.testing.assert_allclose(J1 @ d, beta * d, atol=1e-12)
 
     def test_ordering_invariant(self):
+        # lambda_plus < 0 < beta_plus and -lambda_plus > beta_plus
         for i in [0.0, 0.3, 0.7, 0.99]:
-            sub = analysis.subsystem_spectrum(i, 2.0)
-            assert sub.lambda_minus <= sub.lambda_plus < 0
-            assert sub.beta_minus < 0 < sub.beta_plus
+            t = analysis.triangle(i, 2.0)
+            assert 0 < t.gamma_r < t.gamma_l <= math.pi / 4
+            assert 0 < t.apex[0] < t.v1[0]
 
 
 class TestMinimalLevelAndRates:
@@ -113,14 +122,18 @@ class TestTriangle:
 
     @pytest.mark.parametrize("i,c", [(0.1, 2.0), (0.5, 2.0), (0.8, 1.2), (0.3, 3.0)])
     def test_apex_on_both_eigenlines(self, i, c):
-        # oracle: the apex must be collinear with each eigendirection half-line
+        # oracle: a numerical eigensolver on the 2-D Jacobians at v0 and v1;
+        # the apex lies on the lambda_plus line through v0 and the beta_plus
+        # line through v1, the larger eigenvalue at each
         t = analysis.triangle(i, c)
-        sub = analysis.subsystem_spectrum(i, c)
-        cross_l = t.apex[0] * sub.l_plus[1] - t.apex[1] * sub.l_plus[0]
-        d = t.apex - t.v1
-        cross_r = d[0] * sub.r_plus[1] - d[1] * sub.r_plus[0]
-        assert abs(cross_l) < 1e-12
-        assert abs(cross_r) < 1e-12
+        for J, vertex in (
+            ([[0.0, 1.0], [i - 1.0, -c]], t.v0),
+            ([[0.0, 1.0], [1.0 - i, -c]], t.v1),
+        ):
+            values, vectors = np.linalg.eig(np.array(J))
+            e = vectors[:, np.argmax(values.real)].real
+            d = t.apex - vertex
+            assert abs(d[0] * e[1] - d[1] * e[0]) < 1e-12
 
     def test_angle_formulas(self):
         # tan(gamma) = (1-i) / (c/2 + sqrt(c^2/4 -+ (1-i)))
@@ -136,6 +149,37 @@ class TestTriangle:
             analysis.triangle(1.0, 2.0)
         with pytest.raises(DomainError):
             analysis.triangle(0.5, 1.0)  # below i_c = 0.75
+        with pytest.raises(DomainError):
+            analysis.triangle(np.array([0.2, 0.5, 1.0]), 2.0)
+
+    def test_level_just_below_i_c_is_clamped(self):
+        # c^2/4 - (1 - i) = -1e-12 here; the root is clamped, not taken
+        c = 1.5
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            t = analysis.triangle(analysis.minimal_inactive_limit(c) - 1e-12, c)
+            for value in (t.gamma_l, t.gamma_r, *t.apex):
+                assert math.isfinite(value)
+
+    @pytest.mark.parametrize("c", [1.0, 2.0, 3.0])
+    def test_array_matches_one_level(self, c):
+        i_c = analysis.minimal_inactive_limit(c)
+        levels = np.concatenate([[i_c - 1e-12], np.linspace(i_c, 1.0 - 1e-12, 40)])
+        t = analysis.triangle(levels, c)
+        for k, level in enumerate(levels):
+            one = analysis.triangle(float(level), c)
+            for name in ("i", "gamma_l", "gamma_r", "v0", "v1", "apex"):
+                assert np.array_equal(getattr(t, name)[k], getattr(one, name)), name
+        assert t.apex.shape == t.v1.shape == t.v0.shape == (levels.size, 2)
+
+        rng = np.random.default_rng(7)
+        u, v = rng.uniform(-0.3, 1.0, size=(2, levels.size, 1))
+        points = u * t.v1 + v * t.apex  # inside where u, v >= 0 and u + v <= 1
+        inside = analysis.triangle_contains(t, points, tol=1e-6)
+        assert inside.shape == (levels.size,) and inside.any() and not inside.all()
+        for k, level in enumerate(levels):
+            one = analysis.triangle(float(level), c)
+            assert inside[k] == analysis.triangle_contains(one, points[k], tol=1e-6)
 
     def test_degenerate_to_origin(self):
         t = analysis.triangle(1.0 - 1e-9, 2.0)

@@ -71,6 +71,14 @@ class TestWave:
         assert "invalid regime" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag, value", [("--i-minus", "nan"), ("--c", "inf"), ("--r", "inf")])
+    def test_non_finite_parameter_exits_2(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "w.csv"
+        code, _, err = run(capsys, "wave", flag, value, "--out", out)
+        assert code == 2
+        assert "invalid regime" in err
+        assert not out.exists()
+
 
 class TestPde:
     def test_front_run(self, tmp_path, capsys):
@@ -146,6 +154,44 @@ class TestPde:
         )
         assert code == 2
         assert "invalid regime" in err
+
+    def test_infinite_rate_exits_2(self, tmp_path, capsys):
+        code, _, err = run(
+            capsys, "pde", "--r", "inf", "--grid", "321:-10:20", "--t-end", 1,
+            "--out", tmp_path / "x",
+        )
+        assert code == 2
+        assert "production rate r must be >= 0 and finite" in err
+        assert not list(tmp_path.iterdir())
+
+    def test_nan_threshold_exits_64(self, tmp_path, capsys):
+        code, _, err = run(
+            capsys, "pde", "--threshold", "nan", "--grid", "321:-10:20", "--t-end", 1,
+            "--out", tmp_path / "x",
+        )
+        assert code == 64
+        assert "threshold must be positive and finite" in err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--amplitude", "nan"), ("--amplitude", "inf"), ("--width", 0)]
+    )
+    def test_non_finite_bump_exits_64(self, tmp_path, capsys, flag, value):
+        code, _, err = run(capsys, "pde", flag, value, "--out", tmp_path / "x")
+        assert code == 64
+        assert "the bump of amplitude" in err
+        assert "non-finite" in err
+        assert not list(tmp_path.iterdir())
+
+    def test_too_many_snapshots_exits_2(self, tmp_path, capsys):
+        # 2e300 snapshot intervals would not even fit np.arange
+        code, _, err = run(
+            capsys, "pde", "--grid", "16:0:10", "--t-end", "1e300",
+            "--out", tmp_path / "x",
+        )
+        assert code == 2
+        assert "t_end = 1e+300 at snapshot_dt = 0.5" in err
+        assert not list(tmp_path.iterdir())
 
     def test_window_outside_run_exits_64(self, tmp_path, capsys):
         code, _, err = run(
@@ -247,6 +293,28 @@ class TestEvans:
         assert code == 64
         assert not out.exists()
 
+    def test_infinite_contour_radius_exits_64(self, tmp_path, capsys):
+        out = tmp_path / "e.csv"
+        code, _, err = run(capsys, "evans", "--contour", "0.001:inf:200", "--out", out)
+        assert code == 64
+        assert "argument --contour" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_half_length_exits_2(self, tmp_path, capsys, value):
+        out = tmp_path / "e.csv"
+        code, _, err = run(capsys, "evans", "--L", value, "--out", out)
+        assert code == 2
+        assert "domain half-length must be positive and finite" in err
+        assert not out.exists()
+
+    def test_nan_weight_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "e.csv"
+        code, _, err = run(capsys, "evans", "--w-exp", "nan", "--out", out)
+        assert code == 2
+        assert "exponential weight must be positive and finite" in err
+        assert not out.exists()
+
 
 class TestFormulas:
     def test_minimal_speed_note(self, capsys):
@@ -286,6 +354,13 @@ class TestFormulas:
         code, _, err = run(capsys, "formulas", "--c", 0)
         assert code == 64
 
+    def test_infinite_speed_exits_64(self, capsys):
+        # an infinite speed would reach the JSON as NaN, which is not JSON
+        code, out, err = run(capsys, "formulas", "--c", "inf", "--json")
+        assert code == 64
+        assert out == ""
+        assert "wave speed c must be positive and finite" in err
+
 
 class TestVerify:
     def test_single_criterion_passes(self, capsys):
@@ -309,6 +384,12 @@ class TestVerify:
         assert "[PASS] passing: fine" in out
         assert "[FAIL] failing: off by a mile" in out
         assert err == "FAILED: failing\n"
+
+    def test_negative_seed_exits_64(self, capsys):
+        code, out, err = run(capsys, "verify", "--seed", -10)
+        assert code == 64
+        assert out == ""
+        assert "argument --seed: expected an integer >= 0" in err
 
     def test_tol_flag_exits_64(self, capsys):
         # the criteria's tolerances are fixed; no flag loosens them
@@ -376,6 +457,14 @@ class TestConfig:
         code, _, err = run(capsys, "formulas", "--config", cfg)
         assert code == 64
         assert f"{cfg}: config key c:" in err
+
+    def test_negative_config_seed_names_file_and_key(self, tmp_path, capsys):
+        cfg = tmp_path / "v.cfg"
+        cfg.write_text("seed = -3\n")
+        code, out, err = run(capsys, "verify", "--config", cfg)
+        assert code == 64
+        assert out == ""
+        assert f"{cfg}: config key seed: expected an integer >= 0" in err
 
     def test_tolerances_are_not_a_config_key(self, tmp_path, capsys):
         cfg = tmp_path / "v.cfg"

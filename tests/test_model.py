@@ -40,6 +40,9 @@ class TestParams:
             Params(c=-1.0)
         with pytest.raises(DomainError):
             Params(c=2.0, r=-0.5)
+        for c, r in [(math.nan, 0.0), (math.inf, 0.0), (2.0, math.nan), (2.0, math.inf)]:
+            with pytest.raises(DomainError):
+                Params(c=c, r=r)
 
     def test_general_validation(self):
         GeneralParams(r_S=1.0, r_A=1.0, r_I=0.0, D=1.0)

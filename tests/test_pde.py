@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -112,6 +113,16 @@ class TestSimulate:
         g = Grid(0.0, 1.0, 21)
         with pytest.raises(DomainError, match="production rate r must be >= 0"):
             simulate(np.zeros(21), np.zeros(21), -1.0, g, 1.0, 0.5)
+        with pytest.raises(DomainError, match="production rate r must be >= 0"):
+            simulate(np.zeros(21), np.zeros(21), math.inf, g, 1.0, 0.5)
+
+    @pytest.mark.parametrize("t_end", [1e300, 0.5 * (10**8 // 32 - 1) + 0.1])
+    def test_snapshot_storage_is_capped(self, t_end):
+        # 16 points hold 10**8 // 32 snapshots of both fields; the second
+        # end time asks for one more (its partial last interval)
+        g = Grid(0.0, 1.0, 16)
+        with pytest.raises(DomainError, match=re.escape(f"t_end = {t_end:g} at snapshot_dt")):
+            simulate(np.zeros(16), np.zeros(16), R0, g, t_end, 0.5)
 
     @pytest.mark.parametrize("t_end, snapshot_dt", [
         (math.nan, 0.5), (math.inf, 0.5), (0.0, 0.5), (1.0, math.nan), (1.0, math.inf),
@@ -145,6 +156,8 @@ class TestFrontPosition:
         g = Grid(0.0, 10.0, 101)
         with pytest.raises(DomainError):
             front_position(np.zeros(101), g, 0.0)
+        with pytest.raises(DomainError):
+            front_position(np.zeros(101), g, math.nan)
 
     def test_translation_identity(self):
         # shifting a sampled profile by whole cells moves the front exactly

@@ -44,6 +44,9 @@ class TestSetup:
     def test_bad_weight(self, critical_wave):
         with pytest.raises(DomainError):
             spectral.make_setup(wave=critical_wave, w_exp=0.0)
+        for w_exp, L in [(math.nan, None), (math.inf, None), (None, math.nan), (None, math.inf)]:
+            with pytest.raises(DomainError):
+                spectral.make_setup(wave=critical_wave, w_exp=w_exp, L=L)
 
     def test_extension_by_limits(self, setup):
         zs = setup.wave.trajectory.zs
@@ -307,6 +310,8 @@ class TestContour:
     def test_validation(self):
         with pytest.raises(DomainError):
             spectral.contour_of_S(10.0, 1.0)
+        with pytest.raises(DomainError):
+            spectral.contour_of_S(1e-3, math.inf)
         with pytest.raises(DomainError):
             spectral.contour_of_S(base_n=4)
 

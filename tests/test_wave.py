@@ -55,6 +55,8 @@ class TestSeed:
             seed_unstable_manifold(1.0, P20)
         with pytest.raises(DomainError):
             seed_unstable_manifold(0.9, P20)
+        with pytest.raises(DomainError):
+            seed_unstable_manifold(math.nan, P20)
 
     def test_level_cap(self):
         with pytest.raises(DomainError):
