@@ -5,7 +5,7 @@ exponential rates that the connection-mismatch determinant interpolates
 between, then winds a moderate contour and counts zeros.  Zero winding on the
 full contour (the CLI default, radii 1e-3 to 1e3) is the spectral-stability
 verdict; this demo uses a reduced contour to stay quick.  Run with
-`python3 demos/spectral_contour.py` (takes ~10 s).
+`python3 demos/spectral_contour.py` (takes ~3 s).
 """
 
 import numpy as np
@@ -13,6 +13,7 @@ import numpy as np
 from branchwaves import (
     contour_of_S,
     evans,
+    evans_winding,
     limit_rates,
     make_setup,
     winding_number,
@@ -36,11 +37,14 @@ def main() -> None:
 
     contour = contour_of_S(r_min=0.05, r_max=50.0, base_n=120)
     print(f"winding a {contour.size}-node contour, radii 0.05 to 50 ...")
-    winding, max_step = winding_number(lambda g: evans(g, setup), contour)
-    print(f"winding number {winding}, largest argument step {max_step:.3f} rad")
+    sweep = evans_winding(setup, contour)
+    print(f"winding number {sweep.winding}, largest argument step "
+          f"{sweep.max_arg_step:.3f} rad, {sweep.diagnostics['bisections']} bisections")
+    print(f"halving the march step moves the checked values by at most "
+          f"{sweep.diagnostics['halving_rel_diff']:.1e} (relative)")
     print("no zeros inside: nothing in the weighted point spectrum "
-          "with positive real part" if winding == 0 else
-          f"found {winding} zeros enclosed")
+          "with positive real part" if sweep.winding == 0 else
+          f"found {sweep.winding} zeros enclosed")
 
     # sanity check the counter itself on a function with a known zero
     circle = 0.5 + np.exp(1j * np.linspace(0.0, 2.0 * np.pi, 65))

@@ -56,9 +56,11 @@ from .pde import (
 )
 from .spectral import (
     EvansSample,
+    EvansWinding,
     SpectralSetup,
     contour_of_S,
     evans,
+    evans_winding,
     limit_rates,
     make_setup,
     winding_number,
@@ -124,9 +126,11 @@ __all__ = [
     # spectral
     "SpectralSetup",
     "EvansSample",
+    "EvansWinding",
     "make_setup",
     "limit_rates",
     "evans",
+    "evans_winding",
     "contour_of_S",
     "winding_number",
     # acceptance

@@ -266,14 +266,13 @@ def _evans_winding(ctx: AcceptanceContext, tol: float = 0.1) -> tuple[bool, str]
     ok = True
     for r in (0.0, 1.0):
         setup = spectral.make_setup(wave=ctx.wave_grid()[(2.0, r, 2.0)])
-        contour = spectral.contour_of_S()
-        winding, max_step = spectral.winding_number(
-            lambda g: spectral.evans(g, setup), contour
-        )
-        ok &= winding == 0
+        sweep = spectral.evans_winding(setup, spectral.contour_of_S())
+        ok &= sweep.winding == 0
+        diag = sweep.diagnostics
         parts.append(
-            f"r={r:g}: winding={winding}, max arg step {max_step:.3f} rad, "
-            f"closure deviation enforced < {tol:g}"
+            f"r={r:g}: winding={sweep.winding}, max arg step {sweep.max_arg_step:.3f} rad, "
+            f"closure deviation enforced < {tol:g}, halving rel diff "
+            f"{diag['halving_rel_diff']:.1e}, {diag['bisections']} bisections"
         )
     return ok, "; ".join(parts)
 

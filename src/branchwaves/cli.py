@@ -122,6 +122,19 @@ def _seed(text: str) -> int:
     return int(text)
 
 
+def _bump_width(text: str) -> float:
+    try:
+        width = float(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from exc
+    if not 0.0 < width < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"need 0 < width < inf, got {text!r}: the bump of amplitude A and "
+            "width w, A exp(-(x/w)^2), would be non-finite or all zero"
+        )
+    return width
+
+
 def _parse_general(text: str) -> GeneralParams:
     values = {}
     for item in text.split(","):
@@ -340,39 +353,35 @@ def cmd_pde(args: argparse.Namespace) -> int:
 
 
 def cmd_evans(args: argparse.Namespace) -> int:
-    samples: list[tuple[complex, complex]] = []
     if args.self_test:
         theta = np.linspace(0.0, 2.0 * math.pi, 65)
         contour = 0.5 + np.exp(1j * theta)
         contour[-1] = contour[0]
+        batches: list[np.ndarray] = []
 
-        def probe(g: complex) -> complex:
-            samples.append((g, g))
-            return g
+        def identity(gammas: np.ndarray) -> np.ndarray:
+            batches.append(gammas)
+            return gammas
 
+        winding, max_step = spectral.winding_number(identity, contour)
+        gammas = values = np.concatenate(batches)
+        diagnostics = None
         expected = 1
         L_used = None
     else:
         params = Params(c=args.c, r=args.r)
         profile = wave_mod.shoot_wave(args.i_minus, params)
         setup = spectral.make_setup(wave=profile, w_exp=args.w_exp, L=args.L)
-        contour = args.contour
-
-        def probe(g: complex) -> complex:
-            value = spectral.evans(g, setup)
-            samples.append((g, value))
-            return value
-
+        try:
+            sweep = spectral.evans_winding(setup, args.contour)
+        except DomainError as exc:
+            raise ContourResolutionError(str(exc)) from exc
+        winding, max_step = sweep.winding, sweep.max_arg_step
+        gammas, values = sweep.gammas, sweep.values
+        diagnostics = sweep.diagnostics
         expected = 0
         L_used = setup.L
 
-    try:
-        winding, max_step = spectral.winding_number(probe, contour)
-    except DomainError as exc:
-        raise ContourResolutionError(str(exc)) from exc
-
-    gammas = np.array([g for g, _ in samples])
-    values = np.array([v for _, v in samples])
     _write_csv(
         args.out,
         ["re_gamma", "im_gamma", "re_E", "im_E"],
@@ -384,8 +393,9 @@ def cmd_evans(args: argparse.Namespace) -> int:
             "max_arg_step": max_step,
             "L": L_used,
             "self_test": bool(args.self_test),
-            "evaluations": len(samples),
+            "evaluations": int(gammas.size),
             "csv": args.out,
+            "diagnostics": diagnostics,
         }
     )
     return EXIT_OK if winding == expected else EXIT_VERIFICATION
@@ -511,7 +521,7 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
 
     p_pde.add_argument("--amplitude", type=float, default=0.5,
                        help="bump height (default %(default)s)")
-    p_pde.add_argument("--width", type=float, default=1.0,
+    p_pde.add_argument("--width", type=_bump_width, default=1.0,
                        help="bump width (default %(default)s)")
     p_pde.add_argument("--initial", help="CSV x,A,I initial data (overrides the bump)")
     p_pde.add_argument("--grid", default="2001:-30:120",

@@ -14,10 +14,24 @@ the initial data analytic in gamma even where the two rear eigenvectors
 collide.  Propagation removes dominant exponential growth through constant
 complex shifts, so the returned pairing differs from the raw determinant by
 a factor that is analytic and nonvanishing in gamma; winding numbers are
-unaffected.  Each leg is marched with the exact propagator of the
-coefficient matrix frozen at subinterval midpoints, which stays accurate at
-fixed cost however large |gamma| gets, where adaptive steppers stall on the
-fast phase rotation.
+unaffected.
+
+Each leg is marched with the fourth-order Magnus step at the two Gauss
+points of every subinterval (Blanes, Casas, Oteo & Ros, Phys. Rep. 470,
+2009), Omega = h/2 (A1 + A2) + sqrt(3) h^2/12 [A2, A1], and its exact
+exponential, which stays accurate at fixed cost however large |gamma| gets,
+where adaptive steppers stall on the fast phase rotation.  One `evans` call
+marches a whole array of gammas together, one step at a time, as (G, 3, 3)
+stacks; `expm` is Pade-13 scaling and squaring (Higham, SIAM J. Matrix
+Anal. Appl. 26, 2005) over such a stack, with a scaling power per matrix.
+Beyond the sampled trajectory the coefficients are the far-field limits,
+of which the start data are exact eigenvectors once the growth is removed,
+so the march there is the identity: each leg starts where the trajectory
+ends, or at +-L if that comes first, and the cost does not grow with L.
+
+`evans_winding` sweeps a contour with one such batch, bisects large
+argument steps one gamma at a time, and checks the sweep by recomputing a
+few of its points at half the step.
 """
 
 from __future__ import annotations
@@ -29,7 +43,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 from scipy.interpolate import CubicSpline
-from scipy.linalg import expm
 
 from .errors import ContourResolutionError, DomainError, SplittingError
 from .model import Params
@@ -38,17 +51,25 @@ from .wave import WaveProfile, shoot_wave
 __all__ = [
     "DEFAULT_STEP",
     "EvansSample",
+    "EvansWinding",
     "SpectralSetup",
     "contour_of_S",
     "evans",
+    "evans_winding",
+    "expm",
     "limit_rates",
     "make_setup",
     "winding_number",
 ]
 
-DEFAULT_STEP = 0.05
+DEFAULT_STEP = 0.2
 
 _ARG_CAP = math.pi / 3.0
+# Gauss nodes of each Magnus step sit at 1/2 -+ sqrt(3)/6 of the step
+_GAUSS_OFFSET = math.sqrt(3.0) / 6.0
+# argument steps telescope and are capped at pi/3, so only a phase error
+# near pi/3 per point could change a count; halving may move values this much
+_HALVING_TOL = 0.1
 _MAX_REFINE = 12
 _RE_MARGIN = 1e-10
 _SETTLED_FRACTION = 1e-8
@@ -148,16 +169,23 @@ class EvansSample:
             )
 
 
-def _weighted_matrix(a: float, i: float, gamma: complex, p: Params, w: float) -> np.ndarray:
+def _weighted_matrix(a, i, gamma, p: Params, w: float) -> np.ndarray:
+    """M(z, gamma) + w I at coefficients (a, i), broadcast over a, i and gamma.
+
+    The result has the broadcast shape of the three followed by (3, 3).
+    """
     c, r = p.c, p.r
-    return np.array(
-        [
-            [w, 1.0, 0.0],
-            [gamma + 2.0 * a + i - 1.0, w - c, a],
-            [-(2.0 * a + i + r) / c, 0.0, (gamma - a) / c + w],
-        ],
-        dtype=complex,
-    )
+    gamma = np.asarray(gamma, dtype=complex)
+    shape = np.broadcast_shapes(np.shape(a), np.shape(i), gamma.shape)
+    m = np.zeros(shape + (3, 3), dtype=complex)
+    m[..., 0, 0] = w
+    m[..., 0, 1] = 1.0
+    m[..., 1, 0] = gamma + 2.0 * a + i - 1.0
+    m[..., 1, 1] = w - c
+    m[..., 1, 2] = a
+    m[..., 2, 0] = -(2.0 * a + i + r) / c
+    m[..., 2, 2] = (gamma - a) / c + w
+    return m
 
 
 def _limit_rates(gamma: complex, i_limit: float, c: float, w: float):
@@ -198,64 +226,177 @@ def limit_rates(gamma: complex, setup: SpectralSetup):
 
 
 def _wedge_square(m: np.ndarray) -> np.ndarray:
-    """Action of m on the second exterior power, axes (e12, e13, e23)."""
-    return np.array(
-        [
-            [m[0, 0] + m[1, 1], m[1, 2], -m[0, 2]],
-            [m[2, 1], m[0, 0] + m[2, 2], m[0, 1]],
-            [-m[2, 0], m[1, 0], m[1, 1] + m[2, 2]],
-        ],
-        dtype=complex,
-    )
+    """Action of m on the second exterior power, axes (e12, e13, e23).
 
-
-def evans(gamma: complex, setup: SpectralSetup, step: float = DEFAULT_STEP) -> complex:
-    """Normalized Evans determinant at gamma.
-
-    The rear unstable plane starts at -L as the wedge (0, -1, -lambda2),
-    which is analytic in gamma everywhere the splitting exists, and marches
-    forward with the wedge growth nu1 + nu2 removed; the front stable vector
-    marches backward from +L with its decay nu3 removed.  The value is the
-    determinant pairing of the two at z = 0.  It differs from the raw
-    determinant by exp((nu1 + nu2 - nu3) L), analytic and nonvanishing in
-    gamma, which at large |gamma| is far beyond floating-point range; the
-    bounded pairing is the useful invariant and is what is returned.
+    Works on a stack of shape (..., 3, 3).  The lift is linear and keeps
+    commutators, so it can be taken after a Magnus step is formed.
     """
-    if step <= 0.0:
-        raise DomainError("marching step must be positive")
-    g = complex(gamma)
-    nu_minus, nu_plus = limit_rates(g, setup)
+    out = np.empty(np.shape(m), dtype=complex)
+    out[..., 0, 0] = m[..., 0, 0] + m[..., 1, 1]
+    out[..., 0, 1] = m[..., 1, 2]
+    out[..., 0, 2] = -m[..., 0, 2]
+    out[..., 1, 0] = m[..., 2, 1]
+    out[..., 1, 1] = m[..., 0, 0] + m[..., 2, 2]
+    out[..., 1, 2] = m[..., 0, 1]
+    out[..., 2, 0] = -m[..., 2, 0]
+    out[..., 2, 1] = m[..., 1, 0]
+    out[..., 2, 2] = m[..., 1, 1] + m[..., 2, 2]
+    return out
+
+
+# Pade-13 numerator coefficients b_0..b_13 and the 1-norm up to which the
+# unscaled approximant is accurate to double precision (Higham 2005)
+_PADE13 = (
+    64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+    1187353796428800.0, 129060195264000.0, 10559470521600.0,
+    670442572800.0, 33522128640.0, 1323241920.0, 40840800.0, 960960.0,
+    16380.0, 182.0, 1.0,
+)
+_THETA13 = 5.371920351148152
+
+
+def _mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Products of 3x3 matrices laid out (3, 3, G), one per last index."""
+    return np.einsum("ijg,jkg->ikg", x, y)
+
+
+def expm(A: np.ndarray) -> np.ndarray:
+    """Exponential of each matrix in a stack of shape (..., 3, 3).
+
+    Pade-13 scaling and squaring (Higham, SIAM J. Matrix Anal. Appl. 26,
+    2005).  Each matrix gets its own scaling power s, the least with
+    ||A||_1 / 2^s <= theta_13, and is squared s times; the others are left
+    out of the squarings past their own s.  The work runs on the entries
+    laid out (3, 3, G), so each arithmetic step is one vector operation
+    over the stack; the Pade denominator is inverted through its adjugate,
+    which is accurate because that matrix is well conditioned for
+    ||A||_1 <= theta_13.  A matrix with a non-finite entry gives a
+    non-finite result.
+    """
+    A = np.asarray(A, dtype=complex)
+    M = np.ascontiguousarray(A.reshape(-1, 3, 3).transpose(1, 2, 0))
+    norm = np.abs(M).sum(axis=0).max(axis=0)
+    s = np.zeros(norm.shape, dtype=int)
+    big = np.isfinite(norm) & (norm > _THETA13)
+    s[big] = np.ceil(np.log2(norm[big] / _THETA13))
+    M = M / np.ldexp(1.0, s)
+    b = _PADE13
+    eye = np.eye(3)[:, :, None]
+    M2 = _mul(M, M)
+    M4 = _mul(M2, M2)
+    M6 = _mul(M4, M2)
+    U = _mul(M, _mul(M6, b[13] * M6 + b[11] * M4 + b[9] * M2)
+             + b[7] * M6 + b[5] * M4 + b[3] * M2 + b[1] * eye)
+    V = (_mul(M6, b[12] * M6 + b[10] * M4 + b[8] * M2)
+         + b[6] * M6 + b[4] * M4 + b[2] * M2 + b[0] * eye)
+    q = V - U
+    adj = np.array([
+        [q[1, 1] * q[2, 2] - q[1, 2] * q[2, 1], q[0, 2] * q[2, 1] - q[0, 1] * q[2, 2],
+         q[0, 1] * q[1, 2] - q[0, 2] * q[1, 1]],
+        [q[1, 2] * q[2, 0] - q[1, 0] * q[2, 2], q[0, 0] * q[2, 2] - q[0, 2] * q[2, 0],
+         q[0, 2] * q[1, 0] - q[0, 0] * q[1, 2]],
+        [q[1, 0] * q[2, 1] - q[1, 1] * q[2, 0], q[0, 1] * q[2, 0] - q[0, 0] * q[2, 1],
+         q[0, 0] * q[1, 1] - q[0, 1] * q[1, 0]],
+    ])
+    det = q[0, 0] * adj[0, 0] + q[0, 1] * adj[1, 0] + q[0, 2] * adj[2, 0]
+    R = _mul(adj, V + U) / det
+    for k in range(int(s.max(initial=0))):
+        more = np.flatnonzero(s > k)
+        R[:, :, more] = _mul(R[:, :, more], R[:, :, more])
+    return R.transpose(2, 0, 1).reshape(A.shape)
+
+
+def _legs(setup: SpectralSetup, step: float) -> tuple[tuple[float, int, float], ...]:
+    """(start, steps, signed step) of the rear and the front leg, both ending at 0.
+
+    A leg starts where the sampled trajectory ends, or at -L (+L) if that
+    comes first: between there and the end of the domain the coefficients
+    are the limits, whose march is the identity on the start data.
+    """
+    if not 0.0 < step < math.inf:
+        raise DomainError("marching step must be positive and finite")
+    legs = []
+    rear = max(-setup.L, min(setup._z_lo, 0.0))
+    front = min(setup.L, max(setup._z_hi, 0.0))
+    for start in (rear, front):
+        n = math.ceil(abs(start) / step)
+        legs.append((start, n, -start / n if n else 0.0))
+    return tuple(legs)
+
+
+def _march(
+    Y: np.ndarray,
+    shift: np.ndarray,
+    gammas: np.ndarray,
+    setup: SpectralSetup,
+    leg: tuple[float, int, float],
+    lift: Callable[[np.ndarray], np.ndarray],
+) -> np.ndarray:
+    """March the (G, 3) states Y along one leg with Gauss-point Magnus steps.
+
+    The generator at gamma is lift(M(z, gamma) + w I) - shift; lift is the
+    wedge lift on the rear leg and the identity on the front one.
+    """
+    start, n, h = leg
+    if n == 0:
+        return Y
     p, w = setup.wave.params, setup.w_exp
-    n = int(math.ceil(setup.L / step))
-    h = setup.L / n
-    eye = np.eye(3, dtype=complex)
+    nodes = start + h * (np.arange(n)[:, None] + (0.5 - _GAUSS_OFFSET, 0.5 + _GAUSS_OFFSET))
+    a, i = setup.coefficient_table(nodes)
+    shift_h = (shift * h)[:, None, None] * np.eye(3)
+    k = math.sqrt(3.0) * h * h / 12.0
+    for (a1, a2), (i1, i2) in zip(a, i):
+        m1 = _weighted_matrix(a1, i1, gammas, p, w)
+        m2 = _weighted_matrix(a2, i2, gammas, p, w)
+        omega = lift(0.5 * h * (m1 + m2) + k * (m2 @ m1 - m1 @ m2)) - shift_h
+        Y = np.einsum("gij,gj->gi", expm(omega), Y)
+    return Y
 
-    lam2 = nu_minus[1] - w
-    V = np.array([0.0, -1.0, -lam2], dtype=complex)
-    shift_v = nu_minus[0] + nu_minus[1]
-    mids = -setup.L + h * (np.arange(n) + 0.5)
-    a_mid, i_mid = setup.coefficient_table(mids)
-    for a, i in zip(a_mid, i_mid):
-        m2 = _wedge_square(_weighted_matrix(a, i, g, p, w))
-        V = expm((m2 - shift_v * eye) * h) @ V
 
-    # front stable vector (1, lam3, (i_plus + r) / (g - c lam3)); the form
-    # degenerates at an eigenvalue collision, where g - c lam3 vanishes
-    lam3 = nu_plus[2] - w
-    den = g - p.c * lam3
-    if abs(den) < 1e-10:
-        raise SplittingError(
-            f"limit eigenvectors collide at gamma = {g}; perturb gamma "
-            "radially off the collision point"
-        )
-    X = np.array([1.0, lam3, (setup.wave.i_plus_inf + p.r) / den], dtype=complex)
-    mids = setup.L - h * (np.arange(n) + 0.5)
-    a_mid, i_mid = setup.coefficient_table(mids)
-    for a, i in zip(a_mid, i_mid):
-        m = _weighted_matrix(a, i, g, p, w)
-        X = expm(-(m - nu_plus[2] * eye) * h) @ X
+def evans(gamma, setup: SpectralSetup, step: float = DEFAULT_STEP):
+    """Normalized Evans determinant at gamma, one value or an array of them.
 
-    return complex(V[0] * X[2] - V[1] * X[1] + V[2] * X[0])
+    The rear unstable plane starts as the wedge (0, -1, -lambda2), which is
+    analytic in gamma everywhere the splitting exists, and marches forward
+    to z = 0 with the wedge growth nu1 + nu2 removed; the front stable
+    vector marches backward to z = 0 with its decay nu3 removed.  The value
+    is the determinant pairing of the two at z = 0.  It differs from the
+    raw determinant by exp((nu1 + nu2 - nu3) L), analytic and nonvanishing
+    in gamma, which at large |gamma| is far beyond floating-point range;
+    the bounded pairing is the useful invariant and is what is returned.
+
+    A complex gamma gives a complex value; an array gives an array of its
+    shape, all gammas marched together.  A gamma that `limit_rates` or the
+    front eigenvector rejects raises the error that a call on it alone
+    raises.
+    """
+    legs = _legs(setup, step)
+    gammas = np.asarray(gamma, dtype=complex)
+    flat = gammas.reshape(-1)
+    p, w = setup.wave.params, setup.w_exp
+    V = np.empty((flat.size, 3), dtype=complex)
+    X = np.empty((flat.size, 3), dtype=complex)
+    shift_v = np.empty(flat.size, dtype=complex)
+    shift_x = np.empty(flat.size, dtype=complex)
+    for k, g in enumerate(map(complex, flat)):
+        nu_minus, nu_plus = limit_rates(g, setup)
+        # front stable vector (1, lam3, (i_plus + r) / (g - c lam3)); the
+        # form degenerates at an eigenvalue collision, where g - c lam3 vanishes
+        lam3 = nu_plus[2] - w
+        den = g - p.c * lam3
+        if abs(den) < 1e-10:
+            raise SplittingError(
+                f"limit eigenvectors collide at gamma = {g}; perturb gamma "
+                "radially off the collision point"
+            )
+        V[k] = (0.0, -1.0, -(nu_minus[1] - w))
+        X[k] = (1.0, lam3, (setup.wave.i_plus_inf + p.r) / den)
+        shift_v[k] = nu_minus[0] + nu_minus[1]
+        shift_x[k] = nu_plus[2]
+    V = _march(V, shift_v, flat, setup, legs[0], _wedge_square)
+    X = _march(X, shift_x, flat, setup, legs[1], lambda m: m)
+    values = V[:, 0] * X[:, 2] - V[:, 1] * X[:, 1] + V[:, 2] * X[:, 0]
+    return complex(values[0]) if gammas.ndim == 0 else values.reshape(gammas.shape)
 
 
 def contour_of_S(
@@ -294,7 +435,7 @@ def contour_of_S(
 
 
 def _arg_sweep(
-    fn: Callable[[complex], complex],
+    fn: Callable[[np.ndarray], np.ndarray],
     s0: EvansSample,
     s1: EvansSample,
     depth: int,
@@ -312,25 +453,25 @@ def _arg_sweep(
             f"{s1.gamma} still unresolved after {_MAX_REFINE} bisections"
         )
     g_mid = 0.5 * (s0.gamma + s1.gamma)
-    s_mid = EvansSample(g_mid, fn(g_mid))
+    s_mid = EvansSample(g_mid, complex(np.asarray(fn(np.array([g_mid])))[0]))
     d0, m0 = _arg_sweep(fn, s0, s_mid, depth + 1)
     d1, m1 = _arg_sweep(fn, s_mid, s1, depth + 1)
     return d0 + d1, max(m0, m1)
 
 
 def winding_number(
-    fn: Callable[[complex], complex], contour: Sequence[complex]
+    fn: Callable[[np.ndarray], np.ndarray], contour: Sequence[complex]
 ) -> tuple[int, float]:
     """Winding of the values of fn along a closed contour.
 
-    fn is typically `lambda g: evans(g, setup)`; the synthetic self-test
-    winds the identity map.  Returns (integer winding number, maximum
-    argument step after refinement).  Steps above pi/3 are bisected
-    recursively, evaluating at chord midpoints, up to 12 levels.  A sweep
-    whose accumulated argument misses an integer number of turns by 0.1 or
-    more is reported as a resolution failure rather than rounded over.  The
-    initial sample pass is an independent map over contour points; the
-    argument sweep itself is sequential.
+    fn maps an array of gammas to the array of its values, typically
+    `lambda g: evans(g, setup)`; the synthetic self-test winds the identity
+    map.  The contour points go to fn in one call.  Returns (integer
+    winding number, maximum argument step after refinement).  Steps above
+    pi/3 are bisected recursively, each chord midpoint going to fn as an
+    array of one, up to 12 levels.  A sweep whose accumulated argument
+    misses an integer number of turns by 0.1 or more is reported as a
+    resolution failure rather than rounded over.
     """
     pts = np.asarray(contour, dtype=complex)
     if pts.ndim != 1 or pts.size < 4:
@@ -338,7 +479,10 @@ def winding_number(
     if pts[0] != pts[-1]:
         raise DomainError("contour must close: last point repeats the first")
 
-    samples = [EvansSample(complex(g), fn(complex(g))) for g in pts[:-1]]
+    values = np.asarray(fn(pts[:-1]), dtype=complex)
+    if values.shape != pts[:-1].shape:
+        raise DomainError("fn must give one value per contour point")
+    samples = [EvansSample(complex(g), complex(v)) for g, v in zip(pts[:-1], values)]
     samples.append(samples[0])
 
     total = 0.0
@@ -356,3 +500,73 @@ def winding_number(
             "integer"
         )
     return int(nearest), max_step
+
+
+@dataclass(frozen=True)
+class EvansWinding:
+    """One contour sweep of `evans`, with its step-halving check and counts.
+
+    `gammas` and `values` hold every evaluation at the sweep's step in
+    order: the contour points, then the bisection midpoints.
+    `diagnostics` counts every Evans value computed (`evaluations`, the
+    halving probes included), the stacked exponentials and the matrices in
+    them (`propagators`), the `bisections`, and gives `min_abs_E` over the
+    values and the worst relative change under step halving
+    (`halving_rel_diff`).
+    """
+
+    winding: int
+    max_arg_step: float
+    gammas: np.ndarray
+    values: np.ndarray
+    diagnostics: dict
+
+
+def evans_winding(
+    setup: SpectralSetup, contour: Sequence[complex], step: float = DEFAULT_STEP
+) -> EvansWinding:
+    """Winding of `evans` along a closed contour, checked by step halving.
+
+    The contour goes to `evans` as one batch and each bisection midpoint as
+    a batch of one (see `winding_number`).  Then at most four contour
+    points, the extreme moduli and the two ends of the largest argument
+    step, are recomputed as one batch at step / 2; a relative change above
+    0.1 in any of them raises ContourResolutionError.
+    """
+    batches: list[tuple[np.ndarray, np.ndarray]] = []
+
+    def fn(gammas: np.ndarray) -> np.ndarray:
+        values = evans(gammas, setup, step)
+        batches.append((gammas, values))
+        return values
+
+    winding, max_step = winding_number(fn, contour)
+
+    gammas, values = batches[0]
+    turn = np.abs(np.angle(np.roll(values, -1) / values))
+    k = int(np.argmax(turn))
+    moduli = np.abs(gammas)
+    probe = sorted({int(np.argmin(moduli)), int(np.argmax(moduli)), k, (k + 1) % gammas.size})
+    fine = evans(gammas[probe], setup, step / 2.0)
+    rel = np.abs(fine - values[probe]) / np.abs(fine)
+    worst = int(np.argmax(rel))
+    if not rel[worst] <= _HALVING_TOL:
+        raise ContourResolutionError(
+            f"halving the march step {step:g} moves the Evans value at gamma = "
+            f"{complex(gammas[probe[worst]])} by {rel[worst]:.3g} (relative), "
+            f"more than {_HALVING_TOL:g}"
+        )
+
+    steps, halved = (sum(n for _, n, _ in _legs(setup, h)) for h in (step, step / 2.0))
+    gammas = np.concatenate([g for g, _ in batches])
+    values = np.concatenate([v for _, v in batches])
+    return EvansWinding(winding, max_step, gammas, values, {
+        "evaluations": gammas.size + len(probe),
+        "propagators": {
+            "stacked": len(batches) * steps + halved,
+            "matrices": gammas.size * steps + len(probe) * halved,
+        },
+        "bisections": len(batches) - 1,
+        "min_abs_E": float(np.abs(values).min()),
+        "halving_rel_diff": float(rel[worst]),
+    })

@@ -5,6 +5,7 @@ split are exercised exactly as a shell would see them.
 """
 
 import json
+from functools import partial
 
 import numpy as np
 import pytest
@@ -183,6 +184,15 @@ class TestPde:
         assert "non-finite" in err
         assert not list(tmp_path.iterdir())
 
+    def test_zero_width_off_origin_exits_64(self, tmp_path, capsys):
+        # without x = 0 on the grid a zero width gives an all-zero bump
+        code, _, err = run(
+            capsys, "pde", "--width", 0, "--grid", "321:-10:20", "--out", tmp_path / "x"
+        )
+        assert code == 64
+        assert "argument --width: need 0 < width < inf" in err
+        assert not list(tmp_path.iterdir())
+
     def test_too_many_snapshots_exits_2(self, tmp_path, capsys):
         # 2e300 snapshot intervals would not even fit np.arange
         code, _, err = run(
@@ -306,6 +316,46 @@ class TestEvans:
         code, _, err = run(capsys, "evans", "--L", value, "--out", out)
         assert code == 2
         assert "domain half-length must be positive and finite" in err
+        assert not out.exists()
+
+    def test_huge_half_length_exits_0(self, tmp_path, capsys):
+        # only the sampled trajectory is marched, so L = 1e308 costs what the
+        # default L does and gives the same samples
+        out = tmp_path / "e.csv"
+        code, payload, _ = run_json(
+            capsys, "evans", "--L", "1e308", "--contour", "0.1:10:32", "--out", out
+        )
+        assert code == 0
+        assert payload["winding"] == 0
+        assert payload["L"] == 1e308
+        default = tmp_path / "d.csv"
+        code, _, _ = run_json(capsys, "evans", "--contour", "0.1:10:32", "--out", default)
+        assert code == 0
+        assert out.read_text() == default.read_text()
+
+    def test_diagnostics(self, tmp_path, capsys):
+        code, payload, _ = run_json(
+            capsys, "evans", "--contour", "0.1:10:32", "--out", tmp_path / "e.csv"
+        )
+        assert code == 0
+        diag = payload["diagnostics"]
+        assert diag["bisections"] == payload["evaluations"] - 72
+        assert payload["evaluations"] < diag["evaluations"] <= payload["evaluations"] + 4
+        assert diag["propagators"]["stacked"] > 0
+        assert diag["propagators"]["matrices"] > diag["propagators"]["stacked"]
+        assert diag["min_abs_E"] > 0
+        assert 0 <= diag["halving_rel_diff"] < 0.1
+        code, payload, _ = run_json(capsys, "evans", "--self-test", "--out", tmp_path / "s.csv")
+        assert payload["diagnostics"] is None
+
+    def test_coarse_step_exits_4(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(
+            cli.spectral, "evans_winding", partial(cli.spectral.evans_winding, step=6.4)
+        )
+        out = tmp_path / "e.csv"
+        code, _, err = run(capsys, "evans", "--contour", "0.1:10:32", "--out", out)
+        assert code == 4
+        assert "resolution failure: halving the march step" in err
         assert not out.exists()
 
     def test_nan_weight_exits_2(self, tmp_path, capsys):

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -271,6 +272,125 @@ class TestEvans:
             spectral.evans(1.0, setup, step=0.0)
 
 
+class TestExpm:
+    @staticmethod
+    def _magnus_stack(setup, z, h):
+        """The Gauss-point Magnus exponents of one step at z, for |gamma| 1e-3 to 1e3."""
+        gammas = np.logspace(-3, 3, 25)[:, None] * np.exp(1j * np.linspace(-1.5, 1.5, 7))
+        gammas = gammas.reshape(-1)
+        p, w = setup.wave.params, setup.w_exp
+        offset = math.sqrt(3.0) / 6.0
+        nodes = z + h * np.array([0.5 - offset, 0.5 + offset])
+        (a1, a2), (i1, i2) = setup.coefficient_table(nodes)
+        m1 = spectral._weighted_matrix(a1, i1, gammas, p, w)
+        m2 = spectral._weighted_matrix(a2, i2, gammas, p, w)
+        return 0.5 * h * (m1 + m2) + math.sqrt(3.0) * h * h / 12.0 * (m2 @ m1 - m1 @ m2)
+
+    @pytest.mark.parametrize("z, h", [(-5.0, 0.2), (0.0, -0.2), (3.0, -0.1)])
+    def test_matches_scipy_on_magnus_stacks(self, setup, z, h):
+        omega = self._magnus_stack(setup, z, h)
+        for stack in (omega, spectral._wedge_square(omega)):
+            got = spectral.expm(stack)
+            for g, a in zip(got, stack):
+                want = scipy.linalg.expm(a)
+                assert np.max(np.abs(g - want)) <= 1e-10 * np.max(np.abs(want))
+
+    def test_zero_matrix_is_identity(self):
+        assert np.array_equal(spectral.expm(np.zeros((3, 3))), np.eye(3))
+        stack = spectral.expm(np.zeros((2, 4, 3, 3)))
+        assert np.array_equal(stack, np.broadcast_to(np.eye(3), (2, 4, 3, 3)))
+
+    def test_shape_kept_and_powers_per_matrix(self):
+        # a small and a large matrix in one stack: each is scaled on its own
+        a = np.array([[[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.5]]])
+        stack = np.concatenate([1e-3 * a, 40.0 * a])
+        got = spectral.expm(stack)
+        assert got.shape == (2, 3, 3)
+        for g, m in zip(got, stack):
+            want = scipy.linalg.expm(m)
+            assert np.max(np.abs(g - want)) <= 1e-10 * np.max(np.abs(want))
+
+
+class TestEvansBatch:
+    GAMMAS = np.array([4.0, 3j, 1000j, 1e-3 + 0j, 0.3 + 7.0j, 250.0 - 600.0j, 2.0])
+
+    def test_array_matches_one_point_calls(self, setup):
+        batch = spectral.evans(self.GAMMAS, setup)
+        assert batch.shape == self.GAMMAS.shape
+        for g, value in zip(self.GAMMAS, batch):
+            one = spectral.evans(g, setup)
+            assert isinstance(one, complex)
+            assert abs(value - one) <= 1e-13 * abs(one)
+        square = spectral.evans(self.GAMMAS[:6].reshape(2, 3), setup)
+        assert square.shape == (2, 3)
+        assert np.max(np.abs(square.reshape(-1) - batch[:6]) / np.abs(batch[:6])) <= 1e-13
+
+    def test_bad_gamma_in_batch_raises_its_own_error(self, setup, critical_wave):
+        narrow = spectral.make_setup(wave=critical_wave, w_exp=0.5)
+        # -0.5 is off Re(gamma) >= 0; with weight 0.5, gamma = 0.1 leaves the
+        # front growing root stable
+        for s, bad, kind in ((setup, -0.5, DomainError), (narrow, 0.1, SplittingError)):
+            with pytest.raises(kind) as one:
+                spectral.evans(bad, s)
+            with pytest.raises(kind) as batch:
+                spectral.evans(np.array([4.0, bad, 3j]), s)
+            assert str(batch.value) == str(one.value)
+
+    def test_march_skips_constant_tails(self, setup):
+        # beyond the sampled trajectory the march is the identity, so a
+        # domain many orders wider gives the same values bit for bit
+        huge = spectral.make_setup(wave=setup.wave, L=1e308)
+        assert np.array_equal(
+            spectral.evans(self.GAMMAS, huge), spectral.evans(self.GAMMAS, setup)
+        )
+        (start_rear, _, _), (start_front, _, _) = spectral._legs(huge, spectral.DEFAULT_STEP)
+        zs = setup.wave.trajectory.zs
+        assert (start_rear, start_front) == (zs[0], zs[-1])
+
+
+class TestEvansWinding:
+    @staticmethod
+    def _steps(setup, step):
+        return sum(n for _, n, _ in spectral._legs(setup, step))
+
+    def test_counts(self, setup):
+        contour = spectral.contour_of_S(0.1, 10.0, 32)
+        sweep = spectral.evans_winding(setup, contour)
+        diag = sweep.diagnostics
+        assert sweep.winding == 0
+        assert diag["bisections"] == 0
+        assert np.array_equal(sweep.gammas, contour[:-1])
+        assert np.array_equal(sweep.values, spectral.evans(contour[:-1], setup))
+        assert diag["halving_rel_diff"] < 1e-4
+        steps = self._steps(setup, spectral.DEFAULT_STEP)
+        halved = self._steps(setup, spectral.DEFAULT_STEP / 2)
+        probes = diag["evaluations"] - sweep.gammas.size
+        assert 1 <= probes <= 4
+        assert diag["propagators"] == {
+            "stacked": steps + halved,
+            "matrices": sweep.gammas.size * steps + probes * halved,
+        }
+        assert diag["min_abs_E"] == np.abs(sweep.values).min()
+
+    def test_bisections_counted(self, setup):
+        # a six-point polygon around S leaves raw argument steps above pi/3;
+        # each bisection midpoint is one more batch of one
+        contour = np.array([-1000j, 1000, 1000j, 1j, 1e-3, -1j, -1000j])
+        sweep = spectral.evans_winding(setup, contour)
+        bisections = sweep.diagnostics["bisections"]
+        assert sweep.winding == 0
+        assert bisections > 0
+        assert sweep.gammas.size == contour.size - 1 + bisections
+        steps = self._steps(setup, spectral.DEFAULT_STEP)
+        halved = self._steps(setup, spectral.DEFAULT_STEP / 2)
+        assert sweep.diagnostics["propagators"]["stacked"] == (1 + bisections) * steps + halved
+
+    def test_coarse_step_fails_halving_check(self, setup):
+        contour = spectral.contour_of_S(0.1, 10.0, 32)
+        with pytest.raises(ContourResolutionError, match="halving the march step 6.4"):
+            spectral.evans_winding(setup, contour, step=6.4)
+
+
 class TestEvansSample:
     def test_rejects_non_finite(self):
         with pytest.raises(DomainError):
@@ -347,7 +467,7 @@ class TestWinding:
         # a hard sign jump keeps a pi argument step at every bisection depth
         with pytest.raises(ContourResolutionError):
             spectral.winding_number(
-                lambda g: 1.0 if g.imag < 0.25 else -1.0, _circle(0.5, 1.0, 8)
+                lambda g: np.where(g.imag < 0.25, 1.0, -1.0), _circle(0.5, 1.0, 8)
             )
 
     def test_wave_contour_is_zero_free(self, setup):
@@ -368,4 +488,6 @@ class TestWinding:
 
     def test_non_finite_sample_rejected(self):
         with pytest.raises(DomainError):
-            spectral.winding_number(lambda g: math.nan, _circle(0.5, 1.0, 8))
+            spectral.winding_number(
+                lambda g: np.full_like(g, math.nan), _circle(0.5, 1.0, 8)
+            )
