@@ -5,7 +5,7 @@ exponential rates that the connection-mismatch determinant interpolates
 between, then winds a moderate contour and counts zeros.  Zero winding on the
 full contour (the CLI default, radii 1e-3 to 1e3) is the spectral-stability
 verdict; this demo uses a reduced contour to stay quick.  Run with
-`python3 demos/spectral_contour.py` (takes ~3 s).
+`python3 demos/spectral_contour.py` (takes ~2 s).
 """
 
 import numpy as np

@@ -21,23 +21,26 @@ points of every subinterval (Blanes, Casas, Oteo & Ros, Phys. Rep. 470,
 2009), Omega = h/2 (A1 + A2) + sqrt(3) h^2/12 [A2, A1], and its exact
 exponential, which stays accurate at fixed cost however large |gamma| gets,
 where adaptive steppers stall on the fast phase rotation.  One `evans` call
-marches a whole array of gammas together, one step at a time, as (G, 3, 3)
-stacks; `expm` is Pade-13 scaling and squaring (Higham, SIAM J. Matrix
-Anal. Appl. 26, 2005) over such a stack, with a scaling power per matrix.
+marches a whole array of gammas together; the exponentials of a block of
+steps for all of them are one stack of about 512 matrices (one step's when
+the gammas alone are more), never the whole (gamma, step) field.  `expm`
+is Pade-13 scaling and squaring (Higham, SIAM J. Matrix Anal. Appl. 26,
+2005) over such a stack, with a scaling power per matrix.
 Beyond the sampled trajectory the coefficients are the far-field limits,
 of which the start data are exact eigenvectors once the growth is removed,
 so the march there is the identity: each leg starts where the trajectory
 ends, or at +-L if that comes first, and the cost does not grow with L.
 
 `evans_winding` sweeps a contour with one such batch, bisects large
-argument steps one gamma at a time, and checks the sweep by recomputing a
-few of its points at half the step.
+argument steps one gamma at a time, checks the sweep by recomputing a few
+of its points at half the step, and counts what it computed.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -71,6 +74,11 @@ _GAUSS_OFFSET = math.sqrt(3.0) / 6.0
 # near pi/3 per point could change a count; halving may move values this much
 _HALVING_TOL = 0.1
 _MAX_REFINE = 12
+# matrices per stacked exponential in the march: enough that a batch of a
+# few gammas pays numpy's per-call cost once per block of steps, not once
+# per step; on a 2-vCPU Xeon the sweep time was flat from 512 to 2048
+# matrices while memory grew with the block
+_BLOCK = 512
 _RE_MARGIN = 1e-10
 _SETTLED_FRACTION = 1e-8
 
@@ -331,29 +339,42 @@ def _march(
     setup: SpectralSetup,
     leg: tuple[float, int, float],
     lift: Callable[[np.ndarray], np.ndarray],
+    tally: Counter,
 ) -> np.ndarray:
     """March the (G, 3) states Y along one leg with Gauss-point Magnus steps.
 
     The generator at gamma is lift(M(z, gamma) + w I) - shift; lift is the
-    wedge lift on the rear leg and the identity on the front one.
+    wedge lift on the rear leg and the identity on the front one.  The
+    generator is affine in gamma, M0(z) + gamma D, so the Magnus exponent of
+    each step is P + gamma Q with P and Q built once for the leg.  The
+    exponentials are taken a block of steps at a time, about _BLOCK matrices
+    per stack, so a few gammas cost a few stacked calls, not one per step.
     """
     start, n, h = leg
     if n == 0:
         return Y
     p, w = setup.wave.params, setup.w_exp
     nodes = start + h * (np.arange(n)[:, None] + (0.5 - _GAUSS_OFFSET, 0.5 + _GAUSS_OFFSET))
-    a, i = setup.coefficient_table(nodes)
-    shift_h = (shift * h)[:, None, None] * np.eye(3)
+    m1, m2 = np.moveaxis(_weighted_matrix(*setup.coefficient_table(nodes), 0.0, p, w), 1, 0)
+    d = _weighted_matrix(0.0, 0.0, 1.0, p, w) - _weighted_matrix(0.0, 0.0, 0.0, p, w)
     k = math.sqrt(3.0) * h * h / 12.0
-    for (a1, a2), (i1, i2) in zip(a, i):
-        m1 = _weighted_matrix(a1, i1, gammas, p, w)
-        m2 = _weighted_matrix(a2, i2, gammas, p, w)
-        omega = lift(0.5 * h * (m1 + m2) + k * (m2 @ m1 - m1 @ m2)) - shift_h
-        Y = np.einsum("gij,gj->gi", expm(omega), Y)
+    P = lift(0.5 * h * (m1 + m2) + k * (m2 @ m1 - m1 @ m2))
+    Q = lift(h * d + k * ((m2 - m1) @ d - d @ (m2 - m1)))
+    shift_h = (shift * h)[:, None, None, None] * np.eye(3)
+    g = gammas[:, None, None, None]
+    per = max(1, _BLOCK // max(gammas.size, 1))
+    for b in range(0, n, per):
+        props = expm(P[b:b + per] + g * Q[b:b + per] - shift_h)
+        tally["stacked"] += 1
+        tally["matrices"] += props.shape[0] * props.shape[1]
+        for e in np.moveaxis(props, 1, 0):
+            Y = np.einsum("gij,gj->gi", e, Y)
     return Y
 
 
-def evans(gamma, setup: SpectralSetup, step: float = DEFAULT_STEP):
+def evans(
+    gamma, setup: SpectralSetup, step: float = DEFAULT_STEP, *, tally: Counter | None = None
+):
     """Normalized Evans determinant at gamma, one value or an array of them.
 
     The rear unstable plane starts as the wedge (0, -1, -lambda2), which is
@@ -368,7 +389,8 @@ def evans(gamma, setup: SpectralSetup, step: float = DEFAULT_STEP):
     A complex gamma gives a complex value; an array gives an array of its
     shape, all gammas marched together.  A gamma that `limit_rates` or the
     front eigenvector rejects raises the error that a call on it alone
-    raises.
+    raises.  A `tally` given gains the number of stacked exponentials
+    (`stacked`) and of the matrices in them (`matrices`).
     """
     legs = _legs(setup, step)
     gammas = np.asarray(gamma, dtype=complex)
@@ -393,8 +415,9 @@ def evans(gamma, setup: SpectralSetup, step: float = DEFAULT_STEP):
         X[k] = (1.0, lam3, (setup.wave.i_plus_inf + p.r) / den)
         shift_v[k] = nu_minus[0] + nu_minus[1]
         shift_x[k] = nu_plus[2]
-    V = _march(V, shift_v, flat, setup, legs[0], _wedge_square)
-    X = _march(X, shift_x, flat, setup, legs[1], lambda m: m)
+    tally = Counter() if tally is None else tally
+    V = _march(V, shift_v, flat, setup, legs[0], _wedge_square, tally)
+    X = _march(X, shift_x, flat, setup, legs[1], lambda m: m, tally)
     values = V[:, 0] * X[:, 2] - V[:, 1] * X[:, 1] + V[:, 2] * X[:, 0]
     return complex(values[0]) if gammas.ndim == 0 else values.reshape(gammas.shape)
 
@@ -506,13 +529,12 @@ def winding_number(
 class EvansWinding:
     """One contour sweep of `evans`, with its step-halving check and counts.
 
-    `gammas` and `values` hold every evaluation at the sweep's step in
-    order: the contour points, then the bisection midpoints.
-    `diagnostics` counts every Evans value computed (`evaluations`, the
-    halving probes included), the stacked exponentials and the matrices in
-    them (`propagators`), the `bisections`, and gives `min_abs_E` over the
-    values and the worst relative change under step halving
-    (`halving_rel_diff`).
+    `gammas` and `values` hold every evaluation at DEFAULT_STEP in order:
+    the contour points, then the bisection midpoints.  `diagnostics` gives
+    the number of those `evaluations`, the `halving_probes` recomputed at
+    half the step, the stacked exponentials of both and the matrices in
+    them (`propagators`), the `bisections`, `min_abs_E` over the values and
+    the worst relative change under step halving (`halving_rel_diff`).
     """
 
     winding: int
@@ -522,21 +544,20 @@ class EvansWinding:
     diagnostics: dict
 
 
-def evans_winding(
-    setup: SpectralSetup, contour: Sequence[complex], step: float = DEFAULT_STEP
-) -> EvansWinding:
+def evans_winding(setup: SpectralSetup, contour: Sequence[complex]) -> EvansWinding:
     """Winding of `evans` along a closed contour, checked by step halving.
 
     The contour goes to `evans` as one batch and each bisection midpoint as
     a batch of one (see `winding_number`).  Then at most four contour
     points, the extreme moduli and the two ends of the largest argument
-    step, are recomputed as one batch at step / 2; a relative change above
-    0.1 in any of them raises ContourResolutionError.
+    step, are recomputed as one batch at DEFAULT_STEP / 2; a relative
+    change above 0.1 in any of them raises ContourResolutionError.
     """
+    tally: Counter = Counter()
     batches: list[tuple[np.ndarray, np.ndarray]] = []
 
     def fn(gammas: np.ndarray) -> np.ndarray:
-        values = evans(gammas, setup, step)
+        values = evans(gammas, setup, tally=tally)
         batches.append((gammas, values))
         return values
 
@@ -547,25 +568,22 @@ def evans_winding(
     k = int(np.argmax(turn))
     moduli = np.abs(gammas)
     probe = sorted({int(np.argmin(moduli)), int(np.argmax(moduli)), k, (k + 1) % gammas.size})
-    fine = evans(gammas[probe], setup, step / 2.0)
+    fine = evans(gammas[probe], setup, DEFAULT_STEP / 2.0, tally=tally)
     rel = np.abs(fine - values[probe]) / np.abs(fine)
     worst = int(np.argmax(rel))
     if not rel[worst] <= _HALVING_TOL:
         raise ContourResolutionError(
-            f"halving the march step {step:g} moves the Evans value at gamma = "
-            f"{complex(gammas[probe[worst]])} by {rel[worst]:.3g} (relative), "
-            f"more than {_HALVING_TOL:g}"
+            f"halving the march step {DEFAULT_STEP:g} moves the Evans value at "
+            f"gamma = {complex(gammas[probe[worst]])} by {rel[worst]:.3g} "
+            f"(relative), more than {_HALVING_TOL:g}"
         )
 
-    steps, halved = (sum(n for _, n, _ in _legs(setup, h)) for h in (step, step / 2.0))
     gammas = np.concatenate([g for g, _ in batches])
     values = np.concatenate([v for _, v in batches])
     return EvansWinding(winding, max_step, gammas, values, {
-        "evaluations": gammas.size + len(probe),
-        "propagators": {
-            "stacked": len(batches) * steps + halved,
-            "matrices": gammas.size * steps + len(probe) * halved,
-        },
+        "evaluations": gammas.size,
+        "halving_probes": len(probe),
+        "propagators": {"stacked": tally["stacked"], "matrices": tally["matrices"]},
         "bisections": len(batches) - 1,
         "min_abs_E": float(np.abs(values).min()),
         "halving_rel_diff": float(rel[worst]),

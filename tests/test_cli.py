@@ -5,7 +5,6 @@ split are exercised exactly as a shell would see them.
 """
 
 import json
-from functools import partial
 
 import numpy as np
 import pytest
@@ -339,8 +338,9 @@ class TestEvans:
         )
         assert code == 0
         diag = payload["diagnostics"]
+        assert diag["evaluations"] == payload["evaluations"]
         assert diag["bisections"] == payload["evaluations"] - 72
-        assert payload["evaluations"] < diag["evaluations"] <= payload["evaluations"] + 4
+        assert 1 <= diag["halving_probes"] <= 4
         assert diag["propagators"]["stacked"] > 0
         assert diag["propagators"]["matrices"] > diag["propagators"]["stacked"]
         assert diag["min_abs_E"] > 0
@@ -348,10 +348,8 @@ class TestEvans:
         code, payload, _ = run_json(capsys, "evans", "--self-test", "--out", tmp_path / "s.csv")
         assert payload["diagnostics"] is None
 
-    def test_coarse_step_exits_4(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(
-            cli.spectral, "evans_winding", partial(cli.spectral.evans_winding, step=6.4)
-        )
+    def test_failed_halving_check_exits_4(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli.spectral, "_HALVING_TOL", 1e-12)
         out = tmp_path / "e.csv"
         code, _, err = run(capsys, "evans", "--contour", "0.1:10:32", "--out", out)
         assert code == 4

@@ -347,48 +347,67 @@ class TestEvansBatch:
         zs = setup.wave.trajectory.zs
         assert (start_rear, start_front) == (zs[0], zs[-1])
 
+    def test_tail_skip_matches_full_march(self, setup, monkeypatch):
+        # marching all of [-L, L], through the limit coefficients beyond the
+        # trajectory, gives the values of the march that skips those tails
+        skip = spectral.evans(self.GAMMAS, setup)
+
+        def full_legs(s, step):
+            n = math.ceil(s.L / step)
+            return ((-s.L, n, s.L / n), (s.L, n, -s.L / n))
+
+        monkeypatch.setattr(spectral, "_legs", full_legs)
+        full = spectral.evans(self.GAMMAS, setup)
+        assert np.max(np.abs(full - skip) / np.abs(full)) <= 1e-6
+
 
 class TestEvansWinding:
     @staticmethod
-    def _steps(setup, step):
-        return sum(n for _, n, _ in spectral._legs(setup, step))
+    def _count_expm(monkeypatch):
+        counts = {"stacked": 0, "matrices": 0}
+        expm = spectral.expm
 
-    def test_counts(self, setup):
+        def counted(a):
+            counts["stacked"] += 1
+            counts["matrices"] += a.size // 9
+            return expm(a)
+
+        monkeypatch.setattr(spectral, "expm", counted)
+        return counts
+
+    def test_counts(self, setup, monkeypatch):
+        counts = self._count_expm(monkeypatch)
         contour = spectral.contour_of_S(0.1, 10.0, 32)
         sweep = spectral.evans_winding(setup, contour)
         diag = sweep.diagnostics
         assert sweep.winding == 0
         assert diag["bisections"] == 0
         assert np.array_equal(sweep.gammas, contour[:-1])
+        assert diag["evaluations"] == sweep.gammas.size
+        assert 1 <= diag["halving_probes"] <= 4
+        assert diag["propagators"] == counts
         assert np.array_equal(sweep.values, spectral.evans(contour[:-1], setup))
         assert diag["halving_rel_diff"] < 1e-4
-        steps = self._steps(setup, spectral.DEFAULT_STEP)
-        halved = self._steps(setup, spectral.DEFAULT_STEP / 2)
-        probes = diag["evaluations"] - sweep.gammas.size
-        assert 1 <= probes <= 4
-        assert diag["propagators"] == {
-            "stacked": steps + halved,
-            "matrices": sweep.gammas.size * steps + probes * halved,
-        }
         assert diag["min_abs_E"] == np.abs(sweep.values).min()
 
-    def test_bisections_counted(self, setup):
+    def test_bisections_counted(self, setup, monkeypatch):
         # a six-point polygon around S leaves raw argument steps above pi/3;
         # each bisection midpoint is one more batch of one
+        counts = self._count_expm(monkeypatch)
         contour = np.array([-1000j, 1000, 1000j, 1j, 1e-3, -1j, -1000j])
         sweep = spectral.evans_winding(setup, contour)
-        bisections = sweep.diagnostics["bisections"]
+        diag = sweep.diagnostics
         assert sweep.winding == 0
-        assert bisections > 0
-        assert sweep.gammas.size == contour.size - 1 + bisections
-        steps = self._steps(setup, spectral.DEFAULT_STEP)
-        halved = self._steps(setup, spectral.DEFAULT_STEP / 2)
-        assert sweep.diagnostics["propagators"]["stacked"] == (1 + bisections) * steps + halved
+        assert diag["bisections"] > 0
+        assert sweep.gammas.size == diag["evaluations"] == contour.size - 1 + diag["bisections"]
+        assert diag["propagators"] == counts
 
-    def test_coarse_step_fails_halving_check(self, setup):
+    def test_halving_check_raises(self, setup, monkeypatch):
+        # halving the step moves every value by about 1e-6, far above this
+        monkeypatch.setattr(spectral, "_HALVING_TOL", 1e-12)
         contour = spectral.contour_of_S(0.1, 10.0, 32)
-        with pytest.raises(ContourResolutionError, match="halving the march step 6.4"):
-            spectral.evans_winding(setup, contour, step=6.4)
+        with pytest.raises(ContourResolutionError, match="halving the march step 0.2"):
+            spectral.evans_winding(setup, contour)
 
 
 class TestEvansSample:
