@@ -39,10 +39,9 @@ from .model import (
     general_wave_predictions,
     normalize,
     pde_rhs,
-    wave_jacobian,
     wave_rhs,
 )
-from .odeint import IntegratorOptions, Trajectory, integrate
+from .odeint import Trajectory, integrate
 from .pde import (
     ComovingProfile,
     FieldSeries,
@@ -66,7 +65,6 @@ from .spectral import (
     winding_number,
 )
 from .wave import (
-    ShootingOptions,
     VerificationReport,
     WaveProfile,
     shoot_from_max,
@@ -84,7 +82,6 @@ __all__ = [
     "Scaling",
     "WaveState",
     "wave_rhs",
-    "wave_jacobian",
     "pde_rhs",
     "normalize",
     "denormalize",
@@ -103,11 +100,9 @@ __all__ = [
     "mass_residuals",
     "limit_symmetry",
     # integration
-    "IntegratorOptions",
     "Trajectory",
     "integrate",
     # waves
-    "ShootingOptions",
     "WaveProfile",
     "VerificationReport",
     "shoot_wave",

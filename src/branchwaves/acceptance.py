@@ -18,6 +18,7 @@ import numpy as np
 
 from . import analysis, pde, spectral
 from . import wave as wave_mod
+from .analysis import rel_err
 from .errors import NegativityError
 from .model import GeneralParams, Params, denormalize, general_wave_predictions, normalize
 
@@ -56,6 +57,7 @@ class AcceptanceContext:
     def __init__(self, seed: int = 2026):
         self.seed = seed
         self._waves: dict[tuple[float, float, float], wave_mod.WaveProfile] | None = None
+        self._reports: dict[tuple[float, float, float], wave_mod.VerificationReport] | None = None
         self._pde_runs: dict[float, pde.FieldSeries] = {}
 
     def rng(self, salt: int) -> np.random.Generator:
@@ -74,6 +76,14 @@ class AcceptanceContext:
                             )
         return self._waves
 
+    def wave_reports(self) -> dict[tuple[float, float, float], wave_mod.VerificationReport]:
+        """One `verify_profile` report per wave of the grid, same keys."""
+        if self._reports is None:
+            self._reports = {
+                key: wave_mod.verify_profile(w) for key, w in self.wave_grid().items()
+            }
+        return self._reports
+
     def pde_run(self, r: float) -> pde.FieldSeries:
         if r not in self._pde_runs:
             grid = pde.Grid(*PDE_GRID)
@@ -89,10 +99,6 @@ class AcceptanceContext:
         return self._pde_runs[r]
 
 
-def _rel(got: float, want: float) -> float:
-    return abs(got - want) if want == 0 else abs(got - want) / abs(want)
-
-
 def _admissible_draw(rng: np.random.Generator) -> tuple[float, float, float, float]:
     """Random (c, r, i0, a0) with i0 above the minimal level and a0 admissible."""
     c = rng.uniform(1.5, 4.0)
@@ -105,11 +111,11 @@ def _admissible_draw(rng: np.random.Generator) -> tuple[float, float, float, flo
 
 def _limit_symmetry(ctx: AcceptanceContext, tol: float = 1e-3) -> tuple[bool, str]:
     t0 = time.perf_counter()
-    waves = ctx.wave_grid()
-    worst = max(abs(w.i_plus_inf + key[2] - 2.0) for key, w in waves.items())
-    per_wave = (time.perf_counter() - t0) / len(waves)
+    reports = ctx.wave_reports()
+    worst = max(rep.limit_sum_residual for rep in reports.values())
+    per_wave = (time.perf_counter() - t0) / len(reports)
     return worst < tol, (
-        f"max |i+inf + i-inf - 2| = {worst:.2e} over {len(waves)} waves "
+        f"max |i+inf + i-inf - 2| = {worst:.2e} over {len(reports)} waves "
         f"(tol {tol:g}, {per_wave:.2f}s/wave)"
     )
 
@@ -149,13 +155,9 @@ def _threshold_consistency(ctx: AcceptanceContext, tol: float = 1e-10) -> tuple[
 
 def _decay_rates(ctx: AcceptanceContext, tol: float = 0.02) -> tuple[bool, str]:
     prefactor_band = 0.15
-    worst_rate = 0.0
-    prefactors = []
-    for (c, r, i_minus), w in ctx.wave_grid().items():
-        expected = analysis.decay_rate(i_minus, c)
-        worst_rate = max(worst_rate, _rel(w.mu_minus, expected))
-        if w.tail_prefactor_exp is not None:
-            prefactors.append(w.tail_prefactor_exp)
+    reports = ctx.wave_reports().values()
+    worst_rate = max(rep.mu_minus_rel_err for rep in reports)
+    prefactors = [rep.prefactor_exp for rep in reports if rep.prefactor_exp is not None]
     pre_ok = all(abs(p - 1.0) <= prefactor_band for p in prefactors)
     pre_txt = ", ".join(f"{p:.3f}" for p in prefactors) or "none"
     return worst_rate < tol and pre_ok, (
@@ -196,15 +198,11 @@ def _triangles(ctx: AcceptanceContext, tol: float = 1e-6) -> tuple[bool, str]:
 
 
 def _mass_identities(ctx: AcceptanceContext, tol: float = 1e-4) -> tuple[bool, str]:
-    worst = 0.0
-    for w in ctx.wave_grid().values():
-        res = analysis.mass_residuals(
-            w.trajectory.zs, w.trajectory.states, w.params, endpoint_tol=1e-6
-        )
-        worst = max(worst, res.res1, res.res2, res.res3)
+    reports = ctx.wave_reports()
+    worst = max(max(r.mass.res1, r.mass.res2, r.mass.res3) for r in reports.values())
     return worst < tol, (
         f"max of the three identity residuals = {worst:.2e} over "
-        f"{len(ctx.wave_grid())} waves (tol {tol:g})"
+        f"{len(reports)} waves (tol {tol:g})"
     )
 
 
@@ -222,11 +220,11 @@ def _pde_front(ctx: AcceptanceContext, tol: float = 0.05) -> tuple[bool, str]:
             ok = False
             level = "no plateau (no front, or no grid point in [10, x_front - 20])"
         else:
-            ok &= _rel(c_est, 2.0) < tol and _rel(plateau, 2.0) < plateau_tol
-            level = (f"plateau={plateau:.4f} ({100 * _rel(plateau, 2.0):.2f}% of "
+            ok &= rel_err(c_est, 2.0) < tol and rel_err(plateau, 2.0) < plateau_tol
+            level = (f"plateau={plateau:.4f} ({100 * rel_err(plateau, 2.0):.2f}% of "
                      f"{100 * plateau_tol:.0f}%)")
         parts.append(
-            f"r={r:g}: c_est={c_est:.4f} ({100 * _rel(c_est, 2.0):.1f}% of "
+            f"r={r:g}: c_est={c_est:.4f} ({100 * rel_err(c_est, 2.0):.1f}% of "
             f"{100 * tol:.0f}%), {level}"
         )
     return ok, "; ".join(parts)
@@ -314,22 +312,22 @@ def _rescaling(ctx: AcceptanceContext, tol: float = 1e-12) -> tuple[bool, str]:
         limit_sum_mapped = 2.0 / s.density_factor
         worst = max(
             worst,
-            _rel(direct.i_c, i_c_mapped),
-            _rel(direct.limit_sum, limit_sum_mapped),
-            _rel(direct.c_normalized, c_n),
+            rel_err(direct.i_c, i_c_mapped),
+            rel_err(direct.limit_sum, limit_sum_mapped),
+            rel_err(direct.c_normalized, c_n),
         )
         span = 2.0 * g.r_A / g.r_S - direct.i_c
         i_limit = direct.i_c + rng.uniform(0.01, 1.0) * span
         rate_mapped = (
             analysis.decay_rate(i_limit * s.density_factor, c_n) / s.space_factor
         )
-        worst = max(worst, _rel(direct.decay_rate(i_limit), rate_mapped))
+        worst = max(worst, rel_err(direct.decay_rate(i_limit), rate_mapped))
 
         back = denormalize(p, s)
         for got, want in zip(
             (back.r_S, back.r_A, back.r_I, back.D), (g.r_S, g.r_A, g.r_I, g.D)
         ):
-            worst = max(worst, _rel(got, want))
+            worst = max(worst, rel_err(got, want))
     return worst < tol, (
         f"max rel deviation between direct and normalize-then-map routes = "
         f"{worst:.2e} over 100 random parameter sets (tol {tol:g})"

@@ -214,6 +214,10 @@ def a_at_first_max(i_minus_inf: float, i_z0: float, c: float, r: float) -> float
     return _first_root(i_z0, gap, c, r)
 
 
+# largest |b| at either end of a segment handed to mass_residuals
+ENDPOINT_TOL = 1e-6
+
+
 @dataclass(frozen=True)
 class MassResiduals:
     """Absolute residuals of the three integral identities on a segment.
@@ -227,11 +231,11 @@ class MassResiduals:
     total_mass: float
 
 
-def mass_residuals(zs, states, p: Params, endpoint_tol: float = 1e-8) -> MassResiduals:
+def mass_residuals(zs, states, p: Params) -> MassResiduals:
     """Evaluate the three mass-transfer identities on a profile segment.
 
-    The segment must start and end at turning points of a (|b| below
-    endpoint_tol at both ends); integrals use composite trapezoid on the
+    The segment must start and end at turning points of a (|b| at most
+    ENDPOINT_TOL at both ends); integrals use composite trapezoid on the
     given samples.  Identities, with Atot = integral of a and
     S = integral of a(a+i) over [z1, z2]:
 
@@ -246,9 +250,9 @@ def mass_residuals(zs, states, p: Params, endpoint_tol: float = 1e-8) -> MassRes
     if zs.size < 2:
         raise InvalidSegmentError("segment needs at least two samples")
     a, b, i = states[:, 0], states[:, 1], states[:, 2]
-    if abs(b[0]) > endpoint_tol or abs(b[-1]) > endpoint_tol:
+    if abs(b[0]) > ENDPOINT_TOL or abs(b[-1]) > ENDPOINT_TOL:
         raise InvalidSegmentError(
-            f"segment endpoints must have |b| <= {endpoint_tol}, "
+            f"segment endpoints must have |b| <= {ENDPOINT_TOL}, "
             f"got {b[0]} and {b[-1]}"
         )
 
@@ -262,6 +266,11 @@ def mass_residuals(zs, states, p: Params, endpoint_tol: float = 1e-8) -> MassRes
     res2 = abs((i1 - i2) - (1.0 + r) / c * atot)
     res3 = abs(s - ((i2 + a2) * atot + (1.0 + r) / (2.0 * c) * atot**2 + (a1 * a1 - a2 * a2) / (2.0 * c)))
     return MassResiduals(res1=res1, res2=res2, res3=res3, total_mass=atot)
+
+
+def rel_err(got: float, want: float) -> float:
+    """|got - want| relative to |want|, or absolute when want is 0."""
+    return abs(got - want) if want == 0 else abs(got - want) / abs(want)
 
 
 def limit_symmetry(i_minus_inf: float) -> float:

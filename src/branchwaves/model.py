@@ -1,4 +1,4 @@
-"""The equations: PDE right-hand side, wave ODE, Jacobian, and unit rescaling.
+"""The equations: PDE right-hand side, wave ODE, and unit rescaling.
 
 The normalized two-species system couples an active density A (diffusing,
 self-limiting growth) to an inactive density I (produced by the active
@@ -29,7 +29,6 @@ __all__ = [
     "WaveState",
     "GeneralPredictions",
     "wave_rhs",
-    "wave_jacobian",
     "pde_rhs",
     "normalize",
     "denormalize",
@@ -108,19 +107,6 @@ def wave_rhs(state, p: Params) -> WaveState:
     """
     a, b, i = state
     return WaveState(b, a * (a + i) - a - p.c * b, -(a * (a + i + p.r)) / p.c)
-
-
-def wave_jacobian(state, p: Params) -> np.ndarray:
-    """Jacobian of wave_rhs with respect to (a, b, i)."""
-    a, _, i = state
-    c, r = p.c, p.r
-    return np.array(
-        [
-            [0.0, 1.0, 0.0],
-            [2.0 * a + i - 1.0, -c, a],
-            [-(2.0 * a + i + r) / c, 0.0, -a / c],
-        ]
-    )
 
 
 def pde_rhs(A, I, r: float, dx: float):

@@ -206,11 +206,13 @@ def limit_rates(gamma: complex, setup: SpectralSetup):
     """Shifted far-field eigenvalues (nu_minus, nu_plus) at z = -inf, +inf.
 
     Each triple is ordered (i-mode, growing root, decaying root).  Raises
-    DomainError off Re(gamma) >= 0 or at gamma = 0, and SplittingError
-    unless both sides split into two unstable and one stable direction,
-    each real part at least 1e-10 from zero.
+    DomainError at a non-finite gamma, off Re(gamma) >= 0 or at gamma = 0,
+    and SplittingError unless both sides split into two unstable and one
+    stable direction, each real part at least 1e-10 from zero.
     """
     g = complex(gamma)
+    if not cmath.isfinite(g):
+        raise DomainError(f"gamma must be finite, got {g}")
     if g.real < -1e-12:
         raise DomainError("spectral probe is defined for Re(gamma) >= 0")
     if g == 0:

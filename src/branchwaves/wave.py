@@ -4,12 +4,14 @@ A profile is grown from a seed on the one-dimensional unstable manifold
 of the invaded equilibrium, followed forward until the active density
 peaks (first b = 0 down-crossing) and then decays into the attracting
 equilibrium continuum. The profile is re-anchored so the maximum sits at
-z = 0, the limits are measured, and both tail rates are fitted.
+z = 0, the limits are measured, and both tail rates are fitted. Every run
+is one forward `integrate` call with the same three falling-crossing
+events and the settings fixed below.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize_scalar
@@ -18,7 +20,16 @@ from . import analysis
 from .errors import (BudgetError, DomainError, NegativityError, NonConvergenceError,
                      OscillatoryRegimeError)
 from .model import Params, WaveState, wave_rhs
-from .odeint import Event, EventRecord, IntegratorOptions, Trajectory, integrate
+from .odeint import Event, EventRecord, Trajectory, integrate
+
+# seed offset along the unstable eigendirection
+SEED_EPS = 1e-7
+# sup-norm of (a, b) below which a run counts as converged
+STOP_TOL = 1e-10
+# pseudo-time after which a run gives up with a budget error
+Z_BUDGET = 1000.0
+# a below -NEGATIVITY_TOL means no non-negative wave
+NEGATIVITY_TOL = 1e-6
 
 # event indices used by the shooting runs
 _EV_MAX = 0
@@ -28,30 +39,6 @@ _EV_STOP = 2
 # pure-exponential tail fitting is hopeless once the two decay rates at
 # the forward limit are this close to collision
 CRITICAL_DISC = 0.01
-
-
-@dataclass(frozen=True)
-class ShootingOptions:
-    """Knobs for :func:`shoot_wave` and :func:`shoot_from_max`.
-
-    eps: seed offset along the unstable eigendirection.
-    stop_tol: sup-norm of (a, b) below which the run counts as converged.
-    z_budget: give up (budget error) beyond this much pseudo-time.
-    negativity_tol: a below -negativity_tol means no non-negative wave.
-    """
-
-    eps: float = 1e-7
-    stop_tol: float = 1e-10
-    z_budget: float = 1000.0
-    negativity_tol: float = 1e-6
-    integrator: IntegratorOptions = field(default_factory=IntegratorOptions)
-
-    def __post_init__(self):
-        if not 0.0 < self.eps <= 1e-4:
-            raise DomainError(f"eps must lie in (0, 1e-4], got {self.eps}")
-        for name in ("stop_tol", "z_budget", "negativity_tol"):
-            if getattr(self, name) <= 0.0:
-                raise DomainError(f"{name} must be positive")
 
 
 @dataclass
@@ -78,8 +65,8 @@ class WaveProfile:
     tail_prefactor_exp: float | None = None
 
 
-def seed_unstable_manifold(i_minus_inf: float, p: Params, eps: float = 1e-7) -> WaveState:
-    """Point at distance ~eps from (0, 0, i_minus_inf) along its unstable direction.
+def seed_unstable_manifold(i_minus_inf: float, p: Params) -> WaveState:
+    """Point at distance ~SEED_EPS from (0, 0, i_minus_inf) along its unstable direction.
 
     The eigendirection is normalized so its a-component equals +1,
     selecting the branch that enters a > 0.
@@ -89,38 +76,27 @@ def seed_unstable_manifold(i_minus_inf: float, p: Params, eps: float = 1e-7) -> 
             f"level {i_minus_inf} must lie in (1, 2]: at or below 1 it leaves "
             "no unstable direction, and 2 is the admissible maximum"
         )
-    if not 0.0 < eps <= 1e-4:
-        raise DomainError(f"eps must lie in (0, 1e-4], got {eps}")
+    eps = SEED_EPS
     K = i_minus_inf
     lam = analysis.fixed_point_spectrum(K, p.c).lambda_plus
     e_hat = np.array([1.0, lam, -(K + p.r) / (p.c * lam)])
     return WaveState(eps, eps * lam, i_minus_inf + eps * e_hat[2])
 
 
-def _shooting_events(opts: ShootingOptions) -> list[Event]:
-    return [
-        Event(lambda z, y: y[1], direction=-1),
-        Event(lambda z, y: y[0] + opts.negativity_tol, direction=-1, terminal=True),
-        Event(
-            lambda z, y: max(abs(y[0]), abs(y[1])) - opts.stop_tol,
-            direction=-1,
-            terminal=True,
-        ),
-    ]
+# indexed by _EV_MAX, _EV_NEG, _EV_STOP; all three fire on falling crossings
+_SHOOTING_EVENTS = [
+    Event(lambda z, y: y[1]),
+    Event(lambda z, y: y[0] + NEGATIVITY_TOL, terminal=True),
+    Event(lambda z, y: max(abs(y[0]), abs(y[1])) - STOP_TOL, terminal=True),
+]
 
 
-def _run_shoot(y0, p: Params, opts: ShootingOptions) -> Trajectory:
-    traj = integrate(
-        lambda z, y: wave_rhs(y, p),
-        y0,
-        (0.0, opts.z_budget),
-        opts.integrator,
-        _shooting_events(opts),
-    )
+def _run_shoot(y0, p: Params) -> Trajectory:
+    traj = integrate(lambda z, y: wave_rhs(y, p), y0, Z_BUDGET, _SHOOTING_EVENTS)
     for rec in traj.events:
         if rec.index == _EV_NEG:
             raise NegativityError(
-                f"a fell below -{opts.negativity_tol:g} at z = {rec.z:.3f}; "
+                f"a fell below -{NEGATIVITY_TOL:g} at z = {rec.z:.3f}; "
                 "the trajectory spirals and no non-negative wave exists here",
                 z=rec.z,
                 value=rec.state[0],
@@ -156,14 +132,14 @@ def _loglinear_slope(x, y) -> float:
     return float(np.polyfit(x, y, 1)[0])
 
 
-def _fit_tails(traj: Trajectory, a_max: float, i_plus: float, p: Params,
-               eps: float) -> tuple[float, float, float | None]:
+def _fit_tails(traj: Trajectory, a_max: float, i_plus: float,
+               p: Params) -> tuple[float, float, float | None]:
     """Tail rates from least squares on log a (zs anchored at the maximum)."""
     zs = traj.zs
     a = traj.states[:, 0]
     lo, hi = 1e-8 * a_max, 1e-3 * a_max
 
-    rise = (zs < 0) & (a >= max(3.0 * eps, lo)) & (a <= hi)
+    rise = (zs < 0) & (a >= max(3.0 * SEED_EPS, lo)) & (a <= hi)
     if np.count_nonzero(rise) < 8:
         raise NonConvergenceError("rising tail too sparse to fit a rate", traj)
     mu_minus = _loglinear_slope(zs[rise], np.log(a[rise]))
@@ -192,30 +168,27 @@ def _fit_tails(traj: Trajectory, a_max: float, i_plus: float, p: Params,
     return mu_minus, -p.c / 2.0, prefactor_exp
 
 
-def shoot_wave(i_minus_inf: float, p: Params, opts: ShootingOptions | None = None) -> WaveProfile:
+def shoot_wave(i_minus_inf: float, p: Params) -> WaveProfile:
     """Construct the wave connecting level i_minus_inf to its forward limit.
 
     Seeds the unstable manifold, integrates forward recording the first
-    b = 0 down-crossing, and stops once sup|(a, b)| < opts.stop_tol.
-    Raises NegativityError when a dips below -negativity_tol (expected
+    b = 0 down-crossing, and stops once sup|(a, b)| < STOP_TOL.
+    Raises NegativityError when a dips below -NEGATIVITY_TOL (expected
     above the critical level 2 - i_c, where every connection spirals),
     OscillatoryRegimeError when the run settles below i_c without such a
     dip (just past that level), and BudgetError when the maximum or the
-    convergence never arrives within opts.z_budget.
+    convergence never arrives within Z_BUDGET.
     """
-    if opts is None:
-        opts = ShootingOptions()
-    y0 = seed_unstable_manifold(i_minus_inf, p, opts.eps)
-    traj = _run_shoot(y0, p, opts)
+    traj = _run_shoot(seed_unstable_manifold(i_minus_inf, p), p)
 
     max_hits = [rec for rec in traj.events if rec.index == _EV_MAX]
     if not max_hits:
         raise BudgetError(
-            f"no maximum of a within z budget {opts.z_budget:g}", traj
+            f"no maximum of a within z budget {Z_BUDGET:g}", traj
         )
     if not _stopped(traj):
         raise BudgetError(
-            f"no convergence to the far equilibrium within z budget {opts.z_budget:g}",
+            f"no convergence to the far equilibrium within z budget {Z_BUDGET:g}",
             traj,
         )
     i_plus = _check_limit_band(traj, p)
@@ -227,7 +200,7 @@ def shoot_wave(i_minus_inf: float, p: Params, opts: ShootingOptions | None = Non
         [EventRecord(r.index, r.z - first.z, r.state) for r in traj.events],
     )
     a_max, i_at_max = float(first.state[0]), float(first.state[2])
-    mu_minus, mu_plus, prefactor = _fit_tails(anchored, a_max, i_plus, p, opts.eps)
+    mu_minus, mu_plus, prefactor = _fit_tails(anchored, a_max, i_plus, p)
 
     return WaveProfile(
         trajectory=anchored,
@@ -243,7 +216,7 @@ def shoot_wave(i_minus_inf: float, p: Params, opts: ShootingOptions | None = Non
     )
 
 
-def shoot_from_max(a0: float, i0: float, p: Params, opts: ShootingOptions | None = None) -> tuple[Trajectory, float]:
+def shoot_from_max(a0: float, i0: float, p: Params) -> tuple[Trajectory, float]:
     """Forward run from (a0, 0, i0) into the attracting continuum.
 
     Returns the trajectory and the measured forward limit of i. Starting
@@ -252,8 +225,6 @@ def shoot_from_max(a0: float, i0: float, p: Params, opts: ShootingOptions | None
     deep; that is the expected dynamics, not a failure of the integrator.
     A limit at or above 1 raises NonConvergenceError.
     """
-    if opts is None:
-        opts = ShootingOptions()
     i_c = analysis.minimal_inactive_limit(p.c)
     if not (i_c - 1e-12 <= i0 < 1.0):
         raise DomainError(f"i0 must lie in [{i_c:g}, 1), got {i0}")
@@ -264,15 +235,15 @@ def shoot_from_max(a0: float, i0: float, p: Params, opts: ShootingOptions | None
             f"a0 = {a0} exceeds the equilibrium cap 1 - i0 = {1.0 - i0}"
         )
 
-    if a0 < opts.stop_tol:
+    if a0 < STOP_TOL:
         # already on the fixed-point continuum
         traj = Trajectory(np.array([0.0]), np.array([[a0, 0.0, i0]]))
         return traj, i0
 
-    traj = _run_shoot(np.array([a0, 0.0, i0]), p, opts)
+    traj = _run_shoot(np.array([a0, 0.0, i0]), p)
     if not _stopped(traj):
         raise BudgetError(
-            f"no convergence within z budget {opts.z_budget:g}", traj
+            f"no convergence within z budget {Z_BUDGET:g}", traj
         )
     return traj, _check_limit_band(traj, p)
 
@@ -316,12 +287,6 @@ class VerificationReport:
         )
 
 
-def _rel_err(got: float, expected: float) -> float:
-    if expected == 0.0:
-        return abs(got - expected)
-    return abs(got - expected) / abs(expected)
-
-
 def _count_b_crossings(b: np.ndarray) -> tuple[int, int]:
     """(down, up) sign changes of b, ignoring |b| <= 1e-12 plateaus."""
     s = np.sign(np.where(np.abs(b) <= 1e-12, 0.0, b))
@@ -345,15 +310,15 @@ def verify_profile(w: WaveProfile) -> VerificationReport:
     single_max = down <= 1 and up == 0
 
     limit_sum_residual = abs(w.i_minus_inf + w.i_plus_inf - 2.0)
-    mass = analysis.mass_residuals(traj.zs, traj.states, w.params, endpoint_tol=1e-6)
+    mass = analysis.mass_residuals(traj.zs, traj.states, w.params)
 
     c = w.params.c
-    mu_minus_rel_err = _rel_err(w.mu_minus, analysis.decay_rate(w.i_minus_inf, c))
+    mu_minus_rel_err = analysis.rel_err(w.mu_minus, analysis.decay_rate(w.i_minus_inf, c))
     if w.tail_prefactor_exp is not None:
         mu_plus_rel_err = None
     else:
         # profiles without a prefactor have disc > CRITICAL_DISC, so the rate is real
-        mu_plus_rel_err = _rel_err(w.mu_plus, analysis.decay_rate(w.i_plus_inf, c))
+        mu_plus_rel_err = analysis.rel_err(w.mu_plus, analysis.decay_rate(w.i_plus_inf, c))
 
     return VerificationReport(
         i_monotone=i_monotone,

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import brentq
 
-from branchwaves import analysis
+from branchwaves import analysis, spectral
 from branchwaves.errors import DomainError, InvalidSegmentError, OscillatoryRegimeError
-from branchwaves.model import Params, wave_jacobian
+from branchwaves.model import Params
 
 
 class TestFixedPointSpectrum:
@@ -42,7 +42,8 @@ class TestFixedPointSpectrum:
         # numerical eigensolver oracle on the full 3x3 Jacobian
         for K, c, r in [(2.0, 2.0, 0.0), (1.5, 3.0, 1.0), (1.2, 1.4, 0.3)]:
             s = analysis.fixed_point_spectrum(K, c)
-            eig = np.linalg.eigvals(wave_jacobian((0.0, 0.0, K), Params(c=c, r=r)))
+            jac = spectral._weighted_matrix(0.0, K, 0.0, Params(c=c, r=r), 0.0)
+            eig = np.linalg.eigvals(jac)
             expected = sorted([0.0, s.lambda_plus, s.lambda_minus], key=lambda x: x.real if isinstance(x, complex) else x)
             got = sorted(eig.real)
             np.testing.assert_allclose(got, expected, atol=1e-12)
@@ -343,13 +344,15 @@ class TestMassResiduals:
         with pytest.raises(InvalidSegmentError):
             analysis.mass_residuals(zs, states, Params(c=2.0))
 
-    def test_endpoint_tolerance_parameter(self):
+    def test_endpoint_tolerance_parameter(self, monkeypatch):
         zs = np.linspace(0, 1, 11)
         states = np.zeros((11, 3))
         states[0, 1] = 5e-7
-        analysis.mass_residuals(zs, states, Params(c=2.0), endpoint_tol=1e-6)
+        assert analysis.ENDPOINT_TOL == 1e-6
+        analysis.mass_residuals(zs, states, Params(c=2.0))
+        monkeypatch.setattr(analysis, "ENDPOINT_TOL", 1e-8)
         with pytest.raises(InvalidSegmentError):
-            analysis.mass_residuals(zs, states, Params(c=2.0), endpoint_tol=1e-8)
+            analysis.mass_residuals(zs, states, Params(c=2.0))
 
 
 class TestLimitSymmetry:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from branchwaves import spectral
 from branchwaves.errors import DomainError
 from branchwaves.model import (
     GeneralParams,
@@ -13,13 +14,18 @@ from branchwaves.model import (
     general_wave_predictions,
     normalize,
     pde_rhs,
-    wave_jacobian,
     wave_rhs,
 )
 
 
+def jacobian(state, p):
+    """Jacobian of wave_rhs in (a, b, i): the Evans matrix at gamma = 0, weight 0."""
+    a, _, i = state
+    return spectral._weighted_matrix(a, i, 0.0, p, 0.0)
+
+
 def finite_difference_jacobian(state, p, h=1e-6):
-    """Central-difference oracle for wave_jacobian."""
+    """Central-difference oracle for the Jacobian of wave_rhs."""
     state = np.asarray(state, dtype=float)
     J = np.empty((3, 3))
     for k in range(3):
@@ -84,7 +90,7 @@ class TestWaveJacobian:
     def test_at_fixed_point(self):
         p = Params(c=2.0, r=0.5)
         K = 1.7
-        J = wave_jacobian((0.0, 0.0, K), p)
+        J = jacobian((0.0, 0.0, K), p)
         expected = np.array(
             [
                 [0.0, 1.0, 0.0],
@@ -95,11 +101,11 @@ class TestWaveJacobian:
         np.testing.assert_allclose(J, expected)
 
     def test_middle_row_at_K1(self):
-        J = wave_jacobian((0.0, 0.0, 1.0), Params(c=2.0))
+        J = jacobian((0.0, 0.0, 1.0), Params(c=2.0))
         np.testing.assert_allclose(J[1], [0.0, -2.0, 0.0])
 
     def test_matches_finite_differences(self):
-        J = wave_jacobian((0.3, -0.1, 0.7), Params(c=2.0, r=0.0))
+        J = jacobian((0.3, -0.1, 0.7), Params(c=2.0, r=0.0))
         J_fd = finite_difference_jacobian((0.3, -0.1, 0.7), Params(c=2.0, r=0.0))
         np.testing.assert_allclose(J, J_fd, atol=1e-6)
 
@@ -109,7 +115,7 @@ class TestWaveJacobian:
             state = rng.uniform(0, 2, size=3)
             p = Params(c=rng.uniform(0.5, 4.0), r=float(rng.integers(0, 2)))
             np.testing.assert_allclose(
-                wave_jacobian(state, p),
+                jacobian(state, p),
                 finite_difference_jacobian(state, p),
                 atol=2e-6,
             )

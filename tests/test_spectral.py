@@ -6,11 +6,10 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import solve_ivp
 
 from branchwaves import spectral, wave
 from branchwaves.errors import ContourResolutionError, DomainError, SplittingError
-from branchwaves.model import Params, wave_jacobian
-from branchwaves.odeint import IntegratorOptions, integrate
 
 
 @pytest.fixture(scope="module")
@@ -113,12 +112,6 @@ class TestLinearizationMatrix:
         want = np.sort_complex(np.array([3.0, -math.sqrt(6), math.sqrt(6)]))
         assert behind == pytest.approx(want, abs=1e-12)
 
-    def test_gamma_zero_is_weighted_jacobian(self, setup):
-        a0, i0 = _coefficients(setup, 0.0)
-        m = _matrix(setup, 0.0, 0.0)
-        j = wave_jacobian((a0, 0.0, i0), setup.wave.params)
-        assert np.max(np.abs(m - j - setup.w_exp * np.eye(3))) == 0.0
-
 
 class TestLimitSplitting:
     @staticmethod
@@ -197,10 +190,10 @@ class TestEvans:
         assert abs(e.imag) < 1e-10 * abs(e)
 
     def test_matches_adaptive_route(self, setup):
-        # independent propagation of the same two-sided pairing with the
-        # generic adaptive integrator
+        # independent propagation of the same two-sided pairing with scipy's
+        # adaptive RK45, on complex states and backward from the front end
         w, p, L = setup.w_exp, setup.wave.params, setup.L
-        opts = IntegratorOptions(rel_tol=1e-8, abs_tol=1e-11, max_step=0.5)
+        tols = dict(method="RK45", rtol=1e-8, atol=1e-11, max_step=0.5)
         eye = np.eye(3, dtype=complex)
         for g in (4.0 + 0j, 3j):
             nu_m, nu_p = spectral.limit_rates(g, setup)
@@ -214,7 +207,7 @@ class TestEvans:
                 return (m2 - (nu_m[0] + nu_m[1]) * eye) @ v
 
             v0 = np.array([0.0, -1.0, -lam2], dtype=complex)
-            tv = integrate(rear, v0, (-L, 0.0), opts)
+            tv = solve_ivp(rear, (-L, 0.0), v0, **tols)
 
             lam3 = nu_p[2] - w
             x0 = np.array(
@@ -227,8 +220,9 @@ class TestEvans:
                 m = spectral._weighted_matrix(a, i, g, p, w)
                 return (m - nu_p[2] * eye) @ x
 
-            tx = integrate(front, x0, (L, 0.0), opts)
-            v, x = tv.states[-1], tx.states[-1]
+            tx = solve_ivp(front, (L, 0.0), x0, **tols)
+            assert tv.success and tx.success
+            v, x = tv.y[:, -1], tx.y[:, -1]
             reference = v[0] * x[2] - v[1] * x[1] + v[2] * x[0]
             got = spectral.evans(g, setup)
             assert abs(got - reference) < 1e-4 * abs(reference)
@@ -324,6 +318,13 @@ class TestEvansBatch:
         square = spectral.evans(self.GAMMAS[:6].reshape(2, 3), setup)
         assert square.shape == (2, 3)
         assert np.max(np.abs(square.reshape(-1) - batch[:6]) / np.abs(batch[:6])) <= 1e-13
+
+    @pytest.mark.parametrize("bad", [complex("inf"), complex("inf+1j"), complex("nan")])
+    def test_non_finite_gamma_rejected(self, setup, bad):
+        with pytest.raises(DomainError):
+            spectral.evans(bad, setup)
+        with pytest.raises(DomainError):
+            spectral.evans(np.array([4.0, bad]), setup)
 
     def test_bad_gamma_in_batch_raises_its_own_error(self, setup, critical_wave):
         narrow = spectral.make_setup(wave=critical_wave, w_exp=0.5)

@@ -3,12 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from branchwaves import analysis
+from branchwaves import analysis, wave
 from branchwaves.errors import BudgetError, DomainError, NegativityError
 from branchwaves.model import Params, wave_rhs
 from branchwaves.odeint import Trajectory
 from branchwaves.wave import (
-    ShootingOptions,
     WaveProfile,
     seed_unstable_manifold,
     shoot_from_max,
@@ -30,23 +29,26 @@ def interior_wave():
 
 
 class TestSeed:
-    def test_sign_pattern(self):
-        s = seed_unstable_manifold(2.0, P20, eps=1e-6)
+    def test_sign_pattern(self, monkeypatch):
+        monkeypatch.setattr(wave, "SEED_EPS", 1e-6)
+        s = seed_unstable_manifold(2.0, P20)
         assert s.a == 1e-6
         assert s.b > 0
         assert s.i < 2.0
 
-    def test_small_eps_approaches_fixed_point(self):
+    def test_small_eps_approaches_fixed_point(self, monkeypatch):
         eps = 1e-9
-        s = seed_unstable_manifold(2.0, P20, eps=eps)
+        monkeypatch.setattr(wave, "SEED_EPS", eps)
+        s = seed_unstable_manifold(2.0, P20)
         assert np.linalg.norm(np.subtract(s, (0.0, 0.0, 2.0))) < 3 * eps
 
-    def test_residual_aligned_with_eigendirection(self):
+    def test_residual_aligned_with_eigendirection(self, monkeypatch):
         # rhs at the seed = eps*lambda*e_hat + O(eps^2)
         eps = 1e-4
+        monkeypatch.setattr(wave, "SEED_EPS", eps)
         lam = analysis.decay_rate(2.0, 2.0)
         e_hat = np.array([1.0, lam, -2.0 / (2.0 * lam)])
-        s = seed_unstable_manifold(2.0, P20, eps=eps)
+        s = seed_unstable_manifold(2.0, P20)
         residual = np.asarray(wave_rhs(s, P20)) - eps * lam * e_hat
         assert np.linalg.norm(residual) < 10 * eps**2
 
@@ -62,25 +64,13 @@ class TestSeed:
         with pytest.raises(DomainError):
             seed_unstable_manifold(2.5, P20)
 
-    def test_eps_range(self):
-        with pytest.raises(DomainError):
-            seed_unstable_manifold(2.0, P20, eps=0.0)
-        with pytest.raises(DomainError):
-            seed_unstable_manifold(2.0, P20, eps=2e-4)
-
 
 class TestShootingOptions:
     def test_defaults(self):
-        opts = ShootingOptions()
-        assert opts.eps == 1e-7
-        assert opts.stop_tol == 1e-10
-        assert opts.z_budget == 1000.0
-
-    def test_validation(self):
-        with pytest.raises(DomainError):
-            ShootingOptions(eps=1e-3)
-        with pytest.raises(DomainError):
-            ShootingOptions(z_budget=0.0)
+        assert wave.SEED_EPS == 1e-7
+        assert wave.STOP_TOL == 1e-10
+        assert wave.Z_BUDGET == 1000.0
+        assert wave.NEGATIVITY_TOL == 1e-6
 
 
 class TestCriticalWave:
@@ -147,9 +137,10 @@ class TestLimitSymmetry:
         assert rep.limit_sum_residual < 1e-3
         assert rep.passed
 
-    def test_seed_size_robustness(self):
-        w1 = shoot_wave(1.8, P20, ShootingOptions(eps=1e-7))
-        w2 = shoot_wave(1.8, P20, ShootingOptions(eps=5e-8))
+    def test_seed_size_robustness(self, monkeypatch):
+        w1 = shoot_wave(1.8, P20)
+        monkeypatch.setattr(wave, "SEED_EPS", 5e-8)
+        w2 = shoot_wave(1.8, P20)
         assert abs(w1.i_plus_inf - w2.i_plus_inf) < 1e-5
 
 
@@ -165,9 +156,10 @@ class TestOscillatoryRegime:
 
 
 class TestBudget:
-    def test_budget_error_carries_trajectory(self):
+    def test_budget_error_carries_trajectory(self, monkeypatch):
+        monkeypatch.setattr(wave, "Z_BUDGET", 5.0)
         with pytest.raises(BudgetError) as info:
-            shoot_wave(1.8, P20, ShootingOptions(z_budget=5.0))
+            shoot_wave(1.8, P20)
         traj = info.value.trajectory
         assert traj is not None
         assert traj.zs[-1] <= 5.0 + 1e-12
