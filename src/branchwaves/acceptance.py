@@ -112,7 +112,7 @@ def _admissible_draw(rng: np.random.Generator) -> tuple[float, float, float, flo
 def _limit_symmetry(ctx: AcceptanceContext, tol: float = 1e-3) -> tuple[bool, str]:
     t0 = time.perf_counter()
     reports = ctx.wave_reports()
-    worst = max(rep.limit_sum_residual for rep in reports.values())
+    worst = float(np.max([rep.limit_sum_residual for rep in reports.values()]))
     per_wave = (time.perf_counter() - t0) / len(reports)
     return worst < tol, (
         f"max |i+inf + i-inf - 2| = {worst:.2e} over {len(reports)} waves "
@@ -123,11 +123,12 @@ def _limit_symmetry(ctx: AcceptanceContext, tol: float = 1e-3) -> tuple[bool, st
 def _attractor_formula(ctx: AcceptanceContext, tol: float = 1e-4) -> tuple[bool, str]:
     rng = ctx.rng(2)
     t0 = time.perf_counter()
-    worst = 0.0
+    defects = []
     for _ in range(50):
         c, r, i0, a0 = _admissible_draw(rng)
         _, limit = wave_mod.shoot_from_max(a0, i0, Params(c=c, r=r))
-        worst = max(worst, abs(limit - analysis.i_plus_infinity(a0, i0, c, r)))
+        defects.append(abs(limit - analysis.i_plus_infinity(a0, i0, c, r)))
+    worst = float(np.max(defects))  # NaN propagates, failing worst < tol
     elapsed = time.perf_counter() - t0
     return worst < tol and elapsed < 60.0, (
         f"max |measured limit - closed form| = {worst:.2e} over 50 random "
@@ -137,16 +138,16 @@ def _attractor_formula(ctx: AcceptanceContext, tol: float = 1e-4) -> tuple[bool,
 
 def _threshold_consistency(ctx: AcceptanceContext, tol: float = 1e-10) -> tuple[bool, str]:
     rng = ctx.rng(3)
-    worst = 0.0
+    defects = []
     for _ in range(100):
         c = rng.uniform(1.5, 4.0)
         r = rng.uniform(0.0, 2.0)
         i_c = analysis.minimal_inactive_limit(c)
         i0 = rng.uniform(i_c + 0.05, 0.95)
         alpha = analysis.alpha_threshold(i0, c, r)
-        worst = max(worst, abs(analysis.i_plus_infinity(alpha, i0, c, r) - i_c))
         a_max = analysis.a_at_first_max(2.0 - i_c, i0, c, r)
-        worst = max(worst, abs(a_max - alpha))
+        defects += [abs(analysis.i_plus_infinity(alpha, i0, c, r) - i_c), abs(a_max - alpha)]
+    worst = float(np.max(defects))  # NaN propagates, failing worst < tol
     return worst < tol, (
         f"max defect of threshold identities = {worst:.2e} over 100 random "
         f"(i0, c, r) (tol {tol:g})"
@@ -156,7 +157,7 @@ def _threshold_consistency(ctx: AcceptanceContext, tol: float = 1e-10) -> tuple[
 def _decay_rates(ctx: AcceptanceContext, tol: float = 0.02) -> tuple[bool, str]:
     prefactor_band = 0.15
     reports = ctx.wave_reports().values()
-    worst_rate = max(rep.mu_minus_rel_err for rep in reports)
+    worst_rate = float(np.max([rep.mu_minus_rel_err for rep in reports]))
     prefactors = [rep.prefactor_exp for rep in reports if rep.prefactor_exp is not None]
     pre_ok = all(abs(p - 1.0) <= prefactor_band for p in prefactors)
     pre_txt = ", ".join(f"{p:.3f}" for p in prefactors) or "none"
@@ -199,7 +200,7 @@ def _triangles(ctx: AcceptanceContext, tol: float = 1e-6) -> tuple[bool, str]:
 
 def _mass_identities(ctx: AcceptanceContext, tol: float = 1e-4) -> tuple[bool, str]:
     reports = ctx.wave_reports()
-    worst = max(max(r.mass.res1, r.mass.res2, r.mass.res3) for r in reports.values())
+    worst = float(np.max([[r.mass.res1, r.mass.res2, r.mass.res3] for r in reports.values()]))
     return worst < tol, (
         f"max of the three identity residuals = {worst:.2e} over "
         f"{len(reports)} waves (tol {tol:g})"
@@ -292,7 +293,7 @@ def _oscillatory_exclusion(ctx: AcceptanceContext, tol: float = 1e-6) -> tuple[b
 
 def _rescaling(ctx: AcceptanceContext, tol: float = 1e-12) -> tuple[bool, str]:
     rng = ctx.rng(11)
-    worst = 0.0
+    defects = []
     for _ in range(100):
         g = GeneralParams(
             r_S=rng.uniform(0.2, 5.0),
@@ -310,24 +311,24 @@ def _rescaling(ctx: AcceptanceContext, tol: float = 1e-12) -> tuple[bool, str]:
         c_n = c / speed_factor
         i_c_mapped = analysis.minimal_inactive_limit(c_n) / s.density_factor
         limit_sum_mapped = 2.0 / s.density_factor
-        worst = max(
-            worst,
+        defects += [
             rel_err(direct.i_c, i_c_mapped),
             rel_err(direct.limit_sum, limit_sum_mapped),
             rel_err(direct.c_normalized, c_n),
-        )
+        ]
         span = 2.0 * g.r_A / g.r_S - direct.i_c
         i_limit = direct.i_c + rng.uniform(0.01, 1.0) * span
         rate_mapped = (
             analysis.decay_rate(i_limit * s.density_factor, c_n) / s.space_factor
         )
-        worst = max(worst, rel_err(direct.decay_rate(i_limit), rate_mapped))
+        defects.append(rel_err(direct.decay_rate(i_limit), rate_mapped))
 
         back = denormalize(p, s)
         for got, want in zip(
             (back.r_S, back.r_A, back.r_I, back.D), (g.r_S, g.r_A, g.r_I, g.D)
         ):
-            worst = max(worst, rel_err(got, want))
+            defects.append(rel_err(got, want))
+    worst = float(np.max(defects))  # NaN propagates, failing worst < tol
     return worst < tol, (
         f"max rel deviation between direct and normalize-then-map routes = "
         f"{worst:.2e} over 100 random parameter sets (tol {tol:g})"

@@ -344,6 +344,7 @@ def cmd_pde(args: argparse.Namespace) -> int:
             "plateau": pde.plateau(I_end, grid, x_front),
             "front_position": None if not math.isfinite(x_front) else x_front,
             "snapshots": written,
+            "diagnostics": series.diagnostics,
         }
     )
     return EXIT_OK

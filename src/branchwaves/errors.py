@@ -56,7 +56,7 @@ class BudgetError(RuntimeError):
 
 
 class BlowUpError(RuntimeError):
-    """Simulation produced non-finite fields. Carries the last good series."""
+    """Non-finite fields or a broken mass balance in a simulation; carries the last good series."""
 
     def __init__(self, message, series=None):
         super().__init__(message)

@@ -46,7 +46,7 @@ class EventRecord(NamedTuple):
 
 @dataclass
 class Trajectory:
-    """Accepted abscissae and states, plus refined event hits."""
+    """Accepted abscissae (strictly increasing) and states, plus refined event hits."""
 
     zs: np.ndarray
     states: np.ndarray
@@ -58,10 +58,8 @@ class Trajectory:
             raise ValueError(
                 f"zs has {len(self.zs)} entries but states has {len(self.states)}"
             )
-        if len(self.zs) > 1:
-            dz = np.diff(self.zs)
-            if not (np.all(dz > 0) or np.all(dz < 0)):
-                raise ValueError("zs must be strictly monotone")
+        if not np.all(np.diff(self.zs) > 0):
+            raise ValueError("zs must be strictly increasing")
 
     def __len__(self):
         return len(self.zs)

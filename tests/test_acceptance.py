@@ -6,9 +6,13 @@ The context is module-scoped so the wave grid and the two reference PDE
 runs are computed once.
 """
 
+import dataclasses
+import itertools
+import math
+
 import pytest
 
-from branchwaves import acceptance
+from branchwaves import acceptance, analysis
 
 
 @pytest.fixture(scope="module")
@@ -96,3 +100,46 @@ def test_missing_plateau_fails_pde_front(ctx, monkeypatch):
     result = acceptance.run_all(only="pde-front", ctx=ctx)[0]
     assert not result.passed
     assert "no plateau (no front, or no grid point in [10, x_front - 20])" in result.detail
+
+
+@pytest.mark.parametrize("name", ["attractor-formula", "threshold-consistency", "rescaling"])
+def test_nan_defect_fails(ctx, monkeypatch, name):
+    # a NaN defect in one draw must fail the criterion, not drop out of the
+    # worst-case fold
+    calls = itertools.count()
+
+    def nan_first(value):
+        return math.nan if next(calls) == 0 else value
+
+    if name == "attractor-formula":
+        # closed-form limits stand in for the shots
+        monkeypatch.setattr(acceptance.wave_mod, "shoot_from_max", lambda a0, i0, p: (
+            None, nan_first(analysis.i_plus_infinity(a0, i0, p.c, p.r))))
+    elif name == "threshold-consistency":
+        real = analysis.a_at_first_max
+        monkeypatch.setattr(analysis, "a_at_first_max", lambda *args: nan_first(real(*args)))
+    else:
+        real = acceptance.rel_err
+        monkeypatch.setattr(acceptance, "rel_err", lambda *args: nan_first(real(*args)))
+    result = acceptance.run_all(only=name, ctx=ctx)[0]
+    assert next(calls) > 1
+    assert not result.passed
+    assert "= nan" in result.detail
+
+
+@pytest.mark.parametrize("name, field", [
+    ("limit-symmetry", "limit_sum_residual"),
+    ("decay-rates", "mu_minus_rel_err"),
+    ("mass-identities", "mass"),
+])
+def test_nan_in_last_wave_report_fails(ctx, monkeypatch, name, field):
+    # the last report, not the first: a builtin max() fold keeps a NaN only
+    # when it comes first
+    reports = dict(ctx.wave_reports())
+    key, last = list(reports.items())[-1]
+    nan = dataclasses.replace(last.mass, res2=math.nan) if field == "mass" else math.nan
+    reports[key] = dataclasses.replace(last, **{field: nan})
+    monkeypatch.setattr(ctx, "wave_reports", lambda: reports)
+    result = acceptance.run_all(only=name, ctx=ctx)[0]
+    assert not result.passed
+    assert "= nan" in result.detail

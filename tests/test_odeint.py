@@ -31,9 +31,10 @@ class TestTrajectory:
         with pytest.raises(ValueError):
             Trajectory(np.array([0.0, 1.0, 0.5]), np.zeros((3, 2)))
 
-    def test_decreasing_ok(self):
-        t = Trajectory(np.array([1.0, 0.5, 0.0]), np.zeros((3, 2)))
-        assert len(t) == 3
+    def test_decreasing_rejected(self):
+        # integrate runs forward only, so a trajectory's zs increase
+        with pytest.raises(ValueError, match="strictly increasing"):
+            Trajectory(np.array([1.0, 0.5, 0.0]), np.zeros((3, 2)))
 
 
 class TestIntegrate:

@@ -1,14 +1,17 @@
+import json
 import math
 import re
 
 import numpy as np
 import pytest
 
+from branchwaves import cli, pde
 from branchwaves.errors import (
     BlowUpError,
     ContaminatedMeasurementError,
     DomainError,
 )
+from branchwaves.model import pde_rhs
 from branchwaves.pde import (
     FieldSeries,
     Grid,
@@ -22,12 +25,53 @@ from branchwaves.pde import (
 R0 = 0.0  # production rate of the runs below
 
 
+def bump(grid):
+    xs = grid.xs()
+    return 0.5 * np.exp(-(xs**2)), np.zeros_like(xs)
+
+
 @pytest.fixture(scope="module")
 def bump_series():
     # scaled-down front emergence run shared by the slower tests
     grid = Grid(-70.0, 70.0, 1401)
-    xs = grid.xs()
-    return simulate(0.5 * np.exp(-(xs**2)), np.zeros_like(xs), R0, grid, 16.0, 0.5)
+    return simulate(*bump(grid), R0, grid, 16.0, 0.5)
+
+
+def rk4_reference(A, I, r, grid, times):
+    """Snapshots at times of classical RK4 steps under dt <= 0.4 dx^2 and dt <= 0.1.
+
+    The reference the RKC steps of `simulate` are checked against: fourth
+    order, with a step set by diffusive stability rather than accuracy.
+    """
+    dt_cap = min(0.4 * grid.dx**2, 0.1)
+    snaps = [(A, I)]
+    for span in np.diff(times):
+        n_sub = max(1, int(math.ceil(span / dt_cap - 1e-12)))
+        dt = span / n_sub
+        for _ in range(n_sub):
+            kA1, kI1 = pde_rhs(A, I, r, grid.dx)
+            kA2, kI2 = pde_rhs(A + 0.5 * dt * kA1, I + 0.5 * dt * kI1, r, grid.dx)
+            kA3, kI3 = pde_rhs(A + 0.5 * dt * kA2, I + 0.5 * dt * kI2, r, grid.dx)
+            kA4, kI4 = pde_rhs(A + dt * kA3, I + dt * kI3, r, grid.dx)
+            A = A + (dt / 6.0) * (kA1 + 2.0 * kA2 + 2.0 * kA3 + kA4)
+            I = I + (dt / 6.0) * (kI1 + 2.0 * kI2 + 2.0 * kI3 + kI4)
+        snaps.append((A, I))
+    return snaps
+
+
+def field_gaps(series, reference):
+    """Largest |A - A_ref| and |I - I_ref| over all snapshots."""
+    return tuple(
+        max(float(np.max(np.abs(s[f] - ref[f]))) for s, ref in zip(series.snapshots, reference))
+        for f in (0, 1)
+    )
+
+
+def beta(s):
+    """Stability bound (1 + w0) T_s''(w0) / T_s'(w0) of s damped Chebyshev stages."""
+    w0 = 1.0 + pde.DAMPING / s**2
+    T = np.polynomial.Chebyshev.basis(s)
+    return (1.0 + w0) * T.deriv(2)(w0) / T.deriv(1)(w0)
 
 
 class TestGrid:
@@ -44,6 +88,11 @@ class TestGrid:
     def test_empty_domain(self):
         with pytest.raises(DomainError):
             Grid(1.0, 1.0, 32)
+
+    @pytest.mark.parametrize("x_min, x_max", [(-math.inf, 0.0), (0.0, math.inf), (math.nan, 1.0)])
+    def test_infinite_domain(self, x_min, x_max):
+        with pytest.raises(DomainError, match="must be finite and non-empty"):
+            Grid(x_min, x_max, 32)
 
 
 class TestSimulate:
@@ -135,6 +184,79 @@ class TestSimulate:
     def test_at_unknown_time(self, bump_series):
         with pytest.raises(DomainError):
             bump_series.at(0.123)
+
+
+class TestRkc:
+    @pytest.fixture(scope="class")
+    def rk4_bump(self, bump_series):
+        return rk4_reference(*bump(bump_series.grid), R0, bump_series.grid, bump_series.times)
+
+    def test_fields_match_rk4(self, bump_series, rk4_bump):
+        gap_a, gap_i = field_gaps(bump_series, rk4_bump)
+        assert gap_a <= 2e-3
+        assert gap_i <= 3e-3
+
+    def test_front_matches_rk4(self, bump_series, rk4_bump):
+        g = bump_series.grid
+        x_rkc = front_position(bump_series.snapshots[-1][0], g, 0.1)
+        x_rk4 = front_position(rk4_bump[-1][0], g, 0.1)
+        assert x_rkc == pytest.approx(x_rk4, abs=0.05)
+
+    def test_second_order(self, monkeypatch):
+        g = Grid(-20.0, 20.0, 401)
+        times = np.array([0.0, 2.0, 4.0])
+        reference = rk4_reference(*bump(g), 1.0, g, times)
+        gaps = []
+        for step in (0.04, 0.02):
+            monkeypatch.setattr(pde, "STEP", step)
+            gaps.append(field_gaps(simulate(*bump(g), 1.0, g, 4.0, 2.0), reference))
+        for coarse, fine in zip(*gaps):
+            assert 3.0 < coarse / fine < 5.0
+
+    @pytest.mark.parametrize("grid, r, stages", [
+        (Grid(-30.0, 120.0, 2001), 0.0, 5),  # the reference grid
+        (Grid(-30.0, 120.0, 2001), 1.0, 5),
+        (Grid(-70.0, 70.0, 1401), 0.0, 4),
+        (Grid(0.0, 1.0, 21), 2.0, 8),
+        (Grid(0.0, 1e4, 16), 0.0, 2),
+    ])
+    def test_stage_count_is_least_stable(self, grid, r, stages):
+        diag = simulate(*bump(grid), r, grid, pde.STEP, 0.5).diagnostics
+        s, h_rho = diag["stages"], diag["h"] * (4.0 / grid.dx**2 + 5.0 + r)
+        assert s == stages
+        assert beta(s) >= h_rho
+        assert s == 2 or h_rho > beta(s - 1)
+
+    def test_diagnostics(self, bump_series):
+        diag = bump_series.diagnostics
+        assert diag["h"] == 0.02
+        assert diag["steps"] == 800
+        assert diag["rhs_evaluations"] == diag["steps"] * diag["stages"]
+        assert 0.0 <= diag["mass_balance_residual"] < 1e-13
+
+    def test_source_term_breaks_mass_balance(self, monkeypatch):
+        def leaky(A, I, r, dx):
+            dA, dI = pde_rhs(A, I, r, dx)
+            return dA + 1e-6, dI
+
+        monkeypatch.setattr(pde, "pde_rhs", leaky)
+        g = Grid(-20.0, 20.0, 401)
+        with pytest.raises(BlowUpError, match="mass balance residual") as info:
+            simulate(*bump(g), R0, g, 2.0, 0.5)
+        series = info.value.series
+        assert len(series.times) == len(series.snapshots) == 1
+        assert series.diagnostics["steps"] == 25
+
+    def test_cli_reports_diagnostics(self, tmp_path, capsys):
+        argv = ["pde", "--grid", "201:-30:120", "--t-end", "2", "--out", str(tmp_path / "p")]
+        code = cli.main(argv)
+        diag = json.loads(capsys.readouterr().out)["diagnostics"]
+        assert code == 0
+        assert diag["stages"] == 2
+        assert diag["steps"] == 100
+        assert diag["rhs_evaluations"] == 200
+        assert diag["h"] == 0.02
+        assert diag["mass_balance_residual"] < 1e-13
 
 
 class TestFrontPosition:
