@@ -4,7 +4,7 @@ A small active bump placed in an empty medium organizes itself into a
 right-moving front.  The demo measures the front speed from the simulation,
 then overlays the late-time comoving profile on the wave the shooting method
 produces, aligning the two at their maxima.  Run with
-`python3 demos/front_formation.py` (takes ~15 s).
+`python3 demos/front_formation.py` (takes ~2 s).
 """
 
 import numpy as np

@@ -11,17 +11,19 @@ verdict; this demo uses a reduced contour to stay quick.  Run with
 import numpy as np
 
 from branchwaves import (
+    Params,
     contour_of_S,
     evans,
     evans_winding,
     limit_rates,
     make_setup,
+    shoot_wave,
     winding_number,
 )
 
 
 def main() -> None:
-    setup = make_setup()
+    setup = make_setup(shoot_wave(2.0, Params(c=2.0, r=0.0)))
     print(f"setup: c = {setup.wave.params.c:g}, weight exponent {setup.w_exp:g}, "
           f"half-length L = {setup.L:g}")
 
@@ -49,8 +51,9 @@ def main() -> None:
     # sanity check the counter itself on a function with a known zero
     circle = 0.5 + np.exp(1j * np.linspace(0.0, 2.0 * np.pi, 65))
     circle[-1] = circle[0]
-    w, _ = winding_number(lambda g: g, circle)
-    print(f"self-test, identity map around a circle about 0.5: winding {w}")
+    sweep = winding_number(lambda g: g, circle)
+    print(f"self-test, identity map around a circle about 0.5: winding {sweep.winding}, "
+          f"{sweep.gammas.size} evaluations")
 
 
 if __name__ == "__main__":

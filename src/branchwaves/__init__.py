@@ -54,9 +54,8 @@ from .pde import (
     simulate,
 )
 from .spectral import (
-    EvansSample,
-    EvansWinding,
     SpectralSetup,
+    Winding,
     contour_of_S,
     evans,
     evans_winding,
@@ -120,8 +119,7 @@ __all__ = [
     "comoving_profile",
     # spectral
     "SpectralSetup",
-    "EvansSample",
-    "EvansWinding",
+    "Winding",
     "make_setup",
     "limit_rates",
     "evans",

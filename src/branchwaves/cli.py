@@ -358,15 +358,7 @@ def cmd_evans(args: argparse.Namespace) -> int:
         theta = np.linspace(0.0, 2.0 * math.pi, 65)
         contour = 0.5 + np.exp(1j * theta)
         contour[-1] = contour[0]
-        batches: list[np.ndarray] = []
-
-        def identity(gammas: np.ndarray) -> np.ndarray:
-            batches.append(gammas)
-            return gammas
-
-        winding, max_step = spectral.winding_number(identity, contour)
-        gammas = values = np.concatenate(batches)
-        diagnostics = None
+        sweep = spectral.winding_number(lambda g: g, contour)
         expected = 1
         L_used = None
     else:
@@ -377,29 +369,26 @@ def cmd_evans(args: argparse.Namespace) -> int:
             sweep = spectral.evans_winding(setup, args.contour)
         except DomainError as exc:
             raise ContourResolutionError(str(exc)) from exc
-        winding, max_step = sweep.winding, sweep.max_arg_step
-        gammas, values = sweep.gammas, sweep.values
-        diagnostics = sweep.diagnostics
         expected = 0
         L_used = setup.L
 
     _write_csv(
         args.out,
         ["re_gamma", "im_gamma", "re_E", "im_E"],
-        [gammas.real, gammas.imag, values.real, values.imag],
+        [sweep.gammas.real, sweep.gammas.imag, sweep.values.real, sweep.values.imag],
     )
     _report(
         {
-            "winding": winding,
-            "max_arg_step": max_step,
+            "winding": sweep.winding,
+            "max_arg_step": sweep.max_arg_step,
             "L": L_used,
             "self_test": bool(args.self_test),
-            "evaluations": int(gammas.size),
+            "evaluations": int(sweep.gammas.size),
             "csv": args.out,
-            "diagnostics": diagnostics,
+            "diagnostics": sweep.diagnostics,
         }
     )
-    return EXIT_OK if winding == expected else EXIT_VERIFICATION
+    return EXIT_OK if sweep.winding == expected else EXIT_VERIFICATION
 
 
 # ------------------------------------------------------------ formulas

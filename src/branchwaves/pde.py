@@ -27,6 +27,7 @@ MASS_BALANCE_TOL = 1e-10  # carried vs measured sum w(A + I), relative
 
 BOUNDARY_MARGIN_CELLS = 10
 MAX_STORED_VALUES = 10**8  # snapshot values one run may keep: 0.8 GB of float64
+MAX_STAGES = 1000  # RKC stages per step; a 20001-point reference grid takes 47
 
 
 @dataclass(frozen=True)
@@ -46,6 +47,8 @@ class Grid:
                 f"domain [{self.x_min}, {self.x_max}] must be finite and non-empty"
             )
         object.__setattr__(self, "dx", (self.x_max - self.x_min) / (self.n - 1))
+        if not 0.0 < self.dx * self.dx < math.inf:
+            raise DomainError(f"grid spacing {self.dx:g} must have a positive, finite square")
 
     def xs(self) -> np.ndarray:
         return np.linspace(self.x_min, self.x_max, self.n)
@@ -93,18 +96,25 @@ def _snapshot_times(t_end: float, snapshot_dt: float, n: int) -> np.ndarray:
     return times
 
 
+def _chebyshev(s: int) -> tuple[float, float, list[float], list[float], list[float]]:
+    """beta(s) = (1 + w0) T_s''(w0) / T_s'(w0), w0 = 1 + DAMPING / s^2, and T_j, T_j', T_j''."""
+    w0 = 1.0 + DAMPING / (s * s)
+    T, dT, d2T = [1.0, w0], [0.0, 1.0], [0.0, 0.0]
+    for j in range(2, s + 1):
+        T.append(2.0 * w0 * T[j - 1] - T[j - 2])
+        dT.append(2.0 * T[j - 1] + 2.0 * w0 * dT[j - 1] - dT[j - 2])
+        d2T.append(4.0 * dT[j - 1] + 2.0 * w0 * d2T[j - 1] - d2T[j - 2])
+    return (1.0 + w0) * d2T[s] / dT[s], w0, T, dT, d2T
+
+
 def _rkc_stages(h_rho: float) -> list[tuple[float, float, float, float]]:
     """Stage coefficients (mu, nu, mu~, gamma~) for the least s >= 2 stable at h_rho,
-    that is with beta(s) = (1 + w0) T_s''(w0) / T_s'(w0) >= h_rho, w0 = 1 + DAMPING / s^2."""
-    for s in itertools.count(2):
-        w0 = 1.0 + DAMPING / (s * s)
-        T, dT, d2T = [1.0, w0], [0.0, 1.0], [0.0, 0.0]
-        for j in range(2, s + 1):
-            T.append(2.0 * w0 * T[j - 1] - T[j - 2])
-            dT.append(2.0 * T[j - 1] + 2.0 * w0 * dT[j - 1] - dT[j - 2])
-            d2T.append(4.0 * dT[j - 1] + 2.0 * w0 * d2T[j - 1] - d2T[j - 2])
-        if (1.0 + w0) * d2T[s] / dT[s] >= h_rho:
-            break
+    that is with beta(s) >= h_rho (beta grows with s); DomainError past MAX_STAGES."""
+    if _chebyshev(MAX_STAGES)[0] < h_rho:
+        raise DomainError(f"stiffness h rho = {h_rho:.3g} needs over {MAX_STAGES} RKC stages "
+                          "per step; use a coarser grid")
+    s = next(s for s in itertools.count(2) if _chebyshev(s)[0] >= h_rho)
+    _, w0, T, dT, d2T = _chebyshev(s)
     w1 = dT[s] / d2T[s]
     b = [d2T[max(j, 2)] / dT[max(j, 2)] ** 2 for j in range(s + 1)]  # b_0 = b_1 = b_2
     stages = [(0.0, 0.0, b[1] * w1, 0.0)]
@@ -119,13 +129,13 @@ def simulate(A0, I0, r: float, grid: Grid, t_end: float,
              snapshot_dt: float = 0.5) -> FieldSeries:
     """Advance to t_end at production rate r >= 0, snapshot every snapshot_dt.
 
-    r and both times must be finite, the times positive, and the snapshots
-    at most MAX_STORED_VALUES values. RKC steps of at most STEP divide each
-    snapshot interval exactly. Non-finite values, or a trapezoid mass
-    w.(A + I) carried through the stages that misses the measured one by
-    over MASS_BALANCE_TOL relative, raise BlowUpError carrying the series so
-    far. Diagnostics: `steps`, `stages` per step, largest step `h`,
-    `rhs_evaluations` and the worst `mass_balance_residual`.
+    r and both times must be finite, the times positive, the snapshots at most
+    MAX_STORED_VALUES values, and the RKC steps of at most STEP, which divide
+    each snapshot interval exactly, at most MAX_STAGES stages. Non-finite
+    values, or a trapezoid mass w.(A + I) carried through the stages that
+    misses the measured one by over MASS_BALANCE_TOL relative, raise
+    BlowUpError carrying the series so far. Diagnostics: `steps`, `stages`
+    per step, largest step `h`, `rhs_evaluations`, worst `mass_balance_residual`.
     """
     if not 0 <= r < math.inf:
         raise DomainError(f"production rate r must be >= 0 and finite, got {r}")

@@ -31,8 +31,9 @@ of which the start data are exact eigenvectors once the growth is removed,
 so the march there is the identity: each leg starts where the trajectory
 ends, or at +-L if that comes first, and the cost does not grow with L.
 
-`evans_winding` sweeps a contour with one such batch, bisects large
-argument steps one gamma at a time, checks the sweep by recomputing a few
+`winding_number` sweeps a contour with one batch, bisects large argument
+steps one gamma at a time and returns a `Winding` of all it evaluated;
+`evans_winding` runs it on `evans`, checks the sweep by recomputing a few
 of its points at half the step, and counts what it computed.
 """
 
@@ -41,21 +42,20 @@ from __future__ import annotations
 import cmath
 import math
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 from scipy.interpolate import CubicSpline
 
 from .errors import ContourResolutionError, DomainError, SplittingError
 from .model import Params
-from .wave import WaveProfile, shoot_wave
+from .wave import WaveProfile
 
 __all__ = [
     "DEFAULT_STEP",
-    "EvansSample",
-    "EvansWinding",
     "SpectralSetup",
+    "Winding",
     "contour_of_S",
     "evans",
     "evans_winding",
@@ -87,7 +87,7 @@ _SETTLED_FRACTION = 1e-8
 class SpectralSetup:
     """Context for weighted-linearization evaluations about one wave.
 
-    Profile coefficients a(z) and i(z) come from cubic interpolation of the
+    Profile coefficients a(z) and i(z) come from one cubic spline of the
     wave trajectory; beyond its sampled range they continue with the
     fixed-point values, so both ends of [-L, L] sit on an exact equilibrium.
     Construction rejects an L at which the wave has not settled, measured
@@ -97,8 +97,6 @@ class SpectralSetup:
     wave: WaveProfile
     w_exp: float
     L: float
-    _z_lo: float = field(init=False, repr=False)
-    _z_hi: float = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if not 0.0 < self.w_exp < math.inf:
@@ -106,16 +104,12 @@ class SpectralSetup:
         if not 0.0 < self.L < math.inf:
             raise DomainError("domain half-length must be positive and finite")
         zs = self.wave.trajectory.zs
-        states = self.wave.trajectory.states
         self._z_lo = float(zs[0])
         self._z_hi = float(zs[-1])
-        self._a_spline = CubicSpline(zs, states[:, 0])
-        self._b_spline = CubicSpline(zs, states[:, 1])
-        self._i_spline = CubicSpline(zs, states[:, 2])
+        self._spline = CubicSpline(zs, self.wave.trajectory.states)
         budget = _SETTLED_FRACTION * self.wave.a_max
         for z_end in (-self.L, self.L):
-            a = self._interp_inside(self._a_spline, z_end, 0.0)
-            b = self._interp_inside(self._b_spline, z_end, 0.0)
+            a, b = self._spline(z_end)[:2] if self._z_lo <= z_end <= self._z_hi else (0.0, 0.0)
             if math.hypot(a, b) > budget:
                 raise DomainError(
                     f"wave has not settled at z = {z_end:g}: |(a, b)| = "
@@ -123,58 +117,33 @@ class SpectralSetup:
                     "beyond the sampled trajectory"
                 )
 
-    def _interp_inside(self, spline: CubicSpline, z: float, outside: float) -> float:
-        if z < self._z_lo or z > self._z_hi:
-            return outside
-        return float(spline(z))
-
     def coefficient_table(self, zs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Profile values (a, i) at each z, extended by the limits off the data."""
         zs = np.asarray(zs, dtype=float)
-        a = np.zeros_like(zs)
-        i = np.empty_like(zs)
+        table = self._spline(np.clip(zs, self._z_lo, self._z_hi))
+        a, i = table[..., 0], table[..., 2]
+        a[(zs < self._z_lo) | (zs > self._z_hi)] = 0.0
         i[zs < self._z_lo] = self.wave.i_minus_inf
         i[zs > self._z_hi] = self.wave.i_plus_inf
-        inside = (zs >= self._z_lo) & (zs <= self._z_hi)
-        a[inside] = self._a_spline(zs[inside])
-        i[inside] = self._i_spline(zs[inside])
         return a, i
 
 
 def make_setup(
-    wave: WaveProfile | None = None,
-    w_exp: float | None = None,
-    L: float | None = None,
+    wave: WaveProfile, w_exp: float | None = None, L: float | None = None
 ) -> SpectralSetup:
-    """Build a SpectralSetup, defaulting to the critical wave at r = 0.
+    """Build the SpectralSetup about a wave.
 
     The default weight is c/2 (centered in the admissible band) and the
     default half-length is the smallest integer at least 30 that clears both
     ends of the sampled trajectory, so the equilibrium extension applies at
     +-L.
     """
-    if wave is None:
-        wave = shoot_wave(2.0, Params(c=2.0, r=0.0))
     if w_exp is None:
         w_exp = wave.params.c / 2.0
     if L is None:
         zs = wave.trajectory.zs
         L = max(30.0, math.ceil(-zs[0]) + 1.0, math.ceil(zs[-1]) + 1.0)
     return SpectralSetup(wave=wave, w_exp=float(w_exp), L=float(L))
-
-
-@dataclass(frozen=True)
-class EvansSample:
-    """One contour evaluation; construction rejects non-finite values."""
-
-    gamma: complex
-    value: complex
-
-    def __post_init__(self) -> None:
-        if not (np.isfinite(self.gamma) and np.isfinite(self.value)):
-            raise DomainError(
-                f"non-finite Evans sample at gamma = {self.gamma}"
-            )
 
 
 def _weighted_matrix(a, i, gamma, p: Params, w: float) -> np.ndarray:
@@ -459,44 +428,69 @@ def contour_of_S(
     return pts
 
 
+class Winding(NamedTuple):
+    """One contour sweep: winding number, largest argument step, `gammas` and
+    `values` of every evaluation in call order (contour points, then bisection
+    midpoints) and `diagnostics` (None unless from `evans_winding`)."""
+
+    winding: int
+    max_arg_step: float
+    gammas: np.ndarray
+    values: np.ndarray
+    diagnostics: dict | None
+
+
+def _evaluate(fn: Callable, gammas: np.ndarray, seen: list) -> list[tuple[complex, complex]]:
+    """fn at gammas as (gamma, value) samples, rejected unless finite; the arrays go to seen."""
+    values = np.asarray(fn(gammas), dtype=complex)
+    if values.shape != gammas.shape:
+        raise DomainError("fn must give one value per contour point")
+    bad = ~(np.isfinite(gammas) & np.isfinite(values))
+    if bad.any():
+        raise DomainError(f"non-finite Evans sample at gamma = {complex(gammas[bad][0])}")
+    seen.append((gammas, values))
+    return [(complex(g), complex(v)) for g, v in zip(gammas, values)]
+
+
 def _arg_sweep(
     fn: Callable[[np.ndarray], np.ndarray],
-    s0: EvansSample,
-    s1: EvansSample,
+    s0: tuple[complex, complex],
+    s1: tuple[complex, complex],
     depth: int,
+    seen: list,
 ) -> tuple[float, float]:
-    if s0.value == 0 or s1.value == 0:
+    (g0, v0), (g1, v1) = s0, s1
+    if v0 == 0 or v1 == 0:
         raise ContourResolutionError(
-            f"vanishing value on the contour near gamma = {s0.gamma}"
+            f"vanishing value on the contour near gamma = {g0}"
         )
-    delta = cmath.phase(s1.value / s0.value)
+    delta = cmath.phase(v1 / v0)
     if abs(delta) <= _ARG_CAP:
         return delta, abs(delta)
     if depth >= _MAX_REFINE:
         raise ContourResolutionError(
-            f"argument step {delta:.3f} rad between gamma = {s0.gamma} and "
-            f"{s1.gamma} still unresolved after {_MAX_REFINE} bisections"
+            f"argument step {delta:.3f} rad between gamma = {g0} and "
+            f"{g1} still unresolved after {_MAX_REFINE} bisections"
         )
-    g_mid = 0.5 * (s0.gamma + s1.gamma)
-    s_mid = EvansSample(g_mid, complex(np.asarray(fn(np.array([g_mid])))[0]))
-    d0, m0 = _arg_sweep(fn, s0, s_mid, depth + 1)
-    d1, m1 = _arg_sweep(fn, s_mid, s1, depth + 1)
+    (s_mid,) = _evaluate(fn, np.array([0.5 * (g0 + g1)]), seen)
+    d0, m0 = _arg_sweep(fn, s0, s_mid, depth + 1, seen)
+    d1, m1 = _arg_sweep(fn, s_mid, s1, depth + 1, seen)
     return d0 + d1, max(m0, m1)
 
 
 def winding_number(
     fn: Callable[[np.ndarray], np.ndarray], contour: Sequence[complex]
-) -> tuple[int, float]:
+) -> Winding:
     """Winding of the values of fn along a closed contour.
 
     fn maps an array of gammas to the array of its values, typically
     `lambda g: evans(g, setup)`; the synthetic self-test winds the identity
-    map.  The contour points go to fn in one call.  Returns (integer
-    winding number, maximum argument step after refinement).  Steps above
-    pi/3 are bisected recursively, each chord midpoint going to fn as an
-    array of one, up to 12 levels.  A sweep whose accumulated argument
-    misses an integer number of turns by 0.1 or more is reported as a
-    resolution failure rather than rounded over.
+    map.  The contour points go to fn in one call.  Steps above pi/3 are
+    bisected recursively, each chord midpoint going to fn as an array of
+    one, up to 12 levels.  A non-finite gamma or value raises DomainError,
+    and a sweep whose accumulated argument misses an integer number of
+    turns by 0.1 or more is reported as a resolution failure rather than
+    rounded over.  Returns a `Winding` without diagnostics.
     """
     pts = np.asarray(contour, dtype=complex)
     if pts.ndim != 1 or pts.size < 4:
@@ -504,16 +498,12 @@ def winding_number(
     if pts[0] != pts[-1]:
         raise DomainError("contour must close: last point repeats the first")
 
-    values = np.asarray(fn(pts[:-1]), dtype=complex)
-    if values.shape != pts[:-1].shape:
-        raise DomainError("fn must give one value per contour point")
-    samples = [EvansSample(complex(g), complex(v)) for g, v in zip(pts[:-1], values)]
-    samples.append(samples[0])
-
+    seen: list[tuple[np.ndarray, np.ndarray]] = []
+    samples = _evaluate(fn, pts[:-1], seen)
     total = 0.0
     max_step = 0.0
-    for s0, s1 in zip(samples[:-1], samples[1:]):
-        delta, largest = _arg_sweep(fn, s0, s1, 0)
+    for s0, s1 in zip(samples, samples[1:] + samples[:1]):
+        delta, largest = _arg_sweep(fn, s0, s1, 0, seen)
         total += delta
         max_step = max(max_step, largest)
 
@@ -524,29 +514,11 @@ def winding_number(
             f"accumulated argument is {turns:.4f} turns, not close to an "
             "integer"
         )
-    return int(nearest), max_step
+    gammas, values = (np.concatenate(part) for part in zip(*seen))
+    return Winding(int(nearest), max_step, gammas, values, None)
 
 
-@dataclass(frozen=True)
-class EvansWinding:
-    """One contour sweep of `evans`, with its step-halving check and counts.
-
-    `gammas` and `values` hold every evaluation at DEFAULT_STEP in order:
-    the contour points, then the bisection midpoints.  `diagnostics` gives
-    the number of those `evaluations`, the `halving_probes` recomputed at
-    half the step, the stacked exponentials of both and the matrices in
-    them (`propagators`), the `bisections`, `min_abs_E` over the values and
-    the worst relative change under step halving (`halving_rel_diff`).
-    """
-
-    winding: int
-    max_arg_step: float
-    gammas: np.ndarray
-    values: np.ndarray
-    diagnostics: dict
-
-
-def evans_winding(setup: SpectralSetup, contour: Sequence[complex]) -> EvansWinding:
+def evans_winding(setup: SpectralSetup, contour: Sequence[complex]) -> Winding:
     """Winding of `evans` along a closed contour, checked by step halving.
 
     The contour goes to `evans` as one batch and each bisection midpoint as
@@ -554,22 +526,22 @@ def evans_winding(setup: SpectralSetup, contour: Sequence[complex]) -> EvansWind
     points, the extreme moduli and the two ends of the largest argument
     step, are recomputed as one batch at DEFAULT_STEP / 2; a relative
     change above 0.1 in any of them raises ContourResolutionError.
+
+    The `Winding` comes back with `diagnostics`: the number of
+    `evaluations`, the `halving_probes`, the stacked exponentials of both
+    and the matrices in them (`propagators`), the `bisections`, `min_abs_E`
+    over the values and the worst relative change under step halving
+    (`halving_rel_diff`).
     """
     tally: Counter = Counter()
-    batches: list[tuple[np.ndarray, np.ndarray]] = []
+    sweep = winding_number(lambda g: evans(g, setup, tally=tally), contour)
 
-    def fn(gammas: np.ndarray) -> np.ndarray:
-        values = evans(gammas, setup, tally=tally)
-        batches.append((gammas, values))
-        return values
-
-    winding, max_step = winding_number(fn, contour)
-
-    gammas, values = batches[0]
+    n = len(contour) - 1
+    gammas, values = sweep.gammas[:n], sweep.values[:n]
     turn = np.abs(np.angle(np.roll(values, -1) / values))
     k = int(np.argmax(turn))
     moduli = np.abs(gammas)
-    probe = sorted({int(np.argmin(moduli)), int(np.argmax(moduli)), k, (k + 1) % gammas.size})
+    probe = sorted({int(np.argmin(moduli)), int(np.argmax(moduli)), k, (k + 1) % n})
     fine = evans(gammas[probe], setup, DEFAULT_STEP / 2.0, tally=tally)
     rel = np.abs(fine - values[probe]) / np.abs(fine)
     worst = int(np.argmax(rel))
@@ -580,13 +552,11 @@ def evans_winding(setup: SpectralSetup, contour: Sequence[complex]) -> EvansWind
             f"(relative), more than {_HALVING_TOL:g}"
         )
 
-    gammas = np.concatenate([g for g, _ in batches])
-    values = np.concatenate([v for _, v in batches])
-    return EvansWinding(winding, max_step, gammas, values, {
-        "evaluations": gammas.size,
+    return sweep._replace(diagnostics={
+        "evaluations": sweep.gammas.size,
         "halving_probes": len(probe),
         "propagators": {"stacked": tally["stacked"], "matrices": tally["matrices"]},
-        "bisections": len(batches) - 1,
-        "min_abs_E": float(np.abs(values).min()),
+        "bisections": sweep.gammas.size - n,
+        "min_abs_E": float(np.abs(sweep.values).min()),
         "halving_rel_diff": float(rel[worst]),
     })

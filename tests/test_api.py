@@ -1,11 +1,14 @@
 """Every name in an `__all__`, of the package and of each submodule, resolves,
-every demo imports (without running its `main`), and every program attribute
-the benchmark traces by name exists."""
+every demo imports and runs as a script, and every program attribute the
+benchmark traces by name exists."""
 
 import ast
+import contextlib
 import importlib
 import importlib.util
+import io
 import pkgutil
+import runpy
 from pathlib import Path
 
 import pytest
@@ -52,6 +55,18 @@ def test_demo_imports(path):
     spec = importlib.util.spec_from_file_location(f"demo_{path.stem}", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
+
+
+@pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.name)
+def test_demo_runs(path, tmp_path, monkeypatch):
+    # as `python3 demos/<name>.py` would, from an empty directory so a stray
+    # output file would show
+    monkeypatch.chdir(tmp_path)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        runpy.run_path(str(path), run_name="__main__")
+    assert out.getvalue()
+    assert not list(tmp_path.iterdir())
 
 
 def test_bench_hooks_found():

@@ -228,6 +228,25 @@ class TestPde:
         assert "argument --grid" in err
         assert not list(tmp_path.iterdir())
 
+    def test_underflowing_grid_spacing_exits_64(self, tmp_path, capsys):
+        # the square of the spacing is 0.0, so 1/dx^2 would divide by zero
+        code, _, err = run(
+            capsys, "pde", "--grid", "32:0:1e-320", "--t-end", 1, "--out", tmp_path / "x"
+        )
+        assert code == 64
+        assert "argument --grid" in err
+        assert "positive, finite square" in err
+        assert not list(tmp_path.iterdir())
+
+    def test_too_many_rkc_stages_exits_2(self, tmp_path, capsys):
+        # about 1e5 stages per step; rejected before the stage search
+        code, _, err = run(
+            capsys, "pde", "--grid", "16:0:1e-4", "--t-end", 1, "--out", tmp_path / "x"
+        )
+        assert code == 2
+        assert "needs over 1000 RKC stages per step" in err
+        assert not list(tmp_path.iterdir())
+
     def test_save_all_writes_every_snapshot(self, tmp_path, capsys):
         code, payload, _ = run_json(
             capsys, "pde", "--grid", "321:-10:20", "--t-end", 2, "--save-all",

@@ -94,6 +94,12 @@ class TestGrid:
         with pytest.raises(DomainError, match="must be finite and non-empty"):
             Grid(x_min, x_max, 32)
 
+    @pytest.mark.parametrize("x_min, x_max, n", [(0.0, 1e-320, 32), (-1e300, 1e300, 16)])
+    def test_spacing_square_out_of_range(self, x_min, x_max, n):
+        # 1/dx^2 of the Laplacian would divide by zero, or dx^2 overflow
+        with pytest.raises(DomainError, match="positive, finite square"):
+            Grid(x_min, x_max, n)
+
 
 class TestSimulate:
     def test_steady_state_exact(self):
@@ -226,6 +232,17 @@ class TestRkc:
         assert s == stages
         assert beta(s) >= h_rho
         assert s == 2 or h_rho > beta(s - 1)
+
+    def test_stage_cap(self, monkeypatch):
+        # 16 points over 1e-4 would need about 1e5 stages per step, an O(s^2)
+        # search of hours; one evaluation at the cap rejects it first
+        calls = []
+        chebyshev = pde._chebyshev
+        monkeypatch.setattr(pde, "_chebyshev", lambda s: calls.append(s) or chebyshev(s))
+        g = Grid(0.0, 1e-4, 16)
+        with pytest.raises(DomainError, match=f"over {pde.MAX_STAGES} RKC stages"):
+            simulate(*bump(g), R0, g, 1.0, 0.5)
+        assert calls == [pde.MAX_STAGES]
 
     def test_diagnostics(self, bump_series):
         diag = bump_series.diagnostics

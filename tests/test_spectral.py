@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,11 +11,12 @@ from scipy.integrate import solve_ivp
 
 from branchwaves import spectral, wave
 from branchwaves.errors import ContourResolutionError, DomainError, SplittingError
+from branchwaves.model import Params
 
 
 @pytest.fixture(scope="module")
 def setup():
-    return spectral.make_setup()
+    return spectral.make_setup(wave.shoot_wave(2.0, Params(c=2.0, r=0.0)))
 
 
 @pytest.fixture(scope="module")
@@ -55,7 +57,8 @@ class TestSetup:
         assert list(i) == [setup.wave.i_minus_inf, setup.wave.i_plus_inf]
 
     def test_table_matches_scalar(self, setup):
-        # point by point: the spline inside the sampled range, the limits off it
+        # point by point: the one spline of (a, b, i) inside the sampled
+        # range, the limits off it
         zq = np.linspace(-setup.L, setup.L, 37)
         a_tab, i_tab = setup.coefficient_table(zq)
         w = setup.wave
@@ -66,7 +69,7 @@ class TestSetup:
             elif z > hi:
                 a, i = 0.0, w.i_plus_inf
             else:
-                a, i = float(setup._a_spline(z)), float(setup._i_spline(z))
+                a, _, i = setup._spline(z)
             assert a_tab[k] == pytest.approx(a, abs=1e-14)
             assert i_tab[k] == pytest.approx(i, abs=1e-14)
 
@@ -411,14 +414,6 @@ class TestEvansWinding:
             spectral.evans_winding(setup, contour)
 
 
-class TestEvansSample:
-    def test_rejects_non_finite(self):
-        with pytest.raises(DomainError):
-            spectral.EvansSample(1.0, complex(math.nan, 0.0))
-        with pytest.raises(DomainError):
-            spectral.EvansSample(complex(math.inf, 0.0), 1.0)
-
-
 class TestContour:
     def test_geometry_defaults(self):
         pts = spectral.contour_of_S()
@@ -465,23 +460,36 @@ def _circle(center, radius, n):
 
 class TestWinding:
     def test_synthetic_identity(self):
-        wind, max_step = spectral.winding_number(lambda g: g, _circle(0.5, 1.0, 32))
-        assert wind == 1
-        assert max_step <= math.pi / 3.0
+        sweep = spectral.winding_number(lambda g: g, _circle(0.5, 1.0, 32))
+        assert sweep.winding == 1
+        assert sweep.max_arg_step <= math.pi / 3.0
 
     def test_zero_free_function(self):
-        wind, _ = spectral.winding_number(lambda g: g - 5.0, _circle(0.5, 1.0, 32))
-        assert wind == 0
+        sweep = spectral.winding_number(lambda g: g - 5.0, _circle(0.5, 1.0, 32))
+        assert sweep.winding == 0
 
     def test_double_zero(self):
-        wind, _ = spectral.winding_number(lambda g: (g - 0.5) ** 2, _circle(0.5, 1.0, 64))
-        assert wind == 2
+        sweep = spectral.winding_number(lambda g: (g - 0.5) ** 2, _circle(0.5, 1.0, 64))
+        assert sweep.winding == 2
 
     def test_refinement_resolves_coarse_contour(self):
         # five points around the circle leave raw steps above pi/3
-        wind, max_step = spectral.winding_number(lambda g: g, _circle(0.5, 1.0, 5))
-        assert wind == 1
-        assert max_step <= math.pi / 3.0
+        sweep = spectral.winding_number(lambda g: g, _circle(0.5, 1.0, 5))
+        assert sweep.winding == 1
+        assert sweep.max_arg_step <= math.pi / 3.0
+
+    def test_records_evaluations_in_call_order(self):
+        # the contour points, then the chord midpoints depth first: chords
+        # 1, 2 and 3 step over pi/3, and the halves of chord 2 do too
+        contour = _circle(0.5, 1.0, 5)
+        sweep = spectral.winding_number(lambda g: g, contour)
+        c = contour[:-1]
+        m = 0.5 * (c[2] + c[3])
+        mids = [0.5 * (c[1] + c[2]), m, 0.5 * (c[2] + m), 0.5 * (m + c[3]), 0.5 * (c[3] + c[4])]
+        assert np.array_equal(sweep.gammas[:5], c)
+        assert np.array_equal(sweep.gammas[5:], mids)
+        assert np.array_equal(sweep.values, sweep.gammas)
+        assert sweep.diagnostics is None
 
     def test_unresolvable_phase(self):
         # a hard sign jump keeps a pi argument step at every bisection depth
@@ -492,11 +500,9 @@ class TestWinding:
 
     def test_wave_contour_is_zero_free(self, setup):
         contour = spectral.contour_of_S(0.1, 10.0, 48)
-        wind, max_step = spectral.winding_number(
-            lambda g: spectral.evans(g, setup), contour
-        )
-        assert wind == 0
-        assert max_step <= math.pi / 3.0
+        sweep = spectral.winding_number(lambda g: spectral.evans(g, setup), contour)
+        assert sweep.winding == 0
+        assert sweep.max_arg_step <= math.pi / 3.0
 
     def test_validation(self):
         open_path = _circle(0.5, 1.0, 16)
@@ -511,3 +517,18 @@ class TestWinding:
             spectral.winding_number(
                 lambda g: np.full_like(g, math.nan), _circle(0.5, 1.0, 8)
             )
+
+    def test_non_finite_midpoint_rejected(self):
+        # finite on the five contour points, NaN at every bisection midpoint
+        contour = _circle(0.5, 1.0, 5)
+        mid = 0.5 * (contour[1] + contour[2])
+        with pytest.raises(DomainError, match=re.escape(f"non-finite Evans sample at gamma = {mid}")):
+            spectral.winding_number(
+                lambda g: g if g.size > 1 else np.full_like(g, math.nan), contour
+            )
+
+    def test_infinite_contour_point_rejected(self):
+        contour = _circle(0.5, 1.0, 8)
+        contour[3] = complex(math.inf, 0.0)
+        with pytest.raises(DomainError, match=r"non-finite Evans sample at gamma = \(inf\+0j\)"):
+            spectral.winding_number(lambda g: g, contour)
