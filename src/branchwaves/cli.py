@@ -268,6 +268,7 @@ def cmd_wave(args: argparse.Namespace) -> int:
                 "single_max": report.single_max,
             },
             "passed": report.passed,
+            "diagnostics": traj.diagnostics,
         }
     )
     return EXIT_OK if report.passed else EXIT_VERIFICATION
@@ -294,7 +295,10 @@ def _read_initial(path: str) -> tuple[pde.Grid, np.ndarray, np.ndarray]:
     steps = np.diff(xs)
     if steps.min() <= 0 or steps.max() - steps.min() > 1e-9 * steps.max():
         raise _UsageProblem("initial data abscissae must be uniformly increasing")
-    return pde.Grid(float(xs[0]), float(xs[-1]), xs.size), A, I
+    try:
+        return pde.Grid(float(xs[0]), float(xs[-1]), xs.size), A, I
+    except DomainError as exc:
+        raise _UsageProblem(f"initial data {path}: {exc}") from exc
 
 
 def cmd_pde(args: argparse.Namespace) -> int:

@@ -1,20 +1,20 @@
-"""Adaptive explicit integration with event detection.
+"""Adaptive Dormand–Prince integration of the wave state with event detection.
 
-Thin layer over scipy's embedded RK45 pair for the shooting runs: a manual
-step loop that runs forward from z = 0 on float states, records every
-accepted step, scans the events for falling crossings on the step
-interpolant, and refines each crossing by root bracketing. The step
-control is fixed by the module constants below.
+One unrolled DP5(4) loop (Dormand & Prince 1980) on the float triple
+(a, b, i) with the step control of scipy's `RK45`: its tableau with
+first-same-as-last stages, RMS error norm, safety 0.9, step factors in
+[0.2, 10] (at most 1 after a rejection), initial-step rule and underflow
+test. It runs forward from z = 0, records every accepted step, and refines
+each falling crossing of an event on the step's quartic dense output.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
-from scipy.integrate import RK45
-from scipy.optimize import brentq
 
 from .errors import DomainError, NonConvergenceError
 
@@ -23,6 +23,25 @@ ABS_TOL = 1e-12
 MAX_STEP = 0.1
 MAX_STEPS = 1_000_000
 EVENT_ZTOL = 1e-10
+SAFETY, MIN_FACTOR, MAX_FACTOR = 0.9, 0.2, 10.0
+
+# scipy's RK45 tableau; the zero weights B2 and E2 are left out
+C2, C3, C4, C5 = 1 / 5, 3 / 10, 4 / 5, 8 / 9
+A21, A31, A32, A41, A42, A43 = 1 / 5, 3 / 40, 9 / 40, 44 / 45, -56 / 15, 32 / 9
+A51, A52, A53, A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
+A61, A62, A63, A64, A65 = 9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656
+B1, B3, B4, B5, B6 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
+E1, E3, E4, E5, E6, E7 = -71 / 57600, 71 / 16695, -71 / 1920, 17253 / 339200, -22 / 525, 1 / 40
+# quartic dense output (scipy's RK45.P): row s weights stage s on x, x^2, x^3, x^4
+P = (
+    (1, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432),
+    (0, 0, 0, 0),
+    (0, 131558114200 / 32700410799, -68118460800 / 10900136933, 87487479700 / 32700410799),
+    (0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072),
+    (0, 127303824393 / 49829197408, -318862633887 / 49829197408, 701980252875 / 199316789632),
+    (0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844),
+    (0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423),
+)
 
 
 class Event(NamedTuple):
@@ -46,11 +65,17 @@ class EventRecord(NamedTuple):
 
 @dataclass
 class Trajectory:
-    """Accepted abscissae (strictly increasing) and states, plus refined event hits."""
+    """Accepted abscissae (strictly increasing) and states, plus refined event hits.
+
+    `diagnostics` holds the counts of the `integrate` run that made it
+    (empty otherwise): accepted and rejected steps, right-hand-side
+    evaluations, and crossings refined on the dense output.
+    """
 
     zs: np.ndarray
     states: np.ndarray
     events: list[EventRecord] = field(default_factory=list)
+    diagnostics: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.zs = np.asarray(self.zs, dtype=float)
@@ -65,76 +90,159 @@ class Trajectory:
         return len(self.zs)
 
 
+def _rms(xa, xb, xi) -> float:
+    return math.sqrt(xa * xa + xb * xb + xi * xi) / 3 ** 0.5
+
+
+def _initial_step(rhs, y, f, z_end) -> float:
+    """scipy's `select_initial_step` for a fifth-order pair with a fourth-order error."""
+    sa, sb, si = (ABS_TOL + abs(v) * REL_TOL for v in y)
+    d0 = _rms(y[0] / sa, y[1] / sb, y[2] / si)
+    d1 = _rms(f[0] / sa, f[1] / sb, f[2] / si)
+    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, z_end)
+    f1 = rhs(h0, tuple(v + h0 * fv for v, fv in zip(y, f)))
+    d2 = _rms((f1[0] - f[0]) / sa, (f1[1] - f[1]) / sb, (f1[2] - f[2]) / si) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:  # a zero or NaN maximum bounds nothing, as numpy's inf or nan does in scipy
+        h1 = (0.01 / max(d1, d2)) ** 0.2 if max(d1, d2) > 0.0 else math.inf
+    return min(100 * h0, h1, z_end, MAX_STEP)
+
+
+def _dense(z0, h, y0, K):
+    """The quartic interpolant of one step from its start state and seven stages K."""
+    Q = [[sum(k[c] * p[j] for k, p in zip(K, P)) for j in range(4)] for c in range(3)]
+
+    def at(z):
+        x = (z - z0) / h
+        powers = (x, x * x, x * x * x, x * x * x * x)
+        return tuple(y + h * sum(q * w for q, w in zip(row, powers)) for y, row in zip(y0, Q))
+    return at
+
+
+def _refine(g, lo, g_lo, hi, g_hi) -> float:
+    """Root of g in [lo, hi], given g_lo > 0 >= g_hi: bisection down to EVENT_ZTOL,
+    then the secant of the final bracket."""
+    while hi - lo > EVENT_ZTOL:
+        mid = 0.5 * (lo + hi)
+        g_mid = g(mid)
+        if g_mid > 0.0:
+            lo, g_lo = mid, g_mid
+        else:
+            hi, g_hi = mid, g_mid
+    return hi - g_hi * (hi - lo) / (g_hi - g_lo)
+
+
 def integrate(
     rhs: Callable, y0, z_end: float, events: Sequence[Event] | None = None
 ) -> Trajectory:
     """Integrate ``y' = rhs(z, y)`` forward over [0, z_end], recording accepted steps.
 
-    States are float arrays. Raises
+    The state is the wave triple (a, b, i): ``rhs`` and the event
+    functions receive it as a tuple of floats, and ``rhs`` returns three
+    numbers. States come back as an (N, 3) float array. Raises
     :class:`~branchwaves.errors.NonConvergenceError` (carrying the
     partial trajectory) on step underflow or when ``MAX_STEPS`` accepted
     steps are exhausted before reaching ``z_end``.
     """
     if not z_end > 0.0:
         raise DomainError(f"z_end must be positive, got {z_end}")
+    if len(y0) != 3:
+        raise DomainError(f"y0 must hold the three components (a, b, i), got {len(y0)}")
     evs = list(events or [])
-
-    def f(z, y):
-        return np.asarray(rhs(z, y), dtype=float)
-
-    y0 = np.asarray(y0, dtype=float)
-    solver = RK45(f, 0.0, y0, z_end, rtol=REL_TOL, atol=ABS_TOL, max_step=MAX_STEP)
-
-    zs = [0.0]
-    states = [y0.copy()]
-    hits: list[EventRecord] = []
-    g_prev = [ev.fn(0.0, y0) for ev in evs]
+    rtol, atol, max_step, max_steps = REL_TOL, ABS_TOL, MAX_STEP, MAX_STEPS
+    z = 0.0
+    a, b, i = (float(v) for v in y0)
+    fa, fb, fi = rhs(z, (a, b, i))
+    h_abs = _initial_step(rhs, (a, b, i), (fa, fb, fi), z_end)
+    zs, states, hits = [z], [(a, b, i)], []
+    g_prev = [ev.fn(z, (a, b, i)) for ev in evs]
+    accepted = rejected = refined = 0
+    n_rhs = 2
 
     def partial() -> Trajectory:
-        return Trajectory(np.array(zs), np.array(states), hits)
+        return Trajectory(np.array(zs), np.array(states), hits, {
+            "accepted_steps": accepted, "rejected_steps": rejected,
+            "rhs_evaluations": n_rhs, "refined_events": refined})
 
-    while solver.status == "running":
-        if len(zs) - 1 >= MAX_STEPS:
-            raise NonConvergenceError(
-                f"no convergence within {MAX_STEPS} steps", partial()
-            )
-        solver.step()
-        if solver.status == "failed":
-            raise NonConvergenceError("step size underflow", partial())
+    while z < z_end:
+        if accepted >= max_steps:
+            raise NonConvergenceError(f"no convergence within {max_steps} steps", partial())
+        min_step = 10.0 * (math.nextafter(z, math.inf) - z)
+        h_abs = max_step if h_abs > max_step else max(h_abs, min_step)
+        retried = False
+        while True:
+            if h_abs < min_step:
+                raise NonConvergenceError("step size underflow", partial())
+            z_new = min(z + h_abs, z_end)
+            h = h_abs = z_new - z
+            n_rhs += 6
+            k2a, k2b, k2i = rhs(z + C2 * h, (a + h * (A21 * fa), b + h * (A21 * fb),
+                                             i + h * (A21 * fi)))
+            k3a, k3b, k3i = rhs(z + C3 * h, (a + h * (A31 * fa + A32 * k2a),
+                                             b + h * (A31 * fb + A32 * k2b),
+                                             i + h * (A31 * fi + A32 * k2i)))
+            k4a, k4b, k4i = rhs(z + C4 * h, (a + h * (A41 * fa + A42 * k2a + A43 * k3a),
+                                             b + h * (A41 * fb + A42 * k2b + A43 * k3b),
+                                             i + h * (A41 * fi + A42 * k2i + A43 * k3i)))
+            k5a, k5b, k5i = rhs(z + C5 * h, (
+                a + h * (A51 * fa + A52 * k2a + A53 * k3a + A54 * k4a),
+                b + h * (A51 * fb + A52 * k2b + A53 * k3b + A54 * k4b),
+                i + h * (A51 * fi + A52 * k2i + A53 * k3i + A54 * k4i)))
+            k6a, k6b, k6i = rhs(z + h, (
+                a + h * (A61 * fa + A62 * k2a + A63 * k3a + A64 * k4a + A65 * k5a),
+                b + h * (A61 * fb + A62 * k2b + A63 * k3b + A64 * k4b + A65 * k5b),
+                i + h * (A61 * fi + A62 * k2i + A63 * k3i + A64 * k4i + A65 * k5i)))
+            na = a + h * (B1 * fa + B3 * k3a + B4 * k4a + B5 * k5a + B6 * k6a)
+            nb = b + h * (B1 * fb + B3 * k3b + B4 * k4b + B5 * k5b + B6 * k6b)
+            ni = i + h * (B1 * fi + B3 * k3i + B4 * k4i + B5 * k5i + B6 * k6i)
+            k7a, k7b, k7i = rhs(z_new, (na, nb, ni))
+            error_norm = _rms(
+                h * (E1 * fa + E3 * k3a + E4 * k4a + E5 * k5a + E6 * k6a + E7 * k7a)
+                / (atol + max(abs(a), abs(na)) * rtol),
+                h * (E1 * fb + E3 * k3b + E4 * k4b + E5 * k5b + E6 * k6b + E7 * k7b)
+                / (atol + max(abs(b), abs(nb)) * rtol),
+                h * (E1 * fi + E3 * k3i + E4 * k4i + E5 * k5i + E6 * k6i + E7 * k7i)
+                / (atol + max(abs(i), abs(ni)) * rtol))
+            if error_norm < 1.0:
+                factor = (MAX_FACTOR if error_norm == 0.0
+                          else min(MAX_FACTOR, SAFETY * error_norm ** -0.2))
+                h_abs *= min(1.0, factor) if retried else factor
+                break
+            h_abs *= max(MIN_FACTOR, SAFETY * error_norm ** -0.2)
+            retried = True
+            rejected += 1
+        accepted += 1
 
-        z_old, z_new = zs[-1], solver.t
-        y_new = solver.y
-        dense = solver.dense_output()
-
+        y_new = (na, nb, ni)
         g_new = [ev.fn(z_new, y_new) for ev in evs]
         crossings = []  # (z, event index)
+        dense = None
         for k, ev in enumerate(evs):
             if g_prev[k] > 0.0 >= g_new[k]:
                 if g_new[k] == 0.0:
                     z_e = z_new
                 else:
-                    z_e = brentq(
-                        lambda z: ev.fn(z, dense(z)),
-                        z_old, z_new, xtol=EVENT_ZTOL,
-                    )
+                    dense = dense or _dense(z, h, (a, b, i), (
+                        (fa, fb, fi), (k2a, k2b, k2i), (k3a, k3b, k3i), (k4a, k4b, k4i),
+                        (k5a, k5b, k5i), (k6a, k6b, k6i), (k7a, k7b, k7i)))
+                    z_e = _refine(lambda zq: ev.fn(zq, dense(zq)), z, g_prev[k], z_new, g_new[k])
+                    refined += 1
                 crossings.append((z_e, k))
         crossings.sort()
 
-        stopped = False
         for z_e, k in crossings:
-            y_e = dense(z_e) if z_e < z_new else y_new.copy()
-            hits.append(EventRecord(k, z_e, y_e))
+            y_e = dense(z_e) if z_e < z_new else y_new
+            hits.append(EventRecord(k, z_e, np.array(y_e)))
             if evs[k].terminal:
-                if z_e > z_old:
+                if z_e > z:
                     zs.append(z_e)
                     states.append(y_e)
-                stopped = True
-                break
-        if stopped:
-            break
+                return partial()
 
         zs.append(z_new)
-        states.append(y_new.copy())
+        states.append(y_new)
         g_prev = g_new
+        z, a, b, i, fa, fb, fi = z_new, na, nb, ni, k7a, k7b, k7i
 
     return partial()

@@ -198,6 +198,7 @@ def shoot_wave(i_minus_inf: float, p: Params) -> WaveProfile:
         traj.zs - first.z,
         traj.states,
         [EventRecord(r.index, r.z - first.z, r.state) for r in traj.events],
+        traj.diagnostics,
     )
     a_max, i_at_max = float(first.state[0]), float(first.state[2])
     mu_minus, mu_plus, prefactor = _fit_tails(anchored, a_max, i_plus, p)

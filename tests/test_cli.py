@@ -45,6 +45,19 @@ class TestWave:
         assert data["a"].max() == pytest.approx(payload["profile"]["a_max"], rel=1e-4)
         assert data["a"].max() <= payload["profile"]["a_max"]
 
+    def test_reports_shooting_diagnostics(self, tmp_path, capsys):
+        code, payload, _ = run_json(capsys, "wave", "--c", 3, "--r", 1, "--i-minus", 1.5,
+                                    "--out", tmp_path / "w.csv")
+        assert code == 0
+        diag = payload["diagnostics"]
+        assert set(diag) == {"accepted_steps", "rejected_steps", "rhs_evaluations",
+                             "refined_events"}
+        # the stop event truncates the last accepted step inside it
+        assert diag["accepted_steps"] == payload["profile"]["samples"] - 1
+        assert diag["rhs_evaluations"] == 2 + 6 * (
+            diag["accepted_steps"] + diag["rejected_steps"])
+        assert diag["refined_events"] >= 2  # the maximum and the stop
+
     def test_invalid_regime_exits_2(self, tmp_path, capsys):
         out = tmp_path / "w.csv"
         code, _, err = run(capsys, "wave", "--c", 1, "--i-minus", 1.5, "--out", out)
@@ -238,6 +251,20 @@ class TestPde:
         assert "positive, finite square" in err
         assert not list(tmp_path.iterdir())
 
+    def test_underflowing_initial_spacing_exits_64(self, tmp_path, capsys):
+        # 16 rows at spacing 1e-200: the square of the spacing is 0.0
+        xs = np.arange(16) * 1e-200
+        bad = tmp_path / "tiny.csv"
+        np.savetxt(bad, np.column_stack([xs, np.ones(16), np.zeros(16)]),
+                   delimiter=",", header="x,A,I", comments="", fmt="%.17g")
+        out = tmp_path / "out"
+        out.mkdir()
+        code, _, err = run(capsys, "pde", "--initial", bad, "--t-end", 1, "--out", out / "x")
+        assert code == 64
+        assert "initial data" in err
+        assert "positive, finite square" in err
+        assert not list(out.iterdir())
+
     def test_too_many_rkc_stages_exits_2(self, tmp_path, capsys):
         # about 1e5 stages per step; rejected before the stage search
         code, _, err = run(
@@ -307,6 +334,19 @@ class TestEvans:
         moduli = np.hypot(data["re_gamma"], data["im_gamma"])
         assert moduli.min() >= 0.1 - 1e-12
         assert moduli.max() <= 10.0 + 1e-12
+
+    def test_reports_shooting_diagnostics(self, tmp_path, capsys):
+        code, payload, _ = run_json(capsys, "wave", "--c", 3, "--r", 1, "--i-minus", 1.5,
+                                    "--out", tmp_path / "w.csv")
+        assert code == 0
+        diag = payload["diagnostics"]
+        assert set(diag) == {"accepted_steps", "rejected_steps", "rhs_evaluations",
+                             "refined_events"}
+        # the stop event truncates the last accepted step inside it
+        assert diag["accepted_steps"] == payload["profile"]["samples"] - 1
+        assert diag["rhs_evaluations"] == 2 + 6 * (
+            diag["accepted_steps"] + diag["rejected_steps"])
+        assert diag["refined_events"] >= 2  # the maximum and the stop
 
     def test_invalid_regime_exits_2(self, tmp_path, capsys):
         code, _, err = run(

@@ -1,17 +1,25 @@
+import ast
+import inspect
 import math
 
 import numpy as np
 import pytest
+from scipy.integrate import RK45, solve_ivp
 from scipy.linalg import expm
+from scipy.optimize import brentq
 
 from branchwaves import odeint
 from branchwaves.errors import DomainError, NonConvergenceError
 from branchwaves.model import Params, wave_rhs
 from branchwaves.odeint import Event, Trajectory, integrate
+from branchwaves.wave import seed_unstable_manifold
 
 
 def decay(z, y):
-    return -y
+    return (-y[0], -y[1], -y[2])
+
+
+Y0 = (1.0, -2.0, 0.5)
 
 
 class TestOptions:
@@ -39,38 +47,43 @@ class TestTrajectory:
 
 class TestIntegrate:
     def test_exponential_decay(self):
-        traj = integrate(decay, [1.0], 1.0)
+        traj = integrate(decay, Y0, 1.0)
         assert traj.zs[0] == 0.0
         assert traj.zs[-1] == 1.0
-        assert traj.states[-1, 0] == pytest.approx(math.exp(-1.0), rel=1e-9)
+        np.testing.assert_allclose(traj.states[-1], np.multiply(Y0, math.exp(-1.0)),
+                                   rtol=1e-9)
 
     def test_fixed_point_stays_put(self):
         p = Params(c=2.0, r=1.0)
         y0 = np.array([0.0, 0.0, 1.6])
         traj = integrate(lambda z, y: wave_rhs(y, p), y0, 5.0)
         assert np.max(np.abs(traj.states - y0)) == 0.0
+        # no error at all: scipy's degenerate initial step, then tenfold growth
+        ref = solve_ivp(lambda z, y: wave_rhs(y, p), (0.0, 5.0), y0, method="RK45",
+                        rtol=odeint.REL_TOL, atol=odeint.ABS_TOL, max_step=odeint.MAX_STEP)
+        np.testing.assert_allclose(traj.zs, ref.t, rtol=0.0, atol=1e-15)
 
     def test_degenerate_span(self):
         with pytest.raises(DomainError):
-            integrate(decay, [1.0], 0.0)
+            integrate(decay, Y0, 0.0)
 
     def test_max_steps_carries_partial(self, monkeypatch):
         monkeypatch.setattr(odeint, "MAX_STEPS", 5)
         with pytest.raises(NonConvergenceError) as info:
-            integrate(decay, [1.0], 10.0)
+            integrate(decay, Y0, 10.0)
         partial = info.value.trajectory
         assert partial is not None
         assert len(partial) == 6
         assert partial.zs[-1] < 10.0
 
     def test_constant_matrix_vs_expm(self):
-        M = np.array([[0.2, 1.0], [-0.7, -0.5]])
-        y0 = np.array([1.0, 0.5])
+        M = np.array([[0.2, 1.0, 0.0], [-0.7, -0.5, 0.3], [0.1, 0.0, -0.4]])
+        y0 = np.array([1.0, 0.5, -0.25])
         traj = integrate(lambda z, y: M @ y, y0, 2.0)
         np.testing.assert_allclose(traj.states[-1], expm(2.0 * M) @ y0, atol=1e-8)
 
     def test_real_start_gives_float_states(self):
-        traj = integrate(decay, [1, 2], 1.0)
+        traj = integrate(decay, [1, 2, 3], 1.0)
         assert traj.states.dtype == np.float64
 
     def test_monotone_convergence(self, monkeypatch):
@@ -81,7 +94,7 @@ class TestIntegrate:
         errs = []
         for k in range(14):
             monkeypatch.setattr(odeint, "REL_TOL", 1e-4 * 0.5**k)
-            traj = integrate(decay, [1.0], 1.0)
+            traj = integrate(decay, [1.0, 1.0, 1.0], 1.0)
             errs.append(abs(traj.states[-1, 0] - math.exp(-1.0)))
         for worse, better in zip(errs, errs[1:]):
             assert better <= worse + 1e-15
@@ -90,19 +103,19 @@ class TestIntegrate:
 class TestEvents:
     @staticmethod
     def oscillator(z, y):
-        return np.array([y[1], -y[0]])
+        return (y[1], -y[0], 0.0)
 
     def test_downward_only(self):
         # y = sin z falls through zero at odd multiples of pi only
         traj = integrate(
-            self.oscillator, [0.0, 1.0], 10.0, [Event(lambda z, y: y[0])]
+            self.oscillator, [0.0, 1.0, 0.0], 10.0, [Event(lambda z, y: y[0])]
         )
         zs = [rec.z for rec in traj.events]
         assert zs == pytest.approx([math.pi, 3 * math.pi], abs=1e-8)
 
     def test_event_state_recorded(self):
         traj = integrate(
-            self.oscillator, [0.0, 1.0], 4.0, [Event(lambda z, y: y[0])]
+            self.oscillator, [0.0, 1.0, 0.0], 4.0, [Event(lambda z, y: y[0])]
         )
         rec = traj.events[0]
         assert rec.index == 0
@@ -110,7 +123,7 @@ class TestEvents:
 
     def test_terminal_event_truncates(self):
         traj = integrate(
-            self.oscillator, [0.0, 1.0], 10.0,
+            self.oscillator, [0.0, 1.0, 0.0], 10.0,
             [Event(lambda z, y: y[0], terminal=True)],
         )
         assert traj.zs[-1] == pytest.approx(math.pi, abs=1e-8)
@@ -118,7 +131,7 @@ class TestEvents:
 
     def test_abscissae_increasing_within_steps(self):
         traj = integrate(
-            self.oscillator, [0.0, 1.0], 20.0, [Event(lambda z, y: y[0])]
+            self.oscillator, [0.0, 1.0, 0.0], 20.0, [Event(lambda z, y: y[0])]
         )
         zs = [rec.z for rec in traj.events]
         assert len(zs) == 3
@@ -132,7 +145,136 @@ class TestEvents:
         # y[0] = -sin z starts exactly on the zero set and falls from there;
         # only the true falling crossing at 2 pi counts
         traj = integrate(
-            self.oscillator, [0.0, -1.0], 7.0, [Event(lambda z, y: y[0])]
+            self.oscillator, [0.0, -1.0, 0.0], 7.0, [Event(lambda z, y: y[0])]
         )
         zs = [rec.z for rec in traj.events]
         assert zs == pytest.approx([2 * math.pi], abs=1e-8)
+
+
+P_WAVE = Params(c=2.0, r=0.5)
+
+
+def wave(z, y):
+    return wave_rhs(y, P_WAVE)
+
+
+@pytest.fixture(scope="module")
+def seed():
+    return np.array(seed_unstable_manifold(1.5, P_WAVE), dtype=float)
+
+
+def reference_crossings(fn, y0, z_end):
+    """Falling crossings of fn as the scipy-based integrator placed them:
+    brentq to EVENT_ZTOL on each step's RK45 dense output."""
+    solver = RK45(lambda z, y: np.asarray(wave(z, y), dtype=float), 0.0, y0, z_end,
+                  rtol=odeint.REL_TOL, atol=odeint.ABS_TOL, max_step=odeint.MAX_STEP)
+    found, g_prev = [], fn(0.0, y0)  # (z, state)
+    while solver.status == "running":
+        z_old = solver.t
+        solver.step()
+        dense, g_new = solver.dense_output(), fn(solver.t, solver.y)
+        if g_prev > 0.0 >= g_new:
+            z = brentq(lambda z: fn(z, dense(z)), z_old, solver.t, xtol=odeint.EVENT_ZTOL)
+            found.append((z, dense(z)))
+        g_prev = g_new
+    return found
+
+
+class TestScipyOracle:
+    """scipy's RK45 is the reference: the core keeps its steps exactly."""
+
+    def test_wave_shot_matches_solve_ivp(self, seed):
+        traj = integrate(wave, seed, 150.0)
+        ref = solve_ivp(wave, (0.0, 150.0), seed, method="RK45", rtol=odeint.REL_TOL,
+                        atol=odeint.ABS_TOL, max_step=odeint.MAX_STEP, dense_output=True)
+        assert len(traj) >= 1001
+        assert len(traj) == len(ref.t)
+        assert traj.diagnostics["rhs_evaluations"] == ref.nfev
+        assert traj.zs[-1] == ref.t[-1] == 150.0
+        # The error estimate cancels heavily, so a rounding-level change moves
+        # the error-controlled step ends: scipy itself, started one ulp away,
+        # moves its step sizes by up to 3.3e-5 relative on such shots. The
+        # states lie on scipy's solution curve to rounding all the same.
+        np.testing.assert_allclose(np.diff(traj.zs), np.diff(ref.t), rtol=1e-4, atol=0.0)
+        np.testing.assert_allclose(traj.states, ref.sol(traj.zs).T, rtol=0.0, atol=1e-11)
+
+    @pytest.mark.parametrize("fn", [
+        lambda z, y: y[1],
+        lambda z, y: y[0] - 1e-3,
+        lambda z, y: y[2] - 1.0,
+    ], ids=["b", "a-level", "i-level"])
+    def test_events_match_brentq(self, seed, fn):
+        traj = integrate(wave, seed, 150.0, [Event(fn)])
+        found = reference_crossings(fn, seed, 150.0)
+        assert len(found) >= 1
+        np.testing.assert_allclose([rec.z for rec in traj.events], [z for z, _ in found],
+                                   rtol=0.0, atol=2 * odeint.EVENT_ZTOL)
+        np.testing.assert_allclose([rec.state for rec in traj.events], [y for _, y in found],
+                                   rtol=0.0, atol=1e-11)
+        # the final secant puts the event on its zero set to rounding
+        assert max(abs(fn(rec.z, rec.state)) for rec in traj.events) <= 1e-14
+
+    def test_rejections_match_solve_ivp(self, monkeypatch):
+        # a large cap on a fast decay makes the control cut steps back
+        monkeypatch.setattr(odeint, "MAX_STEP", 10.0)
+        traj = integrate(lambda z, y: tuple(-50.0 * v for v in y), Y0, 5.0)
+        ref = solve_ivp(lambda z, y: -50.0 * y, (0.0, 5.0), np.array(Y0), method="RK45",
+                        rtol=odeint.REL_TOL, atol=odeint.ABS_TOL, max_step=10.0)
+        assert traj.diagnostics["rejected_steps"] > 0
+        assert len(traj) == len(ref.t)
+        assert traj.diagnostics["rhs_evaluations"] == ref.nfev
+
+    def test_nan_rhs_underflows_like_scipy(self):
+        def turns_nan(z, y):
+            return (math.nan,) * 3 if z > 0.5 else decay(z, y)
+
+        with pytest.raises(NonConvergenceError, match="step size underflow") as info:
+            integrate(turns_nan, Y0, 2.0)
+        partial = info.value.trajectory
+
+        solver = RK45(lambda z, y: np.asarray(turns_nan(z, y)), 0.0, np.array(Y0), 2.0,
+                      rtol=odeint.REL_TOL, atol=odeint.ABS_TOL, max_step=odeint.MAX_STEP)
+        while solver.status == "running":
+            solver.step()
+        assert solver.status == "failed"
+        # both creep up to the NaN wall by rejected and shrunken steps
+        assert 0.5 - 1e-12 < partial.zs[-1] <= 0.5
+        assert 0.5 - 1e-12 < solver.t <= 0.5
+        np.testing.assert_allclose(partial.states[-1], solver.y, rtol=0.0, atol=1e-11)
+        assert partial.diagnostics["rejected_steps"] > 0
+
+    def test_imports_nothing_from_scipy(self):
+        tree = ast.parse(inspect.getsource(odeint))
+        imported = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                    for alias in node.names]
+        imported += [node.module or "" for node in ast.walk(tree)
+                     if isinstance(node, ast.ImportFrom)]
+        assert not [name for name in imported if name.split(".")[0] == "scipy"]
+
+    @pytest.mark.parametrize("y0", [[1.0], [1.0, 2.0], [1.0, 2.0, 3.0, 4.0]])
+    def test_wrong_length_state_rejected(self, y0):
+        with pytest.raises(DomainError, match="three components"):
+            integrate(lambda z, y: y, y0, 1.0)
+
+
+class TestDiagnostics:
+    def test_counts_every_rhs_call(self, seed):
+        calls = []
+
+        def counted(z, y):
+            calls.append(z)
+            return wave(z, y)
+
+        traj = integrate(counted, seed, 30.0)
+        diag = traj.diagnostics
+        assert diag["rhs_evaluations"] == len(calls)
+        assert diag["rhs_evaluations"] == 2 + 6 * (
+            diag["accepted_steps"] + diag["rejected_steps"])
+        # no terminal event: every accepted step is a sample
+        assert diag["accepted_steps"] == len(traj) - 1
+        assert diag["refined_events"] == 0
+
+    def test_refined_events_counted(self):
+        traj = integrate(TestEvents.oscillator, [0.0, 1.0, 0.0], 20.0,
+                         [Event(lambda z, y: y[0]), Event(lambda z, y: y[1])])
+        assert traj.diagnostics["refined_events"] == len(traj.events) == 6
