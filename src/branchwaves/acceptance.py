@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -45,6 +46,7 @@ class CriterionResult:
     passed: bool
     detail: str
     seconds: float
+    diagnostics: dict = field(default_factory=dict)
 
     def line(self) -> str:
         flag = "PASS" if self.passed else "FAIL"
@@ -84,6 +86,13 @@ class AcceptanceContext:
             }
         return self._reports
 
+    def wave_counters(self) -> dict:
+        """The shooting counters of the wave grid's trajectories, summed, and the wave count."""
+        totals = Counter()
+        for w in self.wave_grid().values():
+            totals.update(w.trajectory.diagnostics)
+        return {"waves": len(self.wave_grid()), **totals}
+
     def pde_run(self, r: float) -> pde.FieldSeries:
         if r not in self._pde_runs:
             grid = pde.Grid(*PDE_GRID)
@@ -109,7 +118,7 @@ def _admissible_draw(rng: np.random.Generator) -> tuple[float, float, float, flo
     return c, r, i0, a0
 
 
-def _limit_symmetry(ctx: AcceptanceContext, tol: float = 1e-3) -> tuple[bool, str]:
+def _limit_symmetry(ctx: AcceptanceContext, tol: float = 1e-3) -> tuple[bool, str, dict]:
     t0 = time.perf_counter()
     reports = ctx.wave_reports()
     worst = float(np.max([rep.limit_sum_residual for rep in reports.values()]))
@@ -117,7 +126,7 @@ def _limit_symmetry(ctx: AcceptanceContext, tol: float = 1e-3) -> tuple[bool, st
     return worst < tol, (
         f"max |i+inf + i-inf - 2| = {worst:.2e} over {len(reports)} waves "
         f"(tol {tol:g}, {per_wave:.2f}s/wave)"
-    )
+    ), ctx.wave_counters()
 
 
 def _attractor_formula(ctx: AcceptanceContext, tol: float = 1e-4) -> tuple[bool, str]:
@@ -154,7 +163,7 @@ def _threshold_consistency(ctx: AcceptanceContext, tol: float = 1e-10) -> tuple[
     )
 
 
-def _decay_rates(ctx: AcceptanceContext, tol: float = 0.02) -> tuple[bool, str]:
+def _decay_rates(ctx: AcceptanceContext, tol: float = 0.02) -> tuple[bool, str, dict]:
     prefactor_band = 0.15
     reports = ctx.wave_reports().values()
     worst_rate = float(np.max([rep.mu_minus_rel_err for rep in reports]))
@@ -164,7 +173,7 @@ def _decay_rates(ctx: AcceptanceContext, tol: float = 0.02) -> tuple[bool, str]:
     return worst_rate < tol and pre_ok, (
         f"max rear-rate rel err = {worst_rate:.2e} (tol {tol:g}); critical "
         f"tail prefactor exponents [{pre_txt}] within 1 +- {prefactor_band:g}"
-    )
+    ), ctx.wave_counters()
 
 
 def _triangles(ctx: AcceptanceContext, tol: float = 1e-6) -> tuple[bool, str]:
@@ -198,21 +207,22 @@ def _triangles(ctx: AcceptanceContext, tol: float = 1e-6) -> tuple[bool, str]:
     )
 
 
-def _mass_identities(ctx: AcceptanceContext, tol: float = 1e-4) -> tuple[bool, str]:
+def _mass_identities(ctx: AcceptanceContext, tol: float = 1e-4) -> tuple[bool, str, dict]:
     reports = ctx.wave_reports()
     worst = float(np.max([[r.mass.res1, r.mass.res2, r.mass.res3] for r in reports.values()]))
     return worst < tol, (
         f"max of the three identity residuals = {worst:.2e} over "
         f"{len(reports)} waves (tol {tol:g})"
-    )
+    ), ctx.wave_counters()
 
 
-def _pde_front(ctx: AcceptanceContext, tol: float = 0.05) -> tuple[bool, str]:
+def _pde_front(ctx: AcceptanceContext, tol: float = 0.05) -> tuple[bool, str, dict]:
     plateau_tol = 0.02
-    parts = []
+    parts, diagnostics = [], {}
     ok = True
     for r in (0.0, 1.0):
         series = ctx.pde_run(r)
+        diagnostics[f"r={r:g}"] = series.diagnostics
         c_est = pde.measure_speed(series, FRONT_THRESHOLD, PDE_WINDOW).c_est
         A, I = series.at(PDE_T_END)
         x_front = pde.front_position(A, series.grid, FRONT_THRESHOLD)
@@ -228,7 +238,7 @@ def _pde_front(ctx: AcceptanceContext, tol: float = 0.05) -> tuple[bool, str]:
             f"r={r:g}: c_est={c_est:.4f} ({100 * rel_err(c_est, 2.0):.1f}% of "
             f"{100 * tol:.0f}%), {level}"
         )
-    return ok, "; ".join(parts)
+    return ok, "; ".join(parts), diagnostics
 
 
 def _pde_ode_shape(ctx: AcceptanceContext, tol: float = 0.05) -> tuple[bool, str]:
@@ -260,20 +270,20 @@ def _pde_ode_shape(ctx: AcceptanceContext, tol: float = 0.05) -> tuple[bool, str
     )
 
 
-def _evans_winding(ctx: AcceptanceContext, tol: float = 0.1) -> tuple[bool, str]:
-    parts = []
+def _evans_winding(ctx: AcceptanceContext, tol: float = 0.1) -> tuple[bool, str, dict]:
+    parts, diagnostics = [], {}
     ok = True
     for r in (0.0, 1.0):
         setup = spectral.make_setup(wave=ctx.wave_grid()[(2.0, r, 2.0)])
         sweep = spectral.evans_winding(setup, spectral.contour_of_S())
         ok &= sweep.winding == 0
-        diag = sweep.diagnostics
+        diag = diagnostics[f"r={r:g}"] = sweep.diagnostics
         parts.append(
             f"r={r:g}: winding={sweep.winding}, max arg step {sweep.max_arg_step:.3f} rad, "
             f"closure deviation enforced < {tol:g}, halving rel diff "
             f"{diag['halving_rel_diff']:.1e}, {diag['bisections']} bisections"
         )
-    return ok, "; ".join(parts)
+    return ok, "; ".join(parts), diagnostics
 
 
 def _oscillatory_exclusion(ctx: AcceptanceContext, tol: float = 1e-6) -> tuple[bool, str]:
@@ -359,7 +369,8 @@ def run_all(
 ) -> list[CriterionResult]:
     """Run the battery; `only` filters criteria by substring match on name.
 
-    Each criterion checks at the `tol=` default in its own signature.  A
+    Each criterion checks at the `tol=` default in its own signature and returns
+    (passed, detail), plus its solvers' diagnostics where it holds them.  A
     criterion that raises is reported as failed, not propagated.
     """
     if ctx is None:
@@ -370,8 +381,9 @@ def run_all(
             continue
         t0 = time.perf_counter()
         try:
-            passed, detail = fn(ctx)
+            passed, detail, *diagnostics = fn(ctx)
         except Exception as exc:
-            passed, detail = False, f"raised {type(exc).__name__}: {exc}"
-        results.append(CriterionResult(name, passed, detail, time.perf_counter() - t0))
+            passed, detail, diagnostics = False, f"raised {type(exc).__name__}: {exc}", []
+        results.append(CriterionResult(name, passed, detail, time.perf_counter() - t0,
+                                       *diagnostics))
     return results

@@ -5,22 +5,25 @@ the reaction-diffusion front at production rate r and reports its speed
 and the plateau behind it (`pde.plateau`: mean I over [10, x_front - 20]),
 `evans` sweeps the spectral contour and reports the winding number,
 `formulas` evaluates the closed-form predictions, and `verify` runs the
-acceptance battery at the tolerances its criteria state.
+acceptance battery at the tolerances its criteria state (`--json`: one
+object per criterion, with its solvers' diagnostics).
 
 Machine-readable reports go to stdout as JSON; bulk data goes to CSV files
 (17 significant digits, LF line endings, header row) so values round-trip
 exactly.  Each flag's default is declared once, on the flag.  A flat
 `key = value` file passed with --config replaces those defaults for the
-chosen subcommand (keys are the flag names); explicit flags win.  Exit
-statuses are stable API: 0 success, 1 verification failure, and for errors
-the single table `_EXIT_TABLE`, which `main` applies to whatever a
-subcommand raises: 2 invalid regime, 3 blow-up, 4 resolution failure, 64
-usage error.
+chosen subcommand (keys are the flag names, but for `verify --json`, a
+per-run choice); explicit flags win.  Exit statuses are stable API: 0
+success, 1 verification failure, and for errors the single table
+`_EXIT_TABLE`, which `main` applies to whatever a subcommand raises: 2
+invalid regime, 3 blow-up, 4 resolution failure, 64 usage error (an
+unwritable CSV path included).
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -69,21 +72,22 @@ _EXIT_TABLE = (
 
 
 class _Parser(argparse.ArgumentParser):
+    per_run = ("help", "config")  # destinations a --config file cannot set
+
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def _write_csv(path: str, header: list[str], columns: list[np.ndarray]) -> None:
-    rows = zip(*columns)
-    with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+    # '%.17g' % x renders a Python float as format(x, '.17g') does, nan and inf included
+    row = ",".join(["%.17g"] * len(columns)) + "\n"
+    try:
+        with open(path, "w", newline="\n") as fh:
+            fh.write(",".join(header) + "\n")
+            fh.writelines(row % values for values in zip(*(col.tolist() for col in columns)))
+    except OSError as exc:
+        raise _UsageProblem(f"cannot write {path}: {exc}") from exc
 
 
 def _parse_bool(text: str) -> bool:
@@ -189,7 +193,7 @@ def _apply_config(parser: argparse.ArgumentParser, path: str) -> None:
     actions = {
         action.dest: action
         for action in parser._actions
-        if action.dest not in ("help", "config")
+        if action.dest not in parser.per_run
     }
     unknown = set(entries) - set(actions)
     if unknown:
@@ -476,8 +480,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
             f"--only {args.only!r} matches no criterion "
             f"(valid: {', '.join(acceptance.CRITERION_NAMES)})"
         )
-    for result in results:
-        print(result.line())
+    if args.json:
+        _report([dataclasses.asdict(result) for result in results])
+    else:
+        for result in results:
+            print(result.line())
     failures = [result.name for result in results if not result.passed]
     if failures:
         print(f"FAILED: {', '.join(failures)}", file=sys.stderr)
@@ -555,6 +562,10 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p_verify.add_argument("--only", help="substring filter on criterion names")
     p_verify.add_argument("--seed", type=_seed, default=2026,
                           help="randomized-check seed (default %(default)s)")
+    p_verify.add_argument("--json", action="store_true",
+                          help="one JSON object per criterion, with its diagnostics")
+    # the report form is chosen per run: a config file sets what verify checks
+    p_verify.per_run += ("json",)
     p_verify.set_defaults(handler=cmd_verify)
 
     for sp in sub.choices.values():

@@ -98,24 +98,26 @@ class WaveState(NamedTuple):
     i: float
 
 
-def wave_rhs(state, p: Params) -> WaveState:
-    """Right-hand side of the wave ODE in (a, b, i).
+def wave_rhs(state, p: Params) -> tuple[float, float, float]:
+    """Right-hand side (a', b', i') of the wave ODE in (a, b, i), a plain tuple.
 
     a' = b
     b' = a(a + i) - a - c b
     i' = -(1/c) a(a + i + r)
     """
     a, b, i = state
-    return WaveState(b, a * (a + i) - a - p.c * b, -(a * (a + i + p.r)) / p.c)
+    c = p.c
+    return b, a * (a + i) - a - c * b, -(a * (a + i + p.r)) / c
 
 
-def pde_rhs(A, I, r: float, dx: float):
+def pde_rhs(A, I, r: float, dx: float, out=None):
     """Time derivatives (dA/dt, dI/dt) of the reaction-diffusion system.
 
     r is the production rate; the PDE has no wave speed.  The Laplacian
     acts on A only, second-order central differences with zero-flux
     (mirror) ends.  A and I must be equal-length fields of at least 3
-    points.
+    points.  Given `out`, a (2, n) array sharing no memory with A or I,
+    the derivatives are written into it and its rows returned.
     """
     A = np.asarray(A, dtype=float)
     I = np.asarray(I, dtype=float)
@@ -124,16 +126,21 @@ def pde_rhs(A, I, r: float, dx: float):
     if not dx > 0:
         raise DomainError(f"grid spacing must be positive, got {dx}")
 
-    lap = np.empty_like(A)
+    dA, dI = (np.empty_like(A), np.empty_like(A)) if out is None else out
     inv_dx2 = 1.0 / (dx * dx)
-    lap[1:-1] = (A[:-2] - 2.0 * A[1:-1] + A[2:]) * inv_dx2
+    # dA = Lap(A) + A - A(A + I), dI = A(A + I) + r A, each operation in place
+    lap = dA[1:-1]
+    np.subtract(A[:-2], 2.0 * A[1:-1], out=lap)
+    lap += A[2:]
+    lap *= inv_dx2
     # zero-flux ends: mirror ghost point, so the stencil sees A[1] on both sides
-    lap[0] = 2.0 * (A[1] - A[0]) * inv_dx2
-    lap[-1] = 2.0 * (A[-2] - A[-1]) * inv_dx2
-
-    growth = A * (A + I)
-    dA = lap + A - growth
-    dI = growth + r * A
+    dA[0] = 2.0 * (A[1] - A[0]) * inv_dx2
+    dA[-1] = 2.0 * (A[-2] - A[-1]) * inv_dx2
+    dA += A
+    np.add(A, I, out=dI)
+    dI *= A
+    dA -= dI
+    dI += r * A
     return dA, dI
 
 

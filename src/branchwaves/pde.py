@@ -154,8 +154,10 @@ def simulate(A0, I0, r: float, grid: Grid, t_end: float,
     w = grid.dx * np.r_[0.5, np.ones(grid.n - 2), 0.5]  # trapezoid weights
     times = _snapshot_times(t_end, snapshot_dt, grid.n)
     Y = np.array([A, I])
-    snaps = [(Y[0], Y[1])]
+    snaps = [(A, I)]
     diag = dict(steps=0, stages=len(stages), h=0.0, rhs_evaluations=0, mass_balance_residual=0.0)
+    # (2, n) stage buffers, reused by every stage of the run
+    F0, F, Ys, cur, prev, new = (np.empty_like(Y) for _ in range(6))
 
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, len(times)):
@@ -165,17 +167,26 @@ def simulate(A0, I0, r: float, grid: Grid, t_end: float,
             # stage j: Y_j - Y0 = mu (Y_{j-1} - Y0) + nu (Y_{j-2} - Y0) + mu~ h F_{j-1}
             # + gamma~ h F_0, so F = 0 keeps Y bitwise; the mass of F(Y) is (1 + r) w.A
             for _ in range(n_steps):
-                F0 = np.array(pde_rhs(Y[0], Y[1], r, grid.dx))
+                pde_rhs(Y[0], Y[1], r, grid.dx, out=F0)
                 f0 = (1.0 + r) * (w @ Y[0])
-                prev, m_prev = 0.0, 0.0
-                cur, m_cur = (stages[0][2] * h) * F0, stages[0][2] * h * f0
+                prev[:], m_prev = 0.0, 0.0
+                np.multiply(F0, stages[0][2] * h, out=cur)
+                m_cur = stages[0][2] * h * f0
                 for mu, nu, mu_t, gamma_t in stages[1:]:
-                    Ys = Y + cur
-                    F = np.array(pde_rhs(Ys[0], Ys[1], r, grid.dx))
+                    np.add(Y, cur, out=Ys)
+                    pde_rhs(Ys[0], Ys[1], r, grid.dx, out=F)
                     f = (1.0 + r) * (w @ Ys[0])
-                    cur, prev = mu * cur + nu * prev + (mu_t * h) * F + (gamma_t * h) * F0, cur
+                    # new = mu cur + nu prev + (mu~ h) F + (gamma~ h) F0, summed in that order
+                    np.multiply(cur, mu, out=new)
+                    prev *= nu
+                    new += prev
+                    np.multiply(F, mu_t * h, out=prev)
+                    new += prev
+                    np.multiply(F0, gamma_t * h, out=prev)
+                    new += prev
+                    cur, prev, new = new, cur, prev
                     m_cur, m_prev = mu * m_cur + nu * m_prev + h * (mu_t * f + gamma_t * f0), m_cur
-                Y = Y + cur
+                Y += cur
                 mass += m_cur
             diag["steps"] += n_steps
             diag["rhs_evaluations"] += n_steps * len(stages)
@@ -189,7 +200,7 @@ def simulate(A0, I0, r: float, grid: Grid, t_end: float,
                     f"{problem} by t = {times[k]:g} (last finite snapshot at t = {times[k - 1]:g})",
                     series=FieldSeries(grid, times[:k], snaps, diag))
             diag["mass_balance_residual"] = max(diag["mass_balance_residual"], residual)
-            snaps.append((Y[0], Y[1]))
+            snaps.append(tuple(Y.copy()))
     return FieldSeries(grid, times, snaps, diag)
 
 

@@ -83,6 +83,13 @@ def test_unknown_filter_matches_nothing(ctx):
     assert acceptance.run_all(only="no-such-criterion", ctx=ctx) == []
 
 
+def test_diagnostics_where_the_criterion_holds_them(ctx):
+    [front] = acceptance.run_all(only="pde-front", ctx=ctx)
+    assert front.diagnostics == {f"r={r:g}": ctx.pde_run(r).diagnostics for r in (0.0, 1.0)}
+    [rescaling] = acceptance.run_all(only="rescaling", ctx=ctx)
+    assert rescaling.diagnostics == {}
+
+
 def test_raising_criterion_reports_failure(ctx, monkeypatch):
     # the battery folds an exception into a failed result instead of
     # propagating it

@@ -498,6 +498,22 @@ class TestVerify:
         assert out == ""
         assert "argument --seed: expected an integer >= 0" in err
 
+    def test_json_reports_each_criterion(self, capsys):
+        code, payload, err = run_json(capsys, "verify", "--only", "mass-identities", "--json")
+        assert code == 0
+        assert err == ""
+        [entry] = payload
+        assert list(entry) == ["name", "passed", "detail", "seconds", "diagnostics"]
+        assert entry["name"] == "mass-identities"
+        assert entry["passed"] is True
+        # the grid's shooting counters, summed over its waves
+        diag = entry["diagnostics"]
+        assert diag["waves"] == 16
+        assert diag["rhs_evaluations"] == 2 * diag["waves"] + 6 * (
+            diag["accepted_steps"] + diag["rejected_steps"])
+        _, out, _ = run(capsys, "verify", "--only", "mass-identities")
+        assert out.startswith(f"[PASS] mass-identities: {entry['detail']} (")
+
     def test_tol_flag_exits_64(self, capsys):
         # the criteria's tolerances are fixed; no flag loosens them
         code, _, err = run(capsys, "verify", "--tol", "rescaling=1")
@@ -615,3 +631,38 @@ class TestUsage:
         code, out, _ = run(capsys, "--help")
         assert code == 0
         assert "wave" in out and "verify" in out
+
+
+class TestCsv:
+    def test_bytes_match_per_value_rendering(self, tmp_path):
+        special = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1e300, -1e300,
+                            3.0, -2.0, 1e17, 0.1, 1.0 / 3.0])
+        z = np.empty(special.size, dtype=complex)
+        z.real, z.imag = special, special[::-1]
+        turns = np.exp(1j * np.arange(special.size))
+        columns = [special, z.real, z.imag, turns.real, turns.imag,
+                   np.arange(special.size, dtype=float)]
+        path = tmp_path / "pin.csv"
+        cli._write_csv(str(path), ["s", "re", "im", "cos", "sin", "k"], columns)
+        # the per-value rendering the writer must reproduce byte for byte
+        expected = "s,re,im,cos,sin,k\n" + "".join(
+            ",".join(format(float(v), ".17g") for v in row) + "\n" for row in zip(*columns)
+        )
+        assert path.read_bytes() == expected.encode()
+
+    def test_empty_columns_write_the_header(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        cli._write_csv(str(path), ["x", "A", "I"], [np.empty(0)] * 3)
+        assert path.read_bytes() == b"x,A,I\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["wave", "--out", "missing/w.csv"],
+        ["pde", "--grid", "201:-30:120", "--t-end", "2", "--out", "missing/p"],
+        ["evans", "--self-test", "--out", "missing/e.csv"],
+    ], ids=["wave", "pde", "evans"])
+    def test_unwritable_out_exits_64(self, tmp_path, capsys, argv):
+        code, out, err = run(capsys, *argv[:-1], tmp_path / argv[-1])
+        assert code == 64
+        assert out == ""
+        assert err.startswith(f"error: cannot write {tmp_path / 'missing'}")
+        assert "Traceback" not in err

@@ -83,7 +83,7 @@ class TestWaveRhs:
         for _ in range(200):
             a, i = rng.uniform(0, 2, size=2)
             b = rng.uniform(-2, 2)
-            assert wave_rhs((a, b, i), p).i <= 0
+            assert wave_rhs((a, b, i), p)[2] <= 0
 
 
 class TestWaveJacobian:
@@ -149,6 +149,22 @@ class TestPdeRhs:
         dA, _ = pde_rhs(A, np.zeros(40), 0.0, dx=0.5)
         lap = dA - A + A * A
         assert abs(np.trapezoid(lap, dx=0.5)) < 1e-12
+
+    def test_matches_plain_expressions_and_fills_out(self):
+        rng = np.random.default_rng(5)
+        A, I = rng.uniform(0, 2, size=(2, 50))
+        dx, r = 0.3, 0.7
+        # the formula as plain array expressions: the bitwise oracle of the in-place form
+        lap = np.empty_like(A)
+        lap[1:-1] = (A[:-2] - 2.0 * A[1:-1] + A[2:]) * (1.0 / (dx * dx))
+        lap[0] = 2.0 * (A[1] - A[0]) * (1.0 / (dx * dx))
+        lap[-1] = 2.0 * (A[-2] - A[-1]) * (1.0 / (dx * dx))
+        want = (lap + A - A * (A + I), A * (A + I) + r * A)
+        np.testing.assert_array_equal(pde_rhs(A, I, r, dx), want)
+        out = np.full((2, 50), np.nan)
+        dA, dI = pde_rhs(A, I, r, dx, out=out)
+        assert np.shares_memory(dA, out[0]) and np.shares_memory(dI, out[1])
+        np.testing.assert_array_equal(out, want)
 
     def test_shape_errors(self):
         with pytest.raises(ValueError):

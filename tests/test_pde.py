@@ -59,6 +59,30 @@ def rk4_reference(A, I, r, grid, times):
     return snaps
 
 
+def rkc_reference(A, I, r, grid, times):
+    """Snapshots at times of the RKC steps of `simulate`, a new array per operation.
+
+    The bitwise oracle of the stage buffers `simulate` updates in place: the
+    same operations on the same operands, in the same order.
+    """
+    stages = pde._rkc_stages(pde.STEP * (4.0 / grid.dx**2 + 5.0 + r))
+    Y = np.array([A, I])
+    snaps = [(A, I)]
+    for span in np.diff(times):
+        n_steps = max(1, math.ceil(span / pde.STEP - 1e-12))
+        h = float(span) / n_steps
+        for _ in range(n_steps):
+            F0 = np.array(pde_rhs(Y[0], Y[1], r, grid.dx))
+            prev, cur = 0.0, (stages[0][2] * h) * F0
+            for mu, nu, mu_t, gamma_t in stages[1:]:
+                Ys = Y + cur
+                F = np.array(pde_rhs(Ys[0], Ys[1], r, grid.dx))
+                cur, prev = mu * cur + nu * prev + (mu_t * h) * F + (gamma_t * h) * F0, cur
+            Y = Y + cur
+        snaps.append((Y[0], Y[1]))
+    return snaps
+
+
 def field_gaps(series, reference):
     """Largest |A - A_ref| and |I - I_ref| over all snapshots."""
     return tuple(
@@ -252,9 +276,10 @@ class TestRkc:
         assert 0.0 <= diag["mass_balance_residual"] < 1e-13
 
     def test_source_term_breaks_mass_balance(self, monkeypatch):
-        def leaky(A, I, r, dx):
-            dA, dI = pde_rhs(A, I, r, dx)
-            return dA + 1e-6, dI
+        def leaky(A, I, r, dx, out=None):
+            dA, dI = pde_rhs(A, I, r, dx, out)
+            dA += 1e-6
+            return dA, dI
 
         monkeypatch.setattr(pde, "pde_rhs", leaky)
         g = Grid(-20.0, 20.0, 401)
@@ -263,6 +288,31 @@ class TestRkc:
         series = info.value.series
         assert len(series.times) == len(series.snapshots) == 1
         assert series.diagnostics["steps"] == 25
+
+    def test_stage_buffers_match_plain_expressions(self):
+        g = Grid(-20.0, 20.0, 401)
+        series = simulate(*bump(g), 1.0, g, 1.0, 0.5)
+        assert series.diagnostics["stages"] >= 3  # the buffers rotate
+        reference = rkc_reference(*bump(g), 1.0, g, series.times)
+        for got, want in zip(series.snapshots, reference, strict=True):
+            np.testing.assert_array_equal(got, want)
+
+    def test_snapshots_are_copies(self):
+        g = Grid(-20.0, 20.0, 201)
+        A0, I0 = bump(g)
+        series = simulate(A0, I0, R0, g, 1.0, 0.5)
+        first, middle, last = series.snapshots
+        np.testing.assert_array_equal(first, (A0, I0))
+        assert not np.array_equal(middle[0], last[0])
+
+    def test_rhs_evaluations_count_the_calls(self, monkeypatch):
+        # each stage calls the right-hand side through the module name the benchmark traces
+        calls = []
+        monkeypatch.setattr(pde, "pde_rhs",
+                            lambda *args, **kwargs: calls.append(1) or pde_rhs(*args, **kwargs))
+        g = Grid(-20.0, 20.0, 201)
+        series = simulate(*bump(g), R0, g, 1.0, 0.5)
+        assert series.diagnostics["rhs_evaluations"] == len(calls) > 0
 
     def test_cli_reports_diagnostics(self, tmp_path, capsys):
         argv = ["pde", "--grid", "201:-30:120", "--t-end", "2", "--out", str(tmp_path / "p")]

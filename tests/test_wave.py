@@ -204,6 +204,15 @@ class TestShootFromMax:
             shoot_from_max(0.49, 0.51, Params(c=1.5, r=0.0))
 
 
+class TestCounters:
+    def test_rhs_evaluations_count_the_calls(self, monkeypatch):
+        # the shot calls the right-hand side through the module name the benchmark traces
+        calls = []
+        monkeypatch.setattr(wave, "wave_rhs", lambda y, p: calls.append(1) or wave_rhs(y, p))
+        traj, _ = shoot_from_max(0.2, 0.3, P20)
+        assert traj.diagnostics["rhs_evaluations"] == len(calls) > 0
+
+
 class TestVerifyConstantProfile:
     def test_trivially_passes(self):
         zs = np.linspace(-10.0, 10.0, 201)
