@@ -88,10 +88,7 @@ class AcceptanceContext:
 
     def wave_counters(self) -> dict:
         """The shooting counters of the wave grid's trajectories, summed, and the wave count."""
-        totals = Counter()
-        for w in self.wave_grid().values():
-            totals.update(w.trajectory.diagnostics)
-        return {"waves": len(self.wave_grid()), **totals}
+        return _counters("waves", [w.trajectory for w in self.wave_grid().values()])
 
     def pde_run(self, r: float) -> pde.FieldSeries:
         if r not in self._pde_runs:
@@ -108,14 +105,26 @@ class AcceptanceContext:
         return self._pde_runs[r]
 
 
-def _admissible_draw(rng: np.random.Generator) -> tuple[float, float, float, float]:
-    """Random (c, r, i0, a0) with i0 above the minimal level and a0 admissible."""
+def _counters(unit: str, trajectories: list) -> dict:
+    """The shooting counters of the trajectories, summed, after their count keyed by unit."""
+    totals = Counter()
+    for traj in trajectories:
+        totals.update(traj.diagnostics)
+    return {unit: len(trajectories), **totals}
+
+
+def _level_draw(rng: np.random.Generator) -> tuple[float, float, float, float]:
+    """Random (c, r, i_c, i0): a speed, a rate, its minimal level and a start level above it."""
     c = rng.uniform(1.5, 4.0)
     r = rng.uniform(0.0, 2.0)
     i_c = analysis.minimal_inactive_limit(c)
-    i0 = rng.uniform(i_c + 0.05, 0.95)
-    a0 = rng.uniform(0.0, analysis.a_star(i0, c, r))
-    return c, r, i0, a0
+    return c, r, i_c, rng.uniform(i_c + 0.05, 0.95)
+
+
+def _admissible_draw(rng: np.random.Generator) -> tuple[float, float, float, float, float]:
+    """`_level_draw`'s (c, r, i_c, i0), then a random admissible start height a0."""
+    c, r, i_c, i0 = _level_draw(rng)
+    return c, r, i_c, i0, rng.uniform(0.0, analysis.a_star(i0, c, r))
 
 
 def _limit_symmetry(ctx: AcceptanceContext, tol: float = 1e-3) -> tuple[bool, str, dict]:
@@ -129,30 +138,28 @@ def _limit_symmetry(ctx: AcceptanceContext, tol: float = 1e-3) -> tuple[bool, st
     ), ctx.wave_counters()
 
 
-def _attractor_formula(ctx: AcceptanceContext, tol: float = 1e-4) -> tuple[bool, str]:
+def _attractor_formula(ctx: AcceptanceContext, tol: float = 1e-4) -> tuple[bool, str, dict]:
     rng = ctx.rng(2)
     t0 = time.perf_counter()
-    defects = []
+    defects, shots = [], []
     for _ in range(50):
-        c, r, i0, a0 = _admissible_draw(rng)
-        _, limit = wave_mod.shoot_from_max(a0, i0, Params(c=c, r=r))
+        c, r, _, i0, a0 = _admissible_draw(rng)
+        traj, limit = wave_mod.shoot_from_max(a0, i0, Params(c=c, r=r))
+        shots.append(traj)
         defects.append(abs(limit - analysis.i_plus_infinity(a0, i0, c, r)))
     worst = float(np.max(defects))  # NaN propagates, failing worst < tol
     elapsed = time.perf_counter() - t0
     return worst < tol and elapsed < 60.0, (
         f"max |measured limit - closed form| = {worst:.2e} over 50 random "
         f"starts (tol {tol:g}, {elapsed:.0f}s of 60s budget)"
-    )
+    ), _counters("shots", shots)
 
 
 def _threshold_consistency(ctx: AcceptanceContext, tol: float = 1e-10) -> tuple[bool, str]:
     rng = ctx.rng(3)
     defects = []
     for _ in range(100):
-        c = rng.uniform(1.5, 4.0)
-        r = rng.uniform(0.0, 2.0)
-        i_c = analysis.minimal_inactive_limit(c)
-        i0 = rng.uniform(i_c + 0.05, 0.95)
+        c, r, i_c, i0 = _level_draw(rng)
         alpha = analysis.alpha_threshold(i0, c, r)
         a_max = analysis.a_at_first_max(2.0 - i_c, i0, c, r)
         defects += [abs(analysis.i_plus_infinity(alpha, i0, c, r) - i_c), abs(a_max - alpha)]
@@ -176,20 +183,19 @@ def _decay_rates(ctx: AcceptanceContext, tol: float = 0.02) -> tuple[bool, str, 
     ), ctx.wave_counters()
 
 
-def _triangles(ctx: AcceptanceContext, tol: float = 1e-6) -> tuple[bool, str]:
+def _triangles(ctx: AcceptanceContext, tol: float = 1e-6) -> tuple[bool, str, dict]:
     rng = ctx.rng(5)
     escapes = 0
-    samples = 0
+    shots = []
     for _ in range(200):
-        c, r, i0, a0 = _admissible_draw(rng)
+        c, r, i_c, i0, a0 = _admissible_draw(rng)
         traj, _ = wave_mod.shoot_from_max(a0, i0, Params(c=c, r=r))
-        i_c = analysis.minimal_inactive_limit(c)
+        shots.append(traj)
         levels = np.clip(traj.states[:, 2], i_c, 1.0 - 1e-12)
         inside = analysis.triangle_contains(
             analysis.triangle(levels, c), traj.states[:, :2], tol=tol
         )
         escapes += int(np.count_nonzero(~inside))
-        samples += len(traj)
     nested = True
     for _ in range(50):
         c = rng.uniform(1.5, 4.0)
@@ -201,10 +207,10 @@ def _triangles(ctx: AcceptanceContext, tol: float = 1e-6) -> tuple[bool, str]:
         vertices = [inner.v0, inner.v1, inner.apex]
         nested &= bool(analysis.triangle_contains(outer, vertices, tol=1e-9).all())
     return escapes == 0 and nested, (
-        f"{escapes} escapes beyond slack {tol:g} across {samples} samples of "
+        f"{escapes} escapes beyond slack {tol:g} across {sum(map(len, shots))} samples of "
         f"200 trajectories; vertex nesting over 50 level pairs "
         f"{'holds' if nested else 'FAILS'}"
-    )
+    ), _counters("shots", shots)
 
 
 def _mass_identities(ctx: AcceptanceContext, tol: float = 1e-4) -> tuple[bool, str, dict]:

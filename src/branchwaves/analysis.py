@@ -1,27 +1,29 @@
 """Closed-form objects of the wave analysis, as checkable functions.
 
-Everything here is exact arithmetic on formulas: fixed-point spectra, the
-invariant triangles of the frozen-inactive 2-D subsystem (one closed form
-over one level or an array of levels), the attractor limit formula and its
-threshold inversion, and the integral (mass-transfer) identities evaluated
-on computed profile segments.
+Everything here is exact arithmetic on formulas: the fixed-point rates and
+eigenvectors (the one far field of `wave` and `spectral`), the invariant
+triangles of the frozen-inactive 2-D subsystem (one closed form over one
+level or an array of levels), the attractor limit formula and its threshold
+inversion, and the integral (mass-transfer) identities evaluated on
+computed profile segments.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InvalidSegmentError, OscillatoryRegimeError
+from .errors import DomainError, InvalidSegmentError, OscillatoryRegimeError, SplittingError
 from .model import Params
 
 __all__ = [
-    "Spectrum3",
     "Triangle",
     "MassResiduals",
     "fixed_point_spectrum",
+    "eigenvector",
     "minimal_inactive_limit",
     "decay_rate",
     "triangle",
@@ -35,33 +37,31 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Spectrum3:
-    """Eigenvalues of the wave-ODE Jacobian at a fixed point (0, 0, K).
+def fixed_point_spectrum(K: float, c: float, gamma: complex = 0.0, w: float = 0.0) -> tuple:
+    """Eigenvalues at the fixed point (0, 0, K): (i-mode, growing root, decaying root).
 
-    lambda0 is exactly 0 (the fixed-point continuum direction); the other
-    two are -c/2 +- sqrt(discriminant), a complex pair when the
-    discriminant c^2/4 + K - 1 is negative.
+    gamma/c + w and w - c/2 +- sqrt(c^2/4 + gamma + K - 1), principal branch, at the
+    spectral parameter gamma and weight w of `spectral`.  At the defaults, the wave-ODE
+    rates: the i-mode is exactly 0, and the roots are a complex pair where c^2/4 + K < 1.
     """
-
-    lambda0: float
-    lambda_plus: float | complex
-    lambda_minus: float | complex
-    discriminant: float
-
-
-def fixed_point_spectrum(K: float, c: float) -> Spectrum3:
-    """Spectrum of the linearization at the fixed point (0, 0, K)."""
     if not c > 0:
         raise DomainError(f"wave speed must be positive, got {c}")
-    disc = c * c / 4.0 + K - 1.0
-    root = math.sqrt(disc) if disc >= 0 else complex(0.0, math.sqrt(-disc))
-    return Spectrum3(
-        lambda0=0.0,
-        lambda_plus=-c / 2.0 + root,
-        lambda_minus=-c / 2.0 - root,
-        discriminant=disc,
-    )
+    root = cmath.sqrt(c * c / 4.0 + gamma + K - 1.0)
+    return (gamma / c + w, w - c / 2.0 + root, w - c / 2.0 - root)
+
+
+def eigenvector(K: float, c: float, r: float, lam: complex, gamma: complex = 0.0):
+    """Eigenvector (1, lam, (K + r) / (gamma - c lam)) at (0, 0, K) for a root lam.
+
+    lam is a root of `fixed_point_spectrum` at the same K, c and gamma,
+    less the weight.  SplittingError where gamma - c lam is below 1e-10 in
+    modulus: lam collides with the i-mode there and this form degenerates.
+    """
+    den = gamma - c * lam
+    if abs(den) < 1e-10:
+        raise SplittingError(f"limit eigenvalue {lam} collides with the i-mode at gamma = "
+                             f"{gamma}, where its eigenvector degenerates")
+    return (1.0, lam, (K + r) / den)
 
 
 def minimal_inactive_limit(c: float) -> float:
@@ -74,16 +74,14 @@ def minimal_inactive_limit(c: float) -> float:
 def decay_rate(i_limit: float, c: float) -> float:
     """Spatial tail rate -c/2 + sqrt(c^2/4 + i_limit - 1) at an inactive limit.
 
-    This is lambda_plus of the fixed-point spectrum, rejected where it is
-    complex.
+    This is the growing root of the fixed-point spectrum, rejected where it
+    is complex.
     """
-    spec = fixed_point_spectrum(i_limit, c)
-    if spec.discriminant < 0:
-        raise OscillatoryRegimeError(
-            f"negative discriminant {spec.discriminant} at i = {i_limit}, "
-            f"c = {c}: oscillatory regime"
-        )
-    return spec.lambda_plus
+    rate = fixed_point_spectrum(i_limit, c)[1]
+    if rate.imag:
+        raise OscillatoryRegimeError(f"complex tail rate {rate} at i = {i_limit}, c = {c}: "
+                                     "oscillatory regime")
+    return rate.real
 
 
 @dataclass(frozen=True)

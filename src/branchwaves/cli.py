@@ -24,8 +24,10 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import errno
 import json
 import math
+import os
 import sys
 from typing import Callable
 
@@ -77,6 +79,14 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
+def _check_out(path: str) -> None:
+    """Raise `_write_csv`'s usage error up front if the directory of path is missing or read-only."""
+    folder = os.path.dirname(path) or "."
+    if not os.access(folder, os.W_OK | os.X_OK):
+        code = errno.EACCES if os.path.isdir(folder) else errno.ENOENT
+        raise _UsageProblem(f"cannot write {path}: {OSError(code, os.strerror(code), path)}")
 
 
 def _write_csv(path: str, header: list[str], columns: list[np.ndarray]) -> None:
@@ -220,19 +230,8 @@ def _report(payload: dict) -> None:
 
 
 def cmd_wave(args: argparse.Namespace) -> int:
-    params = Params(c=args.c, r=args.r)
-    try:
-        profile = wave_mod.shoot_wave(args.i_minus, params)
-    except NegativityError as exc:
-        bound = 2.0 - analysis.minimal_inactive_limit(args.c)
-        where = "" if exc.z is None else f" at z = {exc.z:.2f}"
-        raise NegativityError(
-            f"no non-negative wave at c = {args.c:g}, "
-            f"i_minus = {args.i_minus:g}; rear levels above {bound:g} make "
-            f"the approach to the far equilibrium oscillatory, and a fell "
-            f"to {exc.value:.2e}{where}"
-        ) from exc
-
+    _check_out(args.out)
+    profile = wave_mod.shoot_wave(args.i_minus, Params(c=args.c, r=args.r))
     traj = profile.trajectory
     _write_csv(
         args.out,
@@ -306,6 +305,7 @@ def _read_initial(path: str) -> tuple[pde.Grid, np.ndarray, np.ndarray]:
 
 
 def cmd_pde(args: argparse.Namespace) -> int:
+    _check_out(args.out)
     if args.initial is not None:
         grid, A0, I0 = _read_initial(args.initial)
         source = f"initial data {args.initial}"
@@ -362,6 +362,7 @@ def cmd_pde(args: argparse.Namespace) -> int:
 
 
 def cmd_evans(args: argparse.Namespace) -> int:
+    _check_out(args.out)
     if args.self_test:
         theta = np.linspace(0.0, 2.0 * math.pi, 65)
         contour = 0.5 + np.exp(1j * theta)
@@ -370,8 +371,7 @@ def cmd_evans(args: argparse.Namespace) -> int:
         expected = 1
         L_used = None
     else:
-        params = Params(c=args.c, r=args.r)
-        profile = wave_mod.shoot_wave(args.i_minus, params)
+        profile = wave_mod.shoot_wave(args.i_minus, Params(c=args.c, r=args.r))
         setup = spectral.make_setup(wave=profile, w_exp=args.w_exp, L=args.L)
         try:
             sweep = spectral.evans_winding(setup, args.contour)

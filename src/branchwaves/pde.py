@@ -42,6 +42,8 @@ class Grid:
     def __post_init__(self):
         if self.n < 16:
             raise DomainError(f"need at least 16 grid points, got {self.n}")
+        if self.n > MAX_STORED_VALUES // 4:  # every run stores A and I at t = 0 and at t_end
+            raise DomainError(f"need at most {MAX_STORED_VALUES // 4} grid points, got {self.n}")
         if not -math.inf < self.x_min < self.x_max < math.inf:
             raise DomainError(
                 f"domain [{self.x_min}, {self.x_max}] must be finite and non-empty"

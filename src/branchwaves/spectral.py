@@ -7,7 +7,8 @@ eigenvalue by w_exp.  For admissible weights the shifted system has two
 unstable directions behind the front and one stable direction ahead of it,
 and a candidate eigenvalue gamma is a zero of the determinant pairing those
 subspaces at z = 0.  `limit_rates` gives the shifted far-field eigenvalues
-and rejects any gamma at which that splitting fails.
+(`analysis.fixed_point_spectrum` at each limit) and rejects any gamma at
+which that splitting fails.
 
 The rear subspace is carried as a wedge (second exterior power), which keeps
 the initial data analytic in gamma even where the two rear eigenvectors
@@ -48,6 +49,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 from scipy.interpolate import CubicSpline
 
+from .analysis import eigenvector, fixed_point_spectrum
 from .errors import ContourResolutionError, DomainError, SplittingError
 from .model import Params
 from .wave import WaveProfile
@@ -80,6 +82,9 @@ _MAX_REFINE = 12
 # matrices while memory grew with the block
 _BLOCK = 512
 _RE_MARGIN = 1e-10
+# a contour has about 2.25 base_n points, marched at once: 22,501 take about 30 s
+# on a 2-vCPU host, while 10**9 would allocate tens of GB before the first value
+MAX_CONTOUR_N = 10**4
 _SETTLED_FRACTION = 1e-8
 
 
@@ -165,19 +170,14 @@ def _weighted_matrix(a, i, gamma, p: Params, w: float) -> np.ndarray:
     return m
 
 
-def _limit_rates(gamma: complex, i_limit: float, c: float, w: float):
-    """Shifted far-field eigenvalues, principal branch, sorted (i-mode, +, -)."""
-    root = cmath.sqrt(c * c / 4.0 + gamma + i_limit - 1.0)
-    return (gamma / c + w, w - c / 2.0 + root, w - c / 2.0 - root)
-
-
 def limit_rates(gamma: complex, setup: SpectralSetup):
     """Shifted far-field eigenvalues (nu_minus, nu_plus) at z = -inf, +inf.
 
-    Each triple is ordered (i-mode, growing root, decaying root).  Raises
-    DomainError at a non-finite gamma, off Re(gamma) >= 0 or at gamma = 0,
-    and SplittingError unless both sides split into two unstable and one
-    stable direction, each real part at least 1e-10 from zero.
+    Each triple is `fixed_point_spectrum` at that limit, ordered (i-mode,
+    growing root, decaying root).  Raises DomainError at a non-finite
+    gamma, off Re(gamma) >= 0 or at gamma = 0, and SplittingError unless
+    both sides split into two unstable and one stable direction, each real
+    part at least 1e-10 from zero.
     """
     g = complex(gamma)
     if not cmath.isfinite(g):
@@ -187,8 +187,8 @@ def limit_rates(gamma: complex, setup: SpectralSetup):
     if g == 0:
         raise DomainError("gamma = 0 sits on the essential-spectrum boundary")
     c, w = setup.wave.params.c, setup.w_exp
-    nu_minus = _limit_rates(g, setup.wave.i_minus_inf, c, w)
-    nu_plus = _limit_rates(g, setup.wave.i_plus_inf, c, w)
+    nu_minus = fixed_point_spectrum(setup.wave.i_minus_inf, c, g, w)
+    nu_plus = fixed_point_spectrum(setup.wave.i_plus_inf, c, g, w)
     for nu in (*nu_minus, *nu_plus):
         if abs(nu.real) < _RE_MARGIN:
             raise SplittingError(
@@ -373,17 +373,8 @@ def evans(
     shift_x = np.empty(flat.size, dtype=complex)
     for k, g in enumerate(map(complex, flat)):
         nu_minus, nu_plus = limit_rates(g, setup)
-        # front stable vector (1, lam3, (i_plus + r) / (g - c lam3)); the
-        # form degenerates at an eigenvalue collision, where g - c lam3 vanishes
-        lam3 = nu_plus[2] - w
-        den = g - p.c * lam3
-        if abs(den) < 1e-10:
-            raise SplittingError(
-                f"limit eigenvectors collide at gamma = {g}; perturb gamma "
-                "radially off the collision point"
-            )
         V[k] = (0.0, -1.0, -(nu_minus[1] - w))
-        X[k] = (1.0, lam3, (setup.wave.i_plus_inf + p.r) / den)
+        X[k] = eigenvector(setup.wave.i_plus_inf, p.c, p.r, nu_plus[2] - w, g)
         shift_v[k] = nu_minus[0] + nu_minus[1]
         shift_x[k] = nu_plus[2]
     tally = Counter() if tally is None else tally
@@ -409,6 +400,8 @@ def contour_of_S(
         raise DomainError("need 0 < r_min < r_max < inf")
     if base_n < 16:
         raise DomainError("base_n below 16 cannot resolve the contour")
+    if base_n > MAX_CONTOUR_N:
+        raise DomainError(f"base_n is capped at {MAX_CONTOUR_N}, got {base_n}")
     n_arc = int(base_n)
     n_seg = max(int(base_n) // 2, 8)
     n_inner = max(int(base_n) // 4, 8)

@@ -37,8 +37,8 @@ _EV_NEG = 1
 _EV_STOP = 2
 
 # pure-exponential tail fitting is hopeless once the two decay rates at
-# the forward limit are this close to collision
-CRITICAL_DISC = 0.01
+# the forward limit are this close to collision (their discriminant below 0.01)
+CRITICAL_GAP = 0.2
 
 
 @dataclass
@@ -76,11 +76,9 @@ def seed_unstable_manifold(i_minus_inf: float, p: Params) -> WaveState:
             f"level {i_minus_inf} must lie in (1, 2]: at or below 1 it leaves "
             "no unstable direction, and 2 is the admissible maximum"
         )
-    eps = SEED_EPS
-    K = i_minus_inf
-    lam = analysis.fixed_point_spectrum(K, p.c).lambda_plus
-    e_hat = np.array([1.0, lam, -(K + p.r) / (p.c * lam)])
-    return WaveState(eps, eps * lam, i_minus_inf + eps * e_hat[2])
+    lam = analysis.decay_rate(i_minus_inf, p.c)
+    e_hat = analysis.eigenvector(i_minus_inf, p.c, p.r, lam)
+    return WaveState(*(x + SEED_EPS * e for x, e in zip((0.0, 0.0, i_minus_inf), e_hat)))
 
 
 # indexed by _EV_MAX, _EV_NEG, _EV_STOP; all three fire on falling crossings
@@ -95,9 +93,11 @@ def _run_shoot(y0, p: Params) -> Trajectory:
     traj = integrate(lambda z, y: wave_rhs(y, p), y0, Z_BUDGET, _SHOOTING_EVENTS)
     for rec in traj.events:
         if rec.index == _EV_NEG:
+            i_c = analysis.minimal_inactive_limit(p.c)
             raise NegativityError(
-                f"a fell below -{NEGATIVITY_TOL:g} at z = {rec.z:.3f}; "
-                "the trajectory spirals and no non-negative wave exists here",
+                f"no non-negative wave through this shot at c = {p.c:g}: a fell to "
+                f"{rec.state[0]:.2e} at z = {rec.z:.2f}, so the approach to the far equilibrium "
+                f"is oscillatory; rear levels need i_minus <= 2 - i_c = {2.0 - i_c:g}",
                 z=rec.z,
                 value=rec.state[0],
                 trajectory=traj,
@@ -148,8 +148,8 @@ def _fit_tails(traj: Trajectory, a_max: float, i_plus: float,
     if np.count_nonzero(decay) < 8:
         raise NonConvergenceError("decaying tail too sparse to fit a rate", traj)
 
-    disc = p.c * p.c / 4.0 + i_plus - 1.0
-    if disc > CRITICAL_DISC:
+    _, slow, fast = analysis.fixed_point_spectrum(i_plus, p.c)
+    if (slow - fast).real > CRITICAL_GAP:
         mu_plus = _loglinear_slope(zs[decay], np.log(a[decay]))
         return mu_minus, mu_plus, None
     # rates nearly collide: fit the algebraic prefactor of (z+d)^p e^{-cz/2}.
@@ -318,7 +318,7 @@ def verify_profile(w: WaveProfile) -> VerificationReport:
     if w.tail_prefactor_exp is not None:
         mu_plus_rel_err = None
     else:
-        # profiles without a prefactor have disc > CRITICAL_DISC, so the rate is real
+        # profiles without a prefactor have rates CRITICAL_GAP apart, so real
         mu_plus_rel_err = analysis.rel_err(w.mu_plus, analysis.decay_rate(w.i_plus_inf, c))
 
     return VerificationReport(

@@ -10,9 +10,11 @@ import dataclasses
 import itertools
 import math
 
+import numpy as np
 import pytest
 
 from branchwaves import acceptance, analysis
+from branchwaves.odeint import Trajectory
 
 
 @pytest.fixture(scope="module")
@@ -86,6 +88,16 @@ def test_unknown_filter_matches_nothing(ctx):
 def test_diagnostics_where_the_criterion_holds_them(ctx):
     [front] = acceptance.run_all(only="pde-front", ctx=ctx)
     assert front.diagnostics == {f"r={r:g}": ctx.pde_run(r).diagnostics for r in (0.0, 1.0)}
+    # the shooting counters summed over each criterion's shots
+    for name, shots in (("attractor-formula", 50), ("triangles", 200)):
+        [result] = acceptance.run_all(only=name, ctx=ctx)
+        diag = result.diagnostics
+        assert list(diag) == ["shots", "accepted_steps", "rejected_steps", "rhs_evaluations",
+                              "refined_events"]
+        assert diag["shots"] == shots
+        assert diag["rhs_evaluations"] == 2 * shots + 6 * (
+            diag["accepted_steps"] + diag["rejected_steps"])
+        assert diag["refined_events"] >= shots  # each shot's stop, at least
     [rescaling] = acceptance.run_all(only="rescaling", ctx=ctx)
     assert rescaling.diagnostics == {}
 
@@ -119,9 +131,10 @@ def test_nan_defect_fails(ctx, monkeypatch, name):
         return math.nan if next(calls) == 0 else value
 
     if name == "attractor-formula":
-        # closed-form limits stand in for the shots
+        # closed-form limits stand in for the shots, each a one-point trajectory
         monkeypatch.setattr(acceptance.wave_mod, "shoot_from_max", lambda a0, i0, p: (
-            None, nan_first(analysis.i_plus_infinity(a0, i0, p.c, p.r))))
+            Trajectory(np.array([0.0]), np.array([[a0, 0.0, i0]])),
+            nan_first(analysis.i_plus_infinity(a0, i0, p.c, p.r))))
     elif name == "threshold-consistency":
         real = analysis.a_at_first_max
         monkeypatch.setattr(analysis, "a_at_first_max", lambda *args: nan_first(real(*args)))

@@ -7,46 +7,67 @@ from hypothesis import given, settings, strategies as st
 from scipy.optimize import brentq
 
 from branchwaves import analysis, spectral
-from branchwaves.errors import DomainError, InvalidSegmentError, OscillatoryRegimeError
+from branchwaves.errors import (DomainError, InvalidSegmentError, OscillatoryRegimeError,
+                               SplittingError)
 from branchwaves.model import Params
 
 
 class TestFixedPointSpectrum:
     def test_zero_eigenvalue_always(self):
-        s = analysis.fixed_point_spectrum(1.3, 2.0)
-        assert s.lambda0 == 0.0
+        lam0, _, _ = analysis.fixed_point_spectrum(1.3, 2.0)
+        assert lam0 == 0.0
 
     def test_K1_boundary(self):
-        s = analysis.fixed_point_spectrum(1.0, 3.0)
-        assert s.lambda_plus == pytest.approx(0.0)
-        assert s.lambda_minus == pytest.approx(-3.0)
+        _, lam_plus, lam_minus = analysis.fixed_point_spectrum(1.0, 3.0)
+        assert lam_plus == pytest.approx(0.0)
+        assert lam_minus == pytest.approx(-3.0)
 
     def test_K2_c2(self):
-        s = analysis.fixed_point_spectrum(2.0, 2.0)
-        assert s.lambda_plus == pytest.approx(-1.0 + math.sqrt(2.0))
-        assert s.lambda_minus == pytest.approx(-1.0 - math.sqrt(2.0))
+        _, lam_plus, lam_minus = analysis.fixed_point_spectrum(2.0, 2.0)
+        assert lam_plus == pytest.approx(-1.0 + math.sqrt(2.0))
+        assert lam_minus == pytest.approx(-1.0 - math.sqrt(2.0))
 
     def test_spiral_case(self):
-        s = analysis.fixed_point_spectrum(0.0, 1.0)
-        assert s.discriminant < 0
-        assert s.lambda_plus == pytest.approx(complex(-0.5, math.sqrt(3) / 2))
-        assert s.lambda_minus == pytest.approx(complex(-0.5, -math.sqrt(3) / 2))
+        _, lam_plus, lam_minus = analysis.fixed_point_spectrum(0.0, 1.0)
+        # c^2/4 + K - 1 < 0: the roots are a complex pair
+        assert lam_plus.imag != 0
+        assert lam_plus == pytest.approx(complex(-0.5, math.sqrt(3) / 2))
+        assert lam_minus == pytest.approx(complex(-0.5, -math.sqrt(3) / 2))
 
     @given(K=st.floats(-1, 3), c=st.floats(0.2, 5))
     def test_vieta(self, K, c):
-        s = analysis.fixed_point_spectrum(K, c)
-        assert complex(s.lambda_plus + s.lambda_minus) == pytest.approx(-c, abs=1e-12)
-        assert complex(s.lambda_plus * s.lambda_minus) == pytest.approx(1 - K, abs=1e-12)
+        _, lam_plus, lam_minus = analysis.fixed_point_spectrum(K, c)
+        assert complex(lam_plus + lam_minus) == pytest.approx(-c, abs=1e-12)
+        assert complex(lam_plus * lam_minus) == pytest.approx(1 - K, abs=1e-12)
 
     def test_matches_jacobian_eigenvalues(self):
         # numerical eigensolver oracle on the full 3x3 Jacobian
         for K, c, r in [(2.0, 2.0, 0.0), (1.5, 3.0, 1.0), (1.2, 1.4, 0.3)]:
-            s = analysis.fixed_point_spectrum(K, c)
+            lam0, lam_plus, lam_minus = analysis.fixed_point_spectrum(K, c)
             jac = spectral._weighted_matrix(0.0, K, 0.0, Params(c=c, r=r), 0.0)
             eig = np.linalg.eigvals(jac)
-            expected = sorted([0.0, s.lambda_plus, s.lambda_minus], key=lambda x: x.real if isinstance(x, complex) else x)
+            expected = sorted([lam0, lam_plus, lam_minus], key=lambda x: x.real)
             got = sorted(eig.real)
             np.testing.assert_allclose(got, expected, atol=1e-12)
+
+
+class TestEigenvector:
+    @pytest.mark.parametrize("gamma", [0.0, 0.7, 0.3 + 2.0j, 1e-3 - 5.0j])
+    @pytest.mark.parametrize("K, c, r, w", [(2.0, 2.0, 0.0, 0.0), (0.4, 3.0, 1.0, 1.5),
+                                            (1.2, 1.4, 0.3, 0.7)])
+    def test_eigenpairs_of_the_weighted_matrix(self, gamma, K, c, r, w):
+        # oracle: the spectral generator at a = 0, which adds the weight w
+        # to every eigenvalue and keeps the eigenvectors
+        jac = spectral._weighted_matrix(0.0, K, gamma, Params(c=c, r=r), w)
+        _, *roots = analysis.fixed_point_spectrum(K, c, gamma, w)
+        for nu in roots:
+            v = np.array(analysis.eigenvector(K, c, r, nu - w, gamma))
+            np.testing.assert_allclose(jac @ v, nu * v, rtol=1e-12, atol=1e-12)
+
+    def test_collision_with_the_i_mode(self):
+        # at K = 1, gamma = 0 the growing root meets the i-mode 0
+        with pytest.raises(SplittingError, match="collides with the i-mode"):
+            analysis.eigenvector(1.0, 2.0, 0.0, 0.0)
 
 
 class TestSubsystem:
@@ -85,7 +106,7 @@ class TestSubsystem:
         t = analysis.triangle(i, c)
         J0 = np.array([[0.0, 1.0], [i - 1.0, -c]])
         J1 = np.array([[0.0, 1.0], [1.0 - i, -c]])
-        lam = analysis.fixed_point_spectrum(i, c).lambda_plus
+        _, lam, _ = analysis.fixed_point_spectrum(i, c)
         beta = -c / 2 + math.sqrt(c * c / 4 + 1 - i)
         np.testing.assert_allclose(J0 @ t.apex, lam * t.apex, atol=1e-12)
         d = t.apex - t.v1

@@ -9,7 +9,18 @@ import json
 import numpy as np
 import pytest
 
-from branchwaves import acceptance, analysis, cli
+from branchwaves import acceptance, analysis, cli, pde, spectral
+
+
+@pytest.fixture
+def no_solvers(monkeypatch):
+    """Make every solver the CLI runs fail the test: a check must stop the run first."""
+    def called(*args, **kwargs):
+        raise AssertionError("a solver ran before the arguments were checked")
+
+    for owner, name in [(cli.wave_mod, "shoot_wave"), (pde, "simulate"), (pde.Grid, "xs"),
+                        (spectral, "winding_number"), (spectral, "evans_winding")]:
+        monkeypatch.setattr(owner, name, called)
 
 
 def run(capsys, *argv):
@@ -241,6 +252,14 @@ class TestPde:
         assert "argument --grid" in err
         assert not list(tmp_path.iterdir())
 
+    def test_grid_over_the_storage_cap_exits_64(self, tmp_path, capsys, no_solvers):
+        # a run stores both fields at t = 0 and at t_end, so no larger grid fits
+        n = pde.MAX_STORED_VALUES // 4 + 1
+        code, _, err = run(capsys, "pde", "--grid", f"{n}:-30:120", "--out", tmp_path / "x")
+        assert code == 64
+        assert "argument --grid" in err
+        assert f"at most {n - 1} grid points" in err
+
     def test_underflowing_grid_spacing_exits_64(self, tmp_path, capsys):
         # the square of the spacing is 0.0, so 1/dx^2 would divide by zero
         code, _, err = run(
@@ -354,12 +373,21 @@ class TestEvans:
         )
         assert code == 2
         assert "invalid regime" in err
+        assert "i_minus <= 2 - i_c = 1.25" in err
 
     def test_reversed_contour_exits_64(self, tmp_path, capsys):
         out = tmp_path / "e.csv"
         code, _, _ = run(capsys, "evans", "--contour", "10:1:32", "--out", out)
         assert code == 64
         assert not out.exists()
+
+    def test_contour_over_the_cap_exits_64(self, tmp_path, capsys, no_solvers):
+        n = spectral.MAX_CONTOUR_N + 1
+        code, _, err = run(capsys, "evans", "--contour", f"0.001:1000:{n}",
+                           "--out", tmp_path / "e.csv")
+        assert code == 64
+        assert "argument --contour" in err
+        assert f"capped at {n - 1}" in err
 
     def test_infinite_contour_radius_exits_64(self, tmp_path, capsys):
         out = tmp_path / "e.csv"
@@ -660,9 +688,18 @@ class TestCsv:
         ["pde", "--grid", "201:-30:120", "--t-end", "2", "--out", "missing/p"],
         ["evans", "--self-test", "--out", "missing/e.csv"],
     ], ids=["wave", "pde", "evans"])
-    def test_unwritable_out_exits_64(self, tmp_path, capsys, argv):
+    def test_unwritable_out_exits_64(self, tmp_path, capsys, no_solvers, argv):
+        # checked before the computation, which would fail this test
         code, out, err = run(capsys, *argv[:-1], tmp_path / argv[-1])
         assert code == 64
         assert out == ""
         assert err.startswith(f"error: cannot write {tmp_path / 'missing'}")
+        assert "No such file or directory" in err
         assert "Traceback" not in err
+
+    def test_out_in_the_working_directory(self, tmp_path, capsys, monkeypatch):
+        # a bare file name has no directory part; it is written where the run is
+        monkeypatch.chdir(tmp_path)
+        code, _, _ = run(capsys, "evans", "--self-test", "--out", "e.csv")
+        assert code == 0
+        assert (tmp_path / "e.csv").exists()

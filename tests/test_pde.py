@@ -113,6 +113,12 @@ class TestGrid:
         with pytest.raises(DomainError):
             Grid(1.0, 1.0, 32)
 
+    def test_storage_cap(self):
+        # every run stores at least 4 n values; the grid is checked before any allocation
+        Grid(0.0, 1.0, pde.MAX_STORED_VALUES // 4)
+        with pytest.raises(DomainError, match="at most 25000000 grid points"):
+            Grid(0.0, 1.0, pde.MAX_STORED_VALUES // 4 + 1)
+
     @pytest.mark.parametrize("x_min, x_max", [(-math.inf, 0.0), (0.0, math.inf), (math.nan, 1.0)])
     def test_infinite_domain(self, x_min, x_max):
         with pytest.raises(DomainError, match="must be finite and non-empty"):

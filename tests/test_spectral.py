@@ -449,6 +449,8 @@ class TestContour:
             spectral.contour_of_S(1e-3, math.inf)
         with pytest.raises(DomainError):
             spectral.contour_of_S(base_n=4)
+        with pytest.raises(DomainError, match="capped at"):
+            spectral.contour_of_S(base_n=spectral.MAX_CONTOUR_N + 1)
 
 
 def _circle(center, radius, n):
