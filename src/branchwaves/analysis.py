@@ -13,6 +13,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -84,23 +85,24 @@ def decay_rate(i_limit: float, c: float) -> float:
     return rate.real
 
 
-@dataclass(frozen=True)
-class Triangle:
+class Triangle(NamedTuple):
     """Invariant triangle of the subsystem a' = b, b' = a(a + i - 1) - c b.
 
-    Its vertices are the fixed points v0 = (0, 0) and v1 = (w, 0), w = 1 - i,
-    and the apex below the a-axis, where the lambda_plus eigenline through
-    v0 meets the beta_plus eigenline through v1.  The interior angles are
-    gamma_l = atan2(w, c/2 + sqrt(c^2/4 - w)) at v0 and
-    gamma_r = atan2(w, c/2 + sqrt(c^2/4 + w)) at v1.  i is one level or an
-    array of levels; every field follows its shape, the vertices with a
-    trailing (a, b) axis.
+    Vertices: the fixed points v0 = (0, 0) and v1 = (w, 0), w = 1 - i, and the apex
+    below the a-axis.  The edges are eigenlines at interior angles gamma_l and gamma_r,
+    of slopes tan_l = w / (c/2 + sqrt(c^2/4 - w)) = -lambda_plus(i) through v0 and
+    tan_r = w / (c/2 + sqrt(c^2/4 + w)) = beta_plus, the growing rate at level 2 - i,
+    through v1.  A float level (np.float64 too) stays on Python floats; the fields
+    of an array of levels take its shape, the vertices with a trailing (a, b) axis.
     """
 
     i: float | np.ndarray
     c: float
-    gamma_l: float | np.ndarray
-    gamma_r: float | np.ndarray
+    tan_l: float | np.ndarray
+    tan_r: float | np.ndarray
+
+    gamma_l = property(lambda self: np.arctan(self.tan_l))
+    gamma_r = property(lambda self: np.arctan(self.tan_r))
 
     @property
     def v0(self) -> np.ndarray:
@@ -112,41 +114,48 @@ class Triangle:
 
     @property
     def apex(self) -> np.ndarray:
-        # s = |apex - v0|, by the law of sines
-        s = (1.0 - self.i) * np.sin(self.gamma_r) / np.sin(self.gamma_l + self.gamma_r)
-        return np.stack([s * np.cos(self.gamma_l), -s * np.sin(self.gamma_l)], axis=-1)
+        # where b = -tan_l a meets b = -tan_r (w - a)
+        s = (1.0 - self.i) / (self.tan_l + self.tan_r)
+        return np.stack([self.tan_r * s, -self.tan_l * self.tan_r * s], axis=-1)
 
 
 def triangle(i: float | np.ndarray, c: float) -> Triangle:
     """Invariant triangle at level i, or at each level of an array i, in [i_c, 1)."""
+    c = float(c)
     i_c = minimal_inactive_limit(c)
-    if not np.all((i_c - 1e-12 <= i) & (i < 1.0)):
-        raise DomainError(f"triangle needs i in [{i_c}, 1), got {i}")
+    if isinstance(i, float):
+        i, sqrt = float(i), math.sqrt
+        if not i_c - 1e-12 <= i < 1.0:
+            raise DomainError(f"triangle needs i in [{i_c}, 1), got {i}")
+    else:
+        i, sqrt = np.asarray(i, dtype=float), np.sqrt
+        bad = np.flatnonzero(~((i_c - 1e-12 <= i) & (i < 1.0)))
+        if bad.size:
+            raise DomainError(f"triangle needs i in [{i_c}, 1), got {bad.size} of {i.size} levels "
+                              f"outside, the first at flat index {bad[0]}: {i.flat[bad[0]]}")
     w, half = 1.0 - i, c / 2.0
-    # levels down to i_c - 1e-12 are admitted, where c^2/4 - w dips below 0
-    return Triangle(
-        i=i,
-        c=c,
-        gamma_l=np.arctan2(w, half + np.sqrt(np.maximum(half * half - w, 0.0))),
-        gamma_r=np.arctan2(w, half + np.sqrt(half * half + w)),
-    )
+    # d < 0 at the levels admitted down to i_c - 1e-12; (d + |d|) / 2 is max(d, 0) exactly
+    d = half * half - w
+    tan_l = w / (half + sqrt((d + abs(d)) * 0.5))
+    return Triangle(i, c, tan_l, w / (half + sqrt(half * half + w)))
 
 
-def triangle_contains(t: Triangle, points, tol: float = 0.0) -> np.ndarray:
-    """Whether points of shape (..., 2) lie in t inflated by slack tol.
+def triangle_contains(t: Triangle, points, tol: float = 0.0) -> bool | np.ndarray:
+    """Whether points of shape (..., 2), or one (a, b) pair, lie in t inflated by slack tol.
 
-    A boolean per point, the points broadcast against the levels of t.
-    Each test is a signed distance to one edge, so tol is a true margin.
+    A boolean per point, broadcast against the levels of t; a Python bool for a float
+    level and float pair.  Each edge test is a signed distance, so tol is a true margin.
     """
-    if tol < 0:
+    if not tol >= 0:
         raise DomainError(f"slack must be >= 0, got {tol}")
-    p = np.asarray(points, dtype=float)
-    a, b = p[..., 0], p[..., 1]
-    return (
-        (b <= tol)
-        & (a * np.sin(t.gamma_l) + b * np.cos(t.gamma_l) >= -tol)
-        & ((1.0 - t.i - a) * np.sin(t.gamma_r) + b * np.cos(t.gamma_r) >= -tol)
-    )
+    if (isinstance(t.i, float) and len(points) == 2
+            and isinstance(points[0], float) and isinstance(points[1], float)):
+        a, b, sqrt = float(points[0]), float(points[1]), math.sqrt
+    else:
+        p = np.asarray(points, dtype=float)
+        a, b, sqrt = p[..., 0], p[..., 1], np.sqrt
+    return ((b <= tol) & (a * t.tan_l + b >= -tol * sqrt(1.0 + t.tan_l * t.tan_l))
+            & ((1.0 - t.i - a) * t.tan_r + b >= -tol * sqrt(1.0 + t.tan_r * t.tan_r)))
 
 
 def i_plus_infinity(a0: float, i0: float, c: float, r: float) -> float:

@@ -89,15 +89,18 @@ _SHOOTING_EVENTS = [
 ]
 
 
+def _rear_band(c: float) -> str:
+    return f"rear levels need i_minus <= 2 - i_c = {2.0 - analysis.minimal_inactive_limit(c):g}"
+
+
 def _run_shoot(y0, p: Params) -> Trajectory:
     traj = integrate(lambda z, y: wave_rhs(y, p), y0, Z_BUDGET, _SHOOTING_EVENTS)
     for rec in traj.events:
         if rec.index == _EV_NEG:
-            i_c = analysis.minimal_inactive_limit(p.c)
             raise NegativityError(
                 f"no non-negative wave through this shot at c = {p.c:g}: a fell to "
                 f"{rec.state[0]:.2e} at z = {rec.z:.2f}, so the approach to the far equilibrium "
-                f"is oscillatory; rear levels need i_minus <= 2 - i_c = {2.0 - i_c:g}",
+                f"is oscillatory; {_rear_band(p.c)}",
                 z=rec.z,
                 value=rec.state[0],
                 trajectory=traj,
@@ -117,8 +120,7 @@ def _check_limit_band(traj: Trajectory, p: Params) -> float:
     if i_limit < i_c - 1e-6:
         raise OscillatoryRegimeError(
             f"converged to i_plus = {i_limit:.6f} below i_c = {i_c:g}, so the "
-            f"approach is oscillatory: no non-negative wave; rear levels need "
-            f"i_minus <= 1 + c^2/4 = {2.0 - i_c:g}"
+            f"approach is oscillatory: no non-negative wave; {_rear_band(p.c)}"
         )
     if not i_limit < 1.0:
         raise NonConvergenceError(

@@ -183,6 +183,13 @@ class TestTriangle:
             for value in (t.gamma_l, t.gamma_r, *t.apex):
                 assert math.isfinite(value)
 
+    def test_clamped_root_is_zero(self):
+        # just below i_c the root sqrt(c^2/4 - w) is taken as 0, so tan_l = w / (c/2)
+        c = 1.5
+        level = analysis.minimal_inactive_limit(c) - 1e-12
+        for t in (analysis.triangle(level, c), analysis.triangle(np.array([level]), c)):
+            assert np.ravel(t.tan_l)[0] == (1.0 - level) / (c / 2.0)
+
     @pytest.mark.parametrize("c", [1.0, 2.0, 3.0])
     def test_array_matches_one_level(self, c):
         i_c = analysis.minimal_inactive_limit(c)
@@ -202,6 +209,71 @@ class TestTriangle:
         for k, level in enumerate(levels):
             one = analysis.triangle(float(level), c)
             assert inside[k] == analysis.triangle_contains(one, points[k], tol=1e-6)
+
+    def test_one_level_in_any_form_agrees_bitwise(self):
+        # a float, an np.float64, a 0-d array and a 1-element array
+        c, point = 1.5, (0.1, -0.02)
+        forms = [0.6, np.float64(0.6), np.array(0.6), np.array([0.6])]
+        want = analysis.triangle(0.6, c)
+        for level in forms:
+            t = analysis.triangle(level, c)
+            for name in ("i", "tan_l", "tan_r", "gamma_l", "gamma_r", "v0", "v1", "apex"):
+                assert np.array_equal(np.ravel(getattr(t, name)), np.ravel(getattr(want, name)))
+            for p in (point, (0.5, 0.0)):
+                assert np.ravel(analysis.triangle_contains(t, p, tol=1e-6)).tolist() == [
+                    analysis.triangle_contains(want, p, tol=1e-6)]
+
+    def test_float_call_stays_on_python_floats(self):
+        t = analysis.triangle(np.float64(0.6), 2.0)
+        for value in (t.i, t.c, t.tan_l, t.tan_r):
+            assert type(value) is float
+        state = np.array([0.1, -0.02, 0.6])
+        assert type(analysis.triangle_contains(t, (state[0], state[1]))) is bool
+        assert type(analysis.triangle_contains(t, state[:2], tol=1e-6)) is bool
+
+    def test_array_domain_error_names_the_first_bad_level(self):
+        levels = np.array([0.2, 0.5, 1.0, 0.3, 1.5])
+        with pytest.raises(DomainError, match=r"got 2 of 5 levels outside, the first at flat "
+                                              r"index 2: 1\.0"):
+            analysis.triangle(levels, 2.0)
+        for bad in (np.array([0.2, np.nan]), np.nan, np.float64(np.nan)):
+            with pytest.raises(DomainError):
+                analysis.triangle(bad, 2.0)
+
+    @pytest.mark.parametrize("c", [1.0, 2.0, 3.0])
+    def test_matches_trig_oracle(self, c):
+        # oracle: the signed distances to the edges from the interior angles,
+        # a sin(gamma_l) + b cos(gamma_l) and (w - a) sin(gamma_r) + b cos(gamma_r)
+        i_c = analysis.minimal_inactive_limit(c)
+        rng = np.random.default_rng(11)
+        n, tol = 10_000, 1e-6
+        levels = rng.uniform(i_c, 1.0, size=n)
+        w, half = 1.0 - levels, c / 2.0
+        gl = np.arctan2(w, half + np.sqrt(np.maximum(half * half - w, 0.0)))
+        gr = np.arctan2(w, half + np.sqrt(half * half + w))
+        t = analysis.triangle(levels, c)
+        # every other point sits 0.1% of tol inside or outside the slack band of an edge
+        u, shift = rng.uniform(0.05, 0.95, size=(2, n, 1))
+        shift = np.where(shift < 0.5, 0.999, 1.001) * tol
+        out_l = np.stack([-np.sin(gl), -np.cos(gl)], axis=-1)  # outward unit normals
+        out_r = np.stack([np.sin(gr), -np.cos(gr)], axis=-1)
+        near = np.where(rng.random((n, 1)) < 0.5, u * t.apex + shift * out_l,
+                        t.v1 + u * (t.apex - t.v1) + shift * out_r)
+        on_band = np.arange(n) % 2 == 1
+        points = np.where(on_band[:, None], near, rng.uniform(-0.2, 1.1, size=(n, 2)) * [1.0, -0.6])
+        a, b = points[:, 0], points[:, 1]
+        dists = np.stack([tol - b, a * np.sin(gl) + b * np.cos(gl) + tol,
+                          (w - a) * np.sin(gr) + b * np.cos(gr) + tol])
+        want = (dists >= 0).all(axis=0)
+        clear = np.abs(dists).min(axis=0) > 1e-12
+        got = analysis.triangle_contains(t, points, tol=tol)
+        assert clear.sum() > 0.99 * n
+        for part in (on_band, ~on_band):
+            assert want[clear & part].any() and not want[clear & part].all()
+        assert np.array_equal(got[clear], want[clear])
+        for k in np.flatnonzero(clear)[:200]:
+            one = analysis.triangle(float(levels[k]), c)
+            assert analysis.triangle_contains(one, tuple(points[k]), tol=tol) == want[k]
 
     def test_degenerate_to_origin(self):
         t = analysis.triangle(1.0 - 1e-9, 2.0)
@@ -239,6 +311,22 @@ class TestTriangleContains:
         t = analysis.triangle(0.5, 2.0)
         assert not analysis.triangle_contains(t, [0.5 + 0.05, 0.0], tol=0.0)
         assert analysis.triangle_contains(t, [0.5 + 0.05, 0.0], tol=0.06)
+
+    def test_nan_point_is_outside(self):
+        inside = (0.1, -0.01)
+        for t in (analysis.triangle(0.5, 2.0), analysis.triangle(np.array([0.5, 0.6]), 2.0)):
+            assert np.all(analysis.triangle_contains(t, inside, tol=1e-6))
+            for p in ((np.nan, -0.01), (0.1, np.nan), [[np.nan, -0.01]]):
+                assert not np.any(analysis.triangle_contains(t, p, tol=1e-6))
+
+    def test_no_points_at_one_level(self):
+        assert analysis.triangle_contains(analysis.triangle(0.5, 2.0), np.empty((0, 2))).size == 0
+
+    def test_bad_slack_rejected(self):
+        t = analysis.triangle(0.5, 2.0)
+        for tol in (-1e-9, np.nan, float("nan")):
+            with pytest.raises(DomainError):
+                analysis.triangle_contains(t, (0.25, -0.05), tol=tol)
 
 
 class TestAttractorFormulas:

@@ -78,14 +78,14 @@ class TestWave:
         assert not out.exists()
 
     def test_just_past_existence_boundary_exits_2(self, tmp_path, capsys):
-        # 1.26 > 1 + c^2/4 = 1.25: the shot settles below i_c = 0.75
+        # 1.26 > 2 - i_c = 1.25: the shot settles below i_c = 0.75
         # before a dips deep enough to trip the negativity event
         out = tmp_path / "w.csv"
         code, _, err = run(capsys, "wave", "--c", 1, "--i-minus", 1.26, "--out", out)
         assert code == 2
         assert "invalid regime" in err
         assert "i_plus = 0.74" in err
-        assert "i_minus <= 1 + c^2/4 = 1.25" in err
+        assert "i_minus <= 2 - i_c = 1.25" in err
         assert not out.exists()
 
     def test_nonpositive_speed_exits_2(self, tmp_path, capsys):
