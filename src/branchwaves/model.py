@@ -48,6 +48,9 @@ class Params:
             raise DomainError(f"wave speed c must be positive and finite, got {self.c}")
         if not 0 <= self.r < math.inf:
             raise DomainError(f"production rate r must be >= 0 and finite, got {self.r}")
+        # plain floats, so numpy scalars never reach the integrator's arithmetic
+        object.__setattr__(self, "c", float(self.c))
+        object.__setattr__(self, "r", float(self.r))
 
 
 @dataclass(frozen=True)

@@ -4,8 +4,10 @@ One unrolled DP5(4) loop (Dormand & Prince 1980) on the float triple
 (a, b, i) with the step control of scipy's `RK45`: its tableau with
 first-same-as-last stages, RMS error norm, safety 0.9, step factors in
 [0.2, 10] (at most 1 after a rejection), initial-step rule and underflow
-test. It runs forward from z = 0, records every accepted step, and refines
-each falling crossing of an event on the step's quartic dense output.
+test. It runs forward from z = 0 with steps set by the tolerance alone,
+cuts each step longer than SAMPLE_DZ into ceil(h / SAMPLE_DZ) equal parts
+read off its quartic dense output, and refines each falling crossing of an
+event between two samples on that same interpolant.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from .errors import DomainError, NonConvergenceError
 
 REL_TOL = 1e-9
 ABS_TOL = 1e-12
-MAX_STEP = 0.1
+SAMPLE_DZ = 0.1
 MAX_STEPS = 1_000_000
 EVENT_ZTOL = 1e-10
 SAFETY, MIN_FACTOR, MAX_FACTOR = 0.9, 0.2, 10.0
@@ -32,24 +34,21 @@ A51, A52, A53, A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
 A61, A62, A63, A64, A65 = 9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656
 B1, B3, B4, B5, B6 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
 E1, E3, E4, E5, E6, E7 = -71 / 57600, 71 / 16695, -71 / 1920, 17253 / 339200, -22 / 525, 1 / 40
-# quartic dense output (scipy's RK45.P): row s weights stage s on x, x^2, x^3, x^4
-P = (
-    (1, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432),
-    (0, 0, 0, 0),
-    (0, 131558114200 / 32700410799, -68118460800 / 10900136933, 87487479700 / 32700410799),
-    (0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072),
-    (0, 127303824393 / 49829197408, -318862633887 / 49829197408, 701980252875 / 199316789632),
-    (0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844),
-    (0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423),
-)
-
+# quartic dense output (scipy's RK45.P): x weighs the first stage alone, Dsj stage s on x^j
+D12, D13, D14 = -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432
+D32, D33, D34 = 131558114200 / 32700410799, -68118460800 / 10900136933, 87487479700 / 32700410799
+D42, D43, D44 = -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072
+D52, D53, D54 = (127303824393 / 49829197408, -318862633887 / 49829197408,
+                 701980252875 / 199316789632)
+D62, D63, D64 = -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844
+D72, D73, D74 = 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423
 
 class Event(NamedTuple):
     """Scalar event function and a halt flag.
 
-    ``fn(z, y)`` is evaluated after every accepted step; a falling
-    crossing (positive at the step start, at or below zero at its end) is
-    refined on the step interpolant. A terminal event truncates the
+    ``fn(z, y)`` is evaluated at every sample; a falling crossing
+    (positive at one sample, at or below zero at the next) is refined on
+    the step interpolant. A terminal event truncates the
     trajectory at the refined abscissa.
     """
 
@@ -65,11 +64,12 @@ class EventRecord(NamedTuple):
 
 @dataclass
 class Trajectory:
-    """Accepted abscissae (strictly increasing) and states, plus refined event hits.
+    """Sampled abscissae (strictly increasing) and states, plus refined event hits.
 
     `diagnostics` holds the counts of the `integrate` run that made it
     (empty otherwise): accepted and rejected steps, right-hand-side
-    evaluations, and crossings refined on the dense output.
+    evaluations, crossings refined on the dense output, and the samples
+    kept from inside steps (len - 1 = accepted_steps + dense_samples).
     """
 
     zs: np.ndarray
@@ -106,18 +106,24 @@ def _initial_step(rhs, y, f, z_end) -> float:
         h1 = max(1e-6, h0 * 1e-3)
     else:  # a zero or NaN maximum bounds nothing, as numpy's inf or nan does in scipy
         h1 = (0.01 / max(d1, d2)) ** 0.2 if max(d1, d2) > 0.0 else math.inf
-    return min(100 * h0, h1, z_end, MAX_STEP)
+    return min(100 * h0, h1, z_end)
 
 
-def _dense(z0, h, y0, K):
-    """The quartic interpolant of one step from its start state and seven stages K."""
-    Q = [[sum(k[c] * p[j] for k, p in zip(K, P)) for j in range(4)] for c in range(3)]
+def _quartic(h, y, f, k3, k4, k5, k6, k7):
+    """One component's Horner coefficients of its step's quartic dense output:
+    y(z + x h) = y + x (q1 + x (q2 + x (q3 + x q4)))."""
+    return (y, h * f,
+            h * (D12 * f + D32 * k3 + D42 * k4 + D52 * k5 + D62 * k6 + D72 * k7),
+            h * (D13 * f + D33 * k3 + D43 * k4 + D53 * k5 + D63 * k6 + D73 * k7),
+            h * (D14 * f + D34 * k3 + D44 * k4 + D54 * k5 + D64 * k6 + D74 * k7))
 
-    def at(z):
-        x = (z - z0) / h
-        powers = (x, x * x, x * x * x, x * x * x * x)
-        return tuple(y + h * sum(q * w for q, w in zip(row, powers)) for y, row in zip(y0, Q))
-    return at
+
+def _at(coeffs, x):
+    """The dense output at the fraction x of its step, from the `_quartic` of each component."""
+    (ya, a1, a2, a3, a4), (yb, b1, b2, b3, b4), (yi, i1, i2, i3, i4) = coeffs
+    return (ya + x * (a1 + x * (a2 + x * (a3 + x * a4))),
+            yb + x * (b1 + x * (b2 + x * (b3 + x * b4))),
+            yi + x * (i1 + x * (i2 + x * (i3 + x * i4))))
 
 
 def _refine(g, lo, g_lo, hi, g_hi) -> float:
@@ -136,7 +142,7 @@ def _refine(g, lo, g_lo, hi, g_hi) -> float:
 def integrate(
     rhs: Callable, y0, z_end: float, events: Sequence[Event] | None = None
 ) -> Trajectory:
-    """Integrate ``y' = rhs(z, y)`` forward over [0, z_end], recording accepted steps.
+    """Integrate ``y' = rhs(z, y)`` forward over [0, z_end], sampled at most SAMPLE_DZ apart.
 
     The state is the wave triple (a, b, i): ``rhs`` and the event
     functions receive it as a tuple of floats, and ``rhs`` returns three
@@ -150,26 +156,26 @@ def integrate(
     if len(y0) != 3:
         raise DomainError(f"y0 must hold the three components (a, b, i), got {len(y0)}")
     evs = list(events or [])
-    rtol, atol, max_step, max_steps = REL_TOL, ABS_TOL, MAX_STEP, MAX_STEPS
+    rtol, atol, sample_dz, max_steps = REL_TOL, ABS_TOL, SAMPLE_DZ, MAX_STEPS
     z = 0.0
     a, b, i = (float(v) for v in y0)
     fa, fb, fi = rhs(z, (a, b, i))
     h_abs = _initial_step(rhs, (a, b, i), (fa, fb, fi), z_end)
     zs, states, hits = [z], [(a, b, i)], []
     g_prev = [ev.fn(z, (a, b, i)) for ev in evs]
-    accepted = rejected = refined = 0
+    accepted = rejected = refined = dense_samples = 0
     n_rhs = 2
 
     def partial() -> Trajectory:
         return Trajectory(np.array(zs), np.array(states), hits, {
             "accepted_steps": accepted, "rejected_steps": rejected,
-            "rhs_evaluations": n_rhs, "refined_events": refined})
+            "rhs_evaluations": n_rhs, "refined_events": refined, "dense_samples": dense_samples})
 
     while z < z_end:
         if accepted >= max_steps:
             raise NonConvergenceError(f"no convergence within {max_steps} steps", partial())
         min_step = 10.0 * (math.nextafter(z, math.inf) - z)
-        h_abs = max_step if h_abs > max_step else max(h_abs, min_step)
+        h_abs = max(h_abs, min_step)
         retried = False
         while True:
             if h_abs < min_step:
@@ -214,35 +220,47 @@ def integrate(
             rejected += 1
         accepted += 1
 
+        # samples at most sample_dz apart: a longer step is cut into equal parts whose
+        # inner ends lie on the dense output, and events are checked at every sample
+        parts = math.ceil(h / sample_dz) if h > sample_dz else 1
         y_new = (na, nb, ni)
-        g_new = [ev.fn(z_new, y_new) for ev in evs]
-        crossings = []  # (z, event index)
-        dense = None
-        for k, ev in enumerate(evs):
-            if g_prev[k] > 0.0 >= g_new[k]:
-                if g_new[k] == 0.0:
-                    z_e = z_new
-                else:
-                    dense = dense or _dense(z, h, (a, b, i), (
-                        (fa, fb, fi), (k2a, k2b, k2i), (k3a, k3b, k3i), (k4a, k4b, k4i),
-                        (k5a, k5b, k5i), (k6a, k6b, k6i), (k7a, k7b, k7i)))
-                    z_e = _refine(lambda zq: ev.fn(zq, dense(zq)), z, g_prev[k], z_new, g_new[k])
-                    refined += 1
-                crossings.append((z_e, k))
-        crossings.sort()
+        g_end = [ev.fn(z_new, y_new) for ev in evs]
+        coeffs = None
+        if parts > 1 or any(gp > 0.0 >= gn for gp, gn in zip(g_prev, g_end)):
+            coeffs = (_quartic(h, a, fa, k3a, k4a, k5a, k6a, k7a),
+                      _quartic(h, b, fb, k3b, k4b, k5b, k6b, k7b),
+                      _quartic(h, i, fi, k3i, k4i, k5i, k6i, k7i))
+        for j in range(1, parts + 1):
+            if j < parts:
+                z_hi, y_hi = z + h * (j / parts), _at(coeffs, j / parts)
+                g_new = [ev.fn(z_hi, y_hi) for ev in evs]
+            else:
+                z_hi, y_hi, g_new = z_new, y_new, g_end
+            crossings = []  # (z, event index)
+            for k, ev in enumerate(evs):
+                if g_prev[k] > 0.0 >= g_new[k]:
+                    if g_new[k] == 0.0:
+                        z_e = z_hi
+                    else:
+                        z_e = _refine(lambda zq: ev.fn(zq, _at(coeffs, (zq - z) / h)),
+                                      zs[-1], g_prev[k], z_hi, g_new[k])
+                        refined += 1
+                    crossings.append((z_e, k))
+            crossings.sort()
 
-        for z_e, k in crossings:
-            y_e = dense(z_e) if z_e < z_new else y_new
-            hits.append(EventRecord(k, z_e, np.array(y_e)))
-            if evs[k].terminal:
-                if z_e > z:
-                    zs.append(z_e)
-                    states.append(y_e)
-                return partial()
+            for z_e, k in crossings:
+                y_e = _at(coeffs, (z_e - z) / h) if z_e < z_hi else y_hi
+                hits.append(EventRecord(k, z_e, np.array(y_e)))
+                if evs[k].terminal:
+                    if z_e > zs[-1]:
+                        zs.append(z_e)
+                        states.append(y_e)
+                    return partial()
 
-        zs.append(z_new)
-        states.append(y_new)
-        g_prev = g_new
+            zs.append(z_hi)
+            states.append(y_hi)
+            dense_samples += j < parts
+            g_prev = g_new
         z, a, b, i, fa, fb, fi = z_new, na, nb, ni, k7a, k7b, k7i
 
     return partial()

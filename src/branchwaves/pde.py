@@ -249,9 +249,9 @@ def measure_speed(series: FieldSeries, threshold: float,
                   window: tuple[float, float]) -> SpeedMeasurement:
     """Least-squares front speed over a time window.
 
-    The front must stay at least 10 grid cells away from both domain
-    ends throughout the window; otherwise the measurement counts as
-    contaminated.
+    The front must exist and stay at least 10 grid cells away from both
+    domain ends throughout the window; otherwise the measurement counts
+    as contaminated.
     """
     t1, t2 = window
     times = series.times
@@ -272,7 +272,9 @@ def measure_speed(series: FieldSeries, threshold: float,
         if not (grid.x_min + margin <= x_f <= grid.x_max - margin):
             raise ContaminatedMeasurementError(
                 f"front at x = {x_f:g} (t = {times[k]:g}) is within "
-                f"{BOUNDARY_MARGIN_CELLS} cells of the boundary"
+                f"{BOUNDARY_MARGIN_CELLS} cells of the boundary" if x_f > -math.inf else
+                f"no front: A never reaches the threshold {threshold:g} at t = {times[k]:g}; "
+                "choose a lower --threshold"
             )
         fronts.append(x_f)
 

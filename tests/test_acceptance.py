@@ -93,7 +93,7 @@ def test_diagnostics_where_the_criterion_holds_them(ctx):
         [result] = acceptance.run_all(only=name, ctx=ctx)
         diag = result.diagnostics
         assert list(diag) == ["shots", "accepted_steps", "rejected_steps", "rhs_evaluations",
-                              "refined_events"]
+                              "refined_events", "dense_samples"]
         assert diag["shots"] == shots
         assert diag["rhs_evaluations"] == 2 * shots + 6 * (
             diag["accepted_steps"] + diag["rejected_steps"])

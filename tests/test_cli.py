@@ -62,9 +62,11 @@ class TestWave:
         assert code == 0
         diag = payload["diagnostics"]
         assert set(diag) == {"accepted_steps", "rejected_steps", "rhs_evaluations",
-                             "refined_events"}
-        # the stop event truncates the last accepted step inside it
-        assert diag["accepted_steps"] == payload["profile"]["samples"] - 1
+                             "refined_events", "dense_samples"}
+        # the stop event truncates the last accepted step inside it; the
+        # samples inside longer steps come on top
+        assert payload["profile"]["samples"] - 1 == (
+            diag["accepted_steps"] + diag["dense_samples"])
         assert diag["rhs_evaluations"] == 2 + 6 * (
             diag["accepted_steps"] + diag["rejected_steps"])
         assert diag["refined_events"] >= 2  # the maximum and the stop
@@ -187,6 +189,16 @@ class TestPde:
         assert code == 2
         assert "production rate r must be >= 0 and finite" in err
         assert not list(tmp_path.iterdir())
+
+    def test_threshold_above_max_a_exits_4(self, tmp_path, capsys):
+        code, _, err = run(
+            capsys, "pde", "--threshold", 2, "--grid", "321:-10:20", "--t-end", 2,
+            "--out", tmp_path / "x",
+        )
+        assert code == 4
+        assert "A never reaches the threshold 2 at t = 1" in err
+        assert "--threshold" in err
+        assert "boundary" not in err
 
     def test_nan_threshold_exits_64(self, tmp_path, capsys):
         code, _, err = run(
@@ -360,9 +372,11 @@ class TestEvans:
         assert code == 0
         diag = payload["diagnostics"]
         assert set(diag) == {"accepted_steps", "rejected_steps", "rhs_evaluations",
-                             "refined_events"}
-        # the stop event truncates the last accepted step inside it
-        assert diag["accepted_steps"] == payload["profile"]["samples"] - 1
+                             "refined_events", "dense_samples"}
+        # the stop event truncates the last accepted step inside it; the
+        # samples inside longer steps come on top
+        assert payload["profile"]["samples"] - 1 == (
+            diag["accepted_steps"] + diag["dense_samples"])
         assert diag["rhs_evaluations"] == 2 + 6 * (
             diag["accepted_steps"] + diag["rejected_steps"])
         assert diag["refined_events"] >= 2  # the maximum and the stop

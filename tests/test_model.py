@@ -50,6 +50,11 @@ class TestParams:
             with pytest.raises(DomainError):
                 Params(c=c, r=r)
 
+    def test_numpy_scalars_stored_as_floats(self):
+        p = Params(c=np.float64(2.5), r=np.float64(0.5))
+        assert type(p.c) is float and type(p.r) is float
+        assert (p.c, p.r) == (2.5, 0.5)
+
     def test_general_validation(self):
         GeneralParams(r_S=1.0, r_A=1.0, r_I=0.0, D=1.0)
         for bad in [

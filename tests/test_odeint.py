@@ -19,15 +19,32 @@ def decay(z, y):
     return (-y[0], -y[1], -y[2])
 
 
+def slow_decay(z, y):
+    return (-0.01 * y[0], -0.01 * y[1], -0.01 * y[2])
+
+
 Y0 = (1.0, -2.0, 0.5)
+
+
+def samples_of(ends):
+    """The samples `integrate` keeps on the given step ends: each step cut into
+    ceil(h / SAMPLE_DZ) equal parts."""
+    out = [ends[0]]
+    for z0, z1 in zip(ends, ends[1:]):
+        h = z1 - z0
+        parts = math.ceil(h / odeint.SAMPLE_DZ) if h > odeint.SAMPLE_DZ else 1
+        out += [z0 + h * (j / parts) for j in range(1, parts)] + [z1]
+    return np.array(out)
 
 
 class TestOptions:
     def test_defaults(self):
         assert odeint.REL_TOL == 1e-9
         assert odeint.ABS_TOL == 1e-12
-        assert odeint.MAX_STEP == 0.1
+        assert odeint.SAMPLE_DZ == 0.1
         assert odeint.MAX_STEPS == 1_000_000
+        # the tolerance alone sets the step: there is no cap to tune
+        assert not hasattr(odeint, "MAX_STEP")
 
 
 class TestTrajectory:
@@ -60,8 +77,10 @@ class TestIntegrate:
         assert np.max(np.abs(traj.states - y0)) == 0.0
         # no error at all: scipy's degenerate initial step, then tenfold growth
         ref = solve_ivp(lambda z, y: wave_rhs(y, p), (0.0, 5.0), y0, method="RK45",
-                        rtol=odeint.REL_TOL, atol=odeint.ABS_TOL, max_step=odeint.MAX_STEP)
-        np.testing.assert_allclose(traj.zs, ref.t, rtol=0.0, atol=1e-15)
+                        rtol=odeint.REL_TOL, atol=odeint.ABS_TOL)
+        assert traj.diagnostics["accepted_steps"] == len(ref.t) - 1
+        assert traj.diagnostics["rhs_evaluations"] == ref.nfev
+        np.testing.assert_allclose(traj.zs, samples_of(ref.t), rtol=0.0, atol=1e-15)
 
     def test_degenerate_span(self):
         with pytest.raises(DomainError):
@@ -87,10 +106,8 @@ class TestIntegrate:
         assert traj.states.dtype == np.float64
 
     def test_monotone_convergence(self, monkeypatch):
-        # halving REL_TOL must not worsen the final-state error; a large
-        # MAX_STEP keeps the tolerance (not the cap) in control throughout
+        # halving REL_TOL must not worsen the final-state error
         monkeypatch.setattr(odeint, "ABS_TOL", 1e-14)
-        monkeypatch.setattr(odeint, "MAX_STEP", 10.0)
         errs = []
         for k in range(14):
             monkeypatch.setattr(odeint, "REL_TOL", 1e-4 * 0.5**k)
@@ -141,6 +158,18 @@ class TestEvents:
             assert 0 < j < len(traj.zs)
             assert traj.zs[j - 1] < z <= traj.zs[j]
 
+    def test_dip_inside_one_long_step(self, monkeypatch):
+        # |z - 5| - 0.15 falls through zero at 4.85 and rises again at 5.15,
+        # inside one step of a slow decay
+        dip = [Event(lambda z, y: abs(z - 5.0) - 0.15)]
+        traj = integrate(slow_decay, Y0, 10.0, dip)
+        assert [rec.z for rec in traj.events] == pytest.approx([4.85], abs=1e-8)
+        # the step ends alone straddle the dip and miss it
+        monkeypatch.setattr(odeint, "SAMPLE_DZ", math.inf)
+        ends = integrate(slow_decay, Y0, 10.0, dip)
+        assert ends.events == []
+        assert np.count_nonzero((ends.zs > 4.85) & (ends.zs < 5.15)) == 0
+
     def test_event_active_at_start_not_refired(self):
         # y[0] = -sin z starts exactly on the zero set and falls from there;
         # only the true falling crossing at 2 pi counts
@@ -167,7 +196,7 @@ def reference_crossings(fn, y0, z_end):
     """Falling crossings of fn as the scipy-based integrator placed them:
     brentq to EVENT_ZTOL on each step's RK45 dense output."""
     solver = RK45(lambda z, y: np.asarray(wave(z, y), dtype=float), 0.0, y0, z_end,
-                  rtol=odeint.REL_TOL, atol=odeint.ABS_TOL, max_step=odeint.MAX_STEP)
+                  rtol=odeint.REL_TOL, atol=odeint.ABS_TOL)
     found, g_prev = [], fn(0.0, y0)  # (z, state)
     while solver.status == "running":
         z_old = solver.t
@@ -183,19 +212,24 @@ def reference_crossings(fn, y0, z_end):
 class TestScipyOracle:
     """scipy's RK45 is the reference: the core keeps its steps exactly."""
 
-    def test_wave_shot_matches_solve_ivp(self, seed):
+    def test_wave_shot_matches_solve_ivp(self, seed, monkeypatch):
         traj = integrate(wave, seed, 150.0)
         ref = solve_ivp(wave, (0.0, 150.0), seed, method="RK45", rtol=odeint.REL_TOL,
-                        atol=odeint.ABS_TOL, max_step=odeint.MAX_STEP, dense_output=True)
-        assert len(traj) >= 1001
-        assert len(traj) == len(ref.t)
+                        atol=odeint.ABS_TOL, dense_output=True)
+        assert len(traj) >= 1501  # samples at most SAMPLE_DZ apart
+        assert traj.diagnostics["accepted_steps"] == len(ref.t) - 1
         assert traj.diagnostics["rhs_evaluations"] == ref.nfev
         assert traj.zs[-1] == ref.t[-1] == 150.0
+        # with no inner samples the trajectory holds the step ends alone, and
+        # sampling moves none of them
+        monkeypatch.setattr(odeint, "SAMPLE_DZ", math.inf)
+        ends = integrate(wave, seed, 150.0).zs
+        assert np.isin(ends, traj.zs).all()
         # The error estimate cancels heavily, so a rounding-level change moves
         # the error-controlled step ends: scipy itself, started one ulp away,
         # moves its step sizes by up to 3.3e-5 relative on such shots. The
         # states lie on scipy's solution curve to rounding all the same.
-        np.testing.assert_allclose(np.diff(traj.zs), np.diff(ref.t), rtol=1e-4, atol=0.0)
+        np.testing.assert_allclose(np.diff(ends), np.diff(ref.t), rtol=1e-4, atol=0.0)
         np.testing.assert_allclose(traj.states, ref.sol(traj.zs).T, rtol=0.0, atol=1e-11)
 
     @pytest.mark.parametrize("fn", [
@@ -214,14 +248,13 @@ class TestScipyOracle:
         # the final secant puts the event on its zero set to rounding
         assert max(abs(fn(rec.z, rec.state)) for rec in traj.events) <= 1e-14
 
-    def test_rejections_match_solve_ivp(self, monkeypatch):
-        # a large cap on a fast decay makes the control cut steps back
-        monkeypatch.setattr(odeint, "MAX_STEP", 10.0)
+    def test_rejections_match_solve_ivp(self):
+        # tenfold growth on a fast decay makes the control cut steps back
         traj = integrate(lambda z, y: tuple(-50.0 * v for v in y), Y0, 5.0)
         ref = solve_ivp(lambda z, y: -50.0 * y, (0.0, 5.0), np.array(Y0), method="RK45",
-                        rtol=odeint.REL_TOL, atol=odeint.ABS_TOL, max_step=10.0)
+                        rtol=odeint.REL_TOL, atol=odeint.ABS_TOL)
         assert traj.diagnostics["rejected_steps"] > 0
-        assert len(traj) == len(ref.t)
+        assert traj.diagnostics["accepted_steps"] == len(ref.t) - 1
         assert traj.diagnostics["rhs_evaluations"] == ref.nfev
 
     def test_nan_rhs_underflows_like_scipy(self):
@@ -233,7 +266,7 @@ class TestScipyOracle:
         partial = info.value.trajectory
 
         solver = RK45(lambda z, y: np.asarray(turns_nan(z, y)), 0.0, np.array(Y0), 2.0,
-                      rtol=odeint.REL_TOL, atol=odeint.ABS_TOL, max_step=odeint.MAX_STEP)
+                      rtol=odeint.REL_TOL, atol=odeint.ABS_TOL)
         while solver.status == "running":
             solver.step()
         assert solver.status == "failed"
@@ -270,8 +303,9 @@ class TestDiagnostics:
         assert diag["rhs_evaluations"] == len(calls)
         assert diag["rhs_evaluations"] == 2 + 6 * (
             diag["accepted_steps"] + diag["rejected_steps"])
-        # no terminal event: every accepted step is a sample
-        assert diag["accepted_steps"] == len(traj) - 1
+        # no terminal event: every step end is a sample, and so is every inner point
+        assert len(traj) - 1 == diag["accepted_steps"] + diag["dense_samples"]
+        assert diag["dense_samples"] > 0
         assert diag["refined_events"] == 0
 
     def test_refined_events_counted(self):

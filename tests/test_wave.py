@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from branchwaves import analysis, wave
+from branchwaves import analysis, odeint, wave
 from branchwaves.errors import BudgetError, DomainError, NegativityError
 from branchwaves.model import Params, wave_rhs
 from branchwaves.odeint import Trajectory
@@ -202,6 +202,21 @@ class TestShootFromMax:
         # past a_star the level would undershoot i_c; expect negativity
         with pytest.raises(NegativityError):
             shoot_from_max(0.49, 0.51, Params(c=1.5, r=0.0))
+
+
+class TestSampling:
+    """Steps grow past SAMPLE_DZ; the samples stay at most that far apart."""
+
+    def test_battery_shot(self):
+        traj, _ = shoot_from_max(np.float64(0.2), np.float64(0.6),
+                                 Params(c=np.float64(3.0), r=np.float64(1.0)))
+        assert traj.diagnostics["dense_samples"] > 0
+        assert np.diff(traj.zs).max() <= odeint.SAMPLE_DZ * (1 + 1e-12)
+
+    def test_shoot_wave(self, interior_wave):
+        traj = interior_wave.trajectory
+        assert traj.diagnostics["dense_samples"] > 0
+        assert np.diff(traj.zs).max() <= odeint.SAMPLE_DZ * (1 + 1e-12)
 
 
 class TestCounters:
