@@ -390,6 +390,6 @@ def run_all(
             passed, detail, *diagnostics = fn(ctx)
         except Exception as exc:
             passed, detail, diagnostics = False, f"raised {type(exc).__name__}: {exc}", []
-        results.append(CriterionResult(name, passed, detail, time.perf_counter() - t0,
+        results.append(CriterionResult(name, bool(passed), detail, time.perf_counter() - t0,
                                        *diagnostics))
     return results

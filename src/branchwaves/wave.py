@@ -11,10 +11,10 @@ events and the settings fixed below.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from . import analysis
 from .errors import (BudgetError, DomainError, NegativityError, NonConvergenceError,
@@ -39,6 +39,11 @@ _EV_STOP = 2
 # pure-exponential tail fitting is hopeless once the two decay rates at
 # the forward limit are this close to collision (their discriminant below 0.01)
 CRITICAL_GAP = 0.2
+
+# Brent's bounded search as scipy's method="bounded" sets it up: golden-section
+# fraction, root of the unit roundoff, absolute tolerance in x and call cap
+_GOLDEN, _SQRT_EPS = 0.5 * (3.0 - math.sqrt(5.0)), math.sqrt(2.2e-16)
+_XATOL, _MAXFUN = 1e-5, 500
 
 
 @dataclass
@@ -134,6 +139,57 @@ def _loglinear_slope(x, y) -> float:
     return float(np.polyfit(x, y, 1)[0])
 
 
+def _bounded_minimum(f, lo: float, hi: float) -> float:
+    """Minimizer of f on [lo, hi] by Brent's bounded search (Brent 1973, ch. 5).
+
+    Operation for operation scipy's `minimize_scalar(method="bounded")`: the
+    same x after the same calls of f.  Where scipy would flag its x, on a NaN
+    value or after _MAXFUN calls, this raises NonConvergenceError.
+    """
+    a, b = lo, hi
+    x = xf = nfc = fulc = a + _GOLDEN * (b - a)
+    rat, e, num, fu = 0.0, 0.0, 1, math.inf
+    fx = ffulc = fnfc = f(x)
+    while True:
+        xm, tol1 = 0.5 * (a + b), _SQRT_EPS * abs(xf) + _XATOL / 3.0
+        if not abs(xf - xm) > 2.0 * tol1 - 0.5 * (b - a):
+            break
+        golden = True
+        if abs(e) > tol1:  # parabola through the three best points
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            p, q = (-p if q > 0.0 else p), abs(q)
+            r, e = e, rat
+            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
+                golden = False
+                rat = (p + 0.0) / q
+                if xf + rat - a < 2.0 * tol1 or b - (xf + rat) < 2.0 * tol1:
+                    rat = tol1 if xm >= xf else -tol1
+        if golden:
+            e = (a if xf >= xm else b) - xf
+            rat = _GOLDEN * e
+        step = max(abs(rat), tol1)
+        x = xf + step if rat >= 0 else xf - step
+        fu = f(x)
+        num += 1
+        if fu <= fx:
+            a, b = (xf, b) if x >= xf else (a, xf)
+            fulc, ffulc, nfc, fnfc, xf, fx = nfc, fnfc, xf, fx, x, fu
+        else:
+            a, b = (x, b) if x < xf else (a, x)
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc, nfc, fnfc = nfc, fnfc, x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        if num >= _MAXFUN:
+            raise NonConvergenceError(f"bounded search unconverged after {_MAXFUN} calls")
+    if math.isnan(xf) or math.isnan(fx) or math.isnan(fu):
+        raise NonConvergenceError("bounded search met a NaN value")
+    return xf
+
+
 def _fit_tails(traj: Trajectory, a_max: float, i_plus: float,
                p: Params) -> tuple[float, float, float | None]:
     """Tail rates from least squares on log a (zs anchored at the maximum)."""
@@ -165,8 +221,8 @@ def _fit_tails(traj: Trajectory, a_max: float, i_plus: float,
         slope, intercept = np.polyfit(np.log(zw + d), weighted, 1)
         return float(np.sum((weighted - slope * np.log(zw + d) - intercept) ** 2))
 
-    best = minimize_scalar(sse, bounds=(-zw[0] + 0.5, 50.0), method="bounded")
-    prefactor_exp = _loglinear_slope(np.log(zw + best.x), weighted)
+    d = _bounded_minimum(sse, -zw[0] + 0.5, 50.0)
+    prefactor_exp = _loglinear_slope(np.log(zw + d), weighted)
     return mu_minus, -p.c / 2.0, prefactor_exp
 
 

@@ -5,6 +5,10 @@ split are exercised exactly as a shell would see them.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +25,16 @@ def no_solvers(monkeypatch):
     for owner, name in [(cli.wave_mod, "shoot_wave"), (pde, "simulate"), (pde.Grid, "xs"),
                         (spectral, "winding_number"), (spectral, "evans_winding")]:
         monkeypatch.setattr(owner, name, called)
+
+
+def test_start_loads_no_scipy():
+    # scipy is the tests' oracle, never the program's: no CLI start pays for its import
+    probe = ("import sys, branchwaves.cli; "
+             "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+                          timeout=60, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 def run(capsys, *argv):
@@ -367,19 +381,17 @@ class TestEvans:
         assert moduli.max() <= 10.0 + 1e-12
 
     def test_reports_shooting_diagnostics(self, tmp_path, capsys):
-        code, payload, _ = run_json(capsys, "wave", "--c", 3, "--r", 1, "--i-minus", 1.5,
-                                    "--out", tmp_path / "w.csv")
+        out = tmp_path / "e.csv"
+        code, payload, _ = run_json(capsys, "evans", "--c", 3, "--r", 1, "--i-minus", 1.5,
+                                    "--contour", "0.1:10:32", "--out", out)
         assert code == 0
         diag = payload["diagnostics"]
-        assert set(diag) == {"accepted_steps", "rejected_steps", "rhs_evaluations",
-                             "refined_events", "dense_samples"}
-        # the stop event truncates the last accepted step inside it; the
-        # samples inside longer steps come on top
-        assert payload["profile"]["samples"] - 1 == (
-            diag["accepted_steps"] + diag["dense_samples"])
-        assert diag["rhs_evaluations"] == 2 + 6 * (
-            diag["accepted_steps"] + diag["rejected_steps"])
-        assert diag["refined_events"] >= 2  # the maximum and the stop
+        assert set(diag) == {"evaluations", "halving_probes", "propagators", "bisections",
+                             "min_abs_E", "halving_rel_diff"}
+        assert set(diag["propagators"]) == {"stacked", "matrices"}
+        # the CSV carries every value to 17 digits, so its smallest |E| is the reported one
+        data = np.genfromtxt(out, delimiter=",", names=True)
+        assert diag["min_abs_E"] == np.abs(data["re_E"] + 1j * data["im_E"]).min()
 
     def test_invalid_regime_exits_2(self, tmp_path, capsys):
         code, _, err = run(
@@ -555,6 +567,12 @@ class TestVerify:
             diag["accepted_steps"] + diag["rejected_steps"])
         _, out, _ = run(capsys, "verify", "--only", "mass-identities")
         assert out.startswith(f"[PASS] mass-identities: {entry['detail']} (")
+
+    def test_json_verdict_from_a_numpy_comparison(self, capsys):
+        # this criterion compares a numpy float, so its verdict comes back as np.bool_
+        code, payload, _ = run_json(capsys, "verify", "--only", "oscillatory", "--json")
+        assert code == 0
+        assert payload[0]["passed"] is True
 
     def test_tol_flag_exits_64(self, capsys):
         # the criteria's tolerances are fixed; no flag loosens them

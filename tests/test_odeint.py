@@ -1,6 +1,8 @@
 import ast
+import importlib
 import inspect
 import math
+import pkgutil
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from scipy.integrate import RK45, solve_ivp
 from scipy.linalg import expm
 from scipy.optimize import brentq
 
+import branchwaves
 from branchwaves import odeint
 from branchwaves.errors import DomainError, NonConvergenceError
 from branchwaves.model import Params, wave_rhs
@@ -276,8 +279,9 @@ class TestScipyOracle:
         np.testing.assert_allclose(partial.states[-1], solver.y, rtol=0.0, atol=1e-11)
         assert partial.diagnostics["rejected_steps"] > 0
 
-    def test_imports_nothing_from_scipy(self):
-        tree = ast.parse(inspect.getsource(odeint))
+    @pytest.mark.parametrize("name", [m.name for m in pkgutil.iter_modules(branchwaves.__path__)])
+    def test_imports_nothing_from_scipy(self, name):
+        tree = ast.parse(inspect.getsource(importlib.import_module(f"branchwaves.{name}")))
         imported = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
                     for alias in node.names]
         imported += [node.module or "" for node in ast.walk(tree)

@@ -8,6 +8,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
+from scipy.interpolate import CubicSpline
 
 from branchwaves import spectral, wave
 from branchwaves.errors import ContourResolutionError, DomainError, SplittingError
@@ -72,6 +73,26 @@ class TestSetup:
                 a, _, i = setup._spline(z)
             assert a_tab[k] == pytest.approx(a, abs=1e-14)
             assert i_tab[k] == pytest.approx(i, abs=1e-14)
+
+
+class TestHermite:
+    def test_reproduces_a_cubic(self):
+        zs = np.array([-2.0, -1.3, -1.25, 0.0, 0.1, 1.7, 3.0])
+        zq = np.linspace(zs[0], zs[-1], 101)
+        cubic = lambda z: np.stack([1.0 - z + 0.5 * z**3, z * z, 4.0 - z**3], axis=-1)
+        slope = lambda z: np.stack([-1.0 + 1.5 * z * z, 2.0 * z, -3.0 * z * z], axis=-1)
+        got = spectral._hermite(zs, cubic(zs), slope(zs), zq)
+        np.testing.assert_allclose(got, cubic(zq), rtol=0.0, atol=1e-13)
+
+    def test_samples_at_the_knots(self, setup):
+        traj = setup.wave.trajectory
+        assert np.array_equal(setup._spline(traj.zs), traj.states)
+
+    def test_close_to_the_not_a_knot_spline(self, setup):
+        zs = setup.wave.trajectory.zs
+        zq = (zs[:-1, None] + np.diff(zs)[:, None] * np.array([0.25, 0.5, 0.75])).ravel()
+        spline = CubicSpline(zs, setup.wave.trajectory.states)
+        assert np.max(np.abs(setup._spline(zq) - spline(zq))) <= 1e-8
 
 
 def _coefficients(setup, z):
@@ -306,6 +327,19 @@ class TestExpm:
         for g, m in zip(got, stack):
             want = scipy.linalg.expm(m)
             assert np.max(np.abs(g - want)) <= 1e-10 * np.max(np.abs(want))
+
+    def test_interleaved_powers_square_as_alone(self):
+        # matrices needing s = 0, 3 and 6 squarings, interleaved in one stack
+        rng = np.random.default_rng(7)
+        base = rng.standard_normal((9, 3, 3)) + 1j * rng.standard_normal((9, 3, 3))
+        base /= np.abs(base).sum(axis=1).max(axis=1)[:, None, None]
+        stack = base * np.tile([1.0, 30.0, 250.0], 3)[:, None, None]
+        norms = np.abs(stack).sum(axis=1).max(axis=1)
+        powers = np.maximum(np.ceil(np.log2(norms / spectral._THETA13)), 0.0)
+        assert list(powers) == [0.0, 3.0, 6.0] * 3
+        got = spectral.expm(stack)
+        for g, m in zip(got, stack):
+            assert np.array_equal(g, spectral.expm(m))
 
 
 class TestEvansBatch:

@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize_scalar
 
 from branchwaves import analysis, odeint, wave
-from branchwaves.errors import BudgetError, DomainError, NegativityError
+from branchwaves.errors import BudgetError, DomainError, NegativityError, NonConvergenceError
 from branchwaves.model import Params, wave_rhs
 from branchwaves.odeint import Trajectory
 from branchwaves.wave import (
@@ -249,3 +250,55 @@ class TestVerifyConstantProfile:
         assert rep.limit_sum_residual == 0.0
         assert rep.mass.res1 == 0.0
         assert rep.i_monotone and rep.single_max
+
+
+class TestBoundedMinimum:
+    """The Brent port against scipy's bounded `minimize_scalar`: the same x after the same calls."""
+
+    @staticmethod
+    def assert_as_scipy(f, lo, hi):
+        calls = []
+        x = wave._bounded_minimum(lambda d: calls.append(d) or f(d), lo, hi)
+        want = minimize_scalar(f, bounds=(lo, hi), method="bounded")
+        assert want.success
+        assert x == want.x
+        assert len(calls) == want.nfev
+
+    @pytest.mark.parametrize("f, lo, hi", [
+        (lambda x: (x - 0.3) ** 2, -1.0, 2.0),
+        (lambda x: x, 1.0, 4.0),
+        (lambda x: -x, 1.0, 4.0),
+        (lambda x: 1.0, -3.0, 5.0),
+        (lambda x: (x - 0.3) ** 4, -1.0, 2.0),
+        (lambda x: (x - 3.99999) ** 2, 1.0, 4.0),
+        (math.cos, 0.0, 10.0),
+        (lambda x: float(x > 0.5), 0.0, 1.0),
+    ], ids=["quadratic", "at-lower-bound", "at-upper-bound", "constant", "quartic",
+            "just-inside-upper-bound", "two-minima", "step"])
+    def test_matches_scipy(self, f, lo, hi):
+        self.assert_as_scipy(f, lo, hi)
+
+    @pytest.mark.parametrize("r", [0.0, 1.0])
+    def test_matches_scipy_on_the_tail_fit(self, monkeypatch, r):
+        seen = []
+        real = wave._bounded_minimum
+        monkeypatch.setattr(wave, "_bounded_minimum",
+                            lambda f, lo, hi: seen.append((f, lo, hi)) or real(f, lo, hi))
+        assert shoot_wave(2.0, Params(c=2.0, r=r)).tail_prefactor_exp is not None
+        [(sse, lo, hi)] = seen
+        self.assert_as_scipy(sse, lo, hi)
+
+    def test_nan_sse_raises(self, monkeypatch):
+        real = wave._bounded_minimum
+        monkeypatch.setattr(wave, "_bounded_minimum",
+                            lambda f, lo, hi: real(lambda d: math.nan, lo, hi))
+        with pytest.raises(NonConvergenceError, match="NaN"):
+            shoot_wave(2.0, P20)
+
+    def test_call_cap_raises(self, monkeypatch):
+        quadratic = lambda x: (x - 0.3) ** 2
+        assert not minimize_scalar(quadratic, bounds=(-1.0, 2.0), method="bounded",
+                                   options={"maxiter": 5}).success
+        monkeypatch.setattr(wave, "_MAXFUN", 5)
+        with pytest.raises(NonConvergenceError, match="after 5 calls"):
+            wave._bounded_minimum(quadratic, -1.0, 2.0)
