@@ -173,13 +173,17 @@ def _threshold_consistency(ctx: AcceptanceContext, tol: float = 1e-10) -> tuple[
 def _decay_rates(ctx: AcceptanceContext, tol: float = 0.02) -> tuple[bool, str, dict]:
     prefactor_band = 0.15
     reports = ctx.wave_reports().values()
-    worst_rate = float(np.max([rep.mu_minus_rel_err for rep in reports]))
+    # np.max keeps a NaN from either fold, failing worst < tol
+    worst_rear = float(np.max([rep.mu_minus_rel_err for rep in reports]))
+    worst_front = float(np.max([rep.mu_plus_rel_err for rep in reports
+                                if rep.mu_plus_rel_err is not None]))
     prefactors = [rep.prefactor_exp for rep in reports if rep.prefactor_exp is not None]
     pre_ok = all(abs(p - 1.0) <= prefactor_band for p in prefactors)
     pre_txt = ", ".join(f"{p:.3f}" for p in prefactors) or "none"
-    return worst_rate < tol and pre_ok, (
-        f"max rear-rate rel err = {worst_rate:.2e} (tol {tol:g}); critical "
-        f"tail prefactor exponents [{pre_txt}] within 1 +- {prefactor_band:g}"
+    return worst_rear < tol and worst_front < tol and pre_ok, (
+        f"max rear-rate rel err = {worst_rear:.2e}, max front-rate rel err = "
+        f"{worst_front:.2e} (tol {tol:g}); critical tail prefactor exponents "
+        f"[{pre_txt}] within 1 +- {prefactor_band:g}"
     ), ctx.wave_counters()
 
 

@@ -22,9 +22,11 @@ class InvalidSegmentError(ValueError):
 
 
 class NonConvergenceError(RuntimeError):
-    """Integration stopped early (step underflow or step-count cap).
+    """Integration stopped early (step underflow or step-count cap), or a
+    shot cannot be measured: it settles at i >= 1, or a tail holds too few
+    samples to fit its rate.
 
-    Carries the partial trajectory accumulated so far.
+    Carries the trajectory: the partial one, or the whole shot.
     """
 
     def __init__(self, message, trajectory=None):

@@ -11,7 +11,6 @@ events and the settings fixed below.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,14 +35,10 @@ _EV_MAX = 0
 _EV_NEG = 1
 _EV_STOP = 2
 
-# pure-exponential tail fitting is hopeless once the two decay rates at
-# the forward limit are this close to collision (their discriminant below 0.01)
-CRITICAL_GAP = 0.2
-
-# Brent's bounded search as scipy's method="bounded" sets it up: golden-section
-# fraction, root of the unit roundoff, absolute tolerance in x and call cap
-_GOLDEN, _SQRT_EPS = 0.5 * (3.0 - math.sqrt(5.0)), math.sqrt(2.2e-16)
-_XATOL, _MAXFUN = 1e-5, 500
+# falling tails with s z_hi <= TWO_MODE_SPAN (rates -c/2 +- s, z_hi the far end of
+# the fit window) are fitted as two modes; past it tanh(sz) saturates, and the fast
+# mode, e^{-2sz} relative, is gone for the pure exponential fit
+TWO_MODE_SPAN = 3.0
 
 
 @dataclass
@@ -53,9 +48,12 @@ class WaveProfile:
     z_first_max is the pseudo-time from the seed to that maximum (the
     amount the raw shooting coordinate was shifted by). mu_minus is the
     fitted growth rate of a on the rising tail, mu_plus the fitted decay
-    rate on the falling tail; in the near-critical regime mu_plus is
-    pinned at -c/2 and tail_prefactor_exp carries the fitted exponent of
-    the algebraic prefactor (1 for a z e^{-cz/2} tail).
+    rate on the falling tail. Near the critical level, where the forward
+    rates -c/2 +- s stay close across the fitted window (s z_hi <=
+    TWO_MODE_SPAN), mu_plus is pinned at -c/2 and tail_prefactor_exp carries
+    the fitted exponent p of the tail e^{-cz/2} cosh(sz) (tanh(sz)/s + d)^p:
+    1 for every two-mode tail, and for the pulled-front tail (z + d) e^{-cz/2}
+    at s = 0 (van Saarloos, Phys. Rep. 386, 2003).
     """
 
     trajectory: Trajectory
@@ -135,64 +133,13 @@ def _check_limit_band(traj: Trajectory, p: Params) -> float:
     return i_limit
 
 
-def _loglinear_slope(x, y) -> float:
+def _slope(x, y) -> float:
     return float(np.polyfit(x, y, 1)[0])
-
-
-def _bounded_minimum(f, lo: float, hi: float) -> float:
-    """Minimizer of f on [lo, hi] by Brent's bounded search (Brent 1973, ch. 5).
-
-    Operation for operation scipy's `minimize_scalar(method="bounded")`: the
-    same x after the same calls of f.  Where scipy would flag its x, on a NaN
-    value or after _MAXFUN calls, this raises NonConvergenceError.
-    """
-    a, b = lo, hi
-    x = xf = nfc = fulc = a + _GOLDEN * (b - a)
-    rat, e, num, fu = 0.0, 0.0, 1, math.inf
-    fx = ffulc = fnfc = f(x)
-    while True:
-        xm, tol1 = 0.5 * (a + b), _SQRT_EPS * abs(xf) + _XATOL / 3.0
-        if not abs(xf - xm) > 2.0 * tol1 - 0.5 * (b - a):
-            break
-        golden = True
-        if abs(e) > tol1:  # parabola through the three best points
-            r = (xf - nfc) * (fx - ffulc)
-            q = (xf - fulc) * (fx - fnfc)
-            p = (xf - fulc) * q - (xf - nfc) * r
-            q = 2.0 * (q - r)
-            p, q = (-p if q > 0.0 else p), abs(q)
-            r, e = e, rat
-            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
-                golden = False
-                rat = (p + 0.0) / q
-                if xf + rat - a < 2.0 * tol1 or b - (xf + rat) < 2.0 * tol1:
-                    rat = tol1 if xm >= xf else -tol1
-        if golden:
-            e = (a if xf >= xm else b) - xf
-            rat = _GOLDEN * e
-        step = max(abs(rat), tol1)
-        x = xf + step if rat >= 0 else xf - step
-        fu = f(x)
-        num += 1
-        if fu <= fx:
-            a, b = (xf, b) if x >= xf else (a, xf)
-            fulc, ffulc, nfc, fnfc, xf, fx = nfc, fnfc, xf, fx, x, fu
-        else:
-            a, b = (x, b) if x < xf else (a, x)
-            if fu <= fnfc or nfc == xf:
-                fulc, ffulc, nfc, fnfc = nfc, fnfc, x, fu
-            elif fu <= ffulc or fulc == xf or fulc == nfc:
-                fulc, ffulc = x, fu
-        if num >= _MAXFUN:
-            raise NonConvergenceError(f"bounded search unconverged after {_MAXFUN} calls")
-    if math.isnan(xf) or math.isnan(fx) or math.isnan(fu):
-        raise NonConvergenceError("bounded search met a NaN value")
-    return xf
 
 
 def _fit_tails(traj: Trajectory, a_max: float, i_plus: float,
                p: Params) -> tuple[float, float, float | None]:
-    """Tail rates from least squares on log a (zs anchored at the maximum)."""
+    """`WaveProfile`'s tail rates and prefactor exponent by least squares, z from the maximum."""
     zs = traj.zs
     a = traj.states[:, 0]
     lo, hi = 1e-8 * a_max, 1e-3 * a_max
@@ -200,30 +147,25 @@ def _fit_tails(traj: Trajectory, a_max: float, i_plus: float,
     rise = (zs < 0) & (a >= max(3.0 * SEED_EPS, lo)) & (a <= hi)
     if np.count_nonzero(rise) < 8:
         raise NonConvergenceError("rising tail too sparse to fit a rate", traj)
-    mu_minus = _loglinear_slope(zs[rise], np.log(a[rise]))
+    mu_minus = _slope(zs[rise], np.log(a[rise]))
 
     decay = (zs > 0) & (a >= lo) & (a <= hi)
     if np.count_nonzero(decay) < 8:
         raise NonConvergenceError("decaying tail too sparse to fit a rate", traj)
+    zw, aw, bw = zs[decay], a[decay], traj.states[decay, 1]
 
     _, slow, fast = analysis.fixed_point_spectrum(i_plus, p.c)
-    if (slow - fast).real > CRITICAL_GAP:
-        mu_plus = _loglinear_slope(zs[decay], np.log(a[decay]))
-        return mu_minus, mu_plus, None
-    # rates nearly collide: fit the algebraic prefactor of (z+d)^p e^{-cz/2}.
-    # The offset d soaks up the constant term of the true (C1 z + C2)
-    # prefactor; without it the log-log slope overshoots 1 badly at any
-    # reachable depth.
-    zw = zs[decay]
-    weighted = np.log(a[decay]) + (p.c / 2.0) * zw
-
-    def sse(d):
-        slope, intercept = np.polyfit(np.log(zw + d), weighted, 1)
-        return float(np.sum((weighted - slope * np.log(zw + d) - intercept) ** 2))
-
-    d = _bounded_minimum(sse, -zw[0] + 0.5, 50.0)
-    prefactor_exp = _loglinear_slope(np.log(zw + d), weighted)
-    return mu_minus, -p.c / 2.0, prefactor_exp
+    s = 0.5 * (slow - fast).real
+    if s * zw[-1] > TWO_MODE_SPAN:
+        return mu_minus, _slope(zw, np.log(aw)), None
+    # ahead of the wave a'' + c a' + (i_plus - 1) a = 0, so y = a e^{cz/2} has
+    # y'' = s^2 y and Y = y / cosh(sz) is affine in zeta = tanh(sz)/s (zeta = z
+    # at s = 0). A prefactor Y = (zeta + d)^p has Y / (dY/dzeta) = (zeta + d)/p,
+    # here q in terms of a and the exact b = a': p is 1 / its slope on zeta.
+    ch, sh = np.cosh(s * zw), np.sinh(s * zw)
+    zeta = np.tanh(s * zw) / s if s > 0 else zw
+    q = aw / (ch * ((bw + 0.5 * p.c * aw) * ch - s * aw * sh))
+    return mu_minus, -p.c / 2.0, 1.0 / _slope(zeta, q)
 
 
 def shoot_wave(i_minus_inf: float, p: Params) -> WaveProfile:
@@ -376,7 +318,7 @@ def verify_profile(w: WaveProfile) -> VerificationReport:
     if w.tail_prefactor_exp is not None:
         mu_plus_rel_err = None
     else:
-        # profiles without a prefactor have rates CRITICAL_GAP apart, so real
+        # profiles without a prefactor have s z_hi > TWO_MODE_SPAN, so real rates
         mu_plus_rel_err = analysis.rel_err(w.mu_plus, analysis.decay_rate(w.i_plus_inf, c))
 
     return VerificationReport(

@@ -150,6 +150,7 @@ def test_nan_defect_fails(ctx, monkeypatch, name):
 @pytest.mark.parametrize("name, field", [
     ("limit-symmetry", "limit_sum_residual"),
     ("decay-rates", "mu_minus_rel_err"),
+    ("decay-rates", "mu_plus_rel_err"),
     ("mass-identities", "mass"),
 ])
 def test_nan_in_last_wave_report_fails(ctx, monkeypatch, name, field):

@@ -56,7 +56,17 @@ class TestWave:
         assert payload["passed"] is True
         assert payload["limits"]["i_minus_inf"] == 2.0
         assert abs(payload["limits"]["i_plus_inf"]) < 1e-3
-        assert set(payload) >= {"limits", "residuals", "rates", "profile"}
+        assert set(payload) == {"limits", "residuals", "rates", "profile", "checks", "passed",
+                                "diagnostics"}
+        assert set(payload["limits"]) == {"i_minus_inf", "i_plus_inf", "sum_residual"}
+        assert set(payload["residuals"]) == {"mass1", "mass2", "mass3", "total_mass"}
+        assert set(payload["rates"]) == {"mu_minus", "mu_minus_rel_err", "mu_plus",
+                                         "mu_plus_rel_err", "tail_prefactor_exp"}
+        assert set(payload["profile"]) == {"a_max", "i_at_max", "z_first_max", "samples", "csv"}
+        assert set(payload["checks"]) == {"i_monotone", "single_max"}
+        assert set(payload["diagnostics"]) == {"accepted_steps", "rejected_steps",
+                                               "rhs_evaluations", "refined_events",
+                                               "dense_samples"}
 
         lines = out.read_text().splitlines()
         assert lines[0] == "z,a,b,i"
@@ -69,6 +79,14 @@ class TestWave:
         data = np.genfromtxt(out, delimiter=",", names=True)
         assert data["a"].max() == pytest.approx(payload["profile"]["a_max"], rel=1e-4)
         assert data["a"].max() <= payload["profile"]["a_max"]
+
+    @pytest.mark.parametrize("argv", [("--c", 2, "--i-minus", 1.995), ("--c", 2.005)],
+                             ids=["just-below-critical-level", "just-above-critical-speed"])
+    def test_near_critical_wave_passes(self, tmp_path, capsys, argv):
+        code, payload, _ = run_json(capsys, "wave", *argv, "--out", tmp_path / "w.csv")
+        assert code == 0
+        assert payload["passed"] is True
+        assert payload["rates"]["tail_prefactor_exp"] == pytest.approx(1.0, abs=0.15)
 
     def test_reports_shooting_diagnostics(self, tmp_path, capsys):
         code, payload, _ = run_json(capsys, "wave", "--c", 3, "--r", 1, "--i-minus", 1.5,

@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.optimize import minimize_scalar
 
 from branchwaves import analysis, odeint, wave
 from branchwaves.errors import BudgetError, DomainError, NegativityError, NonConvergenceError
@@ -252,53 +251,45 @@ class TestVerifyConstantProfile:
         assert rep.i_monotone and rep.single_max
 
 
-class TestBoundedMinimum:
-    """The Brent port against scipy's bounded `minimize_scalar`: the same x after the same calls."""
+class TestNearCriticalTails:
+    """Falling tails at and just off the critical level 2 - i_c, where the rates nearly collide."""
 
-    @staticmethod
-    def assert_as_scipy(f, lo, hi):
-        calls = []
-        x = wave._bounded_minimum(lambda d: calls.append(d) or f(d), lo, hi)
-        want = minimize_scalar(f, bounds=(lo, hi), method="bounded")
-        assert want.success
-        assert x == want.x
-        assert len(calls) == want.nfev
-
-    @pytest.mark.parametrize("f, lo, hi", [
-        (lambda x: (x - 0.3) ** 2, -1.0, 2.0),
-        (lambda x: x, 1.0, 4.0),
-        (lambda x: -x, 1.0, 4.0),
-        (lambda x: 1.0, -3.0, 5.0),
-        (lambda x: (x - 0.3) ** 4, -1.0, 2.0),
-        (lambda x: (x - 3.99999) ** 2, 1.0, 4.0),
-        (math.cos, 0.0, 10.0),
-        (lambda x: float(x > 0.5), 0.0, 1.0),
-    ], ids=["quadratic", "at-lower-bound", "at-upper-bound", "constant", "quartic",
-            "just-inside-upper-bound", "two-minima", "step"])
-    def test_matches_scipy(self, f, lo, hi):
-        self.assert_as_scipy(f, lo, hi)
-
+    @pytest.mark.parametrize("s", [0.02 * k for k in range(11)])
     @pytest.mark.parametrize("r", [0.0, 1.0])
-    def test_matches_scipy_on_the_tail_fit(self, monkeypatch, r):
-        seen = []
-        real = wave._bounded_minimum
-        monkeypatch.setattr(wave, "_bounded_minimum",
-                            lambda f, lo, hi: seen.append((f, lo, hi)) or real(f, lo, hi))
-        assert shoot_wave(2.0, Params(c=2.0, r=r)).tail_prefactor_exp is not None
-        [(sse, lo, hi)] = seen
-        self.assert_as_scipy(sse, lo, hi)
+    @pytest.mark.parametrize("c", [1.0, 1.5, 2.0])
+    def test_verification_passes(self, c, r, s):
+        # the forward limit i_c + s^2 has rates -c/2 +- s
+        i_minus = 2.0 - analysis.minimal_inactive_limit(c) - s * s
+        rep = verify_profile(shoot_wave(i_minus, Params(c=c, r=r)))
+        assert rep.passed
 
-    def test_nan_sse_raises(self, monkeypatch):
-        real = wave._bounded_minimum
-        monkeypatch.setattr(wave, "_bounded_minimum",
-                            lambda f, lo, hi: real(lambda d: math.nan, lo, hi))
-        with pytest.raises(NonConvergenceError, match="NaN"):
-            shoot_wave(2.0, P20)
+    @pytest.mark.parametrize("i0", [0.25, 0.5, 0.9])
+    def test_critical_wave_at_lower_speed(self, i0):
+        # c = 2 sqrt(1 - i0) puts i_c at i0, so i_minus = 2 - i0 is the critical level
+        c = 2.0 * math.sqrt(1.0 - i0)
+        w = shoot_wave(2.0 - i0, Params(c=c, r=0.0))
+        assert w.mu_plus == -c / 2.0
+        assert w.tail_prefactor_exp == pytest.approx(1.0, abs=0.15)
+        assert verify_profile(w).passed
 
-    def test_call_cap_raises(self, monkeypatch):
-        quadratic = lambda x: (x - 0.3) ** 2
-        assert not minimize_scalar(quadratic, bounds=(-1.0, 2.0), method="bounded",
-                                   options={"maxiter": 5}).success
-        monkeypatch.setattr(wave, "_MAXFUN", 5)
-        with pytest.raises(NonConvergenceError, match="after 5 calls"):
-            wave._bounded_minimum(quadratic, -1.0, 2.0)
+    @pytest.mark.parametrize("s", [0.0, 0.05])
+    @pytest.mark.parametrize("prefactor", [0.7, 1.0, 1.3, 2.0])
+    def test_recovers_synthetic_prefactor(self, prefactor, s):
+        # a profile rising as e^{z/2} to a = 1 at z = 0 and falling as
+        # e^{-cz/2} cosh(sz) (zeta + 1)^prefactor, zeta = tanh(sz)/s, with exact
+        # b = a'. A fit of y = C1 z + C2 read as a log-log slope gives ~1 for each.
+        c = 2.0
+        zs = np.linspace(-60.0, 80.0, 14001)
+        rise, fall = zs[zs <= 0], zs[zs > 0]
+        zeta = np.tanh(s * fall) / s if s > 0 else fall
+        a = np.exp(-c * fall / 2.0) * np.cosh(s * fall) * (zeta + 1.0) ** prefactor
+        b = a * (-c / 2.0 + s * np.tanh(s * fall) + prefactor / (np.cosh(s * fall) ** 2 * (zeta + 1.0)))
+        states = np.zeros((zs.size, 3))
+        states[:, 0] = np.concatenate([np.exp(rise / 2.0), a])
+        states[:, 1] = np.concatenate([np.exp(rise / 2.0) / 2.0, b])
+        i_plus = analysis.minimal_inactive_limit(c) + s * s
+        mu_minus, mu_plus, fitted = wave._fit_tails(Trajectory(zs, states), 1.0, i_plus,
+                                                    Params(c=c, r=0.0))
+        assert mu_minus == pytest.approx(0.5, rel=1e-9)
+        assert mu_plus == -c / 2.0
+        assert fitted == pytest.approx(prefactor, rel=1e-6)
