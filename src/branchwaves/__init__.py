@@ -43,14 +43,13 @@ from .model import (
 )
 from .odeint import Trajectory, integrate
 from .pde import (
-    ComovingProfile,
     FieldSeries,
     Grid,
     SpeedMeasurement,
-    comoving_profile,
     front_position,
     measure_speed,
     plateau,
+    shape_misfit,
     simulate,
 )
 from .spectral import (
@@ -111,12 +110,11 @@ __all__ = [
     "Grid",
     "FieldSeries",
     "SpeedMeasurement",
-    "ComovingProfile",
     "simulate",
     "front_position",
     "measure_speed",
     "plateau",
-    "comoving_profile",
+    "shape_misfit",
     # spectral
     "SpectralSetup",
     "Winding",

@@ -3,16 +3,16 @@
 Each criterion measures one quantitative claim end to end, at its stated
 tolerance, and reports a single line.  Expensive shared artifacts (the wave
 grid, the two reference PDE runs) are cached on an AcceptanceContext so the
-battery reuses them across criteria; `run_all` is the entry point used both
-by the test suite and by the `verify` command.
+battery reuses them across criteria; the PDE criteria read their front from
+`pde.measure_speed` and `pde.shape_misfit`.  `run_all` is the entry point
+used both by the test suite and by the `verify` command.
 """
 
 from __future__ import annotations
 
-import math
 import time
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -22,6 +22,7 @@ from . import wave as wave_mod
 from .analysis import rel_err
 from .errors import NegativityError
 from .model import GeneralParams, Params, denormalize, general_wave_predictions, normalize
+from .wave import LIMIT_SUM_TOL, MASS_TOL, PREFACTOR_BAND, RATE_TOL
 
 __all__ = [
     "AcceptanceContext",
@@ -46,7 +47,7 @@ class CriterionResult:
     passed: bool
     detail: str
     seconds: float
-    diagnostics: dict = field(default_factory=dict)
+    diagnostics: dict
 
     def line(self) -> str:
         flag = "PASS" if self.passed else "FAIL"
@@ -127,7 +128,7 @@ def _admissible_draw(rng: np.random.Generator) -> tuple[float, float, float, flo
     return c, r, i_c, i0, rng.uniform(0.0, analysis.a_star(i0, c, r))
 
 
-def _limit_symmetry(ctx: AcceptanceContext, tol: float = 1e-3) -> tuple[bool, str, dict]:
+def _limit_symmetry(ctx: AcceptanceContext, tol: float = LIMIT_SUM_TOL) -> tuple[bool, str, dict]:
     t0 = time.perf_counter()
     reports = ctx.wave_reports()
     worst = float(np.max([rep.limit_sum_residual for rep in reports.values()]))
@@ -155,7 +156,7 @@ def _attractor_formula(ctx: AcceptanceContext, tol: float = 1e-4) -> tuple[bool,
     ), _counters("shots", shots)
 
 
-def _threshold_consistency(ctx: AcceptanceContext, tol: float = 1e-10) -> tuple[bool, str]:
+def _threshold_consistency(ctx: AcceptanceContext, tol: float = 1e-10) -> tuple[bool, str, dict]:
     rng = ctx.rng(3)
     defects = []
     for _ in range(100):
@@ -167,23 +168,22 @@ def _threshold_consistency(ctx: AcceptanceContext, tol: float = 1e-10) -> tuple[
     return worst < tol, (
         f"max defect of threshold identities = {worst:.2e} over 100 random "
         f"(i0, c, r) (tol {tol:g})"
-    )
+    ), {}
 
 
-def _decay_rates(ctx: AcceptanceContext, tol: float = 0.02) -> tuple[bool, str, dict]:
-    prefactor_band = 0.15
+def _decay_rates(ctx: AcceptanceContext, tol: float = RATE_TOL) -> tuple[bool, str, dict]:
     reports = ctx.wave_reports().values()
     # np.max keeps a NaN from either fold, failing worst < tol
     worst_rear = float(np.max([rep.mu_minus_rel_err for rep in reports]))
     worst_front = float(np.max([rep.mu_plus_rel_err for rep in reports
                                 if rep.mu_plus_rel_err is not None]))
     prefactors = [rep.prefactor_exp for rep in reports if rep.prefactor_exp is not None]
-    pre_ok = all(abs(p - 1.0) <= prefactor_band for p in prefactors)
+    pre_ok = all(abs(p - 1.0) <= PREFACTOR_BAND for p in prefactors)
     pre_txt = ", ".join(f"{p:.3f}" for p in prefactors) or "none"
     return worst_rear < tol and worst_front < tol and pre_ok, (
         f"max rear-rate rel err = {worst_rear:.2e}, max front-rate rel err = "
         f"{worst_front:.2e} (tol {tol:g}); critical tail prefactor exponents "
-        f"[{pre_txt}] within 1 +- {prefactor_band:g}"
+        f"[{pre_txt}] within 1 +- {PREFACTOR_BAND:g}"
     ), ctx.wave_counters()
 
 
@@ -217,7 +217,7 @@ def _triangles(ctx: AcceptanceContext, tol: float = 1e-6) -> tuple[bool, str, di
     ), _counters("shots", shots)
 
 
-def _mass_identities(ctx: AcceptanceContext, tol: float = 1e-4) -> tuple[bool, str, dict]:
+def _mass_identities(ctx: AcceptanceContext, tol: float = MASS_TOL) -> tuple[bool, str, dict]:
     reports = ctx.wave_reports()
     worst = float(np.max([[r.mass.res1, r.mass.res2, r.mass.res3] for r in reports.values()]))
     return worst < tol, (
@@ -233,10 +233,7 @@ def _pde_front(ctx: AcceptanceContext, tol: float = 0.05) -> tuple[bool, str, di
     for r in (0.0, 1.0):
         series = ctx.pde_run(r)
         diagnostics[f"r={r:g}"] = series.diagnostics
-        c_est = pde.measure_speed(series, FRONT_THRESHOLD, PDE_WINDOW).c_est
-        A, I = series.at(PDE_T_END)
-        x_front = pde.front_position(A, series.grid, FRONT_THRESHOLD)
-        plateau = pde.plateau(I, series.grid, x_front)
+        c_est, _, _, plateau = pde.measure_speed(series, FRONT_THRESHOLD, PDE_WINDOW)
         if plateau is None:
             ok = False
             level = "no plateau (no front, or no grid point in [10, x_front - 20])"
@@ -251,36 +248,17 @@ def _pde_front(ctx: AcceptanceContext, tol: float = 0.05) -> tuple[bool, str, di
     return ok, "; ".join(parts), diagnostics
 
 
-def _pde_ode_shape(ctx: AcceptanceContext, tol: float = 0.05) -> tuple[bool, str]:
+def _pde_ode_shape(ctx: AcceptanceContext, tol: float = 0.05) -> tuple[bool, str, dict]:
     series = ctx.pde_run(0.0)
-    c_est = pde.measure_speed(series, FRONT_THRESHOLD, PDE_WINDOW).c_est
-    prof = pde.comoving_profile(series, PDE_T_END, c_est, FRONT_THRESHOLD)
-    sel = (prof.z >= -10.0) & (prof.z <= 10.0)
-    zq, a_pde, i_pde = prof.z[sel], prof.a[sel], prof.i[sel]
-
-    w = ctx.wave_grid()[(2.0, 0.0, 2.0)]
-    wzs, wst = w.trajectory.zs, w.trajectory.states
-    # the comoving profile anchors z = 0 at the threshold crossing while the
-    # wave anchors its maximum there; start the scan from the maxima offset
-    s0 = float(zq[np.argmax(a_pde)])
-    best_a = math.inf
-    best_i = math.inf
-    for shift in s0 + np.arange(-1.0, 1.0 + 1e-9, 0.01):
-        a_ode = np.interp(zq - shift, wzs, wst[:, 0])
-        sup_a = float(np.max(np.abs(a_pde - a_ode)))
-        if sup_a < best_a:
-            best_a = sup_a
-            i_ode = np.interp(zq - shift, wzs, wst[:, 2])
-            best_i = float(np.max(np.abs(i_pde - i_ode)))
-    rel_a = best_a / w.a_max
-    rel_i = best_i / 2.0
+    x_front = pde.measure_speed(series, FRONT_THRESHOLD, PDE_WINDOW).x_front
+    rel_a, rel_i = pde.shape_misfit(series, x_front, ctx.wave_grid()[(2.0, 0.0, 2.0)])
     return rel_a < tol and rel_i < tol, (
         f"sup-norm misfit on z in [-10, 10] after optimal shift: active "
         f"{100 * rel_a:.2f}%, inactive {100 * rel_i:.2f}% (tol {100 * tol:.0f}%)"
-    )
+    ), {}
 
 
-def _evans_winding(ctx: AcceptanceContext, tol: float = 0.1) -> tuple[bool, str, dict]:
+def _evans_winding(ctx: AcceptanceContext) -> tuple[bool, str, dict]:
     parts, diagnostics = [], {}
     ok = True
     for r in (0.0, 1.0):
@@ -290,13 +268,13 @@ def _evans_winding(ctx: AcceptanceContext, tol: float = 0.1) -> tuple[bool, str,
         diag = diagnostics[f"r={r:g}"] = sweep.diagnostics
         parts.append(
             f"r={r:g}: winding={sweep.winding}, max arg step {sweep.max_arg_step:.3f} rad, "
-            f"closure deviation enforced < {tol:g}, halving rel diff "
+            f"closure deviation enforced < {spectral.CLOSURE_TOL:g}, halving rel diff "
             f"{diag['halving_rel_diff']:.1e}, {diag['bisections']} bisections"
         )
     return ok, "; ".join(parts), diagnostics
 
 
-def _oscillatory_exclusion(ctx: AcceptanceContext, tol: float = 1e-6) -> tuple[bool, str]:
+def _oscillatory_exclusion(ctx: AcceptanceContext, tol: float = 1e-6) -> tuple[bool, str, dict]:
     try:
         wave_mod.shoot_wave(1.5, Params(c=1.0, r=0.0))
     except NegativityError as exc:
@@ -307,11 +285,11 @@ def _oscillatory_exclusion(ctx: AcceptanceContext, tol: float = 1e-6) -> tuple[b
         return depth is not None and depth <= -tol + 1e-12, (
             f"(c=1, i-inf=1.5) rejected: a falls to {depth:.6e}, reaching "
             f"the -{tol:g} floor"
-        )
-    return False, "(c=1, i-inf=1.5) unexpectedly produced a non-negative wave"
+        ), {}
+    return False, "(c=1, i-inf=1.5) unexpectedly produced a non-negative wave", {}
 
 
-def _rescaling(ctx: AcceptanceContext, tol: float = 1e-12) -> tuple[bool, str]:
+def _rescaling(ctx: AcceptanceContext, tol: float = 1e-12) -> tuple[bool, str, dict]:
     rng = ctx.rng(11)
     defects = []
     for _ in range(100):
@@ -352,7 +330,7 @@ def _rescaling(ctx: AcceptanceContext, tol: float = 1e-12) -> tuple[bool, str]:
     return worst < tol, (
         f"max rel deviation between direct and normalize-then-map routes = "
         f"{worst:.2e} over 100 random parameter sets (tol {tol:g})"
-    )
+    ), {}
 
 
 _CRITERIA: list[tuple[str, Callable]] = [
@@ -380,7 +358,7 @@ def run_all(
     """Run the battery; `only` filters criteria by substring match on name.
 
     Each criterion checks at the `tol=` default in its own signature and returns
-    (passed, detail), plus its solvers' diagnostics where it holds them.  A
+    (passed, detail, diagnostics), the diagnostics of its solvers or {}.  A
     criterion that raises is reported as failed, not propagated.
     """
     if ctx is None:
@@ -391,9 +369,9 @@ def run_all(
             continue
         t0 = time.perf_counter()
         try:
-            passed, detail, *diagnostics = fn(ctx)
+            passed, detail, diagnostics = fn(ctx)
         except Exception as exc:
-            passed, detail, diagnostics = False, f"raised {type(exc).__name__}: {exc}", []
+            passed, detail, diagnostics = False, f"raised {type(exc).__name__}: {exc}", {}
         results.append(CriterionResult(name, bool(passed), detail, time.perf_counter() - t0,
-                                       *diagnostics))
+                                       diagnostics))
     return results

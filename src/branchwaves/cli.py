@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Subcommands: `wave` shoots and verifies a single traveling wave, `pde` runs
-the reaction-diffusion front at production rate r and reports its speed
-and the plateau behind it (`pde.plateau`: mean I over [10, x_front - 20]),
+the reaction-diffusion front at production rate r and reports its speed,
+final front and the plateau behind it, as `pde.measure_speed` measures them,
 `evans` sweeps the spectral contour and reports the winding number,
 `formulas` evaluates the closed-form predictions, and `verify` runs the
 acceptance battery at the tolerances its criteria state (`--json`: one
@@ -330,10 +330,7 @@ def cmd_pde(args: argparse.Namespace) -> int:
     if args.save_all:
         save_times = list(series.times)
     else:
-        save_times = sorted({0.0, round(args.t_end / 2.0, 6), args.t_end} & set(series.times)) or [
-            series.times[0],
-            series.times[-1],
-        ]
+        save_times = sorted({0.0, round(args.t_end / 2.0, 6), args.t_end} & set(series.times))
     xs = grid.xs()
     written = []
     for t in save_times:
@@ -342,15 +339,13 @@ def cmd_pde(args: argparse.Namespace) -> int:
         _write_csv(path, ["x", "A", "I"], [xs, A, I])
         written.append(path)
 
-    A_end, I_end = series.at(series.times[-1])
-    x_front = pde.front_position(A_end, grid, args.threshold)
     _report(
         {
             "c_est": speed.c_est,
             "window": list(window),
             "residual": speed.residual,
-            "plateau": pde.plateau(I_end, grid, x_front),
-            "front_position": None if not math.isfinite(x_front) else x_front,
+            "plateau": speed.plateau,
+            "front_position": speed.x_front if math.isfinite(speed.x_front) else None,
             "snapshots": written,
             "diagnostics": series.diagnostics,
         }

@@ -6,7 +6,7 @@ steps (RKC; Sommeijer, Shampine & Verwer 1997) whose stage count, not size,
 follows the diffusive stiffness, each stage on the local stencil only, so A
 stays physical ahead of the front. The only model parameter is the production
 rate r; the PDE selects its own front speed. Also front tracking, speed fits,
-the plateau behind the front, and comoving profiles to compare with shot waves.
+the plateau behind the front, and the shape misfit against a shot wave.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ import numpy as np
 
 from .errors import BlowUpError, ContaminatedMeasurementError, DomainError
 from .model import pde_rhs
+from .wave import WaveProfile
 
 STEP = 0.02  # RKC step, shrunk to divide each snapshot interval
 DAMPING = 2.0 / 13.0  # epsilon of the damped Chebyshev stability polynomial
@@ -84,7 +85,8 @@ def _snapshot_times(t_end: float, snapshot_dt: float, n: int) -> np.ndarray:
     ratio = t_end / snapshot_dt
     # a ratio past the cap is rejected anyway; capping keeps floor finite
     n_whole = math.floor(min(ratio + 1e-9, MAX_STORED_VALUES))
-    partial = snapshot_dt * n_whole < t_end - 1e-9 * max(t_end, 1.0)
+    # with no whole interval t_end is its own snapshot, never t = 0 relabelled
+    partial = n_whole == 0 or snapshot_dt * n_whole < t_end - 1e-9 * max(t_end, 1.0)
     if 2 * n * (n_whole + 1 + partial) > MAX_STORED_VALUES:
         raise DomainError(
             f"t_end = {t_end:g} at snapshot_dt = {snapshot_dt:g} asks for {ratio:.6g} "
@@ -243,11 +245,13 @@ def plateau(I, grid: Grid, x_front: float) -> float | None:
 class SpeedMeasurement(NamedTuple):
     c_est: float
     residual: float
+    x_front: float  # `front_position` at the last snapshot, whatever the window
+    plateau: float | None  # `plateau` behind that front
 
 
 def measure_speed(series: FieldSeries, threshold: float,
                   window: tuple[float, float]) -> SpeedMeasurement:
-    """Least-squares front speed over a time window.
+    """Least-squares front speed over a time window, and the final front and plateau.
 
     The front must exist and stay at least 10 grid cells away from both
     domain ends throughout the window; otherwise the measurement counts
@@ -282,26 +286,28 @@ def measure_speed(series: FieldSeries, threshold: float,
     slope, intercept = np.polyfit(ts, fronts, 1)
     fit = slope * ts + intercept
     residual = float(np.sqrt(np.mean((fit - np.asarray(fronts)) ** 2)))
-    return SpeedMeasurement(float(slope), residual)
+    A, I = series.snapshots[-1]
+    x_front = front_position(A, grid, threshold)
+    return SpeedMeasurement(float(slope), residual, float(x_front), plateau(I, grid, x_front))
 
 
-class ComovingProfile(NamedTuple):
-    z: np.ndarray
-    a: np.ndarray
-    i: np.ndarray
+def shape_misfit(series: FieldSeries, x_front: float, wave: WaveProfile) -> tuple[float, float]:
+    """(active, inactive) sup-norm misfit of the last snapshot against a shot wave.
 
-
-def comoving_profile(series: FieldSeries, t: float, c_est: float,
-                     anchor: float) -> ComovingProfile:
-    """Snapshot at time t on the front-anchored coordinate z = x - x_front.
-
-    The anchor threshold crossing sits at z = 0. When the snapshot never
-    reaches the anchor level (no front), the nominal position c_est * t
-    anchors the shift instead.
+    Taken on z = x - x_front in [-10, 10], relative to wave.a_max and
+    wave.i_minus_inf. The wave has its maximum at z = 0, so it is moved to
+    the snapshot's maximum and then by the first shift of -1, -0.99, ..., 1
+    with the least active misfit; the inactive misfit is read at that shift.
     """
-    A, I = series.at(t)
-    x_front = front_position(A, series.grid, anchor)
-    if not math.isfinite(x_front):
-        x_front = c_est * t
+    A, I = series.snapshots[-1]
     z = series.grid.xs() - x_front
-    return ComovingProfile(z, A.copy(), I.copy())
+    sel = (z >= -10.0) & (z <= 10.0)
+    if not sel.any():
+        raise DomainError(f"no grid point within 10 of the front at x = {x_front:g}")
+    z, a, i = z[sel], A[sel], I[sel]
+    zs, states = wave.trajectory.zs, wave.trajectory.states
+    zq = z - (z[np.argmax(a)] + np.arange(-1.0, 1.0 + 1e-9, 0.01))[:, None]
+    sup_a = np.max(np.abs(a - np.interp(zq, zs, states[:, 0])), axis=1)
+    k = int(np.argmin(sup_a))
+    sup_i = np.max(np.abs(i - np.interp(zq[k], zs, states[:, 2])))
+    return float(sup_a[k] / wave.a_max), float(sup_i / wave.i_minus_inf)

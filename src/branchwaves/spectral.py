@@ -75,6 +75,8 @@ _GAUSS_OFFSET = math.sqrt(3.0) / 6.0
 # argument steps telescope and are capped at pi/3, so only a phase error
 # near pi/3 per point could change a count; halving may move values this much
 _HALVING_TOL = 0.1
+# a sweep whose argument misses a whole number of turns by this much is unresolved
+CLOSURE_TOL = 0.1
 _MAX_REFINE = 12
 # matrices per stacked exponential in the march: enough that a batch of a
 # few gammas pays numpy's per-call cost once per block of steps, not once
@@ -496,7 +498,7 @@ def winding_number(
     bisected recursively, each chord midpoint going to fn as an array of
     one, up to 12 levels.  A non-finite gamma or value raises DomainError,
     and a sweep whose accumulated argument misses an integer number of
-    turns by 0.1 or more is reported as a resolution failure rather than
+    turns by CLOSURE_TOL or more is reported as a resolution failure rather than
     rounded over.  Returns a `Winding` without diagnostics.
     """
     pts = np.asarray(contour, dtype=complex)
@@ -516,7 +518,7 @@ def winding_number(
 
     turns = total / (2.0 * math.pi)
     nearest = round(turns)
-    if abs(turns - nearest) >= 0.1:
+    if abs(turns - nearest) >= CLOSURE_TOL:
         raise ContourResolutionError(
             f"accumulated argument is {turns:.4f} turns, not close to an "
             "integer"

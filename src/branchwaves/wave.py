@@ -29,6 +29,12 @@ STOP_TOL = 1e-10
 Z_BUDGET = 1000.0
 # a below -NEGATIVITY_TOL means no non-negative wave
 NEGATIVITY_TOL = 1e-6
+# `VerificationReport` budgets: the limit sum, each mass residual relative to the
+# total transferred mass, both tail rates relative, the near-critical prefactor exponent
+LIMIT_SUM_TOL = 1e-3
+MASS_TOL = 1e-4
+RATE_TOL = 0.02
+PREFACTOR_BAND = 0.15
 
 # event indices used by the shooting runs
 _EV_MAX = 0
@@ -263,27 +269,23 @@ class VerificationReport:
 
     @property
     def passed(self) -> bool:
-        """All structural flags hold and every residual is within budget.
-
-        Budgets: 1e-3 on the limit sum, 1e-4 on each mass residual
-        (relative to the total transferred mass), 2% on tail rates, 0.15
-        on the near-critical prefactor exponent.
-        """
+        """All structural flags hold and every residual is within its budget:
+        LIMIT_SUM_TOL, MASS_TOL, RATE_TOL and PREFACTOR_BAND."""
         scale = max(abs(self.mass.total_mass), 1.0)
         mass_ok = all(
-            abs(r) <= 1e-4 * scale
+            abs(r) <= MASS_TOL * scale
             for r in (self.mass.res1, self.mass.res2, self.mass.res3)
         )
         if self.prefactor_exp is not None:
-            tail_ok = abs(self.prefactor_exp - 1.0) <= 0.15
+            tail_ok = abs(self.prefactor_exp - 1.0) <= PREFACTOR_BAND
         else:
-            tail_ok = self.mu_plus_rel_err is not None and self.mu_plus_rel_err <= 0.02
+            tail_ok = self.mu_plus_rel_err is not None and self.mu_plus_rel_err <= RATE_TOL
         return (
             self.i_monotone
             and self.single_max
-            and self.limit_sum_residual <= 1e-3
+            and self.limit_sum_residual <= LIMIT_SUM_TOL
             and mass_ok
-            and self.mu_minus_rel_err <= 0.02
+            and self.mu_minus_rel_err <= RATE_TOL
             and tail_ok
         )
 

@@ -145,7 +145,8 @@ class TestPde:
             capsys, "pde", "--grid", "501:-20:60", "--t-end", 10, "--out", prefix
         )
         assert code == 0
-        assert set(payload) >= {"c_est", "window", "residual", "plateau", "snapshots"}
+        assert set(payload) == {"c_est", "window", "residual", "plateau", "front_position",
+                                "snapshots", "diagnostics"}
         assert payload["window"] == [5.0, 10.0]
         assert 1.5 < payload["c_est"] < 2.1
         assert len(payload["snapshots"]) == 3
@@ -268,6 +269,15 @@ class TestPde:
         )
         assert code == 2
         assert "t_end = 1e+300 at snapshot_dt = 0.5" in err
+        assert not list(tmp_path.iterdir())
+
+    def test_end_time_below_the_time_tolerance_exits_64(self, tmp_path, capsys):
+        # the run holds t = 0 and t_end, so the default window (t_end / 2, t_end) has one snapshot
+        code, _, err = run(
+            capsys, "pde", "--grid", "321:-10:20", "--t-end", "1e-9", "--out", tmp_path / "x",
+        )
+        assert code == 64
+        assert err == "error: usage: window covers fewer than two snapshots\n"
         assert not list(tmp_path.iterdir())
 
     def test_window_outside_run_exits_64(self, tmp_path, capsys):
@@ -410,6 +420,14 @@ class TestEvans:
         # the CSV carries every value to 17 digits, so its smallest |E| is the reported one
         data = np.genfromtxt(out, delimiter=",", names=True)
         assert diag["min_abs_E"] == np.abs(data["re_E"] + 1j * data["im_E"]).min()
+
+    def test_non_finite_evans_value_exits_4(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(spectral, "evans", lambda gammas, setup, *args, **kwargs:
+                            np.full_like(gammas, np.nan))
+        code, out, err = run(capsys, "evans", "--contour", "0.1:10:32", "--out", tmp_path / "e.csv")
+        assert code == 4
+        assert out == ""
+        assert "resolution failure: non-finite Evans sample at gamma = " in err
 
     def test_invalid_regime_exits_2(self, tmp_path, capsys):
         code, _, err = run(
@@ -555,8 +573,8 @@ class TestVerify:
 
     def test_failing_criterion_exits_1(self, capsys, monkeypatch):
         monkeypatch.setattr(acceptance, "_CRITERIA", [
-            ("passing", lambda ctx: (True, "fine")),
-            ("failing", lambda ctx: (False, "off by a mile")),
+            ("passing", lambda ctx: (True, "fine", {})),
+            ("failing", lambda ctx: (False, "off by a mile", {})),
         ])
         code, out, err = run(capsys, "verify")
         assert code == 1

@@ -11,16 +11,17 @@ from branchwaves.errors import (
     ContaminatedMeasurementError,
     DomainError,
 )
-from branchwaves.model import pde_rhs
+from branchwaves.model import Params, pde_rhs
 from branchwaves.pde import (
     FieldSeries,
     Grid,
-    comoving_profile,
     front_position,
     measure_speed,
     plateau,
+    shape_misfit,
     simulate,
 )
+from branchwaves.wave import shoot_wave
 
 R0 = 0.0  # production rate of the runs below
 
@@ -144,6 +145,16 @@ class TestSimulate:
         g = Grid(0.0, 10.0, 32)
         series = simulate(np.zeros(32), np.zeros(32), R0, g, 1.2, 0.5)
         np.testing.assert_allclose(series.times, [0.0, 0.5, 1.0, 1.2])
+
+    @pytest.mark.parametrize("t_end", [1e-9, 5e-10])
+    def test_end_time_below_the_time_tolerance(self, t_end):
+        # no whole snapshot interval: t = 0 is kept and t_end is reached by a step
+        g = Grid(-10.0, 40.0, 401)
+        A0, I0 = bump(g)
+        series = simulate(A0, I0, R0, g, t_end=t_end)
+        assert series.times.tolist() == [0.0, t_end]
+        assert series.diagnostics["steps"] >= 1
+        np.testing.assert_array_equal(series.snapshots[0][0], A0)
 
     def test_mirror_symmetry(self):
         g = Grid(-20.0, 20.0, 401)
@@ -423,24 +434,68 @@ class TestMeasureSpeed:
         assert m.c_est == pytest.approx(2.0, rel=0.06)
 
 
-class TestComovingProfile:
-    def test_anchored_at_threshold(self, bump_series):
-        prof = comoving_profile(bump_series, 16.0, 2.0, 0.1)
-        assert np.interp(0.0, prof.z, prof.a) == pytest.approx(0.1, abs=1e-6)
-
-    def test_steady_state_flat(self):
+    def test_window_between_snapshots(self):
         g = Grid(0.0, 10.0, 32)
-        series = simulate(np.zeros(32), np.ones(32), R0, g, 1.0, 0.5)
-        prof = comoving_profile(series, 1.0, 2.0, 0.1)
-        assert np.max(np.abs(prof.a)) == 0.0
-        assert np.max(np.abs(prof.i - 1.0)) == 0.0
+        series = simulate(np.zeros(32), np.zeros(32), R0, g, 2.0, 1.0)
+        with pytest.raises(DomainError, match="window covers fewer than two snapshots"):
+            measure_speed(series, 0.1, (0.2, 0.8))
 
-    def test_late_shapes_agree(self, bump_series):
-        # shape convergence: two late snapshots nearly coincide comoving
-        p1 = comoving_profile(bump_series, 14.0, 2.0, 0.1)
-        p2 = comoving_profile(bump_series, 16.0, 2.0, 0.1)
-        zq = np.linspace(-8.0, 8.0, 400)
-        a1 = np.interp(zq, p1.z, p1.a)
-        a2 = np.interp(zq, p2.z, p2.a)
-        scale = max(np.max(np.abs(a1)), np.max(np.abs(a2)))
-        assert np.max(np.abs(a1 - a2)) < 0.02 * scale
+
+class TestShapeMisfit:
+    @staticmethod
+    def synthetic_series(speed):
+        # a front at x = 20 + speed t with a wake I that grows in x and t
+        g = Grid(-40.0, 80.0, 1201)
+        xs = g.xs()
+        times = np.linspace(0.0, 6.0, 13)
+        snaps = [(0.4 / (1.0 + np.exp(2.0 * (xs - 20.0 - speed * t))), 1.0 + 0.01 * xs + 0.1 * t)
+                 for t in times]
+        return FieldSeries(g, times, snaps)
+
+    @pytest.mark.parametrize("window", [(0.0, 6.0), (1.0, 3.0)])
+    def test_final_front_and_plateau(self, window):
+        # taken at the last snapshot, also when the speed window ends earlier
+        series = self.synthetic_series(3.0)
+        A, I = series.snapshots[-1]
+        m = measure_speed(series, 0.1, window)
+        assert m.x_front == front_position(A, series.grid, 0.1)
+        assert 37.0 < m.x_front < 40.0
+        assert m.plateau == plateau(I, series.grid, m.x_front)
+        assert m.plateau is not None
+
+    def test_final_front_missing(self):
+        # the window ends before the front leaves the domain; the last snapshot has none
+        series = self.synthetic_series(3.0)
+        series.snapshots[-1] = (np.zeros(1201), series.snapshots[-1][1])
+        m = measure_speed(series, 0.1, (0.0, 3.0))
+        assert m.x_front == -math.inf
+        assert m.plateau is None
+
+    def test_translated_wave_fits(self):
+        # the wave itself, its maximum moved to the grid point x = 20, fits to
+        # rounding (the scan holds the shift that undoes the move); an offset
+        # of I shows as offset / i_minus_inf
+        wave = shoot_wave(1.8, Params(c=2.0, r=0.0))
+        g = Grid(-20.0, 60.0, 801)
+        zs, states = wave.trajectory.zs, wave.trajectory.states
+        A = np.interp(g.xs() - 20.0, zs, states[:, 0])
+        I = np.interp(g.xs() - 20.0, zs, states[:, 2]) + 0.018
+        x_front = front_position(A, g, 0.1)
+        series = FieldSeries(g, np.array([0.0]), [(A, I)])
+        active, inactive = shape_misfit(series, x_front, wave)
+        assert active < 1e-9
+        assert inactive == pytest.approx(0.01, rel=1e-9)
+
+    @pytest.mark.parametrize("x_front", [-math.inf, math.nan, 100.0])
+    def test_no_grid_point_near_the_front(self, x_front):
+        series = self.synthetic_series(3.0)
+        with pytest.raises(DomainError, match="no grid point within 10 of the front"):
+            shape_misfit(series, x_front, shoot_wave(1.8, Params(c=2.0, r=0.0)))
+
+    def test_late_bump_front_matches_wave(self, bump_series):
+        # shape convergence: by t = 16 the bump has grown into the shot
+        # critical wave within the 5% of the pde-ode-shape criterion
+        m = measure_speed(bump_series, 0.1, (10.0, 16.0))
+        active, inactive = shape_misfit(bump_series, m.x_front, shoot_wave(2.0, Params(c=2.0)))
+        assert active < 0.05
+        assert inactive < 0.05

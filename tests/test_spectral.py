@@ -534,6 +534,10 @@ class TestWinding:
                 lambda g: np.where(g.imag < 0.25, 1.0, -1.0), _circle(0.5, 1.0, 8)
             )
 
+    def test_vanishing_value(self):
+        with pytest.raises(ContourResolutionError, match="vanishing value on the contour"):
+            spectral.winding_number(lambda g: np.zeros_like(g), _circle(0.5, 1.0, 8))
+
     def test_wave_contour_is_zero_free(self, setup):
         contour = spectral.contour_of_S(0.1, 10.0, 48)
         sweep = spectral.winding_number(lambda g: spectral.evans(g, setup), contour)

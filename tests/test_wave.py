@@ -164,6 +164,29 @@ class TestBudget:
         assert traj is not None
         assert traj.zs[-1] <= 5.0 + 1e-12
 
+    def test_maximum_without_convergence(self, monkeypatch, critical_wave):
+        # a budget past the first maximum but short of the stop
+        monkeypatch.setattr(wave, "Z_BUDGET", critical_wave.z_first_max + 10.0)
+        with pytest.raises(BudgetError, match="no convergence to the far equilibrium"):
+            shoot_wave(2.0, P20)
+
+    def test_shot_without_convergence(self, monkeypatch):
+        monkeypatch.setattr(wave, "Z_BUDGET", 5.0)
+        with pytest.raises(BudgetError, match="no convergence within z budget 5"):
+            shoot_from_max(0.3, 0.5, P20)
+
+
+class TestLimitBand:
+    def test_limit_at_one_does_not_converge(self):
+        traj = Trajectory(np.array([0.0, 1.0]), np.array([[0.1, 0.0, 0.9], [0.0, 0.0, 1.0]]))
+        with pytest.raises(NonConvergenceError, match="converged to i = 1.000000, outside"):
+            wave._check_limit_band(traj, P20)
+
+
+class TestCrossings:
+    def test_down_and_up(self):
+        assert wave._count_b_crossings(np.array([1.0, -1.0, 1.0, -1.0])) == (2, 1)
+
 
 class TestShootFromMax:
     def test_trivial_a0(self):
