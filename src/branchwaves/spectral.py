@@ -27,6 +27,9 @@ steps for all of them are one stack of about 512 matrices (one step's when
 the gammas alone are more), never the whole (gamma, step) field.  `expm`
 is Pade-13 scaling and squaring (Higham, SIAM J. Matrix Anal. Appl. 26,
 2005) over such a stack, with a scaling power per matrix.
+The wave is real, so E(conj gamma) = conj E(gamma) (Sandstede, Handbook of
+Dynamical Systems II, 2002): `evans` marches each conjugate pair once, and
+`contour_of_S` mirrors its points exactly, so a sweep marches half of them.
 Beyond the sampled trajectory the coefficients are the far-field limits,
 of which the start data are exact eigenvectors once the growth is removed,
 so the march there is the identity: each leg starts where the trajectory
@@ -250,8 +253,11 @@ _THETA13 = 5.371920351148152
 
 
 def _mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Products of 3x3 matrices laid out (3, 3, G), one per last index."""
-    return np.einsum("ijg,jkg->ikg", x, y)
+    """Products of 3x3 matrices laid out (3, 3, G), one per last index, by broadcasting."""
+    out = x[:, 0, None] * y[0]
+    out += x[:, 1, None] * y[1]
+    out += x[:, 2, None] * y[2]
+    return out
 
 
 def expm(A: np.ndarray) -> np.ndarray:
@@ -359,6 +365,14 @@ def _march(
     return Y
 
 
+def _start(g: complex, setup: SpectralSetup) -> tuple:
+    """Rear wedge, front vector and their growth shifts (rear, front) at one gamma."""
+    p, w = setup.wave.params, setup.w_exp
+    nu_minus, nu_plus = limit_rates(g, setup)
+    x = eigenvector(setup.wave.i_plus_inf, p.c, p.r, nu_plus[2] - w, g)
+    return (0.0, -1.0, -(nu_minus[1] - w)), x, (nu_minus[0] + nu_minus[1], nu_plus[2])
+
+
 def evans(
     gamma, setup: SpectralSetup, step: float = DEFAULT_STEP, *, tally: Counter | None = None
 ):
@@ -376,27 +390,31 @@ def evans(
     A complex gamma gives a complex value; an array gives an array of its
     shape, all gammas marched together.  A gamma that `limit_rates` or the
     front eigenvector rejects raises the error that a call on it alone
-    raises.  A `tally` given gains the number of stacked exponentials
-    (`stacked`) and of the matrices in them (`matrices`).
+    raises.  Each conjugate pair and each repeated gamma is marched once,
+    from the member with Im(gamma) >= 0.  A `tally` given gains the number
+    of stacked exponentials (`stacked`), of the matrices in them
+    (`matrices`) and of the distinct gammas marched (`gammas`).
     """
     legs = _legs(setup, step)
     gammas = np.asarray(gamma, dtype=complex)
     flat = gammas.reshape(-1)
-    p, w = setup.wave.params, setup.w_exp
-    V = np.empty((flat.size, 3), dtype=complex)
-    X = np.empty((flat.size, 3), dtype=complex)
-    shift_v = np.empty(flat.size, dtype=complex)
-    shift_x = np.empty(flat.size, dtype=complex)
-    for k, g in enumerate(map(complex, flat)):
-        nu_minus, nu_plus = limit_rates(g, setup)
-        V[k] = (0.0, -1.0, -(nu_minus[1] - w))
-        X[k] = eigenvector(setup.wave.i_plus_inf, p.c, p.r, nu_plus[2] - w, g)
-        shift_v[k] = nu_minus[0] + nu_minus[1]
-        shift_x[k] = nu_plus[2]
+    lower = flat.imag < 0
+    upper, first, inverse = np.unique(np.where(lower, flat.conj(), flat),
+                                      return_index=True, return_inverse=True)
+    V, X = np.empty((2, upper.size, 3), dtype=complex)
+    shifts = np.empty((upper.size, 2), dtype=complex)
+    for k in np.argsort(first):
+        try:
+            V[k], X[k], shifts[k] = _start(complex(upper[k]), setup)
+        except (DomainError, SplittingError):
+            _start(complex(flat[first[k]]), setup)  # the error of the gamma as given
+            raise
     tally = Counter() if tally is None else tally
-    V = _march(V, shift_v, flat, setup, legs[0], _wedge_square, tally)
-    X = _march(X, shift_x, flat, setup, legs[1], lambda m: m, tally)
-    values = V[:, 0] * X[:, 2] - V[:, 1] * X[:, 1] + V[:, 2] * X[:, 0]
+    tally["gammas"] += upper.size
+    V = _march(V, shifts[:, 0], upper, setup, legs[0], _wedge_square, tally)
+    X = _march(X, shifts[:, 1], upper, setup, legs[1], lambda m: m, tally)
+    values = (V[:, 0] * X[:, 2] - V[:, 1] * X[:, 1] + V[:, 2] * X[:, 0])[inverse]
+    values = np.where(lower, values.conj(), values)
     return complex(values[0]) if gammas.ndim == 0 else values.reshape(gammas.shape)
 
 
@@ -410,7 +428,9 @@ def contour_of_S(
     +i * r_max, descends the imaginary axis to +i * r_min with
     logarithmically spaced moduli, runs the inner arc clockwise through
     +r_min to -i * r_min, and returns to the start; the last point repeats
-    the first.
+    the first.  The arcs take angles antisymmetric about 0 and the two legs
+    one set of moduli, so the points other than the last are closed under
+    conjugation exactly and `evans` marches only the upper half of them.
     """
     if not 0.0 < r_min < r_max < math.inf:
         raise DomainError("need 0 < r_min < r_max < inf")
@@ -423,16 +443,15 @@ def contour_of_S(
     n_inner = max(int(base_n) // 4, 8)
 
     theta = np.linspace(-math.pi / 2.0, math.pi / 2.0, n_arc + 1)
-    outer = r_max * np.exp(1j * theta)
+    outer = r_max * np.exp(0.5j * (theta - theta[::-1]))
     outer[0] = complex(0.0, -r_max)
     outer[-1] = complex(0.0, r_max)
-    down = 1j * np.logspace(math.log10(r_max), math.log10(r_min), n_seg + 1)[1:]
+    moduli = np.logspace(math.log10(r_max), math.log10(r_min), n_seg + 1)
     theta_in = np.linspace(math.pi / 2.0, -math.pi / 2.0, n_inner + 1)
-    inner = r_min * np.exp(1j * theta_in)[1:]
-    inner[-1] = complex(0.0, -r_min)
-    up = -1j * np.logspace(math.log10(r_min), math.log10(r_max), n_seg + 1)[1:]
+    inner = r_min * np.exp(0.5j * (theta_in - theta_in[::-1]))[1:]
+    inner[-1] = -1j * moduli[-1]
 
-    pts = np.concatenate([outer, down, inner, up])
+    pts = np.concatenate([outer, 1j * moduli[1:], inner, -1j * moduli[-2::-1]])
     pts[-1] = pts[0]
     return pts
 
@@ -537,10 +556,10 @@ def evans_winding(setup: SpectralSetup, contour: Sequence[complex]) -> Winding:
     change above 0.1 in any of them raises ContourResolutionError.
 
     The `Winding` comes back with `diagnostics`: the number of
-    `evaluations`, the `halving_probes`, the stacked exponentials of both
-    and the matrices in them (`propagators`), the `bisections`, `min_abs_E`
-    over the values and the worst relative change under step halving
-    (`halving_rel_diff`).
+    `evaluations`, the `halving_probes`, the stacked exponentials of both,
+    the matrices in them and the distinct gammas marched (`propagators`),
+    the `bisections`, `min_abs_E` over the values and the worst relative
+    change under step halving (`halving_rel_diff`).
     """
     tally: Counter = Counter()
     sweep = winding_number(lambda g: evans(g, setup, tally=tally), contour)
@@ -564,7 +583,7 @@ def evans_winding(setup: SpectralSetup, contour: Sequence[complex]) -> Winding:
     return sweep._replace(diagnostics={
         "evaluations": sweep.gammas.size,
         "halving_probes": len(probe),
-        "propagators": {"stacked": tally["stacked"], "matrices": tally["matrices"]},
+        "propagators": {k: tally[k] for k in ("stacked", "matrices", "gammas")},
         "bisections": sweep.gammas.size - n,
         "min_abs_E": float(np.abs(sweep.values).min()),
         "halving_rel_diff": float(rel[worst]),

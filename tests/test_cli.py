@@ -416,7 +416,7 @@ class TestEvans:
         diag = payload["diagnostics"]
         assert set(diag) == {"evaluations", "halving_probes", "propagators", "bisections",
                              "min_abs_E", "halving_rel_diff"}
-        assert set(diag["propagators"]) == {"stacked", "matrices"}
+        assert set(diag["propagators"]) == {"stacked", "matrices", "gammas"}
         # the CSV carries every value to 17 digits, so its smallest |E| is the reported one
         data = np.genfromtxt(out, delimiter=",", names=True)
         assert diag["min_abs_E"] == np.abs(data["re_E"] + 1j * data["im_E"]).min()

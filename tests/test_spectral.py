@@ -1,6 +1,7 @@
 import cmath
 import math
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -271,6 +272,28 @@ class TestEvans:
             worst = max(worst, abs(e_bar - e.conjugate()) / abs(e))
         assert worst < 1e-8
 
+    @pytest.mark.parametrize("c, r, i_minus", [(2.0, 0.0, 2.0), (3.0, 1.0, 1.5), (2.0, 1.0, 1.2)])
+    def test_march_conjugate_symmetry(self, c, r, i_minus):
+        # the identity the fold in `evans` rests on, checked below the fold:
+        # both legs marched at gamma and at conj(gamma) give conjugate
+        # pairings bit for bit, since every step conjugates exactly
+        s = spectral.make_setup(wave.shoot_wave(i_minus, Params(c=c, r=r)))
+        rear, front = spectral._legs(s, spectral.DEFAULT_STEP)
+
+        def unfolded(g):
+            v, x, (shift_v, shift_x) = spectral._start(g, s)
+            gs, tally = np.array([g]), Counter()
+            V = spectral._march(np.array([v], dtype=complex), np.array([shift_v]), gs, s,
+                                rear, spectral._wedge_square, tally)
+            X = spectral._march(np.array([x], dtype=complex), np.array([shift_x]), gs, s,
+                                front, lambda m: m, tally)
+            return V[0, 0] * X[0, 2] - V[0, 1] * X[0, 1] + V[0, 2] * X[0, 0]
+
+        for g in (3j, 0.3 + 7.0j, 250.0 + 600.0j, 1e-4 + 1e-3j, 40.0 + 1.0j):
+            e = unfolded(g)
+            assert unfolded(g.conjugate()) == e.conjugate()
+            assert abs(spectral.evans(g, s) - e) <= 1e-13 * abs(e)
+
     def test_domain_extension_invariance(self, setup):
         wider = spectral.make_setup(wave=setup.wave, L=setup.L + 5.0)
         for g in (4.0 + 0j, 0.3 + 7.0j):
@@ -312,6 +335,15 @@ class TestExpm:
             for g, a in zip(got, stack):
                 want = scipy.linalg.expm(a)
                 assert np.max(np.abs(g - want)) <= 1e-10 * np.max(np.abs(want))
+
+    def test_mul_matches_einsum(self):
+        rng = np.random.default_rng(11)
+        x, y = (rng.standard_normal((2, 3, 3, 40)) + 1j * rng.standard_normal((2, 3, 3, 40)))
+        for a, b in ((x, y), (x[:, :, 17:], y[:, :, 17:]), (x[:, :, 39:], x[:, :, 39:])):
+            want = np.einsum("ijg,jkg->ikg", a, b)
+            got = spectral._mul(a, b)
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
     def test_zero_matrix_is_identity(self):
         assert np.array_equal(spectral.expm(np.zeros((3, 3))), np.eye(3))
@@ -356,6 +388,19 @@ class TestEvansBatch:
         assert square.shape == (2, 3)
         assert np.max(np.abs(square.reshape(-1) - batch[:6]) / np.abs(batch[:6])) <= 1e-13
 
+    def test_mixed_half_planes_match_one_point_calls(self, setup):
+        # conjugate pairs, repeats and a real gamma: each distinct gamma of
+        # the upper half is marched once, the lower half gets its conjugate
+        gammas = np.array([0.3 - 7.0j, 4.0, 3j, 0.3 + 7.0j, -3j, 3j, 250.0 - 600.0j, 4.0, 1e-3j])
+        tally = Counter()
+        batch = spectral.evans(gammas, setup, tally=tally)
+        assert tally["gammas"] == 5
+        for g, value in zip(gammas, batch):
+            one = spectral.evans(g, setup)
+            assert abs(value - one) <= 1e-13 * abs(one)
+        assert batch[0] == batch[3].conjugate() and batch[4] == batch[2].conjugate()
+        assert batch[2] == batch[5] and batch[1] == batch[7]
+
     @pytest.mark.parametrize("bad", [complex("inf"), complex("inf+1j"), complex("nan")])
     def test_non_finite_gamma_rejected(self, setup, bad):
         with pytest.raises(DomainError):
@@ -366,13 +411,21 @@ class TestEvansBatch:
     def test_bad_gamma_in_batch_raises_its_own_error(self, setup, critical_wave):
         narrow = spectral.make_setup(wave=critical_wave, w_exp=0.5)
         # -0.5 is off Re(gamma) >= 0; with weight 0.5, gamma = 0.1 leaves the
-        # front growing root stable
-        for s, bad, kind in ((setup, -0.5, DomainError), (narrow, 0.1, SplittingError)):
+        # front growing root stable, and so do 0.1 -+ 0.01i; a lower-half gamma
+        # names itself, not the conjugate that is marched
+        for s, bad, kind in ((setup, -0.5, DomainError), (narrow, 0.1, SplittingError),
+                             (setup, -0.5 - 1j, DomainError),
+                             (narrow, 0.1 - 0.01j, SplittingError)):
             with pytest.raises(kind) as one:
                 spectral.evans(bad, s)
             with pytest.raises(kind) as batch:
                 spectral.evans(np.array([4.0, bad, 3j]), s)
             assert str(batch.value) == str(one.value)
+        with pytest.raises(SplittingError, match=re.escape("gamma = (0.1-0.01j)")):
+            spectral.evans(0.1 - 0.01j, narrow)
+        # the first bad gamma in the order given raises, not the first in sorted order
+        with pytest.raises(SplittingError, match=re.escape("gamma = (0.2-0.01j)")):
+            spectral.evans(np.array([4.0, 0.2 - 0.01j, 0.1 + 0.01j]), narrow)
 
     def test_march_skips_constant_tails(self, setup):
         # beyond the sampled trajectory the march is the identity, so a
@@ -402,15 +455,21 @@ class TestEvansBatch:
 class TestEvansWinding:
     @staticmethod
     def _count_expm(monkeypatch):
-        counts = {"stacked": 0, "matrices": 0}
-        expm = spectral.expm
+        counts = {"stacked": 0, "matrices": 0, "gammas": 0}
+        expm, march = spectral.expm, spectral._march
 
         def counted(a):
             counts["stacked"] += 1
             counts["matrices"] += a.size // 9
             return expm(a)
 
+        def marched(Y, shift, gammas, *rest):
+            # each evans call marches its distinct gammas on two legs
+            counts["gammas"] += gammas.size / 2
+            return march(Y, shift, gammas, *rest)
+
         monkeypatch.setattr(spectral, "expm", counted)
+        monkeypatch.setattr(spectral, "_march", marched)
         return counts
 
     def test_counts(self, setup, monkeypatch):
@@ -424,6 +483,8 @@ class TestEvansWinding:
         assert diag["evaluations"] == sweep.gammas.size
         assert 1 <= diag["halving_probes"] <= 4
         assert diag["propagators"] == counts
+        # the 72 contour points fold to 37 and the probes add at most 4
+        assert 38 <= diag["propagators"]["gammas"] <= 41
         assert np.array_equal(sweep.values, spectral.evans(contour[:-1], setup))
         assert diag["halving_rel_diff"] < 1e-4
         assert diag["min_abs_E"] == np.abs(sweep.values).min()
@@ -475,6 +536,31 @@ class TestContour:
         mods = np.abs(on_axis)
         ratios = mods[:-1] / mods[1:]
         assert np.allclose(ratios, ratios[0], rtol=1e-9)
+
+    @staticmethod
+    def _unmirrored(r_min, r_max, base_n):
+        """The contour as first written: plain linspace angles and two logspaces."""
+        n_seg, n_inner = max(base_n // 2, 8), max(base_n // 4, 8)
+        outer = r_max * np.exp(1j * np.linspace(-math.pi / 2.0, math.pi / 2.0, base_n + 1))
+        outer[0], outer[-1] = complex(0.0, -r_max), complex(0.0, r_max)
+        down = 1j * np.logspace(math.log10(r_max), math.log10(r_min), n_seg + 1)[1:]
+        inner = r_min * np.exp(1j * np.linspace(math.pi / 2.0, -math.pi / 2.0, n_inner + 1))[1:]
+        inner[-1] = complex(0.0, -r_min)
+        up = -1j * np.logspace(math.log10(r_min), math.log10(r_max), n_seg + 1)[1:]
+        pts = np.concatenate([outer, down, inner, up])
+        pts[-1] = pts[0]
+        return pts
+
+    @pytest.mark.parametrize("base_n", [16, 17, 64, 200, 201])
+    @pytest.mark.parametrize("r_min, r_max", [(1e-3, 1000.0), (0.3, 7.0)])
+    def test_closed_under_conjugation(self, base_n, r_min, r_max):
+        pts = spectral.contour_of_S(r_min, r_max, base_n)
+        body = pts[:-1]
+        assert np.array_equal(np.sort_complex(body), np.sort_complex(body.conj()))
+        assert pts[-1] == pts[0]
+        old = self._unmirrored(r_min, r_max, base_n)
+        assert pts.size == old.size
+        assert np.max(np.abs(pts - old) / np.abs(old)) <= 5e-15
 
     def test_validation(self):
         with pytest.raises(DomainError):
