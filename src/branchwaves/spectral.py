@@ -21,12 +21,16 @@ Each leg is marched with the fourth-order Magnus step at the two Gauss
 points of every subinterval (Blanes, Casas, Oteo & Ros, Phys. Rep. 470,
 2009), Omega = h/2 (A1 + A2) + sqrt(3) h^2/12 [A2, A1], and its exact
 exponential, which stays accurate at fixed cost however large |gamma| gets,
-where adaptive steppers stall on the fast phase rotation.  One `evans` call
-marches a whole array of gammas together; the exponentials of a block of
-steps for all of them are one stack of about 512 matrices (one step's when
-the gammas alone are more), never the whole (gamma, step) field.  `expm`
-is Pade-13 scaling and squaring (Higham, SIAM J. Matrix Anal. Appl. 26,
-2005) over such a stack, with a scaling power per matrix.
+where adaptive steppers stall on the fast phase rotation.  Its local error
+is h^5 times the variation of the coefficients, which falls with the wave
+down the tails, so each leg runs on a mesh graded by the wave's own decay:
+the step is `step` where max(|a|, |b|) peaks and grows as that maximum to
+the power -1/5, which keeps fourth order with far fewer steps.  One
+`evans` call marches a whole array of gammas together; the exponentials of
+a block of steps for all of them are one stack of about 512 matrices (one
+step's when the gammas alone are more), never the whole (gamma, step)
+field.  `expm` is Pade-13 scaling and squaring (Higham, SIAM J. Matrix
+Anal. Appl. 26, 2005) over such a stack, with a scaling power per matrix.
 The wave is real, so E(conj gamma) = conj E(gamma) (Sandstede, Handbook of
 Dynamical Systems II, 2002): `evans` marches each conjugate pair once, and
 `contour_of_S` mirrors its points exactly, so a sweep marches half of them.
@@ -307,21 +311,33 @@ def expm(A: np.ndarray) -> np.ndarray:
     return R[:, :, np.argsort(order)].transpose(2, 0, 1).reshape(A.shape)
 
 
-def _legs(setup: SpectralSetup, step: float) -> tuple[tuple[float, int, float], ...]:
-    """(start, steps, signed step) of the rear and the front leg, both ending at 0.
+def _legs(setup: SpectralSetup, step: float) -> tuple[np.ndarray, np.ndarray]:
+    """Meshes of the rear and the front leg, each from its start to exactly 0.
 
     A leg starts where the sampled trajectory ends, or at -L (+L) if that
     comes first: between there and the end of the domain the coefficients
-    are the limits, whose march is the identity on the start data.
+    are the limits, whose march is the identity on the start data.  The
+    fourth-order Magnus step errs by h^5 times the variation of the
+    coefficients, which is proportional to m = max(|a|, |b|), so the step
+    ending at z (its end nearer 0) is step * (a_max / m(z)) ** (1/5): `step`
+    at the peak and longer down the tails.  m runs linearly between the
+    samples, the peak (0, a_max) among them, and is 0 past them; the last
+    step ends at the leg start.
     """
     if not 0.0 < step < math.inf:
         raise DomainError("marching step must be positive and finite")
+    traj, a_max = setup.wave.trajectory, setup.wave.a_max
+    at = np.searchsorted(traj.zs, 0.0)
+    zs = np.insert(traj.zs, at, 0.0)
+    ms = np.insert(np.abs(traj.states[:, :2]).max(axis=1), at, a_max)
     legs = []
-    rear = max(-setup.L, min(setup._z_lo, 0.0))
-    front = min(setup.L, max(setup._z_hi, 0.0))
-    for start in (rear, front):
-        n = math.ceil(abs(start) / step)
-        legs.append((start, n, -start / n if n else 0.0))
+    for start in (max(-setup.L, min(setup._z_lo, 0.0)), min(setup.L, max(setup._z_hi, 0.0))):
+        mesh = [0.0]
+        while abs(mesh[-1]) < abs(start):
+            m = float(np.interp(mesh[-1], zs, ms, left=0.0, right=0.0))
+            h = step * (a_max / m) ** 0.2 if m > 0.0 else math.inf
+            mesh.append(math.copysign(min(abs(mesh[-1]) + h, abs(start)), start))
+        legs.append(np.array(mesh[::-1]))
     return tuple(legs)
 
 
@@ -330,33 +346,35 @@ def _march(
     shift: np.ndarray,
     gammas: np.ndarray,
     setup: SpectralSetup,
-    leg: tuple[float, int, float],
+    mesh: np.ndarray,
     lift: Callable[[np.ndarray], np.ndarray],
     tally: Counter,
 ) -> np.ndarray:
-    """March the (G, 3) states Y along one leg with Gauss-point Magnus steps.
+    """March the (G, 3) states Y over a leg's mesh with Gauss-point Magnus steps.
 
     The generator at gamma is lift(M(z, gamma) + w I) - shift; lift is the
     wedge lift on the rear leg and the identity on the front one.  The
     generator is affine in gamma, M0(z) + gamma D, so the Magnus exponent of
-    each step is P + gamma Q with P and Q built once for the leg.  The
-    exponentials are taken a block of steps at a time, about _BLOCK matrices
-    per stack, so a few gammas cost a few stacked calls, not one per step.
+    the step of length h_k is P_k + gamma Q_k - shift h_k, with P and Q
+    built once for the mesh.  The exponentials are taken a block of steps
+    at a time, about _BLOCK matrices per stack, so a few gammas cost a few
+    stacked calls, not one per step.
     """
-    start, n, h = leg
-    if n == 0:
+    h = np.diff(mesh)
+    if h.size == 0:
         return Y
     p, w = setup.wave.params, setup.w_exp
-    nodes = start + h * (np.arange(n)[:, None] + (0.5 - _GAUSS_OFFSET, 0.5 + _GAUSS_OFFSET))
+    nodes = mesh[:-1, None] + h[:, None] * (0.5 - _GAUSS_OFFSET, 0.5 + _GAUSS_OFFSET)
     m1, m2 = np.moveaxis(_weighted_matrix(*setup.coefficient_table(nodes), 0.0, p, w), 1, 0)
     d = _weighted_matrix(0.0, 0.0, 1.0, p, w) - _weighted_matrix(0.0, 0.0, 0.0, p, w)
-    k = math.sqrt(3.0) * h * h / 12.0
-    P = lift(0.5 * h * (m1 + m2) + k * (m2 @ m1 - m1 @ m2))
-    Q = lift(h * d + k * ((m2 - m1) @ d - d @ (m2 - m1)))
-    shift_h = (shift * h)[:, None, None, None] * np.eye(3)
+    hk = h[:, None, None]
+    k = math.sqrt(3.0) / 12.0 * hk * hk
+    P = lift(0.5 * hk * (m1 + m2) + k * (m2 @ m1 - m1 @ m2))
+    Q = lift(hk * d + k * ((m2 - m1) @ d - d @ (m2 - m1)))
     g = gammas[:, None, None, None]
     per = max(1, _BLOCK // max(gammas.size, 1))
-    for b in range(0, n, per):
+    for b in range(0, h.size, per):
+        shift_h = (shift[:, None] * h[b:b + per])[:, :, None, None] * np.eye(3)
         props = expm(P[b:b + per] + g * Q[b:b + per] - shift_h)
         tally["stacked"] += 1
         tally["matrices"] += props.shape[0] * props.shape[1]
@@ -386,6 +404,9 @@ def evans(
     raw determinant by exp((nu1 + nu2 - nu3) L), analytic and nonvanishing
     in gamma, which at large |gamma| is far beyond floating-point range;
     the bounded pairing is the useful invariant and is what is returned.
+    `step` is the march step at the wave's peak; down the tails the mesh
+    grades it longer (see `_legs`), and halving `step` halves the step at
+    every z.
 
     A complex gamma gives a complex value; an array gives an array of its
     shape, all gammas marched together.  A gamma that `limit_rates` or the
@@ -558,7 +579,8 @@ def evans_winding(setup: SpectralSetup, contour: Sequence[complex]) -> Winding:
     The `Winding` comes back with `diagnostics`: the number of
     `evaluations`, the `halving_probes`, the stacked exponentials of both,
     the matrices in them and the distinct gammas marched (`propagators`),
-    the `bisections`, `min_abs_E` over the values and the worst relative
+    the `steps` of the rear and the front mesh at DEFAULT_STEP, the
+    `bisections`, `min_abs_E` over the values and the worst relative
     change under step halving (`halving_rel_diff`).
     """
     tally: Counter = Counter()
@@ -584,6 +606,7 @@ def evans_winding(setup: SpectralSetup, contour: Sequence[complex]) -> Winding:
         "evaluations": sweep.gammas.size,
         "halving_probes": len(probe),
         "propagators": {k: tally[k] for k in ("stacked", "matrices", "gammas")},
+        "steps": dict(zip(("rear", "front"), (m.size - 1 for m in _legs(setup, DEFAULT_STEP)))),
         "bisections": sweep.gammas.size - n,
         "min_abs_E": float(np.abs(sweep.values).min()),
         "halving_rel_diff": float(rel[worst]),

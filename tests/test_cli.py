@@ -414,12 +414,22 @@ class TestEvans:
                                     "--contour", "0.1:10:32", "--out", out)
         assert code == 0
         diag = payload["diagnostics"]
-        assert set(diag) == {"evaluations", "halving_probes", "propagators", "bisections",
-                             "min_abs_E", "halving_rel_diff"}
+        assert set(diag) == {"evaluations", "halving_probes", "propagators", "steps",
+                             "bisections", "min_abs_E", "halving_rel_diff"}
         assert set(diag["propagators"]) == {"stacked", "matrices", "gammas"}
+        assert set(diag["steps"]) == {"rear", "front"}
         # the CSV carries every value to 17 digits, so its smallest |E| is the reported one
         data = np.genfromtxt(out, delimiter=",", names=True)
         assert diag["min_abs_E"] == np.abs(data["re_E"] + 1j * data["im_E"]).min()
+
+    def test_default_sweep_propagator_count(self, tmp_path, capsys):
+        # the sweep marches 28,996 matrices and the count repeats exactly,
+        # so a regression in the march's step count fails here
+        code, payload, _ = run_json(capsys, "evans", "--c", 2, "--r", 0, "--i-minus", 2,
+                                    "--out", tmp_path / "e.csv")
+        assert code == 0
+        assert payload["winding"] == 0
+        assert payload["diagnostics"]["propagators"]["matrices"] <= 35_000
 
     def test_non_finite_evans_value_exits_4(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(spectral, "evans", lambda gammas, setup, *args, **kwargs:

@@ -374,6 +374,35 @@ class TestExpm:
             assert np.array_equal(g, spectral.expm(m))
 
 
+@pytest.fixture(scope="module", params=[(2.0, 0.0, 2.0), (3.0, 1.0, 1.5), (2.0, 1.0, 1.2)],
+                ids=lambda w: "c{}-r{}-i{}".format(*w))
+def graded_setup(request):
+    c, r, i_minus = request.param
+    return spectral.make_setup(wave.shoot_wave(i_minus, Params(c=c, r=r)))
+
+
+class TestMesh:
+    def test_invariants(self, graded_setup):
+        zs = graded_setup.wave.trajectory.zs
+        for step in (0.4, 0.2, 0.1, 0.0125):
+            rear, front = spectral._legs(graded_setup, step)
+            assert (rear[0], rear[-1], front[0], front[-1]) == (zs[0], 0.0, zs[-1], 0.0)
+            assert np.all(np.diff(rear) > 0.0) and np.all(np.diff(front) < 0.0)
+            # the steps ending at the peak z = 0, where m = a_max, are `step` exactly
+            assert (rear[-2], front[-2]) == (-step, step)
+
+    def test_fourth_order(self, graded_setup):
+        # errors against a step-0.0125 march fall 16x per halving at fourth
+        # order; these waves and gammas gave ratios of 15.2 to 21.4, and
+        # third or fifth order would give 8 or 32
+        gammas = np.array([1e-3j, 3j, 0.3 + 7.0j, 250.0 + 600.0j, 1000.0])
+        reference = spectral.evans(gammas, graded_setup, 0.0125)
+        errors = [np.abs(spectral.evans(gammas, graded_setup, h) - reference) / np.abs(reference)
+                  for h in (0.4, 0.2, 0.1)]
+        for coarse, fine in zip(errors, errors[1:]):
+            assert np.all((12.0 < coarse / fine) & (coarse / fine < 24.0))
+
+
 class TestEvansBatch:
     GAMMAS = np.array([4.0, 3j, 1000j, 1e-3 + 0j, 0.3 + 7.0j, 250.0 - 600.0j, 2.0])
 
@@ -434,18 +463,23 @@ class TestEvansBatch:
         assert np.array_equal(
             spectral.evans(self.GAMMAS, huge), spectral.evans(self.GAMMAS, setup)
         )
-        (start_rear, _, _), (start_front, _, _) = spectral._legs(huge, spectral.DEFAULT_STEP)
+        rear, front = spectral._legs(huge, spectral.DEFAULT_STEP)
         zs = setup.wave.trajectory.zs
-        assert (start_rear, start_front) == (zs[0], zs[-1])
+        assert (rear[0], front[0]) == (zs[0], zs[-1])
 
     def test_tail_skip_matches_full_march(self, setup, monkeypatch):
         # marching all of [-L, L], through the limit coefficients beyond the
         # trajectory, gives the values of the march that skips those tails
         skip = spectral.evans(self.GAMMAS, setup)
+        legs = spectral._legs
 
         def full_legs(s, step):
-            n = math.ceil(s.L / step)
-            return ((-s.L, n, s.L / n), (s.L, n, -s.L / n))
+            # the graded meshes, continued out to -L and +L in steps of at most `step`
+            return tuple(
+                np.concatenate([np.linspace(end, mesh[0], math.ceil(abs(end - mesh[0]) / step) + 1),
+                                mesh[1:]])
+                for end, mesh in zip((-s.L, s.L), legs(s, step))
+            )
 
         monkeypatch.setattr(spectral, "_legs", full_legs)
         full = spectral.evans(self.GAMMAS, setup)
