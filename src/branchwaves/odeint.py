@@ -1,4 +1,4 @@
-"""Adaptive Dormand–Prince integration of the wave state with event detection.
+"""Adaptive Dormand–Prince integration of the wave state with the shooting events.
 
 One unrolled DP5(4) loop (Dormand & Prince 1980) on the float triple
 (a, b, i) with the step control of scipy's `RK45`: its tableau with
@@ -6,15 +6,16 @@ first-same-as-last stages, RMS error norm, safety 0.9, step factors in
 [0.2, 10] (at most 1 after a rejection), initial-step rule and underflow
 test. It runs forward from z = 0 with steps set by the tolerance alone,
 cuts each step longer than SAMPLE_DZ into ceil(h / SAMPLE_DZ) equal parts
-read off its quartic dense output, and refines each falling crossing of an
-event between two samples on that same interpolant.
+read off its quartic dense output, and computes the three shooting events
+on every sample as plain arithmetic; a falling crossing between two
+samples is refined on that same interpolant.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -43,17 +44,10 @@ D52, D53, D54 = (127303824393 / 49829197408, -318862633887 / 49829197408,
 D62, D63, D64 = -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844
 D72, D73, D74 = 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423
 
-class Event(NamedTuple):
-    """Scalar event function and a halt flag.
-
-    ``fn(z, y)`` is evaluated at every sample; a falling crossing
-    (positive at one sample, at or below zero at the next) is refined on
-    the step interpolant. A terminal event truncates the
-    trajectory at the refined abscissa.
-    """
-
-    fn: Callable
-    terminal: bool = False
+# `EventRecord` indices of the falling crossings `integrate` watches, given
+# stops = (neg_tol, stop_tol): b through 0 (a maximum of a), a + neg_tol through 0
+# and max(|a|, |b|) - stop_tol through 0; the last two are terminal
+EV_MAX, EV_NEG, EV_STOP = 0, 1, 2
 
 
 class EventRecord(NamedTuple):
@@ -139,35 +133,44 @@ def _refine(g, lo, g_lo, hi, g_hi) -> float:
     return hi - g_hi * (hi - lo) / (g_hi - g_lo)
 
 
+def _events(y, neg_tol, stop_tol):
+    """The three event values at state y, indexed EV_MAX, EV_NEG, EV_STOP."""
+    return y[1], y[0] + neg_tol, max(abs(y[0]), abs(y[1])) - stop_tol
+
+
 def integrate(
-    rhs: Callable, y0, z_end: float, events: Sequence[Event] | None = None
+    rhs: Callable, y0, z_end: float, stops: tuple[float, float] | None = None
 ) -> Trajectory:
     """Integrate ``y' = rhs(z, y)`` forward over [0, z_end], sampled at most SAMPLE_DZ apart.
 
-    The state is the wave triple (a, b, i): ``rhs`` and the event
-    functions receive it as a tuple of floats, and ``rhs`` returns three
-    numbers. States come back as an (N, 3) float array. Raises
-    :class:`~branchwaves.errors.NonConvergenceError` (carrying the
-    partial trajectory) on step underflow or when ``MAX_STEPS`` accepted
-    steps are exhausted before reaching ``z_end``.
+    The state is the wave triple (a, b, i): ``rhs`` receives it as a tuple
+    of floats and returns three numbers. States come back as an (N, 3)
+    float array. With ``stops = (neg_tol, stop_tol)`` every sample is
+    checked for the falling crossings of `_events`: b through 0 is
+    recorded (EV_MAX), and a + neg_tol (EV_NEG) or max(|a|, |b|) - stop_tol
+    (EV_STOP) through 0 ends the run at the refined abscissa; ``None``
+    watches nothing. Raises :class:`~branchwaves.errors.NonConvergenceError`
+    (carrying the partial trajectory) on step underflow or when
+    ``MAX_STEPS`` accepted steps are exhausted before reaching ``z_end``.
     """
     if not z_end > 0.0:
         raise DomainError(f"z_end must be positive, got {z_end}")
     if len(y0) != 3:
         raise DomainError(f"y0 must hold the three components (a, b, i), got {len(y0)}")
-    evs = list(events or [])
+    watch = stops is not None
+    neg_tol, stop_tol = stops if watch else (0.0, 0.0)
     rtol, atol, sample_dz, max_steps = REL_TOL, ABS_TOL, SAMPLE_DZ, MAX_STEPS
     z = 0.0
     a, b, i = (float(v) for v in y0)
     fa, fb, fi = rhs(z, (a, b, i))
     h_abs = _initial_step(rhs, (a, b, i), (fa, fb, fi), z_end)
-    zs, states, hits = [z], [(a, b, i)], []
-    g_prev = [ev.fn(z, (a, b, i)) for ev in evs]
+    zs, ys, hits = [z], [a, b, i], []  # ys flat, three floats per sample
+    p0, p1, p2 = _events((a, b, i), neg_tol, stop_tol)
     accepted = rejected = refined = dense_samples = 0
     n_rhs = 2
 
     def partial() -> Trajectory:
-        return Trajectory(np.array(zs), np.array(states), hits, {
+        return Trajectory(np.array(zs), np.array(ys).reshape(-1, 3), hits, {
             "accepted_steps": accepted, "rejected_steps": rejected,
             "rhs_evaluations": n_rhs, "refined_events": refined, "dense_samples": dense_samples})
 
@@ -221,46 +224,52 @@ def integrate(
         accepted += 1
 
         # samples at most sample_dz apart: a longer step is cut into equal parts whose
-        # inner ends lie on the dense output, and events are checked at every sample
+        # inner ends lie on the dense output, and the events are checked at every sample
         parts = math.ceil(h / sample_dz) if h > sample_dz else 1
-        y_new = (na, nb, ni)
-        g_end = [ev.fn(z_new, y_new) for ev in evs]
         coeffs = None
-        if parts > 1 or any(gp > 0.0 >= gn for gp, gn in zip(g_prev, g_end)):
+        if parts > 1:
             coeffs = (_quartic(h, a, fa, k3a, k4a, k5a, k6a, k7a),
                       _quartic(h, b, fb, k3b, k4b, k5b, k6b, k7b),
                       _quartic(h, i, fi, k3i, k4i, k5i, k6i, k7i))
         for j in range(1, parts + 1):
             if j < parts:
                 z_hi, y_hi = z + h * (j / parts), _at(coeffs, j / parts)
-                g_new = [ev.fn(z_hi, y_hi) for ev in evs]
             else:
-                z_hi, y_hi, g_new = z_new, y_new, g_end
-            crossings = []  # (z, event index)
-            for k, ev in enumerate(evs):
-                if g_prev[k] > 0.0 >= g_new[k]:
-                    if g_new[k] == 0.0:
-                        z_e = z_hi
-                    else:
-                        z_e = _refine(lambda zq: ev.fn(zq, _at(coeffs, (zq - z) / h)),
-                                      zs[-1], g_prev[k], z_hi, g_new[k])
-                        refined += 1
-                    crossings.append((z_e, k))
-            crossings.sort()
+                z_hi, y_hi = z_new, (na, nb, ni)
+            # `_events`, written out: this runs on every sample
+            sa, sb = y_hi[0], y_hi[1]
+            g0, g1, g2 = sb, sa + neg_tol, max(abs(sa), abs(sb)) - stop_tol
+            if watch and (p0 > 0.0 >= g0 or p1 > 0.0 >= g1 or p2 > 0.0 >= g2):
+                if coeffs is None:
+                    coeffs = (_quartic(h, a, fa, k3a, k4a, k5a, k6a, k7a),
+                              _quartic(h, b, fb, k3b, k4b, k5b, k6b, k7b),
+                              _quartic(h, i, fi, k3i, k4i, k5i, k6i, k7i))
+                crossings = []  # (z, event index)
+                for k, g_lo, g_hi in ((EV_MAX, p0, g0), (EV_NEG, p1, g1), (EV_STOP, p2, g2)):
+                    if g_lo > 0.0 >= g_hi:
+                        if g_hi == 0.0:
+                            z_e = z_hi
+                        else:
+                            z_e = _refine(lambda zq: _events(_at(coeffs, (zq - z) / h),
+                                                             neg_tol, stop_tol)[k],
+                                          zs[-1], g_lo, z_hi, g_hi)
+                            refined += 1
+                        crossings.append((z_e, k))
+                crossings.sort()
 
-            for z_e, k in crossings:
-                y_e = _at(coeffs, (z_e - z) / h) if z_e < z_hi else y_hi
-                hits.append(EventRecord(k, z_e, np.array(y_e)))
-                if evs[k].terminal:
-                    if z_e > zs[-1]:
-                        zs.append(z_e)
-                        states.append(y_e)
-                    return partial()
+                for z_e, k in crossings:
+                    y_e = _at(coeffs, (z_e - z) / h) if z_e < z_hi else y_hi
+                    hits.append(EventRecord(k, z_e, np.array(y_e)))
+                    if k != EV_MAX:
+                        if z_e > zs[-1]:
+                            zs.append(z_e)
+                            ys += y_e
+                        return partial()
 
             zs.append(z_hi)
-            states.append(y_hi)
+            ys += y_hi
             dense_samples += j < parts
-            g_prev = g_new
+            p0, p1, p2 = g0, g1, g2
         z, a, b, i, fa, fb, fi = z_new, na, nb, ni, k7a, k7b, k7i
 
     return partial()

@@ -19,7 +19,7 @@ from . import analysis
 from .errors import (BudgetError, DomainError, NegativityError, NonConvergenceError,
                      OscillatoryRegimeError)
 from .model import Params, WaveState, wave_rhs
-from .odeint import Event, EventRecord, Trajectory, integrate
+from .odeint import EV_MAX, EV_NEG, EV_STOP, EventRecord, Trajectory, integrate
 
 # seed offset along the unstable eigendirection
 SEED_EPS = 1e-7
@@ -35,11 +35,6 @@ LIMIT_SUM_TOL = 1e-3
 MASS_TOL = 1e-4
 RATE_TOL = 0.02
 PREFACTOR_BAND = 0.15
-
-# event indices used by the shooting runs
-_EV_MAX = 0
-_EV_NEG = 1
-_EV_STOP = 2
 
 # falling tails with s z_hi <= TWO_MODE_SPAN (rates -c/2 +- s, z_hi the far end of
 # the fit window) are fitted as two modes; past it tanh(sz) saturates, and the fast
@@ -90,22 +85,14 @@ def seed_unstable_manifold(i_minus_inf: float, p: Params) -> WaveState:
     return WaveState(*(x + SEED_EPS * e for x, e in zip((0.0, 0.0, i_minus_inf), e_hat)))
 
 
-# indexed by _EV_MAX, _EV_NEG, _EV_STOP; all three fire on falling crossings
-_SHOOTING_EVENTS = [
-    Event(lambda z, y: y[1]),
-    Event(lambda z, y: y[0] + NEGATIVITY_TOL, terminal=True),
-    Event(lambda z, y: max(abs(y[0]), abs(y[1])) - STOP_TOL, terminal=True),
-]
-
-
 def _rear_band(c: float) -> str:
     return f"rear levels need i_minus <= 2 - i_c = {2.0 - analysis.minimal_inactive_limit(c):g}"
 
 
 def _run_shoot(y0, p: Params) -> Trajectory:
-    traj = integrate(lambda z, y: wave_rhs(y, p), y0, Z_BUDGET, _SHOOTING_EVENTS)
+    traj = integrate(lambda z, y: wave_rhs(y, p), y0, Z_BUDGET, (NEGATIVITY_TOL, STOP_TOL))
     for rec in traj.events:
-        if rec.index == _EV_NEG:
+        if rec.index == EV_NEG:
             raise NegativityError(
                 f"no non-negative wave through this shot at c = {p.c:g}: a fell to "
                 f"{rec.state[0]:.2e} at z = {rec.z:.2f}, so the approach to the far equilibrium "
@@ -118,7 +105,7 @@ def _run_shoot(y0, p: Params) -> Trajectory:
 
 
 def _stopped(traj: Trajectory) -> bool:
-    return any(rec.index == _EV_STOP for rec in traj.events)
+    return any(rec.index == EV_STOP for rec in traj.events)
 
 
 def _check_limit_band(traj: Trajectory, p: Params) -> float:
@@ -187,7 +174,7 @@ def shoot_wave(i_minus_inf: float, p: Params) -> WaveProfile:
     """
     traj = _run_shoot(seed_unstable_manifold(i_minus_inf, p), p)
 
-    max_hits = [rec for rec in traj.events if rec.index == _EV_MAX]
+    max_hits = [rec for rec in traj.events if rec.index == EV_MAX]
     if not max_hits:
         raise BudgetError(
             f"no maximum of a within z budget {Z_BUDGET:g}", traj
@@ -291,16 +278,13 @@ class VerificationReport:
 
 
 def _count_b_crossings(b: np.ndarray) -> tuple[int, int]:
-    """(down, up) sign changes of b, ignoring |b| <= 1e-12 plateaus."""
-    s = np.sign(np.where(np.abs(b) <= 1e-12, 0.0, b))
-    s = s[s != 0.0]
-    down = up = 0
-    for prev, cur in zip(s, s[1:]):
-        if prev > 0 > cur:
-            down += 1
-        elif prev < 0 < cur:
-            up += 1
-    return down, up
+    """(down, up) sign changes of b, ignoring |b| <= 1e-12 plateaus.
+
+    A NaN is kept, so the signs on either side of it are not compared."""
+    s = b[~(np.abs(b) <= 1e-12)]
+    prev, cur = s[:-1], s[1:]
+    return (int(np.count_nonzero((prev > 0.0) & (cur < 0.0))),
+            int(np.count_nonzero((prev < 0.0) & (cur > 0.0))))
 
 
 def verify_profile(w: WaveProfile) -> VerificationReport:

@@ -14,19 +14,17 @@ import branchwaves
 from branchwaves import odeint
 from branchwaves.errors import DomainError, NonConvergenceError
 from branchwaves.model import Params, wave_rhs
-from branchwaves.odeint import Event, Trajectory, integrate
-from branchwaves.wave import seed_unstable_manifold
+from branchwaves.odeint import EV_MAX, EV_NEG, EV_STOP, Trajectory, integrate
+from branchwaves.wave import NEGATIVITY_TOL, STOP_TOL, seed_unstable_manifold
 
 
 def decay(z, y):
     return (-y[0], -y[1], -y[2])
 
 
-def slow_decay(z, y):
-    return (-0.01 * y[0], -0.01 * y[1], -0.01 * y[2])
-
-
 Y0 = (1.0, -2.0, 0.5)
+# the shooting thresholds (neg_tol, stop_tol)
+STOPS = (NEGATIVITY_TOL, STOP_TOL)
 
 
 def samples_of(ends):
@@ -123,36 +121,56 @@ class TestIntegrate:
 class TestEvents:
     @staticmethod
     def oscillator(z, y):
-        return (y[1], -y[0], 0.0)
+        # a held at 1, b' = i and i' = -b
+        return (0.0, y[2], -y[1])
 
     def test_downward_only(self):
-        # y = sin z falls through zero at odd multiples of pi only
-        traj = integrate(
-            self.oscillator, [0.0, 1.0, 0.0], 10.0, [Event(lambda z, y: y[0])]
-        )
+        # b = sin z falls through zero at odd multiples of pi only
+        traj = integrate(self.oscillator, [1.0, 0.0, 1.0], 10.0, STOPS)
         zs = [rec.z for rec in traj.events]
         assert zs == pytest.approx([math.pi, 3 * math.pi], abs=1e-8)
+        # without stops nothing is watched
+        assert integrate(self.oscillator, [1.0, 0.0, 1.0], 10.0).events == []
 
     def test_event_state_recorded(self):
-        traj = integrate(
-            self.oscillator, [0.0, 1.0, 0.0], 4.0, [Event(lambda z, y: y[0])]
-        )
+        traj = integrate(self.oscillator, [1.0, 0.0, 1.0], 4.0, STOPS)
         rec = traj.events[0]
-        assert rec.index == 0
-        assert rec.state[1] == pytest.approx(-1.0, abs=1e-8)
+        assert rec.index == EV_MAX
+        assert rec.state[2] == pytest.approx(-1.0, abs=1e-8)
 
     def test_terminal_event_truncates(self):
-        traj = integrate(
-            self.oscillator, [0.0, 1.0, 0.0], 10.0,
-            [Event(lambda z, y: y[0], terminal=True)],
-        )
-        assert traj.zs[-1] == pytest.approx(math.pi, abs=1e-8)
-        assert len(traj.events) == 1
+        # a = sin z with b held at 1: a + NEGATIVITY_TOL falls through zero just past pi
+        traj = integrate(lambda z, y: (y[2], 0.0, -y[0]), [0.0, 1.0, 1.0], 10.0, STOPS)
+        assert traj.zs[-1] == pytest.approx(math.pi + math.asin(NEGATIVITY_TOL), abs=1e-8)
+        assert [rec.index for rec in traj.events] == [EV_NEG]
+
+    def test_stop_event_truncates(self):
+        # max(|a|, |b|) = 2 e^{-z} falls to STOP_TOL at z = log(2 / STOP_TOL);
+        # b < 0 and a > 0 throughout, so nothing else fires
+        traj = integrate(decay, Y0, 50.0, STOPS)
+        assert [rec.index for rec in traj.events] == [EV_STOP]
+        # ABS_TOL is 1% of that level, so z holds to about 1e-4 there
+        assert traj.zs[-1] == traj.events[0].z == pytest.approx(math.log(2.0 / STOP_TOL), abs=1e-3)
+        assert abs(traj.states[-1, 1]) == pytest.approx(STOP_TOL, rel=1e-12)
+
+    def test_crossings_taken_in_z_order(self):
+        # a = sin z falls below -NEGATIVITY_TOL just past pi, and b = sin(z - 0.001)
+        # through zero 0.001 later, between the same two samples: the run ends
+        # at the first and never reaches the second
+        def rhs(z, y):
+            return (math.cos(z), math.cos(z - 0.001), 0.0)
+
+        y0 = [0.0, math.sin(-0.001), 0.0]
+        traj = integrate(rhs, y0, 10.0, STOPS)
+        assert [rec.index for rec in traj.events] == [EV_NEG]
+        assert traj.zs[-1] == pytest.approx(math.pi + math.asin(NEGATIVITY_TOL), abs=1e-8)
+        # the plain run keeps the same samples and shows both crossings in one interval
+        zs = integrate(rhs, y0, 10.0).zs
+        j = np.searchsorted(zs, traj.zs[-2])
+        assert zs[j] == traj.zs[-2] and zs[j + 1] > math.pi + 0.001
 
     def test_abscissae_increasing_within_steps(self):
-        traj = integrate(
-            self.oscillator, [0.0, 1.0, 0.0], 20.0, [Event(lambda z, y: y[0])]
-        )
+        traj = integrate(self.oscillator, [1.0, 0.0, 1.0], 20.0, STOPS)
         zs = [rec.z for rec in traj.events]
         assert len(zs) == 3
         assert zs == sorted(zs)
@@ -162,23 +180,25 @@ class TestEvents:
             assert traj.zs[j - 1] < z <= traj.zs[j]
 
     def test_dip_inside_one_long_step(self, monkeypatch):
-        # |z - 5| - 0.15 falls through zero at 4.85 and rises again at 5.15,
-        # inside one step of a slow decay
-        dip = [Event(lambda z, y: abs(z - 5.0) - 0.15)]
-        traj = integrate(slow_decay, Y0, 10.0, dip)
+        # b = (z - 5)^2 - 0.15^2 falls through zero at 4.85 and rises again at
+        # 5.15; the fifth-order pair is exact on it, so the step grows tenfold
+        # each time and one step spans the dip
+        def parabola(z, y):
+            return (0.0, 2.0 * (z - 5.0), 0.0)
+
+        y0 = (1.0, 25.0 - 0.15 ** 2, 0.0)
+        traj = integrate(parabola, y0, 10.0, STOPS)
         assert [rec.z for rec in traj.events] == pytest.approx([4.85], abs=1e-8)
         # the step ends alone straddle the dip and miss it
         monkeypatch.setattr(odeint, "SAMPLE_DZ", math.inf)
-        ends = integrate(slow_decay, Y0, 10.0, dip)
+        ends = integrate(parabola, y0, 10.0, STOPS)
         assert ends.events == []
         assert np.count_nonzero((ends.zs > 4.85) & (ends.zs < 5.15)) == 0
 
     def test_event_active_at_start_not_refired(self):
-        # y[0] = -sin z starts exactly on the zero set and falls from there;
+        # b = -sin z starts exactly on the zero set and falls from there;
         # only the true falling crossing at 2 pi counts
-        traj = integrate(
-            self.oscillator, [0.0, -1.0, 0.0], 7.0, [Event(lambda z, y: y[0])]
-        )
+        traj = integrate(self.oscillator, [1.0, 0.0, -1.0], 7.0, STOPS)
         zs = [rec.z for rec in traj.events]
         assert zs == pytest.approx([2 * math.pi], abs=1e-8)
 
@@ -235,21 +255,25 @@ class TestScipyOracle:
         np.testing.assert_allclose(np.diff(ends), np.diff(ref.t), rtol=1e-4, atol=0.0)
         np.testing.assert_allclose(traj.states, ref.sol(traj.zs).T, rtol=0.0, atol=1e-11)
 
-    @pytest.mark.parametrize("fn", [
-        lambda z, y: y[1],
-        lambda z, y: y[0] - 1e-3,
-        lambda z, y: y[2] - 1.0,
-    ], ids=["b", "a-level", "i-level"])
-    def test_events_match_brentq(self, seed, fn):
-        traj = integrate(wave, seed, 150.0, [Event(fn)])
+    @pytest.mark.parametrize("stops, index, fn", [
+        (STOPS, EV_MAX, lambda z, y: y[1]),
+        ((-1e-3, STOP_TOL), EV_NEG, lambda z, y: y[0] - 1e-3),
+        ((NEGATIVITY_TOL, 1e-3), EV_STOP, lambda z, y: max(abs(y[0]), abs(y[1])) - 1e-3),
+    ], ids=["b", "a-level", "stop"])
+    def test_events_match_brentq(self, seed, stops, index, fn):
+        traj = integrate(wave, seed, 150.0, stops)
+        hits = [rec for rec in traj.events if rec.index == index]
         found = reference_crossings(fn, seed, 150.0)
-        assert len(found) >= 1
-        np.testing.assert_allclose([rec.z for rec in traj.events], [z for z, _ in found],
+        assert len(hits) >= 1
+        # none missed before the run stopped
+        assert all(z > traj.zs[-1] for z, _ in found[len(hits):])
+        found = found[:len(hits)]
+        np.testing.assert_allclose([rec.z for rec in hits], [z for z, _ in found],
                                    rtol=0.0, atol=2 * odeint.EVENT_ZTOL)
-        np.testing.assert_allclose([rec.state for rec in traj.events], [y for _, y in found],
+        np.testing.assert_allclose([rec.state for rec in hits], [y for _, y in found],
                                    rtol=0.0, atol=1e-11)
         # the final secant puts the event on its zero set to rounding
-        assert max(abs(fn(rec.z, rec.state)) for rec in traj.events) <= 1e-14
+        assert max(abs(fn(rec.z, rec.state)) for rec in hits) <= 1e-14
 
     def test_rejections_match_solve_ivp(self):
         # tenfold growth on a fast decay makes the control cut steps back
@@ -313,6 +337,9 @@ class TestDiagnostics:
         assert diag["refined_events"] == 0
 
     def test_refined_events_counted(self):
-        traj = integrate(TestEvents.oscillator, [0.0, 1.0, 0.0], 20.0,
-                         [Event(lambda z, y: y[0]), Event(lambda z, y: y[1])])
-        assert traj.diagnostics["refined_events"] == len(traj.events) == 6
+        # b = sin z falls at pi and 3 pi; a = cos(z / 8) falls below -NEGATIVITY_TOL
+        # just past 4 pi and ends the run
+        traj = integrate(lambda z, y: (-math.sin(z / 8.0) / 8.0, y[2], -y[1]),
+                         [1.0, 0.0, 1.0], 20.0, STOPS)
+        assert [rec.index for rec in traj.events] == [EV_MAX, EV_MAX, EV_NEG]
+        assert traj.diagnostics["refined_events"] == len(traj.events) == 3

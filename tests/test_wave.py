@@ -183,9 +183,34 @@ class TestLimitBand:
             wave._check_limit_band(traj, P20)
 
 
+def count_crossings_loop(b):
+    """The reference count: a sign pass over b with |b| <= 1e-12 left out."""
+    s = [v for v in b if not abs(v) <= 1e-12]
+    pairs = list(zip(s, s[1:]))
+    return (sum(prev > 0 > cur for prev, cur in pairs),
+            sum(prev < 0 < cur for prev, cur in pairs))
+
+
 class TestCrossings:
     def test_down_and_up(self):
         assert wave._count_b_crossings(np.array([1.0, -1.0, 1.0, -1.0])) == (2, 1)
+
+    @pytest.mark.parametrize("b, counts", [
+        ([1.0, 1e-12, -1e-12, 0.0, -1.0], (1, 0)),  # a plateau inside one crossing
+        ([-1.0, -1e-12, 1e-12, 1.0, 1.0, 2.0, -3.0, -3.0], (1, 1)),  # repeated signs
+        ([1.0, math.nan, -1.0, 1e-13, 1.0, -2.0], (1, 1)),  # NaN breaks the pair
+        ([1e-12, -1e-12, 0.0], (0, 0)),
+        ([], (0, 0)),
+    ])
+    def test_matches_loop(self, b, counts):
+        assert wave._count_b_crossings(np.array(b, dtype=float)) == counts
+        assert count_crossings_loop(b) == counts
+
+    def test_random_sequences_match_loop(self):
+        rng = np.random.default_rng(5)
+        for _ in range(50):
+            b = rng.choice([-1.0, -1e-12, 0.0, 1e-12, 1.0, 2e-12, math.nan], size=40)
+            assert wave._count_b_crossings(b) == count_crossings_loop(b)
 
 
 class TestShootFromMax:
@@ -249,6 +274,9 @@ class TestCounters:
         monkeypatch.setattr(wave, "wave_rhs", lambda y, p: calls.append(1) or wave_rhs(y, p))
         traj, _ = shoot_from_max(0.2, 0.3, P20)
         assert traj.diagnostics["rhs_evaluations"] == len(calls) > 0
+        calls.clear()
+        profile = shoot_wave(1.8, P20)
+        assert profile.trajectory.diagnostics["rhs_evaluations"] == len(calls) > 0
 
 
 class TestVerifyConstantProfile:
