@@ -30,7 +30,7 @@ the power -1/5, which keeps fourth order with far fewer steps.  One
 a block of steps for all of them are one stack of about 512 matrices (one
 step's when the gammas alone are more), never the whole (gamma, step)
 field.  `expm` is Pade-13 scaling and squaring (Higham, SIAM J. Matrix
-Anal. Appl. 26, 2005) over such a stack, with a scaling power per matrix.
+Anal. Appl. 26, 2005), a power per matrix and the Pade sums in place.
 The wave is real, so E(conj gamma) = conj E(gamma) (Sandstede, Handbook of
 Dynamical Systems II, 2002): `evans` marches each conjugate pair once, and
 `contour_of_S` mirrors its points exactly, so a sweep marches half of them.
@@ -121,6 +121,7 @@ class SpectralSetup:
             raise DomainError("domain half-length must be positive and finite")
         traj = self.wave.trajectory
         self._z_lo, self._z_hi = float(traj.zs[0]), float(traj.zs[-1])
+        self._meshes: dict[float, tuple[np.ndarray, np.ndarray]] = {}
         slopes = np.stack(wave_rhs(traj.states.T, self.wave.params), axis=-1)
         self._spline = partial(_hermite, traj.zs, traj.states, slopes)
         budget = _SETTLED_FRACTION * self.wave.a_max
@@ -254,6 +255,9 @@ _PADE13 = (
     16380.0, 182.0, 1.0,
 )
 _THETA13 = 5.371920351148152
+# adj(q) = q[i] q[j] - q[k] q[l] entrywise, (i, j, k, l) flat indices in product order
+_ADJUGATE = np.array([[4, 8, 5, 7], [2, 7, 1, 8], [1, 5, 2, 4], [5, 6, 3, 8], [0, 8, 2, 6],
+                      [2, 3, 0, 5], [3, 7, 4, 6], [1, 6, 0, 7], [0, 4, 1, 3]]).T.reshape(4, 3, 3)
 
 
 def _mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -268,14 +272,12 @@ def expm(A: np.ndarray) -> np.ndarray:
     """Exponential of each matrix in a stack of shape (..., 3, 3).
 
     Pade-13 scaling and squaring (Higham, SIAM J. Matrix Anal. Appl. 26,
-    2005).  Each matrix gets its own scaling power s, the least with
-    ||A||_1 / 2^s <= theta_13, and is squared s times: sorted by s, the
-    stack squares a shrinking tail slice.  The work runs on the entries
-    laid out (3, 3, G), so each arithmetic step is one vector operation
-    over the stack; the Pade denominator is inverted through its adjugate,
-    which is accurate because that matrix is well conditioned for
-    ||A||_1 <= theta_13.  A matrix with a non-finite entry gives a
-    non-finite result.
+    2005) on entries laid out (3, 3, G), each step one vector operation;
+    sorted by the least s with ||A||_1 / 2^s <= theta_13, the stack squares
+    a shrinking tail slice.  The Pade sums run in place, real coefficients on
+    float views and the identity terms on the diagonal alone.  The adjugate
+    inverts the denominator, well conditioned once scaled.  A matrix with a
+    non-finite entry gives a non-finite result.
     """
     A = np.asarray(A, dtype=complex)
     M = np.ascontiguousarray(A.reshape(-1, 3, 3).transpose(1, 2, 0))
@@ -283,28 +285,33 @@ def expm(A: np.ndarray) -> np.ndarray:
     s = np.zeros(norm.shape, dtype=int)
     big = np.isfinite(norm) & (norm > _THETA13)
     s[big] = np.ceil(np.log2(norm[big] / _THETA13))
-    M = M / np.ldexp(1.0, s)
+    order = np.argsort(s, kind="stable")
+    M, s = np.take(M, order, axis=2), s[order]
+    M /= np.ldexp(1.0, s)
     b = _PADE13
-    eye = np.eye(3)[:, :, None]
     M2 = _mul(M, M)
     M4 = _mul(M2, M2)
     M6 = _mul(M4, M2)
-    U = _mul(M, _mul(M6, b[13] * M6 + b[11] * M4 + b[9] * M2)
-             + b[7] * M6 + b[5] * M4 + b[3] * M2 + b[1] * eye)
-    V = (_mul(M6, b[12] * M6 + b[10] * M4 + b[8] * M2)
-         + b[6] * M6 + b[4] * M4 + b[2] * M2 + b[0] * eye)
+    f6, f4, f2 = (x.view(float) for x in (M6, M4, M2))
+    tmp = np.empty_like(f2)
+
+    def add(x, *terms):  # x + c p for each (c, p) in turn, summed into x in place
+        for c, p in terms:
+            x += np.multiply(p, c, out=tmp)
+        return x
+    U = _mul(M6, add(f6 * b[13], (b[11], f4), (b[9], f2)).view(complex))
+    add(U.view(float), (b[7], f6), (b[5], f4), (b[3], f2))
+    U.reshape(9, -1)[::4] += b[1]
+    U = _mul(M, U)
+    V = _mul(M6, add(f6 * b[12], (b[10], f4), (b[8], f2)).view(complex))
+    add(V.view(float), (b[6], f6), (b[4], f4), (b[2], f2))
+    V.reshape(9, -1)[::4] += b[0]
     q = V - U
-    adj = np.array([
-        [q[1, 1] * q[2, 2] - q[1, 2] * q[2, 1], q[0, 2] * q[2, 1] - q[0, 1] * q[2, 2],
-         q[0, 1] * q[1, 2] - q[0, 2] * q[1, 1]],
-        [q[1, 2] * q[2, 0] - q[1, 0] * q[2, 2], q[0, 0] * q[2, 2] - q[0, 2] * q[2, 0],
-         q[0, 2] * q[1, 0] - q[0, 0] * q[1, 2]],
-        [q[1, 0] * q[2, 1] - q[1, 1] * q[2, 0], q[0, 1] * q[2, 0] - q[0, 0] * q[2, 1],
-         q[0, 0] * q[1, 1] - q[0, 1] * q[1, 0]],
-    ])
+    w, x, y, z = (q.reshape(9, -1)[i] for i in _ADJUGATE)
+    adj = w * x - y * z
     det = q[0, 0] * adj[0, 0] + q[0, 1] * adj[1, 0] + q[0, 2] * adj[2, 0]
-    order = np.argsort(s, kind="stable")
-    R, s = (_mul(adj, V + U) / det)[:, :, order], s[order]
+    R = _mul(adj, np.add(V, U, out=V))
+    R /= det
     for k in range(int(s.max(initial=0))):
         tail = slice(np.searchsorted(s, k, side="right"), None)
         R[:, :, tail] = _mul(R[:, :, tail], R[:, :, tail])
@@ -322,10 +329,12 @@ def _legs(setup: SpectralSetup, step: float) -> tuple[np.ndarray, np.ndarray]:
     ending at z (its end nearer 0) is step * (a_max / m(z)) ** (1/5): `step`
     at the peak and longer down the tails.  m runs linearly between the
     samples, the peak (0, a_max) among them, and is 0 past them; the last
-    step ends at the leg start.
+    step ends at the leg start.  A setup keeps its meshes, read-only, by step.
     """
     if not 0.0 < step < math.inf:
         raise DomainError("marching step must be positive and finite")
+    if step in setup._meshes:
+        return setup._meshes[step]
     traj, a_max = setup.wave.trajectory, setup.wave.a_max
     at = np.searchsorted(traj.zs, 0.0)
     zs = np.insert(traj.zs, at, 0.0)
@@ -338,7 +347,8 @@ def _legs(setup: SpectralSetup, step: float) -> tuple[np.ndarray, np.ndarray]:
             h = step * (a_max / m) ** 0.2 if m > 0.0 else math.inf
             mesh.append(math.copysign(min(abs(mesh[-1]) + h, abs(start)), start))
         legs.append(np.array(mesh[::-1]))
-    return tuple(legs)
+        legs[-1].flags.writeable = False
+    return setup._meshes.setdefault(step, tuple(legs))
 
 
 def _march(

@@ -26,6 +26,54 @@ def critical_wave(setup):
     return setup.wave
 
 
+def expm_reference(A: np.ndarray) -> np.ndarray:
+    """Pade-13 scaling and squaring with out-of-place sums over the whole stack.
+
+    The reference `spectral.expm` is held to byte for byte: the same
+    arithmetic and matrix products, with each Pade term a fresh complex
+    product and the identity terms added over every entry.
+    """
+    A = np.asarray(A, dtype=complex)
+    M = np.ascontiguousarray(A.reshape(-1, 3, 3).transpose(1, 2, 0))
+    norm = np.abs(M).sum(axis=0).max(axis=0)
+    s = np.zeros(norm.shape, dtype=int)
+    big = np.isfinite(norm) & (norm > spectral._THETA13)
+    s[big] = np.ceil(np.log2(norm[big] / spectral._THETA13))
+    M = M / np.ldexp(1.0, s)
+    b = spectral._PADE13
+    eye = np.eye(3)[:, :, None]
+
+    def _mul(x, y):
+        out = x[:, 0, None] * y[0]
+        out += x[:, 1, None] * y[1]
+        out += x[:, 2, None] * y[2]
+        return out
+
+    M2 = _mul(M, M)
+    M4 = _mul(M2, M2)
+    M6 = _mul(M4, M2)
+    U = _mul(M, _mul(M6, b[13] * M6 + b[11] * M4 + b[9] * M2)
+             + b[7] * M6 + b[5] * M4 + b[3] * M2 + b[1] * eye)
+    V = (_mul(M6, b[12] * M6 + b[10] * M4 + b[8] * M2)
+         + b[6] * M6 + b[4] * M4 + b[2] * M2 + b[0] * eye)
+    q = V - U
+    adj = np.array([
+        [q[1, 1] * q[2, 2] - q[1, 2] * q[2, 1], q[0, 2] * q[2, 1] - q[0, 1] * q[2, 2],
+         q[0, 1] * q[1, 2] - q[0, 2] * q[1, 1]],
+        [q[1, 2] * q[2, 0] - q[1, 0] * q[2, 2], q[0, 0] * q[2, 2] - q[0, 2] * q[2, 0],
+         q[0, 2] * q[1, 0] - q[0, 0] * q[1, 2]],
+        [q[1, 0] * q[2, 1] - q[1, 1] * q[2, 0], q[0, 1] * q[2, 0] - q[0, 0] * q[2, 1],
+         q[0, 0] * q[1, 1] - q[0, 1] * q[1, 0]],
+    ])
+    det = q[0, 0] * adj[0, 0] + q[0, 1] * adj[1, 0] + q[0, 2] * adj[2, 0]
+    order = np.argsort(s, kind="stable")
+    R, s = (_mul(adj, V + U) / det)[:, :, order], s[order]
+    for k in range(int(s.max(initial=0))):
+        tail = slice(np.searchsorted(s, k, side="right"), None)
+        R[:, :, tail] = _mul(R[:, :, tail], R[:, :, tail])
+    return R[:, :, np.argsort(order)].transpose(2, 0, 1).reshape(A.shape)
+
+
 class TestSetup:
     def test_defaults(self, setup):
         assert setup.wave.params.c == 2.0
@@ -360,18 +408,69 @@ class TestExpm:
             want = scipy.linalg.expm(m)
             assert np.max(np.abs(g - want)) <= 1e-10 * np.max(np.abs(want))
 
-    def test_interleaved_powers_square_as_alone(self):
-        # matrices needing s = 0, 3 and 6 squarings, interleaved in one stack
+    @staticmethod
+    def _interleaved_stack():
+        """Matrices needing s = 0, 3 and 6 squarings, interleaved in one stack."""
         rng = np.random.default_rng(7)
         base = rng.standard_normal((9, 3, 3)) + 1j * rng.standard_normal((9, 3, 3))
         base /= np.abs(base).sum(axis=1).max(axis=1)[:, None, None]
-        stack = base * np.tile([1.0, 30.0, 250.0], 3)[:, None, None]
+        return base * np.tile([1.0, 30.0, 250.0], 3)[:, None, None]
+
+    def test_interleaved_powers_square_as_alone(self):
+        stack = self._interleaved_stack()
         norms = np.abs(stack).sum(axis=1).max(axis=1)
         powers = np.maximum(np.ceil(np.log2(norms / spectral._THETA13)), 0.0)
         assert list(powers) == [0.0, 3.0, 6.0] * 3
         got = spectral.expm(stack)
         for g, m in zip(got, stack):
             assert np.array_equal(g, spectral.expm(m))
+
+    @staticmethod
+    def _same_bytes(stack):
+        # the bytes of the reference, with the stack given left as it was
+        given = stack.tobytes()
+        same = spectral.expm(stack).tobytes() == expm_reference(stack).tobytes()
+        return same and stack.tobytes() == given
+
+    def test_bitwise_against_reference(self):
+        # the in-place Pade sums change no bit, signed zeros included
+        stack = self._interleaved_stack()
+        for a in (np.zeros((3, 3)), np.zeros((2, 4, 3, 3)), stack, stack[4],
+                  np.concatenate([stack[:4], -stack[:4]]).reshape(2, 4, 3, 3)):
+            assert self._same_bytes(a)
+
+    def test_bitwise_on_magnus_stacks(self, graded_setup, monkeypatch):
+        # Gauss-point Magnus exponents, with the wedge lift and without, over
+        # |gamma| 1e-3 to 1e3 and real gamma among them; then every stack the
+        # march takes in an Evans sweep, a real gamma at each end of the contour
+        for z, h in ((-5.0, 0.2), (0.0, -0.2), (3.0, -0.1), (-1.0, 0.05)):
+            omega = self._magnus_stack(graded_setup, z, h)
+            assert self._same_bytes(omega) and self._same_bytes(spectral._wedge_square(omega))
+        expm, same = spectral.expm, []
+
+        def checked(a):
+            out = expm(a)
+            same.append(out.tobytes() == expm_reference(a).tobytes())
+            return out
+
+        monkeypatch.setattr(spectral, "expm", checked)
+        spectral.evans(spectral.contour_of_S(0.1, 10.0, 32)[:-1], graded_setup)
+        assert len(same) > 2 and all(same)
+
+    def test_non_finite_matrices_stay_apart(self):
+        # a NaN-filled matrix and one with inf on its diagonal come back
+        # non-finite; the finite matrices beside them, one needing 3
+        # squarings, are bitwise what they are alone
+        rng = np.random.default_rng(5)
+        small = 0.1 * (rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+        large = 40.0 * small / np.abs(small).sum(axis=0).max()
+        assert math.ceil(math.log2(40.0 / spectral._THETA13)) == 3
+        stack = np.array([small, np.full((3, 3), np.nan), np.diag([np.inf, 1.0, 1.0]), large])
+        with np.errstate(invalid="ignore"):
+            got = spectral.expm(stack)
+        assert not np.isfinite(got[1]).any() and not np.isfinite(got[2]).any()
+        for k, m in ((0, small), (3, large)):
+            assert got[k].tobytes() == spectral.expm(m).tobytes()
 
 
 @pytest.fixture(scope="module", params=[(2.0, 0.0, 2.0), (3.0, 1.0, 1.5), (2.0, 1.0, 1.2)],
@@ -390,6 +489,27 @@ class TestMesh:
             assert np.all(np.diff(rear) > 0.0) and np.all(np.diff(front) < 0.0)
             # the steps ending at the peak z = 0, where m = a_max, are `step` exactly
             assert (rear[-2], front[-2]) == (-step, step)
+
+    def test_each_mesh_walked_once(self, setup, monkeypatch):
+        # a sweep with bisections, its halving probes and its `steps` count
+        # walk the meshes at DEFAULT_STEP and at half of it once each, one
+        # np.interp per step, and hand them out read-only
+        fresh = spectral.make_setup(setup.wave)
+        interp, walked = np.interp, Counter()
+
+        def counted(*args, **kwargs):
+            walked["steps"] += 1
+            return interp(*args, **kwargs)
+
+        monkeypatch.setattr(np, "interp", counted)
+        contour = np.array([-1000j, 1000, 1000j, 1j, 1e-3, -1j, -1000j])
+        assert spectral.evans_winding(fresh, contour).diagnostics["bisections"] > 0
+        steps = (spectral.DEFAULT_STEP, spectral.DEFAULT_STEP / 2.0)
+        assert set(fresh._meshes) == set(steps)
+        legs = [mesh for step in steps for mesh in spectral._legs(fresh, step)]
+        assert walked["steps"] == sum(mesh.size - 1 for mesh in legs)
+        with pytest.raises(ValueError, match="read-only"):
+            legs[0][0] = 0.0
 
     def test_fourth_order(self, graded_setup):
         # errors against a step-0.0125 march fall 16x per halving at fourth
