@@ -4,25 +4,19 @@ A small active bump placed in an empty medium organizes itself into a
 right-moving front.  The demo measures the front speed and the plateau left
 behind from the simulation, then compares the final profile with the wave
 the shooting method produces, as the `pde-ode-shape` criterion does
-(`shape_misfit`).  Run with `python3 demos/front_formation.py` (takes ~2 s).
+(`shape_misfit`).  It makes the reference front run declared in
+`branchwaves.pde`, at r = 0.  Run with `python3 demos/front_formation.py`
+(takes ~2 s).
 """
 
-import numpy as np
-
-from branchwaves import Grid, Params, measure_speed, shape_misfit, shoot_wave, simulate
-
-THRESHOLD = 0.1
+from branchwaves import Params, measure_speed, shape_misfit, shoot_wave, simulate
+from branchwaves.pde import FRONT_LEVEL, GRID, T_END, bump
 
 
 def main() -> None:
-    grid = Grid(-30.0, 120.0, 2001)
-    xs = grid.xs()
-    A0 = 0.5 * np.exp(-(xs**2))
-    I0 = np.zeros_like(xs)
-
-    print("simulating to t = 30 ...")
-    series = simulate(A0, I0, 0.0, grid, t_end=30.0)
-    speed = measure_speed(series, THRESHOLD, window=(15.0, 30.0))
+    print(f"simulating to t = {T_END:g} ...")
+    series = simulate(*bump(GRID), 0.0, GRID, T_END)
+    speed = measure_speed(series, FRONT_LEVEL)
     print(f"front speed from the last half of the run: {speed.c_est:.4f} "
           f"(fit residual {speed.residual:.2e});"
           f" the selected speed for localized data is 2")

@@ -2,9 +2,10 @@
 
 Each criterion measures one quantitative claim end to end, at its stated
 tolerance, and reports a single line.  Expensive shared artifacts (the wave
-grid, the two reference PDE runs) are cached on an AcceptanceContext so the
-battery reuses them across criteria; the PDE criteria read their front from
-`pde.measure_speed` and `pde.shape_misfit`.  `run_all` is the entry point
+grid, the reference PDE run of `pde` at r = 0 and r = 1) are cached on an
+AcceptanceContext so the battery reuses them across criteria; the PDE
+criteria read their front, at `pde.FRONT_LEVEL` over the run's second half,
+from `pde.measure_speed` and `pde.shape_misfit`.  `run_all` is the entry point
 used both by the test suite and by the `verify` command.
 """
 
@@ -34,11 +35,6 @@ __all__ = [
 WAVE_GRID_C = (2.0, 3.0)
 WAVE_GRID_R = (0.0, 1.0)
 WAVE_GRID_I = (1.2, 1.5, 1.8, 2.0)
-
-PDE_GRID = (-30.0, 120.0, 2001)
-PDE_T_END = 30.0
-PDE_WINDOW = (15.0, 30.0)
-FRONT_THRESHOLD = 0.1
 
 
 @dataclass(frozen=True)
@@ -93,16 +89,7 @@ class AcceptanceContext:
 
     def pde_run(self, r: float) -> pde.FieldSeries:
         if r not in self._pde_runs:
-            grid = pde.Grid(*PDE_GRID)
-            xs = grid.xs()
-            self._pde_runs[r] = pde.simulate(
-                0.5 * np.exp(-(xs**2)),
-                np.zeros_like(xs),
-                r,
-                grid,
-                t_end=PDE_T_END,
-                snapshot_dt=0.5,
-            )
+            self._pde_runs[r] = pde.simulate(*pde.bump(pde.GRID), r, pde.GRID, pde.T_END)
         return self._pde_runs[r]
 
 
@@ -233,7 +220,7 @@ def _pde_front(ctx: AcceptanceContext, tol: float = 0.05) -> tuple[bool, str, di
     for r in (0.0, 1.0):
         series = ctx.pde_run(r)
         diagnostics[f"r={r:g}"] = series.diagnostics
-        c_est, _, _, plateau = pde.measure_speed(series, FRONT_THRESHOLD, PDE_WINDOW)
+        c_est, _, _, plateau, _ = pde.measure_speed(series, pde.FRONT_LEVEL)
         if plateau is None:
             ok = False
             level = "no plateau (no front, or no grid point in [10, x_front - 20])"
@@ -250,7 +237,7 @@ def _pde_front(ctx: AcceptanceContext, tol: float = 0.05) -> tuple[bool, str, di
 
 def _pde_ode_shape(ctx: AcceptanceContext, tol: float = 0.05) -> tuple[bool, str, dict]:
     series = ctx.pde_run(0.0)
-    x_front = pde.measure_speed(series, FRONT_THRESHOLD, PDE_WINDOW).x_front
+    x_front = pde.measure_speed(series, pde.FRONT_LEVEL).x_front
     rel_a, rel_i = pde.shape_misfit(series, x_front, ctx.wave_grid()[(2.0, 0.0, 2.0)])
     return rel_a < tol and rel_i < tol, (
         f"sup-norm misfit on z in [-10, 10] after optimal shift: active "

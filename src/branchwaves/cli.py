@@ -10,7 +10,8 @@ object per criterion, with its solvers' diagnostics).
 
 Machine-readable reports go to stdout as JSON; bulk data goes to CSV files
 (17 significant digits, LF line endings, header row) so values round-trip
-exactly.  Each flag's default is declared once, on the flag.  A flat
+exactly.  Each flag's default is declared once: on the flag, or for `pde`'s
+reference run (the bump, grid, end time and front level) in `pde`.  A flat
 `key = value` file passed with --config replaces those defaults for the
 chosen subcommand (keys are the flag names, but for `verify --json`, a
 per-run choice); explicit flags win.  Exit statuses are stable API: 0
@@ -311,38 +312,30 @@ def cmd_pde(args: argparse.Namespace) -> int:
         source = f"initial data {args.initial}"
     else:
         grid = args.grid
-        xs = grid.xs()
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            A0 = args.amplitude * np.exp(-((xs / args.width) ** 2))
-        I0 = np.zeros_like(xs)
+        A0, I0 = pde.bump(grid, args.amplitude, args.width)
         source = f"the bump of amplitude {args.amplitude:g} and width {args.width:g}"
     if not (np.isfinite(A0).all() and np.isfinite(I0).all()):
         raise _UsageProblem(f"{source} holds a non-numeric or non-finite A or I")
 
     series = pde.simulate(A0, I0, args.r, grid, t_end=args.t_end)
 
-    window = args.window if args.window is not None else (args.t_end / 2.0, args.t_end)
     try:
-        speed = pde.measure_speed(series, args.threshold, window)
+        speed = pde.measure_speed(series, args.threshold, args.window)
     except DomainError as exc:
         raise _UsageProblem(f"usage: {exc}") from exc
 
-    if args.save_all:
-        save_times = list(series.times)
-    else:
-        save_times = sorted({0.0, round(args.t_end / 2.0, 6), args.t_end} & set(series.times))
+    keep = {0.0, round(args.t_end / 2.0, 6), args.t_end}
     xs = grid.xs()
     written = []
-    for t in save_times:
-        A, I = series.at(t)
-        path = f"{args.out}_t{t:g}.csv"
-        _write_csv(path, ["x", "A", "I"], [xs, A, I])
-        written.append(path)
+    for t, (A, I) in zip(series.times, series.snapshots):
+        if args.save_all or t in keep:
+            written.append(f"{args.out}_t{t:g}.csv")
+            _write_csv(written[-1], ["x", "A", "I"], [xs, A, I])
 
     _report(
         {
             "c_est": speed.c_est,
-            "window": list(window),
+            "window": list(speed.window),
             "residual": speed.residual,
             "plateau": speed.plateau,
             "front_position": speed.x_front if math.isfinite(speed.x_front) else None,
@@ -515,18 +508,18 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
                         help="profile CSV path (default %(default)s)")
     p_wave.set_defaults(handler=cmd_wave)
 
-    p_pde.add_argument("--amplitude", type=float, default=0.5,
+    p_pde.add_argument("--amplitude", type=float, default=pde.BUMP_AMPLITUDE,
                        help="bump height (default %(default)s)")
-    p_pde.add_argument("--width", type=_bump_width, default=1.0,
+    p_pde.add_argument("--width", type=_bump_width, default=pde.BUMP_WIDTH,
                        help="bump width (default %(default)s)")
     p_pde.add_argument("--initial", help="CSV x,A,I initial data (overrides the bump)")
-    p_pde.add_argument("--grid", default="2001:-30:120",
+    p_pde.add_argument("--grid", default=f"{pde.GRID.n}:{pde.GRID.x_min:g}:{pde.GRID.x_max:g}",
                        type=_fields("n:xmin:xmax", ":", int, float, float,
                                     build=lambda n, x_min, x_max: pde.Grid(x_min, x_max, n)),
                        help="n:xmin:xmax (default %(default)s)")
-    p_pde.add_argument("--t-end", dest="t_end", type=float, default=30.0,
+    p_pde.add_argument("--t-end", dest="t_end", type=float, default=pde.T_END,
                        help="final time (default %(default)s)")
-    p_pde.add_argument("--threshold", type=float, default=0.1,
+    p_pde.add_argument("--threshold", type=float, default=pde.FRONT_LEVEL,
                        help="front tracking level (default %(default)s)")
     p_pde.add_argument("--window", type=_fields("t1:t2", ":", float, float),
                        help="speed-fit window t1:t2 (default second half)")

@@ -23,10 +23,10 @@ class InvalidSegmentError(ValueError):
 
 class NonConvergenceError(RuntimeError):
     """Integration stopped early (step underflow or step-count cap), or a
-    shot cannot be measured: it settles at i >= 1, or a tail holds too few
-    samples to fit its rate.
+    shot cannot be made or measured: its seed lands at i <= 1, it settles at
+    i >= 1, or a tail holds too few samples to fit its rate.
 
-    Carries the trajectory: the partial one, or the whole shot.
+    Carries the trajectory: the partial one, the whole shot, or none.
     """
 
     def __init__(self, message, trajectory=None):

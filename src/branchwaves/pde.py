@@ -7,6 +7,10 @@ follows the diffusive stiffness, each stage on the local stencil only, so A
 stays physical ahead of the front. The only model parameter is the production
 rate r; the PDE selects its own front speed. Also front tracking, speed fits,
 the plateau behind the front, and the shape misfit against a shot wave.
+
+The reference front run of the `pde` CLI defaults, the battery and the demo is
+declared here once: the `bump` in empty tissue on GRID to T_END, its front at
+FRONT_LEVEL, its speed fitted over the run's second half (`measure_speed`).
 """
 
 from __future__ import annotations
@@ -57,6 +61,22 @@ class Grid:
         return np.linspace(self.x_min, self.x_max, self.n)
 
 
+# the reference front run (module docstring)
+GRID = Grid(-30.0, 120.0, 2001)
+T_END = 30.0
+FRONT_LEVEL = 0.1
+BUMP_AMPLITUDE = 0.5
+BUMP_WIDTH = 1.0
+
+
+def bump(grid: Grid, amplitude: float = BUMP_AMPLITUDE,
+         width: float = BUMP_WIDTH) -> tuple[np.ndarray, np.ndarray]:
+    """(A, I): A = amplitude exp(-(x/width)^2) and I = 0 on grid, non-finite values kept."""
+    xs = grid.xs()
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        return amplitude * np.exp(-((xs / width) ** 2)), np.zeros_like(xs)
+
+
 @dataclass
 class FieldSeries:
     """Snapshots (A, I) at the recorded times; `diagnostics` of `simulate`, if it made them."""
@@ -65,19 +85,6 @@ class FieldSeries:
     times: np.ndarray
     snapshots: list[tuple[np.ndarray, np.ndarray]]
     diagnostics: dict = field(default_factory=dict)
-
-    def at(self, t: float) -> tuple[np.ndarray, np.ndarray]:
-        """Snapshot at time t (must match a recorded time)."""
-        k = int(np.argmin(np.abs(self.times - t)))
-        if abs(self.times[k] - t) > 1e-9:
-            raise DomainError(
-                f"t = {t} not in the recorded times "
-                f"[{self.times[0]:g}, {self.times[-1]:g}] "
-                f"(spacing {self.times[1] - self.times[0]:g})"
-                if len(self.times) > 1
-                else f"t = {t} not recorded"
-            )
-        return self.snapshots[k]
 
 
 def _snapshot_times(t_end: float, snapshot_dt: float, n: int) -> np.ndarray:
@@ -247,18 +254,19 @@ class SpeedMeasurement(NamedTuple):
     residual: float
     x_front: float  # `front_position` at the last snapshot, whatever the window
     plateau: float | None  # `plateau` behind that front
+    window: tuple[float, float]  # the fit window used
 
 
 def measure_speed(series: FieldSeries, threshold: float,
-                  window: tuple[float, float]) -> SpeedMeasurement:
+                  window: tuple[float, float] | None = None) -> SpeedMeasurement:
     """Least-squares front speed over a time window, and the final front and plateau.
 
-    The front must exist and stay at least 10 grid cells away from both
-    domain ends throughout the window; otherwise the measurement counts
-    as contaminated.
+    The window defaults to the second half of the recorded times. The front
+    must exist and stay at least 10 grid cells away from both domain ends
+    throughout the window; otherwise the measurement counts as contaminated.
     """
-    t1, t2 = window
     times = series.times
+    t1, t2 = window or (float((times[0] + times[-1]) / 2.0), float(times[-1]))
     if not (times[0] <= t1 < t2 <= times[-1]):
         raise DomainError(
             f"window ({t1}, {t2}) not inside simulated times "
@@ -287,8 +295,8 @@ def measure_speed(series: FieldSeries, threshold: float,
     fit = slope * ts + intercept
     residual = float(np.sqrt(np.mean((fit - np.asarray(fronts)) ** 2)))
     A, I = series.snapshots[-1]
-    x_front = front_position(A, grid, threshold)
-    return SpeedMeasurement(float(slope), residual, float(x_front), plateau(I, grid, x_front))
+    x_front = float(front_position(A, grid, threshold))
+    return SpeedMeasurement(float(slope), residual, x_front, plateau(I, grid, x_front), (t1, t2))
 
 
 def shape_misfit(series: FieldSeries, x_front: float, wave: WaveProfile) -> tuple[float, float]:

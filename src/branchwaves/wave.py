@@ -72,8 +72,8 @@ class WaveProfile:
 def seed_unstable_manifold(i_minus_inf: float, p: Params) -> WaveState:
     """Point at distance ~SEED_EPS from (0, 0, i_minus_inf) along its unstable direction.
 
-    The eigendirection is normalized so its a-component equals +1,
-    selecting the branch that enters a > 0.
+    The eigendirection is normalized so its a-component equals +1, selecting
+    the branch that enters a > 0; a seed that lands at i <= 1 raises NonConvergenceError.
     """
     if not 1.0 < i_minus_inf <= 2.0:
         raise DomainError(
@@ -82,7 +82,11 @@ def seed_unstable_manifold(i_minus_inf: float, p: Params) -> WaveState:
         )
     lam = analysis.decay_rate(i_minus_inf, p.c)
     e_hat = analysis.eigenvector(i_minus_inf, p.c, p.r, lam)
-    return WaveState(*(x + SEED_EPS * e for x, e in zip((0.0, 0.0, i_minus_inf), e_hat)))
+    seed = WaveState(*(x + SEED_EPS * e for x, e in zip((0.0, 0.0, i_minus_inf), e_hat)))
+    if not seed.i > 1.0:
+        raise NonConvergenceError(f"seed at i = {seed.i:.7g} <= 1: the rear level {i_minus_inf:.12g} "
+                                  f"is too close to 1 for the seed offset SEED_EPS = {SEED_EPS:g}")
+    return seed
 
 
 def _rear_band(c: float) -> str:

@@ -4,6 +4,7 @@ Everything goes through cli.main so the exit statuses and the stdout/stderr
 split are exercised exactly as a shell would see them.
 """
 
+import inspect
 import json
 import os
 import subprocess
@@ -135,6 +136,23 @@ class TestWave:
         code, _, err = run(capsys, "wave", flag, value, "--out", out)
         assert code == 2
         assert "invalid regime" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, i_minus, seed", [
+        ("wave", "1.000000001", "-98.99999"), ("evans", "1.000000001", "-98.99999"),
+        ("wave", "1.00001", "0.9900099"),
+    ])
+    def test_seed_below_one_exits_4(self, tmp_path, capsys, monkeypatch, command, i_minus, seed):
+        # the seed's i-component grows like 1/(i_minus - 1): a rear level this close to 1
+        # seeds below i = 1, a resolution failure found before any integration
+        def integrate(*args):
+            raise AssertionError("integrated from a seed below i = 1")
+
+        monkeypatch.setattr(cli.wave_mod, "integrate", integrate)
+        out = tmp_path / "w.csv"
+        code, _, err = run(capsys, command, "--i-minus", i_minus, "--out", out)
+        assert code == 4
+        assert f"resolution failure: seed at i = {seed} <= 1: the rear level {i_minus} " in err
         assert not out.exists()
 
 
@@ -354,6 +372,42 @@ class TestPde:
         )
         assert code == 0
         assert len(payload["snapshots"]) == 5
+
+    @pytest.mark.parametrize("t_end, times", [("2.25", ["0", "2.25"]), ("3", ["0", "1.5", "3"])])
+    def test_snapshots_at_start_middle_end(self, tmp_path, capsys, t_end, times):
+        # the middle is kept only where it is a recorded time: 1.125 is not, 1.5 is
+        code, payload, _ = run_json(
+            capsys, "pde", "--grid", "321:-10:20", "--t-end", t_end, "--out", tmp_path / "p",
+        )
+        assert code == 0
+        names = [f"p_t{t}.csv" for t in times]
+        assert payload["snapshots"] == [str(tmp_path / name) for name in names]
+        assert sorted(os.listdir(tmp_path)) == sorted(names)
+
+    def test_defaults_are_the_battery_run(self, tmp_path, monkeypatch):
+        # both callers hand simulate the same arguments; neither run is made
+        class Recorded(Exception):
+            pass
+
+        calls, signature = [], inspect.signature(pde.simulate)
+
+        def simulate(*args, **kwargs):
+            bound = signature.bind(*args, **kwargs)
+            bound.apply_defaults()
+            calls.append(bound.arguments)
+            raise Recorded
+
+        monkeypatch.setattr(pde, "simulate", simulate)
+        with pytest.raises(Recorded):
+            cli.main(["pde", "--r", "0", "--out", str(tmp_path / "x")])
+        with pytest.raises(Recorded):
+            acceptance.AcceptanceContext().pde_run(0.0)
+        ours, battery = calls
+        for name in ("A0", "I0"):
+            assert np.asarray(ours[name]).dtype == np.asarray(battery[name]).dtype
+            assert np.asarray(ours[name]).tobytes() == np.asarray(battery[name]).tobytes()
+        for name in ("r", "grid", "t_end", "snapshot_dt"):
+            assert ours[name] == battery[name]
 
     def test_nonuniform_initial_rejected(self, tmp_path, capsys):
         xs = np.concatenate([np.linspace(0, 1, 10), np.linspace(1.3, 2, 10)])

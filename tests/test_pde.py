@@ -15,6 +15,7 @@ from branchwaves.model import Params, pde_rhs
 from branchwaves.pde import (
     FieldSeries,
     Grid,
+    bump,
     front_position,
     measure_speed,
     plateau,
@@ -24,11 +25,6 @@ from branchwaves.pde import (
 from branchwaves.wave import shoot_wave
 
 R0 = 0.0  # production rate of the runs below
-
-
-def bump(grid):
-    xs = grid.xs()
-    return 0.5 * np.exp(-(xs**2)), np.zeros_like(xs)
 
 
 @pytest.fixture(scope="module")
@@ -99,6 +95,15 @@ def beta(s):
     return (1.0 + w0) * T.deriv(2)(w0) / T.deriv(1)(w0)
 
 
+class TestBump:
+    def test_bump_formula(self):
+        # amplitude exp(-(x/width)^2) in empty tissue
+        g = Grid(-4.0, 4.0, 81)
+        A, I = bump(g, 2.0, 0.5)
+        np.testing.assert_array_equal(A, 2.0 * np.exp(-((g.xs() / 0.5) ** 2)))
+        np.testing.assert_array_equal(I, np.zeros(81))
+
+
 class TestGrid:
     def test_spacing(self):
         g = Grid(-100.0, 100.0, 2001)
@@ -158,8 +163,7 @@ class TestSimulate:
 
     def test_mirror_symmetry(self):
         g = Grid(-20.0, 20.0, 401)
-        xs = g.xs()
-        series = simulate(0.5 * np.exp(-(xs**2)), np.zeros(401), R0, g, 3.0, 1.0)
+        series = simulate(*bump(g), R0, g, 3.0, 1.0)
         for A, I in series.snapshots:
             assert np.max(np.abs(A - A[::-1])) < 1e-10
             assert np.max(np.abs(I - I[::-1])) < 1e-10
@@ -227,10 +231,6 @@ class TestSimulate:
         g = Grid(0.0, 1.0, 21)
         with pytest.raises(DomainError):
             simulate(np.zeros(21), np.zeros(21), R0, g, t_end, snapshot_dt)
-
-    def test_at_unknown_time(self, bump_series):
-        with pytest.raises(DomainError):
-            bump_series.at(0.123)
 
 
 class TestRkc:
@@ -433,6 +433,12 @@ class TestMeasureSpeed:
         m = measure_speed(bump_series, 0.1, (10.0, 16.0))
         assert m.c_est == pytest.approx(2.0, rel=0.06)
 
+    def test_default_window_is_the_second_half(self):
+        series = self.synthetic_series(3.0)
+        series.times = series.times + 2.0  # recorded over [2, 8]: the second half is [5, 8]
+        m = measure_speed(series, 0.1)
+        assert m.window == (5.0, 8.0)
+        assert m == measure_speed(series, 0.1, (5.0, 8.0))
 
     def test_window_between_snapshots(self):
         g = Grid(0.0, 10.0, 32)
