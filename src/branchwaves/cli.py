@@ -11,7 +11,8 @@ object per criterion, with its solvers' diagnostics).
 Machine-readable reports go to stdout as JSON; bulk data goes to CSV files
 (17 significant digits, LF line endings, header row) so values round-trip
 exactly.  Each flag's default is declared once: on the flag, or for `pde`'s
-reference run (the bump, grid, end time and front level) in `pde`.  A flat
+reference run (the bump, grid, end time and front level) in `pde`, and for
+`evans`'s contour in `spectral`.  A flat
 `key = value` file passed with --config replaces those defaults for the
 chosen subcommand (keys are the flag names, but for `verify --json`, a
 per-run choice); explicit flags win.  Exit statuses are stable API: 0
@@ -532,7 +533,7 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p_evans.add_argument("--w-exp", dest="w_exp", type=float,
                          help="exponential weight (default c/2)")
     p_evans.add_argument("--L", type=float, help="domain half-length (default auto)")
-    p_evans.add_argument("--contour", default="0.001:1000:200",
+    p_evans.add_argument("--contour", default=":".join(f"{v:g}" for v in spectral.CONTOUR),
                          type=_fields("rmin:rmax:n", ":", float, float, int,
                                       build=spectral.contour_of_S),
                          help="rmin:rmax:n (default %(default)s)")

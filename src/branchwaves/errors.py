@@ -1,11 +1,12 @@
 """Exception types shared across the library.
 
 Grouped here so the command-line layer can map each failure mode to a
-stable exit status in one table, `branchwaves.cli._EXIT_TABLE`: blow-up
-exits 3, negativity and domain errors exit 2 (invalid regime), and budget,
-non-convergence, contaminated-measurement, contour-resolution and splitting
-errors exit 4 (resolution failure).
+stable exit status in one table, `branchwaves.cli._EXIT_TABLE`.
 """
+
+__all__ = ["DomainError", "OscillatoryRegimeError", "InvalidSegmentError",
+           "NonConvergenceError", "NegativityError", "BudgetError", "BlowUpError",
+           "ContaminatedMeasurementError", "SplittingError", "ContourResolutionError"]
 
 
 class DomainError(ValueError):

@@ -21,6 +21,8 @@ import numpy as np
 
 from .errors import DomainError, NonConvergenceError
 
+__all__ = ["Trajectory", "integrate"]
+
 REL_TOL = 1e-9
 ABS_TOL = 1e-12
 SAMPLE_DZ = 0.1

@@ -26,6 +26,9 @@ from .errors import BlowUpError, ContaminatedMeasurementError, DomainError
 from .model import pde_rhs
 from .wave import WaveProfile
 
+__all__ = ["Grid", "FieldSeries", "SpeedMeasurement", "simulate", "front_position",
+           "measure_speed", "plateau", "shape_misfit"]
+
 STEP = 0.02  # RKC step, shrunk to divide each snapshot interval
 DAMPING = 2.0 / 13.0  # epsilon of the damped Chebyshev stability polynomial
 MASS_BALANCE_TOL = 1e-10  # carried vs measured sum w(A + I), relative

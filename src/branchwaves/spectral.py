@@ -94,6 +94,8 @@ _RE_MARGIN = 1e-10
 # a contour has about 2.25 base_n points, marched at once: 22,501 take about 30 s
 # on a 2-vCPU host, while 10**9 would allocate tens of GB before the first value
 MAX_CONTOUR_N = 10**4
+# r_min, r_max, base_n of the default contour: `evans --contour`, `evans-winding`
+CONTOUR = (1e-3, 1000.0, 200)
 _SETTLED_FRACTION = 1e-8
 
 
@@ -450,7 +452,7 @@ def evans(
 
 
 def contour_of_S(
-    r_min: float = 1e-3, r_max: float = 1000.0, base_n: int = 200
+    r_min: float = CONTOUR[0], r_max: float = CONTOUR[1], base_n: int = CONTOUR[2]
 ) -> np.ndarray:
     """Closed positively oriented boundary of the right-half annulus S.
 

@@ -21,6 +21,9 @@ from .errors import (BudgetError, DomainError, NegativityError, NonConvergenceEr
 from .model import Params, WaveState, wave_rhs
 from .odeint import EV_MAX, EV_NEG, EV_STOP, EventRecord, Trajectory, integrate
 
+__all__ = ["WaveProfile", "VerificationReport", "shoot_wave", "shoot_from_max",
+           "verify_profile"]
+
 # seed offset along the unstable eigendirection
 SEED_EPS = 1e-7
 # sup-norm of (a, b) below which a run counts as converged

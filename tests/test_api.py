@@ -1,14 +1,19 @@
-"""Every name in an `__all__`, of the package and of each submodule, resolves,
-every demo imports and runs as a script, and every program attribute the
-benchmark traces by name exists."""
+"""Every name in an `__all__`, of the package and of each submodule, resolves;
+the package root exports exactly its library modules' `__all__` and keeps every
+name it has exported; every demo imports and runs as a script; and every
+program attribute the benchmark traces by name exists."""
 
 import ast
 import contextlib
 import importlib
 import importlib.util
 import io
+import itertools
+import os
 import pkgutil
 import runpy
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -23,6 +28,29 @@ EXPORTING = [
     ]
     if hasattr(module, "__all__")
 ]
+
+# the library modules in the root's export order; `cli` is the one module left out
+LIBRARY = ["model", "analysis", "odeint", "wave", "pde", "spectral", "acceptance", "errors"]
+
+# every name the root has exported, by defining module: none may go
+EXPORTED = {
+    "model": ["Params", "GeneralParams", "Scaling", "WaveState", "wave_rhs", "pde_rhs",
+              "normalize", "denormalize", "general_wave_predictions"],
+    "analysis": ["Triangle", "MassResiduals", "minimal_inactive_limit", "decay_rate",
+                 "triangle", "triangle_contains", "i_plus_infinity", "alpha_threshold",
+                 "a_star", "a_at_first_max", "mass_residuals", "limit_symmetry"],
+    "odeint": ["Trajectory", "integrate"],
+    "wave": ["WaveProfile", "VerificationReport", "shoot_wave", "shoot_from_max",
+             "verify_profile"],
+    "pde": ["Grid", "FieldSeries", "SpeedMeasurement", "simulate", "front_position",
+            "measure_speed", "plateau", "shape_misfit"],
+    "spectral": ["SpectralSetup", "Winding", "make_setup", "limit_rates", "evans",
+                 "evans_winding", "contour_of_S", "winding_number"],
+    "acceptance": ["CRITERION_NAMES", "CriterionResult", "run_all"],
+    "errors": ["DomainError", "OscillatoryRegimeError", "InvalidSegmentError",
+               "NonConvergenceError", "NegativityError", "BudgetError", "BlowUpError",
+               "ContaminatedMeasurementError", "SplittingError", "ContourResolutionError"],
+}
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -44,6 +72,33 @@ HOOKS = [
 def test_all_names_resolve(module):
     missing = [name for name in module.__all__ if not hasattr(module, name)]
     assert missing == []
+
+
+def test_library_is_every_module_but_cli():
+    names = {info.name for info in pkgutil.iter_modules(branchwaves.__path__)}
+    assert names - {"cli"} == set(LIBRARY)
+
+
+def test_root_exports_the_library_all():
+    modules = [importlib.import_module(f"branchwaves.{name}") for name in LIBRARY]
+    expected = ["__version__", *itertools.chain.from_iterable(m.__all__ for m in modules)]
+    assert branchwaves.__all__ == expected
+    assert len(set(expected)) == len(expected)  # no module's name shadows another's
+
+
+@pytest.mark.parametrize("module, name", [(module, name) for module, names in EXPORTED.items()
+                                          for name in names], ids=lambda x: x)
+def test_exported_name_kept(module, name):
+    assert name in branchwaves.__all__
+    assert getattr(branchwaves, name) is getattr(importlib.import_module(f"branchwaves.{module}"), name)
+
+
+def test_root_import_loads_no_cli():
+    probe = "import sys, branchwaves; print('branchwaves.cli' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(branchwaves.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+                          timeout=60, check=True)
+    assert proc.stdout.strip() == "False"
 
 
 def test_demos_found():

@@ -485,6 +485,21 @@ class TestEvans:
         assert payload["winding"] == 0
         assert payload["diagnostics"]["propagators"]["matrices"] <= 35_000
 
+    def test_default_contour_is_the_battery_one(self, tmp_path, monkeypatch):
+        # the flag's default string parses back to the contour `evans-winding` sweeps
+        class Recorded(Exception):
+            pass
+
+        def evans_winding(setup, contour, *args, **kwargs):
+            swept.append(contour)
+            raise Recorded
+
+        swept = []
+        monkeypatch.setattr(spectral, "evans_winding", evans_winding)
+        with pytest.raises(Recorded):
+            cli.main(["evans", "--out", str(tmp_path / "e.csv")])
+        assert swept[0].tobytes() == spectral.contour_of_S().tobytes()
+
     def test_non_finite_evans_value_exits_4(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(spectral, "evans", lambda gammas, setup, *args, **kwargs:
                             np.full_like(gammas, np.nan))
