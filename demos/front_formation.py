@@ -6,7 +6,7 @@ behind from the simulation, then compares the final profile with the wave
 the shooting method produces, as the `pde-ode-shape` criterion does
 (`shape_misfit`).  It makes the reference front run declared in
 `branchwaves.pde`, at r = 0.  Run with `python3 demos/front_formation.py`
-(takes ~2 s).
+(takes ~0.6 s).
 """
 
 from branchwaves import Params, measure_speed, shape_misfit, shoot_wave, simulate

@@ -118,9 +118,11 @@ def pde_rhs(A, I, r: float, dx: float, out=None):
 
     r is the production rate; the PDE has no wave speed.  The Laplacian
     acts on A only, second-order central differences with zero-flux
-    (mirror) ends.  A and I must be equal-length fields of at least 3
-    points.  Given `out`, a (2, n) array sharing no memory with A or I,
-    the derivatives are written into it and its rows returned.
+    (mirror) ends; Lap(A) + A is one three-point stencil, weights
+    (1/dx^2, 1 - 2/dx^2, 1/dx^2), summed left to right.  A and I must be
+    equal-length fields of at least 3 points.  Given `out`, a (2, n) array
+    sharing no memory with A or I, the derivatives are written into it and
+    its rows returned.
     """
     A = np.asarray(A, dtype=float)
     I = np.asarray(I, dtype=float)
@@ -131,15 +133,11 @@ def pde_rhs(A, I, r: float, dx: float, out=None):
 
     dA, dI = (np.empty_like(A), np.empty_like(A)) if out is None else out
     inv_dx2 = 1.0 / (dx * dx)
-    # dA = Lap(A) + A - A(A + I), dI = A(A + I) + r A, each operation in place
-    lap = dA[1:-1]
-    np.subtract(A[:-2], 2.0 * A[1:-1], out=lap)
-    lap += A[2:]
-    lap *= inv_dx2
+    # dA = Lap(A) + A - A(A + I), dI = A(A + I) + r A
+    dA[1:-1] = np.correlate(A, (inv_dx2, 1.0 - 2.0 * inv_dx2, inv_dx2))
     # zero-flux ends: mirror ghost point, so the stencil sees A[1] on both sides
-    dA[0] = 2.0 * (A[1] - A[0]) * inv_dx2
-    dA[-1] = 2.0 * (A[-2] - A[-1]) * inv_dx2
-    dA += A
+    dA[0] = 2.0 * (A[1] - A[0]) * inv_dx2 + A[0]
+    dA[-1] = 2.0 * (A[-2] - A[-1]) * inv_dx2 + A[-1]
     np.add(A, I, out=dI)
     dI *= A
     dA -= dI

@@ -3,10 +3,12 @@
 The two-field system on a uniform grid: a second-order central Laplacian on
 the diffusing field, zero-flux ends, and second-order Runge-Kutta-Chebyshev
 steps (RKC; Sommeijer, Shampine & Verwer 1997) whose stage count, not size,
-follows the diffusive stiffness, each stage on the local stencil only, so A
-stays physical ahead of the front. The only model parameter is the production
-rate r; the PDE selects its own front speed. Also front tracking, speed fits,
-the plateau behind the front, and the shape misfit against a shot wave.
+follows the diffusive stiffness. Each stage is one right-hand side on the
+local three-point stencil, so A stays physical ahead of the front, and one
+product of four coefficients with the rows (two increments, F, F0) for the
+stage recurrence. The only model parameter is the production rate r; the PDE
+selects its own front speed. Also front tracking, speed fits, the plateau
+behind the front, and the shape misfit against a shot wave.
 
 The reference front run of the `pde` CLI defaults, the battery and the demo is
 declared here once: the `bump` in empty tissue on GRID to T_END, its front at
@@ -170,8 +172,10 @@ def simulate(A0, I0, r: float, grid: Grid, t_end: float,
     Y = np.array([A, I])
     snaps = [(A, I)]
     diag = dict(steps=0, stages=len(stages), h=0.0, rhs_evaluations=0, mass_balance_residual=0.0)
-    # (2, n) stage buffers, reused by every stage of the run
-    F0, F, Ys, cur, prev, new = (np.empty_like(Y) for _ in range(6))
+    # stage buffers, reused by every stage of the run: K holds the increments cur and
+    # prev (in rows 0 and 1 by turns, cur in row c), F and F0, so that the next
+    # increment is one product coef @ K; Ys holds the stage value, then that product
+    K, Ys = np.zeros((4, 2, grid.n)), np.empty_like(Y)
 
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, len(times)):
@@ -180,27 +184,23 @@ def simulate(A0, I0, r: float, grid: Grid, t_end: float,
             mass = w @ (Y[0] + Y[1])
             # stage j: Y_j - Y0 = mu (Y_{j-1} - Y0) + nu (Y_{j-2} - Y0) + mu~ h F_{j-1}
             # + gamma~ h F_0, so F = 0 keeps Y bitwise; the mass of F(Y) is (1 + r) w.A
+            coefs = np.array([(mu, nu, mu_t * h, gamma_t * h) for mu, nu, mu_t, gamma_t in stages[1:]])
+            coefs[1::2, :2] = coefs[1::2, 1::-1]  # every other stage finds cur in row 1
             for _ in range(n_steps):
-                pde_rhs(Y[0], Y[1], r, grid.dx, out=F0)
+                pde_rhs(Y[0], Y[1], r, grid.dx, out=K[3])
                 f0 = (1.0 + r) * (w @ Y[0])
-                prev[:], m_prev = 0.0, 0.0
-                np.multiply(F0, stages[0][2] * h, out=cur)
+                c, K[1], m_prev = 0, 0.0, 0.0
+                np.multiply(K[3], stages[0][2] * h, out=K[0])
                 m_cur = stages[0][2] * h * f0
-                for mu, nu, mu_t, gamma_t in stages[1:]:
-                    np.add(Y, cur, out=Ys)
-                    pde_rhs(Ys[0], Ys[1], r, grid.dx, out=F)
+                for coef, (mu, nu, mu_t, gamma_t) in zip(coefs, stages[1:]):
+                    np.add(Y, K[c], out=Ys)
+                    pde_rhs(Ys[0], Ys[1], r, grid.dx, out=K[2])
                     f = (1.0 + r) * (w @ Ys[0])
-                    # new = mu cur + nu prev + (mu~ h) F + (gamma~ h) F0, summed in that order
-                    np.multiply(cur, mu, out=new)
-                    prev *= nu
-                    new += prev
-                    np.multiply(F, mu_t * h, out=prev)
-                    new += prev
-                    np.multiply(F0, gamma_t * h, out=prev)
-                    new += prev
-                    cur, prev, new = new, cur, prev
+                    np.matmul(coef, K.reshape(4, -1), out=Ys.reshape(-1))
+                    c = 1 - c
+                    K[c] = Ys  # the new increment overwrites prev
                     m_cur, m_prev = mu * m_cur + nu * m_prev + h * (mu_t * f + gamma_t * f0), m_cur
-                Y += cur
+                Y += K[c]
                 mass += m_cur
             diag["steps"] += n_steps
             diag["rhs_evaluations"] += n_steps * len(stages)

@@ -159,17 +159,38 @@ class TestPdeRhs:
         rng = np.random.default_rng(5)
         A, I = rng.uniform(0, 2, size=(2, 50))
         dx, r = 0.3, 0.7
-        # the formula as plain array expressions: the bitwise oracle of the in-place form
-        lap = np.empty_like(A)
-        lap[1:-1] = (A[:-2] - 2.0 * A[1:-1] + A[2:]) * (1.0 / (dx * dx))
-        lap[0] = 2.0 * (A[1] - A[0]) * (1.0 / (dx * dx))
-        lap[-1] = 2.0 * (A[-2] - A[-1]) * (1.0 / (dx * dx))
-        want = (lap + A - A * (A + I), A * (A + I) + r * A)
+        # the stencil form as plain array expressions, summed left to right: the bitwise
+        # oracle of the one correlation and the in-place reaction
+        q = 1.0 / (dx * dx)
+        lap_a = np.empty_like(A)  # Lap(A) + A
+        lap_a[1:-1] = A[:-2] * q + A[1:-1] * (1.0 - 2.0 * q) + A[2:] * q
+        lap_a[0] = 2.0 * (A[1] - A[0]) * q + A[0]
+        lap_a[-1] = 2.0 * (A[-2] - A[-1]) * q + A[-1]
+        want = (lap_a - A * (A + I), A * (A + I) + r * A)
         np.testing.assert_array_equal(pde_rhs(A, I, r, dx), want)
         out = np.full((2, 50), np.nan)
         dA, dI = pde_rhs(A, I, r, dx, out=out)
         assert np.shares_memory(dA, out[0]) and np.shares_memory(dI, out[1])
         np.testing.assert_array_equal(out, want)
+
+    @pytest.mark.parametrize("field", ["uniform", "bump"])
+    def test_within_a_few_ulp_of_the_three_term_laplacian(self, field):
+        # the stencil weights (1/dx^2, 1 - 2/dx^2, 1/dx^2) round apart from
+        # (A[:-2] - 2 A[1:-1] + A[2:]) / dx^2 + A, whose partial sums reach
+        # 2 max|A| / dx^2, by a few ulp of max|A| / dx^2: measured 3.0 ulp here
+        # (5.0 at worst over seeds 0-199) on the uniform field and 1.1 on the bump
+        rng = np.random.default_rng(11)
+        dx = 0.075  # the reference grid's spacing
+        xs = dx * np.arange(-400, 401)
+        A = rng.uniform(0, 1, xs.size) if field == "uniform" else 0.5 * np.exp(-xs * xs)
+        I = rng.uniform(0, 2, xs.size)
+        dA, _ = pde_rhs(A, I, 0.7, dx)
+        lap = np.empty_like(A)
+        lap[1:-1] = (A[:-2] - 2.0 * A[1:-1] + A[2:]) / dx**2
+        lap[0] = 2.0 * (A[1] - A[0]) / dx**2
+        lap[-1] = 2.0 * (A[-2] - A[-1]) / dx**2
+        gap = np.max(np.abs(dA - (lap + A - A * (A + I))))
+        assert gap <= 8.0 * np.spacing(np.max(np.abs(A)) / dx**2)
 
     def test_shape_errors(self):
         with pytest.raises(ValueError):

@@ -1,6 +1,10 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -60,7 +64,10 @@ def rkc_reference(A, I, r, grid, times):
     """Snapshots at times of the RKC steps of `simulate`, a new array per operation.
 
     The bitwise oracle of the stage buffers `simulate` updates in place: the
-    same operations on the same operands, in the same order.
+    same operations on the same operands, in the same order. The next increment
+    is the product of the coefficients with the rows [cur, prev, F, F0], whose
+    fused multiply-adds round [cur, prev] and [prev, cur] apart; `simulate`
+    keeps cur and prev in rows 0 and 1 by turns, so every other stage swaps them.
     """
     stages = pde._rkc_stages(pde.STEP * (4.0 / grid.dx**2 + 5.0 + r))
     Y = np.array([A, I])
@@ -70,11 +77,13 @@ def rkc_reference(A, I, r, grid, times):
         h = float(span) / n_steps
         for _ in range(n_steps):
             F0 = np.array(pde_rhs(Y[0], Y[1], r, grid.dx))
-            prev, cur = 0.0, (stages[0][2] * h) * F0
-            for mu, nu, mu_t, gamma_t in stages[1:]:
+            prev, cur = np.zeros_like(Y), (stages[0][2] * h) * F0
+            for j, (mu, nu, mu_t, gamma_t) in enumerate(stages[1:]):
                 Ys = Y + cur
                 F = np.array(pde_rhs(Ys[0], Ys[1], r, grid.dx))
-                cur, prev = mu * cur + nu * prev + (mu_t * h) * F + (gamma_t * h) * F0, cur
+                coef, rows = ([mu, nu], [cur, prev]) if j % 2 == 0 else ([nu, mu], [prev, cur])
+                new = np.array(coef + [mu_t * h, gamma_t * h]) @ np.array(rows + [F, F0]).reshape(4, -1)
+                cur, prev = new.reshape(Y.shape), cur
             Y = Y + cur
         snaps.append((Y[0], Y[1]))
     return snaps
@@ -313,6 +322,27 @@ class TestRkc:
         reference = rkc_reference(*bump(g), 1.0, g, series.times)
         for got, want in zip(series.snapshots, reference, strict=True):
             np.testing.assert_array_equal(got, want)
+
+    def test_snapshots_do_not_depend_on_the_blas_thread_count(self):
+        # the CLI runs with the default BLAS thread count and the benchmark with one, so
+        # the stage product (4 x 4002 on the reference grid) must not round by thread
+        # count; numpy's OpenBLAS keeps this product on one thread at any count
+        probe = ("import sys, numpy as np; from branchwaves import pde; "
+                 "s = pde.simulate(*pde.bump(pde.GRID), 1.0, pde.GRID, 0.1, 0.05); "
+                 "sys.stdout.buffer.write(np.array(s.snapshots).tobytes())")
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+        # without `site` (-S) each start takes about half the time; the path names
+        # the two packages the probe imports
+        env["PYTHONPATH"] = os.pathsep.join(str(Path(m.__file__).resolve().parents[1])
+                                            for m in (pde, np))
+        procs = [subprocess.Popen([sys.executable, "-S", "-c", probe], env=env | extra,
+                                  stdout=subprocess.PIPE)
+                 for extra in ({"OPENBLAS_NUM_THREADS": "1"}, {})]
+        one, default = (np.frombuffer(p.communicate(timeout=60)[0]) for p in procs)
+        assert all(p.returncode == 0 for p in procs)
+        assert one.size == 3 * 2 * pde.GRID.n
+        np.testing.assert_array_equal(one, default)
 
     def test_snapshots_are_copies(self):
         g = Grid(-20.0, 20.0, 201)
