@@ -24,8 +24,9 @@ from branchwaves import (
 
 def main() -> None:
     setup = make_setup(shoot_wave(2.0, Params(c=2.0, r=0.0)))
+    zs = setup.wave.trajectory.zs
     print(f"setup: c = {setup.wave.params.c:g}, weight exponent {setup.w_exp:g}, "
-          f"half-length L = {setup.L:g}")
+          f"marched over the trajectory z = {zs[0]:.2f} to {zs[-1]:.2f}")
 
     gamma = 4.0
     nu_minus, nu_plus = limit_rates(gamma, setup)

@@ -358,16 +358,14 @@ def cmd_evans(args: argparse.Namespace) -> int:
         contour[-1] = contour[0]
         sweep = spectral.winding_number(lambda g: g, contour)
         expected = 1
-        L_used = None
     else:
         profile = wave_mod.shoot_wave(args.i_minus, Params(c=args.c, r=args.r))
-        setup = spectral.make_setup(wave=profile, w_exp=args.w_exp, L=args.L)
+        setup = spectral.make_setup(wave=profile, w_exp=args.w_exp)
         try:
             sweep = spectral.evans_winding(setup, args.contour)
         except DomainError as exc:
             raise ContourResolutionError(str(exc)) from exc
         expected = 0
-        L_used = setup.L
 
     _write_csv(
         args.out,
@@ -378,7 +376,6 @@ def cmd_evans(args: argparse.Namespace) -> int:
         {
             "winding": sweep.winding,
             "max_arg_step": sweep.max_arg_step,
-            "L": L_used,
             "self_test": bool(args.self_test),
             "evaluations": int(sweep.gammas.size),
             "csv": args.out,
@@ -532,7 +529,6 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
 
     p_evans.add_argument("--w-exp", dest="w_exp", type=float,
                          help="exponential weight (default c/2)")
-    p_evans.add_argument("--L", type=float, help="domain half-length (default auto)")
     p_evans.add_argument("--contour", default=":".join(f"{v:g}" for v in spectral.CONTOUR),
                          type=_fields("rmin:rmax:n", ":", float, float, int,
                                       build=spectral.contour_of_S),

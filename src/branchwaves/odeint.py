@@ -176,6 +176,11 @@ def integrate(
             "accepted_steps": accepted, "rejected_steps": rejected,
             "rhs_evaluations": n_rhs, "refined_events": refined, "dense_samples": dense_samples})
 
+    def dense():  # the `_quartic` of each component over the step just taken
+        return (_quartic(h, a, fa, k3a, k4a, k5a, k6a, k7a),
+                _quartic(h, b, fb, k3b, k4b, k5b, k6b, k7b),
+                _quartic(h, i, fi, k3i, k4i, k5i, k6i, k7i))
+
     while z < z_end:
         if accepted >= max_steps:
             raise NonConvergenceError(f"no convergence within {max_steps} steps", partial())
@@ -228,11 +233,7 @@ def integrate(
         # samples at most sample_dz apart: a longer step is cut into equal parts whose
         # inner ends lie on the dense output, and the events are checked at every sample
         parts = math.ceil(h / sample_dz) if h > sample_dz else 1
-        coeffs = None
-        if parts > 1:
-            coeffs = (_quartic(h, a, fa, k3a, k4a, k5a, k6a, k7a),
-                      _quartic(h, b, fb, k3b, k4b, k5b, k6b, k7b),
-                      _quartic(h, i, fi, k3i, k4i, k5i, k6i, k7i))
+        coeffs = dense() if parts > 1 else None
         for j in range(1, parts + 1):
             if j < parts:
                 z_hi, y_hi = z + h * (j / parts), _at(coeffs, j / parts)
@@ -242,10 +243,7 @@ def integrate(
             sa, sb = y_hi[0], y_hi[1]
             g0, g1, g2 = sb, sa + neg_tol, max(abs(sa), abs(sb)) - stop_tol
             if watch and (p0 > 0.0 >= g0 or p1 > 0.0 >= g1 or p2 > 0.0 >= g2):
-                if coeffs is None:
-                    coeffs = (_quartic(h, a, fa, k3a, k4a, k5a, k6a, k7a),
-                              _quartic(h, b, fb, k3b, k4b, k5b, k6b, k7b),
-                              _quartic(h, i, fi, k3i, k4i, k5i, k6i, k7i))
+                coeffs = coeffs or dense()
                 crossings = []  # (z, event index)
                 for k, g_lo, g_hi in ((EV_MAX, p0, g0), (EV_NEG, p1, g1), (EV_STOP, p2, g2)):
                     if g_lo > 0.0 >= g_hi:

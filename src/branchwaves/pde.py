@@ -38,6 +38,7 @@ MASS_BALANCE_TOL = 1e-10  # carried vs measured sum w(A + I), relative
 BOUNDARY_MARGIN_CELLS = 10
 MAX_STORED_VALUES = 10**8  # snapshot values one run may keep: 0.8 GB of float64
 MAX_STAGES = 1000  # RKC stages per step; a 20001-point reference grid takes 47
+SNAPSHOT_DT = 0.5  # spacing of the snapshots `simulate` keeps
 
 
 @dataclass(frozen=True)
@@ -92,19 +93,19 @@ class FieldSeries:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _snapshot_times(t_end: float, snapshot_dt: float, n: int) -> np.ndarray:
-    """Multiples of snapshot_dt, then t_end; DomainError past the storage cap."""
-    ratio = t_end / snapshot_dt
+def _snapshot_times(t_end: float, n: int) -> np.ndarray:
+    """Multiples of SNAPSHOT_DT, then t_end; DomainError past the storage cap."""
+    ratio = t_end / SNAPSHOT_DT
     # a ratio past the cap is rejected anyway; capping keeps floor finite
     n_whole = math.floor(min(ratio + 1e-9, MAX_STORED_VALUES))
     # with no whole interval t_end is its own snapshot, never t = 0 relabelled
-    partial = n_whole == 0 or snapshot_dt * n_whole < t_end - 1e-9 * max(t_end, 1.0)
+    partial = n_whole == 0 or SNAPSHOT_DT * n_whole < t_end - 1e-9 * max(t_end, 1.0)
     if 2 * n * (n_whole + 1 + partial) > MAX_STORED_VALUES:
         raise DomainError(
-            f"t_end = {t_end:g} at snapshot_dt = {snapshot_dt:g} asks for {ratio:.6g} "
+            f"t_end = {t_end:g} at snapshot_dt = {SNAPSHOT_DT:g} asks for {ratio:.6g} "
             f"snapshots of 2 x {n} values, over the cap of {MAX_STORED_VALUES:.0e}"
         )
-    times = snapshot_dt * np.arange(n_whole + 1)
+    times = SNAPSHOT_DT * np.arange(n_whole + 1)
     if partial:
         times = np.append(times, t_end)
     else:
@@ -141,11 +142,10 @@ def _rkc_stages(h_rho: float) -> list[tuple[float, float, float, float]]:
     return stages
 
 
-def simulate(A0, I0, r: float, grid: Grid, t_end: float,
-             snapshot_dt: float = 0.5) -> FieldSeries:
-    """Advance to t_end at production rate r >= 0, snapshot every snapshot_dt.
+def simulate(A0, I0, r: float, grid: Grid, t_end: float) -> FieldSeries:
+    """Advance to t_end at production rate r >= 0, snapshot every SNAPSHOT_DT.
 
-    r and both times must be finite, the times positive, the snapshots at most
+    r and t_end must be finite, t_end positive, the snapshots at most
     MAX_STORED_VALUES values, and the RKC steps of at most STEP, which divide
     each snapshot interval exactly, at most MAX_STAGES stages. Non-finite
     values, or a trapezoid mass w.(A + I) carried through the stages that
@@ -161,14 +161,13 @@ def simulate(A0, I0, r: float, grid: Grid, t_end: float,
         raise ValueError(
             f"fields must have shape ({grid.n},), got {A.shape} and {I.shape}"
         )
-    for name, value in (("t_end", t_end), ("snapshot_dt", snapshot_dt)):
-        if not 0.0 < value < math.inf:
-            raise DomainError(f"{name} must be positive and finite, got {value}")
+    if not 0.0 < t_end < math.inf:
+        raise DomainError(f"t_end must be positive and finite, got {t_end}")
 
     # Gershgorin: spectral radius <= 4/dx^2 + 5 + r while 0 <= A <= 1, 0 <= I <= 2
     stages = _rkc_stages(STEP * (4.0 / grid.dx**2 + 5.0 + r))
     w = grid.dx * np.r_[0.5, np.ones(grid.n - 2), 0.5]  # trapezoid weights
-    times = _snapshot_times(t_end, snapshot_dt, grid.n)
+    times = _snapshot_times(t_end, grid.n)
     Y = np.array([A, I])
     snaps = [(A, I)]
     diag = dict(steps=0, stages=len(stages), h=0.0, rhs_evaluations=0, mass_balance_residual=0.0)

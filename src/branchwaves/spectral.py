@@ -37,7 +37,7 @@ Dynamical Systems II, 2002): `evans` marches each conjugate pair once, and
 Beyond the sampled trajectory the coefficients are the far-field limits,
 of which the start data are exact eigenvectors once the growth is removed,
 so the march there is the identity: each leg starts where the trajectory
-ends, or at +-L if that comes first, and the cost does not grow with L.
+ends and runs to z = 0.
 
 `winding_number` sweeps a contour with one batch, bisects large argument
 steps one gamma at a time and returns a `Winding` of all it evaluated;
@@ -96,7 +96,6 @@ _RE_MARGIN = 1e-10
 MAX_CONTOUR_N = 10**4
 # r_min, r_max, base_n of the default contour: `evans --contour`, `evans-winding`
 CONTOUR = (1e-3, 1000.0, 200)
-_SETTLED_FRACTION = 1e-8
 
 
 @dataclass
@@ -106,35 +105,21 @@ class SpectralSetup:
     Profile coefficients a(z) and i(z) come from the cubic Hermite
     interpolant of the wave samples with the wave ODE's own slopes (error
     h^4/384 max|y''''| for samples h apart); beyond the sampled range they
-    continue with the fixed-point values, so both ends of [-L, L] sit on an
-    exact equilibrium.
-    Construction rejects an L at which the wave has not settled, measured
-    against the weighted-decay budget 1e-8 * a_max.
+    continue with the fixed-point values, on which the Evans march is the
+    identity.
     """
 
     wave: WaveProfile
     w_exp: float
-    L: float
 
     def __post_init__(self) -> None:
         if not 0.0 < self.w_exp < math.inf:
             raise DomainError("exponential weight must be positive and finite")
-        if not 0.0 < self.L < math.inf:
-            raise DomainError("domain half-length must be positive and finite")
         traj = self.wave.trajectory
         self._z_lo, self._z_hi = float(traj.zs[0]), float(traj.zs[-1])
         self._meshes: dict[float, tuple[np.ndarray, np.ndarray]] = {}
         slopes = np.stack(wave_rhs(traj.states.T, self.wave.params), axis=-1)
         self._spline = partial(_hermite, traj.zs, traj.states, slopes)
-        budget = _SETTLED_FRACTION * self.wave.a_max
-        for z_end in (-self.L, self.L):
-            a, b = self._spline(z_end)[:2] if self._z_lo <= z_end <= self._z_hi else (0.0, 0.0)
-            if math.hypot(a, b) > budget:
-                raise DomainError(
-                    f"wave has not settled at z = {z_end:g}: |(a, b)| = "
-                    f"{math.hypot(a, b):.3e} exceeds 1e-8 * a_max; pick L "
-                    "beyond the sampled trajectory"
-                )
 
     def coefficient_table(self, zs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Profile values (a, i) at each z, extended by the limits off the data."""
@@ -158,22 +143,12 @@ def _hermite(zs: np.ndarray, ys: np.ndarray, slopes: np.ndarray, z) -> np.ndarra
             + t * t * ((3.0 - 2.0 * t) * ys[k + 1] - u * h * slopes[k + 1]))
 
 
-def make_setup(
-    wave: WaveProfile, w_exp: float | None = None, L: float | None = None
-) -> SpectralSetup:
-    """Build the SpectralSetup about a wave.
-
-    The default weight is c/2 (centered in the admissible band) and the
-    default half-length is the smallest integer at least 30 that clears both
-    ends of the sampled trajectory, so the equilibrium extension applies at
-    +-L.
-    """
+def make_setup(wave: WaveProfile, w_exp: float | None = None) -> SpectralSetup:
+    """Build the SpectralSetup about a wave; the default weight is c/2,
+    centered in the admissible band."""
     if w_exp is None:
         w_exp = wave.params.c / 2.0
-    if L is None:
-        zs = wave.trajectory.zs
-        L = max(30.0, math.ceil(-zs[0]) + 1.0, math.ceil(zs[-1]) + 1.0)
-    return SpectralSetup(wave=wave, w_exp=float(w_exp), L=float(L))
+    return SpectralSetup(wave=wave, w_exp=float(w_exp))
 
 
 def _weighted_matrix(a, i, gamma, p: Params, w: float) -> np.ndarray:
@@ -323,9 +298,9 @@ def expm(A: np.ndarray) -> np.ndarray:
 def _legs(setup: SpectralSetup, step: float) -> tuple[np.ndarray, np.ndarray]:
     """Meshes of the rear and the front leg, each from its start to exactly 0.
 
-    A leg starts where the sampled trajectory ends, or at -L (+L) if that
-    comes first: between there and the end of the domain the coefficients
-    are the limits, whose march is the identity on the start data.  The
+    A leg starts where the sampled trajectory ends (or at 0 if the
+    trajectory does not reach past it): beyond there the coefficients are
+    the limits, whose march is the identity on the start data.  The
     fourth-order Magnus step errs by h^5 times the variation of the
     coefficients, which is proportional to m = max(|a|, |b|), so the step
     ending at z (its end nearer 0) is step * (a_max / m(z)) ** (1/5): `step`
@@ -342,7 +317,7 @@ def _legs(setup: SpectralSetup, step: float) -> tuple[np.ndarray, np.ndarray]:
     zs = np.insert(traj.zs, at, 0.0)
     ms = np.insert(np.abs(traj.states[:, :2]).max(axis=1), at, a_max)
     legs = []
-    for start in (max(-setup.L, min(setup._z_lo, 0.0)), min(setup.L, max(setup._z_hi, 0.0))):
+    for start in (min(setup._z_lo, 0.0), max(setup._z_hi, 0.0)):
         mesh = [0.0]
         while abs(mesh[-1]) < abs(start):
             m = float(np.interp(mesh[-1], zs, ms, left=0.0, right=0.0))
@@ -412,10 +387,12 @@ def evans(
     analytic in gamma everywhere the splitting exists, and marches forward
     to z = 0 with the wedge growth nu1 + nu2 removed; the front stable
     vector marches backward to z = 0 with its decay nu3 removed.  The value
-    is the determinant pairing of the two at z = 0.  It differs from the
-    raw determinant by exp((nu1 + nu2 - nu3) L), analytic and nonvanishing
-    in gamma, which at large |gamma| is far beyond floating-point range;
-    the bounded pairing is the useful invariant and is what is returned.
+    is the determinant pairing of the two at z = 0.  On a domain [-l, l]
+    the raw determinant is this pairing times exp((nu1 + nu2 - nu3) l),
+    analytic and nonvanishing in gamma, which at large |gamma| is far beyond
+    floating-point range; the bounded pairing is the useful invariant and
+    is what is returned, the same for every domain that holds the sampled
+    trajectory.
     `step` is the march step at the wave's peak; down the tails the mesh
     grades it longer (see `_legs`), and halving `step` halves the step at
     every z.

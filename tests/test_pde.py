@@ -35,7 +35,7 @@ R0 = 0.0  # production rate of the runs below
 def bump_series():
     # scaled-down front emergence run shared by the slower tests
     grid = Grid(-70.0, 70.0, 1401)
-    return simulate(*bump(grid), R0, grid, 16.0, 0.5)
+    return simulate(*bump(grid), R0, grid, 16.0)
 
 
 def rk4_reference(A, I, r, grid, times):
@@ -150,14 +150,14 @@ class TestSimulate:
     def test_steady_state_exact(self):
         g = Grid(0.0, 10.0, 32)
         K = 1.7
-        series = simulate(np.zeros(32), np.full(32, K), R0, g, 2.0, 0.5)
+        series = simulate(np.zeros(32), np.full(32, K), R0, g, 2.0)
         for A, I in series.snapshots:
             assert np.max(np.abs(A)) == 0.0
             assert np.max(np.abs(I - K)) == 0.0
 
     def test_snapshot_times(self):
         g = Grid(0.0, 10.0, 32)
-        series = simulate(np.zeros(32), np.zeros(32), R0, g, 1.2, 0.5)
+        series = simulate(np.zeros(32), np.zeros(32), R0, g, 1.2)
         np.testing.assert_allclose(series.times, [0.0, 0.5, 1.0, 1.2])
 
     @pytest.mark.parametrize("t_end", [1e-9, 5e-10])
@@ -172,7 +172,7 @@ class TestSimulate:
 
     def test_mirror_symmetry(self):
         g = Grid(-20.0, 20.0, 401)
-        series = simulate(*bump(g), R0, g, 3.0, 1.0)
+        series = simulate(*bump(g), R0, g, 3.0)
         for A, I in series.snapshots:
             assert np.max(np.abs(A - A[::-1])) < 1e-10
             assert np.max(np.abs(I - I[::-1])) < 1e-10
@@ -207,7 +207,7 @@ class TestSimulate:
     def test_blow_up_carries_series(self):
         g = Grid(0.0, 1.0, 21)
         with pytest.raises(BlowUpError) as info:
-            simulate(np.full(21, -10.0), np.zeros(21), R0, g, 5.0, 0.1)
+            simulate(np.full(21, -10.0), np.zeros(21), R0, g, 5.0)
         series = info.value.series
         assert series is not None
         assert len(series.times) == len(series.snapshots) >= 1
@@ -216,14 +216,14 @@ class TestSimulate:
     def test_shape_mismatch(self):
         g = Grid(0.0, 1.0, 21)
         with pytest.raises(ValueError):
-            simulate(np.zeros(20), np.zeros(21), R0, g, 1.0, 0.5)
+            simulate(np.zeros(20), np.zeros(21), R0, g, 1.0)
 
     def test_negative_rate_rejected(self):
         g = Grid(0.0, 1.0, 21)
         with pytest.raises(DomainError, match="production rate r must be >= 0"):
-            simulate(np.zeros(21), np.zeros(21), -1.0, g, 1.0, 0.5)
+            simulate(np.zeros(21), np.zeros(21), -1.0, g, 1.0)
         with pytest.raises(DomainError, match="production rate r must be >= 0"):
-            simulate(np.zeros(21), np.zeros(21), math.inf, g, 1.0, 0.5)
+            simulate(np.zeros(21), np.zeros(21), math.inf, g, 1.0)
 
     @pytest.mark.parametrize("t_end", [1e300, 0.5 * (10**8 // 32 - 1) + 0.1])
     def test_snapshot_storage_is_capped(self, t_end):
@@ -231,15 +231,15 @@ class TestSimulate:
         # end time asks for one more (its partial last interval)
         g = Grid(0.0, 1.0, 16)
         with pytest.raises(DomainError, match=re.escape(f"t_end = {t_end:g} at snapshot_dt")):
-            simulate(np.zeros(16), np.zeros(16), R0, g, t_end, 0.5)
+            simulate(np.zeros(16), np.zeros(16), R0, g, t_end)
 
-    @pytest.mark.parametrize("t_end, snapshot_dt", [
-        (math.nan, 0.5), (math.inf, 0.5), (0.0, 0.5), (1.0, math.nan), (1.0, math.inf),
-    ])
-    def test_times_must_be_positive_and_finite(self, t_end, snapshot_dt):
+    # each id names t_end and the snapshot spacing
+    @pytest.mark.parametrize("t_end", [math.nan, math.inf, 0.0],
+                             ids=lambda t_end: f"{t_end}-{pde.SNAPSHOT_DT}")
+    def test_times_must_be_positive_and_finite(self, t_end):
         g = Grid(0.0, 1.0, 21)
-        with pytest.raises(DomainError):
-            simulate(np.zeros(21), np.zeros(21), R0, g, t_end, snapshot_dt)
+        with pytest.raises(DomainError, match="t_end must be positive and finite"):
+            simulate(np.zeros(21), np.zeros(21), R0, g, t_end)
 
 
 class TestRkc:
@@ -260,12 +260,13 @@ class TestRkc:
 
     def test_second_order(self, monkeypatch):
         g = Grid(-20.0, 20.0, 401)
-        times = np.array([0.0, 2.0, 4.0])
+        times = pde.SNAPSHOT_DT * np.arange(9)
         reference = rk4_reference(*bump(g), 1.0, g, times)
         gaps = []
-        for step in (0.04, 0.02):
+        # both steps divide the snapshot spacing, so the fine one is exactly half the coarse
+        for step in (0.05, 0.025):
             monkeypatch.setattr(pde, "STEP", step)
-            gaps.append(field_gaps(simulate(*bump(g), 1.0, g, 4.0, 2.0), reference))
+            gaps.append(field_gaps(simulate(*bump(g), 1.0, g, times[-1]), reference))
         for coarse, fine in zip(*gaps):
             assert 3.0 < coarse / fine < 5.0
 
@@ -277,7 +278,7 @@ class TestRkc:
         (Grid(0.0, 1e4, 16), 0.0, 2),
     ])
     def test_stage_count_is_least_stable(self, grid, r, stages):
-        diag = simulate(*bump(grid), r, grid, pde.STEP, 0.5).diagnostics
+        diag = simulate(*bump(grid), r, grid, pde.STEP).diagnostics
         s, h_rho = diag["stages"], diag["h"] * (4.0 / grid.dx**2 + 5.0 + r)
         assert s == stages
         assert beta(s) >= h_rho
@@ -291,7 +292,7 @@ class TestRkc:
         monkeypatch.setattr(pde, "_chebyshev", lambda s: calls.append(s) or chebyshev(s))
         g = Grid(0.0, 1e-4, 16)
         with pytest.raises(DomainError, match=f"over {pde.MAX_STAGES} RKC stages"):
-            simulate(*bump(g), R0, g, 1.0, 0.5)
+            simulate(*bump(g), R0, g, 1.0)
         assert calls == [pde.MAX_STAGES]
 
     def test_diagnostics(self, bump_series):
@@ -310,14 +311,14 @@ class TestRkc:
         monkeypatch.setattr(pde, "pde_rhs", leaky)
         g = Grid(-20.0, 20.0, 401)
         with pytest.raises(BlowUpError, match="mass balance residual") as info:
-            simulate(*bump(g), R0, g, 2.0, 0.5)
+            simulate(*bump(g), R0, g, 2.0)
         series = info.value.series
         assert len(series.times) == len(series.snapshots) == 1
         assert series.diagnostics["steps"] == 25
 
     def test_stage_buffers_match_plain_expressions(self):
         g = Grid(-20.0, 20.0, 401)
-        series = simulate(*bump(g), 1.0, g, 1.0, 0.5)
+        series = simulate(*bump(g), 1.0, g, 1.0)
         assert series.diagnostics["stages"] >= 3  # the buffers rotate
         reference = rkc_reference(*bump(g), 1.0, g, series.times)
         for got, want in zip(series.snapshots, reference, strict=True):
@@ -328,7 +329,7 @@ class TestRkc:
         # the stage product (4 x 4002 on the reference grid) must not round by thread
         # count; numpy's OpenBLAS keeps this product on one thread at any count
         probe = ("import sys, numpy as np; from branchwaves import pde; "
-                 "s = pde.simulate(*pde.bump(pde.GRID), 1.0, pde.GRID, 0.1, 0.05); "
+                 "s = pde.simulate(*pde.bump(pde.GRID), 1.0, pde.GRID, 1.0); "
                  "sys.stdout.buffer.write(np.array(s.snapshots).tobytes())")
         env = {k: v for k, v in os.environ.items()
                if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
@@ -347,7 +348,7 @@ class TestRkc:
     def test_snapshots_are_copies(self):
         g = Grid(-20.0, 20.0, 201)
         A0, I0 = bump(g)
-        series = simulate(A0, I0, R0, g, 1.0, 0.5)
+        series = simulate(A0, I0, R0, g, 1.0)
         first, middle, last = series.snapshots
         np.testing.assert_array_equal(first, (A0, I0))
         assert not np.array_equal(middle[0], last[0])
@@ -358,7 +359,7 @@ class TestRkc:
         monkeypatch.setattr(pde, "pde_rhs",
                             lambda *args, **kwargs: calls.append(1) or pde_rhs(*args, **kwargs))
         g = Grid(-20.0, 20.0, 201)
-        series = simulate(*bump(g), R0, g, 1.0, 0.5)
+        series = simulate(*bump(g), R0, g, 1.0)
         assert series.diagnostics["rhs_evaluations"] == len(calls) > 0
 
     def test_cli_reports_diagnostics(self, tmp_path, capsys):
@@ -472,7 +473,7 @@ class TestMeasureSpeed:
 
     def test_window_between_snapshots(self):
         g = Grid(0.0, 10.0, 32)
-        series = simulate(np.zeros(32), np.zeros(32), R0, g, 2.0, 1.0)
+        series = simulate(np.zeros(32), np.zeros(32), R0, g, 2.0)
         with pytest.raises(DomainError, match="window covers fewer than two snapshots"):
             measure_speed(series, 0.1, (0.2, 0.8))
 

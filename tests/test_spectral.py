@@ -79,26 +79,20 @@ class TestSetup:
         assert setup.wave.params.c == 2.0
         assert setup.wave.params.r == 0.0
         assert setup.w_exp == pytest.approx(1.0)
-        zs = setup.wave.trajectory.zs
-        assert setup.L >= 30.0
-        assert setup.L > -zs[0]
-        assert setup.L > zs[-1]
 
     def test_settled_at_ends(self, setup):
-        a, _ = setup.coefficient_table([-setup.L, setup.L])
-        assert np.max(np.abs(a)) <= 1e-8 * setup.wave.a_max
-
-    def test_short_domain_rejected(self, critical_wave):
-        # the seed ramp of the shot wave is still ~1e-7 at z = -30
-        with pytest.raises(DomainError):
-            spectral.make_setup(wave=critical_wave, L=30.0)
+        # the legs start at the ends of the trajectory: the rear end is the
+        # seed, SEED_EPS along the a-axis, the front end where the shot stopped,
+        # max(|a|, |b|) down to STOP_TOL
+        zs = setup.wave.trajectory.zs
+        a, _ = setup.coefficient_table([zs[0], zs[-1]])
+        assert a[0] == pytest.approx(wave.SEED_EPS, rel=1e-12)
+        assert abs(a[1]) <= wave.STOP_TOL * (1.0 + 1e-9)
 
     def test_bad_weight(self, critical_wave):
-        with pytest.raises(DomainError):
-            spectral.make_setup(wave=critical_wave, w_exp=0.0)
-        for w_exp, L in [(math.nan, None), (math.inf, None), (None, math.nan), (None, math.inf)]:
+        for w_exp in (0.0, math.nan, math.inf):
             with pytest.raises(DomainError):
-                spectral.make_setup(wave=critical_wave, w_exp=w_exp, L=L)
+                spectral.make_setup(wave=critical_wave, w_exp=w_exp)
 
     def test_extension_by_limits(self, setup):
         zs = setup.wave.trajectory.zs
@@ -109,10 +103,10 @@ class TestSetup:
     def test_table_matches_scalar(self, setup):
         # point by point: the one spline of (a, b, i) inside the sampled
         # range, the limits off it
-        zq = np.linspace(-setup.L, setup.L, 37)
-        a_tab, i_tab = setup.coefficient_table(zq)
         w = setup.wave
         lo, hi = w.trajectory.zs[0], w.trajectory.zs[-1]
+        zq = np.linspace(lo - 5.0, hi + 5.0, 37)
+        a_tab, i_tab = setup.coefficient_table(zq)
         for k, z in enumerate(zq):
             if z < lo:
                 a, i = 0.0, w.i_minus_inf
@@ -149,6 +143,13 @@ def _coefficients(setup, z):
     return a[0], i[0]
 
 
+def _far(setup):
+    """Two points off the sampled trajectory, (behind, ahead), where the
+    coefficients are the limits."""
+    zs = setup.wave.trajectory.zs
+    return zs[0] - 5.0, zs[-1] + 5.0
+
+
 def _matrix(setup, z, gamma):
     """Weighted coefficient matrix M(z, gamma) + w_exp * I of the Evans march."""
     a, i = _coefficients(setup, z)
@@ -159,9 +160,10 @@ class TestLinearizationMatrix:
     def test_limit_eigenvalues(self, setup):
         g = 0.7 + 0.3j
         w, c = setup.w_exp, setup.wave.params.c
+        behind, ahead = _far(setup)
         for z_end, i_lim in (
-            (setup.L, setup.wave.i_plus_inf),
-            (-setup.L, setup.wave.i_minus_inf),
+            (ahead, setup.wave.i_plus_inf),
+            (behind, setup.wave.i_minus_inf),
         ):
             m = _matrix(setup, z_end, g)
             got = np.sort_complex(np.linalg.eigvals(m))
@@ -175,12 +177,13 @@ class TestLinearizationMatrix:
         # c = 2, w = 1, gamma = 4: shifted roots are gamma/2 + 1 and
         # +-sqrt(gamma) ahead of the front, +-sqrt(2 + gamma) behind it
         g = 4.0
+        z_behind, z_ahead = _far(setup)
         ahead = np.sort_complex(
-            np.linalg.eigvals(_matrix(setup, setup.L, g))
+            np.linalg.eigvals(_matrix(setup, z_ahead, g))
         )
         assert ahead == pytest.approx(np.array([-2.0, 2.0, 3.0]), abs=1e-6)
         behind = np.sort_complex(
-            np.linalg.eigvals(_matrix(setup, -setup.L, g))
+            np.linalg.eigvals(_matrix(setup, z_behind, g))
         )
         want = np.sort_complex(np.array([3.0, -math.sqrt(6), math.sqrt(6)]))
         assert behind == pytest.approx(want, abs=1e-12)
@@ -201,21 +204,22 @@ class TestLimitSplitting:
 
     def test_basis_solves_limit_systems(self, setup):
         # the start data of evans: the rear wedge (0, -1, -lambda2) spans the
-        # unstable plane of M(-L), so it is an eigenvector of the wedge lift
+        # unstable plane of M(-inf), so it is an eigenvector of the wedge lift
         # with eigenvalue nu1 + nu2; the front vector is the stable
-        # eigenvector of M(+L).  gamma = 2 is where nu1 = nu2 behind the front.
+        # eigenvector of M(+inf).  gamma = 2 is where nu1 = nu2 behind the front.
         w, p = setup.w_exp, setup.wave.params
+        behind, ahead = _far(setup)
         for g in (2.5 + 1.5j, 2.0, 4.0):
             nu_m, nu_p = spectral.limit_rates(g, setup)
             V = np.array([0.0, -1.0, -(nu_m[1] - w)], dtype=complex)
-            m2 = spectral._wedge_square(_matrix(setup, -setup.L, g))
+            m2 = spectral._wedge_square(_matrix(setup, behind, g))
             assert np.max(np.abs(m2 @ V - (nu_m[0] + nu_m[1]) * V)) < 1e-9
             lam3 = nu_p[2] - w
             X = np.array(
                 [1.0, lam3, (setup.wave.i_plus_inf + p.r) / (g - p.c * lam3)],
                 dtype=complex,
             )
-            m = _matrix(setup, setup.L, g)
+            m = _matrix(setup, ahead, g)
             assert np.max(np.abs(m @ X - nu_p[2] * X)) < 1e-9
 
     @settings(max_examples=100, deadline=None)
@@ -264,8 +268,10 @@ class TestEvans:
 
     def test_matches_adaptive_route(self, setup):
         # independent propagation of the same two-sided pairing with scipy's
-        # adaptive RK45, on complex states and backward from the front end
-        w, p, L = setup.w_exp, setup.wave.params, setup.L
+        # adaptive RK45, on complex states and backward from the front end,
+        # both legs started off the trajectory on the limits
+        w, p = setup.w_exp, setup.wave.params
+        behind, ahead = _far(setup)
         tols = dict(method="RK45", rtol=1e-8, atol=1e-11, max_step=0.5)
         eye = np.eye(3, dtype=complex)
         for g in (4.0 + 0j, 3j):
@@ -280,7 +286,7 @@ class TestEvans:
                 return (m2 - (nu_m[0] + nu_m[1]) * eye) @ v
 
             v0 = np.array([0.0, -1.0, -lam2], dtype=complex)
-            tv = solve_ivp(rear, (-L, 0.0), v0, **tols)
+            tv = solve_ivp(rear, (behind, 0.0), v0, **tols)
 
             lam3 = nu_p[2] - w
             x0 = np.array(
@@ -293,7 +299,7 @@ class TestEvans:
                 m = spectral._weighted_matrix(a, i, g, p, w)
                 return (m - nu_p[2] * eye) @ x
 
-            tx = solve_ivp(front, (L, 0.0), x0, **tols)
+            tx = solve_ivp(front, (ahead, 0.0), x0, **tols)
             assert tv.success and tx.success
             v, x = tv.y[:, -1], tx.y[:, -1]
             reference = v[0] * x[2] - v[1] * x[1] + v[2] * x[0]
@@ -342,11 +348,20 @@ class TestEvans:
             assert unfolded(g.conjugate()) == e.conjugate()
             assert abs(spectral.evans(g, s) - e) <= 1e-13 * abs(e)
 
-    def test_domain_extension_invariance(self, setup):
-        wider = spectral.make_setup(wave=setup.wave, L=setup.L + 5.0)
-        for g in (4.0 + 0j, 0.3 + 7.0j):
-            e = spectral.evans(g, setup)
-            assert abs(spectral.evans(g, wider) - e) < 1e-4 * abs(e)
+    @pytest.mark.parametrize("c, r, i_minus, bound", [
+        (2.0, 0.0, 2.0, 3e-7), (3.0, 1.0, 1.5, 1.6e-6), (2.0, 1.0, 1.2, 1e-5),
+    ])
+    def test_seed_truncation(self, monkeypatch, c, r, i_minus, bound):
+        # the rear leg starts at the seed, SEED_EPS off the rear limit, so the
+        # march leaves out the wave's ramp from the limit up to the seed: a seed
+        # 100 times closer moves the values by 1.4e-7, 7.7e-7 and 4.8e-6
+        # (relative), bounded here at about twice that
+        gammas = np.array([1e-3, 0.5, 4.0, 3j, 30.0 + 30.0j, 1000j])
+        p = Params(c=c, r=r)
+        e = spectral.evans(gammas, spectral.make_setup(wave.shoot_wave(i_minus, p)))
+        monkeypatch.setattr(wave, "SEED_EPS", 1e-9)
+        closer = spectral.evans(gammas, spectral.make_setup(wave.shoot_wave(i_minus, p)))
+        assert np.max(np.abs(closer - e) / np.abs(closer)) < bound
 
     def test_finite_at_contour_extremes(self, setup):
         for g in (1000j, 1e-3 * 1j, 1000.0 + 0j):
@@ -577,28 +592,25 @@ class TestEvansBatch:
             spectral.evans(np.array([4.0, 0.2 - 0.01j, 0.1 + 0.01j]), narrow)
 
     def test_march_skips_constant_tails(self, setup):
-        # beyond the sampled trajectory the march is the identity, so a
-        # domain many orders wider gives the same values bit for bit
-        huge = spectral.make_setup(wave=setup.wave, L=1e308)
-        assert np.array_equal(
-            spectral.evans(self.GAMMAS, huge), spectral.evans(self.GAMMAS, setup)
-        )
-        rear, front = spectral._legs(huge, spectral.DEFAULT_STEP)
+        # beyond the sampled trajectory the march is the identity, so each
+        # leg runs from its end of the trajectory to exactly 0
+        rear, front = spectral._legs(setup, spectral.DEFAULT_STEP)
         zs = setup.wave.trajectory.zs
-        assert (rear[0], front[0]) == (zs[0], zs[-1])
+        assert (rear[0], rear[-1], front[0], front[-1]) == (zs[0], 0.0, zs[-1], 0.0)
 
     def test_tail_skip_matches_full_march(self, setup, monkeypatch):
-        # marching all of [-L, L], through the limit coefficients beyond the
-        # trajectory, gives the values of the march that skips those tails
+        # marching on through the limit coefficients beyond the trajectory
+        # gives the values of the march that skips those tails
         skip = spectral.evans(self.GAMMAS, setup)
         legs = spectral._legs
 
         def full_legs(s, step):
-            # the graded meshes, continued out to -L and +L in steps of at most `step`
+            # the graded meshes, continued 15 further out at each end in steps of at most `step`
             return tuple(
                 np.concatenate([np.linspace(end, mesh[0], math.ceil(abs(end - mesh[0]) / step) + 1),
                                 mesh[1:]])
-                for end, mesh in zip((-s.L, s.L), legs(s, step))
+                for end, mesh in zip((s.wave.trajectory.zs[0] - 15.0,
+                                      s.wave.trajectory.zs[-1] + 15.0), legs(s, step))
             )
 
         monkeypatch.setattr(spectral, "_legs", full_legs)
