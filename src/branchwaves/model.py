@@ -7,6 +7,9 @@ species, immobile):
     dA/dt = Lap(A) + A - A(A + I)
     dI/dt = A(A + I) + r A
 
+`pde_rhs` is the sum of `laplacian` on A and the pointwise `reaction`, which
+the PDE simulator steps apart.
+
 Traveling-wave profiles a(z), i(z) with z = x - ct turn this into a 3-D
 first-order system in (a, b, i) with b = a'.  All functions here are pure;
 integration and IO live elsewhere.
@@ -29,6 +32,8 @@ __all__ = [
     "WaveState",
     "GeneralPredictions",
     "wave_rhs",
+    "laplacian",
+    "reaction",
     "pde_rhs",
     "normalize",
     "denormalize",
@@ -113,36 +118,45 @@ def wave_rhs(state, p: Params) -> tuple[float, float, float]:
     return b, a * (a + i) - a - c * b, -(a * (a + i + p.r)) / c
 
 
-def pde_rhs(A, I, r: float, dx: float, out=None):
-    """Time derivatives (dA/dt, dI/dt) of the reaction-diffusion system.
+def laplacian(A, dx: float, out=None):
+    """Lap(A) of a 1-D field of at least 3 points, into `out` (sharing no memory with A) if given.
 
-    r is the production rate; the PDE has no wave speed.  The Laplacian
-    acts on A only, second-order central differences with zero-flux
-    (mirror) ends; Lap(A) + A is one three-point stencil, weights
-    (1/dx^2, 1 - 2/dx^2, 1/dx^2), summed left to right.  A and I must be
-    equal-length fields of at least 3 points.  Given `out`, a (2, n) array
-    sharing no memory with A or I, the derivatives are written into it and
-    its rows returned.
+    One three-point stencil, weights (1/dx^2, -2/dx^2, 1/dx^2), summed left to
+    right; zero-flux ends mirror A[1] (A[-2]) to the ghost point.
     """
     A = np.asarray(A, dtype=float)
-    I = np.asarray(I, dtype=float)
-    if A.shape != I.shape or A.ndim != 1 or A.size < 3:
-        raise ValueError(f"fields must be equal-length 1-D with >= 3 points, got {A.shape} and {I.shape}")
+    if A.ndim != 1 or A.size < 3:
+        raise ValueError(f"field must be 1-D with >= 3 points, got shape {A.shape}")
     if not dx > 0:
         raise DomainError(f"grid spacing must be positive, got {dx}")
-
-    dA, dI = (np.empty_like(A), np.empty_like(A)) if out is None else out
+    lap = np.empty_like(A) if out is None else out
     inv_dx2 = 1.0 / (dx * dx)
-    # dA = Lap(A) + A - A(A + I), dI = A(A + I) + r A
-    dA[1:-1] = np.correlate(A, (inv_dx2, 1.0 - 2.0 * inv_dx2, inv_dx2))
-    # zero-flux ends: mirror ghost point, so the stencil sees A[1] on both sides
-    dA[0] = 2.0 * (A[1] - A[0]) * inv_dx2 + A[0]
-    dA[-1] = 2.0 * (A[-2] - A[-1]) * inv_dx2 + A[-1]
+    lap[1:-1] = np.correlate(A, (inv_dx2, -2.0 * inv_dx2, inv_dx2))
+    lap[0] = 2.0 * (A[1] - A[0]) * inv_dx2
+    lap[-1] = 2.0 * (A[-2] - A[-1]) * inv_dx2
+    return lap
+
+
+def reaction(A, I, r: float, out=None):
+    """The reaction (A - A(A + I), A(A + I) + r A) of the fields at production rate r.
+
+    Formed in place as (A(1 - S), A(S + r)), S = A + I, in the rows of `out` if given,
+    which must share no memory with A or I.
+    """
+    A = np.asarray(A, dtype=float)
+    dA, dI = (np.empty_like(A), np.empty_like(A)) if out is None else out
     np.add(A, I, out=dI)
+    np.subtract(1.0, dI, out=dA)
+    dA *= A
+    dI += r
     dI *= A
-    dA -= dI
-    dI += r * A
     return dA, dI
+
+
+def pde_rhs(A, I, r: float, dx: float):
+    """(dA/dt, dI/dt) at production rate r: `reaction` plus `laplacian` on A (no wave speed)."""
+    dA, dI = reaction(A, I, r)
+    return dA + laplacian(A, dx), dI
 
 
 def normalize(g: GeneralParams) -> tuple[Params, Scaling]:

@@ -1,14 +1,15 @@
 """Method-of-lines front simulator.
 
 The two-field system on a uniform grid: a second-order central Laplacian on
-the diffusing field, zero-flux ends, and second-order Runge-Kutta-Chebyshev
-steps (RKC; Sommeijer, Shampine & Verwer 1997) whose stage count, not size,
-follows the diffusive stiffness. Each stage is one right-hand side on the
-local three-point stencil, so A stays physical ahead of the front, and one
-product of four coefficients with the rows (two increments, F, F0) for the
-stage recurrence. The only model parameter is the production rate r; the PDE
-selects its own front speed. Also front tracking, speed fits, the plateau
-behind the front, and the shape misfit against a shot wave.
+the diffusing field, zero-flux ends, and Strang splitting (Strang 1968) into
+second-order Runge-Kutta-Chebyshev steps (RKC; Sommeijer, Shampine & Verwer
+1997) of the diffusion, whose stage count, not size, follows its stiffness,
+and explicit midpoint steps of the pointwise reaction. Each stage is one
+Laplacian on the local three-point stencil, so A stays physical ahead of the
+front, and one product of four coefficients with the rows (two increments,
+F, F0). The only model parameter is the production rate r; the PDE selects
+its own front speed. Also front tracking, speed fits, the plateau behind the
+front, and the shape misfit against a shot wave.
 
 The reference front run of the `pde` CLI defaults, the battery and the demo is
 declared here once: the `bump` in empty tissue on GRID to T_END, its front at
@@ -25,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import BlowUpError, ContaminatedMeasurementError, DomainError
-from .model import pde_rhs
+from .model import laplacian, pde_rhs, reaction  # pde_rhs unused: bench/ traces the name
 from .wave import WaveProfile
 
 __all__ = ["Grid", "FieldSeries", "SpeedMeasurement", "simulate", "front_position",
@@ -37,7 +38,7 @@ MASS_BALANCE_TOL = 1e-10  # carried vs measured sum w(A + I), relative
 
 BOUNDARY_MARGIN_CELLS = 10
 MAX_STORED_VALUES = 10**8  # snapshot values one run may keep: 0.8 GB of float64
-MAX_STAGES = 1000  # RKC stages per step; a 20001-point reference grid takes 47
+MAX_STAGES = 1000  # RKC stages per step; a 20001-point reference grid takes 47 (h 4/dx^2 = 1422)
 SNAPSHOT_DT = 0.5  # spacing of the snapshots `simulate` keeps
 
 
@@ -142,16 +143,36 @@ def _rkc_stages(h_rho: float) -> list[tuple[float, float, float, float]]:
     return stages
 
 
+def _react(Y: np.ndarray, dt: float, r: float, w: np.ndarray, R: np.ndarray,
+           Ym: np.ndarray) -> float:
+    """Midpoint steps of the reaction on Y = (A, I) in place over dt, (2, n) buffers R, Ym;
+    ceil(dt (5 + r) / 2) of them once dt (5 + r), the Gershgorin bound while 0 <= A <= 1
+    and 0 <= I <= 2, passes 2. Returns the mass dt (1 + r) w.A_mid they carry."""
+    m = max(1, math.ceil(dt * (5.0 + r) / 2.0))
+    dt /= m
+    carried = 0.0
+    for _ in range(m):
+        reaction(Y[0], Y[1], r, out=R)
+        np.multiply(R, 0.5 * dt, out=Ym)
+        Ym += Y
+        reaction(Ym[0], Ym[1], r, out=R)
+        carried += dt * (1.0 + r) * (w @ Ym[0])
+        R *= dt
+        Y += R
+    return carried
+
+
 def simulate(A0, I0, r: float, grid: Grid, t_end: float) -> FieldSeries:
     """Advance to t_end at production rate r >= 0, snapshot every SNAPSHOT_DT.
 
-    r and t_end must be finite, t_end positive, the snapshots at most
-    MAX_STORED_VALUES values, and the RKC steps of at most STEP, which divide
-    each snapshot interval exactly, at most MAX_STAGES stages. Non-finite
-    values, or a trapezoid mass w.(A + I) carried through the stages that
-    misses the measured one by over MASS_BALANCE_TOL relative, raise
-    BlowUpError carrying the series so far. Diagnostics: `steps`, `stages`
-    per step, largest step `h`, `rhs_evaluations`, worst `mass_balance_residual`.
+    Each snapshot interval is R(h/2) D(h) R(h) ... D(h) R(h/2), D(h) an RKC step of
+    A' = Lap(A), R(dt) `_react`. r and t_end must be finite, t_end positive, the
+    snapshots at most MAX_STORED_VALUES values, and the RKC steps of at most STEP,
+    which divide each snapshot interval exactly, at most MAX_STAGES stages. Non-finite
+    values, or a trapezoid mass w.(A + I) carried through R (D moves none) that misses
+    the measured one by over MASS_BALANCE_TOL relative, raise BlowUpError carrying the
+    series so far. Diagnostics: `steps`, `stages` per step, largest step `h`,
+    `rhs_evaluations` (Laplacians), worst `mass_balance_residual`.
     """
     if not 0 <= r < math.inf:
         raise DomainError(f"production rate r must be >= 0 and finite, got {r}")
@@ -164,43 +185,38 @@ def simulate(A0, I0, r: float, grid: Grid, t_end: float) -> FieldSeries:
     if not 0.0 < t_end < math.inf:
         raise DomainError(f"t_end must be positive and finite, got {t_end}")
 
-    # Gershgorin: spectral radius <= 4/dx^2 + 5 + r while 0 <= A <= 1, 0 <= I <= 2
-    stages = _rkc_stages(STEP * (4.0 / grid.dx**2 + 5.0 + r))
+    stages = _rkc_stages(STEP * 4.0 / grid.dx**2)  # Gershgorin: |Lap| <= 4/dx^2
     w = grid.dx * np.r_[0.5, np.ones(grid.n - 2), 0.5]  # trapezoid weights
     times = _snapshot_times(t_end, grid.n)
     Y = np.array([A, I])
     snaps = [(A, I)]
     diag = dict(steps=0, stages=len(stages), h=0.0, rhs_evaluations=0, mass_balance_residual=0.0)
-    # stage buffers, reused by every stage of the run: K holds the increments cur and
-    # prev (in rows 0 and 1 by turns, cur in row c), F and F0, so that the next
-    # increment is one product coef @ K; Ys holds the stage value, then that product
-    K, Ys = np.zeros((4, 2, grid.n)), np.empty_like(Y)
+    # buffers reused by the whole run: K holds the increments cur and prev (in rows 0 and
+    # 1 by turns, cur in row c), F and F0 of A, so that the next increment is one product
+    # coef @ K; Ys holds the stage value, then that product; R and Ym serve `_react`
+    K, Ys, R, Ym = np.zeros((4, grid.n)), np.empty(grid.n), np.empty_like(Y), np.empty_like(Y)
 
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, len(times)):
             n_steps = max(1, math.ceil((times[k] - times[k - 1]) / STEP - 1e-12))
             h = float(times[k] - times[k - 1]) / n_steps
-            mass = w @ (Y[0] + Y[1])
-            # stage j: Y_j - Y0 = mu (Y_{j-1} - Y0) + nu (Y_{j-2} - Y0) + mu~ h F_{j-1}
-            # + gamma~ h F_0, so F = 0 keeps Y bitwise; the mass of F(Y) is (1 + r) w.A
+            mass = w @ (Y[0] + Y[1]) + _react(Y, 0.5 * h, r, w, R, Ym)
+            # stage j: A_j - A0 = mu (A_{j-1} - A0) + nu (A_{j-2} - A0) + mu~ h F_{j-1}
+            # + gamma~ h F_0, so F = 0 keeps A bitwise
             coefs = np.array([(mu, nu, mu_t * h, gamma_t * h) for mu, nu, mu_t, gamma_t in stages[1:]])
             coefs[1::2, :2] = coefs[1::2, 1::-1]  # every other stage finds cur in row 1
-            for _ in range(n_steps):
-                pde_rhs(Y[0], Y[1], r, grid.dx, out=K[3])
-                f0 = (1.0 + r) * (w @ Y[0])
-                c, K[1], m_prev = 0, 0.0, 0.0
+            for step in range(n_steps):
+                laplacian(Y[0], grid.dx, out=K[3])
+                c, K[1] = 0, 0.0
                 np.multiply(K[3], stages[0][2] * h, out=K[0])
-                m_cur = stages[0][2] * h * f0
-                for coef, (mu, nu, mu_t, gamma_t) in zip(coefs, stages[1:]):
-                    np.add(Y, K[c], out=Ys)
-                    pde_rhs(Ys[0], Ys[1], r, grid.dx, out=K[2])
-                    f = (1.0 + r) * (w @ Ys[0])
-                    np.matmul(coef, K.reshape(4, -1), out=Ys.reshape(-1))
+                for coef in coefs:
+                    np.add(Y[0], K[c], out=Ys)
+                    laplacian(Ys, grid.dx, out=K[2])
+                    np.matmul(coef, K, out=Ys)
                     c = 1 - c
                     K[c] = Ys  # the new increment overwrites prev
-                    m_cur, m_prev = mu * m_cur + nu * m_prev + h * (mu_t * f + gamma_t * f0), m_cur
-                Y += K[c]
-                mass += m_cur
+                Y[0] += K[c]
+                mass += _react(Y, h if step < n_steps - 1 else 0.5 * h, r, w, R, Ym)
             diag["steps"] += n_steps
             diag["rhs_evaluations"] += n_steps * len(stages)
             diag["h"] = max(diag["h"], h)

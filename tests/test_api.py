@@ -34,8 +34,8 @@ LIBRARY = ["model", "analysis", "odeint", "wave", "pde", "spectral", "acceptance
 
 # every name the root has exported, by defining module: none may go
 EXPORTED = {
-    "model": ["Params", "GeneralParams", "Scaling", "WaveState", "wave_rhs", "pde_rhs",
-              "normalize", "denormalize", "general_wave_predictions"],
+    "model": ["Params", "GeneralParams", "Scaling", "WaveState", "wave_rhs", "laplacian",
+              "reaction", "pde_rhs", "normalize", "denormalize", "general_wave_predictions"],
     "analysis": ["Triangle", "MassResiduals", "minimal_inactive_limit", "decay_rate",
                  "triangle", "triangle_contains", "i_plus_infinity", "alpha_threshold",
                  "a_star", "a_at_first_max", "mass_residuals", "limit_symmetry"],

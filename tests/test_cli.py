@@ -174,6 +174,19 @@ class TestPde:
             assert lines[0] == "x,A,I"
             assert len(lines) == 502
 
+    def test_readme_names_exactly_the_diagnostics(self, tmp_path, capsys):
+        # the README sentence that lists the `pde` JSON diagnostics names every key
+        # in backticks and no other, so a key cannot come, go or change its meaning
+        # without the README being opened
+        code, payload, _ = run_json(
+            capsys, "pde", "--grid", "201:-30:120", "--t-end", 1, "--out", tmp_path / "p"
+        )
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        paragraph = readme[readme.index("\n- `pde`"):]
+        sentence = re.search(r"The JSON `diagnostics` object gives (.*?)\.\s", paragraph, re.S)[1]
+        assert code == 0
+        assert set(re.findall(r"`(\w+)`", sentence)) == set(payload["diagnostics"])
+
     def test_initial_data_round_trips(self, tmp_path, capsys):
         first = tmp_path / "a"
         code, payload, _ = run_json(

@@ -12,8 +12,10 @@ from branchwaves.model import (
     WaveState,
     denormalize,
     general_wave_predictions,
+    laplacian,
     normalize,
     pde_rhs,
+    reaction,
     wave_rhs,
 )
 
@@ -160,18 +162,23 @@ class TestPdeRhs:
         A, I = rng.uniform(0, 2, size=(2, 50))
         dx, r = 0.3, 0.7
         # the stencil form as plain array expressions, summed left to right: the bitwise
-        # oracle of the one correlation and the in-place reaction
+        # oracle of the one correlation, the in-place reaction and their sum
         q = 1.0 / (dx * dx)
-        lap_a = np.empty_like(A)  # Lap(A) + A
-        lap_a[1:-1] = A[:-2] * q + A[1:-1] * (1.0 - 2.0 * q) + A[2:] * q
-        lap_a[0] = 2.0 * (A[1] - A[0]) * q + A[0]
-        lap_a[-1] = 2.0 * (A[-2] - A[-1]) * q + A[-1]
-        want = (lap_a - A * (A + I), A * (A + I) + r * A)
-        np.testing.assert_array_equal(pde_rhs(A, I, r, dx), want)
+        lap = np.empty_like(A)
+        lap[1:-1] = A[:-2] * q + A[1:-1] * (-2.0 * q) + A[2:] * q
+        lap[0] = 2.0 * (A[1] - A[0]) * q
+        lap[-1] = 2.0 * (A[-2] - A[-1]) * q
+        np.testing.assert_array_equal(laplacian(A, dx), lap)
+        react = ((1.0 - (A + I)) * A, ((A + I) + r) * A)  # (A - A(A + I), A(A + I) + r A)
+        np.testing.assert_array_equal(reaction(A, I, r), react)
+        np.testing.assert_array_equal(pde_rhs(A, I, r, dx), (react[0] + lap, react[1]))
+        # the parts `simulate` calls write into its buffers
         out = np.full((2, 50), np.nan)
-        dA, dI = pde_rhs(A, I, r, dx, out=out)
+        assert np.shares_memory(laplacian(A, dx, out=out[0]), out[0])
+        np.testing.assert_array_equal(out[0], lap)
+        dA, dI = reaction(A, I, r, out=out)
         assert np.shares_memory(dA, out[0]) and np.shares_memory(dI, out[1])
-        np.testing.assert_array_equal(out, want)
+        np.testing.assert_array_equal(out, react)
 
     @pytest.mark.parametrize("field", ["uniform", "bump"])
     def test_within_a_few_ulp_of_the_three_term_laplacian(self, field):
@@ -197,6 +204,21 @@ class TestPdeRhs:
             pde_rhs([0.0, 1.0], [0.0, 1.0], 0.0, dx=1.0)
         with pytest.raises(ValueError):
             pde_rhs([0.0, 1.0, 0.0], [0.0, 1.0], 0.0, dx=1.0)
+        with pytest.raises(ValueError):
+            laplacian(np.zeros((3, 3)), dx=1.0)
+        with pytest.raises(ValueError):
+            reaction(np.zeros(3), np.zeros(4), 0.0)
+
+    def test_reaction_carries_mass_at_rate_one_plus_r(self):
+        # dA + dI = (1 + r) A pointwise: the rate the mass ledger of `simulate` books
+        rng = np.random.default_rng(9)
+        A, I = rng.uniform(0, 2, size=(2, 30))
+        dA, dI = reaction(A, I, 2.5)
+        np.testing.assert_allclose(dA + dI, 3.5 * A, rtol=1e-14, atol=1e-14)
+
+    def test_non_positive_spacing(self):
+        with pytest.raises(DomainError, match="grid spacing must be positive"):
+            laplacian(np.zeros(5), dx=0.0)
 
 
 class TestRescaling:

@@ -15,7 +15,7 @@ from branchwaves.errors import (
     ContaminatedMeasurementError,
     DomainError,
 )
-from branchwaves.model import Params, pde_rhs
+from branchwaves.model import Params, laplacian, pde_rhs, reaction
 from branchwaves.pde import (
     FieldSeries,
     Grid,
@@ -60,31 +60,43 @@ def rk4_reference(A, I, r, grid, times):
     return snaps
 
 
-def rkc_reference(A, I, r, grid, times):
-    """Snapshots at times of the RKC steps of `simulate`, a new array per operation.
+def split_reference(A, I, r, grid, times):
+    """Snapshots at times of the split steps of `simulate`, a new array per operation.
 
-    The bitwise oracle of the stage buffers `simulate` updates in place: the
-    same operations on the same operands, in the same order. The next increment
-    is the product of the coefficients with the rows [cur, prev, F, F0], whose
-    fused multiply-adds round [cur, prev] and [prev, cur] apart; `simulate`
-    keeps cur and prev in rows 0 and 1 by turns, so every other stage swaps them.
+    The bitwise oracle of the buffers `simulate` updates in place: the same
+    operations on the same operands, in the same order. Each snapshot interval
+    is R(h/2) D(h) R(h) ... D(h) R(h/2): R(dt) the midpoint rule on the
+    reaction, in ceil(dt (5 + r) / 2) substeps once dt (5 + r) passes 2, and
+    D(h) one RKC step of A' = Lap(A). The next increment of D is the product
+    of the coefficients with the rows [cur, prev, F, F0], whose fused
+    multiply-adds round [cur, prev] and [prev, cur] apart; `simulate` keeps cur
+    and prev in rows 0 and 1 by turns, so every other stage swaps them.
     """
-    stages = pde._rkc_stages(pde.STEP * (4.0 / grid.dx**2 + 5.0 + r))
+    stages = pde._rkc_stages(pde.STEP * 4.0 / grid.dx**2)
+
+    def react(Y, dt):
+        m = max(1, math.ceil(dt * (5.0 + r) / 2.0))
+        dt /= m
+        for _ in range(m):
+            mid = np.array(reaction(Y[0], Y[1], r)) * (0.5 * dt) + Y
+            Y = Y + np.array(reaction(mid[0], mid[1], r)) * dt
+        return Y
+
     Y = np.array([A, I])
     snaps = [(A, I)]
     for span in np.diff(times):
         n_steps = max(1, math.ceil(span / pde.STEP - 1e-12))
         h = float(span) / n_steps
-        for _ in range(n_steps):
-            F0 = np.array(pde_rhs(Y[0], Y[1], r, grid.dx))
-            prev, cur = np.zeros_like(Y), (stages[0][2] * h) * F0
+        Y = react(Y, 0.5 * h)
+        for step in range(n_steps):
+            F0 = laplacian(Y[0], grid.dx)
+            prev, cur = np.zeros_like(F0), F0 * (stages[0][2] * h)
             for j, (mu, nu, mu_t, gamma_t) in enumerate(stages[1:]):
-                Ys = Y + cur
-                F = np.array(pde_rhs(Ys[0], Ys[1], r, grid.dx))
+                F = laplacian(Y[0] + cur, grid.dx)
                 coef, rows = ([mu, nu], [cur, prev]) if j % 2 == 0 else ([nu, mu], [prev, cur])
-                new = np.array(coef + [mu_t * h, gamma_t * h]) @ np.array(rows + [F, F0]).reshape(4, -1)
-                cur, prev = new.reshape(Y.shape), cur
-            Y = Y + cur
+                cur, prev = np.array(coef + [mu_t * h, gamma_t * h]) @ np.array(rows + [F, F0]), cur
+            Y = np.array([Y[0] + cur, Y[1]])
+            Y = react(Y, h if step < n_steps - 1 else 0.5 * h)
         snaps.append((Y[0], Y[1]))
     return snaps
 
@@ -270,6 +282,24 @@ class TestRkc:
         for coarse, fine in zip(*gaps):
             assert 3.0 < coarse / fine < 5.0
 
+    @pytest.mark.parametrize("r, bound_a, bound_i", [
+        (1.0, 5.5e-5, 3.5e-4),
+        (100.0, 3.5e-5, 3.5e-3),
+        (1000.0, 7e-6, 4.5e-3),
+    ], ids=["r=1", "r=100", "r=1000"])
+    def test_gap_to_rk4_at_step(self, r, bound_a, bound_i):
+        # bounds twice the gaps measured at STEP. At r = 1 they price the split on the
+        # steep start, where the reaction and the diffusion do not commute (the unsplit
+        # RKC steps missed by 2.0e-5 and 2.6e-5); at r = 100 and 1000, h (5 + r) passes
+        # 2 and each reaction step takes substeps (2 and 11 per full step), without
+        # which I misses by 8e-3 and 0.28
+        g = Grid(-20.0, 20.0, 401)
+        times = pde.SNAPSHOT_DT * np.arange(9)
+        gap_a, gap_i = field_gaps(simulate(*bump(g), r, g, times[-1]),
+                                  rk4_reference(*bump(g), r, g, times))
+        assert gap_a <= bound_a
+        assert gap_i <= bound_i
+
     @pytest.mark.parametrize("grid, r, stages", [
         (Grid(-30.0, 120.0, 2001), 0.0, 5),  # the reference grid
         (Grid(-30.0, 120.0, 2001), 1.0, 5),
@@ -278,8 +308,9 @@ class TestRkc:
         (Grid(0.0, 1e4, 16), 0.0, 2),
     ])
     def test_stage_count_is_least_stable(self, grid, r, stages):
+        # the stages carry the diffusion alone, whose Gershgorin bound is 4/dx^2
         diag = simulate(*bump(grid), r, grid, pde.STEP).diagnostics
-        s, h_rho = diag["stages"], diag["h"] * (4.0 / grid.dx**2 + 5.0 + r)
+        s, h_rho = diag["stages"], diag["h"] * 4.0 / grid.dx**2
         assert s == stages
         assert beta(s) >= h_rho
         assert s == 2 or h_rho > beta(s - 1)
@@ -303,30 +334,38 @@ class TestRkc:
         assert 0.0 <= diag["mass_balance_residual"] < 1e-13
 
     def test_source_term_breaks_mass_balance(self, monkeypatch):
-        def leaky(A, I, r, dx, out=None):
-            dA, dI = pde_rhs(A, I, r, dx, out)
+        # a source in either part of the split is caught at the first snapshot
+        def leaky_laplacian(A, dx, out=None):
+            lap = laplacian(A, dx, out)
+            lap += 1e-6
+            return lap
+
+        def leaky_reaction(A, I, r, out=None):
+            dA, dI = reaction(A, I, r, out)
             dA += 1e-6
             return dA, dI
 
-        monkeypatch.setattr(pde, "pde_rhs", leaky)
         g = Grid(-20.0, 20.0, 401)
-        with pytest.raises(BlowUpError, match="mass balance residual") as info:
-            simulate(*bump(g), R0, g, 2.0)
-        series = info.value.series
-        assert len(series.times) == len(series.snapshots) == 1
-        assert series.diagnostics["steps"] == 25
+        for name, leaky in (("laplacian", leaky_laplacian), ("reaction", leaky_reaction)):
+            with monkeypatch.context() as patch:
+                patch.setattr(pde, name, leaky)
+                with pytest.raises(BlowUpError, match="mass balance residual") as info:
+                    simulate(*bump(g), R0, g, 2.0)
+            series = info.value.series
+            assert len(series.times) == len(series.snapshots) == 1
+            assert series.diagnostics["steps"] == 25
 
     def test_stage_buffers_match_plain_expressions(self):
         g = Grid(-20.0, 20.0, 401)
         series = simulate(*bump(g), 1.0, g, 1.0)
         assert series.diagnostics["stages"] >= 3  # the buffers rotate
-        reference = rkc_reference(*bump(g), 1.0, g, series.times)
+        reference = split_reference(*bump(g), 1.0, g, series.times)
         for got, want in zip(series.snapshots, reference, strict=True):
             np.testing.assert_array_equal(got, want)
 
     def test_snapshots_do_not_depend_on_the_blas_thread_count(self):
         # the CLI runs with the default BLAS thread count and the benchmark with one, so
-        # the stage product (4 x 4002 on the reference grid) must not round by thread
+        # the stage product (4 x 2001 on the reference grid) must not round by thread
         # count; numpy's OpenBLAS keeps this product on one thread at any count
         probe = ("import sys, numpy as np; from branchwaves import pde; "
                  "s = pde.simulate(*pde.bump(pde.GRID), 1.0, pde.GRID, 1.0); "
@@ -354,10 +393,10 @@ class TestRkc:
         assert not np.array_equal(middle[0], last[0])
 
     def test_rhs_evaluations_count_the_calls(self, monkeypatch):
-        # each stage calls the right-hand side through the module name the benchmark traces
+        # each stage evaluates the Laplacian once, the stiff part the stages carry
         calls = []
-        monkeypatch.setattr(pde, "pde_rhs",
-                            lambda *args, **kwargs: calls.append(1) or pde_rhs(*args, **kwargs))
+        monkeypatch.setattr(pde, "laplacian",
+                            lambda *args, **kwargs: calls.append(1) or laplacian(*args, **kwargs))
         g = Grid(-20.0, 20.0, 201)
         series = simulate(*bump(g), R0, g, 1.0)
         assert series.diagnostics["rhs_evaluations"] == len(calls) > 0
