@@ -118,8 +118,8 @@ def wave_rhs(state, p: Params) -> tuple[float, float, float]:
     return b, a * (a + i) - a - c * b, -(a * (a + i + p.r)) / c
 
 
-def laplacian(A, dx: float, out=None):
-    """Lap(A) of a 1-D field of at least 3 points, into `out` (sharing no memory with A) if given.
+def laplacian(A, dx: float):
+    """Lap(A) of a 1-D field of at least 3 points.
 
     One three-point stencil, weights (1/dx^2, -2/dx^2, 1/dx^2), summed left to
     right; zero-flux ends mirror A[1] (A[-2]) to the ghost point.
@@ -129,7 +129,7 @@ def laplacian(A, dx: float, out=None):
         raise ValueError(f"field must be 1-D with >= 3 points, got shape {A.shape}")
     if not dx > 0:
         raise DomainError(f"grid spacing must be positive, got {dx}")
-    lap = np.empty_like(A) if out is None else out
+    lap = np.empty_like(A)
     inv_dx2 = 1.0 / (dx * dx)
     lap[1:-1] = np.correlate(A, (inv_dx2, -2.0 * inv_dx2, inv_dx2))
     lap[0] = 2.0 * (A[1] - A[0]) * inv_dx2

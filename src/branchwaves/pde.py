@@ -4,12 +4,12 @@ The two-field system on a uniform grid: a second-order central Laplacian on
 the diffusing field, zero-flux ends, and Strang splitting (Strang 1968) into
 second-order Runge-Kutta-Chebyshev steps (RKC; Sommeijer, Shampine & Verwer
 1997) of the diffusion, whose stage count, not size, follows its stiffness,
-and explicit midpoint steps of the pointwise reaction. Each stage is one
-Laplacian on the local three-point stencil, so A stays physical ahead of the
-front, and one product of four coefficients with the rows (two increments,
-F, F0). The only model parameter is the production rate r; the PDE selects
-its own front speed. Also front tracking, speed fits, the plateau behind the
-front, and the shape misfit against a shot wave.
+and explicit midpoint steps of the pointwise reaction. On the diffusion an
+s-stage RKC step is its stability polynomial in h Lap, a local stencil of
+2s + 1 taps built by s Laplacians, so A stays physical ahead of the front;
+each step is one correlation with them. The only model parameter is the
+production rate r; the PDE selects its own front speed. Also front tracking,
+speed fits, the plateau behind the front, and the shape misfit against a shot wave.
 
 The reference front run of the `pde` CLI defaults, the battery and the demo is
 declared here once: the `bump` in empty tissue on GRID to T_END, its front at
@@ -125,22 +125,28 @@ def _chebyshev(s: int) -> tuple[float, float, list[float], list[float], list[flo
     return (1.0 + w0) * d2T[s] / dT[s], w0, T, dT, d2T
 
 
-def _rkc_stages(h_rho: float) -> list[tuple[float, float, float, float]]:
-    """Stage coefficients (mu, nu, mu~, gamma~) for the least s >= 2 stable at h_rho,
-    that is with beta(s) >= h_rho (beta grows with s); DomainError past MAX_STAGES."""
+def _stages(h_rho: float) -> int:
+    """The least s >= 2 stable at h_rho, that is with beta(s) >= h_rho (beta grows with s);
+    DomainError past MAX_STAGES."""
     if _chebyshev(MAX_STAGES)[0] < h_rho:
         raise DomainError(f"stiffness h rho = {h_rho:.3g} needs over {MAX_STAGES} RKC stages "
                           "per step; use a coarser grid")
-    s = next(s for s in itertools.count(2) if _chebyshev(s)[0] >= h_rho)
+    return next(s for s in itertools.count(2) if _chebyshev(s)[0] >= h_rho)
+
+
+def _diffusion_taps(h: float, dx: float, s: int) -> np.ndarray:
+    """The 2s + 1 taps of one s-stage RKC step of A' = Lap(A) over h, 1 - b T_s(w0) +
+    b T_s(w0 + w1 h Lap) with b = T_s''/T_s'^2, w1 = T_s'/T_s'': the Chebyshev recurrence
+    U_j = 2 w0 U_{j-1} + 2 w1 h Lap(U_{j-1}) - U_{j-2} on a unit impulse of 4s + 1 points,
+    whose ends its spread of s points never reaches, cut to the centre."""
     _, w0, T, dT, d2T = _chebyshev(s)
-    w1 = dT[s] / d2T[s]
-    b = [d2T[max(j, 2)] / dT[max(j, 2)] ** 2 for j in range(s + 1)]  # b_0 = b_1 = b_2
-    stages = [(0.0, 0.0, b[1] * w1, 0.0)]
-    for j in range(2, s + 1):
-        mu_t = 2.0 * b[j] * w1 / b[j - 1]
-        stages.append((2.0 * b[j] * w0 / b[j - 1], -b[j] / b[j - 2], mu_t,
-                       -(1.0 - b[j - 1] * T[j - 1]) * mu_t))
-    return stages
+    b, w1h = d2T[s] / dT[s] ** 2, h * dT[s] / d2T[s]
+    e = np.zeros(4 * s + 1)
+    e[2 * s] = 1.0
+    prev, U = e, w0 * e + w1h * laplacian(e, dx)
+    for _ in range(s - 1):
+        prev, U = U, 2.0 * w0 * U + 2.0 * w1h * laplacian(U, dx) - prev
+    return ((1.0 - b * T[s]) * e + b * U)[s:3 * s + 1]
 
 
 def _react(Y: np.ndarray, dt: float, r: float, w: np.ndarray, R: np.ndarray,
@@ -166,13 +172,15 @@ def simulate(A0, I0, r: float, grid: Grid, t_end: float) -> FieldSeries:
     """Advance to t_end at production rate r >= 0, snapshot every SNAPSHOT_DT.
 
     Each snapshot interval is R(h/2) D(h) R(h) ... D(h) R(h/2), D(h) an RKC step of
-    A' = Lap(A), R(dt) `_react`. r and t_end must be finite, t_end positive, the
-    snapshots at most MAX_STORED_VALUES values, and the RKC steps of at most STEP,
-    which divide each snapshot interval exactly, at most MAX_STAGES stages. Non-finite
-    values, or a trapezoid mass w.(A + I) carried through R (D moves none) that misses
-    the measured one by over MASS_BALANCE_TOL relative, raise BlowUpError carrying the
-    series so far. Diagnostics: `steps`, `stages` per step, largest step `h`,
-    `rhs_evaluations` (Laplacians), worst `mass_balance_residual`.
+    A' = Lap(A), the correlation of A, reflected about each end point (the mirror ends
+    of `laplacian`), with the taps of `_diffusion_taps`, R(dt) `_react`. r and t_end
+    must be finite, t_end positive, the snapshots at most MAX_STORED_VALUES values, and
+    the RKC steps of at most STEP, which divide each snapshot interval exactly, at most
+    MAX_STAGES stages. Non-finite values, or a trapezoid mass w.(A + I) carried through
+    R (D moves none) that misses the measured one by over MASS_BALANCE_TOL relative,
+    raise BlowUpError carrying the series so far. Diagnostics: `steps`, `stages` per
+    step, largest step `h`, `rhs_evaluations` (Laplacians, s per snapshot interval),
+    worst `mass_balance_residual`.
     """
     if not 0 <= r < math.inf:
         raise DomainError(f"production rate r must be >= 0 and finite, got {r}")
@@ -185,40 +193,25 @@ def simulate(A0, I0, r: float, grid: Grid, t_end: float) -> FieldSeries:
     if not 0.0 < t_end < math.inf:
         raise DomainError(f"t_end must be positive and finite, got {t_end}")
 
-    stages = _rkc_stages(STEP * 4.0 / grid.dx**2)  # Gershgorin: |Lap| <= 4/dx^2
+    s = _stages(STEP * 4.0 / grid.dx**2)  # Gershgorin: |Lap| <= 4/dx^2
     w = grid.dx * np.r_[0.5, np.ones(grid.n - 2), 0.5]  # trapezoid weights
     times = _snapshot_times(t_end, grid.n)
     Y = np.array([A, I])
     snaps = [(A, I)]
-    diag = dict(steps=0, stages=len(stages), h=0.0, rhs_evaluations=0, mass_balance_residual=0.0)
-    # buffers reused by the whole run: K holds the increments cur and prev (in rows 0 and
-    # 1 by turns, cur in row c), F and F0 of A, so that the next increment is one product
-    # coef @ K; Ys holds the stage value, then that product; R and Ym serve `_react`
-    K, Ys, R, Ym = np.zeros((4, grid.n)), np.empty(grid.n), np.empty_like(Y), np.empty_like(Y)
+    diag = dict(steps=0, stages=s, h=0.0, rhs_evaluations=0, mass_balance_residual=0.0)
+    R, Ym = np.empty_like(Y), np.empty_like(Y)  # `_react` buffers, reused by the whole run
 
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, len(times)):
             n_steps = max(1, math.ceil((times[k] - times[k - 1]) / STEP - 1e-12))
             h = float(times[k] - times[k - 1]) / n_steps
             mass = w @ (Y[0] + Y[1]) + _react(Y, 0.5 * h, r, w, R, Ym)
-            # stage j: A_j - A0 = mu (A_{j-1} - A0) + nu (A_{j-2} - A0) + mu~ h F_{j-1}
-            # + gamma~ h F_0, so F = 0 keeps A bitwise
-            coefs = np.array([(mu, nu, mu_t * h, gamma_t * h) for mu, nu, mu_t, gamma_t in stages[1:]])
-            coefs[1::2, :2] = coefs[1::2, 1::-1]  # every other stage finds cur in row 1
+            taps = _diffusion_taps(h, grid.dx, s)
             for step in range(n_steps):
-                laplacian(Y[0], grid.dx, out=K[3])
-                c, K[1] = 0, 0.0
-                np.multiply(K[3], stages[0][2] * h, out=K[0])
-                for coef in coefs:
-                    np.add(Y[0], K[c], out=Ys)
-                    laplacian(Ys, grid.dx, out=K[2])
-                    np.matmul(coef, K, out=Ys)
-                    c = 1 - c
-                    K[c] = Ys  # the new increment overwrites prev
-                Y[0] += K[c]
+                Y[0] = np.correlate(np.pad(Y[0], s, mode="reflect"), taps)
                 mass += _react(Y, h if step < n_steps - 1 else 0.5 * h, r, w, R, Ym)
             diag["steps"] += n_steps
-            diag["rhs_evaluations"] += n_steps * len(stages)
+            diag["rhs_evaluations"] += s
             diag["h"] = max(diag["h"], h)
             measured, scale = w @ (Y[0] + Y[1]), w @ np.abs(Y).sum(axis=0)
             residual = float(abs(mass - measured) / (scale or 1.0))  # NaN if Y is not finite

@@ -172,10 +172,8 @@ class TestPdeRhs:
         react = ((1.0 - (A + I)) * A, ((A + I) + r) * A)  # (A - A(A + I), A(A + I) + r A)
         np.testing.assert_array_equal(reaction(A, I, r), react)
         np.testing.assert_array_equal(pde_rhs(A, I, r, dx), (react[0] + lap, react[1]))
-        # the parts `simulate` calls write into its buffers
+        # the reaction writes into the buffers of `simulate`
         out = np.full((2, 50), np.nan)
-        assert np.shares_memory(laplacian(A, dx, out=out[0]), out[0])
-        np.testing.assert_array_equal(out[0], lap)
         dA, dI = reaction(A, I, r, out=out)
         assert np.shares_memory(dA, out[0]) and np.shares_memory(dI, out[1])
         np.testing.assert_array_equal(out, react)
