@@ -43,6 +43,7 @@ from .errors import (
     ContaminatedMeasurementError,
     ContourResolutionError,
     DomainError,
+    InvalidSegmentError,
     NegativityError,
     NonConvergenceError,
     SplittingError,
@@ -70,8 +71,8 @@ _EXIT_TABLE = (
     ((_UsageProblem,), EXIT_USAGE, None),
     ((BlowUpError,), EXIT_BLOWUP, "blow-up"),
     ((NegativityError, DomainError), EXIT_REGIME, "invalid regime"),
-    ((BudgetError, NonConvergenceError, ContaminatedMeasurementError,
-      ContourResolutionError, SplittingError), EXIT_RESOLUTION, "resolution failure"),
+    ((BudgetError, NonConvergenceError, ContaminatedMeasurementError, ContourResolutionError,
+      SplittingError, InvalidSegmentError), EXIT_RESOLUTION, "resolution failure"),
 )
 
 
@@ -361,10 +362,7 @@ def cmd_evans(args: argparse.Namespace) -> int:
     else:
         profile = wave_mod.shoot_wave(args.i_minus, Params(c=args.c, r=args.r))
         setup = spectral.make_setup(wave=profile, w_exp=args.w_exp)
-        try:
-            sweep = spectral.evans_winding(setup, args.contour)
-        except DomainError as exc:
-            raise ContourResolutionError(str(exc)) from exc
+        sweep = spectral.evans_winding(setup, args.contour)
         expected = 0
 
     _write_csv(

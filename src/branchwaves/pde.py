@@ -18,7 +18,7 @@ FRONT_LEVEL, its speed fitted over the run's second half (`measure_speed`).
 
 from __future__ import annotations
 
-import itertools
+import bisect
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -114,24 +114,24 @@ def _snapshot_times(t_end: float, n: int) -> np.ndarray:
     return times
 
 
-def _chebyshev(s: int) -> tuple[float, float, list[float], list[float], list[float]]:
-    """beta(s) = (1 + w0) T_s''(w0) / T_s'(w0), w0 = 1 + DAMPING / s^2, and T_j, T_j', T_j''."""
+def _chebyshev(s: int) -> tuple[float, float, float, float, float]:
+    """beta(s) = (1 + w0) T_s''(w0) / T_s'(w0), w0 = 1 + DAMPING / s^2, and T_s, T_s', T_s''."""
     w0 = 1.0 + DAMPING / (s * s)
-    T, dT, d2T = [1.0, w0], [0.0, 1.0], [0.0, 0.0]
-    for j in range(2, s + 1):
-        T.append(2.0 * w0 * T[j - 1] - T[j - 2])
-        dT.append(2.0 * T[j - 1] + 2.0 * w0 * dT[j - 1] - dT[j - 2])
-        d2T.append(4.0 * dT[j - 1] + 2.0 * w0 * d2T[j - 1] - d2T[j - 2])
-    return (1.0 + w0) * d2T[s] / dT[s], w0, T, dT, d2T
+    T, dT, d2T = (1.0, w0), (0.0, 1.0), (0.0, 0.0)  # (j - 1, j) terms of each recurrence
+    for _ in range(s - 1):
+        d2T = d2T[1], 4.0 * dT[1] + 2.0 * w0 * d2T[1] - d2T[0]
+        dT = dT[1], 2.0 * T[1] + 2.0 * w0 * dT[1] - dT[0]
+        T = T[1], 2.0 * w0 * T[1] - T[0]
+    return (1.0 + w0) * d2T[1] / dT[1], w0, T[1], dT[1], d2T[1]
 
 
 def _stages(h_rho: float) -> int:
-    """The least s >= 2 stable at h_rho, that is with beta(s) >= h_rho (beta grows with s);
-    DomainError past MAX_STAGES."""
+    """The least s >= 2 stable at h_rho, that is with beta(s) >= h_rho, bisected (beta grows
+    with s); DomainError past MAX_STAGES."""
     if _chebyshev(MAX_STAGES)[0] < h_rho:
         raise DomainError(f"stiffness h rho = {h_rho:.3g} needs over {MAX_STAGES} RKC stages "
                           "per step; use a coarser grid")
-    return next(s for s in itertools.count(2) if _chebyshev(s)[0] >= h_rho)
+    return 2 + bisect.bisect_left(range(2, MAX_STAGES), h_rho, key=lambda s: _chebyshev(s)[0])
 
 
 def _diffusion_taps(h: float, dx: float, s: int) -> np.ndarray:
@@ -140,13 +140,13 @@ def _diffusion_taps(h: float, dx: float, s: int) -> np.ndarray:
     U_j = 2 w0 U_{j-1} + 2 w1 h Lap(U_{j-1}) - U_{j-2} on a unit impulse of 4s + 1 points,
     whose ends its spread of s points never reaches, cut to the centre."""
     _, w0, T, dT, d2T = _chebyshev(s)
-    b, w1h = d2T[s] / dT[s] ** 2, h * dT[s] / d2T[s]
+    b, w1h = d2T / dT ** 2, h * dT / d2T
     e = np.zeros(4 * s + 1)
     e[2 * s] = 1.0
     prev, U = e, w0 * e + w1h * laplacian(e, dx)
     for _ in range(s - 1):
         prev, U = U, 2.0 * w0 * U + 2.0 * w1h * laplacian(U, dx) - prev
-    return ((1.0 - b * T[s]) * e + b * U)[s:3 * s + 1]
+    return ((1.0 - b * T) * e + b * U)[s:3 * s + 1]
 
 
 def _react(Y: np.ndarray, dt: float, r: float, w: np.ndarray, R: np.ndarray,

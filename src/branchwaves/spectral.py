@@ -102,11 +102,10 @@ CONTOUR = (1e-3, 1000.0, 200)
 class SpectralSetup:
     """Context for weighted-linearization evaluations about one wave.
 
-    Profile coefficients a(z) and i(z) come from the cubic Hermite
+    Profile coefficients a(z) and i(z) come from `_spline`, the cubic Hermite
     interpolant of the wave samples with the wave ODE's own slopes (error
-    h^4/384 max|y''''| for samples h apart); beyond the sampled range they
-    continue with the fixed-point values, on which the Evans march is the
-    identity.
+    h^4/384 max|y''''| for samples h apart).  The march reads it only inside
+    the sampled range, since each leg starts at one end of it (`_legs`).
     """
 
     wave: WaveProfile
@@ -116,20 +115,9 @@ class SpectralSetup:
         if not 0.0 < self.w_exp < math.inf:
             raise DomainError("exponential weight must be positive and finite")
         traj = self.wave.trajectory
-        self._z_lo, self._z_hi = float(traj.zs[0]), float(traj.zs[-1])
         self._meshes: dict[float, tuple[np.ndarray, np.ndarray]] = {}
         slopes = np.stack(wave_rhs(traj.states.T, self.wave.params), axis=-1)
         self._spline = partial(_hermite, traj.zs, traj.states, slopes)
-
-    def coefficient_table(self, zs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Profile values (a, i) at each z, extended by the limits off the data."""
-        zs = np.asarray(zs, dtype=float)
-        table = self._spline(np.clip(zs, self._z_lo, self._z_hi))
-        a, i = table[..., 0], table[..., 2]
-        a[(zs < self._z_lo) | (zs > self._z_hi)] = 0.0
-        i[zs < self._z_lo] = self.wave.i_minus_inf
-        i[zs > self._z_hi] = self.wave.i_plus_inf
-        return a, i
 
 
 def _hermite(zs: np.ndarray, ys: np.ndarray, slopes: np.ndarray, z) -> np.ndarray:
@@ -298,15 +286,16 @@ def expm(A: np.ndarray) -> np.ndarray:
 def _legs(setup: SpectralSetup, step: float) -> tuple[np.ndarray, np.ndarray]:
     """Meshes of the rear and the front leg, each from its start to exactly 0.
 
-    A leg starts where the sampled trajectory ends (or at 0 if the
-    trajectory does not reach past it): beyond there the coefficients are
-    the limits, whose march is the identity on the start data.  The
-    fourth-order Magnus step errs by h^5 times the variation of the
-    coefficients, which is proportional to m = max(|a|, |b|), so the step
-    ending at z (its end nearer 0) is step * (a_max / m(z)) ** (1/5): `step`
-    at the peak and longer down the tails.  m runs linearly between the
-    samples, the peak (0, a_max) among them, and is 0 past them; the last
-    step ends at the leg start.  A setup keeps its meshes, read-only, by step.
+    A leg starts where the sampled trajectory ends (or at 0 if the trajectory
+    does not reach past it): beyond there the coefficients are the limits,
+    whose march is the identity on the start data, so the march reads the
+    interpolant inside it alone.  The fourth-order Magnus step errs by h^5
+    times the variation of the coefficients, which is proportional to
+    m = max(|a|, |b|), so the step ending at z (its end nearer 0) is
+    step * (a_max / m(z)) ** (1/5): `step` at the peak and longer down the
+    tails.  m runs linearly between the samples, the peak (0, a_max) among
+    them; the last step ends at the leg start.  A setup keeps its meshes,
+    read-only, by step.
     """
     if not 0.0 < step < math.inf:
         raise DomainError("marching step must be positive and finite")
@@ -317,10 +306,10 @@ def _legs(setup: SpectralSetup, step: float) -> tuple[np.ndarray, np.ndarray]:
     zs = np.insert(traj.zs, at, 0.0)
     ms = np.insert(np.abs(traj.states[:, :2]).max(axis=1), at, a_max)
     legs = []
-    for start in (min(setup._z_lo, 0.0), max(setup._z_hi, 0.0)):
+    for start in (min(traj.zs[0], 0.0), max(traj.zs[-1], 0.0)):
         mesh = [0.0]
         while abs(mesh[-1]) < abs(start):
-            m = float(np.interp(mesh[-1], zs, ms, left=0.0, right=0.0))
+            m = float(np.interp(mesh[-1], zs, ms))
             h = step * (a_max / m) ** 0.2 if m > 0.0 else math.inf
             mesh.append(math.copysign(min(abs(mesh[-1]) + h, abs(start)), start))
         legs.append(np.array(mesh[::-1]))
@@ -352,7 +341,8 @@ def _march(
         return Y
     p, w = setup.wave.params, setup.w_exp
     nodes = mesh[:-1, None] + h[:, None] * (0.5 - _GAUSS_OFFSET, 0.5 + _GAUSS_OFFSET)
-    m1, m2 = np.moveaxis(_weighted_matrix(*setup.coefficient_table(nodes), 0.0, p, w), 1, 0)
+    table = setup._spline(nodes)
+    m1, m2 = np.moveaxis(_weighted_matrix(table[..., 0], table[..., 2], 0.0, p, w), 1, 0)
     d = _weighted_matrix(0.0, 0.0, 1.0, p, w) - _weighted_matrix(0.0, 0.0, 0.0, p, w)
     hk = h[:, None, None]
     k = math.sqrt(3.0) / 12.0 * hk * hk
@@ -479,13 +469,15 @@ class Winding(NamedTuple):
 
 
 def _evaluate(fn: Callable, gammas: np.ndarray, seen: list) -> list[tuple[complex, complex]]:
-    """fn at gammas as (gamma, value) samples, rejected unless finite; the arrays go to seen."""
+    """fn at gammas as (gamma, value) samples; the arrays go to seen. A non-finite gamma
+    raises DomainError, a non-finite value ContourResolutionError."""
     values = np.asarray(fn(gammas), dtype=complex)
     if values.shape != gammas.shape:
         raise DomainError("fn must give one value per contour point")
-    bad = ~(np.isfinite(gammas) & np.isfinite(values))
-    if bad.any():
-        raise DomainError(f"non-finite Evans sample at gamma = {complex(gammas[bad][0])}")
+    for bad, error in ((~np.isfinite(gammas), DomainError),
+                       (~np.isfinite(values), ContourResolutionError)):
+        if bad.any():
+            raise error(f"non-finite Evans sample at gamma = {complex(gammas[bad][0])}")
     seen.append((gammas, values))
     return [(complex(g), complex(v)) for g, v in zip(gammas, values)]
 
@@ -525,10 +517,10 @@ def winding_number(
     `lambda g: evans(g, setup)`; the synthetic self-test winds the identity
     map.  The contour points go to fn in one call.  Steps above pi/3 are
     bisected recursively, each chord midpoint going to fn as an array of
-    one, up to 12 levels.  A non-finite gamma or value raises DomainError,
-    and a sweep whose accumulated argument misses an integer number of
-    turns by CLOSURE_TOL or more is reported as a resolution failure rather than
-    rounded over.  Returns a `Winding` without diagnostics.
+    one, up to 12 levels.  A non-finite gamma raises DomainError; a non-finite
+    value, like a vanishing one, and a sweep whose accumulated argument misses
+    a whole number of turns by CLOSURE_TOL or more raise ContourResolutionError
+    rather than being rounded over.  Returns a `Winding` without diagnostics.
     """
     pts = np.asarray(contour, dtype=complex)
     if pts.ndim != 1 or pts.size < 4:

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from branchwaves import acceptance, analysis, cli, pde, spectral
+from branchwaves import acceptance, analysis, cli, errors, pde, spectral
 
 
 @pytest.fixture
@@ -37,6 +37,13 @@ def test_start_loads_no_scipy():
     proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
                           timeout=60, check=True)
     assert proc.stdout.strip() == "[]"
+
+
+def test_every_error_class_has_an_exit_status():
+    # whatever a subcommand raises from the library ends in a status, not a traceback
+    table = tuple(cls for classes, _, _ in cli._EXIT_TABLE for cls in classes)
+    for name in errors.__all__:
+        assert issubclass(getattr(errors, name), table), name
 
 
 def run(capsys, *argv):

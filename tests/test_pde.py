@@ -95,8 +95,13 @@ def split_reference(A, I, r, grid, times):
 
 def rkc_stages(s):
     """Stage coefficients (mu, nu, mu~, gamma~) of s-stage RKC (Sommeijer, Shampine &
-    Verwer 1997), from the damped Chebyshev values of `pde._chebyshev`."""
-    _, w0, T, dT, d2T = pde._chebyshev(s)
+    Verwer 1997), from the damped Chebyshev values T_j, T_j', T_j'' at w0, j = 0..s."""
+    w0 = 1.0 + pde.DAMPING / (s * s)
+    T, dT, d2T = [1.0, w0], [0.0, 1.0], [0.0, 0.0]
+    for j in range(2, s + 1):
+        T.append(2.0 * w0 * T[j - 1] - T[j - 2])
+        dT.append(2.0 * T[j - 1] + 2.0 * w0 * dT[j - 1] - dT[j - 2])
+        d2T.append(4.0 * dT[j - 1] + 2.0 * w0 * d2T[j - 1] - d2T[j - 2])
     w1 = dT[s] / d2T[s]
     b = [d2T[max(j, 2)] / dT[max(j, 2)] ** 2 for j in range(s + 1)]  # b_0 = b_1 = b_2
     stages = [(0.0, 0.0, b[1] * w1, 0.0)]
@@ -343,6 +348,21 @@ class TestRkc:
         with pytest.raises(DomainError, match=f"over {pde.MAX_STAGES} RKC stages"):
             simulate(*bump(g), R0, g, 1.0)
         assert calls == [pde.MAX_STAGES]
+
+    def test_beta_grows_with_s(self):
+        # the precondition of the bisection in `_stages`
+        betas = [pde._chebyshev(s)[0] for s in range(2, pde.MAX_STAGES + 1)]
+        assert all(b0 < b1 for b0, b1 in zip(betas, betas[1:]))
+
+    def test_stage_search_is_the_least_stable(self):
+        # at beta(s) and one ulp below it s stages are stable and s - 1 are not;
+        # one ulp above it takes s + 1
+        for s in (2, 3, 5, 47, 500, 707, 985, 999):
+            b = pde._chebyshev(s)[0]
+            assert pde._stages(b) == s
+            assert pde._stages(math.nextafter(b, 0.0)) == s
+            assert pde._stages(math.nextafter(b, math.inf)) == s + 1
+        assert pde._stages(pde._chebyshev(pde.MAX_STAGES)[0]) == pde.MAX_STAGES
 
     @pytest.mark.parametrize("s, n", [(2, 401), (4, 401), (5, 401), (8, 401), (47, 401),
                                       (74, 64)])

@@ -85,7 +85,7 @@ class TestSetup:
         # seed, SEED_EPS along the a-axis, the front end where the shot stopped,
         # max(|a|, |b|) down to STOP_TOL
         zs = setup.wave.trajectory.zs
-        a, _ = setup.coefficient_table([zs[0], zs[-1]])
+        a = setup._spline([zs[0], zs[-1]])[:, 0]
         assert a[0] == pytest.approx(wave.SEED_EPS, rel=1e-12)
         assert abs(a[1]) <= wave.STOP_TOL * (1.0 + 1e-9)
 
@@ -93,29 +93,6 @@ class TestSetup:
         for w_exp in (0.0, math.nan, math.inf):
             with pytest.raises(DomainError):
                 spectral.make_setup(wave=critical_wave, w_exp=w_exp)
-
-    def test_extension_by_limits(self, setup):
-        zs = setup.wave.trajectory.zs
-        a, i = setup.coefficient_table([zs[0] - 1.0, zs[-1] + 1.0])
-        assert list(a) == [0.0, 0.0]
-        assert list(i) == [setup.wave.i_minus_inf, setup.wave.i_plus_inf]
-
-    def test_table_matches_scalar(self, setup):
-        # point by point: the one spline of (a, b, i) inside the sampled
-        # range, the limits off it
-        w = setup.wave
-        lo, hi = w.trajectory.zs[0], w.trajectory.zs[-1]
-        zq = np.linspace(lo - 5.0, hi + 5.0, 37)
-        a_tab, i_tab = setup.coefficient_table(zq)
-        for k, z in enumerate(zq):
-            if z < lo:
-                a, i = 0.0, w.i_minus_inf
-            elif z > hi:
-                a, i = 0.0, w.i_plus_inf
-            else:
-                a, _, i = setup._spline(z)
-            assert a_tab[k] == pytest.approx(a, abs=1e-14)
-            assert i_tab[k] == pytest.approx(i, abs=1e-14)
 
 
 class TestHermite:
@@ -138,9 +115,22 @@ class TestHermite:
         assert np.max(np.abs(setup._spline(zq) - spline(zq))) <= 1e-8
 
 
+def _continued(setup):
+    """`setup._spline` continued past the sampled trajectory by the limits: a = b = 0,
+    and i = i_minus_inf behind it and i_plus_inf ahead of it."""
+    zs, spline, w = setup.wave.trajectory.zs, setup._spline, setup.wave
+
+    def table(z):
+        z = np.asarray(z, dtype=float)[..., None]
+        inside = spline(np.clip(z[..., 0], zs[0], zs[-1]))
+        return np.where(z < zs[0], (0.0, 0.0, w.i_minus_inf),
+                        np.where(z > zs[-1], (0.0, 0.0, w.i_plus_inf), inside))
+    return table
+
+
 def _coefficients(setup, z):
-    a, i = setup.coefficient_table([z])
-    return a[0], i[0]
+    a, _, i = _continued(setup)(z)
+    return a, i
 
 
 def _far(setup):
@@ -385,7 +375,7 @@ class TestExpm:
         p, w = setup.wave.params, setup.w_exp
         offset = math.sqrt(3.0) / 6.0
         nodes = z + h * np.array([0.5 - offset, 0.5 + offset])
-        (a1, a2), (i1, i2) = setup.coefficient_table(nodes)
+        (a1, _, i1), (a2, _, i2) = setup._spline(nodes)
         m1 = spectral._weighted_matrix(a1, i1, gammas, p, w)
         m2 = spectral._weighted_matrix(a2, i2, gammas, p, w)
         return 0.5 * h * (m1 + m2) + math.sqrt(3.0) * h * h / 12.0 * (m2 @ m1 - m1 @ m2)
@@ -614,6 +604,7 @@ class TestEvansBatch:
             )
 
         monkeypatch.setattr(spectral, "_legs", full_legs)
+        monkeypatch.setattr(setup, "_spline", _continued(setup))
         full = spectral.evans(self.GAMMAS, setup)
         assert np.max(np.abs(full - skip) / np.abs(full)) <= 1e-6
 
@@ -805,7 +796,7 @@ class TestWinding:
             spectral.winding_number(lambda g: g, np.array([1.0 + 0j, 2.0 + 0j]))
 
     def test_non_finite_sample_rejected(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(ContourResolutionError):
             spectral.winding_number(
                 lambda g: np.full_like(g, math.nan), _circle(0.5, 1.0, 8)
             )
@@ -814,7 +805,8 @@ class TestWinding:
         # finite on the five contour points, NaN at every bisection midpoint
         contour = _circle(0.5, 1.0, 5)
         mid = 0.5 * (contour[1] + contour[2])
-        with pytest.raises(DomainError, match=re.escape(f"non-finite Evans sample at gamma = {mid}")):
+        with pytest.raises(ContourResolutionError,
+                           match=re.escape(f"non-finite Evans sample at gamma = {mid}")):
             spectral.winding_number(
                 lambda g: g if g.size > 1 else np.full_like(g, math.nan), contour
             )
