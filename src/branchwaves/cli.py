@@ -46,6 +46,7 @@ from .errors import (
     InvalidSegmentError,
     NegativityError,
     NonConvergenceError,
+    PositivityError,
     SplittingError,
 )
 from .model import GeneralParams, Params, general_wave_predictions
@@ -72,7 +73,7 @@ _EXIT_TABLE = (
     ((BlowUpError,), EXIT_BLOWUP, "blow-up"),
     ((NegativityError, DomainError), EXIT_REGIME, "invalid regime"),
     ((BudgetError, NonConvergenceError, ContaminatedMeasurementError, ContourResolutionError,
-      SplittingError, InvalidSegmentError), EXIT_RESOLUTION, "resolution failure"),
+      SplittingError, InvalidSegmentError, PositivityError), EXIT_RESOLUTION, "resolution failure"),
 )
 
 

@@ -4,8 +4,8 @@ Grouped here so the command-line layer can map each failure mode to a
 stable exit status in one table, `branchwaves.cli._EXIT_TABLE`.
 """
 
-__all__ = ["DomainError", "OscillatoryRegimeError", "InvalidSegmentError",
-           "NonConvergenceError", "NegativityError", "BudgetError", "BlowUpError",
+__all__ = ["DomainError", "OscillatoryRegimeError", "InvalidSegmentError", "NonConvergenceError",
+           "NegativityError", "BudgetError", "BlowUpError", "PositivityError",
            "ContaminatedMeasurementError", "SplittingError", "ContourResolutionError"]
 
 
@@ -60,6 +60,14 @@ class BudgetError(RuntimeError):
 
 class BlowUpError(RuntimeError):
     """Non-finite fields or a broken mass balance in a simulation; carries the last good series."""
+
+    def __init__(self, message, series=None):
+        super().__init__(message)
+        self.series = series
+
+
+class PositivityError(RuntimeError):
+    """A simulation snapshot's A is negative past round-off; carries the last good series."""
 
     def __init__(self, message, series=None):
         super().__init__(message)

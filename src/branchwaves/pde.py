@@ -6,10 +6,10 @@ second-order Runge-Kutta-Chebyshev steps (RKC; Sommeijer, Shampine & Verwer
 1997) of the diffusion, whose stage count, not size, follows its stiffness,
 and explicit midpoint steps of the pointwise reaction. On the diffusion an
 s-stage RKC step is its stability polynomial in h Lap, a local stencil of
-2s + 1 taps built by s Laplacians, so A stays physical ahead of the front;
-each step is one correlation with them. The only model parameter is the
-production rate r; the PDE selects its own front speed. Also front tracking,
-speed fits, the plateau behind the front, and the shape misfit against a shot wave.
+2s + 1 taps built by s Laplacians per step size, so A stays physical ahead of the
+front (`min_A`); each step correlates them with one gather of A and its mirror ends.
+The only model parameter is the production rate r; the PDE selects its own front
+speed. Also front tracking, speed fits, the wake plateau and the shape misfit to a shot wave.
 
 The reference front run of the `pde` CLI defaults, the battery and the demo is
 declared here once: the `bump` in empty tissue on GRID to T_END, its front at
@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import BlowUpError, ContaminatedMeasurementError, DomainError
+from .errors import BlowUpError, ContaminatedMeasurementError, DomainError, PositivityError
 from .model import laplacian, pde_rhs, reaction  # pde_rhs unused: bench/ traces the name
 from .wave import WaveProfile
 
@@ -35,6 +35,7 @@ __all__ = ["Grid", "FieldSeries", "SpeedMeasurement", "simulate", "front_positio
 STEP = 0.02  # RKC step, shrunk to divide each snapshot interval
 DAMPING = 2.0 / 13.0  # epsilon of the damped Chebyshev stability polynomial
 MASS_BALANCE_TOL = 1e-10  # carried vs measured sum w(A + I), relative
+POSITIVITY_TOL = 1e-12  # a snapshot fails with min A < -POSITIVITY_TOL max A
 
 BOUNDARY_MARGIN_CELLS = 10
 MAX_STORED_VALUES = 10**8  # snapshot values one run may keep: 0.8 GB of float64
@@ -106,11 +107,8 @@ def _snapshot_times(t_end: float, n: int) -> np.ndarray:
             f"t_end = {t_end:g} at snapshot_dt = {SNAPSHOT_DT:g} asks for {ratio:.6g} "
             f"snapshots of 2 x {n} values, over the cap of {MAX_STORED_VALUES:.0e}"
         )
-    times = SNAPSHOT_DT * np.arange(n_whole + 1)
-    if partial:
-        times = np.append(times, t_end)
-    else:
-        times[-1] = t_end
+    times = SNAPSHOT_DT * np.arange(n_whole + 1 + partial)
+    times[-1] = t_end
     return times
 
 
@@ -126,12 +124,15 @@ def _chebyshev(s: int) -> tuple[float, float, float, float, float]:
 
 
 def _stages(h_rho: float) -> int:
-    """The least s >= 2 stable at h_rho, that is with beta(s) >= h_rho, bisected (beta grows
-    with s); DomainError past MAX_STAGES."""
+    """The least s >= 2 stable at h_rho, that is with beta(s) >= h_rho: s doubles from 2 until
+    stable, then bisects above its half (beta grows with s); DomainError past MAX_STAGES."""
     if _chebyshev(MAX_STAGES)[0] < h_rho:
         raise DomainError(f"stiffness h rho = {h_rho:.3g} needs over {MAX_STAGES} RKC stages "
                           "per step; use a coarser grid")
-    return 2 + bisect.bisect_left(range(2, MAX_STAGES), h_rho, key=lambda s: _chebyshev(s)[0])
+    hi = 2
+    while hi < MAX_STAGES and _chebyshev(hi)[0] < h_rho:
+        hi = min(2 * hi, MAX_STAGES)
+    return bisect.bisect_left(range(hi), h_rho, hi // 2 + 1, key=lambda s: _chebyshev(s)[0])
 
 
 def _diffusion_taps(h: float, dx: float, s: int) -> np.ndarray:
@@ -172,24 +173,21 @@ def simulate(A0, I0, r: float, grid: Grid, t_end: float) -> FieldSeries:
     """Advance to t_end at production rate r >= 0, snapshot every SNAPSHOT_DT.
 
     Each snapshot interval is R(h/2) D(h) R(h) ... D(h) R(h/2), D(h) an RKC step of
-    A' = Lap(A), the correlation of A, reflected about each end point (the mirror ends
-    of `laplacian`), with the taps of `_diffusion_taps`, R(dt) `_react`. r and t_end
-    must be finite, t_end positive, the snapshots at most MAX_STORED_VALUES values, and
-    the RKC steps of at most STEP, which divide each snapshot interval exactly, at most
-    MAX_STAGES stages. Non-finite values, or a trapezoid mass w.(A + I) carried through
-    R (D moves none) that misses the measured one by over MASS_BALANCE_TOL relative,
-    raise BlowUpError carrying the series so far. Diagnostics: `steps`, `stages` per
-    step, largest step `h`, `rhs_evaluations` (Laplacians, s per snapshot interval),
-    worst `mass_balance_residual`.
+    A' = Lap(A), the correlation of A, reflected about each end point by one gather (the
+    mirror ends of `laplacian`), with the taps of `_diffusion_taps` for h, R(dt) `_react`.
+    r and t_end must be finite, t_end positive, the snapshots at most MAX_STORED_VALUES
+    values, and the RKC steps of at most STEP, which divide each snapshot interval exactly,
+    at most MAX_STAGES stages. Non-finite values, or a trapezoid mass w.(A + I) carried
+    through R (D moves none) that misses the measured one by over MASS_BALANCE_TOL, raise
+    BlowUpError, and A below -POSITIVITY_TOL max A PositivityError, each carrying the
+    series so far. Diagnostics: `steps`, `stages` per step, largest step `h`, `min_A`,
+    `rhs_evaluations` (Laplacians, s per distinct h), worst `mass_balance_residual`.
     """
     if not 0 <= r < math.inf:
         raise DomainError(f"production rate r must be >= 0 and finite, got {r}")
-    A = np.array(A0, dtype=float)
-    I = np.array(I0, dtype=float)
+    A, I = np.array(A0, dtype=float), np.array(I0, dtype=float)
     if A.shape != (grid.n,) or I.shape != (grid.n,):
-        raise ValueError(
-            f"fields must have shape ({grid.n},), got {A.shape} and {I.shape}"
-        )
+        raise ValueError(f"fields must have shape ({grid.n},), got {A.shape} and {I.shape}")
     if not 0.0 < t_end < math.inf:
         raise DomainError(f"t_end must be positive and finite, got {t_end}")
 
@@ -198,20 +196,24 @@ def simulate(A0, I0, r: float, grid: Grid, t_end: float) -> FieldSeries:
     times = _snapshot_times(t_end, grid.n)
     Y = np.array([A, I])
     snaps = [(A, I)]
-    diag = dict(steps=0, stages=s, h=0.0, rhs_evaluations=0, mass_balance_residual=0.0)
+    diag = dict(steps=0, stages=s, h=0.0, rhs_evaluations=0, mass_balance_residual=0.0,
+                min_A=float(A.min()))
     R, Ym = np.empty_like(Y), np.empty_like(Y)  # `_react` buffers, reused by the whole run
+    mirror = np.pad(np.arange(grid.n), s, mode="reflect")  # A's mirror ends as one gather
+    taps = {}  # per distinct step size h: a whole snapshot interval's and a last partial one's
 
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, len(times)):
             n_steps = max(1, math.ceil((times[k] - times[k - 1]) / STEP - 1e-12))
             h = float(times[k] - times[k - 1]) / n_steps
             mass = w @ (Y[0] + Y[1]) + _react(Y, 0.5 * h, r, w, R, Ym)
-            taps = _diffusion_taps(h, grid.dx, s)
+            if h not in taps:
+                taps[h] = _diffusion_taps(h, grid.dx, s)
+                diag["rhs_evaluations"] += s
             for step in range(n_steps):
-                Y[0] = np.correlate(np.pad(Y[0], s, mode="reflect"), taps)
+                Y[0] = np.correlate(Y[0][mirror], taps[h])
                 mass += _react(Y, h if step < n_steps - 1 else 0.5 * h, r, w, R, Ym)
             diag["steps"] += n_steps
-            diag["rhs_evaluations"] += s
             diag["h"] = max(diag["h"], h)
             measured, scale = w @ (Y[0] + Y[1]), w @ np.abs(Y).sum(axis=0)
             residual = float(abs(mass - measured) / (scale or 1.0))  # NaN if Y is not finite
@@ -222,6 +224,10 @@ def simulate(A0, I0, r: float, grid: Grid, t_end: float) -> FieldSeries:
                     f"{problem} by t = {times[k]:g} (last finite snapshot at t = {times[k - 1]:g})",
                     series=FieldSeries(grid, times[:k], snaps, diag))
             diag["mass_balance_residual"] = max(diag["mass_balance_residual"], residual)
+            diag["min_A"] = min(diag["min_A"], low := float(Y[0].min()))
+            if low < -POSITIVITY_TOL * Y[0].max():
+                raise PositivityError(f"A = {low:.3g} < -{POSITIVITY_TOL} max A at t = {times[k]:g}",
+                                      series=FieldSeries(grid, times[:k], snaps, diag))
             snaps.append(tuple(Y.copy()))
     return FieldSeries(grid, times, snaps, diag)
 

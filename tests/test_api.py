@@ -49,7 +49,8 @@ EXPORTED = {
     "acceptance": ["CRITERION_NAMES", "CriterionResult", "run_all"],
     "errors": ["DomainError", "OscillatoryRegimeError", "InvalidSegmentError",
                "NonConvergenceError", "NegativityError", "BudgetError", "BlowUpError",
-               "ContaminatedMeasurementError", "SplittingError", "ContourResolutionError"],
+               "PositivityError", "ContaminatedMeasurementError", "SplittingError",
+               "ContourResolutionError"],
 }
 
 ROOT = Path(__file__).resolve().parent.parent

@@ -245,6 +245,18 @@ class TestPde:
         assert code == 3
         assert "last finite snapshot at t =" in err
 
+    def test_unresolved_spike_exits_4(self, tmp_path, capsys):
+        # a one-point spike on the reference grid drives A negative through the RKC taps
+        xs = pde.GRID.xs()
+        spike = tmp_path / "spike.csv"
+        np.savetxt(spike, np.column_stack([xs, np.abs(xs) < 1e-9, np.zeros_like(xs)]),
+                   delimiter=",", header="x,A,I", comments="", fmt="%.17g")
+        code, out, err = run(capsys, "pde", "--initial", spike, "--out", tmp_path / "x")
+        assert code == 4
+        assert out == ""
+        assert "resolution failure: A = -0.0143 < -1e-12 max A at t = 0.5\n" in err
+        assert not list(tmp_path.glob("x*"))
+
     def test_negative_rate_exits_2(self, tmp_path, capsys):
         code, _, err = run(
             capsys, "pde", "--r", -1, "--grid", "321:-10:20", "--t-end", 1,

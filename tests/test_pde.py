@@ -14,6 +14,7 @@ from branchwaves.errors import (
     BlowUpError,
     ContaminatedMeasurementError,
     DomainError,
+    PositivityError,
 )
 from branchwaves.model import Params, laplacian, pde_rhs, reaction
 from branchwaves.pde import (
@@ -248,6 +249,18 @@ class TestSimulate:
         assert len(series.times) == len(series.snapshots) >= 1
         assert np.isfinite(series.snapshots[-1][0]).all()
 
+    def test_unresolved_spike_fails_positivity(self):
+        # the damped Chebyshev taps have negative entries, which a one-point spike on the
+        # reference grid meets at full weight: measured min A = -1.43e-2 at t = 0.5
+        g = pde.GRID
+        A = np.zeros(g.n)
+        A[np.argmin(np.abs(g.xs()))] = 1.0
+        with pytest.raises(PositivityError, match=r"^A = -0\.0143 < -1e-12 max A at t = 0\.5$") as info:
+            simulate(A, np.zeros(g.n), R0, g, 2.0)
+        series = info.value.series
+        assert len(series.times) == len(series.snapshots) == 1
+        assert series.diagnostics["min_A"] == pytest.approx(-1.43e-2, rel=1e-2)
+
     def test_shape_mismatch(self):
         g = Grid(0.0, 1.0, 21)
         with pytest.raises(ValueError):
@@ -393,7 +406,8 @@ class TestRkc:
         diag = bump_series.diagnostics
         assert diag["h"] == 0.02
         assert diag["steps"] == 800
-        assert diag["rhs_evaluations"] == diag["stages"] * (len(bump_series.times) - 1)
+        assert diag["rhs_evaluations"] == diag["stages"]  # one step size: the taps are built once
+        assert diag["min_A"] >= 0.0
         assert 0.0 <= diag["mass_balance_residual"] < 1e-13
 
     def test_source_term_breaks_mass_balance(self, monkeypatch):
@@ -422,6 +436,18 @@ class TestRkc:
         g = Grid(-20.0, 20.0, 401)
         series = simulate(*bump(g), 1.0, g, 1.0)
         reference = split_reference(*bump(g), 1.0, g, series.times)
+        for got, want in zip(series.snapshots, reference, strict=True):
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("grid, t_end", [(Grid(0.0, 0.0312, 64), 0.7),
+                                             (Grid(0.0, 0.1, 16), 1.3)])
+    def test_repeated_reflection_matches_plain_expressions(self, grid, t_end):
+        # at s >= n the mirror gather reflects more than once, as `np.pad` does; t_end ends
+        # on a partial snapshot interval, whose step size builds a second set of taps
+        series = simulate(*bump(grid), 1.0, grid, t_end)
+        assert series.diagnostics["stages"] >= grid.n
+        assert series.diagnostics["rhs_evaluations"] == 2 * series.diagnostics["stages"]
+        reference = split_reference(*bump(grid), 1.0, grid, series.times)
         for got, want in zip(series.snapshots, reference, strict=True):
             np.testing.assert_array_equal(got, want)
 
@@ -470,7 +496,7 @@ class TestRkc:
         assert code == 0
         assert diag["stages"] == 2
         assert diag["steps"] == 100
-        assert diag["rhs_evaluations"] == 8  # 2 stages x 4 snapshot intervals
+        assert diag["rhs_evaluations"] == 2  # 2 stages x 1 step size
         assert diag["h"] == 0.02
         assert diag["mass_balance_residual"] < 1e-13
 
