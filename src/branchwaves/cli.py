@@ -319,6 +319,8 @@ def cmd_pde(args: argparse.Namespace) -> int:
         source = f"the bump of amplitude {args.amplitude:g} and width {args.width:g}"
     if not (np.isfinite(A0).all() and np.isfinite(I0).all()):
         raise _UsageProblem(f"{source} holds a non-numeric or non-finite A or I")
+    if (A0 < 0.0).any() or (I0 < 0.0).any():
+        raise _UsageProblem(f"{source} holds a negative A or I, outside the model's domain")
 
     series = pde.simulate(A0, I0, args.r, grid, t_end=args.t_end)
 

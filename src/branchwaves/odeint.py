@@ -6,9 +6,11 @@ first-same-as-last stages, RMS error norm, safety 0.9, step factors in
 [0.2, 10] (at most 1 after a rejection), initial-step rule and underflow
 test. It runs forward from z = 0 with steps set by the tolerance alone,
 cuts each step longer than SAMPLE_DZ into ceil(h / SAMPLE_DZ) equal parts
-read off its quartic dense output, and computes the three shooting events
-on every sample as plain arithmetic; a falling crossing between two
-samples is refined on that same interpolant.
+read off its quartic dense output (computed once, in the loop), and
+computes the three shooting events, whose thresholds every call passes, on
+every sample as plain arithmetic, abs, min and max written as conditionals
+that keep the builtins' results; a falling crossing between two samples is
+refined on that same interpolant.
 """
 
 from __future__ import annotations
@@ -105,29 +107,21 @@ def _initial_step(rhs, y, f, z_end) -> float:
     return min(100 * h0, h1, z_end)
 
 
-def _quartic(h, y, f, k3, k4, k5, k6, k7):
-    """One component's Horner coefficients of its step's quartic dense output:
-    y(z + x h) = y + x (q1 + x (q2 + x (q3 + x q4)))."""
-    return (y, h * f,
-            h * (D12 * f + D32 * k3 + D42 * k4 + D52 * k5 + D62 * k6 + D72 * k7),
-            h * (D13 * f + D33 * k3 + D43 * k4 + D53 * k5 + D63 * k6 + D73 * k7),
-            h * (D14 * f + D34 * k3 + D44 * k4 + D54 * k5 + D64 * k6 + D74 * k7))
-
-
 def _at(coeffs, x):
-    """The dense output at the fraction x of its step, from the `_quartic` of each component."""
+    """The dense output at the fraction x of its step, from each component's Horner
+    coefficients (y, q1, q2, q3, q4): y(z + x h) = y + x (q1 + x (q2 + x (q3 + x q4)))."""
     (ya, a1, a2, a3, a4), (yb, b1, b2, b3, b4), (yi, i1, i2, i3, i4) = coeffs
     return (ya + x * (a1 + x * (a2 + x * (a3 + x * a4))),
             yb + x * (b1 + x * (b2 + x * (b3 + x * b4))),
             yi + x * (i1 + x * (i2 + x * (i3 + x * i4))))
 
 
-def _refine(g, lo, g_lo, hi, g_hi) -> float:
-    """Root of g in [lo, hi], given g_lo > 0 >= g_hi: bisection down to EVENT_ZTOL,
-    then the secant of the final bracket."""
+def _refine(coeffs, z, h, k, stops, lo, g_lo, hi, g_hi) -> float:
+    """Root in [lo, hi] of event k on the dense output `coeffs` of the step from z over h,
+    given g_lo > 0 >= g_hi: bisection down to EVENT_ZTOL, then the final bracket's secant."""
     while hi - lo > EVENT_ZTOL:
         mid = 0.5 * (lo + hi)
-        g_mid = g(mid)
+        g_mid = _events(_at(coeffs, (mid - z) / h), *stops)[k]
         if g_mid > 0.0:
             lo, g_lo = mid, g_mid
         else:
@@ -140,27 +134,25 @@ def _events(y, neg_tol, stop_tol):
     return y[1], y[0] + neg_tol, max(abs(y[0]), abs(y[1])) - stop_tol
 
 
-def integrate(
-    rhs: Callable, y0, z_end: float, stops: tuple[float, float] | None = None
-) -> Trajectory:
+def integrate(rhs: Callable, y0, z_end: float, stops: tuple[float, float]) -> Trajectory:
     """Integrate ``y' = rhs(z, y)`` forward over [0, z_end], sampled at most SAMPLE_DZ apart.
 
-    The state is the wave triple (a, b, i): ``rhs`` receives it as a tuple
-    of floats and returns three numbers. States come back as an (N, 3)
-    float array. With ``stops = (neg_tol, stop_tol)`` every sample is
-    checked for the falling crossings of `_events`: b through 0 is
-    recorded (EV_MAX), and a + neg_tol (EV_NEG) or max(|a|, |b|) - stop_tol
-    (EV_STOP) through 0 ends the run at the refined abscissa; ``None``
-    watches nothing. Raises :class:`~branchwaves.errors.NonConvergenceError`
-    (carrying the partial trajectory) on step underflow or when
-    ``MAX_STEPS`` accepted steps are exhausted before reaching ``z_end``.
+    The state is the wave triple (a, b, i): ``rhs`` receives it as a tuple of floats and
+    returns three numbers. States come back as an (N, 3) float array. Every sample is
+    checked, at the required ``stops = (neg_tol, stop_tol)``, for the falling crossings of
+    `_events`: b through 0 is recorded (EV_MAX), and a + neg_tol (EV_NEG) or
+    max(|a|, |b|) - stop_tol (EV_STOP) through 0 ends the run at the refined abscissa; stops
+    no sample crosses, such as (inf, -inf), watch EV_MAX alone. A step's quartic dense output is
+    computed once, when the step has inner samples or a crossing, and the loop's abs, min
+    and max are conditionals that keep the builtins' results. Raises
+    :class:`~branchwaves.errors.NonConvergenceError` (carrying the partial trajectory) on
+    step underflow or when ``MAX_STEPS`` accepted steps are exhausted before ``z_end``.
     """
     if not z_end > 0.0:
         raise DomainError(f"z_end must be positive, got {z_end}")
     if len(y0) != 3:
         raise DomainError(f"y0 must hold the three components (a, b, i), got {len(y0)}")
-    watch = stops is not None
-    neg_tol, stop_tol = stops if watch else (0.0, 0.0)
+    neg_tol, stop_tol = stops
     rtol, atol, sample_dz, max_steps = REL_TOL, ABS_TOL, SAMPLE_DZ, MAX_STEPS
     z = 0.0
     a, b, i = (float(v) for v in y0)
@@ -169,30 +161,30 @@ def integrate(
     zs, ys, hits = [z], [a, b, i], []  # ys flat, three floats per sample
     p0, p1, p2 = _events((a, b, i), neg_tol, stop_tol)
     accepted = rejected = refined = dense_samples = 0
-    n_rhs = 2
 
     def partial() -> Trajectory:
         return Trajectory(np.array(zs), np.array(ys).reshape(-1, 3), hits, {
             "accepted_steps": accepted, "rejected_steps": rejected,
-            "rhs_evaluations": n_rhs, "refined_events": refined, "dense_samples": dense_samples})
+            "rhs_evaluations": 2 + 6 * (accepted + rejected), "refined_events": refined,
+            "dense_samples": dense_samples})
 
-    def dense():  # the `_quartic` of each component over the step just taken
-        return (_quartic(h, a, fa, k3a, k4a, k5a, k6a, k7a),
-                _quartic(h, b, fb, k3b, k4b, k5b, k6b, k7b),
-                _quartic(h, i, fi, k3i, k4i, k5i, k6i, k7i))
-
+    # abs, min and max are conditionals here, as calls they took a sixth of a battery shot;
+    # each keeps the builtin's result: max(x, y) keeps x unless y > x and min(x, y) keeps x
+    # unless y < x, NaN included, and -x if x < 0.0 else x differs from abs at -0.0 alone,
+    # where each use agrees: atol + m rtol is atol, and m - stop_tol is only compared
     while z < z_end:
         if accepted >= max_steps:
             raise NonConvergenceError(f"no convergence within {max_steps} steps", partial())
         min_step = 10.0 * (math.nextafter(z, math.inf) - z)
-        h_abs = max(h_abs, min_step)
-        retried = False
+        h_abs = min_step if min_step > h_abs else h_abs
+        cap = MAX_FACTOR  # on the step's growth; 1 after a rejection
         while True:
             if h_abs < min_step:
                 raise NonConvergenceError("step size underflow", partial())
-            z_new = min(z + h_abs, z_end)
+            z_new = z + h_abs
+            if z_end < z_new:
+                z_new = z_end
             h = h_abs = z_new - z
-            n_rhs += 6
             k2a, k2b, k2i = rhs(z + C2 * h, (a + h * (A21 * fa), b + h * (A21 * fb),
                                              i + h * (A21 * fi)))
             k3a, k3b, k3i = rhs(z + C3 * h, (a + h * (A31 * fa + A32 * k2a),
@@ -213,63 +205,81 @@ def integrate(
             nb = b + h * (B1 * fb + B3 * k3b + B4 * k4b + B5 * k5b + B6 * k6b)
             ni = i + h * (B1 * fi + B3 * k3i + B4 * k4i + B5 * k5i + B6 * k6i)
             k7a, k7b, k7i = rhs(z_new, (na, nb, ni))
-            error_norm = _rms(
-                h * (E1 * fa + E3 * k3a + E4 * k4a + E5 * k5a + E6 * k6a + E7 * k7a)
-                / (atol + max(abs(a), abs(na)) * rtol),
-                h * (E1 * fb + E3 * k3b + E4 * k4b + E5 * k5b + E6 * k6b + E7 * k7b)
-                / (atol + max(abs(b), abs(nb)) * rtol),
-                h * (E1 * fi + E3 * k3i + E4 * k4i + E5 * k5i + E6 * k6i + E7 * k7i)
-                / (atol + max(abs(i), abs(ni)) * rtol))
+            # `_rms` of the error over the scales atol + max(|y|, |y_new|) rtol, written out
+            ma, mna = -a if a < 0.0 else a, -na if na < 0.0 else na
+            mb, mnb = -b if b < 0.0 else b, -nb if nb < 0.0 else nb
+            mi, mni = -i if i < 0.0 else i, -ni if ni < 0.0 else ni
+            ea = (h * (E1 * fa + E3 * k3a + E4 * k4a + E5 * k5a + E6 * k6a + E7 * k7a)
+                  / (atol + (mna if mna > ma else ma) * rtol))
+            eb = (h * (E1 * fb + E3 * k3b + E4 * k4b + E5 * k5b + E6 * k6b + E7 * k7b)
+                  / (atol + (mnb if mnb > mb else mb) * rtol))
+            ei = (h * (E1 * fi + E3 * k3i + E4 * k4i + E5 * k5i + E6 * k6i + E7 * k7i)
+                  / (atol + (mni if mni > mi else mi) * rtol))
+            error_norm = math.sqrt(ea * ea + eb * eb + ei * ei) / 3 ** 0.5
             if error_norm < 1.0:
-                factor = (MAX_FACTOR if error_norm == 0.0
-                          else min(MAX_FACTOR, SAFETY * error_norm ** -0.2))
-                h_abs *= min(1.0, factor) if retried else factor
+                factor = SAFETY * error_norm ** -0.2 if error_norm != 0.0 else cap
+                h_abs *= factor if factor < cap else cap
                 break
-            h_abs *= max(MIN_FACTOR, SAFETY * error_norm ** -0.2)
-            retried = True
+            factor = SAFETY * error_norm ** -0.2
+            h_abs *= factor if factor > MIN_FACTOR else MIN_FACTOR
+            cap = 1.0
             rejected += 1
         accepted += 1
 
-        # samples at most sample_dz apart: a longer step is cut into equal parts whose
-        # inner ends lie on the dense output, and the events are checked at every sample
+        # samples at most sample_dz apart: a longer step is cut into equal parts on its dense
+        # output, which a step without inner samples needs only for a crossing at its end
+        e0, e1, e2 = nb, na + neg_tol, (mnb if mnb > mna else mna) - stop_tol
         parts = math.ceil(h / sample_dz) if h > sample_dz else 1
-        coeffs = dense() if parts > 1 else None
+        if parts > 1 or p0 > 0.0 >= e0 or p1 > 0.0 >= e1 or p2 > 0.0 >= e2:
+            # the Horner coefficients of `_at`, (a, a1, a2, a3, a4) and likewise for b and i
+            a1, b1, i1 = h * fa, h * fb, h * fi
+            a2 = h * (D12 * fa + D32 * k3a + D42 * k4a + D52 * k5a + D62 * k6a + D72 * k7a)
+            b2 = h * (D12 * fb + D32 * k3b + D42 * k4b + D52 * k5b + D62 * k6b + D72 * k7b)
+            i2 = h * (D12 * fi + D32 * k3i + D42 * k4i + D52 * k5i + D62 * k6i + D72 * k7i)
+            a3 = h * (D13 * fa + D33 * k3a + D43 * k4a + D53 * k5a + D63 * k6a + D73 * k7a)
+            b3 = h * (D13 * fb + D33 * k3b + D43 * k4b + D53 * k5b + D63 * k6b + D73 * k7b)
+            i3 = h * (D13 * fi + D33 * k3i + D43 * k4i + D53 * k5i + D63 * k6i + D73 * k7i)
+            a4 = h * (D14 * fa + D34 * k3a + D44 * k4a + D54 * k5a + D64 * k6a + D74 * k7a)
+            b4 = h * (D14 * fb + D34 * k3b + D44 * k4b + D54 * k5b + D64 * k6b + D74 * k7b)
+            i4 = h * (D14 * fi + D34 * k3i + D44 * k4i + D54 * k5i + D64 * k6i + D74 * k7i)
         for j in range(1, parts + 1):
-            if j < parts:
-                z_hi, y_hi = z + h * (j / parts), _at(coeffs, j / parts)
+            if j < parts:  # `_at` and `_events`, written out: this runs on every inner sample
+                x = j / parts
+                z_hi = z + h * x
+                sa = a + x * (a1 + x * (a2 + x * (a3 + x * a4)))
+                sb = b + x * (b1 + x * (b2 + x * (b3 + x * b4)))
+                si = i + x * (i1 + x * (i2 + x * (i3 + x * i4)))
+                ma, mb = -sa if sa < 0.0 else sa, -sb if sb < 0.0 else sb
+                g0, g1, g2 = sb, sa + neg_tol, (mb if mb > ma else ma) - stop_tol
             else:
-                z_hi, y_hi = z_new, (na, nb, ni)
-            # `_events`, written out: this runs on every sample
-            sa, sb = y_hi[0], y_hi[1]
-            g0, g1, g2 = sb, sa + neg_tol, max(abs(sa), abs(sb)) - stop_tol
-            if watch and (p0 > 0.0 >= g0 or p1 > 0.0 >= g1 or p2 > 0.0 >= g2):
-                coeffs = coeffs or dense()
+                z_hi, sa, sb, si, g0, g1, g2 = z_new, na, nb, ni, e0, e1, e2
+            if p0 > 0.0 >= g0 or p1 > 0.0 >= g1 or p2 > 0.0 >= g2:
+                coeffs = (a, a1, a2, a3, a4), (b, b1, b2, b3, b4), (i, i1, i2, i3, i4)
                 crossings = []  # (z, event index)
                 for k, g_lo, g_hi in ((EV_MAX, p0, g0), (EV_NEG, p1, g1), (EV_STOP, p2, g2)):
                     if g_lo > 0.0 >= g_hi:
                         if g_hi == 0.0:
                             z_e = z_hi
                         else:
-                            z_e = _refine(lambda zq: _events(_at(coeffs, (zq - z) / h),
-                                                             neg_tol, stop_tol)[k],
-                                          zs[-1], g_lo, z_hi, g_hi)
+                            z_e = _refine(coeffs, z, h, k, stops, zs[-1], g_lo, z_hi, g_hi)
                             refined += 1
                         crossings.append((z_e, k))
                 crossings.sort()
 
                 for z_e, k in crossings:
-                    y_e = _at(coeffs, (z_e - z) / h) if z_e < z_hi else y_hi
+                    y_e = _at(coeffs, (z_e - z) / h) if z_e < z_hi else (sa, sb, si)
                     hits.append(EventRecord(k, z_e, np.array(y_e)))
                     if k != EV_MAX:
                         if z_e > zs[-1]:
                             zs.append(z_e)
                             ys += y_e
+                        dense_samples += j - 1
                         return partial()
 
             zs.append(z_hi)
-            ys += y_hi
-            dense_samples += j < parts
+            ys += (sa, sb, si)
             p0, p1, p2 = g0, g1, g2
+        dense_samples += parts - 1
         z, a, b, i, fa, fb, fi = z_new, na, nb, ni, k7a, k7b, k7i
 
     return partial()

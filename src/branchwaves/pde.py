@@ -125,12 +125,12 @@ def _chebyshev(s: int) -> tuple[float, float, float, float, float]:
 
 def _stages(h_rho: float) -> int:
     """The least s >= 2 stable at h_rho, that is with beta(s) >= h_rho: s doubles from 2 until
-    stable, then bisects above its half (beta grows with s); DomainError past MAX_STAGES."""
-    if _chebyshev(MAX_STAGES)[0] < h_rho:
-        raise DomainError(f"stiffness h rho = {h_rho:.3g} needs over {MAX_STAGES} RKC stages "
-                          "per step; use a coarser grid")
+    stable, then bisects above its half (beta grows with s); DomainError if MAX_STAGES is not."""
     hi = 2
-    while hi < MAX_STAGES and _chebyshev(hi)[0] < h_rho:
+    while _chebyshev(hi)[0] < h_rho:
+        if hi == MAX_STAGES:
+            raise DomainError(f"stiffness h rho = {h_rho:.3g} needs over {MAX_STAGES} RKC "
+                              "stages per step; use a coarser grid")
         hi = min(2 * hi, MAX_STAGES)
     return bisect.bisect_left(range(hi), h_rho, hi // 2 + 1, key=lambda s: _chebyshev(s)[0])
 

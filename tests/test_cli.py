@@ -212,11 +212,13 @@ class TestPde:
         assert open(payload2["snapshots"][0]).read() == open(handoff).read()
 
     def test_blow_up_exits_3(self, tmp_path, capsys):
+        # A up to 1000, far past the 0 <= A <= 1 the reaction substeps are sized for,
+        # overflows before t = 0.5
         xs = np.linspace(-10.0, 10.0, 201)
         bad = tmp_path / "bad.csv"
         np.savetxt(
             bad,
-            np.column_stack([xs, np.exp(-(xs**2)), np.full_like(xs, -12.0)]),
+            np.column_stack([xs, 1e3 * np.exp(-(xs**2)), np.zeros_like(xs)]),
             delimiter=",",
             header="x,A,I",
             comments="",
@@ -233,7 +235,7 @@ class TestPde:
         bad = tmp_path / "bad.csv"
         np.savetxt(
             bad,
-            np.column_stack([xs, np.exp(-(xs**2)), np.full_like(xs, -12.0)]),
+            np.column_stack([xs, 1e3 * np.exp(-(xs**2)), np.zeros_like(xs)]),
             delimiter=",",
             header="x,A,I",
             comments="",
@@ -301,6 +303,28 @@ class TestPde:
         assert code == 64
         assert "the bump of amplitude" in err
         assert "non-finite" in err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("column", [1, 2], ids=["A", "I"])
+    def test_negative_initial_data_exits_64(self, tmp_path, capsys, column):
+        # one negative value of 201, outside the model's domain, is refused before any step
+        xs = np.linspace(-30.0, 120.0, 201)
+        data = np.column_stack([xs, np.exp(-xs * xs), np.zeros_like(xs)])
+        data[100, column] = -0.5
+        path = tmp_path / "negative.csv"
+        np.savetxt(path, data, delimiter=",", header="x,A,I", comments="", fmt="%.17g")
+        code, out, err = run(capsys, "pde", "--initial", path, "--t-end", 2,
+                             "--out", tmp_path / "x")
+        assert code == 64
+        assert out == ""
+        assert f"initial data {path} holds a negative A or I" in err
+        assert not list(tmp_path.glob("x*"))
+
+    def test_negative_amplitude_exits_64(self, tmp_path, capsys):
+        code, out, err = run(capsys, "pde", "--amplitude", "-0.5", "--out", tmp_path / "x")
+        assert code == 64
+        assert out == ""
+        assert "the bump of amplitude -0.5 and width 1 holds a negative A or I" in err
         assert not list(tmp_path.iterdir())
 
     def test_zero_width_off_origin_exits_64(self, tmp_path, capsys):

@@ -353,14 +353,14 @@ class TestRkc:
 
     def test_stage_cap(self, monkeypatch):
         # 16 points over 1e-4 would need about 1e5 stages per step, an O(s^2)
-        # search of hours; one evaluation at the cap rejects it first
+        # search of hours; the doubling reaches the cap in ten evaluations and stops there
         calls = []
         chebyshev = pde._chebyshev
         monkeypatch.setattr(pde, "_chebyshev", lambda s: calls.append(s) or chebyshev(s))
         g = Grid(0.0, 1e-4, 16)
         with pytest.raises(DomainError, match=f"over {pde.MAX_STAGES} RKC stages"):
             simulate(*bump(g), R0, g, 1.0)
-        assert calls == [pde.MAX_STAGES]
+        assert calls == [2, 4, 8, 16, 32, 64, 128, 256, 512, pde.MAX_STAGES]
 
     def test_beta_grows_with_s(self):
         # the precondition of the bisection in `_stages`
