@@ -26,11 +26,11 @@ is h^5 times the variation of the coefficients, which falls with the wave
 down the tails, so each leg runs on a mesh graded by the wave's own decay:
 the step is `step` where max(|a|, |b|) peaks and grows as that maximum to
 the power -1/5, which keeps fourth order with far fewer steps.  One
-`evans` call marches a whole array of gammas together; the exponentials of
-a block of steps for all of them are one stack of about 512 matrices (one
-step's when the gammas alone are more), never the whole (gamma, step)
-field.  `expm` is Pade-13 scaling and squaring (Higham, SIAM J. Matrix
-Anal. Appl. 26, 2005), a power per matrix and the Pade sums in place.
+`evans` call marches a whole array of gammas together, `_BLOCK` of them at
+a time; the exponentials of a block of steps for those are one stack of at
+most `_BLOCK` matrices, never the whole (gamma, step) field.  `expm` is
+Pade-13 scaling and squaring (Higham, SIAM J. Matrix Anal. Appl. 26,
+2005), a power per matrix and the Pade sums in place.
 The wave is real, so E(conj gamma) = conj E(gamma) (Sandstede, Handbook of
 Dynamical Systems II, 2002): `evans` marches each conjugate pair once, and
 `contour_of_S` mirrors its points exactly, so a sweep marches half of them.
@@ -85,14 +85,16 @@ _HALVING_TOL = 0.1
 # a sweep whose argument misses a whole number of turns by this much is unresolved
 CLOSURE_TOL = 0.1
 _MAX_REFINE = 12
-# matrices per stacked exponential in the march: enough that a batch of a
-# few gammas pays numpy's per-call cost once per block of steps, not once
-# per step; on a 2-vCPU Xeon the sweep time was flat from 512 to 2048
-# matrices while memory grew with the block
-_BLOCK = 512
+# matrices per stacked exponential and gammas per march: each expm call has a
+# fixed cost (sort, Pade sums, adjugate, squarings).  A default `evans` op on a
+# 2-vCPU Xeon (30 alternated rounds, one CPU) took 88.6 ms with the old expm at
+# 512, 73.1 ms at 1024, 68.0 ms at 2048, at 34.5, 34.8 and 36.9 MB peak RSS:
+# 1024 keeps the old memory, 2048 would add 2 MB (6%) for 7% more speed
+_BLOCK = 1024
 _RE_MARGIN = 1e-10
-# a contour has about 2.25 base_n points, marched at once: 22,501 take about 30 s
-# on a 2-vCPU host, while 10**9 would allocate tens of GB before the first value
+# a contour has about 2.25 base_n points, marched _BLOCK gammas at a time: 22,501
+# take about 2.5 s on a 2-vCPU host, while 10**9 would allocate tens of GB of
+# contour and values before the first value
 MAX_CONTOUR_N = 10**4
 # r_min, r_max, base_n of the default contour: `evans --contour`, `evans-winding`
 CONTOUR = (1e-3, 1000.0, 200)
@@ -225,11 +227,12 @@ _ADJUGATE = np.array([[4, 8, 5, 7], [2, 7, 1, 8], [1, 5, 2, 4], [5, 6, 3, 8], [0
                       [2, 3, 0, 5], [3, 7, 4, 6], [1, 6, 0, 7], [0, 4, 1, 3]]).T.reshape(4, 3, 3)
 
 
-def _mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Products of 3x3 matrices laid out (3, 3, G), one per last index, by broadcasting."""
-    out = x[:, 0, None] * y[0]
-    out += x[:, 1, None] * y[1]
-    out += x[:, 2, None] * y[2]
+def _mul(x: np.ndarray, y: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """Products of 3x3 matrices laid out (3, 3, G), one per last index, by broadcasting,
+    into `out` with `tmp` as scratch."""
+    np.multiply(x[:, 0, None], y[0], out=out)
+    out += np.multiply(x[:, 1, None], y[1], out=tmp)
+    out += np.multiply(x[:, 2, None], y[2], out=tmp)
     return out
 
 
@@ -241,8 +244,10 @@ def expm(A: np.ndarray) -> np.ndarray:
     sorted by the least s with ||A||_1 / 2^s <= theta_13, the stack squares
     a shrinking tail slice.  The Pade sums run in place, real coefficients on
     float views and the identity terms on the diagonal alone.  The adjugate
-    inverts the denominator, well conditioned once scaled.  A matrix with a
-    non-finite entry gives a non-finite result.
+    inverts the denominator, well conditioned once scaled.  Past the scaled
+    stack every step writes into one of six buffers of its size, so the
+    working set is seven stacks from the first product to the last.  A
+    matrix with a non-finite entry gives a non-finite result.
     """
     A = np.asarray(A, dtype=complex)
     M = np.ascontiguousarray(A.reshape(-1, 3, 3).transpose(1, 2, 0))
@@ -254,33 +259,42 @@ def expm(A: np.ndarray) -> np.ndarray:
     M, s = np.take(M, order, axis=2), s[order]
     M /= np.ldexp(1.0, s)
     b = _PADE13
-    M2 = _mul(M, M)
-    M4 = _mul(M2, M2)
-    M6 = _mul(M4, M2)
-    f6, f4, f2 = (x.view(float) for x in (M6, M4, M2))
-    tmp = np.empty_like(f2)
+    M2, M4, M6, U, S, T = (np.empty_like(M) for _ in range(6))
+    _mul(M, M, M2, T)
+    _mul(M2, M2, M4, T)
+    _mul(M4, M2, M6, T)
+    f6, f4, f2, tmp = (x.view(float) for x in (M6, M4, M2, T))
 
     def add(x, *terms):  # x + c p for each (c, p) in turn, summed into x in place
         for c, p in terms:
             x += np.multiply(p, c, out=tmp)
         return x
-    U = _mul(M6, add(f6 * b[13], (b[11], f4), (b[9], f2)).view(complex))
-    add(U.view(float), (b[7], f6), (b[5], f4), (b[3], f2))
-    U.reshape(9, -1)[::4] += b[1]
-    U = _mul(M, U)
-    V = _mul(M6, add(f6 * b[12], (b[10], f4), (b[8], f2)).view(complex))
+    # U: the inner sum in U, M6 times it in S, M times that in U
+    add(np.multiply(f6, b[13], out=U.view(float)), (b[11], f4), (b[9], f2))
+    add(_mul(M6, U, S, T).view(float), (b[7], f6), (b[5], f4), (b[3], f2))
+    S.reshape(9, -1)[::4] += b[1]
+    _mul(M, S, U, T)
+    # V: the inner sum in S, M6 times it in M, which is spent
+    add(np.multiply(f6, b[12], out=S.view(float)), (b[10], f4), (b[8], f2))
+    V = _mul(M6, S, M, T)
     add(V.view(float), (b[6], f6), (b[4], f4), (b[2], f2))
     V.reshape(9, -1)[::4] += b[0]
-    q = V - U
-    w, x, y, z = (q.reshape(9, -1)[i] for i in _ADJUGATE)
-    adj = w * x - y * z
-    det = q[0, 0] * adj[0, 0] + q[0, 1] * adj[1, 0] + q[0, 2] * adj[2, 0]
-    R = _mul(adj, np.add(V, U, out=V))
+    q = np.subtract(V, U, out=M2).reshape(9, -1)
+    # the four operands in spent buffers; "clip" skips take's copy for `out`
+    w, x, y, z = (np.take(q, i, axis=0, out=o, mode="clip") for i, o in zip(_ADJUGATE, (M4, M6, S, T)))
+    adj = np.multiply(w, x, out=M4)
+    adj -= np.multiply(y, z, out=M6)
+    det = q[0] * adj[0, 0] + q[1] * adj[1, 0] + q[2] * adj[2, 0]
+    R = _mul(adj, np.add(V, U, out=V), U, T)
     R /= det
-    for k in range(int(s.max(initial=0))):
-        tail = slice(np.searchsorted(s, k, side="right"), None)
-        R[:, :, tail] = _mul(R[:, :, tail], R[:, :, tail])
-    return R[:, :, np.argsort(order)].transpose(2, 0, 1).reshape(A.shape)
+    for tail in np.searchsorted(s, np.arange(s.max(initial=0)), side="right"):
+        # into contiguous buffers: a product into strided slices takes about 1.75x as long
+        n = s.size - tail
+        R[:, :, tail:] = _mul(R[:, :, tail:], R[:, :, tail:],
+                              *(x.reshape(-1)[:9 * n].reshape(3, 3, n) for x in (S, T)))
+    out = np.empty((s.size, 3, 3), dtype=complex)
+    out[order] = R.transpose(2, 0, 1)
+    return out.reshape(A.shape)
 
 
 def _legs(setup: SpectralSetup, step: float) -> tuple[np.ndarray, np.ndarray]:
@@ -332,8 +346,9 @@ def _march(
     wedge lift on the rear leg and the identity on the front one.  The
     generator is affine in gamma, M0(z) + gamma D, so the Magnus exponent of
     the step of length h_k is P_k + gamma Q_k - shift h_k, with P and Q
-    built once for the mesh.  The exponentials are taken a block of steps
-    at a time, about _BLOCK matrices per stack, so a few gammas cost a few
+    built once for the mesh.  At most _BLOCK gammas come in (`evans` cuts
+    more into chunks), and the exponentials are taken a block of steps at a
+    time, at most _BLOCK matrices per stack, so a few gammas cost a few
     stacked calls, not one per step.
     """
     h = np.diff(mesh)
@@ -349,14 +364,17 @@ def _march(
     P = lift(0.5 * hk * (m1 + m2) + k * (m2 @ m1 - m1 @ m2))
     Q = lift(hk * d + k * ((m2 - m1) @ d - d @ (m2 - m1)))
     g = gammas[:, None, None, None]
-    per = max(1, _BLOCK // max(gammas.size, 1))
+    per = _BLOCK // gammas.size
     for b in range(0, h.size, per):
-        shift_h = (shift[:, None] * h[b:b + per])[:, :, None, None] * np.eye(3)
-        props = expm(P[b:b + per] + g * Q[b:b + per] - shift_h)
+        props = expm(P[b:b + per] + g * Q[b:b + per]
+                     - (shift[:, None] * h[b:b + per])[:, :, None, None] * np.eye(3))
+        stack = props.shape[0] * props.shape[1]
         tally["stacked"] += 1
-        tally["matrices"] += props.shape[0] * props.shape[1]
+        tally["matrices"] += stack
+        tally["largest_stack"] = max(tally["largest_stack"], stack)
         for e in np.moveaxis(props, 1, 0):
             Y = np.einsum("gij,gj->gi", e, Y)
+        del props  # spent: free it before the next stack is built
     return Y
 
 
@@ -393,7 +411,8 @@ def evans(
     raises.  Each conjugate pair and each repeated gamma is marched once,
     from the member with Im(gamma) >= 0.  A `tally` given gains the number
     of stacked exponentials (`stacked`), of the matrices in them
-    (`matrices`) and of the distinct gammas marched (`gammas`).
+    (`matrices`) and of the distinct gammas marched (`gammas`), and keeps
+    the most matrices one stack held (`largest_stack`).
     """
     legs = _legs(setup, step)
     gammas = np.asarray(gamma, dtype=complex)
@@ -411,8 +430,10 @@ def evans(
             raise
     tally = Counter() if tally is None else tally
     tally["gammas"] += upper.size
-    V = _march(V, shifts[:, 0], upper, setup, legs[0], _wedge_square, tally)
-    X = _march(X, shifts[:, 1], upper, setup, legs[1], lambda m: m, tally)
+    for lo in range(0, upper.size, _BLOCK):
+        part = slice(lo, lo + _BLOCK)
+        V[part] = _march(V[part], shifts[part, 0], upper[part], setup, legs[0], _wedge_square, tally)
+        X[part] = _march(X[part], shifts[part, 1], upper[part], setup, legs[1], lambda m: m, tally)
     values = (V[:, 0] * X[:, 2] - V[:, 1] * X[:, 1] + V[:, 2] * X[:, 0])[inverse]
     values = np.where(lower, values.conj(), values)
     return complex(values[0]) if gammas.ndim == 0 else values.reshape(gammas.shape)
@@ -559,9 +580,10 @@ def evans_winding(setup: SpectralSetup, contour: Sequence[complex]) -> Winding:
 
     The `Winding` comes back with `diagnostics`: the number of
     `evaluations`, the `halving_probes`, the stacked exponentials of both,
-    the matrices in them and the distinct gammas marched (`propagators`),
-    the `steps` of the rear and the front mesh at DEFAULT_STEP, the
-    `bisections`, `min_abs_E` over the values and the worst relative
+    the matrices in them, the distinct gammas marched and the largest
+    stack (`propagators`), the `steps` of the rear and the front mesh at
+    DEFAULT_STEP, the z and max(|a|, |b|) where each leg starts
+    (`leg_starts`), the `bisections`, `min_abs_E` over the values and the worst relative
     change under step halving (`halving_rel_diff`).
     """
     tally: Counter = Counter()
@@ -583,11 +605,14 @@ def evans_winding(setup: SpectralSetup, contour: Sequence[complex]) -> Winding:
             f"(relative), more than {_HALVING_TOL:g}"
         )
 
+    legs = _legs(setup, DEFAULT_STEP)
     return sweep._replace(diagnostics={
         "evaluations": sweep.gammas.size,
         "halving_probes": len(probe),
-        "propagators": {k: tally[k] for k in ("stacked", "matrices", "gammas")},
-        "steps": dict(zip(("rear", "front"), (m.size - 1 for m in _legs(setup, DEFAULT_STEP)))),
+        "propagators": {k: tally[k] for k in ("stacked", "matrices", "gammas", "largest_stack")},
+        "steps": dict(zip(("rear", "front"), (m.size - 1 for m in legs))),
+        "leg_starts": {side: {"z": float(m[0]), "max_ab": float(np.abs(setup._spline(m[0])[:2]).max())}
+                       for side, m in zip(("rear", "front"), legs)},
         "bisections": sweep.gammas.size - n,
         "min_abs_E": float(np.abs(sweep.values).min()),
         "halving_rel_diff": float(rel[worst]),

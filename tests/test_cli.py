@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from branchwaves import acceptance, analysis, cli, errors, pde, spectral
+from branchwaves import acceptance, analysis, cli, errors, pde, spectral, wave
 
 
 @pytest.fixture
@@ -523,22 +523,30 @@ class TestEvans:
                                     "--contour", "0.1:10:32", "--out", out)
         assert code == 0
         diag = payload["diagnostics"]
-        assert set(diag) == {"evaluations", "halving_probes", "propagators", "steps",
+        assert set(diag) == {"evaluations", "halving_probes", "propagators", "steps", "leg_starts",
                              "bisections", "min_abs_E", "halving_rel_diff"}
-        assert set(diag["propagators"]) == {"stacked", "matrices", "gammas"}
+        assert set(diag["propagators"]) == {"stacked", "matrices", "gammas", "largest_stack"}
         assert set(diag["steps"]) == {"rear", "front"}
+        assert {side: set(start) for side, start in diag["leg_starts"].items()} == {
+            "rear": {"z", "max_ab"}, "front": {"z", "max_ab"}}
         # the CSV carries every value to 17 digits, so its smallest |E| is the reported one
         data = np.genfromtxt(out, delimiter=",", names=True)
         assert diag["min_abs_E"] == np.abs(data["re_E"] + 1j * data["im_E"]).min()
 
     def test_default_sweep_propagator_count(self, tmp_path, capsys):
-        # the sweep marches 28,996 matrices and the count repeats exactly,
-        # so a regression in the march's step count fails here
+        # the counts repeat exactly, so more steps, more gammas or more
+        # stacked exponentials per sweep (each pays expm's per-call cost) fail here
         code, payload, _ = run_json(capsys, "evans", "--c", 2, "--r", 0, "--i-minus", 2,
                                     "--out", tmp_path / "e.csv")
         assert code == 0
         assert payload["winding"] == 0
-        assert payload["diagnostics"]["propagators"]["matrices"] <= 35_000
+        assert payload["diagnostics"]["propagators"] == {
+            "stacked": 34, "matrices": 28_996, "gammas": 230, "largest_stack": 904}
+        # the rear leg starts at the shooting seed, the front one where the shot stopped
+        starts = payload["diagnostics"]["leg_starts"]
+        assert starts["rear"]["z"] < 0.0 < starts["front"]["z"]
+        assert starts["rear"]["max_ab"] == pytest.approx(wave.SEED_EPS, rel=1e-9)
+        assert starts["front"]["max_ab"] == pytest.approx(wave.STOP_TOL, rel=1e-9)
 
     def test_default_contour_is_the_battery_one(self, tmp_path, monkeypatch):
         # the flag's default string parses back to the contour `evans-winding` sweeps

@@ -394,7 +394,7 @@ class TestExpm:
         x, y = (rng.standard_normal((2, 3, 3, 40)) + 1j * rng.standard_normal((2, 3, 3, 40)))
         for a, b in ((x, y), (x[:, :, 17:], y[:, :, 17:]), (x[:, :, 39:], x[:, :, 39:])):
             want = np.einsum("ijg,jkg->ikg", a, b)
-            got = spectral._mul(a, b)
+            got = spectral._mul(a, b, np.empty_like(a), np.empty_like(a))
             assert got.shape == want.shape
             assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
@@ -612,12 +612,13 @@ class TestEvansBatch:
 class TestEvansWinding:
     @staticmethod
     def _count_expm(monkeypatch):
-        counts = {"stacked": 0, "matrices": 0, "gammas": 0}
+        counts = {"stacked": 0, "matrices": 0, "gammas": 0, "largest_stack": 0}
         expm, march = spectral.expm, spectral._march
 
         def counted(a):
             counts["stacked"] += 1
             counts["matrices"] += a.size // 9
+            counts["largest_stack"] = max(counts["largest_stack"], a.size // 9)
             return expm(a)
 
         def marched(Y, shift, gammas, *rest):
@@ -657,6 +658,28 @@ class TestEvansWinding:
         assert diag["bisections"] > 0
         assert sweep.gammas.size == diag["evaluations"] == contour.size - 1 + diag["bisections"]
         assert diag["propagators"] == counts
+
+    @pytest.mark.parametrize("block", [8, 64, 4096])
+    @pytest.mark.parametrize("contour", [
+        spectral.contour_of_S(0.1, 10.0, 32),
+        np.array([-1000j, 1000, 1000j, 1j, 1e-3, -1j, -1000j]),
+    ], ids=["annulus", "polygon"])
+    def test_block_moves_no_bit(self, setup, monkeypatch, contour, block):
+        # the working set changes how the (gamma, step) field is cut into
+        # stacks, never a value, and no stack holds more than _BLOCK matrices
+        ref = spectral.evans_winding(setup, contour)
+        stacks = []
+        expm = spectral.expm
+        monkeypatch.setattr(spectral, "_BLOCK", block)
+        monkeypatch.setattr(spectral, "expm", lambda a: stacks.append(a.size // 9) or expm(a))
+        sweep = spectral.evans_winding(setup, contour)
+        assert sweep.gammas.tobytes() == ref.gammas.tobytes()
+        assert sweep.values.tobytes() == ref.values.tobytes()
+        for key in ("min_abs_E", "halving_rel_diff"):
+            assert sweep.diagnostics[key].hex() == ref.diagnostics[key].hex()
+        props, ref_props = sweep.diagnostics["propagators"], ref.diagnostics["propagators"]
+        assert (props["matrices"], props["gammas"]) == (ref_props["matrices"], ref_props["gammas"])
+        assert max(stacks) == props["largest_stack"] <= block
 
     def test_halving_check_raises(self, setup, monkeypatch):
         # halving the step moves every value by about 1e-6, far above this
