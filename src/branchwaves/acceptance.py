@@ -57,7 +57,7 @@ class AcceptanceContext:
         self.seed = seed
         self._waves: dict[tuple[float, float, float], wave_mod.WaveProfile] | None = None
         self._reports: dict[tuple[float, float, float], wave_mod.VerificationReport] | None = None
-        self._pde_runs: dict[float, pde.FieldSeries] = {}
+        self._pde_runs: dict[tuple[float, float | None], pde.FieldSeries] = {}
 
     def rng(self, salt: int) -> np.random.Generator:
         return np.random.default_rng(self.seed + salt)
@@ -87,10 +87,11 @@ class AcceptanceContext:
         """The shooting counters of the wave grid's trajectories, summed, and the wave count."""
         return _counters("waves", [w.trajectory for w in self.wave_grid().values()])
 
-    def pde_run(self, r: float) -> pde.FieldSeries:
-        if r not in self._pde_runs:
-            self._pde_runs[r] = pde.simulate(*pde.bump(pde.GRID), r, pde.GRID, pde.T_END)
-        return self._pde_runs[r]
+    def pde_run(self, r: float, step: float | None = None) -> pde.FieldSeries:
+        if (r, step) not in self._pde_runs:
+            self._pde_runs[r, step] = pde.simulate(*pde.bump(pde.GRID), r, pde.GRID, pde.T_END,
+                                                   step)
+        return self._pde_runs[r, step]
 
 
 def _counters(unit: str, trajectories: list) -> dict:
@@ -219,8 +220,10 @@ def _pde_front(ctx: AcceptanceContext, tol: float = 0.05) -> tuple[bool, str, di
     ok = True
     for r in (0.0, 1.0):
         series = ctx.pde_run(r)
-        diagnostics[f"r={r:g}"] = series.diagnostics
         c_est, _, _, plateau, _ = pde.measure_speed(series, pde.FRONT_LEVEL)
+        # the a-posteriori step error of c_est, (c(2h) - c(h)) / 3 for a second-order step
+        c_2h = pde.measure_speed(ctx.pde_run(r, 2.0 * pde.STEP), pde.FRONT_LEVEL).c_est
+        diagnostics[f"r={r:g}"] = series.diagnostics | {"step_doubling_c_diff": (c_2h - c_est) / 3}
         if plateau is None:
             ok = False
             level = "no plateau (no front, or no grid point in [10, x_front - 20])"

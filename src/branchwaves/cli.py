@@ -71,9 +71,9 @@ class _UsageProblem(Exception):
 _EXIT_TABLE = (
     ((_UsageProblem,), EXIT_USAGE, None),
     ((BlowUpError,), EXIT_BLOWUP, "blow-up"),
-    ((NegativityError, DomainError), EXIT_REGIME, "invalid regime"),
+    ((NegativityError, DomainError, SplittingError), EXIT_REGIME, "invalid regime"),
     ((BudgetError, NonConvergenceError, ContaminatedMeasurementError, ContourResolutionError,
-      SplittingError, InvalidSegmentError, PositivityError), EXIT_RESOLUTION, "resolution failure"),
+      InvalidSegmentError, PositivityError), EXIT_RESOLUTION, "resolution failure"),
 )
 
 

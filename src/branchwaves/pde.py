@@ -29,17 +29,19 @@ from .errors import BlowUpError, ContaminatedMeasurementError, DomainError, Posi
 from .model import laplacian, pde_rhs, reaction  # pde_rhs unused: bench/ traces the name
 from .wave import WaveProfile
 
-__all__ = ["Grid", "FieldSeries", "SpeedMeasurement", "simulate", "front_position",
-           "measure_speed", "plateau", "shape_misfit"]
+__all__ = ["Grid", "FieldSeries", "SpeedMeasurement", "simulate", "spreading_speed",
+           "front_position", "measure_speed", "plateau", "shape_misfit"]
 
-STEP = 0.02  # RKC step, shrunk to divide each snapshot interval
+# RKC step, shrunk to divide each snapshot interval. Its part of c* (`spreading_speed`) on GRID,
+# |c*(dx, STEP) - c*(dx, STEP/10)| = 5.7e-4 is 1.2 times the grid's |c*(dx, STEP/10) - 2| = 4.6e-4
+STEP = 0.05
 DAMPING = 2.0 / 13.0  # epsilon of the damped Chebyshev stability polynomial
 MASS_BALANCE_TOL = 1e-10  # carried vs measured sum w(A + I), relative
 POSITIVITY_TOL = 1e-12  # a snapshot fails with min A < -POSITIVITY_TOL max A
 
 BOUNDARY_MARGIN_CELLS = 10
 MAX_STORED_VALUES = 10**8  # snapshot values one run may keep: 0.8 GB of float64
-MAX_STAGES = 1000  # RKC stages per step; a 20001-point reference grid takes 47 (h 4/dx^2 = 1422)
+MAX_STAGES = 1000  # RKC stages per step, so dx >= 5.5e-4 at STEP; 20001 points on GRID take 74
 SNAPSHOT_DT = 0.5  # spacing of the snapshots `simulate` keeps
 
 
@@ -169,19 +171,39 @@ def _react(Y: np.ndarray, dt: float, r: float, w: np.ndarray, R: np.ndarray,
     return carried
 
 
-def simulate(A0, I0, r: float, grid: Grid, t_end: float) -> FieldSeries:
+def spreading_speed(dx: float, h: float, r: float = 0.0, taps=None) -> tuple[float, float]:
+    """(c*, lambda*), the scheme's pulled speed at spacing dx, step h, rate r (van Saarloos 2003,
+    sec. 2): ahead of the front (I = 0, A small) a step takes e^(-lambda x) to G P e^(-lambda x),
+    G the gain of `_react` over h, P = sum_j taps_j e^(lambda j dx) (default taps: `_diffusion_taps`
+    at the least stable s); c* = min of ln(G P)/(h lambda) over 1e-6 <= lambda max(dx, 1) <= 1e3"""
+    taps = _diffusion_taps(h, dx, _stages(h * 4.0 / dx**2)) if taps is None else taps
+    j = dx * (np.arange(taps.size) - taps.size // 2)
+    Y = np.array([[1e-100], [0.0]])  # one point ahead of the front, where the reaction is linear
+    _react(Y, h, r, np.ones(1), np.empty_like(Y), np.empty_like(Y))
+    lam = np.geomspace(1e-6, 1e3, 101) / max(dx, 1.0)  # past dx = 1, lambda* dx grows like ln dx
+    with np.errstate(over="ignore", invalid="ignore"):  # P overflows far past lambda*
+        for _ in range(4):
+            c = np.log(1e100 * Y[0, 0] * (np.exp(np.outer(lam, j)) @ taps)) / (h * lam)
+            k = int(np.nanargmin(c))
+            lam_k, lam = lam[k], np.geomspace(lam[max(k - 1, 0)], lam[min(k + 1, 100)], 101)
+    return float(c[k]), float(lam_k)
+
+
+def simulate(A0, I0, r: float, grid: Grid, t_end: float,
+             step: float | None = None) -> FieldSeries:
     """Advance to t_end at production rate r >= 0, snapshot every SNAPSHOT_DT.
 
     Each snapshot interval is R(h/2) D(h) R(h) ... D(h) R(h/2), D(h) an RKC step of
     A' = Lap(A), the correlation of A, reflected about each end point by one gather (the
     mirror ends of `laplacian`), with the taps of `_diffusion_taps` for h, R(dt) `_react`.
-    r and t_end must be finite, t_end positive, the snapshots at most MAX_STORED_VALUES
-    values, and the RKC steps of at most STEP, which divide each snapshot interval exactly,
-    at most MAX_STAGES stages. Non-finite values, or a trapezoid mass w.(A + I) carried
-    through R (D moves none) that misses the measured one by over MASS_BALANCE_TOL, raise
-    BlowUpError, and A below -POSITIVITY_TOL max A PositivityError, each carrying the
-    series so far. Diagnostics: `steps`, `stages` per step, largest step `h`, `min_A`,
-    `rhs_evaluations` (Laplacians, s per distinct h), worst `mass_balance_residual`.
+    r, t_end and `step` (default STEP) must be finite, t_end and `step` positive, the snapshots
+    at most MAX_STORED_VALUES values, and the RKC steps of at most `step`, which divide each
+    snapshot interval exactly, at most MAX_STAGES stages. Non-finite values, or a trapezoid mass
+    w.(A + I) carried through R (D moves none) that misses the measured one by over
+    MASS_BALANCE_TOL, raise BlowUpError, and A below -POSITIVITY_TOL max A PositivityError, each
+    carrying the series so far. Diagnostics: `steps`, `stages` per step, largest step `h`,
+    `min_A`, `rhs_evaluations` (Laplacians, s per distinct h), worst `mass_balance_residual`,
+    and `c_star_scheme` and `lambda_star`, the `spreading_speed` of the run at h.
     """
     if not 0 <= r < math.inf:
         raise DomainError(f"production rate r must be >= 0 and finite, got {r}")
@@ -190,8 +212,11 @@ def simulate(A0, I0, r: float, grid: Grid, t_end: float) -> FieldSeries:
         raise ValueError(f"fields must have shape ({grid.n},), got {A.shape} and {I.shape}")
     if not 0.0 < t_end < math.inf:
         raise DomainError(f"t_end must be positive and finite, got {t_end}")
+    step = STEP if step is None else step
+    if not 0.0 < step < math.inf:
+        raise DomainError(f"step must be positive and finite, got {step}")
 
-    s = _stages(STEP * 4.0 / grid.dx**2)  # Gershgorin: |Lap| <= 4/dx^2
+    s = _stages(step * 4.0 / grid.dx**2)  # Gershgorin: |Lap| <= 4/dx^2
     w = grid.dx * np.r_[0.5, np.ones(grid.n - 2), 0.5]  # trapezoid weights
     times = _snapshot_times(t_end, grid.n)
     Y = np.array([A, I])
@@ -204,15 +229,15 @@ def simulate(A0, I0, r: float, grid: Grid, t_end: float) -> FieldSeries:
 
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, len(times)):
-            n_steps = max(1, math.ceil((times[k] - times[k - 1]) / STEP - 1e-12))
+            n_steps = max(1, math.ceil((times[k] - times[k - 1]) / step - 1e-12))
             h = float(times[k] - times[k - 1]) / n_steps
             mass = w @ (Y[0] + Y[1]) + _react(Y, 0.5 * h, r, w, R, Ym)
             if h not in taps:
                 taps[h] = _diffusion_taps(h, grid.dx, s)
                 diag["rhs_evaluations"] += s
-            for step in range(n_steps):
+            for j in range(n_steps):
                 Y[0] = np.correlate(Y[0][mirror], taps[h])
-                mass += _react(Y, h if step < n_steps - 1 else 0.5 * h, r, w, R, Ym)
+                mass += _react(Y, h if j < n_steps - 1 else 0.5 * h, r, w, R, Ym)
             diag["steps"] += n_steps
             diag["h"] = max(diag["h"], h)
             measured, scale = w @ (Y[0] + Y[1]), w @ np.abs(Y).sum(axis=0)
@@ -229,6 +254,8 @@ def simulate(A0, I0, r: float, grid: Grid, t_end: float) -> FieldSeries:
                 raise PositivityError(f"A = {low:.3g} < -{POSITIVITY_TOL} max A at t = {times[k]:g}",
                                       series=FieldSeries(grid, times[:k], snaps, diag))
             snaps.append(tuple(Y.copy()))
+        diag["c_star_scheme"], diag["lambda_star"] = spreading_speed(grid.dx, diag["h"], r,
+                                                                     taps[diag["h"]])
     return FieldSeries(grid, times, snaps, diag)
 
 

@@ -2,8 +2,8 @@
 
 Each test runs its criterion at the stated tolerance through the shared
 battery and prints the single pass/fail line (visible under `pytest -s`).
-The context is module-scoped so the wave grid and the two reference PDE
-runs are computed once.
+The context is module-scoped so the wave grid, the two reference PDE
+runs and their twins at twice the step are computed once.
 """
 
 import dataclasses
@@ -13,7 +13,7 @@ import math
 import numpy as np
 import pytest
 
-from branchwaves import acceptance, analysis
+from branchwaves import acceptance, analysis, pde
 from branchwaves.odeint import Trajectory
 
 
@@ -87,7 +87,14 @@ def test_unknown_filter_matches_nothing(ctx):
 
 def test_diagnostics_where_the_criterion_holds_them(ctx):
     [front] = acceptance.run_all(only="pde-front", ctx=ctx)
-    assert front.diagnostics == {f"r={r:g}": ctx.pde_run(r).diagnostics for r in (0.0, 1.0)}
+    for r in (0.0, 1.0):
+        # the a-posteriori step error (c(2h) - c(h)) / 3 of the reference run's c_est,
+        # measured -4.5e-4 (r = 0) and -4.4e-4 (r = 1)
+        c_h, c_2h = (pde.measure_speed(ctx.pde_run(r, step), pde.FRONT_LEVEL).c_est
+                     for step in (None, 2.0 * pde.STEP))
+        assert front.diagnostics[f"r={r:g}"] == ctx.pde_run(r).diagnostics | {
+            "step_doubling_c_diff": (c_2h - c_h) / 3.0}
+        assert -6e-4 < (c_2h - c_h) / 3.0 < -3e-4
     # the shooting counters summed over each criterion's shots
     for name, shots in (("attractor-formula", 50), ("triangles", 200)):
         [result] = acceptance.run_all(only=name, ctx=ctx)

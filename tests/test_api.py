@@ -42,8 +42,8 @@ EXPORTED = {
     "odeint": ["Trajectory", "integrate"],
     "wave": ["WaveProfile", "VerificationReport", "shoot_wave", "shoot_from_max",
              "verify_profile"],
-    "pde": ["Grid", "FieldSeries", "SpeedMeasurement", "simulate", "front_position",
-            "measure_speed", "plateau", "shape_misfit"],
+    "pde": ["Grid", "FieldSeries", "SpeedMeasurement", "simulate", "spreading_speed",
+            "front_position", "measure_speed", "plateau", "shape_misfit"],
     "spectral": ["SpectralSetup", "Winding", "make_setup", "limit_rates", "evans",
                  "evans_winding", "contour_of_S", "winding_number"],
     "acceptance": ["CRITERION_NAMES", "CriterionResult", "run_all"],

@@ -256,7 +256,7 @@ class TestPde:
         code, out, err = run(capsys, "pde", "--initial", spike, "--out", tmp_path / "x")
         assert code == 4
         assert out == ""
-        assert "resolution failure: A = -0.0143 < -1e-12 max A at t = 0.5\n" in err
+        assert "resolution failure: A = -0.0622 < -1e-12 max A at t = 0.5\n" in err
         assert not list(tmp_path.glob("x*"))
 
     def test_negative_rate_exits_2(self, tmp_path, capsys):
@@ -622,6 +622,17 @@ class TestEvans:
         code, _, err = run(capsys, "evans", "--contour", "0.1:10:32", "--out", out)
         assert code == 4
         assert "resolution failure: halving the march step" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("w_exp", ["1.5", "0.01"])
+    def test_weight_outside_the_band_exits_2(self, tmp_path, capsys, w_exp):
+        # a weight that leaves the far-field splitting on the contour is an invalid regime,
+        # like a non-positive one
+        out = tmp_path / "e.csv"
+        code, _, err = run(capsys, "evans", "--w-exp", w_exp, "--contour", "0.1:10:32",
+                           "--out", out)
+        assert code == 2
+        assert "invalid regime: front splitting is not two unstable / one stable" in err
         assert not out.exists()
 
     def test_nan_weight_exits_2(self, tmp_path, capsys):

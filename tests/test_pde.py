@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize_scalar
 
 from branchwaves import cli, pde
 from branchwaves.errors import (
@@ -133,6 +134,13 @@ def field_gaps(series, reference):
     )
 
 
+def gaps_to_rk4(r):
+    """`field_gaps` of `simulate` at rate r to `rk4_reference`, the bump on 401 points to t = 4."""
+    g = Grid(-20.0, 20.0, 401)
+    times = pde.SNAPSHOT_DT * np.arange(9)
+    return field_gaps(simulate(*bump(g), r, g, times[-1]), rk4_reference(*bump(g), r, g, times))
+
+
 def beta(s):
     """Stability bound (1 + w0) T_s''(w0) / T_s'(w0) of s damped Chebyshev stages."""
     w0 = 1.0 + pde.DAMPING / s**2
@@ -241,9 +249,11 @@ class TestSimulate:
         assert gained == pytest.approx(fed, rel=0.01)
 
     def test_blow_up_carries_series(self):
-        g = Grid(0.0, 1.0, 21)
+        # the driver of the CLI blow-up tests: A up to 1000, far past the 0 <= A <= 1 the
+        # reaction substeps are sized for, overflows before t = 0.5
+        g = Grid(-10.0, 10.0, 201)
         with pytest.raises(BlowUpError) as info:
-            simulate(np.full(21, -10.0), np.zeros(21), R0, g, 5.0)
+            simulate(1e3 * np.exp(-g.xs() ** 2), np.zeros(g.n), R0, g, 8.0)
         series = info.value.series
         assert series is not None
         assert len(series.times) == len(series.snapshots) >= 1
@@ -251,15 +261,15 @@ class TestSimulate:
 
     def test_unresolved_spike_fails_positivity(self):
         # the damped Chebyshev taps have negative entries, which a one-point spike on the
-        # reference grid meets at full weight: measured min A = -1.43e-2 at t = 0.5
+        # reference grid meets at full weight: measured min A = -6.22e-2 at t = 0.5
         g = pde.GRID
         A = np.zeros(g.n)
         A[np.argmin(np.abs(g.xs()))] = 1.0
-        with pytest.raises(PositivityError, match=r"^A = -0\.0143 < -1e-12 max A at t = 0\.5$") as info:
+        with pytest.raises(PositivityError, match=r"^A = -0\.0622 < -1e-12 max A at t = 0\.5$") as info:
             simulate(A, np.zeros(g.n), R0, g, 2.0)
         series = info.value.series
         assert len(series.times) == len(series.snapshots) == 1
-        assert series.diagnostics["min_A"] == pytest.approx(-1.43e-2, rel=1e-2)
+        assert series.diagnostics["min_A"] == pytest.approx(-6.22e-2, rel=1e-2)
 
     def test_shape_mismatch(self):
         g = Grid(0.0, 1.0, 21)
@@ -280,6 +290,21 @@ class TestSimulate:
         g = Grid(0.0, 1.0, 16)
         with pytest.raises(DomainError, match=re.escape(f"t_end = {t_end:g} at snapshot_dt")):
             simulate(np.zeros(16), np.zeros(16), R0, g, t_end)
+
+    @pytest.mark.parametrize("step", [0.0, -0.05, math.nan, math.inf])
+    def test_step_must_be_positive_and_finite(self, step):
+        g = Grid(0.0, 1.0, 21)
+        with pytest.raises(DomainError, match="step must be positive and finite"):
+            simulate(np.zeros(21), np.zeros(21), R0, g, 1.0, step)
+
+    def test_step_argument_matches_the_patched_constant(self, monkeypatch):
+        g = Grid(-20.0, 20.0, 201)
+        given = simulate(*bump(g), 1.0, g, 1.0, 0.1)
+        monkeypatch.setattr(pde, "STEP", 0.1)
+        patched = simulate(*bump(g), 1.0, g, 1.0)
+        assert given.diagnostics == patched.diagnostics
+        for got, want in zip(given.snapshots, patched.snapshots, strict=True):
+            np.testing.assert_array_equal(got, want)
 
     # each id names t_end and the snapshot spacing
     @pytest.mark.parametrize("t_end", [math.nan, math.inf, 0.0],
@@ -323,24 +348,35 @@ class TestRkc:
         (100.0, 3.5e-5, 3.5e-3),
         (1000.0, 7e-6, 4.5e-3),
     ], ids=["r=1", "r=100", "r=1000"])
-    def test_gap_to_rk4_at_step(self, r, bound_a, bound_i):
-        # bounds twice the gaps measured at STEP. At r = 1 they price the split on the
+    def test_gap_to_rk4_at_step(self, r, bound_a, bound_i, monkeypatch):
+        # bounds twice the gaps measured at step 0.02. At r = 1 they price the split on the
         # steep start, where the reaction and the diffusion do not commute (the unsplit
         # RKC steps missed by 2.0e-5 and 2.6e-5); at r = 100 and 1000, h (5 + r) passes
         # 2 and each reaction step takes substeps (2 and 11 per full step), without
         # which I misses by 8e-3 and 0.28
-        g = Grid(-20.0, 20.0, 401)
-        times = pde.SNAPSHOT_DT * np.arange(9)
-        gap_a, gap_i = field_gaps(simulate(*bump(g), r, g, times[-1]),
-                                  rk4_reference(*bump(g), r, g, times))
+        monkeypatch.setattr(pde, "STEP", 0.02)
+        gap_a, gap_i = gaps_to_rk4(r)
+        assert gap_a <= bound_a
+        assert gap_i <= bound_i
+
+    @pytest.mark.parametrize("r, bound_a, bound_i", [
+        (1.0, 3.5e-4, 2.0e-3),
+        (100.0, 1.6e-4, 1.3e-2),
+        (1000.0, 4.5e-5, 2.1e-2),
+    ], ids=["r=1", "r=100", "r=1000"])
+    def test_gap_to_rk4_at_default_step(self, r, bound_a, bound_i):
+        # bounds twice the gaps measured at STEP = 0.05: 1.6e-4 and 9.9e-4 at r = 1,
+        # 7.6e-5 and 6.4e-3 at r = 100 (3 reaction substeps per full step), 2.2e-5 and
+        # 1.0e-2 at r = 1000 (26)
+        gap_a, gap_i = gaps_to_rk4(r)
         assert gap_a <= bound_a
         assert gap_i <= bound_i
 
     @pytest.mark.parametrize("grid, r, stages", [
-        (Grid(-30.0, 120.0, 2001), 0.0, 5),  # the reference grid
-        (Grid(-30.0, 120.0, 2001), 1.0, 5),
-        (Grid(-70.0, 70.0, 1401), 0.0, 4),
-        (Grid(0.0, 1.0, 21), 2.0, 8),
+        (Grid(-30.0, 120.0, 2001), 0.0, 8),  # the reference grid
+        (Grid(-30.0, 120.0, 2001), 1.0, 8),
+        (Grid(-70.0, 70.0, 1401), 0.0, 6),
+        (Grid(0.0, 1.0, 21), 2.0, 12),
         (Grid(0.0, 1e4, 16), 0.0, 2),
     ])
     def test_stage_count_is_least_stable(self, grid, r, stages):
@@ -394,9 +430,11 @@ class TestRkc:
         assert np.max(np.abs(D - rkc_step(A, h, dx, s))) <= 1e-13 * np.max(np.abs(A))
 
     @pytest.mark.parametrize("L, stages", [(0.0224, 985), (0.0312, 707)])
-    def test_mass_balance_near_the_stage_cap(self, L, stages):
+    def test_mass_balance_near_the_stage_cap(self, L, stages, monkeypatch):
         # taps of up to 1971 points round the mass D carries by 7.3e-12 and 8.1e-12
-        # relative, measured; the bound is about twice that, 5 times under MASS_BALANCE_TOL
+        # relative, measured at step 0.02, where these grids stay under MAX_STAGES; the
+        # bound is about twice that, 5 times under MASS_BALANCE_TOL
+        monkeypatch.setattr(pde, "STEP", 0.02)
         g = Grid(0.0, L, 64)
         diag = simulate(*bump(g), 1.0, g, 1.0).diagnostics
         assert diag["stages"] == stages
@@ -404,11 +442,14 @@ class TestRkc:
 
     def test_diagnostics(self, bump_series):
         diag = bump_series.diagnostics
-        assert diag["h"] == 0.02
-        assert diag["steps"] == 800
+        assert diag["h"] == pde.STEP
+        assert diag["steps"] == round(16.0 / pde.STEP)
         assert diag["rhs_evaluations"] == diag["stages"]  # one step size: the taps are built once
         assert diag["min_A"] >= 0.0
         assert 0.0 <= diag["mass_balance_residual"] < 1e-13
+        # the scheme's own pulled speed, from the run's taps
+        assert (diag["c_star_scheme"], diag["lambda_star"]) == pde.spreading_speed(
+            bump_series.grid.dx, pde.STEP)
 
     def test_source_term_breaks_mass_balance(self, monkeypatch):
         # a source in either part of the split is caught at the first snapshot
@@ -430,7 +471,7 @@ class TestRkc:
                     simulate(*bump(g), R0, g, 2.0)
             series = info.value.series
             assert len(series.times) == len(series.snapshots) == 1
-            assert series.diagnostics["steps"] == 25
+            assert series.diagnostics["steps"] == round(pde.SNAPSHOT_DT / pde.STEP)
 
     def test_stage_buffers_match_plain_expressions(self):
         g = Grid(-20.0, 20.0, 401)
@@ -441,9 +482,11 @@ class TestRkc:
 
     @pytest.mark.parametrize("grid, t_end", [(Grid(0.0, 0.0312, 64), 0.7),
                                              (Grid(0.0, 0.1, 16), 1.3)])
-    def test_repeated_reflection_matches_plain_expressions(self, grid, t_end):
+    def test_repeated_reflection_matches_plain_expressions(self, grid, t_end, monkeypatch):
         # at s >= n the mirror gather reflects more than once, as `np.pad` does; t_end ends
-        # on a partial snapshot interval, whose step size builds a second set of taps
+        # on a partial snapshot interval, whose step size builds a second set of taps. The
+        # step is pinned to 0.02, where 64 points over 0.0312 stay under MAX_STAGES (707)
+        monkeypatch.setattr(pde, "STEP", 0.02)
         series = simulate(*bump(grid), 1.0, grid, t_end)
         assert series.diagnostics["stages"] >= grid.n
         assert series.diagnostics["rhs_evaluations"] == 2 * series.diagnostics["stages"]
@@ -495,10 +538,80 @@ class TestRkc:
         diag = json.loads(capsys.readouterr().out)["diagnostics"]
         assert code == 0
         assert diag["stages"] == 2
-        assert diag["steps"] == 100
+        assert diag["steps"] == round(2.0 / pde.STEP)
         assert diag["rhs_evaluations"] == 2  # 2 stages x 1 step size
-        assert diag["h"] == 0.02
+        assert diag["h"] == pde.STEP
         assert diag["mass_balance_residual"] < 1e-13
+        assert (diag["c_star_scheme"], diag["lambda_star"]) == pde.spreading_speed(0.75, pde.STEP)
+
+
+class TestSpreadingSpeed:
+    """The pulled speed c* of the split scheme's leading edge against its error budget."""
+
+    @staticmethod
+    def oracle(dx, h, r):
+        # c* by scipy's bounded minimizer, with P(lambda) the stability polynomial of the
+        # RKC step at the Laplacian's symbol (2 cosh(lambda dx) - 2)/dx^2, not the taps, and
+        # the gain of m midpoint substeps on A' = A written out
+        m = max(1, math.ceil(h * (5.0 + r) / 2.0))
+        gain = (1.0 + h / m + 0.5 * (h / m) ** 2) ** m
+        s = pde._stages(h * 4.0 / dx**2)
+        w0 = 1.0 + pde.DAMPING / s**2
+        T = np.polynomial.Chebyshev.basis(s)
+        b, w1 = T.deriv(2)(w0) / T.deriv(1)(w0) ** 2, T.deriv(1)(w0) / T.deriv(2)(w0)
+
+        def speed(lam):
+            z = h * (2.0 * math.cosh(lam * dx) - 2.0) / dx**2
+            P = 1.0 - b * T(w0) + b * T(w0 + w1 * z)
+            return math.log(gain * P) / (h * lam)
+
+        # lambda* is near 1 on fine grids and near ln(dx) / dx on coarse ones
+        best = minimize_scalar(speed, bounds=(0.1 / max(dx, 1.0), 50.0 / max(dx, 1.0)),
+                               method="bounded", options={"xatol": 1e-9})
+        return best.fun, best.x
+
+    @pytest.mark.parametrize("h, c_star, lambda_star", [
+        (0.02, 2.00037, 0.99934),
+        (0.05, 1.99990, 0.99952),
+    ])
+    def test_reference_grid(self, h, c_star, lambda_star):
+        c, lam = pde.spreading_speed(pde.GRID.dx, h)
+        assert c == pytest.approx(c_star, abs=2e-5)
+        assert lam == pytest.approx(lambda_star, abs=2e-5)
+
+    def test_vanishing_step_leaves_the_lattice_laplacian(self):
+        # the lattice Laplacian takes e^(-x) to (1 + dx^2/12 + ...) e^(-x): c* -> 2 + dx^2/12
+        c, _ = pde.spreading_speed(pde.GRID.dx, 1e-4)
+        assert c == pytest.approx(2.00047, abs=2e-5)
+        assert c == pytest.approx(2.0 + pde.GRID.dx**2 / 12.0, abs=2e-5)
+
+    @pytest.mark.parametrize("dx, h, r", [(pde.GRID.dx, 0.05, 0.0), (pde.GRID.dx, 0.1, 1.0),
+                                          (0.3, 0.05, 0.0), (0.01, 0.002, 0.0),
+                                          (pde.GRID.dx, 0.05, 100.0), (pde.GRID.dx, 0.05, 1000.0),
+                                          (50.0, 0.05, 0.0), (6667.0, 0.05, 0.0)])
+    def test_matches_the_stability_polynomial(self, dx, h, r):
+        # at r = 100 and 1000 each reaction step takes 3 and 26 substeps, which move c* by
+        # +3.6e-4 and +4.0e-4 from r = 0; at dx = 6667, lambda* = 2.2e-3 lies far below the
+        # lambda* near 1 of fine grids (c* = 477 there, 1.8e5 at lambda = 0.01)
+        c, lam = pde.spreading_speed(dx, h, r)
+        c_ref, lam_ref = self.oracle(dx, h, r)
+        assert c == pytest.approx(c_ref, rel=1e-10)
+        assert lam == pytest.approx(lam_ref, rel=1e-5)
+
+    def test_simulate_reports_it_at_its_rate(self):
+        # at r = 100 each reaction step takes substeps, whose gain the reported c* carries
+        g = Grid(-20.0, 20.0, 201)
+        diag = simulate(*bump(g), 100.0, g, 0.5).diagnostics
+        assert (diag["c_star_scheme"], diag["lambda_star"]) == pde.spreading_speed(g.dx, pde.STEP,
+                                                                                   100.0)
+        assert diag["c_star_scheme"] > pde.spreading_speed(g.dx, pde.STEP)[0]
+
+    def test_default_step_balances_the_budget(self):
+        # the time part of c*'s error at STEP stays within 1.5 times the grid part; measured
+        # 0.20 at step 0.02, 1.23 at 0.05 and 4.9 at 0.1
+        dx = pde.GRID.dx
+        c_step, c_fine = (pde.spreading_speed(dx, h)[0] for h in (pde.STEP, pde.STEP / 10.0))
+        assert abs(c_step - c_fine) <= 1.5 * abs(c_fine - 2.0)
 
 
 class TestFrontPosition:
