@@ -161,8 +161,11 @@ def _parse_general(text: str) -> GeneralParams:
                 f"expected rS=..,rA=..,rI=..,D=.., got {text!r}"
             )
         key, _, raw = item.partition("=")
+        key = key.strip()
+        if key in values:
+            raise argparse.ArgumentTypeError(f"repeated general parameter: {key}")
         try:
-            values[key.strip()] = float(raw)
+            values[key] = float(raw)
         except ValueError as exc:
             raise argparse.ArgumentTypeError(str(exc)) from exc
     missing = {"rS", "rA", "rI", "D"} - set(values)
@@ -437,7 +440,7 @@ def cmd_formulas(args: argparse.Namespace) -> int:
     if c == 2.0:
         print("note: c = 2 is the minimal front speed; i_c vanishes there")
     elif c > 2.0:
-        print(f"note: c exceeds the minimal front speed 2; i_c = 0")
+        print("note: c exceeds the minimal front speed 2; i_c = 0")
     else:
         print(f"note: below the minimal front speed 2, waves need i <= {2 - i_c:g} behind")
     print("limit pairs (rear level -> front level):")

@@ -1,16 +1,17 @@
 """Adaptive Dormand–Prince integration of the wave state with the shooting events.
 
 One unrolled DP5(4) loop (Dormand & Prince 1980) on the float triple
-(a, b, i) with the step control of scipy's `RK45`: its tableau with
-first-same-as-last stages, RMS error norm, safety 0.9, step factors in
-[0.2, 10] (at most 1 after a rejection), initial-step rule and underflow
-test. It runs forward from z = 0 with steps set by the tolerance alone,
-cuts each step longer than SAMPLE_DZ into ceil(h / SAMPLE_DZ) equal parts
-read off its quartic dense output (computed once, in the loop), and
-computes the three shooting events, whose thresholds every call passes, on
-every sample as plain arithmetic, abs, min and max written as conditionals
-that keep the builtins' results; a falling crossing between two samples is
-refined on that same interpolant.
+(a, b, i) of an autonomous system y' = rhs(y, p) with the step control
+of scipy's `RK45`: its tableau with first-same-as-last stages, RMS error
+norm, safety 0.9, step factors in [0.2, 10] (at most 1 after a
+rejection), initial-step rule and underflow test. It runs forward from
+z = 0 with steps set by the tolerance alone, cuts each step longer than
+SAMPLE_DZ into ceil(h / SAMPLE_DZ) equal parts read off its quartic
+dense output (computed once, in the loop), and computes the three
+shooting events, whose thresholds every call passes, on every sample as
+plain arithmetic, abs, min and max written as conditionals that keep the
+builtins' results; a falling crossing between two samples is refined on
+that same interpolant.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ EVENT_ZTOL = 1e-10
 SAFETY, MIN_FACTOR, MAX_FACTOR = 0.9, 0.2, 10.0
 
 # scipy's RK45 tableau; the zero weights B2 and E2 are left out
-C2, C3, C4, C5 = 1 / 5, 3 / 10, 4 / 5, 8 / 9
 A21, A31, A32, A41, A42, A43 = 1 / 5, 3 / 40, 9 / 40, 44 / 45, -56 / 15, 32 / 9
 A51, A52, A53, A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
 A61, A62, A63, A64, A65 = 9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656
@@ -92,13 +92,13 @@ def _rms(xa, xb, xi) -> float:
     return math.sqrt(xa * xa + xb * xb + xi * xi) / 3 ** 0.5
 
 
-def _initial_step(rhs, y, f, z_end) -> float:
+def _initial_step(rhs, p, y, f, z_end) -> float:
     """scipy's `select_initial_step` for a fifth-order pair with a fourth-order error."""
     sa, sb, si = (ABS_TOL + abs(v) * REL_TOL for v in y)
     d0 = _rms(y[0] / sa, y[1] / sb, y[2] / si)
     d1 = _rms(f[0] / sa, f[1] / sb, f[2] / si)
     h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, z_end)
-    f1 = rhs(h0, tuple(v + h0 * fv for v, fv in zip(y, f)))
+    f1 = rhs(tuple(v + h0 * fv for v, fv in zip(y, f)), p)
     d2 = _rms((f1[0] - f[0]) / sa, (f1[1] - f[1]) / sb, (f1[2] - f[2]) / si) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
@@ -134,19 +134,20 @@ def _events(y, neg_tol, stop_tol):
     return y[1], y[0] + neg_tol, max(abs(y[0]), abs(y[1])) - stop_tol
 
 
-def integrate(rhs: Callable, y0, z_end: float, stops: tuple[float, float]) -> Trajectory:
-    """Integrate ``y' = rhs(z, y)`` forward over [0, z_end], sampled at most SAMPLE_DZ apart.
+def integrate(rhs: Callable, p, y0, z_end: float, stops: tuple[float, float]) -> Trajectory:
+    """Integrate the autonomous ``y' = rhs(y, p)`` over [0, z_end], sampled at most SAMPLE_DZ apart.
 
-    The state is the wave triple (a, b, i): ``rhs`` receives it as a tuple of floats and
-    returns three numbers. States come back as an (N, 3) float array. Every sample is
-    checked, at the required ``stops = (neg_tol, stop_tol)``, for the falling crossings of
-    `_events`: b through 0 is recorded (EV_MAX), and a + neg_tol (EV_NEG) or
-    max(|a|, |b|) - stop_tol (EV_STOP) through 0 ends the run at the refined abscissa; stops
-    no sample crosses, such as (inf, -inf), watch EV_MAX alone. A step's quartic dense output is
-    computed once, when the step has inner samples or a crossing, and the loop's abs, min
-    and max are conditionals that keep the builtins' results. Raises
-    :class:`~branchwaves.errors.NonConvergenceError` (carrying the partial trajectory) on
-    step underflow or when ``MAX_STEPS`` accepted steps are exhausted before ``z_end``.
+    The state is the wave triple (a, b, i): ``rhs`` receives it as a tuple of floats and ``p``
+    as passed (`model.wave_rhs`'s own signature), never the abscissa, and returns three numbers.
+    States come back as an (N, 3) float array. Every sample is checked, at the required
+    ``stops = (neg_tol, stop_tol)``, for the falling crossings of `_events`: b through 0 is
+    recorded (EV_MAX), and a + neg_tol (EV_NEG) or max(|a|, |b|) - stop_tol (EV_STOP) through 0
+    ends the run at the refined abscissa; stops no sample crosses, such as (inf, -inf), watch
+    EV_MAX alone. A step's quartic dense output is computed once, when the step has inner
+    samples or a crossing, and the loop's abs, min and max are conditionals that keep the
+    builtins' results. Raises :class:`~branchwaves.errors.NonConvergenceError` (carrying the
+    partial trajectory) on step underflow or when ``MAX_STEPS`` accepted steps are exhausted
+    before ``z_end``.
     """
     if not z_end > 0.0:
         raise DomainError(f"z_end must be positive, got {z_end}")
@@ -156,8 +157,8 @@ def integrate(rhs: Callable, y0, z_end: float, stops: tuple[float, float]) -> Tr
     rtol, atol, sample_dz, max_steps = REL_TOL, ABS_TOL, SAMPLE_DZ, MAX_STEPS
     z = 0.0
     a, b, i = (float(v) for v in y0)
-    fa, fb, fi = rhs(z, (a, b, i))
-    h_abs = _initial_step(rhs, (a, b, i), (fa, fb, fi), z_end)
+    fa, fb, fi = rhs((a, b, i), p)
+    h_abs = _initial_step(rhs, p, (a, b, i), (fa, fb, fi), z_end)
     zs, ys, hits = [z], [a, b, i], []  # ys flat, three floats per sample
     p0, p1, p2 = _events((a, b, i), neg_tol, stop_tol)
     accepted = rejected = refined = dense_samples = 0
@@ -185,26 +186,23 @@ def integrate(rhs: Callable, y0, z_end: float, stops: tuple[float, float]) -> Tr
             if z_end < z_new:
                 z_new = z_end
             h = h_abs = z_new - z
-            k2a, k2b, k2i = rhs(z + C2 * h, (a + h * (A21 * fa), b + h * (A21 * fb),
-                                             i + h * (A21 * fi)))
-            k3a, k3b, k3i = rhs(z + C3 * h, (a + h * (A31 * fa + A32 * k2a),
-                                             b + h * (A31 * fb + A32 * k2b),
-                                             i + h * (A31 * fi + A32 * k2i)))
-            k4a, k4b, k4i = rhs(z + C4 * h, (a + h * (A41 * fa + A42 * k2a + A43 * k3a),
-                                             b + h * (A41 * fb + A42 * k2b + A43 * k3b),
-                                             i + h * (A41 * fi + A42 * k2i + A43 * k3i)))
-            k5a, k5b, k5i = rhs(z + C5 * h, (
-                a + h * (A51 * fa + A52 * k2a + A53 * k3a + A54 * k4a),
-                b + h * (A51 * fb + A52 * k2b + A53 * k3b + A54 * k4b),
-                i + h * (A51 * fi + A52 * k2i + A53 * k3i + A54 * k4i)))
-            k6a, k6b, k6i = rhs(z + h, (
+            k2a, k2b, k2i = rhs((a + h * (A21 * fa), b + h * (A21 * fb), i + h * (A21 * fi)), p)
+            k3a, k3b, k3i = rhs((a + h * (A31 * fa + A32 * k2a), b + h * (A31 * fb + A32 * k2b),
+                                 i + h * (A31 * fi + A32 * k2i)), p)
+            k4a, k4b, k4i = rhs((a + h * (A41 * fa + A42 * k2a + A43 * k3a),
+                                 b + h * (A41 * fb + A42 * k2b + A43 * k3b),
+                                 i + h * (A41 * fi + A42 * k2i + A43 * k3i)), p)
+            k5a, k5b, k5i = rhs((a + h * (A51 * fa + A52 * k2a + A53 * k3a + A54 * k4a),
+                                 b + h * (A51 * fb + A52 * k2b + A53 * k3b + A54 * k4b),
+                                 i + h * (A51 * fi + A52 * k2i + A53 * k3i + A54 * k4i)), p)
+            k6a, k6b, k6i = rhs((
                 a + h * (A61 * fa + A62 * k2a + A63 * k3a + A64 * k4a + A65 * k5a),
                 b + h * (A61 * fb + A62 * k2b + A63 * k3b + A64 * k4b + A65 * k5b),
-                i + h * (A61 * fi + A62 * k2i + A63 * k3i + A64 * k4i + A65 * k5i)))
+                i + h * (A61 * fi + A62 * k2i + A63 * k3i + A64 * k4i + A65 * k5i)), p)
             na = a + h * (B1 * fa + B3 * k3a + B4 * k4a + B5 * k5a + B6 * k6a)
             nb = b + h * (B1 * fb + B3 * k3b + B4 * k4b + B5 * k5b + B6 * k6b)
             ni = i + h * (B1 * fi + B3 * k3i + B4 * k4i + B5 * k5i + B6 * k6i)
-            k7a, k7b, k7i = rhs(z_new, (na, nb, ni))
+            k7a, k7b, k7i = rhs((na, nb, ni), p)
             # `_rms` of the error over the scales atol + max(|y|, |y_new|) rtol, written out
             ma, mna = -a if a < 0.0 else a, -na if na < 0.0 else na
             mb, mnb = -b if b < 0.0 else b, -nb if nb < 0.0 else nb

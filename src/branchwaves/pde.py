@@ -171,15 +171,20 @@ def _react(Y: np.ndarray, dt: float, r: float, w: np.ndarray, R: np.ndarray,
     return carried
 
 
-def spreading_speed(dx: float, h: float, r: float = 0.0, taps=None) -> tuple[float, float]:
+def spreading_speed(dx: float, h: float, r: float = 0.0, taps=None,
+                    i_ahead: float = 0.0) -> tuple[float, float] | tuple[None, None]:
     """(c*, lambda*), the scheme's pulled speed at spacing dx, step h, rate r (van Saarloos 2003,
-    sec. 2): ahead of the front (I = 0, A small) a step takes e^(-lambda x) to G P e^(-lambda x),
-    G the gain of `_react` over h, P = sum_j taps_j e^(lambda j dx) (default taps: `_diffusion_taps`
-    at the least stable s); c* = min of ln(G P)/(h lambda) over 1e-6 <= lambda max(dx, 1) <= 1e3"""
+    sec. 2): ahead of the front (I = i_ahead, A small) a step takes e^(-lambda x) to
+    G P e^(-lambda x), G the gain of `_react` over h, P = sum_j taps_j e^(lambda j dx) (default
+    taps: `_diffusion_taps` at the least stable s); c* = min of ln(G P)/(h lambda) over
+    1e-6 <= lambda max(dx, 1) <= 1e3. (None, None) where G <= 1 (i_ahead >= 1): the leading edge
+    decays and pulls no front."""
+    Y = np.array([[1e-100], [i_ahead]])  # one point ahead of the front, where A's growth is linear
+    _react(Y, h, r, np.ones(1), np.empty_like(Y), np.empty_like(Y))
+    if not 1e100 * Y[0, 0] > 1.0:
+        return None, None
     taps = _diffusion_taps(h, dx, _stages(h * 4.0 / dx**2)) if taps is None else taps
     j = dx * (np.arange(taps.size) - taps.size // 2)
-    Y = np.array([[1e-100], [0.0]])  # one point ahead of the front, where the reaction is linear
-    _react(Y, h, r, np.ones(1), np.empty_like(Y), np.empty_like(Y))
     lam = np.geomspace(1e-6, 1e3, 101) / max(dx, 1.0)  # past dx = 1, lambda* dx grows like ln dx
     with np.errstate(over="ignore", invalid="ignore"):  # P overflows far past lambda*
         for _ in range(4):
@@ -203,7 +208,8 @@ def simulate(A0, I0, r: float, grid: Grid, t_end: float,
     MASS_BALANCE_TOL, raise BlowUpError, and A below -POSITIVITY_TOL max A PositivityError, each
     carrying the series so far. Diagnostics: `steps`, `stages` per step, largest step `h`,
     `min_A`, `rhs_evaluations` (Laplacians, s per distinct h), worst `mass_balance_residual`,
-    and `c_star_scheme` and `lambda_star`, the `spreading_speed` of the run at h.
+    and `c_star_scheme` and `lambda_star`, the `spreading_speed` of the run at h into the initial
+    I at the right end, where `front_position` tracks the front (None where no front is pulled).
     """
     if not 0 <= r < math.inf:
         raise DomainError(f"production rate r must be >= 0 and finite, got {r}")
@@ -254,8 +260,8 @@ def simulate(A0, I0, r: float, grid: Grid, t_end: float,
                 raise PositivityError(f"A = {low:.3g} < -{POSITIVITY_TOL} max A at t = {times[k]:g}",
                                       series=FieldSeries(grid, times[:k], snaps, diag))
             snaps.append(tuple(Y.copy()))
-        diag["c_star_scheme"], diag["lambda_star"] = spreading_speed(grid.dx, diag["h"], r,
-                                                                     taps[diag["h"]])
+        diag["c_star_scheme"], diag["lambda_star"] = spreading_speed(
+            grid.dx, diag["h"], r, taps[diag["h"]], i_ahead=float(I[-1]))
     return FieldSeries(grid, times, snaps, diag)
 
 

@@ -97,7 +97,8 @@ def _rear_band(c: float) -> str:
 
 
 def _run_shoot(y0, p: Params) -> Trajectory:
-    traj = integrate(lambda z, y: wave_rhs(y, p), y0, Z_BUDGET, (NEGATIVITY_TOL, STOP_TOL))
+    # `wave_rhs` is read from this module per shot, so a wrapper set here sees every evaluation
+    traj = integrate(wave_rhs, p, y0, Z_BUDGET, (NEGATIVITY_TOL, STOP_TOL))
     for rec in traj.events:
         if rec.index == EV_NEG:
             raise NegativityError(
@@ -183,14 +184,10 @@ def shoot_wave(i_minus_inf: float, p: Params) -> WaveProfile:
 
     max_hits = [rec for rec in traj.events if rec.index == EV_MAX]
     if not max_hits:
-        raise BudgetError(
-            f"no maximum of a within z budget {Z_BUDGET:g}", traj
-        )
+        raise BudgetError(f"no maximum of a within z budget {Z_BUDGET:g}", traj)
     if not _stopped(traj):
-        raise BudgetError(
-            f"no convergence to the far equilibrium within z budget {Z_BUDGET:g}",
-            traj,
-        )
+        raise BudgetError(f"no convergence to the far equilibrium within z budget {Z_BUDGET:g}",
+                          traj)
     i_plus = _check_limit_band(traj, p)
 
     first = max_hits[0]
@@ -243,9 +240,7 @@ def shoot_from_max(a0: float, i0: float, p: Params) -> tuple[Trajectory, float]:
 
     traj = _run_shoot(np.array([a0, 0.0, i0]), p)
     if not _stopped(traj):
-        raise BudgetError(
-            f"no convergence within z budget {Z_BUDGET:g}", traj
-        )
+        raise BudgetError(f"no convergence within z budget {Z_BUDGET:g}", traj)
     return traj, _check_limit_band(traj, p)
 
 

@@ -132,3 +132,24 @@ def test_bench_hooks_found():
 @pytest.mark.parametrize("module, attr", HOOKS, ids=lambda x: x)
 def test_bench_hook_resolves(module, attr):
     assert hasattr(importlib.import_module(module), attr)
+
+
+@pytest.mark.parametrize("shot", ["shoot_wave", "shoot_from_max"])
+def test_bench_wave_rhs_hook_sees_every_evaluation(shot, monkeypatch):
+    # the benchmark's own wrapper at the name it traces counts the calls `model.wave_rhs.calls`
+    # reports; a shot that bound the right-hand side elsewhere would hide them from it
+    assert ("branchwaves.wave", "wave_rhs") in HOOKS
+    spec = importlib.util.spec_from_file_location("bench_tracing", ROOT / "bench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracing)
+    spec.loader.exec_module(tracing)
+    wave, p = branchwaves.wave, branchwaves.Params(c=2.0, r=0.0)
+
+    tracer = tracing.Tracer()
+    with tracer.installed([tracing.Hook("branchwaves.wave", "wave_rhs", "model.wave_rhs")]):
+        if shot == "shoot_wave":
+            traj = wave.shoot_wave(1.8, p).trajectory
+        else:
+            traj, _ = wave.shoot_from_max(0.2, 0.3, p)
+    assert tracer.absent == []
+    assert tracer.stats["model.wave_rhs"].calls == traj.diagnostics["rhs_evaluations"] > 0

@@ -320,6 +320,35 @@ class TestPde:
         assert f"initial data {path} holds a negative A or I" in err
         assert not list(tmp_path.glob("x*"))
 
+    def test_width_shapes_the_bump(self, tmp_path, capsys):
+        code, payload, _ = run_json(capsys, "pde", "--width", 2, "--grid", "201:-30:120",
+                                    "--t-end", 2, "--out", tmp_path / "w")
+        assert code == 0
+        x, A, I = np.loadtxt(payload["snapshots"][0], delimiter=",", skiprows=1, unpack=True)
+        grid = pde.Grid(-30.0, 120.0, 201)
+        # 17 significant digits round-trip, so the written bump is the width-2 one exactly
+        assert A.tobytes() == pde.bump(grid, pde.BUMP_AMPLITUDE, 2.0)[0].tobytes()
+        assert A.tobytes() != pde.bump(grid)[0].tobytes()
+
+    @pytest.mark.parametrize("case, message", [
+        ("missing", "cannot read initial data"),
+        ("header", "must be a CSV with header x,A,I"),
+        ("short", "initial data needs at least 16 rows"),
+    ])
+    def test_unreadable_initial_data_exits_64(self, tmp_path, capsys, case, message):
+        path = tmp_path / "initial.csv"
+        rows = 15 if case == "short" else 201
+        xs = np.linspace(-30.0, 120.0, rows)
+        if case != "missing":
+            np.savetxt(path, np.column_stack([xs, np.exp(-xs * xs), np.zeros_like(xs)]),
+                       delimiter=",", header="x,B,I" if case == "header" else "x,A,I",
+                       comments="", fmt="%.17g")
+        code, out, err = run(capsys, "pde", "--initial", path, "--out", tmp_path / "x")
+        assert code == 64
+        assert out == ""
+        assert message in err
+        assert not list(tmp_path.glob("x*"))
+
     def test_negative_amplitude_exits_64(self, tmp_path, capsys):
         code, out, err = run(capsys, "pde", "--amplitude", "-0.5", "--out", tmp_path / "x")
         assert code == 64
@@ -677,6 +706,18 @@ class TestFormulas:
         code, _, err = run(capsys, "formulas", "--general", "rS=2,rA=4")
         assert code == 64
 
+    def test_repeated_general_key_exits_64(self, capsys):
+        # a second rS would silently replace the first
+        code, out, err = run(capsys, "formulas", "--general", "rS=2,rS=3,rA=4,rI=2,D=1")
+        assert code == 64
+        assert out == ""
+        assert "argument --general: repeated general parameter: rS" in err
+
+    def test_supercritical_speed_note(self, capsys):
+        code, out, _ = run(capsys, "formulas", "--c", 3)
+        assert code == 0
+        assert "note: c exceeds the minimal front speed 2; i_c = 0\n" in out
+
     def test_nonpositive_speed_exits_64(self, capsys):
         code, _, err = run(capsys, "formulas", "--c", 0)
         assert code == 64
@@ -711,6 +752,12 @@ class TestVerify:
         assert "[PASS] passing: fine" in out
         assert "[FAIL] failing: off by a mile" in out
         assert err == "FAILED: failing\n"
+
+    def test_seed_accepted(self, capsys):
+        code, out, err = run(capsys, "verify", "--only", "rescaling", "--seed", 7)
+        assert code == 0
+        assert out.startswith("[PASS] rescaling")
+        assert err == ""
 
     def test_negative_seed_exits_64(self, capsys):
         code, out, err = run(capsys, "verify", "--seed", -10)
@@ -765,6 +812,14 @@ class TestConfig:
         assert code == 0
         assert payload["c"] == 2.0
         assert payload["i_c"] == 0.0
+
+    def test_line_without_equals_names_file_and_line(self, tmp_path, capsys):
+        cfg = tmp_path / "f.cfg"
+        cfg.write_text("c = 1\njust words\n")
+        code, out, err = run(capsys, "formulas", "--config", cfg)
+        assert code == 64
+        assert out == ""
+        assert f"{cfg}:2: expected key = value, got 'just words'" in err
 
     def test_unknown_config_key_exits_64(self, tmp_path, capsys):
         cfg = tmp_path / "f.cfg"
@@ -904,6 +959,14 @@ class TestCsv:
         assert out == ""
         assert err.startswith(f"error: cannot write {tmp_path / 'missing'}")
         assert "No such file or directory" in err
+        assert "Traceback" not in err
+
+    def test_out_is_a_directory_exits_64(self, tmp_path, capsys):
+        # its parent is writable, so only the open itself fails, after the shot
+        code, out, err = run(capsys, "wave", "--out", tmp_path)
+        assert code == 64
+        assert out == ""
+        assert err.startswith(f"error: cannot write {tmp_path}: ")
         assert "Traceback" not in err
 
     def test_out_in_the_working_directory(self, tmp_path, capsys, monkeypatch):

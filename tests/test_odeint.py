@@ -17,19 +17,20 @@ from branchwaves.errors import DomainError, NonConvergenceError
 from branchwaves.model import Params, wave_rhs
 from branchwaves.odeint import (  # the tableau `reference_integrate` reads
     A21, A31, A32, A41, A42, A43, A51, A52, A53, A54, A61, A62, A63, A64, A65, B1, B3, B4,
-    B5, B6, C2, C3, C4, C5, D12, D13, D14, D32, D33, D34, D42, D43, D44, D52, D53, D54, D62,
-    D63, D64, D72, D73, D74, E1, E3, E4, E5, E6, E7, MAX_FACTOR, MIN_FACTOR, SAFETY)
+    B5, B6, D12, D13, D14, D32, D33, D34, D42, D43, D44, D52, D53, D54, D62, D63, D64, D72,
+    D73, D74, E1, E3, E4, E5, E6, E7, MAX_FACTOR, MIN_FACTOR, SAFETY)
 from branchwaves.odeint import (EV_MAX, EV_NEG, EV_STOP, EventRecord, Trajectory, _at, _events,
                                 _initial_step, _rms, integrate)
 from branchwaves.wave import NEGATIVITY_TOL, STOP_TOL, Z_BUDGET, seed_unstable_manifold
 
 
-def decay(z, y):
+def decay(y, p):
     return (-y[0], -y[1], -y[2])
 
 
-def turns_nan(z, y):
-    return (math.nan,) * 3 if z > 0.5 else decay(z, y)
+def turns_nan(y, p):
+    # a and b decay while i, started at 0.5, keeps the clock (i' = 1): NaN past z = 0.5
+    return (math.nan,) * 3 if y[2] > 1.0 else (-y[0], -y[1], 1.0)
 
 
 Y0 = (1.0, -2.0, 0.5)
@@ -68,7 +69,7 @@ def _refine(g, lo, g_lo, hi, g_hi) -> float:
     return hi - g_hi * (hi - lo) / (g_hi - g_lo)
 
 
-def reference_integrate(rhs, y0, z_end, stops):
+def reference_integrate(rhs, p, y0, z_end, stops):
     """`integrate` as plain calls: the builtins abs, min and max, a helper per sample and
     per dense output, and a closure per refined event.
 
@@ -80,8 +81,8 @@ def reference_integrate(rhs, y0, z_end, stops):
     sample_dz, max_steps = odeint.SAMPLE_DZ, odeint.MAX_STEPS
     z = 0.0
     a, b, i = (float(v) for v in y0)
-    fa, fb, fi = rhs(z, (a, b, i))
-    h_abs = _initial_step(rhs, (a, b, i), (fa, fb, fi), z_end)
+    fa, fb, fi = rhs((a, b, i), p)
+    h_abs = _initial_step(rhs, p, (a, b, i), (fa, fb, fi), z_end)
     zs, ys, hits = [z], [a, b, i], []
     p0, p1, p2 = _events((a, b, i), neg_tol, stop_tol)
     accepted = rejected = refined = dense_samples = 0
@@ -109,26 +110,23 @@ def reference_integrate(rhs, y0, z_end, stops):
             z_new = min(z + h_abs, z_end)
             h = h_abs = z_new - z
             n_rhs += 6
-            k2a, k2b, k2i = rhs(z + C2 * h, (a + h * (A21 * fa), b + h * (A21 * fb),
-                                             i + h * (A21 * fi)))
-            k3a, k3b, k3i = rhs(z + C3 * h, (a + h * (A31 * fa + A32 * k2a),
-                                             b + h * (A31 * fb + A32 * k2b),
-                                             i + h * (A31 * fi + A32 * k2i)))
-            k4a, k4b, k4i = rhs(z + C4 * h, (a + h * (A41 * fa + A42 * k2a + A43 * k3a),
-                                             b + h * (A41 * fb + A42 * k2b + A43 * k3b),
-                                             i + h * (A41 * fi + A42 * k2i + A43 * k3i)))
-            k5a, k5b, k5i = rhs(z + C5 * h, (
-                a + h * (A51 * fa + A52 * k2a + A53 * k3a + A54 * k4a),
-                b + h * (A51 * fb + A52 * k2b + A53 * k3b + A54 * k4b),
-                i + h * (A51 * fi + A52 * k2i + A53 * k3i + A54 * k4i)))
-            k6a, k6b, k6i = rhs(z + h, (
+            k2a, k2b, k2i = rhs((a + h * (A21 * fa), b + h * (A21 * fb), i + h * (A21 * fi)), p)
+            k3a, k3b, k3i = rhs((a + h * (A31 * fa + A32 * k2a), b + h * (A31 * fb + A32 * k2b),
+                                 i + h * (A31 * fi + A32 * k2i)), p)
+            k4a, k4b, k4i = rhs((a + h * (A41 * fa + A42 * k2a + A43 * k3a),
+                                 b + h * (A41 * fb + A42 * k2b + A43 * k3b),
+                                 i + h * (A41 * fi + A42 * k2i + A43 * k3i)), p)
+            k5a, k5b, k5i = rhs((a + h * (A51 * fa + A52 * k2a + A53 * k3a + A54 * k4a),
+                                 b + h * (A51 * fb + A52 * k2b + A53 * k3b + A54 * k4b),
+                                 i + h * (A51 * fi + A52 * k2i + A53 * k3i + A54 * k4i)), p)
+            k6a, k6b, k6i = rhs((
                 a + h * (A61 * fa + A62 * k2a + A63 * k3a + A64 * k4a + A65 * k5a),
                 b + h * (A61 * fb + A62 * k2b + A63 * k3b + A64 * k4b + A65 * k5b),
-                i + h * (A61 * fi + A62 * k2i + A63 * k3i + A64 * k4i + A65 * k5i)))
+                i + h * (A61 * fi + A62 * k2i + A63 * k3i + A64 * k4i + A65 * k5i)), p)
             na = a + h * (B1 * fa + B3 * k3a + B4 * k4a + B5 * k5a + B6 * k6a)
             nb = b + h * (B1 * fb + B3 * k3b + B4 * k4b + B5 * k5b + B6 * k6b)
             ni = i + h * (B1 * fi + B3 * k3i + B4 * k4i + B5 * k5i + B6 * k6i)
-            k7a, k7b, k7i = rhs(z_new, (na, nb, ni))
+            k7a, k7b, k7i = rhs((na, nb, ni), p)
             error_norm = _rms(
                 h * (E1 * fa + E3 * k3a + E4 * k4a + E5 * k5a + E6 * k6a + E7 * k7a)
                 / (atol + max(abs(a), abs(na)) * rtol),
@@ -214,7 +212,7 @@ class TestTrajectory:
 
 class TestIntegrate:
     def test_exponential_decay(self):
-        traj = integrate(decay, Y0, 1.0, PLAIN)
+        traj = integrate(decay, None, Y0, 1.0, PLAIN)
         assert traj.zs[0] == 0.0
         assert traj.zs[-1] == 1.0
         np.testing.assert_allclose(traj.states[-1], np.multiply(Y0, math.exp(-1.0)),
@@ -223,7 +221,7 @@ class TestIntegrate:
     def test_fixed_point_stays_put(self):
         p = Params(c=2.0, r=1.0)
         y0 = np.array([0.0, 0.0, 1.6])
-        traj = integrate(lambda z, y: wave_rhs(y, p), y0, 5.0, PLAIN)
+        traj = integrate(wave_rhs, p, y0, 5.0, PLAIN)
         assert np.max(np.abs(traj.states - y0)) == 0.0
         # no error at all: scipy's degenerate initial step, then tenfold growth
         ref = solve_ivp(lambda z, y: wave_rhs(y, p), (0.0, 5.0), y0, method="RK45",
@@ -234,12 +232,12 @@ class TestIntegrate:
 
     def test_degenerate_span(self):
         with pytest.raises(DomainError):
-            integrate(decay, Y0, 0.0, PLAIN)
+            integrate(decay, None, Y0, 0.0, PLAIN)
 
     def test_max_steps_carries_partial(self, monkeypatch):
         monkeypatch.setattr(odeint, "MAX_STEPS", 5)
         with pytest.raises(NonConvergenceError) as info:
-            integrate(decay, Y0, 10.0, PLAIN)
+            integrate(decay, None, Y0, 10.0, PLAIN)
         partial = info.value.trajectory
         assert partial is not None
         assert len(partial) == 6
@@ -248,11 +246,11 @@ class TestIntegrate:
     def test_constant_matrix_vs_expm(self):
         M = np.array([[0.2, 1.0, 0.0], [-0.7, -0.5, 0.3], [0.1, 0.0, -0.4]])
         y0 = np.array([1.0, 0.5, -0.25])
-        traj = integrate(lambda z, y: M @ y, y0, 2.0, PLAIN)
+        traj = integrate(lambda y, M: M @ y, M, y0, 2.0, PLAIN)
         np.testing.assert_allclose(traj.states[-1], expm(2.0 * M) @ y0, atol=1e-8)
 
     def test_real_start_gives_float_states(self):
-        traj = integrate(decay, [1, 2, 3], 1.0, PLAIN)
+        traj = integrate(decay, None, [1, 2, 3], 1.0, PLAIN)
         assert traj.states.dtype == np.float64
 
     def test_monotone_convergence(self, monkeypatch):
@@ -261,7 +259,7 @@ class TestIntegrate:
         errs = []
         for k in range(14):
             monkeypatch.setattr(odeint, "REL_TOL", 1e-4 * 0.5**k)
-            traj = integrate(decay, [1.0, 1.0, 1.0], 1.0, PLAIN)
+            traj = integrate(decay, None, [1.0, 1.0, 1.0], 1.0, PLAIN)
             errs.append(abs(traj.states[-1, 0] - math.exp(-1.0)))
         for worse, better in zip(errs, errs[1:]):
             assert better <= worse + 1e-15
@@ -269,32 +267,32 @@ class TestIntegrate:
 
 class TestEvents:
     @staticmethod
-    def oscillator(z, y):
+    def oscillator(y, p):
         # a held at 1, b' = i and i' = -b
         return (0.0, y[2], -y[1])
 
     def test_downward_only(self):
         # b = sin z falls through zero at odd multiples of pi only
-        traj = integrate(self.oscillator, [1.0, 0.0, 1.0], 10.0, STOPS)
+        traj = integrate(self.oscillator, None, [1.0, 0.0, 1.0], 10.0, STOPS)
         zs = [rec.z for rec in traj.events]
         assert zs == pytest.approx([math.pi, 3 * math.pi], abs=1e-8)
 
     def test_event_state_recorded(self):
-        traj = integrate(self.oscillator, [1.0, 0.0, 1.0], 4.0, STOPS)
+        traj = integrate(self.oscillator, None, [1.0, 0.0, 1.0], 4.0, STOPS)
         rec = traj.events[0]
         assert rec.index == EV_MAX
         assert rec.state[2] == pytest.approx(-1.0, abs=1e-8)
 
     def test_terminal_event_truncates(self):
         # a = sin z with b held at 1: a + NEGATIVITY_TOL falls through zero just past pi
-        traj = integrate(lambda z, y: (y[2], 0.0, -y[0]), [0.0, 1.0, 1.0], 10.0, STOPS)
+        traj = integrate(lambda y, p: (y[2], 0.0, -y[0]), None, [0.0, 1.0, 1.0], 10.0, STOPS)
         assert traj.zs[-1] == pytest.approx(math.pi + math.asin(NEGATIVITY_TOL), abs=1e-8)
         assert [rec.index for rec in traj.events] == [EV_NEG]
 
     def test_stop_event_truncates(self):
         # max(|a|, |b|) = 2 e^{-z} falls to STOP_TOL at z = log(2 / STOP_TOL);
         # b < 0 and a > 0 throughout, so nothing else fires
-        traj = integrate(decay, Y0, 50.0, STOPS)
+        traj = integrate(decay, None, Y0, 50.0, STOPS)
         assert [rec.index for rec in traj.events] == [EV_STOP]
         # ABS_TOL is 1% of that level, so z holds to about 1e-4 there
         assert traj.zs[-1] == traj.events[0].z == pytest.approx(math.log(2.0 / STOP_TOL), abs=1e-3)
@@ -303,21 +301,21 @@ class TestEvents:
     def test_crossings_taken_in_z_order(self):
         # a = sin z falls below -NEGATIVITY_TOL just past pi, and b = sin(z - 0.001)
         # through zero 0.001 later, between the same two samples: the run ends
-        # at the first and never reaches the second
-        def rhs(z, y):
-            return (math.cos(z), math.cos(z - 0.001), 0.0)
+        # at the first and never reaches the second; i = z keeps the clock
+        def rhs(y, p):
+            return (math.cos(y[2]), math.cos(y[2] - 0.001), 1.0)
 
         y0 = [0.0, math.sin(-0.001), 0.0]
-        traj = integrate(rhs, y0, 10.0, STOPS)
+        traj = integrate(rhs, None, y0, 10.0, STOPS)
         assert [rec.index for rec in traj.events] == [EV_NEG]
         assert traj.zs[-1] == pytest.approx(math.pi + math.asin(NEGATIVITY_TOL), abs=1e-8)
         # the plain run keeps the same samples and shows both crossings in one interval
-        zs = integrate(rhs, y0, 10.0, PLAIN).zs
+        zs = integrate(rhs, None, y0, 10.0, PLAIN).zs
         j = np.searchsorted(zs, traj.zs[-2])
         assert zs[j] == traj.zs[-2] and zs[j + 1] > math.pi + 0.001
 
     def test_abscissae_increasing_within_steps(self):
-        traj = integrate(self.oscillator, [1.0, 0.0, 1.0], 20.0, STOPS)
+        traj = integrate(self.oscillator, None, [1.0, 0.0, 1.0], 20.0, STOPS)
         zs = [rec.z for rec in traj.events]
         assert len(zs) == 3
         assert zs == sorted(zs)
@@ -328,24 +326,24 @@ class TestEvents:
 
     def test_dip_inside_one_long_step(self, monkeypatch):
         # b = (z - 5)^2 - 0.15^2 falls through zero at 4.85 and rises again at
-        # 5.15; the fifth-order pair is exact on it, so the step grows tenfold
-        # each time and one step spans the dip
-        def parabola(z, y):
-            return (0.0, 2.0 * (z - 5.0), 0.0)
+        # 5.15, with i = z the clock; the fifth-order pair is exact on both, so
+        # the step grows tenfold each time and one step spans the dip
+        def parabola(y, p):
+            return (0.0, 2.0 * (y[2] - 5.0), 1.0)
 
         y0 = (1.0, 25.0 - 0.15 ** 2, 0.0)
-        traj = integrate(parabola, y0, 10.0, STOPS)
+        traj = integrate(parabola, None, y0, 10.0, STOPS)
         assert [rec.z for rec in traj.events] == pytest.approx([4.85], abs=1e-8)
         # the step ends alone straddle the dip and miss it
         monkeypatch.setattr(odeint, "SAMPLE_DZ", math.inf)
-        ends = integrate(parabola, y0, 10.0, STOPS)
+        ends = integrate(parabola, None, y0, 10.0, STOPS)
         assert ends.events == []
         assert np.count_nonzero((ends.zs > 4.85) & (ends.zs < 5.15)) == 0
 
     def test_event_active_at_start_not_refired(self):
         # b = -sin z starts exactly on the zero set and falls from there;
         # only the true falling crossing at 2 pi counts
-        traj = integrate(self.oscillator, [1.0, 0.0, -1.0], 7.0, STOPS)
+        traj = integrate(self.oscillator, None, [1.0, 0.0, -1.0], 7.0, STOPS)
         zs = [rec.z for rec in traj.events]
         assert zs == pytest.approx([2 * math.pi], abs=1e-8)
 
@@ -354,6 +352,7 @@ P_WAVE = Params(c=2.0, r=0.5)
 
 
 def wave(z, y):
+    """The wave system as scipy calls it."""
     return wave_rhs(y, P_WAVE)
 
 
@@ -383,7 +382,7 @@ class TestScipyOracle:
     """scipy's RK45 is the reference: the core keeps its steps exactly."""
 
     def test_wave_shot_matches_solve_ivp(self, seed, monkeypatch):
-        traj = integrate(wave, seed, 150.0, PLAIN)
+        traj = integrate(wave_rhs, P_WAVE, seed, 150.0, PLAIN)
         ref = solve_ivp(wave, (0.0, 150.0), seed, method="RK45", rtol=odeint.REL_TOL,
                         atol=odeint.ABS_TOL, dense_output=True)
         assert len(traj) >= 1501  # samples at most SAMPLE_DZ apart
@@ -393,7 +392,7 @@ class TestScipyOracle:
         # with no inner samples the trajectory holds the step ends alone, and
         # sampling moves none of them
         monkeypatch.setattr(odeint, "SAMPLE_DZ", math.inf)
-        ends = integrate(wave, seed, 150.0, PLAIN).zs
+        ends = integrate(wave_rhs, P_WAVE, seed, 150.0, PLAIN).zs
         assert np.isin(ends, traj.zs).all()
         # The error estimate cancels heavily, so a rounding-level change moves
         # the error-controlled step ends: scipy itself, started one ulp away,
@@ -408,7 +407,7 @@ class TestScipyOracle:
         ((NEGATIVITY_TOL, 1e-3), EV_STOP, lambda z, y: max(abs(y[0]), abs(y[1])) - 1e-3),
     ], ids=["b", "a-level", "stop"])
     def test_events_match_brentq(self, seed, stops, index, fn):
-        traj = integrate(wave, seed, 150.0, stops)
+        traj = integrate(wave_rhs, P_WAVE, seed, 150.0, stops)
         hits = [rec for rec in traj.events if rec.index == index]
         found = reference_crossings(fn, seed, 150.0)
         assert len(hits) >= 1
@@ -424,7 +423,7 @@ class TestScipyOracle:
 
     def test_rejections_match_solve_ivp(self):
         # tenfold growth on a fast decay makes the control cut steps back
-        traj = integrate(lambda z, y: tuple(-50.0 * v for v in y), Y0, 5.0, PLAIN)
+        traj = integrate(lambda y, p: tuple(-50.0 * v for v in y), None, Y0, 5.0, PLAIN)
         ref = solve_ivp(lambda z, y: -50.0 * y, (0.0, 5.0), np.array(Y0), method="RK45",
                         rtol=odeint.REL_TOL, atol=odeint.ABS_TOL)
         assert traj.diagnostics["rejected_steps"] > 0
@@ -433,17 +432,20 @@ class TestScipyOracle:
 
     def test_nan_rhs_underflows_like_scipy(self):
         with pytest.raises(NonConvergenceError, match="step size underflow") as info:
-            integrate(turns_nan, Y0, 2.0, PLAIN)
+            integrate(turns_nan, None, Y0, 2.0, PLAIN)
         partial = info.value.trajectory
 
-        solver = RK45(lambda z, y: np.asarray(turns_nan(z, y)), 0.0, np.array(Y0), 2.0,
+        solver = RK45(lambda z, y: np.asarray(turns_nan(y, None)), 0.0, np.array(Y0), 2.0,
                       rtol=odeint.REL_TOL, atol=odeint.ABS_TOL)
         while solver.status == "running":
             solver.step()
         assert solver.status == "failed"
-        # both creep up to the NaN wall by rejected and shrunken steps
-        assert 0.5 - 1e-12 < partial.zs[-1] <= 0.5
-        assert 0.5 - 1e-12 < solver.t <= 0.5
+        # both creep up to the NaN wall, i = 1 on the clock, by rejected and shrunken steps;
+        # the clock and z round apart by a few ulps, so z lands on either side of 0.5
+        assert 1.0 - 1e-12 < partial.states[-1, 2] <= 1.0
+        assert 1.0 - 1e-12 < solver.y[2] <= 1.0
+        assert partial.zs[-1] == pytest.approx(0.5, abs=1e-12)
+        assert solver.t == pytest.approx(0.5, abs=1e-12)
         np.testing.assert_allclose(partial.states[-1], solver.y, rtol=0.0, atol=1e-11)
         assert partial.diagnostics["rejected_steps"] > 0
 
@@ -459,18 +461,18 @@ class TestScipyOracle:
     @pytest.mark.parametrize("y0", [[1.0], [1.0, 2.0], [1.0, 2.0, 3.0, 4.0]])
     def test_wrong_length_state_rejected(self, y0):
         with pytest.raises(DomainError, match="three components"):
-            integrate(lambda z, y: y, y0, 1.0, PLAIN)
+            integrate(lambda y, p: y, None, y0, 1.0, PLAIN)
 
 
 class TestDiagnostics:
     def test_counts_every_rhs_call(self, seed):
         calls = []
 
-        def counted(z, y):
-            calls.append(z)
-            return wave(z, y)
+        def counted(y, p):
+            calls.append(y)
+            return wave_rhs(y, p)
 
-        traj = integrate(counted, seed, 30.0, PLAIN)
+        traj = integrate(counted, P_WAVE, seed, 30.0, PLAIN)
         diag = traj.diagnostics
         assert diag["rhs_evaluations"] == len(calls)
         assert diag["rhs_evaluations"] == 2 + 6 * (
@@ -481,10 +483,10 @@ class TestDiagnostics:
         assert diag["refined_events"] == 0
 
     def test_refined_events_counted(self):
-        # b = sin z falls at pi and 3 pi; a = cos(z / 8) falls below -NEGATIVITY_TOL
-        # just past 4 pi and ends the run
-        traj = integrate(lambda z, y: (-math.sin(z / 8.0) / 8.0, y[2], -y[1]),
-                         [1.0, 0.0, 1.0], 20.0, STOPS)
+        # b = sin z falls at pi and 3 pi; a = 1 - z / 12 falls below -NEGATIVITY_TOL
+        # just past 12 and ends the run
+        traj = integrate(lambda y, p: (-1.0 / 12.0, y[2], -y[1]), None, [1.0, 0.0, 1.0], 20.0,
+                         STOPS)
         assert [rec.index for rec in traj.events] == [EV_MAX, EV_MAX, EV_NEG]
         assert traj.diagnostics["refined_events"] == len(traj.events) == 3
 
@@ -498,8 +500,7 @@ def outcome(run, *args):
 
 
 def wave_run(c, r, y0):
-    p = Params(c=c, r=r)
-    return (lambda z, y: wave_rhs(y, p), y0, Z_BUDGET, STOPS)
+    return (wave_rhs, Params(c=c, r=r), y0, Z_BUDGET, STOPS)
 
 
 class TestBitwise:
@@ -532,10 +533,11 @@ class TestBitwise:
             self.assert_same(wave_run(c, r, seed))
 
     def test_nan_rhs(self):
-        self.assert_same((turns_nan, Y0, 2.0, STOPS))
+        self.assert_same((turns_nan, None, Y0, 2.0, STOPS))
 
     def test_signed_zero_start(self):
         # abs(-0.0) is 0.0 but the conditionals keep -0.0, in the error scales and the stop
         # value; with stop_tol = 0 the stop value itself is -0.0 against the reference's 0.0
         self.assert_same(wave_run(2.0, 1.0, (-0.0, -0.0, 1.6)))
-        self.assert_same((lambda z, y: (-0.0, -0.0, -y[2]), (-0.0, -0.0, 1.6), 5.0, (0.0, 0.0)))
+        self.assert_same((lambda y, p: (-0.0, -0.0, -y[2]), None, (-0.0, -0.0, 1.6), 5.0,
+                          (0.0, 0.0)))

@@ -606,6 +606,41 @@ class TestSpreadingSpeed:
                                                                                    100.0)
         assert diag["c_star_scheme"] > pde.spreading_speed(g.dx, pde.STEP)[0]
 
+    @pytest.mark.parametrize("grid, r, c_hex, lambda_hex", [
+        (pde.GRID, 0.0, "0x1.fff92c467a28ap+0", "0x1.ffc124a740929p-1"),
+        (pde.GRID, 1.0, "0x1.fff92c467a28ap+0", "0x1.ffc124a740929p-1"),
+        (Grid(-20.0, 20.0, 201), 100.0, "0x1.0062efd8207a4p+1", "0x1.fdc68a601e199p-1"),
+    ], ids=["reference-r0", "reference-r1", "coarse-r100"])
+    def test_bump_runs_keep_their_bits(self, grid, r, c_hex, lambda_hex):
+        # every bump has I = 0 ahead, the level the probe took before it read the initial I:
+        # the bits it reported then, at STEP = 0.05
+        diag = simulate(*bump(grid), r, grid, 0.5).diagnostics
+        assert (diag["c_star_scheme"].hex(), diag["lambda_star"].hex()) == (c_hex, lambda_hex)
+
+    def test_front_into_a_raised_level(self):
+        # I = 0.5 ahead leaves A the growth rate 1/2: the continuum's c* = 2 sqrt(0.5) = 1.41421
+        # and lambda* = sqrt(0.5) = 0.70711, where a probe at I = 0 read 1.99990
+        g = pde.GRID
+        diag = simulate(bump(g)[0], np.full(g.n, 0.5), R0, g, 0.5).diagnostics
+        assert diag["c_star_scheme"] == pytest.approx(1.41428, abs=2e-5)
+        assert diag["lambda_star"] == pytest.approx(0.70690, abs=2e-5)
+        assert (diag["c_star_scheme"], diag["lambda_star"]) == pde.spreading_speed(
+            g.dx, pde.STEP, i_ahead=0.5)
+
+    def test_no_front_pulled_at_or_above_one(self, tmp_path, capsys):
+        # at I >= 1 ahead A decays there: no front is pulled, so neither number exists
+        for i_ahead in (1.0, 1.2):
+            assert pde.spreading_speed(pde.GRID.dx, pde.STEP, i_ahead=i_ahead) == (None, None)
+        xs = np.linspace(-30.0, 120.0, 201)
+        path = tmp_path / "raised.csv"
+        np.savetxt(path, np.column_stack([xs, 0.5 * np.exp(-xs * xs), np.full_like(xs, 1.2)]),
+                   delimiter=",", header="x,A,I", comments="", fmt="%.17g")
+        code = cli.main(["pde", "--initial", str(path), "--t-end", "2", "--threshold", "0.01",
+                         "--out", str(tmp_path / "p")])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert '"c_star_scheme": null' in out and '"lambda_star": null' in out
+
     def test_default_step_balances_the_budget(self):
         # the time part of c*'s error at STEP stays within 1.5 times the grid part; measured
         # 0.20 at step 0.02, 1.23 at 0.05 and 4.9 at 0.1
