@@ -31,6 +31,7 @@ import json
 import math
 import os
 import sys
+from itertools import chain, islice
 from typing import Callable
 
 import numpy as np
@@ -59,6 +60,7 @@ EXIT_REGIME = 2
 EXIT_BLOWUP = 3
 EXIT_RESOLUTION = 4
 EXIT_USAGE = 64
+_CSV_BLOCK = 1024  # rows `_write_csv` renders with one '%'
 
 
 class _UsageProblem(Exception):
@@ -93,13 +95,15 @@ def _check_out(path: str) -> None:
         raise _UsageProblem(f"cannot write {path}: {OSError(code, os.strerror(code), path)}")
 
 
-def _write_csv(path: str, header: list[str], columns: list[np.ndarray]) -> None:
-    # '%.17g' % x renders a Python float as format(x, '.17g') does, nan and inf included
-    row = ",".join(["%.17g"] * len(columns)) + "\n"
+def _write_csv(path: str, header: list[str], columns: list[np.ndarray | list[str]]) -> None:
+    # '%.17g' % x renders a float as format(x, '.17g') does, nan and inf too; a str column as it is
+    row = ",".join("%s" if isinstance(col, list) else "%.17g" for col in columns) + "\n"
+    rows = zip(*(col if isinstance(col, list) else col.tolist() for col in columns))
     try:
         with open(path, "w", newline="\n") as fh:
             fh.write(",".join(header) + "\n")
-            fh.writelines(row % values for values in zip(*(col.tolist() for col in columns)))
+            while block := list(islice(rows, _CSV_BLOCK)):
+                fh.write(row * len(block) % tuple(chain.from_iterable(block)))
     except OSError as exc:
         raise _UsageProblem(f"cannot write {path}: {exc}") from exc
 
@@ -164,10 +168,7 @@ def _parse_general(text: str) -> GeneralParams:
         key = key.strip()
         if key in values:
             raise argparse.ArgumentTypeError(f"repeated general parameter: {key}")
-        try:
-            values[key] = float(raw)
-        except ValueError as exc:
-            raise argparse.ArgumentTypeError(str(exc)) from exc
+        values[key] = raw
     missing = {"rS", "rA", "rI", "D"} - set(values)
     if missing:
         raise argparse.ArgumentTypeError(
@@ -178,7 +179,10 @@ def _parse_general(text: str) -> GeneralParams:
         raise argparse.ArgumentTypeError(
             f"unknown general parameters: {', '.join(sorted(extra))}"
         )
-    return GeneralParams(r_S=values["rS"], r_A=values["rA"], r_I=values["rI"], D=values["D"])
+    try:  # a bad number, or a DomainError naming the rate or D that is out of range
+        return GeneralParams(*(float(values[key]) for key in ("rS", "rA", "rI", "D")))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
 def _load_config(path: str) -> dict[str, str]:
@@ -333,7 +337,7 @@ def cmd_pde(args: argparse.Namespace) -> int:
         raise _UsageProblem(f"usage: {exc}") from exc
 
     keep = {0.0, round(args.t_end / 2.0, 6), args.t_end}
-    xs = grid.xs()
+    xs = ("%.17g\n" * grid.n % tuple(grid.xs().tolist())).split()  # text every file shares
     written = []
     for t, (A, I) in zip(series.times, series.snapshots):
         if args.save_all or t in keep:
@@ -485,8 +489,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------- main
 
 
-def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
-    """The top-level parser and its subcommand parsers by name."""
+def _build_parser(name: str | None = None) -> tuple[_Parser, dict[str, _Parser]]:
+    """The top-level parser and its subcommand parsers; only `name` (all if None) gets its flags."""
     parser = _Parser(prog="branchwaves", description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -495,75 +499,82 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p_evans = sub.add_parser("evans", help="sweep the spectral contour and report winding")
     p_formulas = sub.add_parser("formulas", help="evaluate the closed-form predictions")
     p_verify = sub.add_parser("verify", help="run the acceptance battery")
+    built = {sp for key, sp in sub.choices.items() if name in (None, key)}
 
-    for sp in (p_wave, p_evans, p_formulas):
+    for sp in built & {p_wave, p_evans, p_formulas}:
         sp.add_argument("--c", type=float, default=2.0,
                         help="wave speed (default %(default)s)")
-    for sp in (p_wave, p_pde, p_evans, p_formulas):
+    for sp in built & {p_wave, p_pde, p_evans, p_formulas}:
         sp.add_argument("--r", type=float, default=0.0,
                         help="production rate (default %(default)s)")
-    for sp in (p_wave, p_evans):
+    for sp in built & {p_wave, p_evans}:
         sp.add_argument("--i-minus", dest="i_minus", type=float, default=2.0,
                         help="rear inactive limit in (1, 2] (default %(default)s)")
 
-    p_wave.add_argument("--out", default="wave.csv",
-                        help="profile CSV path (default %(default)s)")
-    p_wave.set_defaults(handler=cmd_wave)
+    if p_wave in built:
+        p_wave.add_argument("--out", default="wave.csv",
+                            help="profile CSV path (default %(default)s)")
+        p_wave.set_defaults(handler=cmd_wave)
 
-    p_pde.add_argument("--amplitude", type=float, default=pde.BUMP_AMPLITUDE,
-                       help="bump height (default %(default)s)")
-    p_pde.add_argument("--width", type=_bump_width, default=pde.BUMP_WIDTH,
-                       help="bump width (default %(default)s)")
-    p_pde.add_argument("--initial", help="CSV x,A,I initial data (overrides the bump)")
-    p_pde.add_argument("--grid", default=f"{pde.GRID.n}:{pde.GRID.x_min:g}:{pde.GRID.x_max:g}",
-                       type=_fields("n:xmin:xmax", ":", int, float, float,
-                                    build=lambda n, x_min, x_max: pde.Grid(x_min, x_max, n)),
-                       help="n:xmin:xmax (default %(default)s)")
-    p_pde.add_argument("--t-end", dest="t_end", type=float, default=pde.T_END,
-                       help="final time (default %(default)s)")
-    p_pde.add_argument("--threshold", type=float, default=pde.FRONT_LEVEL,
-                       help="front tracking level (default %(default)s)")
-    p_pde.add_argument("--window", type=_fields("t1:t2", ":", float, float),
-                       help="speed-fit window t1:t2 (default second half)")
-    p_pde.add_argument("--out", default="pde",
-                       help="snapshot CSV prefix (default %(default)s)")
-    p_pde.add_argument("--save-all", dest="save_all", action="store_true",
-                       help="write every snapshot instead of start/middle/end")
-    p_pde.set_defaults(handler=cmd_pde)
+    if p_pde in built:
+        p_pde.add_argument("--amplitude", type=float, default=pde.BUMP_AMPLITUDE,
+                           help="bump height (default %(default)s)")
+        p_pde.add_argument("--width", type=_bump_width, default=pde.BUMP_WIDTH,
+                           help="bump width (default %(default)s)")
+        p_pde.add_argument("--initial", help="CSV x,A,I initial data (overrides the bump)")
+        p_pde.add_argument("--grid", default=f"{pde.GRID.n}:{pde.GRID.x_min:g}:{pde.GRID.x_max:g}",
+                           type=_fields("n:xmin:xmax", ":", int, float, float,
+                                        build=lambda n, x_min, x_max: pde.Grid(x_min, x_max, n)),
+                           help="n:xmin:xmax (default %(default)s)")
+        p_pde.add_argument("--t-end", dest="t_end", type=float, default=pde.T_END,
+                           help="final time (default %(default)s)")
+        p_pde.add_argument("--threshold", type=float, default=pde.FRONT_LEVEL,
+                           help="front tracking level (default %(default)s)")
+        p_pde.add_argument("--window", type=_fields("t1:t2", ":", float, float),
+                           help="speed-fit window t1:t2 (default second half)")
+        p_pde.add_argument("--out", default="pde",
+                           help="snapshot CSV prefix (default %(default)s)")
+        p_pde.add_argument("--save-all", dest="save_all", action="store_true",
+                           help="write every snapshot instead of start/middle/end")
+        p_pde.set_defaults(handler=cmd_pde)
 
-    p_evans.add_argument("--w-exp", dest="w_exp", type=float,
-                         help="exponential weight (default c/2)")
-    p_evans.add_argument("--contour", default=":".join(f"{v:g}" for v in spectral.CONTOUR),
-                         type=_fields("rmin:rmax:n", ":", float, float, int,
-                                      build=spectral.contour_of_S),
-                         help="rmin:rmax:n (default %(default)s)")
-    p_evans.add_argument("--out", default="evans.csv",
-                         help="samples CSV path (default %(default)s)")
-    p_evans.add_argument("--self-test", dest="self_test", action="store_true",
-                         help="wind the identity map around a circle about 0.5 (expects 1)")
-    p_evans.set_defaults(handler=cmd_evans)
+    if p_evans in built:
+        p_evans.add_argument("--w-exp", dest="w_exp", type=float,
+                             help="exponential weight (default c/2)")
+        p_evans.add_argument("--contour", default=":".join(f"{v:g}" for v in spectral.CONTOUR),
+                             type=_fields("rmin:rmax:n", ":", float, float, int,
+                                          build=spectral.contour_of_S),
+                             help="rmin:rmax:n (default %(default)s)")
+        p_evans.add_argument("--out", default="evans.csv",
+                             help="samples CSV path (default %(default)s)")
+        p_evans.add_argument("--self-test", dest="self_test", action="store_true",
+                             help="wind the identity map around a circle about 0.5 (expects 1)")
+        p_evans.set_defaults(handler=cmd_evans)
 
-    p_formulas.add_argument("--general", type=_parse_general,
-                            help="general rates rS=..,rA=..,rI=..,D=..")
-    p_formulas.add_argument("--json", action="store_true", help="machine-readable output")
-    p_formulas.set_defaults(handler=cmd_formulas)
+    if p_formulas in built:
+        p_formulas.add_argument("--general", type=_parse_general,
+                                help="general rates rS=..,rA=..,rI=..,D=..")
+        p_formulas.add_argument("--json", action="store_true", help="machine-readable output")
+        p_formulas.set_defaults(handler=cmd_formulas)
 
-    p_verify.add_argument("--only", help="substring filter on criterion names")
-    p_verify.add_argument("--seed", type=_seed, default=2026,
-                          help="randomized-check seed (default %(default)s)")
-    p_verify.add_argument("--json", action="store_true",
-                          help="one JSON object per criterion, with its diagnostics")
-    # the report form is chosen per run: a config file sets what verify checks
-    p_verify.per_run += ("json",)
-    p_verify.set_defaults(handler=cmd_verify)
+    if p_verify in built:
+        p_verify.add_argument("--only", help="substring filter on criterion names")
+        p_verify.add_argument("--seed", type=_seed, default=2026,
+                              help="randomized-check seed (default %(default)s)")
+        p_verify.add_argument("--json", action="store_true",
+                              help="one JSON object per criterion, with its diagnostics")
+        # the report form is chosen per run: a config file sets what verify checks
+        p_verify.per_run += ("json",)
+        p_verify.set_defaults(handler=cmd_verify)
 
-    for sp in sub.choices.values():
+    for sp in built:
         sp.add_argument("--config", help="flat key = value file with flag defaults")
     return parser, sub.choices
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser, commands = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv  # its first non-option names the subcommand
+    parser, commands = _build_parser(next((arg for arg in argv if arg[:1] != "-"), None))
     try:
         args = parser.parse_args(argv)
         if args.config:

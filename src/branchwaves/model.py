@@ -72,12 +72,12 @@ class GeneralParams:
     D: float
 
     def __post_init__(self):
-        if not (self.r_S > 0 and self.r_A > 0 and self.D > 0):
+        if not (0 < self.r_S < math.inf and 0 < self.r_A < math.inf and 0 < self.D < math.inf):
             raise DomainError(
-                f"r_S, r_A, D must be positive, got {self.r_S}, {self.r_A}, {self.D}"
+                f"r_S, r_A, D must be positive and finite, got {self.r_S}, {self.r_A}, {self.D}"
             )
-        if not (self.r_I >= 0):
-            raise DomainError(f"r_I must be >= 0, got {self.r_I}")
+        if not 0 <= self.r_I < math.inf:
+            raise DomainError(f"r_I must be >= 0 and finite, got {self.r_I}")
 
 
 @dataclass(frozen=True)

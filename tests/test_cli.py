@@ -713,6 +713,17 @@ class TestFormulas:
         assert out == ""
         assert "argument --general: repeated general parameter: rS" in err
 
+    @pytest.mark.parametrize("general, reason", [
+        # an infinite D would report a normalized speed of 0
+        ("rS=2,rA=4,rI=2,D=inf", "r_S, r_A, D must be positive and finite, got 2.0, 4.0, inf"),
+        ("rS=2,rA=4,rI=-2,D=1", "r_I must be >= 0 and finite, got -2.0"),
+    ], ids=["infinite-D", "negative-rI"])
+    def test_general_out_of_range_exits_64_with_its_reason(self, capsys, general, reason):
+        code, out, err = run(capsys, "formulas", "--general", general, "--json")
+        assert code == 64
+        assert out == ""
+        assert f"argument --general: {reason}\n" in err
+
     def test_supercritical_speed_note(self, capsys):
         code, out, _ = run(capsys, "formulas", "--c", 3)
         assert code == 0
@@ -862,6 +873,25 @@ class TestConfig:
         assert code == 64
         assert f"{cfg}: config key c:" in err
 
+    def test_bad_config_general_names_file_key_and_reason(self, tmp_path, capsys):
+        cfg = tmp_path / "f.cfg"
+        cfg.write_text("general = rS=2,rA=4,rI=-2,D=1\n")
+        code, out, err = run(capsys, "formulas", "--config", cfg)
+        assert code == 64
+        assert out == ""
+        assert f"{cfg}: config key general: r_I must be >= 0 and finite, got -2.0" in err
+
+    def test_config_leaves_no_default_behind(self, tmp_path, capsys):
+        # each call builds its own parser, so a config file's defaults end with its run
+        cfg = tmp_path / "f.cfg"
+        cfg.write_text("c = 1\nr = 0.5\n")
+        code, payload, _ = run_json(capsys, "formulas", "--config", cfg, "--json")
+        assert code == 0
+        assert (payload["c"], payload["r"]) == (1.0, 0.5)
+        code, payload, _ = run_json(capsys, "formulas", "--json")
+        assert code == 0
+        assert (payload["c"], payload["r"]) == (2.0, 0.0)
+
     def test_negative_config_seed_names_file_and_key(self, tmp_path, capsys):
         cfg = tmp_path / "v.cfg"
         cfg.write_text("seed = -3\n")
@@ -925,6 +955,49 @@ class TestUsage:
         assert named - flags == {"--no-build-isolation", "--durations"}
 
 
+class TestParser:
+    COMMANDS = ["wave", "pde", "evans", "formulas", "verify"]
+
+    @staticmethod
+    def described(sp):
+        """What a subcommand parser offers: flags, defaults, help text and config keys."""
+        return ([action.option_strings for action in sp._actions],
+                {action.dest: action.default for action in sp._actions},
+                sp.format_help(),
+                sorted(action.dest for action in sp._actions if action.dest not in sp.per_run))
+
+    @pytest.mark.parametrize("name", COMMANDS)
+    def test_named_build_matches_the_full_one(self, name):
+        _, full = cli._build_parser()
+        top, named = cli._build_parser(name)
+        assert list(named) == self.COMMANDS
+        assert self.described(named[name]) == self.described(full[name])
+        # the other subcommands get no arguments beyond -h
+        for other in set(self.COMMANDS) - {name}:
+            assert [action.dest for action in named[other]._actions] == ["help"]
+        assert top.format_help() == cli._build_parser()[0].format_help()
+
+    @pytest.mark.parametrize("argv", [["bogus", "wave"], ["-5", "wave"], ["-", "pde"]],
+                             ids=["word", "negative-number", "dash"])
+    def test_a_first_argument_that_names_no_subcommand_exits_64(self, capsys, argv):
+        # argparse takes that argument for the subcommand, whatever follows it
+        code, out, err = run(capsys, *argv)
+        assert code == 64
+        assert out == ""
+        assert f"invalid choice: '{argv[0]}' (choose from 'wave', 'pde', 'evans', " in err
+
+    def test_import_builds_no_parser(self):
+        # parsers are built by main, per call, so a start pays for none at import
+        probe = ("import argparse; built = []; init = argparse.ArgumentParser.__init__; "
+                 "argparse.ArgumentParser.__init__ = "
+                 "lambda self, *a, **k: built.append(1) or init(self, *a, **k); "
+                 "import branchwaves.cli; print(len(built))")
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+        proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                              text=True, timeout=60, check=True)
+        assert proc.stdout.strip() == "0"
+
+
 class TestCsv:
     def test_bytes_match_per_value_rendering(self, tmp_path):
         special = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1e300, -1e300,
@@ -941,6 +1014,42 @@ class TestCsv:
             ",".join(format(float(v), ".17g") for v in row) + "\n" for row in zip(*columns)
         )
         assert path.read_bytes() == expected.encode()
+
+    def test_blocks_match_per_value_rendering(self, tmp_path):
+        # special values at and next to every edge of the blocks the writer renders at once
+        block = cli._CSV_BLOCK
+        n = 2500
+        rng = np.random.default_rng(5)
+        special = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e300, -1e300]
+        columns = [rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n) for _ in range(3)]
+        edges = [k * block + d for k in range(1, n // block + 1) for d in (-1, 0, 1)] + [0, n - 1]
+        for j, column in enumerate(columns):
+            for m, row in enumerate(edges):
+                column[row] = special[(m + j) % len(special)]
+        text = [f"row {k}" for k in range(n)]
+        path = tmp_path / "blocks.csv"
+        cli._write_csv(str(path), ["a", "label", "b", "c"], [columns[0], text, *columns[1:]])
+        expected = "a,label,b,c\n" + "".join(
+            f"{format(float(a), '.17g')},{label},{format(float(b), '.17g')},"
+            f"{format(float(c), '.17g')}\n" for a, label, b, c in zip(columns[0], text, *columns[1:])
+        )
+        assert path.read_bytes() == expected.encode()
+
+    def test_pde_files_match_per_value_rendering(self, tmp_path, capsys):
+        # every snapshot shares one rendering of the grid column
+        code, payload, _ = run_json(capsys, "pde", "--grid", "201:-30:120", "--t-end", 5,
+                                    "--save-all", "--out", tmp_path / "s")
+        assert code == 0
+        grid = pde.Grid(-30.0, 120.0, 201)
+        series = pde.simulate(*pde.bump(grid, pde.BUMP_AMPLITUDE, pde.BUMP_WIDTH), 0.0, grid,
+                              t_end=5.0)
+        assert payload["snapshots"] == [f"{tmp_path / 's'}_t{t:g}.csv" for t in series.times]
+        for name, (A, I) in zip(payload["snapshots"], series.snapshots):
+            expected = "x,A,I\n" + "".join(
+                ",".join(format(float(v), ".17g") for v in row) + "\n"
+                for row in zip(grid.xs(), A, I)
+            )
+            assert Path(name).read_bytes() == expected.encode()
 
     def test_empty_columns_write_the_header(self, tmp_path):
         path = tmp_path / "empty.csv"

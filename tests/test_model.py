@@ -64,6 +64,10 @@ class TestParams:
             dict(r_S=1.0, r_A=-1.0, r_I=0.0, D=1.0),
             dict(r_S=1.0, r_A=1.0, r_I=-0.1, D=1.0),
             dict(r_S=1.0, r_A=1.0, r_I=0.0, D=0.0),
+            # an infinite D would give a normalized speed of 0, an infinite r_I a NaN rate
+            dict(r_S=1.0, r_A=1.0, r_I=0.0, D=math.inf),
+            dict(r_S=1.0, r_A=1.0, r_I=math.inf, D=1.0),
+            dict(r_S=math.inf, r_A=1.0, r_I=0.0, D=1.0),
         ]:
             with pytest.raises(DomainError):
                 GeneralParams(**bad)
