@@ -64,15 +64,8 @@ class AcceptanceContext:
 
     def wave_grid(self) -> dict[tuple[float, float, float], wave_mod.WaveProfile]:
         if self._waves is None:
-            self._waves = {}
-            for c in WAVE_GRID_C:
-                i_c = analysis.minimal_inactive_limit(c)
-                for r in WAVE_GRID_R:
-                    for i_minus in WAVE_GRID_I:
-                        if i_minus <= 2.0 - i_c:
-                            self._waves[(c, r, i_minus)] = wave_mod.shoot_wave(
-                                i_minus, Params(c=c, r=r)
-                            )
+            self._waves = {(c, r, i_minus): wave_mod.shoot_wave(i_minus, Params(c=c, r=r))
+                           for c in WAVE_GRID_C for r in WAVE_GRID_R for i_minus in WAVE_GRID_I}
         return self._waves
 
     def wave_reports(self) -> dict[tuple[float, float, float], wave_mod.VerificationReport]:
@@ -264,7 +257,8 @@ def _evans_winding(ctx: AcceptanceContext) -> tuple[bool, str, dict]:
     return ok, "; ".join(parts), diagnostics
 
 
-def _oscillatory_exclusion(ctx: AcceptanceContext, tol: float = 1e-6) -> tuple[bool, str, dict]:
+def _oscillatory_exclusion(ctx: AcceptanceContext) -> tuple[bool, str, dict]:
+    tol = wave_mod.NEGATIVITY_TOL  # the floor the shot stops at, read when the check runs
     try:
         wave_mod.shoot_wave(1.5, Params(c=1.0, r=0.0))
     except NegativityError as exc:
@@ -273,9 +267,7 @@ def _oscillatory_exclusion(ctx: AcceptanceContext, tol: float = 1e-6) -> tuple[b
         # the recorded depth equals -tol up to the event locator's rounding
         # (z to 1e-10, hence a to ~1e-13)
         return depth is not None and depth <= -tol + 1e-12, (
-            f"(c=1, i-inf=1.5) rejected: a falls to {depth:.6e}, reaching "
-            f"the -{tol:g} floor"
-        ), {}
+            f"(c=1, i-inf=1.5) rejected: a falls to {depth:.6e}, reaching the -{tol:g} floor"), {}
     return False, "(c=1, i-inf=1.5) unexpectedly produced a non-negative wave", {}
 
 

@@ -38,30 +38,40 @@ __all__ = [
 ]
 
 
-def fixed_point_spectrum(K: float, c: float, gamma: complex = 0.0, w: float = 0.0) -> tuple:
+def fixed_point_spectrum(K, c: float, gamma=0.0, w: float = 0.0) -> tuple:
     """Eigenvalues at the fixed point (0, 0, K): (i-mode, growing root, decaying root).
 
     gamma/c + w and w - c/2 +- sqrt(c^2/4 + gamma + K - 1), principal branch, at the
     spectral parameter gamma and weight w of `spectral`.  At the defaults, the wave-ODE
     rates: the i-mode is exactly 0, and the roots are a complex pair where c^2/4 + K < 1.
+    A complex array of gammas gives arrays: at finite gammas, one-gamma values to the bit.
     """
     if not c > 0:
         raise DomainError(f"wave speed must be positive, got {c}")
-    root = cmath.sqrt(c * c / 4.0 + gamma + K - 1.0)
-    return (gamma / c + w, w - c / 2.0 + root, w - c / 2.0 - root)
+    if isinstance(gamma, np.ndarray):  # a complex over a float, part by part as in Python
+        mode, sqrt = gamma.real / c + w + 1j * (gamma.imag / c), np.sqrt
+    else:
+        mode, sqrt = gamma / c + w, cmath.sqrt
+    root = sqrt(c * c / 4.0 + gamma + K - 1.0)
+    return (mode, w - c / 2.0 + root, w - c / 2.0 - root)
 
 
-def eigenvector(K: float, c: float, r: float, lam: complex, gamma: complex = 0.0):
+def eigenvector(K: float, c: float, r: float, lam, gamma=0.0) -> tuple:
     """Eigenvector (1, lam, (K + r) / (gamma - c lam)) at (0, 0, K) for a root lam.
 
     lam is a root of `fixed_point_spectrum` at the same K, c and gamma,
     less the weight.  SplittingError where gamma - c lam is below 1e-10 in
-    modulus: lam collides with the i-mode there and this form degenerates.
+    modulus, at the first such entry of arrays: lam collides with the i-mode
+    there and this form degenerates.  Array entries are Python's to the bit.
     """
     den = gamma - c * lam
-    if abs(den) < 1e-10:
+    near = np.less(abs(den), 1e-10)
+    if near.any():  # name the first such entry
+        lam, gamma = (np.broadcast_to(x, near.shape).flat[near.argmax()].item() for x in (lam, gamma))
         raise SplittingError(f"limit eigenvalue {lam} collides with the i-mode at gamma = "
                              f"{gamma}, where its eigenvector degenerates")
+    if isinstance(den, np.ndarray):  # divided as Python numbers: numpy's quotient can be a bit off
+        return (1.0, lam, np.asarray((K + r) / den.astype(object), dtype=complex))
     return (1.0, lam, (K + r) / den)
 
 

@@ -195,10 +195,11 @@ def _load_config(path: str) -> dict[str, str]:
                     continue
                 key, sep, value = text.partition("=")
                 if not sep:
-                    raise _UsageProblem(
-                        f"{path}:{lineno}: expected key = value, got {text!r}"
-                    )
-                entries[key.strip().replace("-", "_")] = value.strip()
+                    raise _UsageProblem(f"{path}:{lineno}: expected key = value, got {text!r}")
+                key = key.strip().replace("-", "_")
+                if key in entries:  # t-end and t_end are one key
+                    raise _UsageProblem(f"{path}:{lineno}: repeated config key {key}")
+                entries[key] = value.strip()
     except OSError as exc:
         raise _UsageProblem(f"cannot read config {path}: {exc}") from exc
     return entries

@@ -120,6 +120,8 @@ class SpectralSetup:
         self._meshes: dict[float, tuple[np.ndarray, np.ndarray]] = {}
         slopes = np.stack(wave_rhs(traj.states.T, self.wave.params), axis=-1)
         self._spline = partial(_hermite, traj.zs, traj.states, slopes)
+        self._d = np.subtract(*_weighted_matrix(  # D of `_march`, the generator's slope in gamma
+            0.0, 0.0, np.array([1.0, 0.0]), self.wave.params, self.w_exp))
 
 
 def _hermite(zs: np.ndarray, ys: np.ndarray, slopes: np.ndarray, z) -> np.ndarray:
@@ -160,38 +162,40 @@ def _weighted_matrix(a, i, gamma, p: Params, w: float) -> np.ndarray:
     return m
 
 
-def limit_rates(gamma: complex, setup: SpectralSetup):
+def limit_rates(gamma, setup: SpectralSetup):
     """Shifted far-field eigenvalues (nu_minus, nu_plus) at z = -inf, +inf.
 
     Each triple is `fixed_point_spectrum` at that limit, ordered (i-mode,
-    growing root, decaying root).  Raises DomainError at a non-finite
-    gamma, off Re(gamma) >= 0 or at gamma = 0, and SplittingError unless
-    both sides split into two unstable and one stable direction, each real
-    part at least 1e-10 from zero.
+    growing root, decaying root), in Python numbers at one gamma, in arrays
+    at an array.  Raises DomainError at a non-finite gamma, off Re(gamma) >= 0
+    or at gamma = 0, and SplittingError unless both sides split into two
+    unstable and one stable direction, each real part at least 1e-10 from
+    zero.  Over an array, the first gamma rejected in the order given raises
+    the error it raises alone.
     """
-    g = complex(gamma)
-    if not cmath.isfinite(g):
-        raise DomainError(f"gamma must be finite, got {g}")
-    if g.real < -1e-12:
-        raise DomainError("spectral probe is defined for Re(gamma) >= 0")
-    if g == 0:
-        raise DomainError("gamma = 0 sits on the essential-spectrum boundary")
-    c, w = setup.wave.params.c, setup.w_exp
-    nu_minus = fixed_point_spectrum(setup.wave.i_minus_inf, c, g, w)
-    nu_plus = fixed_point_spectrum(setup.wave.i_plus_inf, c, g, w)
-    for nu in (*nu_minus, *nu_plus):
-        if abs(nu.real) < _RE_MARGIN:
-            raise SplittingError(
-                f"shifted limit eigenvalue {nu} sits on the splitting "
-                f"boundary at gamma = {g}"
-            )
-    for side, nus in (("rear", nu_minus), ("front", nu_plus)):
-        if tuple(nu.real > 0 for nu in nus) != (True, True, False):
-            raise SplittingError(
-                f"{side} splitting is not two unstable / one stable at "
-                f"gamma = {g}"
-            )
-    return nu_minus, nu_plus
+    g = np.asarray(gamma, dtype=complex)
+    limits = np.array([setup.wave.i_minus_inf, setup.wave.i_plus_inf]).reshape((2,) + (1,) * g.ndim)
+    mode, grow, decay = fixed_point_spectrum(limits, setup.wave.params.c, g, setup.w_exp)
+    rates = ((mode, grow[0], decay[0]), (mode, grow[1], decay[1]))
+    # the checks below pass where each real part clears the margin with signs (+, +, -)
+    passed = (np.isfinite(g) & (g.real >= -1e-12) & (g != 0) & (mode.real >= _RE_MARGIN)
+              & (grow.real >= _RE_MARGIN) & (decay.real <= -_RE_MARGIN))
+    if not passed.all():
+        k = int(np.argmin(passed.all(axis=0)))  # the first gamma rejected, in flat order
+        g, nus = complex(g.flat[k]), [complex(nu.flat[k]) for side in rates for nu in side]
+        if not cmath.isfinite(g):
+            raise DomainError(f"gamma must be finite, got {g}")
+        if g.real < -1e-12:
+            raise DomainError("spectral probe is defined for Re(gamma) >= 0")
+        if g == 0:
+            raise DomainError("gamma = 0 sits on the essential-spectrum boundary")
+        for nu in nus:
+            if abs(nu.real) < _RE_MARGIN:
+                raise SplittingError(f"shifted limit eigenvalue {nu} sits on the splitting "
+                                     f"boundary at gamma = {g}")
+        side = "rear" if [nu.real > 0 for nu in nus[:3]] != [True, True, False] else "front"
+        raise SplittingError(f"{side} splitting is not two unstable / one stable at gamma = {g}")
+    return rates if g.ndim else tuple(tuple(complex(nu) for nu in side) for side in rates)
 
 
 def _wedge_square(m: np.ndarray) -> np.ndarray:
@@ -358,8 +362,7 @@ def _march(
     nodes = mesh[:-1, None] + h[:, None] * (0.5 - _GAUSS_OFFSET, 0.5 + _GAUSS_OFFSET)
     table = setup._spline(nodes)
     m1, m2 = np.moveaxis(_weighted_matrix(table[..., 0], table[..., 2], 0.0, p, w), 1, 0)
-    d = _weighted_matrix(0.0, 0.0, 1.0, p, w) - _weighted_matrix(0.0, 0.0, 0.0, p, w)
-    hk = h[:, None, None]
+    hk, d = h[:, None, None], setup._d
     k = math.sqrt(3.0) / 12.0 * hk * hk
     P = lift(0.5 * hk * (m1 + m2) + k * (m2 @ m1 - m1 @ m2))
     Q = lift(hk * d + k * ((m2 - m1) @ d - d @ (m2 - m1)))
@@ -376,14 +379,6 @@ def _march(
             Y = np.einsum("gij,gj->gi", e, Y)
         del props  # spent: free it before the next stack is built
     return Y
-
-
-def _start(g: complex, setup: SpectralSetup) -> tuple:
-    """Rear wedge, front vector and their growth shifts (rear, front) at one gamma."""
-    p, w = setup.wave.params, setup.w_exp
-    nu_minus, nu_plus = limit_rates(g, setup)
-    x = eigenvector(setup.wave.i_plus_inf, p.c, p.r, nu_plus[2] - w, g)
-    return (0.0, -1.0, -(nu_minus[1] - w)), x, (nu_minus[0] + nu_minus[1], nu_plus[2])
 
 
 def evans(
@@ -406,10 +401,10 @@ def evans(
     every z.
 
     A complex gamma gives a complex value; an array gives an array of its
-    shape, all gammas marched together.  A gamma that `limit_rates` or the
-    front eigenvector rejects raises the error that a call on it alone
-    raises.  Each conjugate pair and each repeated gamma is marched once,
-    from the member with Im(gamma) >= 0.  A `tally` given gains the number
+    shape, all gammas marched together.  The first gamma in the order given
+    that `limit_rates`, then the front eigenvector, rejects raises the error
+    of a call on it alone.  Each conjugate pair and each repeated gamma is
+    marched once, from the member with Im(gamma) >= 0.  A `tally` given gains the number
     of stacked exponentials (`stacked`), of the matrices in them
     (`matrices`) and of the distinct gammas marched (`gammas`), and keeps
     the most matrices one stack held (`largest_stack`).
@@ -417,23 +412,24 @@ def evans(
     legs = _legs(setup, step)
     gammas = np.asarray(gamma, dtype=complex)
     flat = gammas.reshape(-1)
+    wave, w = setup.wave, setup.w_exp
+    nu_minus, nu_plus = limit_rates(flat, setup)
+    x3 = eigenvector(wave.i_plus_inf, wave.params.c, wave.params.r, nu_plus[2] - w, flat)[2]
     lower = flat.imag < 0
     upper, first, inverse = np.unique(np.where(lower, flat.conj(), flat),
                                       return_index=True, return_inverse=True)
+    # conjugating the far field is exact, so these are the rates at upper to the bit
+    start = np.array([nu_minus[0] + nu_minus[1], -(nu_minus[1] - w), nu_plus[2], x3])[:, first]
+    growth, neg_lam2, nu3, x3 = np.conjugate(start, out=start, where=lower[first])
     V, X = np.empty((2, upper.size, 3), dtype=complex)
-    shifts = np.empty((upper.size, 2), dtype=complex)
-    for k in np.argsort(first):
-        try:
-            V[k], X[k], shifts[k] = _start(complex(upper[k]), setup)
-        except (DomainError, SplittingError):
-            _start(complex(flat[first[k]]), setup)  # the error of the gamma as given
-            raise
+    V[:, 0], V[:, 1], V[:, 2] = 0.0, -1.0, neg_lam2
+    X[:, 0], X[:, 1], X[:, 2] = 1.0, nu3 - w, x3
     tally = Counter() if tally is None else tally
     tally["gammas"] += upper.size
     for lo in range(0, upper.size, _BLOCK):
         part = slice(lo, lo + _BLOCK)
-        V[part] = _march(V[part], shifts[part, 0], upper[part], setup, legs[0], _wedge_square, tally)
-        X[part] = _march(X[part], shifts[part, 1], upper[part], setup, legs[1], lambda m: m, tally)
+        V[part] = _march(V[part], growth[part], upper[part], setup, legs[0], _wedge_square, tally)
+        X[part] = _march(X[part], nu3[part], upper[part], setup, legs[1], lambda m: m, tally)
     values = (V[:, 0] * X[:, 2] - V[:, 1] * X[:, 1] + V[:, 2] * X[:, 0])[inverse]
     values = np.where(lower, values.conj(), values)
     return complex(values[0]) if gammas.ndim == 0 else values.reshape(gammas.shape)

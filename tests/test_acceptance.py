@@ -13,7 +13,7 @@ import math
 import numpy as np
 import pytest
 
-from branchwaves import acceptance, analysis, pde
+from branchwaves import acceptance, analysis, pde, wave
 from branchwaves.odeint import Trajectory
 
 
@@ -70,6 +70,14 @@ def test_evans_winding(ctx):
 
 def test_oscillatory_exclusion(ctx):
     _run("oscillatory-exclusion", ctx)
+
+
+@pytest.mark.parametrize("floor", [1e-7, 1e-5])
+def test_oscillatory_exclusion_reads_the_floor_in_force(ctx, monkeypatch, floor):
+    # the shot stops at -NEGATIVITY_TOL, so the criterion checks and names that floor
+    monkeypatch.setattr(wave, "NEGATIVITY_TOL", floor)
+    result = _run("oscillatory-exclusion", ctx)
+    assert result.detail.endswith(f"reaching the -{floor:g} floor")
 
 
 def test_rescaling(ctx):

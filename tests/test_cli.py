@@ -832,6 +832,18 @@ class TestConfig:
         assert out == ""
         assert f"{cfg}:2: expected key = value, got 'just words'" in err
 
+    @pytest.mark.parametrize("text, where", [("c = 1\nc = 3\n", "2: repeated config key c"),
+                                             ("t-end = 2\n# pde\nt_end = 3\n",
+                                              "3: repeated config key t_end")])
+    def test_repeated_config_key_exits_64(self, tmp_path, capsys, text, where):
+        # a repeat is an error, not the last value winning; t-end and t_end are one key
+        cfg = tmp_path / "f.cfg"
+        cfg.write_text(text)
+        code, out, err = run(capsys, "formulas", "--config", cfg, "--json")
+        assert code == 64
+        assert out == ""
+        assert f"{cfg}:{where}" in err
+
     def test_unknown_config_key_exits_64(self, tmp_path, capsys):
         cfg = tmp_path / "f.cfg"
         cfg.write_text("bogus = 1\n")

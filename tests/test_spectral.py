@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 from scipy.interpolate import CubicSpline
 
-from branchwaves import spectral, wave
+from branchwaves import analysis, spectral, wave
 from branchwaves.errors import ContourResolutionError, DomainError, SplittingError
 from branchwaves.model import Params
 
@@ -227,6 +227,31 @@ class TestLimitSplitting:
         for a, b in zip(rates[0] + rates[1], bar[0] + bar[1]):
             assert b == pytest.approx(a.conjugate(), abs=1e-12)
 
+    def test_array_far_field_is_the_scalar_one_bit_for_bit(self):
+        # numpy's complex division can land a bit off Python's; entry by entry the
+        # far field of an array must not, or batched start data drift from one-gamma ones
+        s = spectral.make_setup(wave.shoot_wave(1.5, Params(c=3.0, r=1.0)))
+        w, p, K = s.w_exp, s.wave.params, s.wave.i_plus_inf
+        angles = np.random.default_rng(37).uniform(-math.pi / 2, math.pi / 2, 300)
+        gammas = np.concatenate([np.logspace(-3, 3, 300) * np.exp(1j * angles),
+                                 [complex(2.0, -0.0), complex(2.0, 0.0), 1000j, -1000j, 1e-3 - 1e-3j]])
+        assert (gammas.imag < 0).sum() > 100
+
+        def bits(*values):
+            return np.array(values, dtype=complex).view(np.uint64).tolist()
+
+        mode, grow, decay = analysis.fixed_point_spectrum(K, p.c, gammas, w)
+        third = analysis.eigenvector(K, p.c, p.r, decay - w, gammas)[2]
+        nu_minus, nu_plus = spectral.limit_rates(gammas, s)
+        for k, g in enumerate(gammas.tolist()):
+            one = analysis.fixed_point_spectrum(K, p.c, g, w)
+            assert bits(mode[k], grow[k], decay[k]) == bits(*one)
+            assert bits(third[k]) == bits(analysis.eigenvector(K, p.c, p.r, one[2] - w, g)[2])
+            rear = analysis.fixed_point_spectrum(s.wave.i_minus_inf, p.c, g, w)
+            assert bits(*(nu[k] for nu in nu_minus + nu_plus)) == bits(*rear, *one)
+            assert bits(*sum(spectral.limit_rates(g, s), ())) == bits(*rear, *one)
+        assert type(analysis.decay_rate(2.0, 2.0)) is float
+
     def test_left_half_plane_rejected(self, setup):
         with pytest.raises(DomainError):
             spectral.limit_rates(-1.0, setup)
@@ -325,7 +350,11 @@ class TestEvans:
         rear, front = spectral._legs(s, spectral.DEFAULT_STEP)
 
         def unfolded(g):
-            v, x, (shift_v, shift_x) = spectral._start(g, s)
+            w, p = s.w_exp, s.wave.params
+            nu_minus, nu_plus = spectral.limit_rates(g, s)
+            v = (0.0, -1.0, -(nu_minus[1] - w))
+            x = analysis.eigenvector(s.wave.i_plus_inf, p.c, p.r, nu_plus[2] - w, g)
+            shift_v, shift_x = nu_minus[0] + nu_minus[1], nu_plus[2]
             gs, tally = np.array([g]), Counter()
             V = spectral._march(np.array([v], dtype=complex), np.array([shift_v]), gs, s,
                                 rear, spectral._wedge_square, tally)
