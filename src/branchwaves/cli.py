@@ -575,6 +575,7 @@ def _build_parser(name: str | None = None) -> tuple[_Parser, dict[str, _Parser]]
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv  # its first non-option names the subcommand
+    argv = argv[1:] if argv[:1] == ["--"] else argv  # a leading "--" ends no options: skip it
     parser, commands = _build_parser(next((arg for arg in argv if arg[:1] != "-"), None))
     try:
         args = parser.parse_args(argv)

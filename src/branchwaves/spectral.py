@@ -21,14 +21,15 @@ Each leg is marched with the fourth-order Magnus step at the two Gauss
 points of every subinterval (Blanes, Casas, Oteo & Ros, Phys. Rep. 470,
 2009), Omega = h/2 (A1 + A2) + sqrt(3) h^2/12 [A2, A1], and its exact
 exponential, which stays accurate at fixed cost however large |gamma| gets,
-where adaptive steppers stall on the fast phase rotation.  Its local error
-is h^5 times the variation of the coefficients, which falls with the wave
-down the tails, so each leg runs on a mesh graded by the wave's own decay:
-the step is `step` where max(|a|, |b|) peaks and grows as that maximum to
-the power -1/5, which keeps fourth order with far fewer steps.  One
-`evans` call marches a whole array of gammas together, `_BLOCK` of them at
-a time; the exponentials of a block of steps for those are one stack of at
-most `_BLOCK` matrices, never the whole (gamma, step) field.  `expm` is
+where adaptive steppers stall on the fast phase rotation.  Omega is affine
+in gamma, P + gamma Q, and a setup keeps each leg's P and Q by step.  The
+local error is h^5 times the variation of the coefficients, which falls with
+the wave down the tails, so each leg runs on a mesh graded by the wave's own
+decay: the step is `step` where max(|a|, |b|) peaks and grows as that
+maximum to the power -1/5, which keeps fourth order with far fewer steps.
+One `evans` call marches a whole array of gammas together, `_BLOCK` of them
+at a time; the exponentials of a block of steps for those are one stack of
+at most `_BLOCK` matrices, never the whole (gamma, step) field.  `expm` is
 Pade-13 scaling and squaring (Higham, SIAM J. Matrix Anal. Appl. 26,
 2005), a power per matrix and the Pade sums in place.
 The wave is real, so E(conj gamma) = conj E(gamma) (Sandstede, Handbook of
@@ -117,11 +118,9 @@ class SpectralSetup:
         if not 0.0 < self.w_exp < math.inf:
             raise DomainError("exponential weight must be positive and finite")
         traj = self.wave.trajectory
-        self._meshes: dict[float, tuple[np.ndarray, np.ndarray]] = {}
+        self._legs_by_step: dict[float, tuple[tuple[np.ndarray, ...], ...]] = {}
         slopes = np.stack(wave_rhs(traj.states.T, self.wave.params), axis=-1)
         self._spline = partial(_hermite, traj.zs, traj.states, slopes)
-        self._d = np.subtract(*_weighted_matrix(  # D of `_march`, the generator's slope in gamma
-            0.0, 0.0, np.array([1.0, 0.0]), self.wave.params, self.w_exp))
 
 
 def _hermite(zs: np.ndarray, ys: np.ndarray, slopes: np.ndarray, z) -> np.ndarray:
@@ -301,8 +300,29 @@ def expm(A: np.ndarray) -> np.ndarray:
     return out.reshape(A.shape)
 
 
-def _legs(setup: SpectralSetup, step: float) -> tuple[np.ndarray, np.ndarray]:
-    """Meshes of the rear and the front leg, each from its start to exactly 0.
+def _magnus(setup: SpectralSetup, mesh: np.ndarray, wedge: bool) -> tuple[np.ndarray, ...]:
+    """The read-only leg record (mesh, P, Q) of `_march`: M(z, gamma) + w I = M0(z) + gamma D,
+    so the Magnus exponent of step k is P_k + gamma Q_k, from the coefficients at its two
+    Gauss points; `wedge` lifts both to the second exterior power (the rear leg)."""
+    p, w = setup.wave.params, setup.w_exp
+    h = np.diff(mesh)
+    nodes = mesh[:-1, None] + h[:, None] * (0.5 - _GAUSS_OFFSET, 0.5 + _GAUSS_OFFSET)
+    table = setup._spline(nodes)
+    m1, m2 = np.moveaxis(_weighted_matrix(table[..., 0], table[..., 2], 0.0, p, w), 1, 0)
+    d = np.subtract(*_weighted_matrix(0.0, 0.0, np.array([1.0, 0.0]), p, w))
+    hk = h[:, None, None]
+    k = math.sqrt(3.0) / 12.0 * hk * hk
+    P = 0.5 * hk * (m1 + m2) + k * (m2 @ m1 - m1 @ m2)
+    Q = hk * d + k * ((m2 - m1) @ d - d @ (m2 - m1))
+    if wedge:
+        P, Q = _wedge_square(P), _wedge_square(Q)
+    for part in (mesh, P, Q):
+        part.flags.writeable = False
+    return mesh, P, Q
+
+
+def _legs(setup: SpectralSetup, step: float) -> tuple[tuple[np.ndarray, ...], ...]:
+    """The rear and the front leg record (`_magnus`), each mesh from its start to exactly 0.
 
     A leg starts where the sampled trajectory ends (or at 0 if the trajectory
     does not reach past it): beyond there the coefficients are the limits,
@@ -312,60 +332,39 @@ def _legs(setup: SpectralSetup, step: float) -> tuple[np.ndarray, np.ndarray]:
     m = max(|a|, |b|), so the step ending at z (its end nearer 0) is
     step * (a_max / m(z)) ** (1/5): `step` at the peak and longer down the
     tails.  m runs linearly between the samples, the peak (0, a_max) among
-    them; the last step ends at the leg start.  A setup keeps its meshes,
-    read-only, by step.
+    them; the last step ends at the leg start.  A setup keeps its legs by step.
     """
     if not 0.0 < step < math.inf:
         raise DomainError("marching step must be positive and finite")
-    if step in setup._meshes:
-        return setup._meshes[step]
+    if step in setup._legs_by_step:
+        return setup._legs_by_step[step]
     traj, a_max = setup.wave.trajectory, setup.wave.a_max
     at = np.searchsorted(traj.zs, 0.0)
     zs = np.insert(traj.zs, at, 0.0)
     ms = np.insert(np.abs(traj.states[:, :2]).max(axis=1), at, a_max)
     legs = []
-    for start in (min(traj.zs[0], 0.0), max(traj.zs[-1], 0.0)):
+    for start, wedge in ((min(traj.zs[0], 0.0), True), (max(traj.zs[-1], 0.0), False)):
         mesh = [0.0]
         while abs(mesh[-1]) < abs(start):
             m = float(np.interp(mesh[-1], zs, ms))
             h = step * (a_max / m) ** 0.2 if m > 0.0 else math.inf
             mesh.append(math.copysign(min(abs(mesh[-1]) + h, abs(start)), start))
-        legs.append(np.array(mesh[::-1]))
-        legs[-1].flags.writeable = False
-    return setup._meshes.setdefault(step, tuple(legs))
+        legs.append(_magnus(setup, np.array(mesh[::-1]), wedge))
+    return setup._legs_by_step.setdefault(step, tuple(legs))
 
 
-def _march(
-    Y: np.ndarray,
-    shift: np.ndarray,
-    gammas: np.ndarray,
-    setup: SpectralSetup,
-    mesh: np.ndarray,
-    lift: Callable[[np.ndarray], np.ndarray],
-    tally: Counter,
-) -> np.ndarray:
-    """March the (G, 3) states Y over a leg's mesh with Gauss-point Magnus steps.
+def _march(Y: np.ndarray, shift: np.ndarray, gammas: np.ndarray,
+           leg: tuple[np.ndarray, ...], tally: Counter) -> np.ndarray:
+    """March the (G, 3) states Y over a leg record (mesh, P, Q) of `_magnus`.
 
-    The generator at gamma is lift(M(z, gamma) + w I) - shift; lift is the
-    wedge lift on the rear leg and the identity on the front one.  The
-    generator is affine in gamma, M0(z) + gamma D, so the Magnus exponent of
-    the step of length h_k is P_k + gamma Q_k - shift h_k, with P and Q
-    built once for the mesh.  At most _BLOCK gammas come in (`evans` cuts
-    more into chunks), and the exponentials are taken a block of steps at a
-    time, at most _BLOCK matrices per stack, so a few gammas cost a few
-    stacked calls, not one per step.
+    The exponent of the step of length h_k at gamma is P_k + gamma Q_k -
+    shift h_k.  At most _BLOCK gammas come in (`evans` cuts more into
+    chunks), and the exponentials are taken a block of steps at a time, at
+    most _BLOCK matrices per stack, so a few gammas cost a few stacked calls,
+    not one per step.
     """
+    mesh, P, Q = leg
     h = np.diff(mesh)
-    if h.size == 0:
-        return Y
-    p, w = setup.wave.params, setup.w_exp
-    nodes = mesh[:-1, None] + h[:, None] * (0.5 - _GAUSS_OFFSET, 0.5 + _GAUSS_OFFSET)
-    table = setup._spline(nodes)
-    m1, m2 = np.moveaxis(_weighted_matrix(table[..., 0], table[..., 2], 0.0, p, w), 1, 0)
-    hk, d = h[:, None, None], setup._d
-    k = math.sqrt(3.0) / 12.0 * hk * hk
-    P = lift(0.5 * hk * (m1 + m2) + k * (m2 @ m1 - m1 @ m2))
-    Q = lift(hk * d + k * ((m2 - m1) @ d - d @ (m2 - m1)))
     g = gammas[:, None, None, None]
     per = _BLOCK // gammas.size
     for b in range(0, h.size, per):
@@ -428,8 +427,8 @@ def evans(
     tally["gammas"] += upper.size
     for lo in range(0, upper.size, _BLOCK):
         part = slice(lo, lo + _BLOCK)
-        V[part] = _march(V[part], growth[part], upper[part], setup, legs[0], _wedge_square, tally)
-        X[part] = _march(X[part], nu3[part], upper[part], setup, legs[1], lambda m: m, tally)
+        V[part] = _march(V[part], growth[part], upper[part], legs[0], tally)
+        X[part] = _march(X[part], nu3[part], upper[part], legs[1], tally)
     values = (V[:, 0] * X[:, 2] - V[:, 1] * X[:, 1] + V[:, 2] * X[:, 0])[inverse]
     values = np.where(lower, values.conj(), values)
     return complex(values[0]) if gammas.ndim == 0 else values.reshape(gammas.shape)
@@ -601,7 +600,7 @@ def evans_winding(setup: SpectralSetup, contour: Sequence[complex]) -> Winding:
             f"(relative), more than {_HALVING_TOL:g}"
         )
 
-    legs = _legs(setup, DEFAULT_STEP)
+    legs = [mesh for mesh, _, _ in _legs(setup, DEFAULT_STEP)]
     return sweep._replace(diagnostics={
         "evaluations": sweep.gammas.size,
         "halving_probes": len(probe),

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from branchwaves import acceptance, analysis, cli, errors, pde, spectral, wave
+from branchwaves.model import reaction
 
 
 @pytest.fixture
@@ -211,9 +212,18 @@ class TestPde:
         # bit for bit: 17 significant digits round-trip doubles exactly
         assert open(payload2["snapshots"][0]).read() == open(handoff).read()
 
-    def test_blow_up_exits_3(self, tmp_path, capsys):
-        # A up to 1000, far past the 0 <= A <= 1 the reaction substeps are sized for,
-        # overflows before t = 0.5
+    @pytest.fixture
+    def overflowing_reaction(self, monkeypatch):
+        """A reaction part of the split whose A-rate is infinite, which makes the fields
+        non-finite in the first snapshot interval whatever the data."""
+        def overflowing(A, I, r, out=None):
+            dA, dI = reaction(A, I, r, out)
+            dA[:] = np.inf
+            return dA, dI
+
+        monkeypatch.setattr(pde, "reaction", overflowing)
+
+    def test_blow_up_exits_3(self, tmp_path, capsys, overflowing_reaction):
         xs = np.linspace(-10.0, 10.0, 201)
         bad = tmp_path / "bad.csv"
         np.savetxt(
@@ -230,7 +240,7 @@ class TestPde:
         assert code == 3
         assert "blow-up" in err
 
-    def test_blow_up_names_last_finite_snapshot(self, tmp_path, capsys):
+    def test_blow_up_names_last_finite_snapshot(self, tmp_path, capsys, overflowing_reaction):
         xs = np.linspace(-10.0, 10.0, 201)
         bad = tmp_path / "bad.csv"
         np.savetxt(
@@ -949,6 +959,14 @@ class TestUsage:
     def test_missing_subcommand_exits_64(self, capsys):
         code, _, _ = run(capsys)
         assert code == 64
+
+    def test_leading_double_dash_is_skipped(self, capsys):
+        # a wrapper that passes "--" before the arguments gets the plain run; a
+        # "--" after the subcommand keeps argparse's meaning
+        assert run(capsys, "--", "formulas", "--c", 1, "--json") == run(
+            capsys, "formulas", "--c", 1, "--json")
+        code, _, err = run(capsys, "formulas", "--", "--c", 1)
+        assert code == 64 and "unrecognized arguments:" in err and "--c 1" in err
 
     def test_help_exits_0(self, capsys):
         code, out, _ = run(capsys, "--help")

@@ -248,16 +248,32 @@ class TestSimulate:
         fed = np.trapezoid(active[k1 : k2 + 1], times[k1 : k2 + 1])
         assert gained == pytest.approx(fed, rel=0.01)
 
-    def test_blow_up_carries_series(self):
-        # the driver of the CLI blow-up tests: A up to 1000, far past the 0 <= A <= 1 the
-        # reaction substeps are sized for, overflows before t = 0.5
+    def test_blow_up_carries_series(self, monkeypatch):
+        # a reaction part of the split whose A-rate is infinite drives the fields
+        # non-finite in the first snapshot interval, whatever the data
+        def overflowing(A, I, r, out=None):
+            dA, dI = reaction(A, I, r, out)
+            dA[:] = np.inf
+            return dA, dI
+
+        monkeypatch.setattr(pde, "reaction", overflowing)
         g = Grid(-10.0, 10.0, 201)
-        with pytest.raises(BlowUpError) as info:
+        with pytest.raises(BlowUpError, match="non-finite field values") as info:
             simulate(1e3 * np.exp(-g.xs() ** 2), np.zeros(g.n), R0, g, 8.0)
         series = info.value.series
         assert series is not None
         assert len(series.times) == len(series.snapshots) >= 1
         assert np.isfinite(series.snapshots[-1][0]).all()
+
+    @pytest.mark.xfail(strict=True, raises=BlowUpError,
+                       reason="the explicit reaction substeps are sized for 0 <= A <= 1 and "
+                              "overflow on A = 1000 before t = 0.5 (ROADMAP D22)")
+    def test_large_bump_runs_to_the_end(self):
+        # non-negative data cannot blow up in the model, so this bump, far above
+        # A = 1, runs to t = 8 like any other
+        g = Grid(-10.0, 10.0, 201)
+        series = simulate(1e3 * np.exp(-g.xs() ** 2), np.zeros(g.n), R0, g, 8.0)
+        assert series.times[-1] == 8.0
 
     def test_unresolved_spike_fails_positivity(self):
         # the damped Chebyshev taps have negative entries, which a one-point spike on the

@@ -356,10 +356,8 @@ class TestEvans:
             x = analysis.eigenvector(s.wave.i_plus_inf, p.c, p.r, nu_plus[2] - w, g)
             shift_v, shift_x = nu_minus[0] + nu_minus[1], nu_plus[2]
             gs, tally = np.array([g]), Counter()
-            V = spectral._march(np.array([v], dtype=complex), np.array([shift_v]), gs, s,
-                                rear, spectral._wedge_square, tally)
-            X = spectral._march(np.array([x], dtype=complex), np.array([shift_x]), gs, s,
-                                front, lambda m: m, tally)
+            V = spectral._march(np.array([v], dtype=complex), np.array([shift_v]), gs, rear, tally)
+            X = spectral._march(np.array([x], dtype=complex), np.array([shift_x]), gs, front, tally)
             return V[0, 0] * X[0, 2] - V[0, 1] * X[0, 1] + V[0, 2] * X[0, 0]
 
         for g in (3j, 0.3 + 7.0j, 250.0 + 600.0j, 1e-4 + 1e-3j, 40.0 + 1.0j):
@@ -518,7 +516,7 @@ class TestMesh:
     def test_invariants(self, graded_setup):
         zs = graded_setup.wave.trajectory.zs
         for step in (0.4, 0.2, 0.1, 0.0125):
-            rear, front = spectral._legs(graded_setup, step)
+            (rear, _, _), (front, _, _) = spectral._legs(graded_setup, step)
             assert (rear[0], rear[-1], front[0], front[-1]) == (zs[0], 0.0, zs[-1], 0.0)
             assert np.all(np.diff(rear) > 0.0) and np.all(np.diff(front) < 0.0)
             # the steps ending at the peak z = 0, where m = a_max, are `step` exactly
@@ -527,23 +525,53 @@ class TestMesh:
     def test_each_mesh_walked_once(self, setup, monkeypatch):
         # a sweep with bisections, its halving probes and its `steps` count
         # walk the meshes at DEFAULT_STEP and at half of it once each, one
-        # np.interp per step, and hand them out read-only
+        # np.interp per step, build each leg's P and Q once per step, and
+        # hand all of them out read-only
         fresh = spectral.make_setup(setup.wave)
-        interp, walked = np.interp, Counter()
+        interp, magnus, walked = np.interp, spectral._magnus, Counter()
 
         def counted(*args, **kwargs):
             walked["steps"] += 1
             return interp(*args, **kwargs)
 
+        def built(*args):
+            walked["legs"] += 1
+            return magnus(*args)
+
         monkeypatch.setattr(np, "interp", counted)
+        monkeypatch.setattr(spectral, "_magnus", built)
         contour = np.array([-1000j, 1000, 1000j, 1j, 1e-3, -1j, -1000j])
         assert spectral.evans_winding(fresh, contour).diagnostics["bisections"] > 0
         steps = (spectral.DEFAULT_STEP, spectral.DEFAULT_STEP / 2.0)
-        assert set(fresh._meshes) == set(steps)
-        legs = [mesh for step in steps for mesh in spectral._legs(fresh, step)]
-        assert walked["steps"] == sum(mesh.size - 1 for mesh in legs)
-        with pytest.raises(ValueError, match="read-only"):
-            legs[0][0] = 0.0
+        assert set(fresh._legs_by_step) == set(steps)
+        legs = [leg for step in steps for leg in spectral._legs(fresh, step)]
+        assert walked["steps"] == sum(mesh.size - 1 for mesh, _, _ in legs)
+        assert walked["legs"] == len(legs) == 4  # fetching them again above rebuilt none
+        for mesh, P, Q in legs:
+            assert P.shape == Q.shape == (mesh.size - 1, 3, 3)
+            assert not (mesh.flags.writeable or P.flags.writeable or Q.flags.writeable)
+        for part in legs[0]:
+            with pytest.raises(ValueError, match="read-only"):
+                part[0] = 0.0
+
+    def test_sweep_leaves_a_later_call_no_magnus_work(self, setup, monkeypatch):
+        # the leg records hold every part of the march that does not depend on
+        # gamma, so after a sweep a one-gamma call at either step it marched
+        # forms no coefficient matrix; a call at a new step forms its own
+        fresh = spectral.make_setup(setup.wave)
+        spectral.evans_winding(fresh, spectral.contour_of_S(0.1, 10.0, 32))
+        weighted, formed = spectral._weighted_matrix, Counter()
+
+        def counted(*args):
+            formed["calls"] += 1
+            return weighted(*args)
+
+        monkeypatch.setattr(spectral, "_weighted_matrix", counted)
+        for step in (spectral.DEFAULT_STEP, spectral.DEFAULT_STEP / 2.0):
+            spectral.evans(0.3 + 7.0j, fresh, step)
+        assert formed["calls"] == 0
+        spectral.evans(0.3 + 7.0j, fresh, 0.3)
+        assert formed["calls"] > 0
 
     def test_fourth_order(self, graded_setup):
         # errors against a step-0.0125 march fall 16x per halving at fourth
@@ -613,7 +641,7 @@ class TestEvansBatch:
     def test_march_skips_constant_tails(self, setup):
         # beyond the sampled trajectory the march is the identity, so each
         # leg runs from its end of the trajectory to exactly 0
-        rear, front = spectral._legs(setup, spectral.DEFAULT_STEP)
+        (rear, _, _), (front, _, _) = spectral._legs(setup, spectral.DEFAULT_STEP)
         zs = setup.wave.trajectory.zs
         assert (rear[0], rear[-1], front[0], front[-1]) == (zs[0], 0.0, zs[-1], 0.0)
 
@@ -624,12 +652,15 @@ class TestEvansBatch:
         legs = spectral._legs
 
         def full_legs(s, step):
-            # the graded meshes, continued 15 further out at each end in steps of at most `step`
+            # the graded meshes, continued 15 further out at each end in steps of at most
+            # `step`, with their P and Q from the continued coefficients
             return tuple(
-                np.concatenate([np.linspace(end, mesh[0], math.ceil(abs(end - mesh[0]) / step) + 1),
-                                mesh[1:]])
-                for end, mesh in zip((s.wave.trajectory.zs[0] - 15.0,
-                                      s.wave.trajectory.zs[-1] + 15.0), legs(s, step))
+                spectral._magnus(s, np.concatenate(
+                    [np.linspace(end, mesh[0], math.ceil(abs(end - mesh[0]) / step) + 1), mesh[1:]]
+                ), wedge)
+                for end, (mesh, _, _), wedge in zip((s.wave.trajectory.zs[0] - 15.0,
+                                                     s.wave.trajectory.zs[-1] + 15.0),
+                                                    legs(s, step), (True, False))
             )
 
         monkeypatch.setattr(spectral, "_legs", full_legs)
