@@ -145,9 +145,9 @@ def integrate(rhs: Callable, p, y0, z_end: float, stops: tuple[float, float]) ->
     ends the run at the refined abscissa; stops no sample crosses, such as (inf, -inf), watch
     EV_MAX alone. A step's quartic dense output is computed once, when the step has inner
     samples or a crossing, and the loop's abs, min and max are conditionals that keep the
-    builtins' results. Raises :class:`~branchwaves.errors.NonConvergenceError` (carrying the
-    partial trajectory) on step underflow or when ``MAX_STEPS`` accepted steps are exhausted
-    before ``z_end``.
+    builtins' results. Raises DomainError at a non-finite ``y0``, and NonConvergenceError (with
+    the partial trajectory) on step underflow, a NaN step included, or when ``MAX_STEPS``
+    accepted steps run out before ``z_end``.
     """
     if not z_end > 0.0:
         raise DomainError(f"z_end must be positive, got {z_end}")
@@ -157,6 +157,8 @@ def integrate(rhs: Callable, p, y0, z_end: float, stops: tuple[float, float]) ->
     rtol, atol, sample_dz, max_steps = REL_TOL, ABS_TOL, SAMPLE_DZ, MAX_STEPS
     z = 0.0
     a, b, i = (float(v) for v in y0)
+    if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(i)):
+        raise DomainError(f"y0 must be finite, got {(a, b, i)}")
     fa, fb, fi = rhs((a, b, i), p)
     h_abs = _initial_step(rhs, p, (a, b, i), (fa, fb, fi), z_end)
     zs, ys, hits = [z], [a, b, i], []  # ys flat, three floats per sample
@@ -180,7 +182,7 @@ def integrate(rhs: Callable, p, y0, z_end: float, stops: tuple[float, float]) ->
         h_abs = min_step if min_step > h_abs else h_abs
         cap = MAX_FACTOR  # on the step's growth; 1 after a rejection
         while True:
-            if h_abs < min_step:
+            if not h_abs >= min_step:  # a NaN step, from a NaN derivative, underflows too
                 raise NonConvergenceError("step size underflow", partial())
             z_new = z + h_abs
             if z_end < z_new:

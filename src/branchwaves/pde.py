@@ -322,7 +322,8 @@ def measure_speed(series: FieldSeries, threshold: float,
             f"window ({t1}, {t2}) not inside simulated times "
             f"[{times[0]:g}, {times[-1]:g}]"
         )
-    sel = (times >= t1 - 1e-12) & (times <= t2 + 1e-12)
+    tol = 1e-12 * (t2 - t1)  # relative, so a short run's window keeps its snapshots apart
+    sel = (times >= t1 - tol) & (times <= t2 + tol)
     if np.count_nonzero(sel) < 2:
         raise DomainError("window covers fewer than two snapshots")
 

@@ -28,10 +28,10 @@ the wave down the tails, so each leg runs on a mesh graded by the wave's own
 decay: the step is `step` where max(|a|, |b|) peaks and grows as that
 maximum to the power -1/5, which keeps fourth order with far fewer steps.
 One `evans` call marches a whole array of gammas together, `_BLOCK` of them
-at a time; the exponentials of a block of steps for those are one stack of
-at most `_BLOCK` matrices, never the whole (gamma, step) field.  `expm` is
-Pade-13 scaling and squaring (Higham, SIAM J. Matrix Anal. Appl. 26,
-2005), a power per matrix and the Pade sums in place.
+at a time; the exponentials of a block of steps for those are one (3, 3, n)
+stack of at most `_BLOCK` matrices, the layout of P and Q, never the whole
+(gamma, step) field.  `expm` is Pade-13 scaling and squaring (Higham, SIAM
+J. Matrix Anal. Appl. 26, 2005), the Pade sums in place in kept stacks.
 The wave is real, so E(conj gamma) = conj E(gamma) (Sandstede, Handbook of
 Dynamical Systems II, 2002): `evans` marches each conjugate pair once, and
 `contour_of_S` mirrors its points exactly, so a sweep marches half of them.
@@ -86,16 +86,17 @@ _HALVING_TOL = 0.1
 # a sweep whose argument misses a whole number of turns by this much is unresolved
 CLOSURE_TOL = 0.1
 _MAX_REFINE = 12
-# matrices per stacked exponential and gammas per march: each expm call has a
-# fixed cost (sort, Pade sums, adjugate, squarings).  A default `evans` op on a
-# 2-vCPU Xeon (30 alternated rounds, one CPU) took 88.6 ms with the old expm at
-# 512, 73.1 ms at 1024, 68.0 ms at 2048, at 34.5, 34.8 and 36.9 MB peak RSS:
-# 1024 keeps the old memory, 2048 would add 2 MB (6%) for 7% more speed
-_BLOCK = 1024
+# matrices per stacked exponential and gammas per march: each expm call has a fixed
+# cost, and `_stacks` keeps eight stacks this size.  A default `evans` op on a 2-vCPU
+# Xeon (8 alternated rounds of 15, one CPU) took 40.5 ms at 1024, 38.5 at 2048, 38.9 at
+# 4096, at 34.3, 35.6, 37.9 MB peak RSS (42.2 ms, 34.4 MB with stacks allocated per
+# call at 1024): 2048 halves the calls for 1.2 MB
+_BLOCK = 2048
+_KEPT: list[np.ndarray] = []  # the flat buffers behind `_stacks`
 _RE_MARGIN = 1e-10
 # a contour has about 2.25 base_n points, marched _BLOCK gammas at a time: 22,501
-# take about 2.5 s on a 2-vCPU host, while 10**9 would allocate tens of GB of
-# contour and values before the first value
+# take about 1.4 s and 44 MB peak RSS on a 2-vCPU host, while 10**9 would allocate
+# tens of GB of contour and values before the first value
 MAX_CONTOUR_N = 10**4
 # r_min, r_max, base_n of the default contour: `evans --contour`, `evans-winding`
 CONTOUR = (1e-3, 1000.0, 200)
@@ -239,30 +240,38 @@ def _mul(x: np.ndarray, y: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.n
     return out
 
 
-def expm(A: np.ndarray) -> np.ndarray:
-    """Exponential of each matrix in a stack of shape (..., 3, 3).
+def _stacks(n: int) -> list[np.ndarray]:
+    """Eight (3, 3, n) stacks, expm's seven and the march's: buffers kept up to _BLOCK matrices."""
+    if n > _BLOCK:
+        return [np.empty((3, 3, n), dtype=complex) for _ in range(8)]
+    if not _KEPT or _KEPT[0].size != 9 * _BLOCK:
+        _KEPT[:] = [np.empty(9 * _BLOCK, dtype=complex) for _ in range(8)]
+    return [x[:9 * n].reshape(3, 3, n) for x in _KEPT]
+
+
+def expm(X: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Exponential of each matrix X[:, :, k] of a (3, 3, n) stack, into `out` (X itself allowed).
 
     Pade-13 scaling and squaring (Higham, SIAM J. Matrix Anal. Appl. 26,
-    2005) on entries laid out (3, 3, G), each step one vector operation;
-    sorted by the least s with ||A||_1 / 2^s <= theta_13, the stack squares
-    a shrinking tail slice.  The Pade sums run in place, real coefficients on
-    float views and the identity terms on the diagonal alone.  The adjugate
-    inverts the denominator, well conditioned once scaled.  Past the scaled
-    stack every step writes into one of six buffers of its size, so the
-    working set is seven stacks from the first product to the last.  A
-    matrix with a non-finite entry gives a non-finite result.
+    2005), each step one vector operation; sorted by the least s with
+    ||X||_1 / 2^s <= theta_13, the stack squares a shrinking tail slice.  The
+    Pade sums run in place, real coefficients on float views and the identity
+    terms on the diagonal alone.  The adjugate inverts the denominator, well
+    conditioned once scaled.  From the sorted copy of X on, every step writes
+    into seven stacks kept across calls (`_stacks`): no stack-sized array is
+    allocated or transposed per call, and calls must not overlap (threads).
+    A matrix with a non-finite entry gives a non-finite result.
     """
-    A = np.asarray(A, dtype=complex)
-    M = np.ascontiguousarray(A.reshape(-1, 3, 3).transpose(1, 2, 0))
-    norm = np.abs(M).sum(axis=0).max(axis=0)
+    X = np.asarray(X, dtype=complex)
+    M, M2, M4, M6, U, S, T = _stacks(X.shape[2])[:7]
+    norm = np.abs(X, out=T.real).sum(axis=0).max(axis=0)
     s = np.zeros(norm.shape, dtype=int)
     big = np.isfinite(norm) & (norm > _THETA13)
     s[big] = np.ceil(np.log2(norm[big] / _THETA13))
     order = np.argsort(s, kind="stable")
-    M, s = np.take(M, order, axis=2), s[order]
+    M, s = np.take(X, order, axis=2, out=M, mode="clip"), s[order]
     M /= np.ldexp(1.0, s)
     b = _PADE13
-    M2, M4, M6, U, S, T = (np.empty_like(M) for _ in range(6))
     _mul(M, M, M2, T)
     _mul(M2, M2, M4, T)
     _mul(M4, M2, M6, T)
@@ -291,13 +300,10 @@ def expm(A: np.ndarray) -> np.ndarray:
     R = _mul(adj, np.add(V, U, out=V), U, T)
     R /= det
     for tail in np.searchsorted(s, np.arange(s.max(initial=0)), side="right"):
-        # into contiguous buffers: a product into strided slices takes about 1.75x as long
-        n = s.size - tail
-        R[:, :, tail:] = _mul(R[:, :, tail:], R[:, :, tail:],
-                              *(x.reshape(-1)[:9 * n].reshape(3, 3, n) for x in (S, T)))
-    out = np.empty((s.size, 3, 3), dtype=complex)
-    out[order] = R.transpose(2, 0, 1)
-    return out.reshape(A.shape)
+        # into the heads of S and T: a product into strided slices takes about 1.75x as long
+        R[:, :, tail:] = _mul(R[:, :, tail:], R[:, :, tail:], *_stacks(s.size - tail)[5:7])
+    back = np.argsort(order, kind="stable")  # a gather by it takes a quarter of a scatter's time
+    return np.take(R, back, axis=2, out=np.empty_like(X) if out is None else out, mode="clip")
 
 
 def _magnus(setup: SpectralSetup, mesh: np.ndarray, wedge: bool) -> tuple[np.ndarray, ...]:
@@ -316,6 +322,7 @@ def _magnus(setup: SpectralSetup, mesh: np.ndarray, wedge: bool) -> tuple[np.nda
     Q = hk * d + k * ((m2 - m1) @ d - d @ (m2 - m1))
     if wedge:
         P, Q = _wedge_square(P), _wedge_square(Q)
+    P, Q = (np.ascontiguousarray(x.transpose(1, 2, 0)) for x in (P, Q))
     for part in (mesh, P, Q):
         part.flags.writeable = False
     return mesh, P, Q
@@ -355,28 +362,29 @@ def _legs(setup: SpectralSetup, step: float) -> tuple[tuple[np.ndarray, ...], ..
 
 def _march(Y: np.ndarray, shift: np.ndarray, gammas: np.ndarray,
            leg: tuple[np.ndarray, ...], tally: Counter) -> np.ndarray:
-    """March the (G, 3) states Y over a leg record (mesh, P, Q) of `_magnus`.
+    """March the (3, G) states Y over a leg record (mesh, P, Q) of `_magnus`.
 
     The exponent of the step of length h_k at gamma is P_k + gamma Q_k -
-    shift h_k.  At most _BLOCK gammas come in (`evans` cuts more into
-    chunks), and the exponentials are taken a block of steps at a time, at
-    most _BLOCK matrices per stack, so a few gammas cost a few stacked calls,
-    not one per step.
+    shift h_k.  At most _BLOCK gammas come in (`evans` cuts more into chunks),
+    and a block of steps at a time, at most _BLOCK matrices, is built and
+    exponentiated in place in one kept (3, 3, steps, G) stack, so a few gammas
+    cost a few stacked calls, not one per step.
     """
     mesh, P, Q = leg
     h = np.diff(mesh)
-    g = gammas[:, None, None, None]
     per = _BLOCK // gammas.size
     for b in range(0, h.size, per):
-        props = expm(P[b:b + per] + g * Q[b:b + per]
-                     - (shift[:, None] * h[b:b + per])[:, :, None, None] * np.eye(3))
-        stack = props.shape[0] * props.shape[1]
-        tally["stacked"] += 1
-        tally["matrices"] += stack
-        tally["largest_stack"] = max(tally["largest_stack"], stack)
-        for e in np.moveaxis(props, 1, 0):
-            Y = np.einsum("gij,gj->gi", e, Y)
-        del props  # spent: free it before the next stack is built
+        steps = slice(b, b + per)
+        X = _stacks(h[steps].size * gammas.size)[7]
+        E = X.reshape(3, 3, -1, gammas.size)  # the same stack by (step, gamma)
+        np.multiply(gammas, Q[:, :, steps, None], out=E)
+        E += P[:, :, steps, None]
+        E.reshape(9, -1, gammas.size)[::4] -= shift * h[steps, None]
+        expm(X, out=X)
+        tally.update(stacked=1, matrices=X.shape[2])
+        tally["largest_stack"] = max(tally["largest_stack"], X.shape[2])
+        for e in np.moveaxis(E, 2, 0):
+            Y = np.einsum("ijg,jg->ig", e, Y)
     return Y
 
 
@@ -420,16 +428,15 @@ def evans(
     # conjugating the far field is exact, so these are the rates at upper to the bit
     start = np.array([nu_minus[0] + nu_minus[1], -(nu_minus[1] - w), nu_plus[2], x3])[:, first]
     growth, neg_lam2, nu3, x3 = np.conjugate(start, out=start, where=lower[first])
-    V, X = np.empty((2, upper.size, 3), dtype=complex)
-    V[:, 0], V[:, 1], V[:, 2] = 0.0, -1.0, neg_lam2
-    X[:, 0], X[:, 1], X[:, 2] = 1.0, nu3 - w, x3
+    V = np.array([np.zeros_like(neg_lam2), np.full_like(neg_lam2, -1.0), neg_lam2])
+    X = np.array([np.ones_like(x3), nu3 - w, x3])
     tally = Counter() if tally is None else tally
     tally["gammas"] += upper.size
     for lo in range(0, upper.size, _BLOCK):
         part = slice(lo, lo + _BLOCK)
-        V[part] = _march(V[part], growth[part], upper[part], legs[0], tally)
-        X[part] = _march(X[part], nu3[part], upper[part], legs[1], tally)
-    values = (V[:, 0] * X[:, 2] - V[:, 1] * X[:, 1] + V[:, 2] * X[:, 0])[inverse]
+        V[:, part] = _march(V[:, part], growth[part], upper[part], legs[0], tally)
+        X[:, part] = _march(X[:, part], nu3[part], upper[part], legs[1], tally)
+    values = (V[0] * X[2] - V[1] * X[1] + V[2] * X[0])[inverse]
     values = np.where(lower, values.conj(), values)
     return complex(values[0]) if gammas.ndim == 0 else values.reshape(gammas.shape)
 

@@ -6,7 +6,7 @@ through `cli.main` in a folder of its own with a relative `--out`, since the
 JSON reports name the files written; its exit status, its stdout and every
 file it writes are recorded.  `test_ledger.py` compares a fresh run with the
 ledger, so any change to a reference output shows by name.  A change that
-moves an output on purpose rewrites the ledger:
+moves an output on purpose rewrites the ledger, which prints each entry it moves:
 
     PYTHONPATH=src python tests/ledger.py --write
 """
@@ -59,10 +59,18 @@ def digests(folder: str | os.PathLike) -> dict[str, str]:
     return ledger
 
 
+def moved(old: dict[str, str], new: dict[str, str]) -> list[str]:
+    """Each entry that differs from `old` in `new`, as "<key>: changed|added|removed", by key."""
+    return [f"{key}: {'added' if key not in old else 'removed' if key not in new else 'changed'}"
+            for key in sorted(old.keys() | new.keys()) if old.get(key) != new.get(key)]
+
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit(f"usage: {sys.argv[0]} --write  (rewrites {LEDGER.name} from this tree)")
     with tempfile.TemporaryDirectory() as folder:
         fresh = digests(folder)
+    for line in moved(json.loads(LEDGER.read_text()) if LEDGER.exists() else {}, fresh):
+        print(line)
     LEDGER.write_text(json.dumps(fresh, indent=2) + "\n")
     print(f"wrote {len(fresh)} digests to {LEDGER}")

@@ -139,6 +139,15 @@ class TestWave:
         assert "invalid regime" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("cmd", ["wave", "evans"])
+    def test_overflowing_speed_exits_2(self, tmp_path, capsys, deadline, cmd):
+        # at c = 1e155, c^2/4 overflows and the seed's b is infinite: the shot is refused
+        # at its start, where it used to reject steps forever
+        code, out, err = run(capsys, cmd, "--c", "1e155", "--out", tmp_path / "x.csv")
+        assert (code, out) == (2, "")
+        assert "y0 must be finite" in err
+        assert not list(tmp_path.iterdir())
+
     @pytest.mark.parametrize("flag, value", [("--i-minus", "nan"), ("--c", "inf"), ("--r", "inf")])
     def test_non_finite_parameter_exits_2(self, tmp_path, capsys, flag, value):
         out = tmp_path / "w.csv"
@@ -394,6 +403,17 @@ class TestPde:
         assert err == "error: usage: window covers fewer than two snapshots\n"
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("t_end", ["1e-20", "1e-200"])
+    def test_tiny_end_time_exits_64(self, tmp_path, capsys, t_end):
+        # the window's time tolerance scales with the window, so t = 0 stays out of it:
+        # an absolute 1e-12 reported c_est = -13293.6 at 1e-20 and failed the fit at 1e-200
+        code, out, err = run(
+            capsys, "pde", "--grid", "321:-10:20", "--t-end", t_end, "--out", tmp_path / "x",
+        )
+        assert (code, out) == (64, "")
+        assert err == "error: usage: window covers fewer than two snapshots\n"
+        assert not list(tmp_path.iterdir())
+
     def test_window_outside_run_exits_64(self, tmp_path, capsys):
         code, _, err = run(
             capsys, "pde", "--grid", "321:-10:20", "--t-end", 2, "--window", "5:6",
@@ -580,7 +600,7 @@ class TestEvans:
         assert code == 0
         assert payload["winding"] == 0
         assert payload["diagnostics"]["propagators"] == {
-            "stacked": 34, "matrices": 28_996, "gammas": 230, "largest_stack": 904}
+            "stacked": 17, "matrices": 28_996, "gammas": 230, "largest_stack": 2034}
         # the rear leg starts at the shooting seed, the front one where the shot stopped
         starts = payload["diagnostics"]["leg_starts"]
         assert starts["rear"]["z"] < 0.0 < starts["front"]["z"]

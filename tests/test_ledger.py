@@ -8,5 +8,12 @@ def test_reference_outputs_match_the_ledger(tmp_path):
     # a change that moves one on purpose rewrites the ledger (see ledger.py)
     want = json.loads(ledger.LEDGER.read_text())
     got = ledger.digests(tmp_path)
-    moved = sorted(key for key in want.keys() | got.keys() if want.get(key) != got.get(key))
+    moved = ledger.moved(want, got)
     assert not moved, "outputs that differ from ledger.json: " + "; ".join(moved)
+
+
+def test_moved_names_each_kind_of_move():
+    old = {"a: exit": "0", "a: stdout": "1", "b: exit": "0"}
+    new = {"a: exit": "0", "a: stdout": "2", "c: exit": "0"}
+    assert ledger.moved(old, new) == ["a: stdout: changed", "b: exit: removed", "c: exit: added"]
+    assert ledger.moved(new, new) == []

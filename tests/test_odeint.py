@@ -430,6 +430,21 @@ class TestScipyOracle:
         assert traj.diagnostics["accepted_steps"] == len(ref.t) - 1
         assert traj.diagnostics["rhs_evaluations"] == ref.nfev
 
+    @pytest.mark.parametrize("y0", [(1.0, math.inf, 0.5), (math.nan, 0.0, 1.5), (0.0, 0.0, -math.inf)])
+    def test_non_finite_start_rejected(self, deadline, y0):
+        # a seed with b = inf (c^2/4 overflows at c = 1e155) made the initial step NaN,
+        # and the run rejected steps forever
+        with pytest.raises(DomainError, match="y0 must be finite"):
+            integrate(decay, None, y0, 2.0, PLAIN)
+
+    def test_nan_initial_step_underflows(self, deadline):
+        # a NaN derivative at the start makes the initial step NaN, which never
+        # compared below the least step: the run rejected steps forever
+        with pytest.raises(NonConvergenceError, match="step size underflow") as info:
+            integrate(lambda y, p: (math.nan,) * 3, None, Y0, 2.0, PLAIN)
+        assert info.value.trajectory.zs.tolist() == [0.0]
+        assert info.value.trajectory.diagnostics["rejected_steps"] == 0
+
     def test_nan_rhs_underflows_like_scipy(self):
         with pytest.raises(NonConvergenceError, match="step size underflow") as info:
             integrate(turns_nan, None, Y0, 2.0, PLAIN)

@@ -768,6 +768,17 @@ class TestMeasureSpeed:
         with pytest.raises(DomainError, match="window covers fewer than two snapshots"):
             measure_speed(series, 0.1, (0.2, 0.8))
 
+    @pytest.mark.parametrize("t_end", [1e-20, 1e-200])
+    def test_short_run_keeps_t0_out_of_its_window(self, t_end):
+        # the snapshot times are matched to the window within 1e-12 of its length, so
+        # (t_end / 2, t_end) holds t_end alone however short the run; an absolute
+        # 1e-12 took in t = 0 and measured the front there
+        g = Grid(0.0, 10.0, 32)
+        series = simulate(np.zeros(32), np.zeros(32), R0, g, t_end)
+        assert list(series.times) == [0.0, t_end]
+        with pytest.raises(DomainError, match="window covers fewer than two snapshots"):
+            measure_speed(series, 0.1)
+
 
 class TestShapeMisfit:
     @staticmethod

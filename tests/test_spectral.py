@@ -1,6 +1,8 @@
 import cmath
 import math
 import re
+import sys
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -356,9 +358,9 @@ class TestEvans:
             x = analysis.eigenvector(s.wave.i_plus_inf, p.c, p.r, nu_plus[2] - w, g)
             shift_v, shift_x = nu_minus[0] + nu_minus[1], nu_plus[2]
             gs, tally = np.array([g]), Counter()
-            V = spectral._march(np.array([v], dtype=complex), np.array([shift_v]), gs, rear, tally)
-            X = spectral._march(np.array([x], dtype=complex), np.array([shift_x]), gs, front, tally)
-            return V[0, 0] * X[0, 2] - V[0, 1] * X[0, 1] + V[0, 2] * X[0, 0]
+            V = spectral._march(np.array([v], dtype=complex).T, np.array([shift_v]), gs, rear, tally)
+            X = spectral._march(np.array([x], dtype=complex).T, np.array([shift_x]), gs, front, tally)
+            return V[0, 0] * X[2, 0] - V[1, 0] * X[1, 0] + V[2, 0] * X[0, 0]
 
         for g in (3j, 0.3 + 7.0j, 250.0 + 600.0j, 1e-4 + 1e-3j, 40.0 + 1.0j):
             e = unfolded(g)
@@ -393,10 +395,15 @@ class TestEvans:
             spectral.evans(1.0, setup, step=0.0)
 
 
+def _stack(matrices: np.ndarray) -> np.ndarray:
+    """The (3, 3, n) layout `spectral.expm` takes, of matrices given (n, 3, 3)."""
+    return np.ascontiguousarray(np.moveaxis(matrices, 0, -1))
+
+
 class TestExpm:
     @staticmethod
     def _magnus_stack(setup, z, h):
-        """The Gauss-point Magnus exponents of one step at z, for |gamma| 1e-3 to 1e3."""
+        """The Gauss-point Magnus exponents of one step at z, for |gamma| 1e-3 to 1e3, (n, 3, 3)."""
         gammas = np.logspace(-3, 3, 25)[:, None] * np.exp(1j * np.linspace(-1.5, 1.5, 7))
         gammas = gammas.reshape(-1)
         p, w = setup.wave.params, setup.w_exp
@@ -411,8 +418,9 @@ class TestExpm:
     def test_matches_scipy_on_magnus_stacks(self, setup, z, h):
         omega = self._magnus_stack(setup, z, h)
         for stack in (omega, spectral._wedge_square(omega)):
-            got = spectral.expm(stack)
-            for g, a in zip(got, stack):
+            got = spectral.expm(_stack(stack))
+            assert got.shape == (3, 3, stack.shape[0])
+            for g, a in zip(got.transpose(2, 0, 1), stack):
                 want = scipy.linalg.expm(a)
                 assert np.max(np.abs(g - want)) <= 1e-10 * np.max(np.abs(want))
 
@@ -426,50 +434,59 @@ class TestExpm:
             assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
     def test_zero_matrix_is_identity(self):
-        assert np.array_equal(spectral.expm(np.zeros((3, 3))), np.eye(3))
-        stack = spectral.expm(np.zeros((2, 4, 3, 3)))
-        assert np.array_equal(stack, np.broadcast_to(np.eye(3), (2, 4, 3, 3)))
+        assert np.array_equal(spectral.expm(np.zeros((3, 3, 1))), np.eye(3)[:, :, None])
+        stack = spectral.expm(np.zeros((3, 3, 8)))
+        assert np.array_equal(stack, np.broadcast_to(np.eye(3)[:, :, None], (3, 3, 8)))
 
     def test_shape_kept_and_powers_per_matrix(self):
         # a small and a large matrix in one stack: each is scaled on its own
         a = np.array([[[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.5]]])
         stack = np.concatenate([1e-3 * a, 40.0 * a])
-        got = spectral.expm(stack)
-        assert got.shape == (2, 3, 3)
-        for g, m in zip(got, stack):
+        got = spectral.expm(_stack(stack))
+        assert got.shape == (3, 3, 2)
+        for g, m in zip(got.transpose(2, 0, 1), stack):
             want = scipy.linalg.expm(m)
             assert np.max(np.abs(g - want)) <= 1e-10 * np.max(np.abs(want))
 
     @staticmethod
     def _interleaved_stack():
-        """Matrices needing s = 0, 3 and 6 squarings, interleaved in one stack."""
+        """Matrices needing s = 0, 3 and 6 squarings, interleaved in one (3, 3, 9) stack."""
         rng = np.random.default_rng(7)
         base = rng.standard_normal((9, 3, 3)) + 1j * rng.standard_normal((9, 3, 3))
         base /= np.abs(base).sum(axis=1).max(axis=1)[:, None, None]
-        return base * np.tile([1.0, 30.0, 250.0], 3)[:, None, None]
+        return _stack(base * np.tile([1.0, 30.0, 250.0], 3)[:, None, None])
 
     def test_interleaved_powers_square_as_alone(self):
         stack = self._interleaved_stack()
-        norms = np.abs(stack).sum(axis=1).max(axis=1)
+        norms = np.abs(stack).sum(axis=0).max(axis=0)
         powers = np.maximum(np.ceil(np.log2(norms / spectral._THETA13)), 0.0)
         assert list(powers) == [0.0, 3.0, 6.0] * 3
         got = spectral.expm(stack)
-        for g, m in zip(got, stack):
-            assert np.array_equal(g, spectral.expm(m))
+        for k in range(9):
+            assert np.array_equal(got[:, :, k:k + 1], spectral.expm(stack[:, :, k:k + 1]))
 
     @staticmethod
     def _same_bytes(stack):
-        # the bytes of the reference, with the stack given left as it was
+        # the bytes of the reference on the (n, 3, 3) matrices, with the stack given left as it was
         given = stack.tobytes()
-        same = spectral.expm(stack).tobytes() == expm_reference(stack).tobytes()
+        got = spectral.expm(stack).transpose(2, 0, 1)
+        same = got.tobytes() == expm_reference(stack.transpose(2, 0, 1)).tobytes()
         return same and stack.tobytes() == given
 
     def test_bitwise_against_reference(self):
         # the in-place Pade sums change no bit, signed zeros included
         stack = self._interleaved_stack()
-        for a in (np.zeros((3, 3)), np.zeros((2, 4, 3, 3)), stack, stack[4],
-                  np.concatenate([stack[:4], -stack[:4]]).reshape(2, 4, 3, 3)):
+        for a in (np.zeros((3, 3, 1)), np.zeros((3, 3, 8)), stack, stack[:, :, 4:5],
+                  np.concatenate([stack[:, :, :4], -stack[:, :, :4]], axis=2), stack[:, :, ::2]):
             assert self._same_bytes(a)
+
+    def test_out_may_be_the_stack(self):
+        # `out` is written only after the stack has been read: the march exponentiates in place
+        stack = np.concatenate([self._interleaved_stack(), np.zeros((3, 3, 1))], axis=2)
+        want = spectral.expm(stack)
+        for out in (np.empty_like(stack), stack):
+            assert spectral.expm(stack, out=out) is out
+            assert out.tobytes() == want.tobytes()
 
     def test_bitwise_on_magnus_stacks(self, graded_setup, monkeypatch):
         # Gauss-point Magnus exponents, with the wedge lift and without, over
@@ -477,13 +494,15 @@ class TestExpm:
         # march takes in an Evans sweep, a real gamma at each end of the contour
         for z, h in ((-5.0, 0.2), (0.0, -0.2), (3.0, -0.1), (-1.0, 0.05)):
             omega = self._magnus_stack(graded_setup, z, h)
-            assert self._same_bytes(omega) and self._same_bytes(spectral._wedge_square(omega))
+            assert self._same_bytes(_stack(omega))
+            assert self._same_bytes(_stack(spectral._wedge_square(omega)))
         expm, same = spectral.expm, []
 
-        def checked(a):
-            out = expm(a)
-            same.append(out.tobytes() == expm_reference(a).tobytes())
-            return out
+        def checked(a, out=None):
+            want = expm_reference(a.transpose(2, 0, 1))
+            got = expm(a, out=out)
+            same.append(got.transpose(2, 0, 1).tobytes() == want.tobytes())
+            return got
 
         monkeypatch.setattr(spectral, "expm", checked)
         spectral.evans(spectral.contour_of_S(0.1, 10.0, 32)[:-1], graded_setup)
@@ -497,12 +516,12 @@ class TestExpm:
         small = 0.1 * (rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
         large = 40.0 * small / np.abs(small).sum(axis=0).max()
         assert math.ceil(math.log2(40.0 / spectral._THETA13)) == 3
-        stack = np.array([small, np.full((3, 3), np.nan), np.diag([np.inf, 1.0, 1.0]), large])
+        stack = _stack(np.array([small, np.full((3, 3), np.nan), np.diag([np.inf, 1.0, 1.0]), large]))
         with np.errstate(invalid="ignore"):
             got = spectral.expm(stack)
-        assert not np.isfinite(got[1]).any() and not np.isfinite(got[2]).any()
+        assert not np.isfinite(got[:, :, 1]).any() and not np.isfinite(got[:, :, 2]).any()
         for k, m in ((0, small), (3, large)):
-            assert got[k].tobytes() == spectral.expm(m).tobytes()
+            assert got[:, :, k].tobytes() == spectral.expm(m[:, :, None])[:, :, 0].tobytes()
 
 
 @pytest.fixture(scope="module", params=[(2.0, 0.0, 2.0), (3.0, 1.0, 1.5), (2.0, 1.0, 1.2)],
@@ -548,7 +567,7 @@ class TestMesh:
         assert walked["steps"] == sum(mesh.size - 1 for mesh, _, _ in legs)
         assert walked["legs"] == len(legs) == 4  # fetching them again above rebuilt none
         for mesh, P, Q in legs:
-            assert P.shape == Q.shape == (mesh.size - 1, 3, 3)
+            assert P.shape == Q.shape == (3, 3, mesh.size - 1)
             assert not (mesh.flags.writeable or P.flags.writeable or Q.flags.writeable)
         for part in legs[0]:
             with pytest.raises(ValueError, match="read-only"):
@@ -675,11 +694,12 @@ class TestEvansWinding:
         counts = {"stacked": 0, "matrices": 0, "gammas": 0, "largest_stack": 0}
         expm, march = spectral.expm, spectral._march
 
-        def counted(a):
+        def counted(a, out=None):
+            assert a.ndim == 3 and a.shape[:2] == (3, 3)
             counts["stacked"] += 1
-            counts["matrices"] += a.size // 9
-            counts["largest_stack"] = max(counts["largest_stack"], a.size // 9)
-            return expm(a)
+            counts["matrices"] += a.shape[2]
+            counts["largest_stack"] = max(counts["largest_stack"], a.shape[2])
+            return expm(a, out=out)
 
         def marched(Y, shift, gammas, *rest):
             # each evans call marches its distinct gammas on two legs
@@ -731,7 +751,8 @@ class TestEvansWinding:
         stacks = []
         expm = spectral.expm
         monkeypatch.setattr(spectral, "_BLOCK", block)
-        monkeypatch.setattr(spectral, "expm", lambda a: stacks.append(a.size // 9) or expm(a))
+        monkeypatch.setattr(spectral, "expm",
+                            lambda a, out=None: stacks.append(a.shape[2]) or expm(a, out=out))
         sweep = spectral.evans_winding(setup, contour)
         assert sweep.gammas.tobytes() == ref.gammas.tobytes()
         assert sweep.values.tobytes() == ref.values.tobytes()
@@ -740,6 +761,32 @@ class TestEvansWinding:
         props, ref_props = sweep.diagnostics["propagators"], ref.diagnostics["propagators"]
         assert (props["matrices"], props["gammas"]) == (ref_props["matrices"], ref_props["gammas"])
         assert max(stacks) == props["largest_stack"] <= block
+
+    def test_second_sweep_allocates_no_stack(self, setup):
+        # expm's working stacks and the march's exponents outlive a call, so once a
+        # sweep has run, a second one allocates no block as large as one (3, 3, n)
+        # stack of its largest exponential: traced memory grows by less than that
+        # from one line event to the next (numpy's own iterator buffers included)
+        gammas, tally = spectral.contour_of_S()[:-1], Counter()
+        spectral.evans(gammas, setup, tally=tally)
+        grown, last = [], [0]
+
+        def trace(frame, event, arg):
+            current, peak = tracemalloc.get_traced_memory()
+            grown.append(peak - last[0])
+            last[0] = current
+            tracemalloc.reset_peak()
+            return trace
+
+        tracemalloc.start()
+        sys.settrace(trace)
+        try:
+            spectral.evans(gammas, setup)
+        finally:
+            sys.settrace(None)
+            tracemalloc.stop()
+        assert tally["largest_stack"] > 1000 and len(grown) > 100
+        assert max(grown) < 9 * 16 * tally["largest_stack"]
 
     def test_halving_check_raises(self, setup, monkeypatch):
         # halving the step moves every value by about 1e-6, far above this
