@@ -186,11 +186,15 @@ def _first_root(i: float, gap: float, c: float, r: float) -> float:
 
     This inverts the attractor formula: a start (a, 0, i) has the limit
     level at squared distance (1 - i)^2 + gap from 1.  A discriminant made
-    negative by round-off is clamped to zero.
+    negative by round-off is clamped to zero; DomainError once (i + r)^2 overflows.
     """
     c2 = c * c
     k = (c2 + 1.0 + r) / c2
-    arg = (i + r) ** 2 + k * gap
+    try:
+        arg = (i + r) ** 2 + k * gap
+    except OverflowError:
+        raise DomainError(f"production rate r = {r:g} is past the range of the attractor "
+                          "formula: (i + r)^2 overflows") from None
     return (c2 / (c2 + 1.0 + r)) * (-(i + r) + math.sqrt(max(arg, 0.0)))
 
 

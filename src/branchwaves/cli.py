@@ -10,16 +10,17 @@ object per criterion, with its solvers' diagnostics).
 
 Machine-readable reports go to stdout as JSON; bulk data goes to CSV files
 (17 significant digits, LF line endings, header row) so values round-trip
-exactly.  Each flag's default is declared once: on the flag, or for `pde`'s
-reference run (the bump, grid, end time and front level) in `pde`, and for
-`evans`'s contour in `spectral`.  A flat
-`key = value` file passed with --config replaces those defaults for the
-chosen subcommand (keys are the flag names, but for `verify --json`, a
-per-run choice); explicit flags win.  Exit statuses are stable API: 0
-success, 1 verification failure, and for errors the single table
-`_EXIT_TABLE`, which `main` applies to whatever a subcommand raises: 2
-invalid regime, 3 blow-up, 4 resolution failure, 64 usage error (an
-unwritable CSV path included).
+exactly.  Each subcommand is declared once, in `_commands`: its help, its
+handler and its flags.  Each flag's default is declared once: on the flag,
+or for `pde`'s reference run (the bump, grid, end time and front level) in
+`pde`, and for `evans`'s contour in `spectral`.  A flat `key = value` file
+passed with --config replaces those defaults for the chosen subcommand (keys
+are the flag names, but for `verify --json`, a per-run choice); explicit
+flags win.  Exit statuses are stable API: 0 success, 1 verification failure,
+and for errors the single table `_EXIT_TABLE`, which `main` applies to
+whatever a subcommand raises: 2 invalid regime, 3 blow-up, 4 resolution
+failure, 64 usage error (an unwritable CSV path included, checked before
+the run).
 """
 
 from __future__ import annotations
@@ -157,30 +158,27 @@ def _bump_width(text: str) -> float:
     return width
 
 
+_GENERAL_KEYS = ("rS", "rA", "rI", "D")  # the `GeneralParams` fields, in order
+_GENERAL_FORM = ",".join(f"{key}=.." for key in _GENERAL_KEYS)
+
+
 def _parse_general(text: str) -> GeneralParams:
     values = {}
     for item in text.split(","):
-        if "=" not in item:
-            raise argparse.ArgumentTypeError(
-                f"expected rS=..,rA=..,rI=..,D=.., got {text!r}"
-            )
-        key, _, raw = item.partition("=")
+        key, sep, raw = item.partition("=")
+        if not sep:
+            raise argparse.ArgumentTypeError(f"expected {_GENERAL_FORM}, got {text!r}")
         key = key.strip()
         if key in values:
             raise argparse.ArgumentTypeError(f"repeated general parameter: {key}")
         values[key] = raw
-    missing = {"rS", "rA", "rI", "D"} - set(values)
-    if missing:
-        raise argparse.ArgumentTypeError(
-            f"missing general parameters: {', '.join(sorted(missing))}"
-        )
-    extra = set(values) - {"rS", "rA", "rI", "D"}
-    if extra:
-        raise argparse.ArgumentTypeError(
-            f"unknown general parameters: {', '.join(sorted(extra))}"
-        )
+    for problem, keys in (("missing", set(_GENERAL_KEYS) - set(values)),
+                          ("unknown", set(values) - set(_GENERAL_KEYS))):
+        if keys:
+            raise argparse.ArgumentTypeError(
+                f"{problem} general parameters: {', '.join(sorted(keys))}")
     try:  # a bad number, or a DomainError naming the rate or D that is out of range
-        return GeneralParams(*(float(values[key]) for key in ("rS", "rA", "rI", "D")))
+        return GeneralParams(*(float(values[key]) for key in _GENERAL_KEYS))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
@@ -242,7 +240,6 @@ def _report(payload: dict) -> None:
 
 
 def cmd_wave(args: argparse.Namespace) -> int:
-    _check_out(args.out)
     profile = wave_mod.shoot_wave(args.i_minus, Params(c=args.c, r=args.r))
     traj = profile.trajectory
     _write_csv(
@@ -317,7 +314,6 @@ def _read_initial(path: str) -> tuple[pde.Grid, np.ndarray, np.ndarray]:
 
 
 def cmd_pde(args: argparse.Namespace) -> int:
-    _check_out(args.out)
     if args.initial is not None:
         grid, A0, I0 = _read_initial(args.initial)
         source = f"initial data {args.initial}"
@@ -363,7 +359,6 @@ def cmd_pde(args: argparse.Namespace) -> int:
 
 
 def cmd_evans(args: argparse.Namespace) -> int:
-    _check_out(args.out)
     if args.self_test:
         theta = np.linspace(0.0, 2.0 * math.pi, 65)
         contour = 0.5 + np.exp(1j * theta)
@@ -413,8 +408,10 @@ def cmd_formulas(args: argparse.Namespace) -> int:
     rates = {
         f"{i_minus:g}": analysis.decay_rate(i_minus, c) for i_minus, _ in pairs
     }
-    i0_grid = [round(i_c + f * (1.0 - i_c), 6) for f in (0.1, 0.3, 0.5, 0.7, 0.9)]
-    a_stars = [(i0, analysis.a_star(i0, c, r)) for i0 in i0_grid]
+    # six decimals where they stay in the band [i_c, 1) of a_star; too narrow a band holds none
+    levels = (i_c + f * (1.0 - i_c) for f in (0.1, 0.3, 0.5, 0.7, 0.9))
+    i0_grid = [i0 if i_c <= (i0 := round(x, 6)) < 1.0 else x for x in levels]
+    a_stars = [(i0, analysis.a_star(i0, c, r)) for i0 in i0_grid if i0 < 1.0]
 
     general = None
     if args.general is not None:
@@ -456,7 +453,7 @@ def cmd_formulas(args: argparse.Namespace) -> int:
         print(f"  i = {key}: {value:.6g}")
     print("largest admissible start a_star(i0):")
     for i0, a in a_stars:
-        print(f"  i0 = {i0:g}: {a:.6g}")
+        print(f"  i0 = {i0}: {a:.6g}")  # a six-decimal level as :g prints it, a finer one in full
     if general is not None:
         print("general-units predictions:")
         print(f"  i_c = {general['i_c']:.6g}")
@@ -490,86 +487,73 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------- main
 
 
+def _commands() -> dict[str, tuple]:
+    """Each subcommand once: its help, its handler, the destinations a --config file may
+    not set beyond help and config, and its flags as (name, add_argument keywords).  Built
+    per call, since the defaults of `pde` and `evans` read the constants in force there."""
+    c = "--c", dict(type=float, default=2.0, help="wave speed (default %(default)s)")
+    r = "--r", dict(type=float, default=0.0, help="production rate (default %(default)s)")
+    i_minus = "--i-minus", dict(type=float, default=2.0,
+                                help="rear inactive limit in (1, 2] (default %(default)s)")
+    return {
+        "wave": ("shoot one traveling wave and verify it", cmd_wave, (), [
+            c, r, i_minus,
+            ("--out", dict(default="wave.csv", help="profile CSV path (default %(default)s)"))]),
+        "pde": ("run the planar front and measure its speed", cmd_pde, (), [
+            r,
+            ("--amplitude", dict(type=float, default=pde.BUMP_AMPLITUDE,
+                                 help="bump height (default %(default)s)")),
+            ("--width", dict(type=_bump_width, default=pde.BUMP_WIDTH,
+                             help="bump width (default %(default)s)")),
+            ("--initial", dict(help="CSV x,A,I initial data (overrides the bump)")),
+            ("--grid", dict(default=f"{pde.GRID.n}:{pde.GRID.x_min:g}:{pde.GRID.x_max:g}",
+                            type=_fields("n:xmin:xmax", ":", int, float, float,
+                                         build=lambda n, x_min, x_max: pde.Grid(x_min, x_max, n)),
+                            help="n:xmin:xmax (default %(default)s)")),
+            ("--t-end", dict(type=float, default=pde.T_END, help="final time (default %(default)s)")),
+            ("--threshold", dict(type=float, default=pde.FRONT_LEVEL,
+                                 help="front tracking level (default %(default)s)")),
+            ("--window", dict(type=_fields("t1:t2", ":", float, float),
+                              help="speed-fit window t1:t2 (default second half)")),
+            ("--out", dict(default="pde", help="snapshot CSV prefix (default %(default)s)")),
+            ("--save-all", dict(action="store_true",
+                                help="write every snapshot instead of start/middle/end"))]),
+        "evans": ("sweep the spectral contour and report winding", cmd_evans, (), [
+            c, r, i_minus,
+            ("--w-exp", dict(type=float, help="exponential weight (default c/2)")),
+            ("--contour", dict(default=":".join(f"{v:g}" for v in spectral.CONTOUR),
+                               type=_fields("rmin:rmax:n", ":", float, float, int,
+                                            build=spectral.contour_of_S),
+                               help="rmin:rmax:n (default %(default)s)")),
+            ("--out", dict(default="evans.csv", help="samples CSV path (default %(default)s)")),
+            ("--self-test", dict(action="store_true",
+                                 help="wind the identity map around a circle about 0.5 (expects 1)"))]),
+        "formulas": ("evaluate the closed-form predictions", cmd_formulas, (), [
+            c, r,
+            ("--general", dict(type=_parse_general, help=f"general rates {_GENERAL_FORM}")),
+            ("--json", dict(action="store_true", help="machine-readable output"))]),
+        # the report form is chosen per run: a config file sets what verify checks
+        "verify": ("run the acceptance battery", cmd_verify, ("json",), [
+            ("--only", dict(help="substring filter on criterion names")),
+            ("--seed", dict(type=_seed, default=2026,
+                            help="randomized-check seed (default %(default)s)")),
+            ("--json", dict(action="store_true",
+                            help="one JSON object per criterion, with its diagnostics"))]),
+    }
+
+
 def _build_parser(name: str | None = None) -> tuple[_Parser, dict[str, _Parser]]:
     """The top-level parser and its subcommand parsers; only `name` (all if None) gets its flags."""
     parser = _Parser(prog="branchwaves", description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_wave = sub.add_parser("wave", help="shoot one traveling wave and verify it")
-    p_pde = sub.add_parser("pde", help="run the planar front and measure its speed")
-    p_evans = sub.add_parser("evans", help="sweep the spectral contour and report winding")
-    p_formulas = sub.add_parser("formulas", help="evaluate the closed-form predictions")
-    p_verify = sub.add_parser("verify", help="run the acceptance battery")
-    built = {sp for key, sp in sub.choices.items() if name in (None, key)}
-
-    for sp in built & {p_wave, p_evans, p_formulas}:
-        sp.add_argument("--c", type=float, default=2.0,
-                        help="wave speed (default %(default)s)")
-    for sp in built & {p_wave, p_pde, p_evans, p_formulas}:
-        sp.add_argument("--r", type=float, default=0.0,
-                        help="production rate (default %(default)s)")
-    for sp in built & {p_wave, p_evans}:
-        sp.add_argument("--i-minus", dest="i_minus", type=float, default=2.0,
-                        help="rear inactive limit in (1, 2] (default %(default)s)")
-
-    if p_wave in built:
-        p_wave.add_argument("--out", default="wave.csv",
-                            help="profile CSV path (default %(default)s)")
-        p_wave.set_defaults(handler=cmd_wave)
-
-    if p_pde in built:
-        p_pde.add_argument("--amplitude", type=float, default=pde.BUMP_AMPLITUDE,
-                           help="bump height (default %(default)s)")
-        p_pde.add_argument("--width", type=_bump_width, default=pde.BUMP_WIDTH,
-                           help="bump width (default %(default)s)")
-        p_pde.add_argument("--initial", help="CSV x,A,I initial data (overrides the bump)")
-        p_pde.add_argument("--grid", default=f"{pde.GRID.n}:{pde.GRID.x_min:g}:{pde.GRID.x_max:g}",
-                           type=_fields("n:xmin:xmax", ":", int, float, float,
-                                        build=lambda n, x_min, x_max: pde.Grid(x_min, x_max, n)),
-                           help="n:xmin:xmax (default %(default)s)")
-        p_pde.add_argument("--t-end", dest="t_end", type=float, default=pde.T_END,
-                           help="final time (default %(default)s)")
-        p_pde.add_argument("--threshold", type=float, default=pde.FRONT_LEVEL,
-                           help="front tracking level (default %(default)s)")
-        p_pde.add_argument("--window", type=_fields("t1:t2", ":", float, float),
-                           help="speed-fit window t1:t2 (default second half)")
-        p_pde.add_argument("--out", default="pde",
-                           help="snapshot CSV prefix (default %(default)s)")
-        p_pde.add_argument("--save-all", dest="save_all", action="store_true",
-                           help="write every snapshot instead of start/middle/end")
-        p_pde.set_defaults(handler=cmd_pde)
-
-    if p_evans in built:
-        p_evans.add_argument("--w-exp", dest="w_exp", type=float,
-                             help="exponential weight (default c/2)")
-        p_evans.add_argument("--contour", default=":".join(f"{v:g}" for v in spectral.CONTOUR),
-                             type=_fields("rmin:rmax:n", ":", float, float, int,
-                                          build=spectral.contour_of_S),
-                             help="rmin:rmax:n (default %(default)s)")
-        p_evans.add_argument("--out", default="evans.csv",
-                             help="samples CSV path (default %(default)s)")
-        p_evans.add_argument("--self-test", dest="self_test", action="store_true",
-                             help="wind the identity map around a circle about 0.5 (expects 1)")
-        p_evans.set_defaults(handler=cmd_evans)
-
-    if p_formulas in built:
-        p_formulas.add_argument("--general", type=_parse_general,
-                                help="general rates rS=..,rA=..,rI=..,D=..")
-        p_formulas.add_argument("--json", action="store_true", help="machine-readable output")
-        p_formulas.set_defaults(handler=cmd_formulas)
-
-    if p_verify in built:
-        p_verify.add_argument("--only", help="substring filter on criterion names")
-        p_verify.add_argument("--seed", type=_seed, default=2026,
-                              help="randomized-check seed (default %(default)s)")
-        p_verify.add_argument("--json", action="store_true",
-                              help="one JSON object per criterion, with its diagnostics")
-        # the report form is chosen per run: a config file sets what verify checks
-        p_verify.per_run += ("json",)
-        p_verify.set_defaults(handler=cmd_verify)
-
-    for sp in built:
-        sp.add_argument("--config", help="flat key = value file with flag defaults")
+    config = "--config", dict(help="flat key = value file with flag defaults")
+    for key, (help_text, handler, per_run, flags) in _commands().items():
+        sp = sub.add_parser(key, help=help_text)
+        sp.handler = handler
+        if name in (None, key):
+            sp.per_run += per_run
+            for flag, kwargs in [*flags, config]:
+                sp.add_argument(flag, **kwargs)
     return parser, sub.choices
 
 
@@ -582,7 +566,9 @@ def main(argv: list[str] | None = None) -> int:
         if args.config:
             _apply_config(commands[args.command], args.config)
             args = parser.parse_args(argv)
-        return args.handler(args)
+        if "out" in args:  # a CSV path is checked before the run that writes it
+            _check_out(args.out)
+        return commands[args.command].handler(args)
     except SystemExit as exc:
         return int(exc.code or 0)
     except tuple(cls for classes, _, _ in _EXIT_TABLE for cls in classes) as exc:

@@ -22,7 +22,15 @@ class InvalidSegmentError(ValueError):
     """Profile segment endpoints violate the b = 0 requirement."""
 
 
-class NonConvergenceError(RuntimeError):
+class _Partial(RuntimeError):
+    """A failure that carries what was computed up to it: a trajectory or a series, or None."""
+
+    def __init__(self, message, trajectory=None, series=None):
+        super().__init__(message)
+        self.trajectory, self.series = trajectory, series
+
+
+class NonConvergenceError(_Partial):
     """Integration stopped early (step underflow or step-count cap), or a
     shot cannot be made or measured: its seed lands at i <= 1, it settles at
     i >= 1, or a tail holds too few samples to fit its rate.
@@ -30,12 +38,8 @@ class NonConvergenceError(RuntimeError):
     Carries the trajectory: the partial one, the whole shot, or none.
     """
 
-    def __init__(self, message, trajectory=None):
-        super().__init__(message)
-        self.trajectory = trajectory
 
-
-class NegativityError(RuntimeError):
+class NegativityError(_Partial):
     """Active density dipped below the negativity threshold while shooting.
 
     Expected behavior in the oscillatory regime, where no non-negative
@@ -44,34 +48,20 @@ class NegativityError(RuntimeError):
     """
 
     def __init__(self, message, z=None, value=None, trajectory=None):
-        super().__init__(message)
-        self.z = z
-        self.value = value
-        self.trajectory = trajectory
+        super().__init__(message, trajectory)
+        self.z, self.value = z, value
 
 
-class BudgetError(RuntimeError):
-    """No first maximum (or no convergence) within the z budget."""
-
-    def __init__(self, message, trajectory=None):
-        super().__init__(message)
-        self.trajectory = trajectory
+class BudgetError(_Partial):
+    """No first maximum (or no convergence) within the z budget; carries the trajectory."""
 
 
-class BlowUpError(RuntimeError):
+class BlowUpError(_Partial):
     """Non-finite fields or a broken mass balance in a simulation; carries the last good series."""
 
-    def __init__(self, message, series=None):
-        super().__init__(message)
-        self.series = series
 
-
-class PositivityError(RuntimeError):
+class PositivityError(_Partial):
     """A simulation snapshot's A is negative past round-off; carries the last good series."""
-
-    def __init__(self, message, series=None):
-        super().__init__(message)
-        self.series = series
 
 
 class ContaminatedMeasurementError(RuntimeError):

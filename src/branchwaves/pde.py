@@ -41,7 +41,9 @@ POSITIVITY_TOL = 1e-12  # a snapshot fails with min A < -POSITIVITY_TOL max A
 
 BOUNDARY_MARGIN_CELLS = 10
 MAX_STORED_VALUES = 10**8  # snapshot values one run may keep: 0.8 GB of float64
-MAX_STAGES = 1000  # RKC stages per step, so dx >= 5.5e-4 at STEP; 20001 points on GRID take 74
+# RKC stages per step, so dx >= 5.5e-4 at STEP (20001 points on GRID take 74), and reaction
+# substeps per step, so r <= 4e4 at STEP
+MAX_STAGES = 1000
 SNAPSHOT_DT = 0.5  # spacing of the snapshots `simulate` keeps
 
 
@@ -155,9 +157,12 @@ def _diffusion_taps(h: float, dx: float, s: int) -> np.ndarray:
 def _react(Y: np.ndarray, dt: float, r: float, w: np.ndarray, R: np.ndarray,
            Ym: np.ndarray) -> float:
     """Midpoint steps of the reaction on Y = (A, I) in place over dt, (2, n) buffers R, Ym;
-    ceil(dt (5 + r) / 2) of them once dt (5 + r), the Gershgorin bound while 0 <= A <= 1
-    and 0 <= I <= 2, passes 2. Returns the mass dt (1 + r) w.A_mid they carry."""
+    ceil(dt (5 + r) / 2) of them once dt (5 + r), the Gershgorin bound while 0 <= A <= 1 and
+    0 <= I <= 2, passes 2, at most MAX_STAGES. Returns the mass dt (1 + r) w.A_mid they carry."""
     m = max(1, math.ceil(dt * (5.0 + r) / 2.0))
+    if m > MAX_STAGES:
+        raise DomainError(f"production rate r = {r:.3g} needs over {MAX_STAGES} reaction "
+                          f"substeps per step of {dt:.3g}")
     dt /= m
     carried = 0.0
     for _ in range(m):

@@ -241,9 +241,7 @@ def _mul(x: np.ndarray, y: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.n
 
 
 def _stacks(n: int) -> list[np.ndarray]:
-    """Eight (3, 3, n) stacks, expm's seven and the march's: buffers kept up to _BLOCK matrices."""
-    if n > _BLOCK:
-        return [np.empty((3, 3, n), dtype=complex) for _ in range(8)]
+    """Eight (3, 3, n <= _BLOCK) stacks, expm's seven and the march's, in buffers kept."""
     if not _KEPT or _KEPT[0].size != 9 * _BLOCK:
         _KEPT[:] = [np.empty(9 * _BLOCK, dtype=complex) for _ in range(8)]
     return [x[:9 * n].reshape(3, 3, n) for x in _KEPT]
@@ -259,10 +257,16 @@ def expm(X: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     terms on the diagonal alone.  The adjugate inverts the denominator, well
     conditioned once scaled.  From the sorted copy of X on, every step writes
     into seven stacks kept across calls (`_stacks`): no stack-sized array is
-    allocated or transposed per call, and calls must not overlap (threads).
-    A matrix with a non-finite entry gives a non-finite result.
+    allocated or transposed per call, and calls must not overlap (threads);
+    a longer stack runs through them _BLOCK matrices at a time.  A matrix
+    with a non-finite entry gives a non-finite result.
     """
     X = np.asarray(X, dtype=complex)
+    out = np.empty_like(X) if out is None else out
+    if X.shape[2] > _BLOCK:
+        for lo in range(0, X.shape[2], _BLOCK):
+            expm(X[:, :, lo:lo + _BLOCK], out=out[:, :, lo:lo + _BLOCK])
+        return out
     M, M2, M4, M6, U, S, T = _stacks(X.shape[2])[:7]
     norm = np.abs(X, out=T.real).sum(axis=0).max(axis=0)
     s = np.zeros(norm.shape, dtype=int)
@@ -303,7 +307,7 @@ def expm(X: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         # into the heads of S and T: a product into strided slices takes about 1.75x as long
         R[:, :, tail:] = _mul(R[:, :, tail:], R[:, :, tail:], *_stacks(s.size - tail)[5:7])
     back = np.argsort(order, kind="stable")  # a gather by it takes a quarter of a scatter's time
-    return np.take(R, back, axis=2, out=np.empty_like(X) if out is None else out, mode="clip")
+    return np.take(R, back, axis=2, out=out, mode="clip")
 
 
 def _magnus(setup: SpectralSetup, mesh: np.ndarray, wedge: bool) -> tuple[np.ndarray, ...]:

@@ -1,7 +1,9 @@
 """sha256 digests of the reference CLI outputs, kept in ledger.json.
 
 The reference runs are `evans` and `wave` at (c, r, i_minus) = (2, 0, 2),
-(3, 1, 1.5) and (2, 1, 1.2), and `pde --r 0` and `pde --r 1`.  Each goes
+(3, 1, 1.5) and (2, 1, 1.2), `pde --r 0` and `pde --r 1`, and `formulas`
+as text at c = 1.5 and as JSON at c = 1, at (c, r) = (3, 1) and with
+general rates at c = 2.  Each goes
 through `cli.main` in a folder of its own with a relative `--out`, since the
 JSON reports name the files written; its exit status, its stdout and every
 file it writes are recorded.  `test_ledger.py` compares a fresh run with the
@@ -31,6 +33,9 @@ RUNS = {
        [cmd, "--c", f"{c:g}", "--r", f"{r:g}", "--i-minus", f"{i:g}", "--out", f"{cmd}.csv"]
        for cmd in ("evans", "wave") for c, r, i in WAVES},
     **{f"pde r={r}": ["pde", "--r", str(r), "--out", "pde"] for r in (0, 1)},
+    **{f"formulas {' '.join(argv)}": ["formulas", *argv] for argv in (
+        ["--c", "1.5"], ["--c", "1", "--json"], ["--c", "3", "--r", "1", "--json"],
+        ["--c", "2", "--general", "rS=2,rA=4,rI=1,D=0.5", "--json"])},
 }
 
 

@@ -295,6 +295,14 @@ class TestPde:
         assert "production rate r must be >= 0 and finite" in err
         assert not list(tmp_path.iterdir())
 
+    def test_rate_past_the_reaction_substep_cap_exits_2(self, tmp_path, capsys, deadline):
+        # about 1e298 midpoint substeps per step: refused where they are counted
+        code, out, err = run(capsys, "pde", "--r", "1e300", "--grid", "201:-10:10", "--t-end", 1,
+                             "--out", tmp_path / "x")
+        assert (code, out) == (2, "")
+        assert "error: invalid regime: production rate r = 1e+300 needs over 1000 reaction" in err
+        assert not list(tmp_path.iterdir())
+
     def test_threshold_above_max_a_exits_4(self, tmp_path, capsys):
         code, _, err = run(
             capsys, "pde", "--threshold", 2, "--grid", "321:-10:20", "--t-end", 2,
@@ -769,6 +777,28 @@ class TestFormulas:
         assert code == 64
         assert out == ""
         assert "wave speed c must be positive and finite" in err
+
+
+    @pytest.mark.parametrize("c", [0.001, 0.003])
+    def test_narrow_band_levels_stay_in_it(self, capsys, c):
+        # 1 - i_c = c^2/4 is narrower than six decimals resolve: a level that would round to 1
+        # or below i_c is reported unrounded, and the text form prints it in full
+        code, payload, _ = run_json(capsys, "formulas", "--c", c, "--json")
+        assert code == 0
+        levels = [i0 for i0, _ in payload["a_star"]]
+        assert len(levels) == 5 and all(payload["i_c"] <= i0 < 1.0 for i0 in levels)
+        assert payload["a_star"] == [[i0, analysis.a_star(i0, c, 0.0)] for i0 in levels]
+        code, out, _ = run(capsys, "formulas", "--c", c)
+        assert code == 0
+        assert all(f"  i0 = {i0}: " in out for i0 in levels)
+
+    def test_rate_past_the_attractor_formula_exits_2(self, capsys):
+        # (i + r)^2 overflows past r ~ 1.3e154
+        code, out, err = run(capsys, "formulas", "--r", "1e160")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: invalid regime: production rate r = 1e+160 is past the "
+                              "range of the attractor formula")
+        assert "Traceback" not in err
 
 
 class TestVerify:

@@ -105,7 +105,7 @@ def reference_integrate(rhs, p, y0, z_end, stops):
         h_abs = max(h_abs, min_step)
         retried = False
         while True:
-            if h_abs < min_step:
+            if not h_abs >= min_step:
                 raise NonConvergenceError("step size underflow", partial())
             z_new = min(z + h_abs, z_end)
             h = h_abs = z_new - z
@@ -549,6 +549,13 @@ class TestBitwise:
 
     def test_nan_rhs(self):
         self.assert_same((turns_nan, None, Y0, 2.0, STOPS))
+
+    def test_nan_rhs_from_the_start(self, deadline):
+        # the first step is NaN: both underflow at once with the start sample alone
+        # rather than reject steps forever
+        args = (lambda y, p: (math.nan,) * 3, None, Y0, 2.0, STOPS)
+        assert outcome(integrate, *args)[0] == "step size underflow"
+        self.assert_same(args)
 
     def test_signed_zero_start(self):
         # abs(-0.0) is 0.0 but the conditionals keep -0.0, in the error scales and the stop

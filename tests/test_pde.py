@@ -414,6 +414,18 @@ class TestRkc:
             simulate(*bump(g), R0, g, 1.0)
         assert calls == [2, 4, 8, 16, 32, 64, 128, 256, 512, pde.MAX_STAGES]
 
+    def test_reaction_substep_cap(self, deadline):
+        # r = 1e300 would take about 1e298 midpoint substeps per step; at STEP the cap
+        # ceil(STEP (5 + r) / 2) <= MAX_STAGES admits r = 39995 and refuses r = 39996
+        g = Grid(-10.0, 10.0, 201)
+        with pytest.raises(DomainError, match=r"r = 1e\+300 needs over 1000 reaction substeps"):
+            simulate(*bump(g), 1e300, g, 1.0)
+        with pytest.raises(DomainError, match=r"r = 1e\+300 needs over 1000 reaction substeps"):
+            pde.spreading_speed(g.dx, pde.STEP, 1e300)
+        assert pde.spreading_speed(g.dx, pde.STEP, 39995.0)[0] > 0.0
+        with pytest.raises(DomainError, match="reaction substeps per step of 0.05"):
+            pde.spreading_speed(g.dx, pde.STEP, 39996.0)
+
     def test_beta_grows_with_s(self):
         # the precondition of the bisection in `_stages`
         betas = [pde._chebyshev(s)[0] for s in range(2, pde.MAX_STAGES + 1)]

@@ -488,6 +488,18 @@ class TestExpm:
             assert spectral.expm(stack, out=out) is out
             assert out.tobytes() == want.tobytes()
 
+    def test_stack_past_the_block_runs_through_the_kept_stacks(self):
+        # 2 _BLOCK + 1 matrices go through the kept stacks a block at a time: each comes back
+        # bitwise as it does in parts cut elsewhere, the in-place form too, and the kept
+        # buffers stay _BLOCK matrices long
+        block = spectral._BLOCK
+        stack = np.tile(self._interleaved_stack(), 2 * block // 9 + 1)[:, :, :2 * block + 1]
+        want = np.concatenate([spectral.expm(stack[:, :, lo:lo + block - 7])
+                               for lo in range(0, stack.shape[2], block - 7)], axis=2)
+        assert spectral.expm(stack).tobytes() == want.tobytes()
+        assert spectral.expm(stack, out=stack) is stack and stack.tobytes() == want.tobytes()
+        assert [x.size for x in spectral._KEPT] == [9 * block] * 8
+
     def test_bitwise_on_magnus_stacks(self, graded_setup, monkeypatch):
         # Gauss-point Magnus exponents, with the wedge lift and without, over
         # |gamma| 1e-3 to 1e3 and real gamma among them; then every stack the
