@@ -143,7 +143,7 @@ def _threshold_consistency(ctx: AcceptanceContext, tol: float = 1e-10) -> tuple[
     for _ in range(100):
         c, r, i_c, i0 = _level_draw(rng)
         alpha = analysis.alpha_threshold(i0, c, r)
-        a_max = analysis.a_at_first_max(2.0 - i_c, i0, c, r)
+        a_max = analysis.a_at_first_max(analysis.limit_symmetry(i_c), i0, c, r)
         defects += [abs(analysis.i_plus_infinity(alpha, i0, c, r) - i_c), abs(a_max - alpha)]
     worst = float(np.max(defects))  # NaN propagates, failing worst < tol
     return worst < tol, (

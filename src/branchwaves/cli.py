@@ -17,10 +17,10 @@ or for `pde`'s reference run (the bump, grid, end time and front level) in
 passed with --config replaces those defaults for the chosen subcommand (keys
 are the flag names, but for `verify --json`, a per-run choice); explicit
 flags win.  Exit statuses are stable API: 0 success, 1 verification failure,
-and for errors the single table `_EXIT_TABLE`, which `main` applies to
-whatever a subcommand raises: 2 invalid regime, 3 blow-up, 4 resolution
-failure, 64 usage error (an unwritable CSV path included, checked before
-the run).
+64 usage error (an unwritable CSV path included, checked before the run), and
+for a library error the single table `_EXIT_TABLE`, which `main` applies to
+the kind of what a subcommand raises: 2 invalid regime (`RegimeError`),
+3 blow-up (`BlowUpError`), 4 resolution failure (`ResolutionError`).
 """
 
 from __future__ import annotations
@@ -39,18 +39,7 @@ import numpy as np
 
 from . import acceptance, analysis, pde, spectral
 from . import wave as wave_mod
-from .errors import (
-    BlowUpError,
-    BudgetError,
-    ContaminatedMeasurementError,
-    ContourResolutionError,
-    DomainError,
-    InvalidSegmentError,
-    NegativityError,
-    NonConvergenceError,
-    PositivityError,
-    SplittingError,
-)
+from .errors import BlowUpError, DomainError, RegimeError, ResolutionError
 from .model import GeneralParams, Params, general_wave_predictions
 
 __all__ = ["main"]
@@ -68,15 +57,12 @@ class _UsageProblem(Exception):
     pass
 
 
-# Error class -> (exit status, stderr label), first match wins.  Handlers
-# let these propagate; where a class means another failure at one stage,
-# the handler re-raises it as the class that names that failure.
+# Error kind -> (exit status, stderr label).  A handler re-raises an error whose kind misnames it.
 _EXIT_TABLE = (
     ((_UsageProblem,), EXIT_USAGE, None),
     ((BlowUpError,), EXIT_BLOWUP, "blow-up"),
-    ((NegativityError, DomainError, SplittingError), EXIT_REGIME, "invalid regime"),
-    ((BudgetError, NonConvergenceError, ContaminatedMeasurementError, ContourResolutionError,
-      InvalidSegmentError, PositivityError), EXIT_RESOLUTION, "resolution failure"),
+    ((RegimeError,), EXIT_REGIME, "invalid regime"),
+    ((ResolutionError,), EXIT_RESOLUTION, "resolution failure"),
 )
 
 
@@ -186,7 +172,7 @@ def _parse_general(text: str) -> GeneralParams:
 def _load_config(path: str) -> dict[str, str]:
     entries = {}
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8-sig") as fh:  # past a byte-order mark, if any
             for lineno, line in enumerate(fh, start=1):
                 text = line.strip()
                 if not text or text.startswith("#"):
@@ -198,7 +184,7 @@ def _load_config(path: str) -> dict[str, str]:
                 if key in entries:  # t-end and t_end are one key
                     raise _UsageProblem(f"{path}:{lineno}: repeated config key {key}")
                 entries[key] = value.strip()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise _UsageProblem(f"cannot read config {path}: {exc}") from exc
     return entries
 
@@ -291,8 +277,8 @@ def cmd_wave(args: argparse.Namespace) -> int:
 
 def _read_initial(path: str) -> tuple[pde.Grid, np.ndarray, np.ndarray]:
     try:
-        data = np.genfromtxt(path, delimiter=",", names=True)
-    except OSError as exc:
+        data = np.genfromtxt(path, delimiter=",", names=True, encoding="utf-8-sig")
+    except (OSError, UnicodeDecodeError) as exc:
         raise _UsageProblem(f"cannot read initial data {path}: {exc}") from exc
     names = data.dtype.names
     if names is None or [n.lower() for n in names[:3]] != ["x", "a", "i"]:
@@ -400,14 +386,13 @@ def cmd_formulas(args: argparse.Namespace) -> int:
 
     c, r = args.c, args.r
     i_c = analysis.minimal_inactive_limit(c)
+    rear_max = analysis.limit_symmetry(i_c)
     pairs = [
         (i_minus, analysis.limit_symmetry(i_minus))
         for i_minus in (1.2, 1.5, 1.8, 2.0)
-        if i_minus <= 2.0 - i_c
+        if i_minus <= rear_max
     ]
-    rates = {
-        f"{i_minus:g}": analysis.decay_rate(i_minus, c) for i_minus, _ in pairs
-    }
+    rates = {f"{i_minus:g}": analysis.decay_rate(i_minus, c) for i_minus, _ in pairs}
     # six decimals where they stay in the band [i_c, 1) of a_star; too narrow a band holds none
     levels = (i_c + f * (1.0 - i_c) for f in (0.1, 0.3, 0.5, 0.7, 0.9))
     i0_grid = [i0 if i_c <= (i0 := round(x, 6)) < 1.0 else x for x in levels]
@@ -421,6 +406,11 @@ def cmd_formulas(args: argparse.Namespace) -> int:
             "limit_sum": predictions.limit_sum,
             "c_normalized": predictions.c_normalized,
         }
+    numbers = [*((f"mu({key})", mu) for key, mu in rates.items()),
+               *((f"a_star({i0})", a) for i0, a in a_stars),
+               *((f"general {key}", value) for key, value in (general or {}).items())]
+    if bad := [f"{name} = {value}" for name, value in numbers if not math.isfinite(value)]:
+        raise DomainError(f"non-finite closed forms at c = {c:g}, r = {r:g}: {', '.join(bad)}")
 
     payload = {
         "c": c,
@@ -444,7 +434,7 @@ def cmd_formulas(args: argparse.Namespace) -> int:
     elif c > 2.0:
         print("note: c exceeds the minimal front speed 2; i_c = 0")
     else:
-        print(f"note: below the minimal front speed 2, waves need i <= {2 - i_c:g} behind")
+        print(f"note: below the minimal front speed 2, waves need i <= {rear_max:g} behind")
     print("limit pairs (rear level -> front level):")
     for i_minus, i_plus in pairs:
         print(f"  {i_minus:g} -> {i_plus:g}")

@@ -1,15 +1,24 @@
 """Exception types shared across the library.
 
-Grouped here so the command-line layer can map each failure mode to a
-stable exit status in one table, `branchwaves.cli._EXIT_TABLE`.
+Each class has one kind for its base, `RegimeError`, `ResolutionError` or
+`BlowUpError`; `branchwaves.cli._EXIT_TABLE` maps each kind to an exit status.
 """
 
-__all__ = ["DomainError", "OscillatoryRegimeError", "InvalidSegmentError", "NonConvergenceError",
-           "NegativityError", "BudgetError", "BlowUpError", "PositivityError",
-           "ContaminatedMeasurementError", "SplittingError", "ContourResolutionError"]
+__all__ = ["RegimeError", "ResolutionError", "DomainError", "OscillatoryRegimeError",
+           "InvalidSegmentError", "NonConvergenceError", "NegativityError", "BudgetError",
+           "BlowUpError", "PositivityError", "ContaminatedMeasurementError", "SplittingError",
+           "ContourResolutionError"]
 
 
-class DomainError(ValueError):
+class RegimeError(Exception):
+    """The parameters lie outside the regime where the operation is defined."""
+
+
+class ResolutionError(Exception):
+    """An admissible problem that the solver could not resolve."""
+
+
+class DomainError(RegimeError, ValueError):
     """An argument lies outside the operation's mathematical domain."""
 
 
@@ -18,7 +27,7 @@ class OscillatoryRegimeError(DomainError):
     evaluated there, or a shot that settles there (no non-negative wave)."""
 
 
-class InvalidSegmentError(ValueError):
+class InvalidSegmentError(ResolutionError, ValueError):
     """Profile segment endpoints violate the b = 0 requirement."""
 
 
@@ -30,7 +39,7 @@ class _Partial(RuntimeError):
         self.trajectory, self.series = trajectory, series
 
 
-class NonConvergenceError(_Partial):
+class NonConvergenceError(ResolutionError, _Partial):
     """Integration stopped early (step underflow or step-count cap), or a
     shot cannot be made or measured: its seed lands at i <= 1, it settles at
     i >= 1, or a tail holds too few samples to fit its rate.
@@ -39,7 +48,7 @@ class NonConvergenceError(_Partial):
     """
 
 
-class NegativityError(_Partial):
+class NegativityError(RegimeError, _Partial):
     """Active density dipped below the negativity threshold while shooting.
 
     Expected behavior in the oscillatory regime, where no non-negative
@@ -52,7 +61,7 @@ class NegativityError(_Partial):
         self.z, self.value = z, value
 
 
-class BudgetError(_Partial):
+class BudgetError(ResolutionError, _Partial):
     """No first maximum (or no convergence) within the z budget; carries the trajectory."""
 
 
@@ -60,17 +69,17 @@ class BlowUpError(_Partial):
     """Non-finite fields or a broken mass balance in a simulation; carries the last good series."""
 
 
-class PositivityError(_Partial):
+class PositivityError(ResolutionError, _Partial):
     """A simulation snapshot's A is negative past round-off; carries the last good series."""
 
 
-class ContaminatedMeasurementError(RuntimeError):
+class ContaminatedMeasurementError(ResolutionError, RuntimeError):
     """Front came too close to the domain boundary during measurement."""
 
 
-class SplittingError(RuntimeError):
+class SplittingError(RegimeError, RuntimeError):
     """Eigenvalue splitting margin violated at a spectral parameter."""
 
 
-class ContourResolutionError(RuntimeError):
+class ContourResolutionError(ResolutionError, RuntimeError):
     """Winding-number refinement exhausted its subdivision levels."""

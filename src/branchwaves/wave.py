@@ -92,8 +92,8 @@ def seed_unstable_manifold(i_minus_inf: float, p: Params) -> WaveState:
     return seed
 
 
-def _rear_band(c: float) -> str:
-    return f"rear levels need i_minus <= 2 - i_c = {2.0 - analysis.minimal_inactive_limit(c):g}"
+def _rear_band(i_c: float) -> str:
+    return f"rear levels need i_minus <= 2 - i_c = {analysis.limit_symmetry(i_c):g}"
 
 
 def _run_shoot(y0, p: Params) -> Trajectory:
@@ -104,7 +104,7 @@ def _run_shoot(y0, p: Params) -> Trajectory:
             raise NegativityError(
                 f"no non-negative wave through this shot at c = {p.c:g}: a fell to "
                 f"{rec.state[0]:.2e} at z = {rec.z:.2f}, so the approach to the far equilibrium "
-                f"is oscillatory; {_rear_band(p.c)}",
+                f"is oscillatory; {_rear_band(analysis.minimal_inactive_limit(p.c))}",
                 z=rec.z,
                 value=rec.state[0],
                 trajectory=traj,
@@ -124,7 +124,7 @@ def _check_limit_band(traj: Trajectory, p: Params) -> float:
     if i_limit < i_c - 1e-6:
         raise OscillatoryRegimeError(
             f"converged to i_plus = {i_limit:.6f} below i_c = {i_c:g}, so the "
-            f"approach is oscillatory: no non-negative wave; {_rear_band(p.c)}"
+            f"approach is oscillatory: no non-negative wave; {_rear_band(i_c)}"
         )
     if not i_limit < 1.0:
         raise NonConvergenceError(

@@ -47,6 +47,15 @@ def test_every_error_class_has_an_exit_status():
         assert issubclass(getattr(errors, name), table), name
 
 
+def test_every_error_class_has_one_kind():
+    # the exit table maps kinds, one row per status, so no class may have two
+    kinds = (errors.RegimeError, errors.ResolutionError, errors.BlowUpError)
+    for name in set(errors.__all__) - {"RegimeError", "ResolutionError"}:
+        assert sum(issubclass(getattr(errors, name), kind) for kind in kinds) == 1, name
+    codes = [code for _, code, _ in cli._EXIT_TABLE]
+    assert len(set(codes)) == len(codes)
+
+
 def run(capsys, *argv):
     code = cli.main([str(a) for a in argv])
     captured = capsys.readouterr()
@@ -220,6 +229,31 @@ class TestPde:
         # the t = 0 snapshot of the restart must reproduce the handoff file
         # bit for bit: 17 significant digits round-trip doubles exactly
         assert open(payload2["snapshots"][0]).read() == open(handoff).read()
+
+    def test_initial_data_past_a_byte_order_mark(self, tmp_path, capsys):
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        grid = pde.Grid(-20.0, 60.0, 501)
+        np.savetxt(plain, np.column_stack([grid.xs(), *pde.bump(grid)]), delimiter=",",
+                   header="x,A,I", comments="", fmt="%.17g")
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        reports = []
+        for path in (plain, marked):
+            code, payload, _ = run_json(capsys, "pde", "--initial", path, "--t-end", 4,
+                                        "--out", tmp_path / path.stem)
+            assert code == 0
+            reports.append(payload)
+        first, second = ([Path(name).read_bytes() for name in report.pop("snapshots")]
+                         for report in reports)
+        assert reports[0] == reports[1]
+        assert first == second
+
+    def test_undecodable_initial_data_exits_64(self, tmp_path, capsys):
+        path = tmp_path / "initial.csv"
+        path.write_bytes(b"x,A,I\n0,1,0\n\xff\n")
+        code, out, err = run(capsys, "pde", "--initial", path, "--out", tmp_path / "x")
+        assert (code, out) == (64, "")
+        assert err.startswith(f"error: cannot read initial data {path}: ")
+        assert "Traceback" not in err
 
     @pytest.fixture
     def overflowing_reaction(self, monkeypatch):
@@ -800,6 +834,21 @@ class TestFormulas:
                               "range of the attractor formula")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("form", [[], ["--json"]], ids=["text", "json"])
+    def test_overflowing_speed_exits_2(self, capsys, form):
+        # c^2 overflows past c ~ 1.3e154: every decay rate is inf and every a_star NaN
+        code, out, err = run(capsys, "formulas", "--c", "1e160", *form)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: invalid regime: non-finite closed forms at "
+                              "c = 1e+160, r = 0: mu(1.2) = inf, ")
+        assert "a_star(0.9) = nan" in err
+
+    def test_overflowing_general_prediction_exits_2(self, capsys):
+        code, out, err = run(capsys, "formulas", "--c", 2, "--general",
+                             "rS=1e-300,rA=1e300,rI=0,D=1e-300", "--json")
+        assert (code, out) == (2, "")
+        assert err.endswith(": general i_c = inf, general limit_sum = inf\n")
+
 
 class TestVerify:
     def test_single_criterion_passes(self, capsys):
@@ -914,6 +963,21 @@ class TestConfig:
     def test_missing_config_file_exits_64(self, tmp_path, capsys):
         code, _, err = run(capsys, "formulas", "--config", tmp_path / "absent.cfg")
         assert code == 64
+
+    def test_config_past_a_byte_order_mark(self, tmp_path, capsys):
+        cfg = tmp_path / "f.cfg"
+        cfg.write_bytes(b"\xef\xbb\xbfc = 1\n")
+        code, payload, _ = run_json(capsys, "formulas", "--config", cfg, "--json")
+        assert code == 0
+        assert payload["c"] == 1.0
+
+    def test_undecodable_config_exits_64(self, tmp_path, capsys):
+        cfg = tmp_path / "f.cfg"
+        cfg.write_bytes(b"c = 1\xff\n")
+        code, out, err = run(capsys, "formulas", "--config", cfg)
+        assert (code, out) == (64, "")
+        assert err.startswith(f"error: cannot read config {cfg}: ")
+        assert "Traceback" not in err
 
     def test_config_boolean_off_gives_text(self, tmp_path, capsys):
         cfg = tmp_path / "f.cfg"
