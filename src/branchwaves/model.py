@@ -224,5 +224,5 @@ def general_wave_predictions(g: GeneralParams, c: float) -> GeneralPredictions:
         c=c,
         i_c=max(0.0, (g.r_A - c**2 / (4.0 * g.D)) / g.r_S),
         limit_sum=2.0 * g.r_A / g.r_S,
-        c_normalized=c / math.sqrt(g.r_A * g.D),
+        c_normalized=c / (math.sqrt(g.r_A) * math.sqrt(g.D)),
     )

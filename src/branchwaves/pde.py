@@ -36,7 +36,7 @@ __all__ = ["Grid", "FieldSeries", "SpeedMeasurement", "simulate", "spreading_spe
 # |c*(dx, STEP) - c*(dx, STEP/10)| = 5.7e-4 is 1.2 times the grid's |c*(dx, STEP/10) - 2| = 4.6e-4
 STEP = 0.05
 DAMPING = 2.0 / 13.0  # epsilon of the damped Chebyshev stability polynomial
-MASS_BALANCE_TOL = 1e-10  # carried vs measured sum w(A + I), relative
+MASS_BALANCE_TOL = 1e-10  # carried vs measured sum w(A + I), relative to w(|A| + |I|) or n tiny
 POSITIVITY_TOL = 1e-12  # a snapshot fails with min A < -POSITIVITY_TOL max A
 
 BOUNDARY_MARGIN_CELLS = 10
@@ -251,8 +251,8 @@ def simulate(A0, I0, r: float, grid: Grid, t_end: float,
                 mass += _react(Y, h if j < n_steps - 1 else 0.5 * h, r, w, R, Ym)
             diag["steps"] += n_steps
             diag["h"] = max(diag["h"], h)
-            measured, scale = w @ (Y[0] + Y[1]), w @ np.abs(Y).sum(axis=0)
-            residual = float(abs(mass - measured) / (scale or 1.0))  # NaN if Y is not finite
+            measured, scale = w @ (Y[0] + Y[1]), w @ np.abs(Y).sum(axis=0)  # NaN if Y is not finite
+            residual = float(abs(mass - measured) / max(scale, grid.n * np.finfo(float).tiny))
             if not residual <= MASS_BALANCE_TOL:
                 problem = "non-finite field values" if not np.isfinite(Y).all() else (
                     f"mass balance residual {residual:.2e} over {MASS_BALANCE_TOL:g}")

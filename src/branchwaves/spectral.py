@@ -257,16 +257,14 @@ def expm(X: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     terms on the diagonal alone.  The adjugate inverts the denominator, well
     conditioned once scaled.  From the sorted copy of X on, every step writes
     into seven stacks kept across calls (`_stacks`): no stack-sized array is
-    allocated or transposed per call, and calls must not overlap (threads);
-    a longer stack runs through them _BLOCK matrices at a time.  A matrix
-    with a non-finite entry gives a non-finite result.
+    allocated or transposed per call, and calls must not overlap (threads).
+    At most _BLOCK matrices, the most a march builds, come in (ValueError
+    past that); a matrix with a non-finite entry gives a non-finite result.
     """
     X = np.asarray(X, dtype=complex)
-    out = np.empty_like(X) if out is None else out
     if X.shape[2] > _BLOCK:
-        for lo in range(0, X.shape[2], _BLOCK):
-            expm(X[:, :, lo:lo + _BLOCK], out=out[:, :, lo:lo + _BLOCK])
-        return out
+        raise ValueError(f"expm takes at most _BLOCK = {_BLOCK} matrices, got {X.shape[2]}")
+    out = np.empty_like(X) if out is None else out
     M, M2, M4, M6, U, S, T = _stacks(X.shape[2])[:7]
     norm = np.abs(X, out=T.real).sum(axis=0).max(axis=0)
     s = np.zeros(norm.shape, dtype=int)

@@ -312,6 +312,16 @@ class TestPde:
         assert "resolution failure: A = -0.0622 < -1e-12 max A at t = 0.5\n" in err
         assert not list(tmp_path.glob("x*"))
 
+    @pytest.mark.parametrize("amplitude", ["1e-315", "1e-320"])
+    def test_subnormal_bump_is_no_front_not_a_blow_up(self, tmp_path, capsys, amplitude):
+        # the balance is weighed against n normal floats at least, not the bump's subnormal
+        # mass, whose own rounding read 1.69e-09 and 1.69e-03 as a mass balance residual
+        code, out, err = run(capsys, "pde", "--amplitude", amplitude, "--t-end", 1,
+                             "--grid", "401:-10:30", "--out", tmp_path / "x")
+        assert (code, out) == (4, "")
+        assert "no front: A never reaches the threshold 0.1 at t = 0.5" in err
+        assert "blow-up" not in err
+
     def test_negative_rate_exits_2(self, tmp_path, capsys):
         code, _, err = run(
             capsys, "pde", "--r", -1, "--grid", "321:-10:20", "--t-end", 1,
@@ -842,6 +852,15 @@ class TestFormulas:
         assert err.startswith("error: invalid regime: non-finite closed forms at "
                               "c = 1e+160, r = 0: mu(1.2) = inf, ")
         assert "a_star(0.9) = nan" in err
+
+    @pytest.mark.parametrize("general, c_normalized", [
+        ("rS=1,rA=1e-200,rI=0,D=1e-200", 2e200), ("rS=1,rA=1e200,rI=0,D=1e200", 2e-200),
+    ], ids=["underflow", "overflow"])
+    def test_extreme_general_rates_keep_the_normalized_speed(self, capsys, general, c_normalized):
+        # r_A D under- or overflows: c / sqrt(r_A D) divided by zero or read 0.0
+        code, payload, _ = run_json(capsys, "formulas", "--c", 2, "--general", general, "--json")
+        assert code == 0
+        assert payload["general"]["c_normalized"] == pytest.approx(c_normalized, rel=1e-15, abs=0.0)
 
     def test_overflowing_general_prediction_exits_2(self, capsys):
         code, out, err = run(capsys, "formulas", "--c", 2, "--general",

@@ -488,16 +488,17 @@ class TestExpm:
             assert spectral.expm(stack, out=out) is out
             assert out.tobytes() == want.tobytes()
 
-    def test_stack_past_the_block_runs_through_the_kept_stacks(self):
-        # 2 _BLOCK + 1 matrices go through the kept stacks a block at a time: each comes back
-        # bitwise as it does in parts cut elsewhere, the in-place form too, and the kept
+    def test_stack_past_the_block_is_refused(self):
+        # 2 _BLOCK + 1 matrices are more than any march builds: a ValueError naming _BLOCK,
+        # raised before the stack, `out` or a kept buffer is written, and the kept
         # buffers stay _BLOCK matrices long
         block = spectral._BLOCK
         stack = np.tile(self._interleaved_stack(), 2 * block // 9 + 1)[:, :, :2 * block + 1]
-        want = np.concatenate([spectral.expm(stack[:, :, lo:lo + block - 7])
-                               for lo in range(0, stack.shape[2], block - 7)], axis=2)
-        assert spectral.expm(stack).tobytes() == want.tobytes()
-        assert spectral.expm(stack, out=stack) is stack and stack.tobytes() == want.tobytes()
+        spectral.expm(stack[:, :, :block])
+        given, kept = stack.tobytes(), [x.tobytes() for x in spectral._KEPT]
+        with pytest.raises(ValueError, match="_BLOCK"):
+            spectral.expm(stack, out=stack)
+        assert stack.tobytes() == given and [x.tobytes() for x in spectral._KEPT] == kept
         assert [x.size for x in spectral._KEPT] == [9 * block] * 8
 
     def test_bitwise_on_magnus_stacks(self, graded_setup, monkeypatch):
