@@ -185,8 +185,9 @@ def _first_root(i: float, gap: float, c: float, r: float) -> float:
     """Positive root a of (1 + r + c^2) a^2 + 2 c^2 (i + r) a = c^2 gap.
 
     This inverts the attractor formula: a start (a, 0, i) has the limit
-    level at squared distance (1 - i)^2 + gap from 1.  A discriminant made
-    negative by round-off is clamped to zero; DomainError once (i + r)^2 overflows.
+    level at squared distance (1 - i)^2 + gap from 1.  Where i + r > 0 it is
+    gap / ((i + r) + sqrt(...)), which cancels nothing as r grows.  A discriminant
+    made negative by round-off is clamped to zero; DomainError once (i + r)^2 overflows.
     """
     c2 = c * c
     k = (c2 + 1.0 + r) / c2
@@ -195,7 +196,8 @@ def _first_root(i: float, gap: float, c: float, r: float) -> float:
     except OverflowError:
         raise DomainError(f"production rate r = {r:g} is past the range of the attractor "
                           "formula: (i + r)^2 overflows") from None
-    return (c2 / (c2 + 1.0 + r)) * (-(i + r) + math.sqrt(max(arg, 0.0)))
+    root = math.sqrt(max(arg, 0.0))
+    return gap / ((i + r) + root) if i + r > 0.0 else (c2 / (c2 + 1.0 + r)) * (root - (i + r))
 
 
 def alpha_threshold(i0: float, c: float, r: float) -> float:
@@ -207,7 +209,7 @@ def alpha_threshold(i0: float, c: float, r: float) -> float:
     i_c = minimal_inactive_limit(c)
     if not (i_c - 1e-12 <= i0 < 1.0):
         raise DomainError(f"alpha_threshold needs i0 in [{i_c}, 1), got {i0}")
-    return _first_root(i0, (1.0 - i_c) ** 2 - (1.0 - i0) ** 2, c, r)
+    return _first_root(i0, (i0 - i_c) * (2.0 - i_c - i0), c, r)
 
 
 def a_star(i0: float, c: float, r: float) -> float:

@@ -4,9 +4,10 @@ A profile is grown from a seed on the one-dimensional unstable manifold
 of the invaded equilibrium, followed forward until the active density
 peaks (first b = 0 down-crossing) and then decays into the attracting
 equilibrium continuum. The profile is re-anchored so the maximum sits at
-z = 0, the limits are measured, and both tail rates are fitted. Every run
-is one forward `integrate` call with the same three falling-crossing
-events and the settings fixed below.
+z = 0 and both tail rates are fitted. Every run is one forward `integrate`
+call with the same three falling-crossing events and the settings fixed
+below; it stops once sup|(a, b)| < STOP_TOL (LIMIT_STOP_TOL for a shot from
+a maximum), and its forward limit closes the linearized tail past the stop.
 """
 
 from __future__ import annotations
@@ -26,8 +27,10 @@ __all__ = ["WaveProfile", "VerificationReport", "shoot_wave", "shoot_from_max",
 
 # seed offset along the unstable eigendirection
 SEED_EPS = 1e-7
-# sup-norm of (a, b) below which a run counts as converged
+# sup-norm of (a, b) below which a run counts as converged, and the same for a shot
+# from a maximum, whose callers need only its limit and path
 STOP_TOL = 1e-10
+LIMIT_STOP_TOL = 1e-8
 # pseudo-time after which a run gives up with a budget error
 Z_BUDGET = 1000.0
 # a below -NEGATIVITY_TOL means no non-negative wave
@@ -50,7 +53,8 @@ class WaveProfile:
     """A computed traveling wave, anchored so the a-maximum sits at z = 0.
 
     z_first_max is the pseudo-time from the seed to that maximum (the
-    amount the raw shooting coordinate was shifted by). mu_minus is the
+    amount the raw shooting coordinate was shifted by). i_plus_inf is the last
+    sample's i with the tail past the STOP_TOL stop closed. mu_minus is the
     fitted growth rate of a on the rising tail, mu_plus the fitted decay
     rate on the falling tail. Near the critical level, where the forward
     rates -c/2 +- s stay close across the fitted window (s z_hi <=
@@ -96,9 +100,9 @@ def _rear_band(i_c: float) -> str:
     return f"rear levels need i_minus <= 2 - i_c = {analysis.limit_symmetry(i_c):g}"
 
 
-def _run_shoot(y0, p: Params) -> Trajectory:
+def _run_shoot(y0, p: Params, stop: float = STOP_TOL) -> Trajectory:
     # `wave_rhs` is read from this module per shot, so a wrapper set here sees every evaluation
-    traj = integrate(wave_rhs, p, y0, Z_BUDGET, (NEGATIVITY_TOL, STOP_TOL))
+    traj = integrate(wave_rhs, p, y0, Z_BUDGET, (NEGATIVITY_TOL, stop))
     for rec in traj.events:
         if rec.index == EV_NEG:
             raise NegativityError(
@@ -116,8 +120,14 @@ def _stopped(traj: Trajectory) -> bool:
     return any(rec.index == EV_STOP for rec in traj.events)
 
 
+def _closed_limit(a: float, b: float, i: float, p: Params) -> float:
+    """Forward limit of i past a stop at (a, b, i), i < 1, up to O(a^2): the linear tail
+    b' + c b + (1 - i) a = 0 gives int a = (b + c a) / (1 - i), and i' = -(i + r) a / c."""
+    return i - (i + p.r) * (b + p.c * a) / (p.c * (1.0 - i))
+
+
 def _check_limit_band(traj: Trajectory, p: Params) -> float:
-    i_limit = float(traj.states[-1, 2])
+    a, b, i_limit = (float(x) for x in traj.states[-1])
     i_c = analysis.minimal_inactive_limit(p.c)
     # below i_c, disc = c^2/4 + i_plus - 1 < 0: the oscillatory regime, even
     # when the spiral's first dip was too shallow to trip the negativity event
@@ -131,7 +141,7 @@ def _check_limit_band(traj: Trajectory, p: Params) -> float:
             f"converged to i = {i_limit:.6f}, outside [{i_c:g} - 1e-6, 1)",
             traj,
         )
-    return i_limit
+    return _closed_limit(a, b, i_limit, p)
 
 
 def _slope(x, y) -> float:
@@ -217,11 +227,12 @@ def shoot_wave(i_minus_inf: float, p: Params) -> WaveProfile:
 def shoot_from_max(a0: float, i0: float, p: Params) -> tuple[Trajectory, float]:
     """Forward run from (a0, 0, i0) into the attracting continuum.
 
-    Returns the trajectory and the measured forward limit of i. Starting
-    above the threshold a_star(i0) typically ends in NegativityError, or in
-    OscillatoryRegimeError if the run settles below i_c before a dips that
-    deep; that is the expected dynamics, not a failure of the integrator.
-    A limit at or above 1 raises NonConvergenceError.
+    Returns the trajectory, stopped once sup|(a, b)| < LIMIT_STOP_TOL, and the forward
+    limit of i with the tail past the stop closed, as for a start inside the stop.
+    Starting above the threshold a_star(i0) typically ends in NegativityError, or in
+    OscillatoryRegimeError if the run settles below i_c before a dips that deep;
+    that is the expected dynamics, not a failure of the integrator. A limit at or
+    above 1 raises NonConvergenceError.
     """
     i_c = analysis.minimal_inactive_limit(p.c)
     if not (i_c - 1e-12 <= i0 < 1.0):
@@ -233,12 +244,12 @@ def shoot_from_max(a0: float, i0: float, p: Params) -> tuple[Trajectory, float]:
             f"a0 = {a0} exceeds the equilibrium cap 1 - i0 = {1.0 - i0}"
         )
 
-    if a0 < STOP_TOL:
-        # already on the fixed-point continuum
+    if a0 < LIMIT_STOP_TOL:
+        # already inside the stop
         traj = Trajectory(np.array([0.0]), np.array([[a0, 0.0, i0]]))
-        return traj, i0
+        return traj, _closed_limit(a0, 0.0, i0, p)
 
-    traj = _run_shoot(np.array([a0, 0.0, i0]), p)
+    traj = _run_shoot(np.array([a0, 0.0, i0]), p, LIMIT_STOP_TOL)
     if not _stopped(traj):
         raise BudgetError(f"no convergence within z budget {Z_BUDGET:g}", traj)
     return traj, _check_limit_band(traj, p)

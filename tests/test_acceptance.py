@@ -35,6 +35,13 @@ def test_limit_symmetry(ctx):
     _run("limit-symmetry", ctx)
 
 
+def test_limit_symmetry_to_the_integrator_floor(ctx):
+    # each front limit closes its tail past the stop; read off the last sample the
+    # worst pair missed 2 by 8.8e-10
+    worst = max(rep.limit_sum_residual for rep in ctx.wave_reports().values())
+    assert worst <= 1e-11
+
+
 def test_attractor_formula(ctx):
     result = _run("attractor-formula", ctx)
     assert result.seconds < 60.0

@@ -1,5 +1,7 @@
+import decimal
 import math
 import warnings
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -366,8 +368,39 @@ class TestAttractorFormulas:
         assert alpha == pytest.approx(0.47177978870813465, abs=1e-14)
 
     def test_threshold_at_minimal_level_is_zero(self):
-        assert analysis.alpha_threshold(0.0, 2.0, 0.0) == pytest.approx(0.0, abs=1e-15)
-        assert analysis.alpha_threshold(0.75, 1.0, 1.0) == pytest.approx(0.0, abs=1e-15)
+        assert analysis.alpha_threshold(0.0, 2.0, 0.0) == 0.0
+        assert analysis.alpha_threshold(0.75, 1.0, 1.0) == 0.0
+        # just below i_c = 0 the root's sum form would divide a negative gap by a
+        # negative i + r; the difference form keeps the threshold tiny
+        assert 0.0 <= analysis.alpha_threshold(-1e-13, 2.0, 0.0) < 1e-12
+
+    @staticmethod
+    def alpha_decimal(i0, c, r):
+        """alpha_threshold in 60-digit decimal from the same float inputs and i_c."""
+        with decimal.localcontext() as ctx:
+            ctx.prec = 60
+            i_c, i0, r = (Decimal(x) for x in (analysis.minimal_inactive_limit(c), i0, r))
+            s, c2, gap = i0 + r, Decimal(c) ** 2, (1 - i_c) ** 2 - (1 - i0) ** 2
+            k = (c2 + 1 + r) / c2
+            return float(((s * s + k * gap).sqrt() - s) / k)
+
+    @pytest.mark.parametrize("r", [0.0, 1.0, 1e8, 1e16])
+    def test_threshold_within_an_ulp_of_decimal(self, r):
+        # 60 digits carry -(i0 + r) + sqrt(...) past its cancellation at large r,
+        # where the double difference lost 2e8 ulps at r = 1e8 and everything at 1e16
+        want = self.alpha_decimal(0.5, 2.0, r)
+        assert abs(analysis.alpha_threshold(0.5, 2.0, r) - want) <= math.ulp(want)
+
+    def test_threshold_near_decimal_on_battery_levels(self):
+        # the battery's (i0, c, r); the squares of 1 - i_c and 1 - i0 differenced
+        # directly, and the root's difference, cost up to 53 ulps here
+        rng = np.random.default_rng(95)
+        for _ in range(300):
+            c, r = rng.uniform(1.5, 4.0), rng.uniform(0.0, 2.0)
+            i_c = analysis.minimal_inactive_limit(c)
+            i0 = rng.uniform(i_c + 0.05, 0.95)
+            want = self.alpha_decimal(i0, c, r)
+            assert abs(analysis.alpha_threshold(i0, c, r) - want) <= 4 * math.ulp(want)
 
     @given(
         i0=st.floats(0.0, 0.999),

@@ -196,7 +196,7 @@ class TestPde:
         assert 1.5 < payload["c_est"] < 2.1
         assert len(payload["snapshots"]) == 3
         for name in payload["snapshots"]:
-            lines = open(name).read().splitlines()
+            lines = Path(name).read_text().splitlines()
             assert lines[0] == "x,A,I"
             assert len(lines) == 502
 
@@ -228,7 +228,7 @@ class TestPde:
         assert code == 0
         # the t = 0 snapshot of the restart must reproduce the handoff file
         # bit for bit: 17 significant digits round-trip doubles exactly
-        assert open(payload2["snapshots"][0]).read() == open(handoff).read()
+        assert Path(payload2["snapshots"][0]).read_text() == Path(handoff).read_text()
 
     def test_initial_data_past_a_byte_order_mark(self, tmp_path, capsys):
         plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"

@@ -69,6 +69,7 @@ class TestShootingOptions:
     def test_defaults(self):
         assert wave.SEED_EPS == 1e-7
         assert wave.STOP_TOL == 1e-10
+        assert wave.LIMIT_STOP_TOL == 1e-8
         assert wave.Z_BUDGET == 1000.0
         assert wave.NEGATIVITY_TOL == 1e-6
 
@@ -223,6 +224,32 @@ class TestShootFromMax:
     def test_limit_matches_formula(self):
         traj, lim = shoot_from_max(0.3, 0.5, P20)
         assert lim == pytest.approx(analysis.i_plus_infinity(0.3, 0.5, 2.0, 0.0), abs=1e-4)
+
+    def test_closed_limit_near_the_minimal_level(self):
+        # the slowest tails: i0 just above i_c and a0 up to a_star; a limit read off
+        # the last sample missed the closed form by up to 2.2e-10 on these draws
+        rng = np.random.default_rng(43)
+        worst = 0.0
+        for _ in range(40):
+            c, r = rng.uniform(1.5, 4.0), rng.uniform(0.0, 2.0)
+            i0 = analysis.minimal_inactive_limit(c) + rng.uniform(0.0, 0.1)
+            a0 = analysis.a_star(i0, c, r) * rng.uniform()
+            _, lim = shoot_from_max(a0, i0, Params(c=c, r=r))
+            worst = max(worst, abs(lim - analysis.i_plus_infinity(a0, i0, c, r)))
+        assert worst <= 1e-11
+
+    @pytest.mark.parametrize("a0", [1e-12, 1e-10, 5e-9])
+    def test_start_inside_the_stop_is_closed(self, a0):
+        p = Params(c=2.0, r=1.0)
+        traj, lim = shoot_from_max(a0, 0.5, p)
+        assert len(traj) == 1
+        assert lim < 0.5
+        assert abs(lim - analysis.i_plus_infinity(a0, 0.5, p.c, p.r)) <= 8.0 * a0 * a0 + 1e-15
+
+    def test_shot_stops_at_the_limit_stop(self):
+        traj, _ = shoot_from_max(0.3, 0.5, P20)
+        assert traj.events[-1].index == odeint.EV_STOP
+        assert np.abs(traj.states[-1, :2]).max() == pytest.approx(wave.LIMIT_STOP_TOL, rel=1e-9)
 
     def test_threshold_start_lands_at_minimal_level(self):
         a_star = analysis.a_star(0.5, 2.0, 0.0)
