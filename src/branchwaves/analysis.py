@@ -29,6 +29,7 @@ __all__ = [
     "decay_rate",
     "triangle",
     "triangle_contains",
+    "forward_limit",
     "i_plus_infinity",
     "alpha_threshold",
     "a_star",
@@ -168,17 +169,27 @@ def triangle_contains(t: Triangle, points, tol: float = 0.0) -> bool | np.ndarra
             & ((1.0 - t.i - a) * t.tan_r + b >= -tol * sqrt(1.0 + t.tan_r * t.tan_r)))
 
 
-def i_plus_infinity(a0: float, i0: float, c: float, r: float) -> float:
-    """Predicted inactive limit of a trajectory started at (a0, 0, i0).
+def forward_limit(a: float, b: float, i: float, c: float, r: float) -> float:
+    """Inactive limit of the wave-ODE trajectory through (a, b, i).
 
-    Closed form derived from the mass-transfer identities; decreasing in
-    a0 on [0, 1 - i0].
+    H = (1 - s)^2 + k, with q = a + b/c, s = i + q and k = (1 + r)(2q + a^2/c^2), is a
+    first integral (dH/dz = 0) and equals (1 - i)^2 at every equilibrium, so the limit
+    is 1 - sqrt(H) = (s(2 - s) - k) / (1 + sqrt(H)).  Its numerator is summed as
+    2i - s^2 - 2rq - (1 + r)a^2/c^2, with the 2q terms cancelled exactly, so a limit
+    near 0 keeps its digits.
     """
     if not c > 0:
         raise DomainError(f"wave speed must be positive, got {c}")
-    return 1.0 - math.sqrt(
-        (i0 + a0 - 1.0) ** 2 + (1.0 + r) / (c * c) * (a0 * a0 + 2.0 * c * c * a0)
-    )
+    q, t = a + b / c, (1.0 + r) * (a / c) ** 2
+    s = i + q
+    root = math.sqrt((1.0 - s) ** 2 + 2.0 * (1.0 + r) * q + t)
+    return (2.0 * i - s * s - 2.0 * r * q - t) / (1.0 + root)
+
+
+def i_plus_infinity(a0: float, i0: float, c: float, r: float) -> float:
+    """Predicted inactive limit of a trajectory started at (a0, 0, i0), `forward_limit`
+    there; decreasing in a0 on [0, 1 - i0]."""
+    return forward_limit(a0, 0.0, i0, c, r)
 
 
 def _first_root(i: float, gap: float, c: float, r: float) -> float:
@@ -228,7 +239,7 @@ def a_at_first_max(i_minus_inf: float, i_z0: float, c: float, r: float) -> float
         raise DomainError(f"wave speed must be positive, got {c}")
     if not i_minus_inf > 1.0:
         raise DomainError(f"backward limit must exceed 1, got {i_minus_inf}")
-    gap = (i_minus_inf - 1.0) ** 2 - (1.0 - i_z0) ** 2
+    gap = (i_z0 + (i_minus_inf - 2.0)) * (i_minus_inf - i_z0)  # (i_minus - 1)^2 - (1 - i_z0)^2
     if gap <= 0:
         raise DomainError(
             f"imaginary root: (i_minus_inf - 1)^2 = {(i_minus_inf - 1.0) ** 2} "

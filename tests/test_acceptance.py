@@ -111,17 +111,37 @@ def test_diagnostics_where_the_criterion_holds_them(ctx):
             "step_doubling_c_diff": (c_2h - c_h) / 3.0}
         assert -6e-4 < (c_2h - c_h) / 3.0 < -3e-4
     # the shooting counters summed over each criterion's shots
-    for name, shots in (("attractor-formula", 50), ("triangles", 200)):
+    for name, shots, extra in (("attractor-formula", 50, ["max_tail_closure"]),
+                               ("triangles", 200, [])):
         [result] = acceptance.run_all(only=name, ctx=ctx)
         diag = result.diagnostics
         assert list(diag) == ["shots", "accepted_steps", "rejected_steps", "rhs_evaluations",
-                              "refined_events", "dense_samples"]
+                              "refined_events", "dense_samples", *extra]
         assert diag["shots"] == shots
         assert diag["rhs_evaluations"] == 2 * shots + 6 * (
             diag["accepted_steps"] + diag["rejected_steps"])
         assert diag["refined_events"] >= shots  # each shot's stop, at least
     [rescaling] = acceptance.run_all(only="rescaling", ctx=ctx)
     assert rescaling.diagnostics == {}
+
+
+def test_tail_closure_is_what_the_first_integral_adds(ctx):
+    # |limit - last sample's i| over the shots: the stop at 1e-6 leaves ~1e-5 of the
+    # limit to the first integral, well inside the criterion's 1e-4
+    [result] = acceptance.run_all(only="attractor-formula", ctx=ctx)
+    assert 1e-7 < result.diagnostics["max_tail_closure"] < 1e-4
+
+
+def test_mass_identities_read_the_report_verdict(ctx, monkeypatch):
+    # a residual of 2e-4 on a transferred mass of 10 passed the report's old rule,
+    # MASS_TOL scaled by the mass; one rule, unscaled, now fails both
+    reports = dict(ctx.wave_reports())
+    key, last = list(reports.items())[-1]
+    reports[key] = dataclasses.replace(
+        last, mass=dataclasses.replace(last.mass, res1=2e-4, total_mass=10.0))
+    assert not reports[key].mass_ok and not reports[key].passed
+    monkeypatch.setattr(ctx, "wave_reports", lambda: reports)
+    assert not acceptance.run_all(only="mass-identities", ctx=ctx)[0].passed
 
 
 def test_raising_criterion_reports_failure(ctx, monkeypatch):

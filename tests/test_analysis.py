@@ -454,6 +454,22 @@ class TestFirstMaxFormula:
         want = analysis.alpha_threshold(i_z0, c, r)
         assert got == pytest.approx(want, abs=1e-10)
 
+    def test_within_3_ulps_of_decimal_on_battery_levels(self):
+        # the threshold-consistency draws at the rear level 2 - i_c; the squares of
+        # i_minus - 1 and 1 - i_z0 differenced directly cost up to 12 ulps here
+        rng = np.random.default_rng(2029)
+        for _ in range(300):
+            c, r = rng.uniform(1.5, 4.0), rng.uniform(0.0, 2.0)
+            i_c = analysis.minimal_inactive_limit(c)
+            i_z0, i_minus = rng.uniform(i_c + 0.05, 0.95), analysis.limit_symmetry(i_c)
+            with decimal.localcontext() as ctx:
+                ctx.prec = 60
+                im, iz, rd = (Decimal(x) for x in (i_minus, i_z0, r))
+                s, c2, gap = iz + rd, Decimal(c) ** 2, (im - 1) ** 2 - (1 - iz) ** 2
+                k = (c2 + 1 + rd) / c2
+                want = float(((s * s + k * gap).sqrt() - s) / k)
+            assert abs(analysis.a_at_first_max(i_minus, i_z0, c, r) - want) <= 3 * math.ulp(want)
+
     def test_degenerate_wave_limit(self):
         val = analysis.a_at_first_max(1.0 + 1e-9, 1.0, 2.0, 0.0)
         assert val == pytest.approx(0.0, abs=1e-9)
