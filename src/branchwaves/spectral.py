@@ -31,7 +31,9 @@ One `evans` call marches a whole array of gammas together, `_BLOCK` of them
 at a time; the exponentials of a block of steps for those are one (3, 3, n)
 stack of at most `_BLOCK` matrices, the layout of P and Q, never the whole
 (gamma, step) field.  `expm` is Pade-13 scaling and squaring (Higham, SIAM
-J. Matrix Anal. Appl. 26, 2005), the Pade sums in place in kept stacks.
+J. Matrix Anal. Appl. 26, 2005), the Pade sums in place in kept stacks; the
+march runs in a scope of numpy's ufunc buffer at `_UFUNC_BUFFER` elements,
+since the default copies every broadcast operand on every call.
 The wave is real, so E(conj gamma) = conj E(gamma) (Sandstede, Handbook of
 Dynamical Systems II, 2002): `evans` marches each conjugate pair once, and
 `contour_of_S` mirrors its points exactly, so a sweep marches half of them.
@@ -87,11 +89,14 @@ _HALVING_TOL = 0.1
 CLOSURE_TOL = 0.1
 _MAX_REFINE = 12
 # matrices per stacked exponential and gammas per march: each expm call has a fixed
-# cost, and `_stacks` keeps eight stacks this size.  A default `evans` op on a 2-vCPU
-# Xeon (8 alternated rounds of 15, one CPU) took 40.5 ms at 1024, 38.5 at 2048, 38.9 at
-# 4096, at 34.3, 35.6, 37.9 MB peak RSS (42.2 ms, 34.4 MB with stacks allocated per
-# call at 1024): 2048 halves the calls for 1.2 MB
+# cost, and `_stacks` keeps eight stacks this size.  A default sweep in the march's buffer
+# scope on a 2-vCPU Xeon (12 rotated rounds, one CPU) took 57.6, 44.9, 38.2 and 39.2 ms
+# at 512, 1024, 2048 and 4096, at 33.2, 34.0, 35.3 and 37.7 MB peak RSS: 2048 was
+# faster than each other size in 9 to 11 of the 12 rounds
 _BLOCK = 2048
+# ufunc buffer (elements) in `evans`' march: numpy's 8192 copies broadcast or strided operands
+# per call (`_mul` of 2048: 102 us, 75 here); it reduces no long axis, so no bit moves
+_UFUNC_BUFFER = 256
 _KEPT: list[np.ndarray] = []  # the flat buffers behind `_stacks`
 _RE_MARGIN = 1e-10
 # a contour has about 2.25 base_n points, marched _BLOCK gammas at a time: 22,501
@@ -260,6 +265,7 @@ def expm(X: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     allocated or transposed per call, and calls must not overlap (threads).
     At most _BLOCK matrices, the most a march builds, come in (ValueError
     past that); a matrix with a non-finite entry gives a non-finite result.
+    Outside `evans`' scope it runs at the caller's ufunc buffer: the same bits, slower.
     """
     X = np.asarray(X, dtype=complex)
     if X.shape[2] > _BLOCK:
@@ -302,8 +308,8 @@ def expm(X: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     R = _mul(adj, np.add(V, U, out=V), U, T)
     R /= det
     for tail in np.searchsorted(s, np.arange(s.max(initial=0)), side="right"):
-        # into the heads of S and T: a product into strided slices takes about 1.75x as long
-        R[:, :, tail:] = _mul(R[:, :, tail:], R[:, :, tail:], *_stacks(s.size - tail)[5:7])
+        # via the tails of the spent S and T: strided, as fast as contiguous in `evans`' scope
+        R[:, :, tail:] = _mul(R[:, :, tail:], R[:, :, tail:], S[:, :, tail:], T[:, :, tail:])
     back = np.argsort(order, kind="stable")  # a gather by it takes a quarter of a scatter's time
     return np.take(R, back, axis=2, out=out, mode="clip")
 
@@ -434,10 +440,12 @@ def evans(
     X = np.array([np.ones_like(x3), nu3 - w, x3])
     tally = Counter() if tally is None else tally
     tally["gammas"] += upper.size
-    for lo in range(0, upper.size, _BLOCK):
-        part = slice(lo, lo + _BLOCK)
-        V[:, part] = _march(V[:, part], growth[part], upper[part], legs[0], tally)
-        X[:, part] = _march(X[:, part], nu3[part], upper[part], legs[1], tally)
+    with np.errstate():  # the buffer size is this scope's, restored on exit or error
+        np.setbufsize(_UFUNC_BUFFER)
+        for lo in range(0, upper.size, _BLOCK):
+            part = slice(lo, lo + _BLOCK)
+            V[:, part] = _march(V[:, part], growth[part], upper[part], legs[0], tally)
+            X[:, part] = _march(X[:, part], nu3[part], upper[part], legs[1], tally)
     values = (V[0] * X[2] - V[1] * X[1] + V[2] * X[0])[inverse]
     values = np.where(lower, values.conj(), values)
     return complex(values[0]) if gammas.ndim == 0 else values.reshape(gammas.shape)

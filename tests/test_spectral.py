@@ -777,9 +777,10 @@ class TestEvansWinding:
 
     def test_second_sweep_allocates_no_stack(self, setup):
         # expm's working stacks and the march's exponents outlive a call, so once a
-        # sweep has run, a second one allocates no block as large as one (3, 3, n)
-        # stack of its largest exponential: traced memory grows by less than that
-        # from one line event to the next (numpy's own iterator buffers included)
+        # sweep has run, a second one allocates no block as large as half of one
+        # (3, 3, n) stack of its largest exponential: traced memory grows by less
+        # than that from one line event to the next.  numpy's own iterator buffers
+        # are included; at its default 8192 elements they took 262 KB on one line
         gammas, tally = spectral.contour_of_S()[:-1], Counter()
         spectral.evans(gammas, setup, tally=tally)
         grown, last = [], [0]
@@ -799,7 +800,42 @@ class TestEvansWinding:
             sys.settrace(None)
             tracemalloc.stop()
         assert tally["largest_stack"] > 1000 and len(grown) > 100
-        assert max(grown) < 9 * 16 * tally["largest_stack"]
+        assert max(grown) < 9 * 16 * tally["largest_stack"] // 2
+
+    def test_march_runs_in_the_scoped_buffer(self, setup, monkeypatch):
+        # every exponential of a default sweep runs at _UFUNC_BUFFER elements, and
+        # the caller's buffer size is back once the sweep is done
+        sizes = []
+        expm = spectral.expm
+        monkeypatch.setattr(spectral, "expm",
+                            lambda a, out=None: sizes.append(np.getbufsize()) or expm(a, out=out))
+        spectral.evans(spectral.contour_of_S()[:-1], setup)
+        assert len(sizes) > 1 and set(sizes) == {spectral._UFUNC_BUFFER} != {np.getbufsize()}
+
+    def test_caller_buffer_is_restored(self, setup, monkeypatch):
+        # after a value, a rejected gamma and an error inside the march alike
+        with np.errstate():
+            np.setbufsize(4096)
+            spectral.evans(np.array([0.5, 3j]), setup)
+            assert np.getbufsize() == 4096
+            with pytest.raises(DomainError):
+                spectral.evans(-1.0, setup)
+            assert np.getbufsize() == 4096
+
+            def fail(a, out=None):
+                raise FloatingPointError(f"at a buffer of {np.getbufsize()}")
+            monkeypatch.setattr(spectral, "expm", fail)
+            with pytest.raises(FloatingPointError, match=f"at a buffer of {spectral._UFUNC_BUFFER}"):
+                spectral.evans(0.5, setup)
+            assert np.getbufsize() == 4096
+
+    @pytest.mark.parametrize("size", [64, 8192])
+    def test_buffer_moves_no_bit(self, setup, monkeypatch, size):
+        # the march reduces along no long axis, so the buffer size moves no value
+        gammas = spectral.contour_of_S()[:-1]
+        ref = spectral.evans(gammas, setup)
+        monkeypatch.setattr(spectral, "_UFUNC_BUFFER", size)
+        assert spectral.evans(gammas, setup).tobytes() == ref.tobytes()
 
     def test_halving_check_raises(self, setup, monkeypatch):
         # halving the step moves every value by about 1e-6, far above this
